@@ -13,7 +13,7 @@ type t = {
   sets : int;
   tags : int array;  (** [set * ways + way] -> line tag, -1 = invalid *)
   lru : int array;  (** recency counter per slot; larger = more recent *)
-  dirty : bool array;
+  dirty : Bytes.t;  (** one byte per slot, ['\001'] = dirty *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -29,7 +29,7 @@ let create (cfg : config) : t =
     sets;
     tags = Array.make (sets * cfg.ways) (-1);
     lru = Array.make (sets * cfg.ways) 0;
-    dirty = Array.make (sets * cfg.ways) false;
+    dirty = Bytes.make (sets * cfg.ways) '\000';
     tick = 0;
     hits = 0;
     misses = 0;
@@ -39,7 +39,7 @@ let create (cfg : config) : t =
 let reset (c : t) : unit =
   Array.fill c.tags 0 (Array.length c.tags) (-1);
   Array.fill c.lru 0 (Array.length c.lru) 0;
-  Array.fill c.dirty 0 (Array.length c.dirty) false;
+  Bytes.fill c.dirty 0 (Bytes.length c.dirty) '\000';
   c.tick <- 0;
   c.hits <- 0;
   c.misses <- 0;
@@ -52,32 +52,30 @@ let line_of (c : t) (addr : int) : int = addr / c.cfg.line_bytes
     dirty victim. *)
 let access_line (c : t) ~(line : int) ~(is_write : bool) : bool =
   c.tick <- c.tick + 1;
-  let set = line mod c.sets in
-  let base = set * c.cfg.ways in
-  let found = ref (-1) in
-  for w = 0 to c.cfg.ways - 1 do
-    if c.tags.(base + w) = line then found := w
+  let base = line mod c.sets * c.cfg.ways in
+  let stop = base + c.cfg.ways in
+  (* Tags are unique within a set, so the scan stops at the first match;
+     until then it tracks the least recently used slot (the first one of
+     minimum recency) as the victim. *)
+  let slot = ref base and victim = ref base in
+  while !slot < stop && c.tags.(!slot) <> line do
+    if c.lru.(!slot) < c.lru.(!victim) then victim := !slot;
+    incr slot
   done;
-  if !found >= 0 then begin
-    let w = !found in
+  if !slot < stop then begin
     c.hits <- c.hits + 1;
-    c.lru.(base + w) <- c.tick;
-    if is_write then c.dirty.(base + w) <- true;
+    c.lru.(!slot) <- c.tick;
+    if is_write then Bytes.set c.dirty !slot '\001';
     true
   end
   else begin
+    let v = !victim in
     c.misses <- c.misses + 1;
-    (* Choose the LRU victim. *)
-    let victim = ref 0 in
-    for w = 1 to c.cfg.ways - 1 do
-      if c.lru.(base + w) < c.lru.(base + !victim) then victim := w
-    done;
-    let w = !victim in
-    if c.tags.(base + w) >= 0 && c.dirty.(base + w) then
+    if c.tags.(v) >= 0 && Bytes.get c.dirty v <> '\000' then
       c.writebacks <- c.writebacks + 1;
-    c.tags.(base + w) <- line;
-    c.lru.(base + w) <- c.tick;
-    c.dirty.(base + w) <- is_write;
+    c.tags.(v) <- line;
+    c.lru.(v) <- c.tick;
+    Bytes.set c.dirty v (if is_write then '\001' else '\000');
     false
   end
 

@@ -15,15 +15,15 @@
 
     The [wg_stats] handed to {!consume} is a pooled buffer owned by the
     runtime — everything needed from it is charged before returning, and
-    no reference to it (or its event arrays) is retained. Per-lane event
-    index buffers are likewise pooled in the simulator instance and reused
-    across work-groups.
+    no reference to it (or its event arrays) is retained. The simulator's
+    own working storage (the lane index and the per-step dedup buffer) is
+    likewise pooled in the instance, so replaying a trace allocates
+    nothing once the buffers have grown to the largest group.
 
     The total is the maximum over queues (cores run concurrently). *)
 
 open Grover_ocl
 module P = Platform
-module Varray = Grover_support.Varray
 
 type queue_state = {
   l1 : Cache.t option;
@@ -45,8 +45,18 @@ type t = {
   shared : Cache.t option;  (** LLC (CPU) or device L2 (GPU) *)
   bd : breakdown;
   mutable groups : int;
-  mutable lanes : int Varray.t array;
-      (** pooled per-lane event-index streams, reused across groups *)
+  mutable lane_start : int array;
+  mutable lane_count : int array;
+  mutable lane_evs : int array;
+      (** lane index: the group's event indices sorted by work-item, each
+          lane's in execution order; lane [l] owns
+          [lane_evs.(lane_start.(l)) .. lane_evs.(lane_start.(l) + lane_count.(l) - 1)] *)
+  mutable uniq_key : int array;
+  mutable uniq_write : bool array;
+  mutable n_uniq : int;
+      (** dedup buffer for one step: the distinct lines, segments or local
+          addresses touched, in first-seen order, with their write flag *)
+  bank_load : int array;  (** GPU: accesses per scratch-pad bank in one step *)
 }
 
 (** [vectorized] — whether the kernel already uses explicit vector types.
@@ -76,64 +86,101 @@ let create ?(vectorized = false) (plat : P.t) : t =
     shared;
     bd = { compute = 0.0; memory = 0.0; barrier = 0.0; spm = 0.0 };
     groups = 0;
-    lanes = [||];
+    lane_start = [||];
+    lane_count = [||];
+    lane_evs = [||];
+    uniq_key = Array.make 64 0;
+    uniq_write = Array.make 64 false;
+    n_uniq = 0;
+    bank_load =
+      (match plat.P.mem with
+      | P.Gpu_mem g -> Array.make g.P.banks 0
+      | P.Cpu_mem _ -> [||]);
   }
+
+(* -- Lane index and dedup buffer, shared by both engines ---------------------- *)
+
+(* Counting-sort the group's event indices by work-item into [t.lane_evs].
+   The sort is stable, so index order within a lane is execution order.
+   Events of work-items outside the group ([wi >= wg_size]) are dropped;
+   [Trace.ev_wi] is a logical shift, so it is never negative. *)
+let index_lanes (t : t) (s : Trace.wg_stats) : unit =
+  let n = s.Trace.wg_size in
+  if Array.length t.lane_count < n then begin
+    t.lane_start <- Array.make n 0;
+    t.lane_count <- Array.make n 0
+  end;
+  let start = t.lane_start and count = t.lane_count in
+  Array.fill count 0 n 0;
+  for k = 0 to s.Trace.n_events - 1 do
+    let wi = Trace.ev_wi s k in
+    if wi < n then count.(wi) <- count.(wi) + 1
+  done;
+  let kept = ref 0 in
+  for l = 0 to n - 1 do
+    start.(l) <- !kept;
+    kept := !kept + count.(l);
+    count.(l) <- 0
+  done;
+  if Array.length t.lane_evs < !kept then
+    t.lane_evs <- Array.make (max !kept (2 * Array.length t.lane_evs)) 0;
+  let evs = t.lane_evs in
+  for k = 0 to s.Trace.n_events - 1 do
+    let wi = Trace.ev_wi s k in
+    if wi < n then begin
+      let c = count.(wi) in
+      evs.(start.(wi) + c) <- k;
+      count.(wi) <- c + 1
+    end
+  done
+
+(* The most events any lane in [first..last] recorded. *)
+let depth (t : t) ~first ~last : int =
+  let d = ref 0 in
+  for l = first to last do
+    if t.lane_count.(l) > !d then d := t.lane_count.(l)
+  done;
+  !d
+
+(* Position of [key] in the dedup buffer, or -1. Searched newest first:
+   neighbouring lanes mostly touch the line the previous lane touched. *)
+let uniq_find (t : t) (key : int) : int =
+  let i = ref (t.n_uniq - 1) in
+  while !i >= 0 && t.uniq_key.(!i) <> key do
+    decr i
+  done;
+  !i
+
+let uniq_add (t : t) (key : int) (is_write : bool) : unit =
+  let n = t.n_uniq in
+  if n = Array.length t.uniq_key then begin
+    let keys = Array.make (2 * n) 0 and writes = Array.make (2 * n) false in
+    Array.blit t.uniq_key 0 keys 0 n;
+    Array.blit t.uniq_write 0 writes 0 n;
+    t.uniq_key <- keys;
+    t.uniq_write <- writes
+  end;
+  t.uniq_key.(n) <- key;
+  t.uniq_write.(n) <- is_write;
+  t.n_uniq <- n + 1
 
 (* -- CPU engine -------------------------------------------------------------- *)
 
-let cpu_access (t : t) (q : queue_state) (m : P.cpu_mem) ~addr ~bytes ~is_write
-    : float =
-  let l1 = Option.get q.l1 in
-  let missed = Cache.access l1 ~addr ~bytes ~is_write in
-  if missed = 0 then float_of_int m.P.l1.Cache.latency
-  else begin
-    (* Walk outward once per missed line. *)
-    let cost = ref 0.0 in
-    for _ = 1 to missed do
-      let level2 =
-        match q.l2 with
-        | Some l2 ->
-            if Cache.access l2 ~addr ~bytes:1 ~is_write > 0 then None
-            else Some (float_of_int (match m.P.l2 with Some c -> c.Cache.latency | None -> 0))
-        | None -> None
-      in
-      match level2 with
-      | Some lat -> cost := !cost +. lat
-      | None -> (
-          match t.shared with
-          | Some llc ->
-              if Cache.access llc ~addr ~bytes:1 ~is_write > 0 then
-                cost := !cost +. float_of_int m.P.mem_latency
-              else
-                cost :=
-                  !cost
-                  +. float_of_int
-                       (match m.P.llc with Some c -> c.Cache.latency | None -> 0)
-          | None -> cost := !cost +. float_of_int m.P.mem_latency)
-    done;
-    !cost
-  end
+let touch (c : Cache.t) ~addr ~is_write : bool =
+  Cache.access_line c ~line:(Cache.line_of c addr) ~is_write
 
-(* Split the group's event stream into per-lane streams of event indices
-   (index order within a lane is execution order). The per-lane buffers are
-   pooled in [t] and reused for every group. Shared by the CPU SIMD-batch
-   and GPU warp engines. *)
-let lane_streams (t : t) (s : Trace.wg_stats) : int Varray.t array =
-  let n = s.Trace.wg_size in
-  if Array.length t.lanes < n then begin
-    let old = t.lanes in
-    t.lanes <-
-      Array.init n (fun l ->
-          if l < Array.length old then old.(l) else Varray.create ~dummy:0)
-  end;
-  for l = 0 to n - 1 do
-    Varray.clear t.lanes.(l)
-  done;
-  for k = 0 to s.Trace.n_events - 1 do
-    let wi = Trace.ev_wi s k in
-    if wi >= 0 && wi < n then Varray.push t.lanes.(wi) k
-  done;
-  t.lanes
+(* Cycles of one line access from core [q]: the latency of the first level
+   outward from L1 that holds the line, or memory latency. *)
+let cpu_line (t : t) (q : queue_state) (m : P.cpu_mem) ~addr ~is_write : int =
+  match q.l1 with
+  | Some l1 when touch l1 ~addr ~is_write -> l1.Cache.cfg.Cache.latency
+  | _ -> (
+      match q.l2 with
+      | Some l2 when touch l2 ~addr ~is_write -> l2.Cache.cfg.Cache.latency
+      | _ -> (
+          match t.shared with
+          | Some llc when touch llc ~addr ~is_write -> llc.Cache.cfg.Cache.latency
+          | _ -> m.P.mem_latency))
 
 let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
   let q = t.queues.(s.Trace.queue mod Array.length t.queues) in
@@ -153,49 +200,61 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
   in
   (* Vendor CPU runtimes execute [simd] work-items in lockstep vector lanes;
      the k-th access of a lane batch coalesces into one access per distinct
-     cache line (an 8-wide unit-stride load is one hardware access). *)
+     cache line (an 8-wide unit-stride load is one hardware access). Lines
+     are visited in first-seen order — ascending lane, then ascending line —
+     and a line is written if any lane writes it. *)
   let line = m.P.l1.Cache.line_bytes in
-  let lanes = lane_streams t s in
-  let memory = ref 0.0 in
+  index_lanes t s;
+  let memory = ref 0 in
   let n_batches = (s.Trace.wg_size + simd - 1) / simd in
   for b = 0 to n_batches - 1 do
     let first = b * simd in
     let last = min (first + simd) s.Trace.wg_size - 1 in
-    let depth = ref 0 in
-    for l = first to last do
-      depth := max !depth (Varray.length lanes.(l))
-    done;
-    for k = 0 to !depth - 1 do
-      let uniq : (int, bool) Hashtbl.t = Hashtbl.create 8 in
+    for k = 0 to depth t ~first ~last - 1 do
+      t.n_uniq <- 0;
       for l = first to last do
-        if k < Varray.length lanes.(l) then begin
-          let ei = Varray.get lanes.(l) k in
+        if k < t.lane_count.(l) then begin
+          let ei = t.lane_evs.(t.lane_start.(l) + k) in
           let addr = Trace.ev_addr s ei in
           let is_write = Trace.ev_is_write s ei in
-          let l0 = addr / line in
-          let l1 = (addr + Trace.ev_bytes s ei - 1) / line in
-          for ln = l0 to l1 do
-            let w = Option.value ~default:false (Hashtbl.find_opt uniq ln) in
-            Hashtbl.replace uniq ln (w || is_write)
+          for ln = addr / line to (addr + Trace.ev_bytes s ei - 1) / line do
+            let i = uniq_find t ln in
+            if i < 0 then uniq_add t ln is_write
+            else if is_write then t.uniq_write.(i) <- true
           done
         end
       done;
-      Hashtbl.iter
-        (fun ln is_write ->
-          memory :=
-            !memory
-            +. cpu_access t q m ~addr:(ln * line) ~bytes:1 ~is_write)
-        uniq
+      for i = 0 to t.n_uniq - 1 do
+        memory :=
+          !memory
+          + cpu_line t q m ~addr:(t.uniq_key.(i) * line) ~is_write:t.uniq_write.(i)
+      done
     done
   done;
   (* Accesses pipeline on real cores; charge a fraction of pure latency. *)
-  let memory = !memory *. 0.35 in
+  let memory = float_of_int !memory *. 0.35 in
   q.q_cycles <- q.q_cycles +. compute +. dispatch +. barrier +. memory;
   t.bd.compute <- t.bd.compute +. compute +. dispatch;
   t.bd.barrier <- t.bd.barrier +. barrier;
   t.bd.memory <- t.bd.memory +. memory
 
 (* -- GPU engine --------------------------------------------------------------- *)
+
+(* Cycles of one global-memory transaction for segment address [addr]. *)
+let gpu_segment (t : t) (q : queue_state) (g : P.gpu_mem) ~addr ~is_write : float =
+  match q.l1 with
+  (* A per-CU L1 that caches global loads (Tahiti) absorbs repeated and
+     broadcast transactions. *)
+  | Some l1 when (not is_write) && touch l1 ~addr ~is_write ->
+      float_of_int l1.Cache.cfg.Cache.latency
+  | _ ->
+      let extra =
+        match t.shared with
+        | Some l2 ->
+            if touch l2 ~addr ~is_write then 0.0 else float_of_int g.P.mem_latency
+        | None -> float_of_int g.P.mem_latency
+      in
+      g.P.trans_cost +. extra
 
 let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
   let q = t.queues.(s.Trace.queue mod Array.length t.queues) in
@@ -209,95 +268,62 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
     /. float_of_int warp
   in
   let barrier = float_of_int s.Trace.barrier_rounds *. c.P.c_barrier_round in
-  (* Split events into per-lane streams, warp by warp. *)
   let n_warps = (s.Trace.wg_size + warp - 1) / warp in
-  let lanes = lane_streams t s in
+  index_lanes t s;
   let memory = ref 0.0 and spm = ref 0.0 in
   for w = 0 to n_warps - 1 do
     let first = w * warp in
     let last = min (first + warp) s.Trace.wg_size - 1 in
-    let depth = ref 0 in
-    for l = first to last do
-      depth := max !depth (Varray.length lanes.(l))
-    done;
-    for k = 0 to !depth - 1 do
-      (* Gather the k-th access of each lane of this warp. *)
-      let evs = ref [] in
+    for k = 0 to depth t ~first ~last - 1 do
+      (* Coalescing: the distinct aligned segments the k-th global accesses
+         of the warp's lanes touch, in first-seen order. A segment's write
+         flag is the one of the lowest lane touching it. *)
+      t.n_uniq <- 0;
       for l = first to last do
-        if k < Varray.length lanes.(l) then
-          evs := Varray.get lanes.(l) k :: !evs
+        if k < t.lane_count.(l) then begin
+          let ei = t.lane_evs.(t.lane_start.(l) + k) in
+          match Trace.ev_space s ei with
+          | Grover_ir.Ssa.Global | Grover_ir.Ssa.Constant ->
+              let addr = Trace.ev_addr s ei in
+              let is_write = Trace.ev_is_write s ei in
+              for seg = addr / g.P.segment to (addr + Trace.ev_bytes s ei - 1) / g.P.segment do
+                if uniq_find t seg < 0 then uniq_add t seg is_write
+              done
+          | Grover_ir.Ssa.Local | Grover_ir.Ssa.Private -> ()
+        end
       done;
-      let evs = !evs in
-      let local_evs, rest =
-        List.partition (fun ei -> Trace.ev_space s ei = Grover_ir.Ssa.Local) evs
-      in
-      let global_evs =
-        List.filter
-          (fun ei ->
-            match Trace.ev_space s ei with
-            | Grover_ir.Ssa.Global | Grover_ir.Ssa.Constant -> true
-            | _ -> false)
-          rest
-      in
-      (* Coalescing: distinct aligned segments among the lanes. *)
-      if global_evs <> [] then begin
-        let segs = Hashtbl.create 8 in
-        List.iter
-          (fun ei ->
-            let addr = Trace.ev_addr s ei in
-            let s0 = addr / g.P.segment in
-            let s1 = (addr + Trace.ev_bytes s ei - 1) / g.P.segment in
-            for seg = s0 to s1 do
-              Hashtbl.replace segs seg (Trace.ev_is_write s ei)
-            done)
-          global_evs;
-        Hashtbl.iter
-          (fun seg is_write ->
-            let addr = seg * g.P.segment in
-            (* A per-CU L1 that caches global loads (Tahiti) absorbs
-               repeated and broadcast transactions. *)
-            let l1_hit =
-              match q.l1 with
-              | Some l1 when not is_write ->
-                  Cache.access l1 ~addr ~bytes:1 ~is_write = 0
-              | _ -> false
-            in
-            if l1_hit then
-              memory :=
-                !memory
-                +. float_of_int
-                     (match g.P.l1g with Some c -> c.Cache.latency | None -> 4)
-            else begin
-              let extra =
-                match t.shared with
-                | Some l2 ->
-                    if Cache.access l2 ~addr ~bytes:1 ~is_write > 0 then
-                      float_of_int g.P.mem_latency
-                    else 0.0
-                | None -> float_of_int g.P.mem_latency
-              in
-              memory := !memory +. g.P.trans_cost +. extra
-            end)
-          segs
-      end;
-      (* Scratch-pad: serialisation by the worst-loaded bank. *)
-      if local_evs <> [] then begin
-        let bank_counts = Hashtbl.create 8 in
-        let by_addr = Hashtbl.create 8 in
-        List.iter
-          (fun ei ->
-            let addr = Trace.ev_addr s ei in
-            let is_write = Trace.ev_is_write s ei in
-            (* Lanes reading the same address broadcast. *)
-            if not (Hashtbl.mem by_addr (addr, is_write)) then begin
-              Hashtbl.replace by_addr (addr, is_write) ();
-              let bank = addr / 4 mod g.P.banks in
-              Hashtbl.replace bank_counts bank
-                (1 + Option.value ~default:0 (Hashtbl.find_opt bank_counts bank))
-            end)
-          local_evs;
-        let conflict = Hashtbl.fold (fun _ n acc -> max n acc) bank_counts 1 in
-        spm := !spm +. (g.P.spm_cost *. float_of_int conflict)
+      for i = 0 to t.n_uniq - 1 do
+        memory :=
+          !memory
+          +. gpu_segment t q g ~addr:(t.uniq_key.(i) * g.P.segment)
+               ~is_write:t.uniq_write.(i)
+      done;
+      (* Scratch-pad: serialisation by the worst-loaded bank. Lanes making
+         the same access (address and direction) broadcast, so each distinct
+         one loads its bank once. Byte addresses are non-negative. *)
+      t.n_uniq <- 0;
+      for l = first to last do
+        if k < t.lane_count.(l) then begin
+          let ei = t.lane_evs.(t.lane_start.(l) + k) in
+          match Trace.ev_space s ei with
+          | Grover_ir.Ssa.Local ->
+              let key = (Trace.ev_addr s ei lsl 1) lor Bool.to_int (Trace.ev_is_write s ei) in
+              if uniq_find t key < 0 then uniq_add t key false
+          | Grover_ir.Ssa.Global | Grover_ir.Ssa.Constant | Grover_ir.Ssa.Private -> ()
+        end
+      done;
+      if t.n_uniq > 0 then begin
+        let conflict = ref 1 in
+        for i = 0 to t.n_uniq - 1 do
+          let bank = (t.uniq_key.(i) lsr 1) / 4 mod g.P.banks in
+          let n = t.bank_load.(bank) + 1 in
+          t.bank_load.(bank) <- n;
+          if n > !conflict then conflict := n
+        done;
+        for i = 0 to t.n_uniq - 1 do
+          t.bank_load.((t.uniq_key.(i) lsr 1) / 4 mod g.P.banks) <- 0
+        done;
+        spm := !spm +. (g.P.spm_cost *. float_of_int !conflict)
       end
     done
   done;

@@ -87,6 +87,102 @@ let prop_cache_miss_bound =
       s.Cache.s_hits + s.Cache.s_misses = List.length addrs
       && s.Cache.s_misses >= List.length unique_lines)
 
+(* A plain reference LRU: each set is a list of resident lines; a lookup
+   scans every way and the victim is the line of minimum recency. *)
+module Ref_lru = struct
+  type slot = { tag : int; mutable last : int; mutable dirty : bool }
+
+  type t = {
+    line_bytes : int;
+    ways : int;
+    sets : slot list array;
+    mutable tick : int;
+  }
+
+  let create (c : Cache.config) =
+    {
+      line_bytes = c.Cache.line_bytes;
+      ways = c.Cache.ways;
+      sets = Array.make (c.Cache.size_bytes / (c.Cache.line_bytes * c.Cache.ways)) [];
+      tick = 0;
+    }
+
+  (* (hit, wrote back a dirty victim) *)
+  let access_line r line is_write =
+    r.tick <- r.tick + 1;
+    let set = line mod Array.length r.sets in
+    let slots = r.sets.(set) in
+    match List.filter (fun s -> s.tag = line) slots with
+    | [ s ] ->
+        s.last <- r.tick;
+        if is_write then s.dirty <- true;
+        (true, false)
+    | _ :: _ :: _ -> failwith "duplicate tag in a set"
+    | [] ->
+        let fresh = { tag = line; last = r.tick; dirty = is_write } in
+        if List.length slots < r.ways then begin
+          r.sets.(set) <- fresh :: slots;
+          (false, false)
+        end
+        else begin
+          let victim =
+            List.fold_left (fun v s -> if s.last < v.last then s else v) (List.hd slots) slots
+          in
+          r.sets.(set) <- fresh :: List.filter (fun s -> s != victim) slots;
+          (false, victim.dirty)
+        end
+end
+
+(* 8 sets x 2 ways; 5 sets x 3 ways; the SNB LLC (20 MiB, 16 ways:
+   20480 sets, not a power of two). *)
+let diff_configs =
+  [ cfg ();
+    cfg ~size:(5 * 3 * 32) ~line:32 ~ways:3 ();
+    { Cache.size_bytes = 20 * 1024 * 1024; line_bytes = 64; ways = 16; latency = 40 } ]
+
+let prop_cache_matches_reference =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 0 (List.length diff_configs - 1) >>= fun ci ->
+      let c = List.nth diff_configs ci in
+      let sets = c.Cache.size_bytes / (c.Cache.line_bytes * c.Cache.ways) in
+      (* Few sets and more lines per set than ways, so evictions happen. *)
+      let access =
+        map
+          (fun (s, j, off, bytes, w) ->
+            (((s + (sets * j)) * c.Cache.line_bytes) + off, bytes, w))
+          (tup5 (int_range 0 2) (int_range 0 (2 * c.Cache.ways)) (int_range 0 (c.Cache.line_bytes - 1))
+             (oneofl [ 1; 4; 8; 16; c.Cache.line_bytes + 8 ])
+             bool)
+      in
+      pair (return ci) (list_size (int_range 1 300) access))
+  in
+  Test.make ~name:"Cache.access matches a reference LRU" ~count:150
+    (make gen ~print:(fun (ci, accs) ->
+         Printf.sprintf "config %d, %d accesses: %s" ci (List.length accs)
+           (String.concat " "
+              (List.map (fun (a, b, w) -> Printf.sprintf "%d+%d%s" a b (if w then "w" else "")) accs))))
+    (fun (ci, accs) ->
+      let c = List.nth diff_configs ci in
+      let cache = Cache.create c and r = Ref_lru.create c in
+      List.for_all
+        (fun (addr, bytes, is_write) ->
+          let before = Cache.stats cache in
+          let missed = Cache.access cache ~addr ~bytes ~is_write in
+          let after = Cache.stats cache in
+          let hits = ref 0 and misses = ref 0 and wbs = ref 0 in
+          for line = addr / r.Ref_lru.line_bytes to (addr + bytes - 1) / r.Ref_lru.line_bytes do
+            let hit, wb = Ref_lru.access_line r line is_write in
+            if hit then incr hits else incr misses;
+            if wb then incr wbs
+          done;
+          missed = !misses
+          && after.Cache.s_hits - before.Cache.s_hits = !hits
+          && after.Cache.s_misses - before.Cache.s_misses = !misses
+          && after.Cache.s_writebacks - before.Cache.s_writebacks = !wbs)
+        accs)
+
 (* -- Synthetic traces through the simulator ---------------------------------- *)
 
 let mk_stats ?(queue = 0) ~wg_size events =
@@ -203,6 +299,237 @@ let test_simulate_accumulates_queues () =
   Alcotest.(check bool) "max over queues" true
     (r.Sim.cycles < r.Sim.per_queue.(0) +. r.Sim.per_queue.(1))
 
+(* -- Differential: Simulate.consume vs a list-based reference engine --------- *)
+
+(* The distinct keys of [pairs] in first-seen order; a repeated key's flag
+   is folded in with [merge]. *)
+let first_seen merge pairs =
+  List.rev
+    (List.fold_left
+       (fun acc (k, w) ->
+         if List.mem_assoc k acc then
+           List.map (fun (k', w') -> if k' = k then (k', merge w' w) else (k', w')) acc
+         else (k, w) :: acc)
+       [] pairs)
+
+(* The (unit index, is_write) pairs an event touches. *)
+let span ~unit (e : Trace.event) =
+  let a = e.Trace.addr / unit and b = (e.Trace.addr + e.Trace.bytes - 1) / unit in
+  List.init (max 0 (b - a + 1)) (fun i -> (a + i, e.Trace.is_write))
+
+(* Replays [groups] (queue, wg_size, events) the way the simulator's cost
+   model prescribes, with per-lane lists instead of the lane index.
+   Returns (per-queue cycles, memory, spm). Groups carry no op counts or
+   barriers, so only dispatch and memory costs are charged. *)
+let reference_replay (plat : P.t) ~vectorized groups =
+  let cores = plat.P.cores in
+  let per_queue = Array.make cores 0.0 and memory = ref 0.0 and spm = ref 0.0 in
+  let hit c addr is_write = Cache.access c ~addr ~bytes:1 ~is_write = 0 in
+  let lanes wg_size evs =
+    Array.init wg_size (fun l -> List.filter (fun (e : Trace.event) -> e.Trace.wi = l) evs)
+  in
+  (* The k-th event of every lane in [first..last] that has one, by lane. *)
+  let step lanes ~first ~last k =
+    List.filter_map (fun l -> List.nth_opt lanes.(l) k) (List.init (last - first + 1) (( + ) first))
+  in
+  let depth lanes ~first ~last =
+    List.fold_left max 0 (List.init (last - first + 1) (fun i -> List.length lanes.(first + i)))
+  in
+  (match plat.P.mem with
+  | P.Cpu_mem m ->
+      let l1 = Array.init cores (fun _ -> Cache.create m.P.l1) in
+      let l2 = Array.init cores (fun _ -> Option.map Cache.create m.P.l2) in
+      let llc = Option.map Cache.create m.P.llc in
+      let simd = if vectorized then 1 else plat.P.simd in
+      let line = m.P.l1.Cache.line_bytes in
+      List.iter
+        (fun (queue, wg_size, evs) ->
+          let q = queue mod cores and lanes = lanes wg_size evs in
+          let latency addr w =
+            if hit l1.(q) addr w then m.P.l1.Cache.latency
+            else
+              match l2.(q) with
+              | Some c when hit c addr w -> c.Cache.cfg.Cache.latency
+              | _ -> (
+                  match llc with
+                  | Some c when hit c addr w -> c.Cache.cfg.Cache.latency
+                  | _ -> m.P.mem_latency)
+          in
+          let mem = ref 0.0 in
+          for b = 0 to ((wg_size + simd - 1) / simd) - 1 do
+            let first = b * simd and last = min ((b + 1) * simd) wg_size - 1 in
+            for k = 0 to depth lanes ~first ~last - 1 do
+              List.iter
+                (fun (ln, w) -> mem := !mem +. float_of_int (latency (ln * line) w))
+                (first_seen ( || ) (List.concat_map (span ~unit:line) (step lanes ~first ~last k)))
+            done
+          done;
+          let mem = !mem *. 0.35 in
+          let dispatch =
+            float_of_int wg_size *. plat.P.costs.P.c_wi_dispatch /. float_of_int simd
+          in
+          per_queue.(q) <- per_queue.(q) +. dispatch +. mem;
+          memory := !memory +. mem)
+        groups
+  | P.Gpu_mem g ->
+      let l1 = Array.init cores (fun _ -> Option.map Cache.create g.P.l1g) in
+      let l2 = Option.map Cache.create g.P.l2g in
+      let warp = plat.P.warp in
+      List.iter
+        (fun (queue, wg_size, evs) ->
+          let q = queue mod cores and lanes = lanes wg_size evs in
+          let mem = ref 0.0 and sp = ref 0.0 in
+          for wp = 0 to ((wg_size + warp - 1) / warp) - 1 do
+            let first = wp * warp and last = min ((wp + 1) * warp) wg_size - 1 in
+            for k = 0 to depth lanes ~first ~last - 1 do
+              let evs = step lanes ~first ~last k in
+              let space sp = List.filter (fun (e : Trace.event) -> List.mem e.Trace.space sp) evs in
+              let segs =
+                first_seen (fun w _ -> w)
+                  (List.concat_map (span ~unit:g.P.segment)
+                     (space [ Grover_ir.Ssa.Global; Grover_ir.Ssa.Constant ]))
+              in
+              List.iter
+                (fun (seg, w) ->
+                  let addr = seg * g.P.segment in
+                  match l1.(q) with
+                  | Some c when (not w) && hit c addr w ->
+                      mem := !mem +. float_of_int c.Cache.cfg.Cache.latency
+                  | _ ->
+                      let extra =
+                        match l2 with
+                        | Some c when hit c addr w -> 0.0
+                        | _ -> float_of_int g.P.mem_latency
+                      in
+                      mem := !mem +. g.P.trans_cost +. extra)
+                segs;
+              let locals =
+                first_seen (fun () () -> ())
+                  (List.map
+                     (fun (e : Trace.event) -> ((e.Trace.addr, e.Trace.is_write), ()))
+                     (space [ Grover_ir.Ssa.Local ]))
+              in
+              if locals <> [] then begin
+                let banks = List.map (fun ((a, _), ()) -> a / 4 mod g.P.banks) locals in
+                let conflict =
+                  List.fold_left
+                    (fun acc b -> max acc (List.length (List.filter (( = ) b) banks)))
+                    1 banks
+                in
+                sp := !sp +. (g.P.spm_cost *. float_of_int conflict)
+              end
+            done
+          done;
+          per_queue.(q) <- per_queue.(q) +. !mem +. !sp;
+          memory := !memory +. !mem;
+          spm := !spm +. !sp)
+        groups);
+  (per_queue, !memory, !spm)
+
+let prop_consume_matches_reference =
+  let open QCheck in
+  let plats = [ P.snb; P.mic; P.fermi; P.tahiti ] in
+  let space =
+    Gen.oneofl Grover_ir.Ssa.[ Global; Global; Local; Local; Constant; Private ]
+  in
+  (* Dense addresses share lines, segments and banks; strided ones conflict;
+     4 KiB-strided ones all fall into one L1 set, so the order a step's
+     lines are visited in decides which of them stay resident. *)
+  let addr =
+    Gen.(
+      oneof
+        [ int_range 0 511;
+          map (fun i -> 0x4000 + (i * 64 * 37)) (int_range 0 40);
+          map (fun i -> 0x80000 + (i * 4096)) (int_range 0 40) ])
+  in
+  let event wg_size =
+    Gen.(
+      map
+        (fun ((wi, addr, bytes), (write, space)) -> ev ~wi ~addr ~bytes ~write ~space ())
+        (pair
+           (triple (int_range 0 (wg_size + 3)) addr (oneofl [ 1; 4; 8; 16; 100 ]))
+           (pair bool space)))
+  in
+  let group =
+    Gen.(
+      pair (int_range 0 70) (int_range 1 40) >>= fun (queue, wg_size) ->
+      map (fun evs -> (queue, wg_size, evs)) (list_size (int_range 0 80) (event wg_size)))
+  in
+  let gen =
+    Gen.(triple (int_range 0 (List.length plats - 1)) bool (list_size (int_range 1 4) group))
+  in
+  let print (pi, vectorized, groups) =
+    Printf.sprintf "%s vectorized=%b: %s" (List.nth plats pi).P.name vectorized
+      (String.concat " | "
+         (List.map
+            (fun (q, n, evs) ->
+              Printf.sprintf "q%d wg%d [%s]" q n
+                (String.concat "; "
+                   (List.map
+                      (fun (e : Trace.event) ->
+                        Printf.sprintf "wi%d %d+%d%s%s" e.Trace.wi e.Trace.addr e.Trace.bytes
+                          (if e.Trace.is_write then "w" else "")
+                          (match e.Trace.space with
+                          | Grover_ir.Ssa.Global -> "g"
+                          | Grover_ir.Ssa.Local -> "l"
+                          | Grover_ir.Ssa.Constant -> "c"
+                          | Grover_ir.Ssa.Private -> "p"))
+                      evs)))
+            groups))
+  in
+  Test.make ~name:"Simulate.consume matches a list-based reference" ~count:300
+    (make gen ~print)
+    (fun (pi, vectorized, groups) ->
+      let plat = List.nth plats pi in
+      let sim = Sim.create ~vectorized plat in
+      List.iter (fun (queue, wg_size, evs) -> Sim.consume sim (mk_stats ~queue ~wg_size evs)) groups;
+      let r = Sim.result sim in
+      let per_queue, memory, spm = reference_replay plat ~vectorized groups in
+      r.Sim.per_queue = per_queue
+      && r.Sim.r_memory = memory
+      && r.Sim.r_spm = spm
+      && r.Sim.r_groups = List.length groups)
+
+(* -- Golden: the simulator's output pinned bit for bit ------------------------ *)
+
+module H = Grover_suite.Harness
+
+let golden_file = "memsim_golden_scale8.txt"
+
+(* One line per (platform, suite case, version) at scale 8, every result
+   field in [%h], so any change in the order lines are visited or sums are
+   formed shows up as a diff. *)
+let golden_lines () : string list =
+  List.concat_map
+    (fun (p : P.t) ->
+      List.concat_map
+        (fun (case : Grover_suite.Kit.case) ->
+          List.map
+            (fun v ->
+              let run, _ = H.run_version case v ~scale:8 ~platform:(Some p) in
+              let r = Option.get run.H.sim in
+              Printf.sprintf
+                "%s %s %s cycles=%h memory=%h compute=%h barrier=%h spm=%h \
+                 per_queue=%s"
+                p.P.name case.Grover_suite.Kit.id (H.version_name v)
+                r.Sim.cycles r.Sim.r_memory r.Sim.r_compute r.Sim.r_barrier
+                r.Sim.r_spm
+                (String.concat ","
+                   (Array.to_list (Array.map (Printf.sprintf "%h") r.Sim.per_queue))))
+            [ H.With_lm; H.Without_lm ])
+        Grover_suite.Suite.all)
+    P.all
+
+let test_golden () =
+  let expected =
+    In_channel.with_open_text golden_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let actual = golden_lines () in
+  Alcotest.(check int) "line count" (List.length expected) (List.length actual);
+  List.iter2 (fun e a -> Alcotest.(check string) "memsim result" e a) expected actual
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suite =
@@ -213,7 +540,7 @@ let suite =
         Alcotest.test_case "set conflict thrash" `Quick test_cache_set_conflict_thrash;
         Alcotest.test_case "writeback" `Quick test_cache_writeback;
         Alcotest.test_case "reset" `Quick test_cache_reset ] );
-    qsuite "cache-props" [ prop_cache_miss_bound ];
+    qsuite "cache-props" [ prop_cache_miss_bound; prop_cache_matches_reference ];
     ( "gpu-model",
       [ Alcotest.test_case "coalescing" `Quick test_gpu_coalesced_vs_strided;
         Alcotest.test_case "broadcast" `Quick test_gpu_broadcast_single_transaction;
@@ -224,4 +551,8 @@ let suite =
     ( "platforms",
       [ Alcotest.test_case "lookup" `Quick test_platform_lookup;
         Alcotest.test_case "structure" `Quick test_platform_structure;
-        Alcotest.test_case "queue accumulation" `Quick test_simulate_accumulates_queues ] ) ]
+        Alcotest.test_case "queue accumulation" `Quick test_simulate_accumulates_queues ] );
+    qsuite "memsim-props" [ prop_consume_matches_reference ];
+    ( "memsim-golden",
+      [ Alcotest.test_case "suite x platforms at scale 8, bit for bit" `Quick
+          test_golden ] ) ]
