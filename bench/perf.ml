@@ -6,18 +6,22 @@
    - lane-batched execution (wg-vec, the default for this kernel) vs the
      forced one-work-item region sweep (wg-loop) vs the forced fiber
      scheduler on the barrier-carrying with_lm version, and
+   - lane batching on the barrier-free Grover-transformed version
+     (wg-vec, its default: the one-region case) vs the forced scalar
+     fiberless loop vs the forced fiber scheduler, and
    - a domain-scaling sweep — (1, 2, 4, 0=auto) requested domains x
-     (wg-vec on with_lm; fiberless and forced fibers on the barrier-free
-     Grover-transformed version) — exercising the persistent domain pool
-     and the chunked group scheduler.
+     (wg-vec on both versions; forced fibers on the Grover-transformed
+     one) — exercising the persistent domain pool and the chunked group
+     scheduler.
 
    Every row records which execution path ran (wg-vec / wg-loop /
    fiberless / fiber), the lane width (1 for every non-batched path) and
    how many pool domains were actually used, so the numbers feeding
    tuning decisions are auditable. The run *fails* if no with_lm row
-   actually took the wg-vec path, or none the wg-loop path — the bench
-   doubles as the gate that lane compilation and region formation keep
-   succeeding on the flagship barrier kernel. Results go to stdout and
+   actually took the wg-vec path, or none the wg-loop path, or no
+   without_lm row the wg-vec path — the bench doubles as the gate that
+   lane compilation and region formation keep succeeding on the flagship
+   kernel in both versions. Results go to stdout and
    BENCH_interp.json; with [check_scaling] the run fails if the
    auto-domain row is >10% slower than the single-domain row (the
    regression the persistent pool exists to prevent). *)
@@ -502,7 +506,12 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       m ~version:H.With_lm ~engine:Interp.Compiled ~domains:1
         ~force_fibers:true ();
       m ~version:H.Without_lm ~engine:Interp.Tree ~domains:1 ();
+      (* Default path for the barrier-free version: wg-vec. *)
       m ~version:H.Without_lm ~engine:Interp.Compiled ~domains:1 ();
+      (* The scalar one-region loop on the same kernel — the pair
+         quantifies what lane batching buys a barrier-free kernel. *)
+      m ~version:H.Without_lm ~engine:Interp.Compiled ~domains:1
+        ~force_path:Runtime.Fiberless ();
       (* domains = 0 asks the runtime for the recommended domain count. *)
       m ~version:H.With_lm ~engine:Interp.Compiled ~domains:0 () ]
   in
@@ -515,7 +524,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
         () ]
   in
   (* The scaling sweep: wg-vec on the with_lm version, then the
-     Grover-transformed (barrier-free) version fiberless vs forced
+     Grover-transformed (barrier-free) version on wg-vec vs forced
      fibers, across requested domain counts. *)
   let sweep_rows =
     List.concat_map
@@ -549,26 +558,27 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       rows
   in
   (* Lane compilation and region formation must keep succeeding on the
-     flagship barrier kernel: if no with_lm row ran on wg-vec (or none on
-     wg-loop), the fast paths silently rotted and every "speedup from
-     disabling local memory" number would conflate the paper's effect
-     with scheduler overhead again. *)
-  let gate path =
+     flagship kernel: if no with_lm row ran on wg-vec (or none on
+     wg-loop), or no without_lm row on wg-vec, the fast paths silently
+     rotted and every "speedup from disabling local memory" number would
+     conflate the paper's effect with scheduler overhead again. *)
+  let gate version path =
     if
       not
         (List.exists
-           (fun r -> r.version = H.With_lm && r.path = path && not r.sanitize)
+           (fun r -> r.version = version && r.path = path && not r.sanitize)
            rows)
     then begin
       Printf.eprintf
-        "perf bench FAILED: no with_lm row took the %s path (lane \
+        "perf bench FAILED: no %s row took the %s path (lane \
          compilation / region formation fell back?)\n"
-        path;
+        (version_name version) path;
       exit 1
     end
   in
-  gate "wg-vec";
-  gate "wg-loop";
+  gate H.With_lm "wg-vec";
+  gate H.With_lm "wg-loop";
+  gate H.Without_lm "wg-vec";
   let speedup v =
     (find v Interp.Compiled 1).wi_per_sec /. (find v Interp.Tree 1).wi_per_sec
   in
@@ -576,6 +586,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   let fiberless_1 = find ~path:"fiberless" H.Without_lm Interp.Compiled 1 in
   let fiber_1 = find ~path:"fiber" H.Without_lm Interp.Compiled 1 in
   let sp_fiberless = fiberless_1.wi_per_sec /. fiber_1.wi_per_sec in
+  let wo_wgvec_1 = find ~path:"wg-vec" H.Without_lm Interp.Compiled 1 in
+  let sp_wgvec_fiberless = wo_wgvec_1.wi_per_sec /. fiberless_1.wi_per_sec in
   let wgvec_1 = find ~path:"wg-vec" H.With_lm Interp.Compiled 1 in
   let wgloop_1 = find ~path:"wg-loop" H.With_lm Interp.Compiled 1 in
   let wl_fiber_1 = find ~path:"fiber" H.With_lm Interp.Compiled 1 in
@@ -601,10 +613,11 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
      wg-vec (%d lanes) vs forced wg-loop (with_lm, 1 domain): %.2fx\n\
      wg-loop vs forced fibers (with_lm, 1 domain): %.2fx\n\
      fiberless fast path vs forced fibers (without_lm, 1 domain): %.2fx\n\
+     wg-vec (%d lanes) vs forced fiberless (without_lm, 1 domain): %.2fx\n\
      sanitizer overhead (plain / sanitized wi/sec): with_lm %.2fx, \
      without_lm %.2fx\n"
     sp_with sp_without wgvec_1.lane_width sp_wgvec sp_wgloop sp_fiberless
-    ov_with ov_without;
+    wo_wgvec_1.lane_width sp_wgvec_fiberless ov_with ov_without;
   if not quick then begin
   let oc = open_out "BENCH_interp.json" in
   Printf.fprintf oc
@@ -625,6 +638,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     \  \"speedup_wgvec_over_wgloop\": %.2f,\n\
     \  \"speedup_wgloop_over_fiber\": %.2f,\n\
     \  \"speedup_fiberless_over_fiber\": %.2f,\n\
+    \  \"speedup_wgvec_over_fiberless\": %.2f,\n\
     \  \"sanitizer_overhead_with_lm\": %.2f,\n\
     \  \"sanitizer_overhead_without_lm\": %.2f,\n\
     \  \"masked_regions\": %d,\n\
@@ -642,8 +656,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     \    \"warm_mem_hit_rate\": %.3f,\n\
     \    \"warm_disk_hit_rate\": %.3f\n\
     \  }"
-    sp_with sp_without sp_wgvec sp_wgloop sp_fiberless ov_with ov_without
-    mk.mk_regions mk.mk_case mk.mk_speedup
+    sp_with sp_without sp_wgvec sp_wgloop sp_fiberless sp_wgvec_fiberless
+    ov_with ov_without mk.mk_regions mk.mk_case mk.mk_speedup
     cs.cs_requests cs.cs_distinct cs.cs_cold_seq cs.cs_cold_batch
     cs.cs_warm_mem cs.cs_warm_disk
     (cs.cs_cold_seq /. cs.cs_warm_mem)
@@ -701,7 +715,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
        runtime exhibited. *)
     let checks =
       [ ("with_lm wg-vec", H.With_lm, false);
-        ("without_lm fiberless", H.Without_lm, false);
+        ("without_lm wg-vec", H.Without_lm, false);
         ("without_lm fiber", H.Without_lm, true) ]
     in
     (* The table rows above are measured minutes apart, so a background
@@ -737,11 +751,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     let failed =
       List.filter_map
         (fun (label, version, force_fibers) ->
-          let path =
-            if force_fibers then "fiber"
-            else if version = H.With_lm then "wg-vec"
-            else "fiberless"
-          in
+          let path = if force_fibers then "fiber" else "wg-vec" in
           let auto_row = find ~path version Interp.Compiled 0 in
           (* Three attempts: a genuine regression (the per-launch spawn
              runtime was ~2x slower) fails every one; an unlucky load

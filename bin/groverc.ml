@@ -365,22 +365,22 @@ let transform_cmd =
 
 (* -- report -------------------------------------------------------------------- *)
 
-(* The execution path the compiled engine would pick for [fn] — the same
-   policy as [Runtime.plan] with no overrides. The kernel is compiled (so
-   lane-batchability reflects what the lane compiler actually accepted,
-   not just the static region verdict) but nothing is executed. Returns
-   the path line plus one lane verdict per parallel region: the static
-   {!Regions} classification, narrowed to a scalar-sweep verdict when the
-   lane compiler rejected a segment the static analysis accepted. *)
+(* The execution path the compiled engine would pick for [fn]:
+   [Runtime.default_path], the plan with no overrides. The kernel is
+   compiled (so lane-batchability reflects what the lane compiler actually
+   accepted, not just the static region verdict) but nothing is executed.
+   Returns the path line plus one lane verdict per parallel region: the
+   static {!Regions} classification, narrowed to a scalar-sweep verdict
+   when the lane compiler rejected a segment the static analysis
+   accepted. *)
 let path_info (fn : Grover_ir.Ssa.func) : string * string list =
   let v = Grover_ir.Regions.form fn in
   let c = Grover_ocl.Interp.prepare ~engine:Grover_ocl.Interp.Compiled fn in
   let path =
-    if not c.Grover_ocl.Interp.has_barrier then "fiberless"
-    else if Grover_ocl.Runtime.wgvec_capable c then
-      Printf.sprintf "wg-vec, %d lanes" (Grover_ocl.Interp.lane_width_of c)
-    else if Grover_ocl.Runtime.wg_capable c then "wg-loop"
-    else "fiber"
+    match Grover_ocl.Runtime.default_path c with
+    | Grover_ocl.Runtime.Wg_vec ->
+        Printf.sprintf "wg-vec, %d lanes" (Grover_ocl.Interp.lane_width_of c)
+    | p -> Grover_ocl.Runtime.string_of_path p
   in
   let regions =
     match v with

@@ -79,6 +79,18 @@ for f in examples/kernels/transpose_tile.cl examples/kernels/gemm_float4.cl; do
   esac
 done
 
+echo "== wg-vec planned for a barrier-free (Grover-transformed) kernel =="
+# A barrier-free kernel is the one-region case of the lane executor: the
+# default plan must not drop Grover's transformed kernels back to the
+# scalar fiberless loop.
+out=$(dune exec bin/groverc.exe -- report examples/kernels/transpose_tile.cl)
+case "$out" in
+  *"execution path (local memory disabled): wg-vec"*)
+     echo "-- transpose_tile.cl without local memory plans wg-vec" ;;
+  *) echo "FAIL: transpose_tile.cl (local memory disabled) did not plan as wg-vec"
+     echo "$out"; exit 1 ;;
+esac
+
 echo "== masked lane execution: guard diamonds upgrade, divergent stores bail =="
 # The guarded matmul carries the SDK boundary-clamp idiom: a pure
 # divergent diamond that must be if-converted and run as a masked lane

@@ -314,7 +314,7 @@ and compiled = {
   local_allocas : instr list;  (** local arrays, allocated once per group *)
   has_barrier : bool;
       (** statically true iff the kernel contains a [Barrier] instruction;
-          barrier-free kernels take the fiberless fast path *)
+          barrier-free kernels never need the fiber scheduler *)
   regions : Regions.verdict;
       (** barrier-region formation result, for path reporting; the
           compiled spill metadata derived from it lives in [code.wg] *)

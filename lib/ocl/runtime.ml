@@ -8,14 +8,15 @@
       batch of W work-items per compiled closure over struct-of-arrays
       lane slots, so the sweep runs group-size/W times. Regions the lane
       compiler could not batch run the scalar sweep within the same
-      launch;
+      launch. A barrier-free kernel is the one-region case, so every
+      Grover-transformed kernel with a lane-capable body runs here;
     - {b wg-loop}: pocl-style work-item loops for kernels whose barriers
       {!Grover_ir.Regions} proved group-uniform; each barrier-delimited
       region runs as a plain loop over the group's work-items, live values
       crossing region boundaries ride in per-work-item context arrays;
     - {b fiberless}: the degenerate single-region loop for statically
-      barrier-free kernels (every Grover-transformed kernel, and any
-      original that never synchronizes);
+      barrier-free kernels the lane compiler could not batch, and for
+      every barrier-free kernel on the tree engine;
     - {b fiber}: the effect-handler scheduler, kept as the differential
       oracle and as the fallback for kernels with divergent barriers
       (where it detects the divergence dynamically).
@@ -185,54 +186,49 @@ let clear_tuner () : unit = the_tuner := None
 let lookup_tuned ~(name : string) ~(cfg : launch_config) : tuned option =
   match !the_tuner with None -> None | Some t -> t ~name ~cfg
 
-let choose_path (c : Interp.compiled) ~(cfg : launch_config option)
+(* The capability ladder: the path [c] takes when [want] is requested. A
+   path the kernel cannot take degrades to the strongest one it can; a
+   kernel with barriers never runs unsynchronized. Below wg-vec, a
+   barrier-free kernel takes the fiberless loop: the one-region sweep,
+   without the context matrices wg-loop would allocate. *)
+let degrade (c : Interp.compiled) (want : path) : path =
+  let b = c.Interp.has_barrier in
+  match want with
+  | Fiber -> Fiber
+  | Wg_vec when wgvec_capable c -> Wg_vec
+  | Wg_loop when wg_capable c -> Wg_loop
+  | Wg_vec when b && wg_capable c -> Wg_loop
+  | Wg_vec | Wg_loop | Fiberless -> if b then Fiber else Fiberless
+
+(** The path [c] takes with no override: the [Wg_vec] ladder. A kernel
+    with a lane-capable region runs lane-batched, with or without
+    barriers — a barrier-free kernel is the one-region case. *)
+let default_path (c : Interp.compiled) : path = degrade c Wg_vec
+
+let choose_path (c : Interp.compiled) ~(cfg : launch_config)
     ~(force_fibers : bool) ~(force_path : path option) : path =
   if force_fibers then Fiber
   else
-    let forced =
+    let want =
       match force_path with
       | Some _ -> force_path
       | None -> (
           match Sys.getenv_opt "GROVER_FORCE_PATH" with
-          | None | Some "" -> (
+          | None | Some "" ->
               (* No explicit override: a populated autotune DB decides,
-                 still subject to the capability ladder below. *)
-              match cfg with
-              | None -> None
-              | Some cfg -> (
-                  match lookup_tuned ~name:c.Interp.fn.f_name ~cfg with
-                  | Some { tn_path; _ } -> tn_path
-                  | None -> None))
-          | Some ("fiber" | "fibers") -> Some Fiber
-          | Some "fiberless" -> Some Fiberless
-          | Some ("wg-loop" | "wgloop" | "wg_loop") -> Some Wg_loop
-          | Some ("wg-vec" | "wgvec" | "wg_vec") -> Some Wg_vec
-          | Some s ->
-              fail
-                "unknown GROVER_FORCE_PATH %S (expected wg-vec, wg-loop, \
-                 fiberless or fiber)"
-                s)
+                 still subject to the capability ladder. *)
+              Option.bind (lookup_tuned ~name:c.Interp.fn.f_name ~cfg)
+                (fun t -> t.tn_path)
+          | Some s -> (
+              match path_of_string s with
+              | Some _ as p -> p
+              | None ->
+                  fail
+                    "unknown GROVER_FORCE_PATH %S (expected wg-vec, wg-loop, \
+                     fiberless or fiber)"
+                    s))
     in
-    match forced with
-    | None ->
-        if not c.Interp.has_barrier then Fiberless
-        else if wgvec_capable c then Wg_vec
-        else if wg_capable c then Wg_loop
-        else Fiber
-    | Some Fiber -> Fiber
-    | Some Fiberless ->
-        (* A kernel with barriers cannot run unsynchronized; degrade to
-           the fiber scheduler rather than miscompute. *)
-        if c.Interp.has_barrier then Fiber else Fiberless
-    | Some Wg_loop ->
-        if wg_capable c then Wg_loop
-        else if c.Interp.has_barrier then Fiber
-        else Fiberless
-    | Some Wg_vec ->
-        if wgvec_capable c then Wg_vec
-        else if wg_capable c && c.Interp.has_barrier then Wg_loop
-        else if c.Interp.has_barrier then Fiber
-        else Fiberless
+    degrade c (Option.value want ~default:Wg_vec)
 
 (* Pool-growth cap: a domain whose share of the NDRange is below one
    claimable chunk of work adds coordination (and domain wake-up) cost
@@ -254,18 +250,19 @@ let plan (c : Interp.compiled) ~(cfg : launch_config) ?(force_fibers = false)
     else min d (max 1 (n_groups / min_groups_per_domain))
   in
   {
-    path = choose_path c ~cfg:(Some cfg) ~force_fibers ~force_path;
+    path = choose_path c ~cfg ~force_fibers ~force_path;
     domains_used = d;
     domains_requested = requested;
     domains_clamped = d < requested;
   }
 
-let path_name (p : exec_plan) : string =
-  match p.path with
+let string_of_path : path -> string = function
   | Wg_vec -> "wg-vec"
   | Wg_loop -> "wg-loop"
   | Fiberless -> "fiberless"
   | Fiber -> "fiber"
+
+let path_name (p : exec_plan) : string = string_of_path p.path
 
 (* -- Per-(launch x domain) execution context ---------------------------------
 

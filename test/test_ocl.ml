@@ -377,11 +377,13 @@ let prop_engines_agree =
 
 (* -- Differential: fiberless fast path vs the fiber scheduler -----------------
    Statically barrier-free kernels (every Grover-transformed suite version,
-   plus barrier-free originals) execute without fibers; [~force_fibers:true]
-   runs the same launch under the effect-handler scheduler. Both paths must
-   produce bit-identical buffers and identical totals. Kernels with
-   barriers take the fiber path either way, so the check is uniform over
-   the whole suite x both versions. *)
+   plus barrier-free originals) can execute without fibers. The default
+   plan runs the lane-capable ones on wg-vec, so the fiberless loop is
+   forced here; [~force_fibers:true] runs the same launch under the
+   effect-handler scheduler. Both paths must produce bit-identical buffers
+   and identical totals. Kernels with barriers degrade to the fiber path
+   either way, so the check is uniform over the whole suite x both
+   versions. *)
 
 let run_path (case : Kit.case) (v : H.version) ~(force_fibers : bool) :
     Trace.totals * (int * Ssa.space * Memory.storage) list * (unit, string) result =
@@ -391,7 +393,8 @@ let run_path (case : Kit.case) (v : H.version) ~(force_fibers : bool) :
   let totals =
     Runtime.launch compiled
       ~cfg:{ Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
-      ~args:w.Kit.args ~mem:w.Kit.mem ~force_fibers ()
+      ~args:w.Kit.args ~mem:w.Kit.mem ~force_fibers
+      ~force_path:Runtime.Fiberless ()
   in
   (totals, snapshot_buffers w.Kit.mem, w.Kit.check ())
 
@@ -583,6 +586,83 @@ let test_wgloop_selected_for_suite () =
     (!barrier_kernels >= 1);
   Alcotest.(check bool) "suite has lane-capable (wg-vec) barrier kernels" true
     (!wgvec_kernels >= 1)
+
+(* -- The default plan ----------------------------------------------------------
+   With no override the plan is the wg-vec ladder: a kernel whose regions
+   the lane compiler accepted runs lane-batched, with or without barriers
+   (a barrier-free kernel is the one-region case). So Grover's transformed
+   kernels — the without_lm side of every Fig. 10 race — must plan wg-vec
+   on the compiled engine, not the scalar fiberless loop. A barrier-free
+   kernel with no lane-capable region keeps the fiberless loop, as does
+   every barrier-free kernel on the tree engine, which compiles no lanes. *)
+
+(* Same kernel as examples/kernels/saxpy.cl: its bounds-guarded store is
+   divergent, so the lane compiler rejects the only region. *)
+let saxpy_source =
+  {|__kernel void saxpy(__global float *y, __global const float *x, float a,
+                        int n) {
+      int i = get_global_id(0);
+      if (i < n) {
+        y[i] = a * x[i] + y[i];
+      }
+    }|}
+
+let check_default_plan ~(label : string) (c : Interp.compiled)
+    ~(cfg : Runtime.launch_config) (want : Runtime.path) =
+  let name = Runtime.string_of_path in
+  Alcotest.(check string) (label ^ ": default path") (name want)
+    (name (Runtime.default_path c));
+  (* [plan] with no arguments must agree, unless the environment forces a
+     path for the whole run. *)
+  match Sys.getenv_opt "GROVER_FORCE_PATH" with
+  | None | Some "" ->
+      Alcotest.(check string) (label ^ ": planned path") (name want)
+        (Runtime.path_name (Runtime.plan c ~cfg ()))
+  | Some _ -> ()
+
+let suite_cfg (case : Kit.case) : Runtime.launch_config =
+  let w = case.Kit.mk ~scale:8 in
+  { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
+
+let test_grover_versions_plan_wgvec () =
+  List.iter
+    (fun (case : Kit.case) ->
+      let fn, _ = H.compile_version case H.Without_lm in
+      let c = Interp.prepare ~engine:Interp.Compiled fn in
+      check_default_plan ~label:case.Kit.id c ~cfg:(suite_cfg case)
+        Runtime.Wg_vec)
+    Grover_suite.Suite.all
+
+let test_divergent_store_plans_fiberless () =
+  let fn =
+    match Lower.compile saxpy_source with [ f ] -> f | _ -> assert false
+  in
+  Grover_passes.Pipeline.normalize fn;
+  let c = Interp.prepare ~engine:Interp.Compiled fn in
+  Alcotest.(check bool) "saxpy is barrier-free" false c.Interp.has_barrier;
+  Alcotest.(check bool) "saxpy has no lane-capable region" false
+    (Runtime.wgvec_capable c);
+  check_default_plan ~label:"saxpy" c
+    ~cfg:{ Runtime.global = (64, 1, 1); local = (16, 1, 1); queues = 1 }
+    Runtime.Fiberless
+
+let test_tree_engine_plans_fiberless () =
+  let barrier_free = ref 0 in
+  List.iter
+    (fun (case : Kit.case) ->
+      List.iter
+        (fun v ->
+          let fn, _ = H.compile_version case v in
+          let c = Interp.prepare ~engine:Interp.Tree fn in
+          if not c.Interp.has_barrier then begin
+            incr barrier_free;
+            check_default_plan ~label:case.Kit.id c ~cfg:(suite_cfg case)
+              Runtime.Fiberless
+          end)
+        [ H.With_lm; H.Without_lm ])
+    Grover_suite.Suite.all;
+  Alcotest.(check bool) "suite has barrier-free versions" true
+    (!barrier_free >= 1)
 
 (* A kernel with an int, a float and a boxed (vector) value all live
    across its barrier: every context-spill kind is exercised. *)
@@ -1140,6 +1220,13 @@ let suite =
           test_wgloop_selected_for_suite;
         Alcotest.test_case "spill kernel forms regions" `Quick
           test_spill_kernel_forms_regions ] );
+    ( "default-plan",
+      [ Alcotest.test_case "grover versions plan wg-vec" `Quick
+          test_grover_versions_plan_wgvec;
+        Alcotest.test_case "divergent store plans fiberless" `Quick
+          test_divergent_store_plans_fiberless;
+        Alcotest.test_case "tree engine plans fiberless" `Quick
+          test_tree_engine_plans_fiberless ] );
     ( "masked-lanes",
       [ Alcotest.test_case "guarded diamonds classify as masked" `Quick
           test_masked_diamonds_classify;
