@@ -12,7 +12,9 @@
    - a domain-scaling sweep — (1, 2, 4, 0=auto) requested domains x
      (wg-vec on both versions; forced fibers on the Grover-transformed
      one) — exercising the persistent domain pool and the chunked group
-     scheduler.
+     scheduler, and
+   - minor-heap words per work-item of the float4 kernels (TNG-GEMM4,
+     NVD-NBody), gated at [alloc_limit].
 
    Every row records which execution path ran (wg-vec / wg-loop /
    fiberless / fiber), the lane width (1 for every non-batched path) and
@@ -340,6 +342,94 @@ let report_masked (s : masked_stats) : unit =
     s.mk_regions s.mk_case s.mk_lane_width s.mk_vec_wi_per_sec
     s.mk_loop_wi_per_sec s.mk_speedup
 
+(* -- Allocation gate -------------------------------------------------------------
+
+   Minor-heap words allocated per work-item by one default-plan launch of
+   the suite's float4 kernels (TNG-GEMM4 and NVD-NBody, both versions,
+   scale 1, one domain), with their throughput. Vector values live in
+   per-component slots and float operands are read inside the lane loops,
+   so a launch allocates next to nothing per work-item; the run fails
+   when a row exceeds [alloc_limit], which the boxed-vector representation
+   exceeded 15 to 80 times over. *)
+
+type alloc_row = {
+  ar_case : string;
+  ar_version : H.version;
+  ar_path : string;
+  ar_wi_per_sec : float;
+  ar_words_per_wi : float;
+}
+
+let alloc_limit = 512.0
+
+let alloc_bench ~(reps : int) () : alloc_row list =
+  List.concat_map
+    (fun (case : Kit.case) ->
+      List.map
+        (fun version ->
+          let fn, _ = H.compile_version case version in
+          let compiled = Interp.prepare ~engine:Interp.Compiled fn in
+          let w = case.Kit.mk ~scale:1 in
+          let cfg =
+            { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
+          in
+          let gx, gy, gz = w.Kit.global in
+          let items = float_of_int (gx * gy * gz) in
+          let launch () =
+            ignore
+              (Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem
+                 ~domains:1 ())
+          in
+          launch ();
+          let w0 = Gc.minor_words () in
+          launch ();
+          let words = Gc.minor_words () -. w0 in
+          let best = ref infinity in
+          for _ = 1 to reps do
+            let t0 = Unix.gettimeofday () in
+            launch ();
+            let dt = Unix.gettimeofday () -. t0 in
+            if dt < !best then best := dt
+          done;
+          (match w.Kit.check () with
+          | Ok () -> ()
+          | Error m ->
+              failwith
+                (Printf.sprintf "perf bench: %s produced wrong output: %s"
+                   case.Kit.id m));
+          {
+            ar_case = case.Kit.id;
+            ar_version = version;
+            ar_path = Runtime.path_name (Runtime.plan compiled ~cfg ~domains:1 ());
+            ar_wi_per_sec = items /. !best;
+            ar_words_per_wi = words /. items;
+          })
+        [ H.With_lm; H.Without_lm ])
+    [ Grover_suite.Gemm4.case; Grover_suite.Nvd_nbody.case ]
+
+let report_alloc (rows : alloc_row list) : unit =
+  Printf.printf
+    "\nallocation: one default-plan launch, scale 1, 1 domain (gate: <= %.0f \
+     minor words per work-item)\n\
+     %-12s %-12s %-8s %14s %14s\n"
+    alloc_limit "case" "version" "path" "wi/sec" "words/wi";
+  List.iter
+    (fun r ->
+      Printf.printf "%-12s %-12s %-8s %14.0f %14.1f\n" r.ar_case
+        (version_name r.ar_version) r.ar_path r.ar_wi_per_sec r.ar_words_per_wi)
+    rows;
+  match List.filter (fun r -> r.ar_words_per_wi > alloc_limit) rows with
+  | [] -> ()
+  | bad ->
+      List.iter
+        (fun r ->
+          Printf.eprintf
+            "perf bench FAILED: %s %s allocates %.0f minor words per \
+             work-item (limit %.0f)\n"
+            r.ar_case (version_name r.ar_version) r.ar_words_per_wi alloc_limit)
+        bad;
+      exit 1
+
 (* -- Multi-launch (out-of-order queue) throughput -----------------------------
 
    The whole suite in both versions x [jobs] independent workloads each,
@@ -602,6 +692,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   report_cache cs;
   let mk = masked_bench ~quick ~reps () in
   report_masked mk;
+  let alloc = alloc_bench ~reps () in
+  report_alloc alloc;
   let ml = if multi_launch then Some (multi_launch_bench ~quick ~reps ()) else None in
   Option.iter report_multi_launch ml;
   (* The predictor-agreement gate runs in every mode, quick included: if
@@ -686,7 +778,19 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
         r.Predictor.ag_np_sim r.Predictor.ag_np_model
         (if k = List.length pa - 1 then "" else ","))
     pa;
-  Printf.fprintf oc "    ]\n  }";
+  Printf.fprintf oc "    ]\n  },\n  \"alloc_limit_words_per_wi\": %.0f,\n  \"alloc_rows\": [\n"
+    alloc_limit;
+  List.iteri
+    (fun k r ->
+      Printf.fprintf oc
+        "    {\"case\": \"%s\", \"version\": \"%s\", \"path\": \"%s\", \
+         \"domains\": 1, \"scale\": 1, \"wi_per_sec\": %.0f, \
+         \"minor_words_per_wi\": %.1f}%s\n"
+        r.ar_case (version_name r.ar_version) r.ar_path r.ar_wi_per_sec
+        r.ar_words_per_wi
+        (if k = List.length alloc - 1 then "" else ","))
+    alloc;
+  Printf.fprintf oc "  ]";
   Option.iter
     (fun s ->
       Printf.fprintf oc

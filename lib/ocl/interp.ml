@@ -7,8 +7,9 @@
       once per kernel, into an array of OCaml closures. Operand slots,
       argument indices, branch targets, builtin dispatch and phi moves are
       all resolved at compile time — the hot loop does no [Hashtbl]
-      lookups and no [op] pattern matching, and scalar [int]/[float]
-      results live unboxed in typed slot arrays.
+      lookups and no [op] pattern matching, and [int]/[float] results
+      (vectors one slot per component) live unboxed in typed slot
+      arrays.
     - {b Tree}: the original tree-walking reference engine, kept as the
       oracle for the differential test suite (and selectable with
       [GROVER_ENGINE=tree]).
@@ -232,9 +233,9 @@ let math2 name a b =
 
 (* -- State and compiled form -------------------------------------------------
 
-   The compiled form assigns each value-producing instruction a slot in a
-   typed environment: scalar integers in [ienv], scalar floats in [fenv]
-   (both unboxed), everything else (vectors, pointers) in [benv]. Phi moves
+   The compiled form assigns each value-producing instruction slots in a
+   typed environment: integers in [ienv], floats in [fenv] (both unboxed;
+   a vector takes one slot per component), pointers in [benv]. Phi moves
    ride on CFG edges with evaluate-all-then-commit semantics, staged
    through the per-work-item scratch arrays. *)
 
@@ -380,12 +381,12 @@ and cwg = {
 
 and edge = {
   e_dst : int;  (** dense index of the successor block's entry segment *)
-  im_dst : int array;  (** phi destination slots, by kind *)
-  im_src : (wi_state -> int) array;
+  e_stage : (wi_state -> unit) array;
+      (** evaluate every phi move into its kind's scratch array, against
+          the predecessor's slots... *)
+  im_dst : int array;  (** ...then commit: int scratch [k] -> [ienv.(im_dst.(k))] *)
   fm_dst : int array;
-  fm_src : (wi_state -> float) array;
   bm_dst : int array;
-  bm_src : (wi_state -> rv) array;
 }
 
 (** Lane-batched compilation of the same segment layout (the wg-vec
@@ -440,20 +441,17 @@ and lterm =
 
 and ledge = {
   le_dst : int;
-  (* uniform phi moves: one value each *)
-  lu_im_dst : int array;  (** destination slot bases ([slot * lwidth]) *)
-  lu_im_src : (lane_state -> int) array;
+  le_stage : (lane_state -> unit) array;
+      (** evaluate every phi move over whole columns into scratch: a
+          uniform move stages one value at [k], a varying one [nl] values
+          at [k * lwidth]... *)
+  (* ...then commit, per kind, to destination slot bases ([slot * lwidth]) *)
+  lu_im_dst : int array;
   lu_fm_dst : int array;
-  lu_fm_src : (lane_state -> float) array;
   lu_bm_dst : int array;
-  lu_bm_src : (lane_state -> rv) array;
-  (* varying phi moves: one value per active lane *)
   lv_im_dst : int array;
-  lv_im_src : (lane_state -> int -> int) array;
   lv_fm_dst : int array;
-  lv_fm_src : (lane_state -> int -> float) array;
   lv_bm_dst : int array;
-  lv_bm_src : (lane_state -> int -> rv) array;
 }
 
 (* -- Shared memory-access recording ----------------------------------------- *)
@@ -495,6 +493,25 @@ let store_elem (st : wi_state) (b : Memory.buffer) (idx : int)
   | RVecF a -> Array.iteri (fun l x -> Memory.set_lane_float b idx l x) a
   | RVecI a -> Array.iteri (fun l x -> Memory.set_lane_int b idx l x) a
   | RBuf _ -> trap "cannot store a pointer"
+
+(* Float element access for the compiled engines. [Memory]'s accessors
+   are in another compilation unit, so a float crossing their interface
+   is boxed on every call; these read and write the storage here, after
+   the same bounds check. *)
+let[@inline] get_lane_f (b : Memory.buffer) (idx : int) (j : int) : float =
+  Memory.check b idx;
+  let k = (idx * b.Memory.lanes) + j in
+  match b.Memory.st with
+  | Memory.F a -> a.(k)
+  | Memory.I a -> float_of_int a.(k)
+
+let[@inline] set_lane_f (b : Memory.buffer) (idx : int) (j : int) (v : float)
+    : unit =
+  Memory.check b idx;
+  let k = (idx * b.Memory.lanes) + j in
+  match b.Memory.st with
+  | Memory.F a -> a.(k) <- v
+  | Memory.I a -> a.(k) <- int_of_float v
 
 (* Lane-side taps on the same access stream: identical recording, but the
    work-item id is the batch base plus the lane index. Each lane's events
@@ -546,10 +563,32 @@ and exec_call (st : wi_state) callee (args : rv list) : rv =
   | "get_work_dim" -> RInt 3
   | _ -> data_call callee args
 
-(** The pure (state-free) builtin calls — everything except the work-item
-    geometry queries. Shared by the tree engine and the lane executor's
-    generic per-lane fallback. *)
+(** The pure (state-free) builtin calls of the tree engine — everything
+    except the work-item geometry queries. A call on vectors other than
+    [dot] is componentwise. *)
 and data_call callee (args : rv list) : rv =
+  let width = function
+    | RVecF a -> Array.length a
+    | RVecI a -> Array.length a
+    | _ -> 0
+  in
+  match args with
+  | a0 :: _ when callee <> "dot" && width a0 > 0 -> (
+      let comp j = function
+        | RVecF a -> RFloat a.(j)
+        | RVecI a -> RInt a.(j)
+        | r -> r
+      in
+      let rs =
+        List.init (width a0) (fun j ->
+            scalar_call callee (List.map (comp j) args))
+      in
+      match rs with
+      | RFloat _ :: _ -> RVecF (Array.of_list (List.map as_float rs))
+      | _ -> RVecI (Array.of_list (List.map as_int rs)))
+  | _ -> scalar_call callee args
+
+and scalar_call callee (args : rv list) : rv =
   match callee with
   | "dot" -> (
       match args with
@@ -562,8 +601,6 @@ and data_call callee (args : rv list) : rv =
   | "mad" | "fma" -> (
       match args with
       | [ RFloat a; RFloat b; RFloat c ] -> RFloat ((a *. b) +. c)
-      | [ RVecF a; RVecF b; RVecF c ] ->
-          RVecF (Array.init (Array.length a) (fun i -> (a.(i) *. b.(i)) +. c.(i)))
       | [ RInt a; RInt b; RInt c ] -> RInt ((a * b) + c)
       | _ -> trap "mad argument mismatch")
   | "clamp" -> (
@@ -600,13 +637,11 @@ and data_call callee (args : rv list) : rv =
   | "fmax" | "fmin" | "pow" | "fmod" | "hypot" | "native_divide" -> (
       match args with
       | [ RFloat a; RFloat b ] -> RFloat (math2 callee a b)
-      | [ RVecF a; RVecF b ] -> RVecF (lanes_map2 (math2 callee) a b)
       | _ -> trap "%s argument mismatch" callee)
   | _ -> (
       (* Remaining builtins are unary float math. *)
       match args with
       | [ RFloat x ] -> RFloat (math1 callee x)
-      | [ RVecF a ] -> RVecF (Array.map (math1 callee) a)
       | _ -> trap "unsupported call %s" callee)
 
 and exec_instr (st : wi_state) (i : instr) : unit =
@@ -736,7 +771,109 @@ and run_tree (st : wi_state) : unit =
 
 (* == The closure compiler =================================================== *)
 
-type kind = KInt of int | KFloat of int | KBox of int
+(* Slot assignment shared by both closure compilers. Scalars take one slot
+   of their kind; a [<n x T>] vector takes [n] consecutive slots of its
+   component kind (first slot, [n]), so a vector operation is [n] scalar
+   operations on component slots and nothing is boxed. [KBox] is left to
+   pointers. *)
+type kind =
+  | KInt of int
+  | KFloat of int
+  | KBox of int
+  | KIvec of int * int
+  | KFvec of int * int
+
+(* A scalar operand as the compilers resolve it: a constant, a kernel
+   argument, or a typed slot ([vr]: varying; only the lane compiler reads
+   it). Component [j] of a vector is the slot operand [first + j]. *)
+type opnd =
+  | Oint of int  (** integer constant, already sign-extended *)
+  | Oflt of float
+  | Oarg of int  (** kernel argument index *)
+  | Oi of int * bool
+  | Of of int * bool
+  | Ob of int * bool
+  | Onone of string  (** compiles to a trap with this message *)
+
+let opnd_of (kinds : (int, kind) Hashtbl.t) ~(vr : bool) (v : value) : opnd =
+  match v with
+  | Cint (t, n) -> Oint (sext_of t n)
+  | Cfloat f -> Oflt f
+  | Arg a -> Oarg a.a_index
+  | Vinstr i -> (
+      match Hashtbl.find_opt kinds i.iid with
+      | Some (KInt s) -> Oi (s, vr)
+      | Some (KFloat s) -> Of (s, vr)
+      | Some (KBox s) -> Ob (s, vr)
+      | Some (KIvec _ | KFvec _) -> Onone "vector used as a scalar"
+      | None -> Onone "use of a void value")
+
+let comp_of (kinds : (int, kind) Hashtbl.t) ~(vr : bool) (v : value) (j : int)
+    : opnd =
+  match v with
+  | Vinstr i -> (
+      match Hashtbl.find_opt kinds i.iid with
+      | Some (KFvec (s, n)) when j < n -> Of (s + j, vr)
+      | Some (KIvec (s, n)) when j < n -> Oi (s + j, vr)
+      | _ -> Onone "expected a vector")
+  | _ -> Onone "expected a vector"
+
+(* The operands an incoming value supplies to a phi of kind [k]: one per
+   component slot. *)
+let opnds_of (kinds : (int, kind) Hashtbl.t) ~(vr : bool) (k : kind)
+    (v : value) : opnd list =
+  match k with
+  | KIvec (_, n) | KFvec (_, n) -> List.init n (comp_of kinds ~vr v)
+  | KInt _ | KFloat _ | KBox _ -> [ opnd_of kinds ~vr v ]
+
+(* The scalar slots a value occupies, in component order: [`I]/[`F]/[`B]
+   slot numbers. Spill plans and phi moves are built from these. *)
+let slots_of_kind = function
+  | KInt s -> [ `I s ]
+  | KFloat s -> [ `F s ]
+  | KBox s -> [ `B s ]
+  | KIvec (s, n) -> List.init n (fun j -> `I (s + j))
+  | KFvec (s, n) -> List.init n (fun j -> `F (s + j))
+
+(* A pure builtin resolved at compile time to a scalar function over its
+   component kind; a vector call applies it per component. Mirrors
+   [data_call] (the tree engine's independent implementation). *)
+type sfn =
+  | Sf1 of (float -> float)
+  | Sf2 of (float -> float -> float)
+  | Sf3 of (float -> float -> float -> float)
+  | Si1 of (int -> int)
+  | Si2 of (int -> int -> int)
+  | Si3 of (int -> int -> int -> int)
+
+let scalar_builtin (callee : string) ~(is_float : bool) ~(arity : int) :
+    sfn option =
+  match (callee, is_float, arity) with
+  | ("mad" | "fma"), true, 3 -> Some (Sf3 (fun a b c -> (a *. b) +. c))
+  | ("mad" | "fma" | "mad24"), false, 3 -> Some (Si3 (fun a b c -> (a * b) + c))
+  | "clamp", true, 3 ->
+      Some (Sf3 (fun x lo hi -> Float.min (Float.max x lo) hi))
+  | "clamp", false, 3 -> Some (Si3 (fun x lo hi -> min (max x lo) hi))
+  | "mix", true, 3 -> Some (Sf3 (fun a b t -> a +. ((b -. a) *. t)))
+  | "min", true, 2 -> Some (Sf2 Float.min)
+  | "max", true, 2 -> Some (Sf2 Float.max)
+  | "min", false, 2 -> Some (Si2 min)
+  | "max", false, 2 -> Some (Si2 max)
+  | "mul24", false, 2 -> Some (Si2 ( * ))
+  | "abs", true, 1 -> Some (Sf1 Float.abs)
+  | "abs", false, 1 -> Some (Si1 abs)
+  | _, true, 2 -> Option.map (fun f -> Sf2 f) (math2_fn callee)
+  | _, true, 1 -> Option.map (fun f -> Sf1 f) (math1_fn callee)
+  | _ -> None
+
+(* Component count and kind of a call's result type. *)
+let call_shape (t : ty) : (bool * int) option =
+  match t with
+  | F32 -> Some (true, 1)
+  | I1 | I8 | I16 | I32 | I64 -> Some (false, 1)
+  | Vec (F32, n) -> Some (true, n)
+  | Vec (_, n) -> Some (false, n)
+  | _ -> None
 
 (* Raised while lane-compiling a segment that cannot be batched (private
    alloca, divergent branch condition outside a classified diamond); the
@@ -787,173 +924,77 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     ~(info : Regions.info) ~(ctx_col : (int, int) Hashtbl.t) : clanes =
   let dv = info.Regions.div in
   let kind_of (i : instr) = Hashtbl.find_opt kinds i.iid in
-  let is_int_ty = function I1 | I8 | I16 | I32 | I64 -> true | _ -> false in
+  let varying (v : value) =
+    match v with Vinstr i -> Divergence.iid_divergent dv i.iid | _ -> false
+  in
+  let op (v : value) = opnd_of kinds ~vr:(varying v) v in
+  let comp (v : value) (j : int) = comp_of kinds ~vr:(varying v) v j in
 
   (* Uniform operand getters: one value per batch, read from the slot's
      base column. The divergence fixpoint guarantees every operand of a
      uniform instruction is itself uniform, so reading column 0 is sound. *)
-  let lu_iget (v : value) : lane_state -> int =
-    match v with
-    | Cint (t, n) ->
-        let k = sext_of t n in
-        fun _ -> k
-    | Cfloat f -> fun _ -> trap "expected int, got float %g" f
-    | Arg a ->
-        let j = a.a_index in
-        fun ls -> as_int ls.largs.(j)
-    | Vinstr i -> (
-        match kind_of i with
-        | Some (KInt s) ->
-            let b = s * lw in
-            fun ls -> ls.lienv.(b)
-        | Some (KFloat s) ->
-            let b = s * lw in
-            fun ls -> trap "expected int, got float %g" ls.lfenv.(b)
-        | Some (KBox s) ->
-            let b = s * lw in
-            fun ls -> as_int ls.lbenv.(b)
-        | None -> fun _ -> trap "use of a void value")
+  let lu_iget (o : opnd) : lane_state -> int =
+    match o with
+    | Oint k -> fun _ -> k
+    | Oarg j -> fun ls -> as_int ls.largs.(j)
+    | Oi (s, _) ->
+        let b = s * lw in
+        fun ls -> ls.lienv.(b)
+    | Onone m -> fun _ -> trap "%s" m
+    | Oflt _ | Of _ | Ob _ -> fun _ -> trap "expected int, got float"
   in
-  let lu_fget (v : value) : lane_state -> float =
-    match v with
-    | Cfloat f -> fun _ -> f
-    | Cint (_, n) -> fun _ -> trap "expected float, got int %d" n
-    | Arg a ->
-        let j = a.a_index in
-        fun ls -> as_float ls.largs.(j)
-    | Vinstr i -> (
-        match kind_of i with
-        | Some (KFloat s) ->
-            let b = s * lw in
-            fun ls -> ls.lfenv.(b)
-        | Some (KInt s) ->
-            let b = s * lw in
-            fun ls -> trap "expected float, got int %d" ls.lienv.(b)
-        | Some (KBox s) ->
-            let b = s * lw in
-            fun ls -> as_float ls.lbenv.(b)
-        | None -> fun _ -> trap "use of a void value")
+  let lu_fget (o : opnd) : lane_state -> float =
+    match o with
+    | Oflt f -> fun _ -> f
+    | Oarg j -> fun ls -> as_float ls.largs.(j)
+    | Of (s, _) ->
+        let b = s * lw in
+        fun ls -> ls.lfenv.(b)
+    | Onone m -> fun _ -> trap "%s" m
+    | Oint _ | Oi _ | Ob _ -> fun _ -> trap "expected float, got int"
   in
-  let lu_vget (v : value) : lane_state -> rv =
-    match v with
-    | Cint (t, n) ->
-        let r = RInt (sext_of t n) in
-        fun _ -> r
-    | Cfloat f ->
-        let r = RFloat f in
-        fun _ -> r
-    | Arg a ->
-        let j = a.a_index in
-        fun ls -> ls.largs.(j)
-    | Vinstr i -> (
-        match kind_of i with
-        | Some (KInt s) ->
-            let b = s * lw in
-            fun ls -> RInt ls.lienv.(b)
-        | Some (KFloat s) ->
-            let b = s * lw in
-            fun ls -> RFloat ls.lfenv.(b)
-        | Some (KBox s) ->
-            let b = s * lw in
-            fun ls -> ls.lbenv.(b)
-        | None -> fun _ -> trap "use of a void value")
+  let lu_bget (o : opnd) : lane_state -> rv =
+    match o with
+    | Oarg j -> fun ls -> ls.largs.(j)
+    | Ob (s, _) ->
+        let b = s * lw in
+        fun ls -> ls.lbenv.(b)
+    | Onone m -> fun _ -> trap "%s" m
+    | _ -> fun _ -> trap "expected a pointer"
   in
 
   (* Varying operand getters: one value per lane. A uniform operand of a
      varying instruction reads its base column whatever the lane. *)
-  let varying (v : value) =
-    match v with Vinstr i -> Divergence.iid_divergent dv i.iid | _ -> false
+  let lv_iget (o : opnd) : lane_state -> int -> int =
+    match o with
+    | Oi (s, true) ->
+        let b = s * lw in
+        fun ls l -> ls.lienv.(b + l)
+    | _ ->
+        let g = lu_iget o in
+        fun ls _ -> g ls
   in
-  let lv_iget (v : value) : lane_state -> int -> int =
-    match v with
-    | Cint (t, n) ->
-        let k = sext_of t n in
-        fun _ _ -> k
-    | Cfloat f -> fun _ _ -> trap "expected int, got float %g" f
-    | Arg a ->
-        let j = a.a_index in
-        fun ls _ -> as_int ls.largs.(j)
-    | Vinstr i -> (
-        let vr = varying v in
-        match kind_of i with
-        | Some (KInt s) ->
-            let b = s * lw in
-            if vr then fun ls l -> ls.lienv.(b + l)
-            else fun ls _ -> ls.lienv.(b)
-        | Some (KFloat s) ->
-            let b = s * lw in
-            fun ls _ -> trap "expected int, got float %g" ls.lfenv.(b)
-        | Some (KBox s) ->
-            let b = s * lw in
-            if vr then fun ls l -> as_int ls.lbenv.(b + l)
-            else fun ls _ -> as_int ls.lbenv.(b)
-        | None -> fun _ _ -> trap "use of a void value")
+  let lv_fget (o : opnd) : lane_state -> int -> float =
+    match o with
+    | Of (s, true) ->
+        let b = s * lw in
+        fun ls l -> ls.lfenv.(b + l)
+    | _ ->
+        let g = lu_fget o in
+        fun ls _ -> g ls
   in
-  let lv_fget (v : value) : lane_state -> int -> float =
-    match v with
-    | Cfloat f -> fun _ _ -> f
-    | Cint (_, n) -> fun _ _ -> trap "expected float, got int %d" n
-    | Arg a ->
-        let j = a.a_index in
-        fun ls _ -> as_float ls.largs.(j)
-    | Vinstr i -> (
-        let vr = varying v in
-        match kind_of i with
-        | Some (KFloat s) ->
-            let b = s * lw in
-            if vr then fun ls l -> ls.lfenv.(b + l)
-            else fun ls _ -> ls.lfenv.(b)
-        | Some (KInt s) ->
-            let b = s * lw in
-            fun ls _ -> trap "expected float, got int %d" ls.lienv.(b)
-        | Some (KBox s) ->
-            let b = s * lw in
-            if vr then fun ls l -> as_float ls.lbenv.(b + l)
-            else fun ls _ -> as_float ls.lbenv.(b)
-        | None -> fun _ _ -> trap "use of a void value")
+  let lv_bget (o : opnd) : lane_state -> int -> rv =
+    match o with
+    | Ob (s, true) ->
+        let b = s * lw in
+        fun ls l -> ls.lbenv.(b + l)
+    | _ ->
+        let g = lu_bget o in
+        fun ls _ -> g ls
   in
-  let lv_bufget (v : value) : lane_state -> int -> Memory.buffer =
-    match v with
-    | Arg a ->
-        let j = a.a_index in
-        fun ls _ -> as_buf ls.largs.(j)
-    | Vinstr i -> (
-        let vr = varying v in
-        match kind_of i with
-        | Some (KBox s) ->
-            let b = s * lw in
-            if vr then fun ls l -> as_buf ls.lbenv.(b + l)
-            else fun ls _ -> as_buf ls.lbenv.(b)
-        | _ -> fun _ _ -> trap "expected a pointer")
-    | _ -> fun _ _ -> trap "expected a pointer"
-  in
-  let lv_vget (v : value) : lane_state -> int -> rv =
-    match v with
-    | Cint (t, n) ->
-        let r = RInt (sext_of t n) in
-        fun _ _ -> r
-    | Cfloat f ->
-        let r = RFloat f in
-        fun _ _ -> r
-    | Arg a ->
-        let j = a.a_index in
-        fun ls _ -> ls.largs.(j)
-    | Vinstr i -> (
-        let vr = varying v in
-        match kind_of i with
-        | Some (KInt s) ->
-            let b = s * lw in
-            if vr then fun ls l -> RInt ls.lienv.(b + l)
-            else fun ls _ -> RInt ls.lienv.(b)
-        | Some (KFloat s) ->
-            let b = s * lw in
-            if vr then fun ls l -> RFloat ls.lfenv.(b + l)
-            else fun ls _ -> RFloat ls.lfenv.(b)
-        | Some (KBox s) ->
-            let b = s * lw in
-            if vr then fun ls l -> ls.lbenv.(b + l)
-            else fun ls _ -> ls.lbenv.(b)
-        | None -> fun _ _ -> trap "use of a void value")
+  let lv_bufget (o : opnd) : lane_state -> int -> Memory.buffer =
+    let g = lv_bget o in
+    fun ls l -> as_buf (g ls l)
   in
 
   (* Operand classification for the specialized hot loops below. An
@@ -963,1252 +1004,1143 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
      uniform slots), read once at batch entry instead of per lane.
      [None] from both classifiers sends the instruction to the generic
      closure-per-operand arm. *)
-  let ivar_slot (v : value) : int option =
-    match v with
-    | Vinstr i when varying v -> (
-        match kind_of i with Some (KInt s) -> Some (s * lw) | _ -> None)
+  let ivar_slot = function Oi (s, true) -> Some (s * lw) | _ -> None in
+  let fvar_slot = function Of (s, true) -> Some (s * lw) | _ -> None in
+  let ihoist (o : opnd) =
+    match o with
+    | Oint _ | Oarg _ | Oi (_, false) -> Some (lu_iget o)
     | _ -> None
   in
-  let ihoist (v : value) : (lane_state -> int) option =
-    if varying v then None
-    else
-      match v with
-      | Cint (t, n) ->
-          let k = sext_of t n in
-          Some (fun _ -> k)
-      | Arg a ->
-          let j = a.a_index in
-          Some (fun ls -> as_int ls.largs.(j))
-      | Vinstr i -> (
-          match kind_of i with
-          | Some (KInt s) ->
-              let b = s * lw in
-              Some (fun ls -> ls.lienv.(b))
-          | Some (KBox s) ->
-              let b = s * lw in
-              Some (fun ls -> as_int ls.lbenv.(b))
-          | _ -> None)
-      | Cfloat _ -> None
-  in
-  let fvar_slot (v : value) : int option =
-    match v with
-    | Vinstr i when varying v -> (
-        match kind_of i with Some (KFloat s) -> Some (s * lw) | _ -> None)
+  let fhoist (o : opnd) =
+    match o with
+    | Oflt _ | Oarg _ | Of (_, false) -> Some (lu_fget o)
     | _ -> None
   in
-  let fhoist (v : value) : (lane_state -> float) option =
-    if varying v then None
-    else
-      match v with
-      | Cfloat f -> Some (fun _ -> f)
-      | Arg a ->
-          let j = a.a_index in
-          Some (fun ls -> as_float ls.largs.(j))
-      | Vinstr i -> (
-          match kind_of i with
-          | Some (KFloat s) ->
-              let b = s * lw in
-              Some (fun ls -> ls.lfenv.(b))
-          | Some (KBox s) ->
-              let b = s * lw in
-              Some (fun ls -> as_float ls.lbenv.(b))
-          | _ -> None)
-      | Cint _ -> None
-  in
-  let bvar_slot (v : value) : int option =
-    match v with
-    | Vinstr i when varying v -> (
-        match kind_of i with Some (KBox s) -> Some (s * lw) | _ -> None)
+  let buf_hoist (o : opnd) =
+    match o with
+    | Oarg _ | Ob (_, false) ->
+        let g = lu_bget o in
+        Some (fun ls -> as_buf (g ls))
     | _ -> None
-  in
-  let buf_hoist (v : value) : (lane_state -> Memory.buffer) option =
-    if varying v then None
-    else
-      match v with
-      | Arg a ->
-          let j = a.a_index in
-          Some (fun ls -> as_buf ls.largs.(j))
-      | Vinstr i -> (
-          match kind_of i with
-          | Some (KBox s) ->
-              let b = s * lw in
-              Some (fun ls -> as_buf ls.lbenv.(b))
-          | _ -> None)
-      | _ -> None
   in
 
-  (* Destination helpers: the slot base ([slot * lw]) is resolved at
-     compile time; uniform writers touch the base column only. *)
-  let lwith_int_dst (i : instr) (mk : int -> lane_state -> unit) =
-    match kind_of i with
-    | Some (KInt s) -> mk (s * lw)
-    | _ -> fun _ -> trap "slot kind mismatch (int) at instruction %d" i.iid
-  in
-  let lwith_float_dst (i : instr) (mk : int -> lane_state -> unit) =
-    match kind_of i with
-    | Some (KFloat s) -> mk (s * lw)
-    | _ -> fun _ -> trap "slot kind mismatch (float) at instruction %d" i.iid
-  in
-  let lwith_box_dst (i : instr) (mk : int -> lane_state -> unit) =
-    match kind_of i with
-    | Some (KBox s) -> mk (s * lw)
-    | _ ->
-        fun _ -> trap "slot kind mismatch (aggregate) at instruction %d" i.iid
-  in
-  let lset_rv (i : instr) : lane_state -> int -> rv -> unit =
-    match kind_of i with
-    | Some (KInt s) ->
-        let b = s * lw in
-        fun ls l v -> ls.lienv.(b + l) <- as_int v
-    | Some (KFloat s) ->
-        let b = s * lw in
-        fun ls l v -> ls.lfenv.(b + l) <- as_float v
-    | Some (KBox s) ->
-        let b = s * lw in
-        fun ls l v -> ls.lbenv.(b + l) <- v
-    | None ->
-        fun _ _ _ -> trap "slot kind mismatch at instruction %d" i.iid
-  in
-  let luset_rv (i : instr) : lane_state -> rv -> unit =
-    match kind_of i with
-    | Some (KInt s) ->
-        let b = s * lw in
-        fun ls v -> ls.lienv.(b) <- as_int v
-    | Some (KFloat s) ->
-        let b = s * lw in
-        fun ls v -> ls.lfenv.(b) <- as_float v
-    | Some (KBox s) ->
-        let b = s * lw in
-        fun ls v -> ls.lbenv.(b) <- v
-    | None ->
-        fun _ _ -> trap "slot kind mismatch at instruction %d" i.iid
-  in
-
-  (* A group-uniform call: geometry queries read the shared context;
-     everything else evaluates once per batch through the shared builtin
-     interpreter. [get_local_id]/[get_global_id] are divergence seeds, so
-     the analysis can never classify them uniform. *)
-  let lcompile_ucall (i : instr) callee (args : value list) :
+  (* Column moves: the target slot base [dst] of [tgt] (an env, or phi
+     scratch) takes the operand's value in every active lane. Float moves
+     read the source inside the loop, so no float crosses a closure
+     boundary. *)
+  let lv_imove_to (tgt : lane_state -> int array) (o : opnd) (dst : int) :
       lane_state -> unit =
-    let geom (sel : wi_ctx -> int array) =
-      match args with
-      | [ Cint (_, d) ] when d >= 0 && d < 3 ->
-          lwith_int_dst i (fun dst ls -> ls.lienv.(dst) <- (sel ls.lctx).(d))
-      | [ dvv ] ->
-          let g = lu_iget dvv in
-          lwith_int_dst i (fun dst ls ->
-              let d = g ls in
-              if d < 0 || d >= 3 then trap "dimension out of range";
-              ls.lienv.(dst) <- (sel ls.lctx).(d))
-      | _ -> fun _ -> trap "%s expects a dimension" callee
+    match o with
+    | Oi (s, true) ->
+        let b = s * lw in
+        fun ls ->
+          let ie = ls.lienv and t = tgt ls in
+          for l = 0 to ls.nl - 1 do
+            t.(dst + l) <- ie.(b + l)
+          done
+    | _ ->
+        let g = lu_iget o in
+        fun ls ->
+          let t = tgt ls and x = g ls in
+          for l = 0 to ls.nl - 1 do
+            t.(dst + l) <- x
+          done
+  in
+  let lv_fmove_to (tgt : lane_state -> float array) (o : opnd) (dst : int) :
+      lane_state -> unit =
+    match o with
+    | Of (s, true) ->
+        let b = s * lw in
+        fun ls ->
+          let fe = ls.lfenv and t = tgt ls in
+          for l = 0 to ls.nl - 1 do
+            t.(dst + l) <- fe.(b + l)
+          done
+    | Of (s, false) ->
+        let b = s * lw in
+        fun ls ->
+          let t = tgt ls in
+          let x = ls.lfenv.(b) in
+          for l = 0 to ls.nl - 1 do
+            t.(dst + l) <- x
+          done
+    | _ ->
+        let g = lu_fget o in
+        fun ls ->
+          let t = tgt ls and x = g ls in
+          for l = 0 to ls.nl - 1 do
+            t.(dst + l) <- x
+          done
+  in
+  let lv_imove = lv_imove_to (fun ls -> ls.lienv) in
+  let lv_fmove = lv_fmove_to (fun ls -> ls.lfenv) in
+  let lv_bmove (o : opnd) (dst : int) : lane_state -> unit =
+    let g = lv_bget o in
+    fun ls ->
+      for l = 0 to ls.nl - 1 do
+        ls.lbenv.(dst + l) <- g ls l
+      done
+  in
+
+  (* Varying scalar builders: one result column per active lane into the
+     slot base [dst]. A vector instruction is one of these per component.
+     The int and float binops are the innermost ops of every address
+     computation and every float4 lane, so their common operand shapes
+     (slot x slot, slot x hoistable) get dedicated loops with direct
+     array reads, and the wrap-free operators are inlined rather than
+     called through the resolved closure. *)
+  let lv_ibin t op (oa : opnd) (ob : opnd) (dst : int) : lane_state -> unit =
+    let f = int_binop_fn t op in
+    let generic () =
+      let ga = lv_iget oa and gb = lv_iget ob in
+      fun ls ->
+        for l = 0 to ls.nl - 1 do
+          ls.lienv.(dst + l) <- f (ga ls l) (gb ls l)
+        done
     in
-    match callee with
-    | "get_local_id" | "get_global_id" ->
-        fun _ -> trap "%s classified uniform" callee
-    | "get_group_id" -> geom (fun c -> c.grp)
-    | "get_local_size" -> geom (fun c -> c.lsz)
-    | "get_global_size" -> geom (fun c -> c.gsz)
-    | "get_num_groups" -> geom (fun c -> c.ngr)
-    | "get_global_offset" ->
-        lwith_int_dst i (fun dst ls -> ls.lienv.(dst) <- 0)
-    | "get_work_dim" -> lwith_int_dst i (fun dst ls -> ls.lienv.(dst) <- 3)
-    | _ ->
-        let gargs = List.map lu_vget args in
-        let set = luset_rv i in
-        fun ls -> set ls (data_call callee (List.map (fun g -> g ls) gargs))
-  in
-
-  (* A uniform instruction: computed once per batch into the base column,
-     exactly mirroring the scalar closure compiler's arms. *)
-  let lcompile_uni (i : instr) : lane_state -> unit =
-    match i.op with
-    | Binop (op, a, b) -> (
-        match type_of a with
-        | (I1 | I8 | I16 | I32 | I64) as t ->
-            let ga = lu_iget a and gb = lu_iget b and f = int_binop_fn t op in
-            lwith_int_dst i (fun dst ls -> ls.lienv.(dst) <- f (ga ls) (gb ls))
-        | F32 ->
-            let ga = lu_fget a and gb = lu_fget b and f = float_binop_fn op in
-            lwith_float_dst i (fun dst ls ->
-                ls.lfenv.(dst) <- f (ga ls) (gb ls))
-        | Vec (F32, _) ->
-            let ga = lu_vget a and gb = lu_vget b and f = float_binop_fn op in
-            lwith_box_dst i (fun dst ls ->
-                match (ga ls, gb ls) with
-                | RVecF x, RVecF y -> ls.lbenv.(dst) <- RVecF (lanes_map2 f x y)
-                | _ -> trap "binop operand mismatch")
-        | Vec (_, _) ->
-            let ga = lu_vget a and gb = lu_vget b and f = int_binop_fn I32 op in
-            lwith_box_dst i (fun dst ls ->
-                match (ga ls, gb ls) with
-                | RVecI x, RVecI y -> ls.lbenv.(dst) <- RVecI (lanes_map2 f x y)
-                | _ -> trap "binop operand mismatch")
-        | _ -> fun _ -> trap "binop operand mismatch")
-    | Icmp (c, a, b) ->
-        let ga = lu_iget a and gb = lu_iget b and f = icmp_fn (type_of a) c in
-        lwith_int_dst i (fun dst ls ->
-            ls.lienv.(dst) <- (if f (ga ls) (gb ls) then 1 else 0))
-    | Fcmp (c, a, b) ->
-        let ga = lu_fget a and gb = lu_fget b and f = fcmp_fn c in
-        lwith_int_dst i (fun dst ls ->
-            ls.lienv.(dst) <- (if f (ga ls) (gb ls) then 1 else 0))
-    | Select (c, a, b) -> (
-        let gc = lu_iget c in
-        match type_of a with
-        | I1 | I8 | I16 | I32 | I64 ->
-            let ga = lu_iget a and gb = lu_iget b in
-            lwith_int_dst i (fun dst ls ->
-                ls.lienv.(dst) <- (if gc ls <> 0 then ga ls else gb ls))
-        | F32 ->
-            let ga = lu_fget a and gb = lu_fget b in
-            lwith_float_dst i (fun dst ls ->
-                ls.lfenv.(dst) <- (if gc ls <> 0 then ga ls else gb ls))
+    match (ivar_slot oa, ivar_slot ob) with
+    | Some ao, Some bo -> (
+        match op with
+        | Add ->
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- ie.(ao + l) + ie.(bo + l)
+              done
+        | Mul ->
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- ie.(ao + l) * ie.(bo + l)
+              done
+        | Sub ->
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- ie.(ao + l) - ie.(bo + l)
+              done
+        | And ->
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- ie.(ao + l) land ie.(bo + l)
+              done
+        | Or ->
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- ie.(ao + l) lor ie.(bo + l)
+              done
+        | Xor ->
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- ie.(ao + l) lxor ie.(bo + l)
+              done
+        | Shl ->
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- ie.(ao + l) lsl (ie.(bo + l) land 63)
+              done
+        | Ashr ->
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- ie.(ao + l) asr (ie.(bo + l) land 63)
+              done
+        | Lshr ->
+            let m = mask_of t in
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <-
+                  (ie.(ao + l) land m) lsr (ie.(bo + l) land 63)
+              done
         | _ ->
-            let ga = lu_vget a and gb = lu_vget b in
-            lwith_box_dst i (fun dst ls ->
-                ls.lbenv.(dst) <- (if gc ls <> 0 then ga ls else gb ls)))
-    | Cast (k, v, t) -> (
-        let src_t = type_of v in
-        match (k, src_t) with
-        | (Sext | Bitcast), (I1 | I8 | I16 | I32 | I64) ->
-            let g = lu_iget v in
-            lwith_int_dst i (fun dst ls ->
-                ls.lienv.(dst) <- sext_of src_t (g ls))
-        | Zext, (I1 | I8 | I16 | I32 | I64) ->
-            let g = lu_iget v and m = mask_of src_t in
-            lwith_int_dst i (fun dst ls -> ls.lienv.(dst) <- g ls land m)
-        | Trunc, (I1 | I8 | I16 | I32 | I64) ->
-            let g = lu_iget v in
-            lwith_int_dst i (fun dst ls -> ls.lienv.(dst) <- sext_of t (g ls))
-        | Si_to_fp, (I1 | I8 | I16 | I32 | I64) ->
-            let g = lu_iget v in
-            lwith_float_dst i (fun dst ls ->
-                ls.lfenv.(dst) <- float_of_int (g ls))
-        | Ui_to_fp, (I1 | I8 | I16 | I32 | I64) ->
-            let g = lu_iget v and m = mask_of src_t in
-            lwith_float_dst i (fun dst ls ->
-                ls.lfenv.(dst) <- float_of_int (g ls land m))
-        | Fp_to_si, F32 ->
-            let g = lu_fget v in
-            lwith_int_dst i (fun dst ls ->
-                ls.lienv.(dst) <- int_of_float (g ls))
-        | Bitcast, F32 ->
-            let g = lu_fget v in
-            lwith_float_dst i (fun dst ls -> ls.lfenv.(dst) <- g ls)
-        | Bitcast, _ ->
-            let g = lu_vget v in
-            lwith_box_dst i (fun dst ls -> ls.lbenv.(dst) <- g ls)
-        | _ -> fun _ -> trap "unsupported cast")
-    | Call { callee; args; _ } -> lcompile_ucall i callee args
-    | Alloca { aspace = Local; _ } ->
-        let iid = i.iid in
-        lwith_box_dst i (fun dst ls ->
-            match Hashtbl.find_opt ls.llocal iid with
-            | Some b -> ls.lbenv.(dst) <- RBuf b
-            | None -> trap "local alloca without a group buffer")
-    | Load _ ->
-        (* Loads are divergence seeds — never classified uniform. *)
-        fun _ -> trap "load classified uniform"
-    | Extract (v, lane) -> (
-        let gl = lu_iget lane in
-        match type_of v with
-        | Vec (F32, _) ->
-            let gv = lu_vget v in
-            lwith_float_dst i (fun dst ls ->
-                match gv ls with
-                | RVecF a -> ls.lfenv.(dst) <- a.(gl ls)
-                | _ -> trap "extract from non-vector")
-        | Vec (_, _) ->
-            let gv = lu_vget v in
-            lwith_int_dst i (fun dst ls ->
-                match gv ls with
-                | RVecI a -> ls.lienv.(dst) <- a.(gl ls)
-                | _ -> trap "extract from non-vector")
-        | _ -> fun _ -> trap "extract from non-vector")
-    | Insert (v, lane, s) ->
-        let gv = lu_vget v and gl = lu_iget lane and gs = lu_vget s in
-        lwith_box_dst i (fun dst ls ->
-            let l = gl ls in
-            match (gv ls, gs ls) with
-            | RVecF a, RFloat x ->
-                let a = Array.copy a in
-                a.(l) <- x;
-                ls.lbenv.(dst) <- RVecF a
-            | RVecI a, RInt x ->
-                let a = Array.copy a in
-                a.(l) <- x;
-                ls.lbenv.(dst) <- RVecI a
-            | _ -> trap "insert mismatch")
-    | Vecbuild (t, vs) -> (
-        match t with
-        | Vec (F32, _) ->
-            let gs = Array.of_list (List.map lu_fget vs) in
-            lwith_box_dst i (fun dst ls ->
-                ls.lbenv.(dst) <- RVecF (Array.map (fun g -> g ls) gs))
-        | Vec (_, _) ->
-            let gs = Array.of_list (List.map lu_iget vs) in
-            lwith_box_dst i (fun dst ls ->
-                ls.lbenv.(dst) <- RVecI (Array.map (fun g -> g ls) gs))
-        | _ -> fun _ -> trap "vecbuild of non-vector")
-    | Store _ | Alloca _ | Phi _ | Barrier _ | Br _ | Cond_br _ | Ret ->
-        fun _ -> trap "non-value instruction compiled as uniform"
+            fun ls ->
+              let ie = ls.lienv in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- f ie.(ao + l) ie.(bo + l)
+              done)
+    | Some ao, None -> (
+        match ihoist ob with
+        | None -> generic ()
+        | Some hb -> (
+            match op with
+            | Add ->
+                fun ls ->
+                  let ie = ls.lienv and y = hb ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- ie.(ao + l) + y
+                  done
+            | Mul ->
+                fun ls ->
+                  let ie = ls.lienv and y = hb ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- ie.(ao + l) * y
+                  done
+            | Sub ->
+                fun ls ->
+                  let ie = ls.lienv and y = hb ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- ie.(ao + l) - y
+                  done
+            | And ->
+                fun ls ->
+                  let ie = ls.lienv and y = hb ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- ie.(ao + l) land y
+                  done
+            | Or ->
+                fun ls ->
+                  let ie = ls.lienv and y = hb ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- ie.(ao + l) lor y
+                  done
+            | Xor ->
+                fun ls ->
+                  let ie = ls.lienv and y = hb ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- ie.(ao + l) lxor y
+                  done
+            | Shl ->
+                fun ls ->
+                  let ie = ls.lienv and sh = hb ls land 63 in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- ie.(ao + l) lsl sh
+                  done
+            | Ashr ->
+                fun ls ->
+                  let ie = ls.lienv and sh = hb ls land 63 in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- ie.(ao + l) asr sh
+                  done
+            | Lshr ->
+                let m = mask_of t in
+                fun ls ->
+                  let ie = ls.lienv and sh = hb ls land 63 in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- (ie.(ao + l) land m) lsr sh
+                  done
+            | _ ->
+                fun ls ->
+                  let ie = ls.lienv and y = hb ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- f ie.(ao + l) y
+                  done))
+    | None, Some bo -> (
+        match ihoist oa with
+        | None -> generic ()
+        | Some ha -> (
+            match op with
+            | Add ->
+                fun ls ->
+                  let ie = ls.lienv and x = ha ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- x + ie.(bo + l)
+                  done
+            | Mul ->
+                fun ls ->
+                  let ie = ls.lienv and x = ha ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- x * ie.(bo + l)
+                  done
+            | Sub ->
+                fun ls ->
+                  let ie = ls.lienv and x = ha ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- x - ie.(bo + l)
+                  done
+            | And ->
+                fun ls ->
+                  let ie = ls.lienv and x = ha ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- x land ie.(bo + l)
+                  done
+            | Or ->
+                fun ls ->
+                  let ie = ls.lienv and x = ha ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- x lor ie.(bo + l)
+                  done
+            | Xor ->
+                fun ls ->
+                  let ie = ls.lienv and x = ha ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- x lxor ie.(bo + l)
+                  done
+            | Shl ->
+                fun ls ->
+                  let ie = ls.lienv and x = ha ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- x lsl (ie.(bo + l) land 63)
+                  done
+            | Ashr ->
+                fun ls ->
+                  let ie = ls.lienv and x = ha ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- x asr (ie.(bo + l) land 63)
+                  done
+            | Lshr ->
+                let m = mask_of t in
+                fun ls ->
+                  let ie = ls.lienv in
+                  let x = ha ls land m in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- x lsr (ie.(bo + l) land 63)
+                  done
+            | _ ->
+                fun ls ->
+                  let ie = ls.lienv and x = ha ls in
+                  for l = 0 to ls.nl - 1 do
+                    ie.(dst + l) <- f x ie.(bo + l)
+                  done))
+    | None, None -> generic ()
+  in
+  let lv_icmp t c (oa : opnd) (ob : opnd) (dst : int) : lane_state -> unit =
+    let f = icmp_fn t c in
+    let generic () =
+      let ga = lv_iget oa and gb = lv_iget ob in
+      fun ls ->
+        for l = 0 to ls.nl - 1 do
+          ls.lienv.(dst + l) <- (if f (ga ls l) (gb ls l) then 1 else 0)
+        done
+    in
+    match (ivar_slot oa, ivar_slot ob) with
+    | Some ao, Some bo ->
+        fun ls ->
+          let ie = ls.lienv in
+          for l = 0 to ls.nl - 1 do
+            ie.(dst + l) <- (if f ie.(ao + l) ie.(bo + l) then 1 else 0)
+          done
+    | Some ao, None -> (
+        match ihoist ob with
+        | None -> generic ()
+        | Some hb ->
+            fun ls ->
+              let ie = ls.lienv and y = hb ls in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- (if f ie.(ao + l) y then 1 else 0)
+              done)
+    | None, Some bo -> (
+        match ihoist oa with
+        | None -> generic ()
+        | Some ha ->
+            fun ls ->
+              let ie = ls.lienv and x = ha ls in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- (if f x ie.(bo + l) then 1 else 0)
+              done)
+    | None, None -> generic ()
+  in
+  let lv_fcmp c (oa : opnd) (ob : opnd) (dst : int) : lane_state -> unit =
+    let f = fcmp_fn c in
+    let generic () =
+      let ga = lv_fget oa and gb = lv_fget ob in
+      fun ls ->
+        for l = 0 to ls.nl - 1 do
+          ls.lienv.(dst + l) <- (if f (ga ls l) (gb ls l) then 1 else 0)
+        done
+    in
+    match (fvar_slot oa, fvar_slot ob) with
+    | Some ao, Some bo ->
+        fun ls ->
+          let ie = ls.lienv and fe = ls.lfenv in
+          for l = 0 to ls.nl - 1 do
+            ie.(dst + l) <- (if f fe.(ao + l) fe.(bo + l) then 1 else 0)
+          done
+    | Some ao, None -> (
+        match fhoist ob with
+        | None -> generic ()
+        | Some hb ->
+            fun ls ->
+              let ie = ls.lienv and fe = ls.lfenv and y = hb ls in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- (if f fe.(ao + l) y then 1 else 0)
+              done)
+    | None, Some bo -> (
+        match fhoist oa with
+        | None -> generic ()
+        | Some ha ->
+            fun ls ->
+              let ie = ls.lienv and fe = ls.lfenv and x = ha ls in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- (if f x fe.(bo + l) then 1 else 0)
+              done)
+    | None, None -> generic ()
+  in
+  let lv_isel (oc : opnd) (oa : opnd) (ob : opnd) (dst : int) :
+      lane_state -> unit =
+    let gc = lv_iget oc in
+    let generic () =
+      let ga = lv_iget oa and gb = lv_iget ob in
+      fun ls ->
+        for l = 0 to ls.nl - 1 do
+          ls.lienv.(dst + l) <-
+            (if gc ls l <> 0 then ga ls l else gb ls l)
+        done
+    in
+    match (ivar_slot oc, ivar_slot oa, ivar_slot ob) with
+    | Some co, Some ao, Some bo ->
+        fun ls ->
+          let ie = ls.lienv in
+          for l = 0 to ls.nl - 1 do
+            ie.(dst + l) <-
+              (if ie.(co + l) <> 0 then ie.(ao + l) else ie.(bo + l))
+          done
+    | Some co, _, _ -> (
+        match (ihoist oa, ihoist ob) with
+        | Some ha, Some hb ->
+            fun ls ->
+              let ie = ls.lienv in
+              let x = ha ls and y = hb ls in
+              for l = 0 to ls.nl - 1 do
+                ie.(dst + l) <- (if ie.(co + l) <> 0 then x else y)
+              done
+        | _ -> generic ())
+    | _ -> generic ()
+  in
+  let lv_fsel (oc : opnd) (oa : opnd) (ob : opnd) (dst : int) :
+      lane_state -> unit =
+    let gc = lv_iget oc in
+    let generic () =
+      let ga = lv_fget oa and gb = lv_fget ob in
+      fun ls ->
+        for l = 0 to ls.nl - 1 do
+          ls.lfenv.(dst + l) <-
+            (if gc ls l <> 0 then ga ls l else gb ls l)
+        done
+    in
+    match (ivar_slot oc, fvar_slot oa, fvar_slot ob) with
+    | Some co, Some ao, Some bo ->
+        fun ls ->
+          let ie = ls.lienv and fe = ls.lfenv in
+          for l = 0 to ls.nl - 1 do
+            fe.(dst + l) <-
+              (if ie.(co + l) <> 0 then fe.(ao + l) else fe.(bo + l))
+          done
+    | Some co, _, _ -> (
+        match (fhoist oa, fhoist ob) with
+        | Some ha, Some hb ->
+            fun ls ->
+              let ie = ls.lienv and fe = ls.lfenv in
+              let x = ha ls and y = hb ls in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- (if ie.(co + l) <> 0 then x else y)
+              done
+        | _ -> generic ())
+    | _ -> generic ()
   in
 
-  (* A varying call: work-item index queries read the per-lane id rows;
-     the hot F32 mad/fma gets a fused arm; everything else goes through
-     the per-lane generic fallback. *)
-  let lcompile_vcall (i : instr) callee (args : value list) :
+  (* Scalar loads and stores of the hot shape (hoisted buffer, varying
+     index slot) record straight into the trace; [None] for any other
+     shape, which takes the generic per-lane loop of [lv_load]/[lv_store]. *)
+  let lv_fload (optr : opnd) (oidx : opnd) loc (dst : int) :
+      (lane_state -> unit) option =
+    match (buf_hoist optr, ivar_slot oidx) with
+    | Some hb, Some io ->
+        Some (fun ls ->
+            let b = hb ls in
+            let ie = ls.lienv and fe = ls.lfenv in
+            let bf = ls.base_flat in
+            match ls.lsan with
+            | None ->
+                for l = 0 to ls.nl - 1 do
+                  let idx = ie.(io + l) in
+                  Trace.record ls.lstats
+                    ~addr:(Memory.addr_of b idx)
+                    ~bytes:b.Memory.elem_bytes ~is_write:false
+                    ~space:b.Memory.space ~wi:(bf + l);
+                  fe.(dst + l) <- get_lane_f b idx 0
+                done
+            | Some _ ->
+                for l = 0 to ls.nl - 1 do
+                  let idx = ie.(io + l) in
+                  let wi = bf + l in
+                  lane_record ls b idx ~is_write:false ~wi;
+                  lane_san ls b idx ~is_write:false ~loc ~wi;
+                  fe.(dst + l) <- get_lane_f b idx 0
+                done)
+    | _ -> None
+  in
+  let lv_iload (optr : opnd) (oidx : opnd) loc (dst : int) :
+      (lane_state -> unit) option =
+    match (buf_hoist optr, ivar_slot oidx) with
+    | Some hb, Some io ->
+        Some (fun ls ->
+            let b = hb ls in
+            let ie = ls.lienv in
+            let bf = ls.base_flat in
+            match ls.lsan with
+            | None ->
+                for l = 0 to ls.nl - 1 do
+                  let idx = ie.(io + l) in
+                  Trace.record ls.lstats
+                    ~addr:(Memory.addr_of b idx)
+                    ~bytes:b.Memory.elem_bytes ~is_write:false
+                    ~space:b.Memory.space ~wi:(bf + l);
+                  ie.(dst + l) <- Memory.get_int b idx
+                done
+            | Some _ ->
+                for l = 0 to ls.nl - 1 do
+                  let idx = ie.(io + l) in
+                  let wi = bf + l in
+                  lane_record ls b idx ~is_write:false ~wi;
+                  lane_san ls b idx ~is_write:false ~loc ~wi;
+                  ie.(dst + l) <- Memory.get_int b idx
+                done)
+    | _ -> None
+  in
+  let lv_fstore (optr : opnd) (oidx : opnd) (ov : opnd) loc :
+      (lane_state -> unit) option =
+    match (buf_hoist optr, ivar_slot oidx, fvar_slot ov) with
+    | Some hb, Some io, Some vo ->
+        Some (fun ls ->
+          let b = hb ls in
+          let ie = ls.lienv and fe = ls.lfenv in
+          let bf = ls.base_flat in
+          (match ls.lsan with
+          | None ->
+              for l = 0 to ls.nl - 1 do
+                let idx = ie.(io + l) in
+                Trace.record ls.lstats
+                  ~addr:(Memory.addr_of b idx)
+                  ~bytes:b.Memory.elem_bytes ~is_write:true
+                  ~space:b.Memory.space ~wi:(bf + l);
+                set_lane_f b idx 0 fe.(vo + l)
+              done
+          | Some _ ->
+              for l = 0 to ls.nl - 1 do
+                let idx = ie.(io + l) in
+                let wi = bf + l in
+                lane_record ls b idx ~is_write:true ~wi;
+                lane_san ls b idx ~is_write:true ~loc ~wi;
+                set_lane_f b idx 0 fe.(vo + l)
+              done))
+    | _ -> None
+  in
+  let lv_istore (optr : opnd) (oidx : opnd) (ov : opnd) loc :
+      (lane_state -> unit) option =
+    match (buf_hoist optr, ivar_slot oidx, ivar_slot ov) with
+    | Some hb, Some io, Some vo ->
+        Some (fun ls ->
+          let b = hb ls in
+          let ie = ls.lienv in
+          let bf = ls.base_flat in
+          (match ls.lsan with
+          | None ->
+              for l = 0 to ls.nl - 1 do
+                let idx = ie.(io + l) in
+                Trace.record ls.lstats
+                  ~addr:(Memory.addr_of b idx)
+                  ~bytes:b.Memory.elem_bytes ~is_write:true
+                  ~space:b.Memory.space ~wi:(bf + l);
+                Memory.set_int b idx ie.(vo + l)
+              done
+          | Some _ ->
+              for l = 0 to ls.nl - 1 do
+                let idx = ie.(io + l) in
+                let wi = bf + l in
+                lane_record ls b idx ~is_write:true ~wi;
+                lane_san ls b idx ~is_write:true ~loc ~wi;
+                Memory.set_int b idx ie.(vo + l)
+              done))
+    | _ -> None
+  in
+
+  let lv_fbin op (oa : opnd) (ob : opnd) (dst : int) : lane_state -> unit =
+    let generic () =
+      let ga = lv_fget oa and gb = lv_fget ob and f = float_binop_fn op in
+      fun ls ->
+        for l = 0 to ls.nl - 1 do
+          ls.lfenv.(dst + l) <- f (ga ls l) (gb ls l)
+        done
+    in
+    match (fvar_slot oa, fvar_slot ob) with
+    | Some ao, Some bo -> (
+        match op with
+        | Fadd ->
+            fun ls ->
+              let fe = ls.lfenv in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- fe.(ao + l) +. fe.(bo + l)
+              done
+        | Fsub ->
+            fun ls ->
+              let fe = ls.lfenv in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- fe.(ao + l) -. fe.(bo + l)
+              done
+        | Fmul ->
+            fun ls ->
+              let fe = ls.lfenv in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- fe.(ao + l) *. fe.(bo + l)
+              done
+        | Fdiv ->
+            fun ls ->
+              let fe = ls.lfenv in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- fe.(ao + l) /. fe.(bo + l)
+              done
+        | _ -> generic ())
+    | Some ao, None -> (
+        match (fhoist ob, op) with
+        | Some hb, Fadd ->
+            fun ls ->
+              let fe = ls.lfenv and y = hb ls in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- fe.(ao + l) +. y
+              done
+        | Some hb, Fsub ->
+            fun ls ->
+              let fe = ls.lfenv and y = hb ls in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- fe.(ao + l) -. y
+              done
+        | Some hb, Fmul ->
+            fun ls ->
+              let fe = ls.lfenv and y = hb ls in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- fe.(ao + l) *. y
+              done
+        | Some hb, Fdiv ->
+            fun ls ->
+              let fe = ls.lfenv and y = hb ls in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- fe.(ao + l) /. y
+              done
+        | _ -> generic ())
+    | None, Some bo -> (
+        match (fhoist oa, op) with
+        | Some ha, Fadd ->
+            fun ls ->
+              let fe = ls.lfenv and x = ha ls in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- x +. fe.(bo + l)
+              done
+        | Some ha, Fsub ->
+            fun ls ->
+              let fe = ls.lfenv and x = ha ls in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- x -. fe.(bo + l)
+              done
+        | Some ha, Fmul ->
+            fun ls ->
+              let fe = ls.lfenv and x = ha ls in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- x *. fe.(bo + l)
+              done
+        | Some ha, Fdiv ->
+            fun ls ->
+              let fe = ls.lfenv and x = ha ls in
+              for l = 0 to ls.nl - 1 do
+                fe.(dst + l) <- x /. fe.(bo + l)
+              done
+        | _ -> generic ())
+    | None, None -> generic ()
+  in
+  let lv_bsel (oc : opnd) (oa : opnd) (ob : opnd) (dst : int) :
       lane_state -> unit =
-    let arg_tys = List.map type_of args in
+    let gc = lv_iget oc and ga = lv_bget oa and gb = lv_bget ob in
+    fun ls ->
+      for l = 0 to ls.nl - 1 do
+        ls.lbenv.(dst + l) <- (if gc ls l <> 0 then ga ls l else gb ls l)
+      done
+  in
+  let mismatch (i : instr) =
+    [ (fun _ -> trap "slot kind mismatch at instruction %d" i.iid) ]
+  in
+  let int_dst (i : instr) (mk : int -> lane_state -> unit) =
+    match kind_of i with Some (KInt d) -> [ mk (d * lw) ] | _ -> mismatch i
+  in
+  let float_dst (i : instr) (mk : int -> lane_state -> unit) =
+    match kind_of i with Some (KFloat d) -> [ mk (d * lw) ] | _ -> mismatch i
+  in
+  (* [n] component builders writing the vector's consecutive slots. *)
+  let per_comp (d : int) (n : int) (mk : int -> int -> lane_state -> unit) =
+    List.init n (fun j -> mk j ((d + j) * lw))
+  in
+
+  let lv_cast (i : instr) k (v : value) (t : ty) : (lane_state -> unit) list =
+    let src_t = type_of v and o = op v in
+    match (k, src_t) with
+    | (Sext | Bitcast), (I1 | I8 | I16 | I32 | I64) ->
+        let g = lv_iget o in
+        int_dst i (fun dst ls ->
+            for l = 0 to ls.nl - 1 do
+              ls.lienv.(dst + l) <- sext_of src_t (g ls l)
+            done)
+    | Zext, (I1 | I8 | I16 | I32 | I64) ->
+        let g = lv_iget o and m = mask_of src_t in
+        int_dst i (fun dst ls ->
+            for l = 0 to ls.nl - 1 do
+              ls.lienv.(dst + l) <- g ls l land m
+            done)
+    | Trunc, (I1 | I8 | I16 | I32 | I64) ->
+        let g = lv_iget o in
+        int_dst i (fun dst ls ->
+            for l = 0 to ls.nl - 1 do
+              ls.lienv.(dst + l) <- sext_of t (g ls l)
+            done)
+    | Si_to_fp, (I1 | I8 | I16 | I32 | I64) ->
+        let g = lv_iget o in
+        float_dst i (fun dst ls ->
+            for l = 0 to ls.nl - 1 do
+              ls.lfenv.(dst + l) <- float_of_int (g ls l)
+            done)
+    | Ui_to_fp, (I1 | I8 | I16 | I32 | I64) ->
+        let g = lv_iget o and m = mask_of src_t in
+        float_dst i (fun dst ls ->
+            for l = 0 to ls.nl - 1 do
+              ls.lfenv.(dst + l) <- float_of_int (g ls l land m)
+            done)
+    | Fp_to_si, F32 -> (
+        match fvar_slot o with
+        | Some a ->
+            int_dst i (fun dst ls ->
+                for l = 0 to ls.nl - 1 do
+                  ls.lienv.(dst + l) <- int_of_float ls.lfenv.(a + l)
+                done)
+        | None ->
+            let g = lv_fget o in
+            int_dst i (fun dst ls ->
+                for l = 0 to ls.nl - 1 do
+                  ls.lienv.(dst + l) <- int_of_float (g ls l)
+                done))
+    | Bitcast, _ -> (
+        match kind_of i with
+        | Some (KFloat d) -> [ lv_fmove o (d * lw) ]
+        | Some (KBox d) -> [ lv_bmove o (d * lw) ]
+        | Some (KFvec (d, n)) -> per_comp d n (fun j -> lv_fmove (comp v j))
+        | Some (KIvec (d, n)) -> per_comp d n (fun j -> lv_imove (comp v j))
+        | _ -> mismatch i)
+    | _ -> [ (fun _ -> trap "unsupported cast") ]
+  in
+
+  (* One pure builtin over scalars (or one vector component), resolved at
+     compile time. F32 sqrt/rsqrt and mad/fma on varying slots get direct
+     loops; the rest call the resolved scalar function per lane. *)
+  let lv_callc callee ~(is_float : bool) (ops : opnd list) (dst : int) :
+      lane_state -> unit =
+    match (callee, is_float, List.map fvar_slot ops) with
+    | ("sqrt" | "native_sqrt"), true, [ Some a ] ->
+        fun ls ->
+          let fe = ls.lfenv in
+          for l = 0 to ls.nl - 1 do
+            fe.(dst + l) <- Float.sqrt fe.(a + l)
+          done
+    | ("rsqrt" | "native_rsqrt"), true, [ Some a ] ->
+        fun ls ->
+          let fe = ls.lfenv in
+          for l = 0 to ls.nl - 1 do
+            fe.(dst + l) <- 1.0 /. Float.sqrt fe.(a + l)
+          done
+    | ("mad" | "fma"), true, [ Some a; Some b; Some c ] ->
+        fun ls ->
+          let fe = ls.lfenv in
+          for l = 0 to ls.nl - 1 do
+            fe.(dst + l) <- (fe.(a + l) *. fe.(b + l)) +. fe.(c + l)
+          done
+    | _ -> (
+        let fs = List.map lv_fget ops and is = List.map lv_iget ops in
+        match (scalar_builtin callee ~is_float ~arity:(List.length ops), fs, is)
+        with
+        | Some (Sf1 f), [ ga ], _ ->
+            fun ls ->
+              for l = 0 to ls.nl - 1 do
+                ls.lfenv.(dst + l) <- f (ga ls l)
+              done
+        | Some (Sf2 f), [ ga; gb ], _ ->
+            fun ls ->
+              for l = 0 to ls.nl - 1 do
+                ls.lfenv.(dst + l) <- f (ga ls l) (gb ls l)
+              done
+        | Some (Sf3 f), [ ga; gb; gc ], _ ->
+            fun ls ->
+              for l = 0 to ls.nl - 1 do
+                ls.lfenv.(dst + l) <- f (ga ls l) (gb ls l) (gc ls l)
+              done
+        | Some (Si1 f), _, [ ga ] ->
+            fun ls ->
+              for l = 0 to ls.nl - 1 do
+                ls.lienv.(dst + l) <- f (ga ls l)
+              done
+        | Some (Si2 f), _, [ ga; gb ] ->
+            fun ls ->
+              for l = 0 to ls.nl - 1 do
+                ls.lienv.(dst + l) <- f (ga ls l) (gb ls l)
+              done
+        | Some (Si3 f), _, [ ga; gb; gc ] ->
+            fun ls ->
+              for l = 0 to ls.nl - 1 do
+                ls.lienv.(dst + l) <- f (ga ls l) (gb ls l) (gc ls l)
+              done
+        | _ -> fun _ -> trap "unsupported call %s" callee)
+  in
+
+  (* A call: work-item index queries read the per-lane id rows, group
+     geometry the shared context; pure builtins apply per component. *)
+  let lcompile_call (i : instr) callee (args : value list) (ret : ty) :
+      (lane_state -> unit) list =
     let lane_query (rows : lane_state -> int array array) =
       match args with
       | [ Cint (_, d) ] when d >= 0 && d < 3 ->
-          lwith_int_dst i (fun dst ls ->
+          int_dst i (fun dst ls ->
               let r = (rows ls).(d) in
               for l = 0 to ls.nl - 1 do
                 ls.lienv.(dst + l) <- r.(l)
               done)
       | [ dvv ] ->
-          let g = lv_iget dvv in
-          lwith_int_dst i (fun dst ls ->
+          let g = lv_iget (op dvv) in
+          int_dst i (fun dst ls ->
               for l = 0 to ls.nl - 1 do
                 let d = g ls l in
                 if d < 0 || d >= 3 then trap "dimension out of range";
                 ls.lienv.(dst + l) <- (rows ls).(d).(l)
               done)
-      | _ -> fun _ -> trap "%s expects a dimension" callee
+      | _ -> [ (fun _ -> trap "%s expects a dimension" callee) ]
     in
-    let geom_var (sel : wi_ctx -> int array) =
-      (* geometry query whose dimension operand is divergent *)
+    let geom (sel : wi_ctx -> int array) =
       match args with
       | [ dvv ] ->
-          let g = lv_iget dvv in
-          lwith_int_dst i (fun dst ls ->
+          let g = lv_iget (op dvv) in
+          int_dst i (fun dst ls ->
               for l = 0 to ls.nl - 1 do
                 let d = g ls l in
                 if d < 0 || d >= 3 then trap "dimension out of range";
                 ls.lienv.(dst + l) <- (sel ls.lctx).(d)
               done)
-      | _ -> fun _ -> trap "%s expects a dimension" callee
+      | _ -> [ (fun _ -> trap "%s expects a dimension" callee) ]
+    in
+    let const k =
+      int_dst i (fun dst ls ->
+          for l = 0 to ls.nl - 1 do
+            ls.lienv.(dst + l) <- k
+          done)
     in
     match callee with
     | "get_local_id" -> lane_query (fun ls -> ls.llid)
     | "get_global_id" -> lane_query (fun ls -> ls.lgid)
-    | "get_group_id" -> geom_var (fun c -> c.grp)
-    | "get_local_size" -> geom_var (fun c -> c.lsz)
-    | "get_global_size" -> geom_var (fun c -> c.gsz)
-    | "get_num_groups" -> geom_var (fun c -> c.ngr)
-    | "get_global_offset" ->
-        lwith_int_dst i (fun dst ls ->
-            for l = 0 to ls.nl - 1 do
-              ls.lienv.(dst + l) <- 0
-            done)
-    | "get_work_dim" ->
-        lwith_int_dst i (fun dst ls ->
-            for l = 0 to ls.nl - 1 do
-              ls.lienv.(dst + l) <- 3
-            done)
-    | "mad" | "fma" -> (
-        match (args, arg_tys) with
-        | [ a; b; c ], [ F32; F32; F32 ] ->
-            let ga = lv_fget a and gb = lv_fget b and gc = lv_fget c in
-            lwith_float_dst i (fun dst ls ->
+    | "get_group_id" -> geom (fun c -> c.grp)
+    | "get_local_size" -> geom (fun c -> c.lsz)
+    | "get_global_size" -> geom (fun c -> c.gsz)
+    | "get_num_groups" -> geom (fun c -> c.ngr)
+    | "get_global_offset" -> const 0
+    | "get_work_dim" -> const 3
+    | "dot" -> (
+        match (args, List.map type_of args) with
+        | [ a; b ], [ F32; F32 ] -> float_dst i (lv_fbin Fmul (op a) (op b))
+        | [ a; b ], [ Vec (F32, n); Vec (F32, _) ] ->
+            (* summed in component order from 0.0, as the tree engine *)
+            let xs = Array.init n (fun j -> lv_fget (comp a j))
+            and ys = Array.init n (fun j -> lv_fget (comp b j)) in
+            float_dst i (fun dst ls ->
                 for l = 0 to ls.nl - 1 do
-                  ls.lfenv.(dst + l) <- (ga ls l *. gb ls l) +. gc ls l
+                  let s = ref 0.0 in
+                  for j = 0 to n - 1 do
+                    s := !s +. (xs.(j) ls l *. ys.(j) ls l)
+                  done;
+                  ls.lfenv.(dst + l) <- !s
                 done)
-        | [ a; b; c ], [ ta; tb; tc ]
-          when is_int_ty ta && is_int_ty tb && is_int_ty tc ->
-            let ga = lv_iget a and gb = lv_iget b and gc = lv_iget c in
-            lwith_int_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lienv.(dst + l) <- (ga ls l * gb ls l) + gc ls l
-                done)
-        | _ ->
-            let gargs = List.map lv_vget args in
-            let set = lset_rv i in
-            fun ls ->
-              for l = 0 to ls.nl - 1 do
-                set ls l
-                  (data_call callee (List.map (fun g -> g ls l) gargs))
-              done)
-    | _ ->
-        let gargs = List.map lv_vget args in
-        let set = lset_rv i in
-        fun ls ->
+        | _ -> [ (fun _ -> trap "dot expects float vectors") ])
+    | _ -> (
+        match (call_shape ret, kind_of i) with
+        | Some (is_float, 1), Some (KInt d | KFloat d) ->
+            [ lv_callc callee ~is_float (List.map op args) (d * lw) ]
+        | Some (is_float, n), Some (KIvec (d, _) | KFvec (d, _)) ->
+            per_comp d n (fun j ->
+                lv_callc callee ~is_float (List.map (fun a -> comp a j) args))
+        | _ -> [ (fun _ -> trap "unsupported call %s" callee) ])
+  in
+
+  (* Loads record one trace event per lane per access (a vector element
+     is one access) and then fill every component column. [on] >= 0
+     guards a masked arm: only lanes whose predicate equals [on] load. *)
+  let lv_load ~(on : int) (i : instr) (ptr : value) (index : value) :
+      (lane_state -> unit) list =
+    let optr = op ptr and oidx = op index and loc = i.iloc in
+    let gp = lv_bufget optr and gi = lv_iget oidx in
+    let each (read : lane_state -> Memory.buffer -> int -> int -> unit) =
+      [
+        (fun ls ->
+          let bf = ls.base_flat in
           for l = 0 to ls.nl - 1 do
-            set ls l (data_call callee (List.map (fun g -> g ls l) gargs))
-          done
-  in
-
-  (* A varying instruction: one result column per active lane. The int
-     and float binop arms are the innermost ops of every address
-     computation, so their common operand shapes (slot x slot, slot x
-     hoistable) get dedicated loops with direct array reads — and the
-     wrap-free operators are inlined rather than called through the
-     resolved closure. *)
-  let lcompile_var (i : instr) : lane_state -> unit =
-    match i.op with
-    | Binop (op, a, b) -> (
-        match type_of a with
-        | (I1 | I8 | I16 | I32 | I64) as t -> (
-            let f = int_binop_fn t op in
-            let generic () =
-              let ga = lv_iget a and gb = lv_iget b in
-              lwith_int_dst i (fun dst ls ->
-                  for l = 0 to ls.nl - 1 do
-                    ls.lienv.(dst + l) <- f (ga ls l) (gb ls l)
-                  done)
-            in
-            match (ivar_slot a, ivar_slot b) with
-            | Some ao, Some bo -> (
-                match op with
-                | Add ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- ie.(ao + l) + ie.(bo + l)
-                        done)
-                | Mul ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- ie.(ao + l) * ie.(bo + l)
-                        done)
-                | Sub ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- ie.(ao + l) - ie.(bo + l)
-                        done)
-                | And ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- ie.(ao + l) land ie.(bo + l)
-                        done)
-                | Or ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- ie.(ao + l) lor ie.(bo + l)
-                        done)
-                | Xor ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- ie.(ao + l) lxor ie.(bo + l)
-                        done)
-                | Shl ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- ie.(ao + l) lsl (ie.(bo + l) land 63)
-                        done)
-                | Ashr ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- ie.(ao + l) asr (ie.(bo + l) land 63)
-                        done)
-                | Lshr ->
-                    let m = mask_of t in
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <-
-                            (ie.(ao + l) land m) lsr (ie.(bo + l) land 63)
-                        done)
-                | _ ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- f ie.(ao + l) ie.(bo + l)
-                        done))
-            | Some ao, None -> (
-                match ihoist b with
-                | None -> generic ()
-                | Some hb -> (
-                    match op with
-                    | Add ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and y = hb ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- ie.(ao + l) + y
-                            done)
-                    | Mul ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and y = hb ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- ie.(ao + l) * y
-                            done)
-                    | Sub ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and y = hb ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- ie.(ao + l) - y
-                            done)
-                    | And ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and y = hb ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- ie.(ao + l) land y
-                            done)
-                    | Or ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and y = hb ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- ie.(ao + l) lor y
-                            done)
-                    | Xor ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and y = hb ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- ie.(ao + l) lxor y
-                            done)
-                    | Shl ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and sh = hb ls land 63 in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- ie.(ao + l) lsl sh
-                            done)
-                    | Ashr ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and sh = hb ls land 63 in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- ie.(ao + l) asr sh
-                            done)
-                    | Lshr ->
-                        let m = mask_of t in
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and sh = hb ls land 63 in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- (ie.(ao + l) land m) lsr sh
-                            done)
-                    | _ ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and y = hb ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- f ie.(ao + l) y
-                            done)))
-            | None, Some bo -> (
-                match ihoist a with
-                | None -> generic ()
-                | Some ha -> (
-                    match op with
-                    | Add ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and x = ha ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- x + ie.(bo + l)
-                            done)
-                    | Mul ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and x = ha ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- x * ie.(bo + l)
-                            done)
-                    | Sub ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and x = ha ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- x - ie.(bo + l)
-                            done)
-                    | And ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and x = ha ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- x land ie.(bo + l)
-                            done)
-                    | Or ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and x = ha ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- x lor ie.(bo + l)
-                            done)
-                    | Xor ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and x = ha ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- x lxor ie.(bo + l)
-                            done)
-                    | Shl ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and x = ha ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- x lsl (ie.(bo + l) land 63)
-                            done)
-                    | Ashr ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and x = ha ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- x asr (ie.(bo + l) land 63)
-                            done)
-                    | Lshr ->
-                        let m = mask_of t in
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv in
-                            let x = ha ls land m in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- x lsr (ie.(bo + l) land 63)
-                            done)
-                    | _ ->
-                        lwith_int_dst i (fun dst ls ->
-                            let ie = ls.lienv and x = ha ls in
-                            for l = 0 to ls.nl - 1 do
-                              ie.(dst + l) <- f x ie.(bo + l)
-                            done)))
-            | None, None -> generic ())
-        | F32 -> (
-            let f = float_binop_fn op in
-            let generic () =
-              let ga = lv_fget a and gb = lv_fget b in
-              lwith_float_dst i (fun dst ls ->
-                  for l = 0 to ls.nl - 1 do
-                    ls.lfenv.(dst + l) <- f (ga ls l) (gb ls l)
-                  done)
-            in
-            match (fvar_slot a, fvar_slot b) with
-            | Some ao, Some bo -> (
-                match op with
-                | Fadd ->
-                    lwith_float_dst i (fun dst ls ->
-                        let fe = ls.lfenv in
-                        for l = 0 to ls.nl - 1 do
-                          fe.(dst + l) <- fe.(ao + l) +. fe.(bo + l)
-                        done)
-                | Fmul ->
-                    lwith_float_dst i (fun dst ls ->
-                        let fe = ls.lfenv in
-                        for l = 0 to ls.nl - 1 do
-                          fe.(dst + l) <- fe.(ao + l) *. fe.(bo + l)
-                        done)
-                | _ ->
-                    lwith_float_dst i (fun dst ls ->
-                        let fe = ls.lfenv in
-                        for l = 0 to ls.nl - 1 do
-                          fe.(dst + l) <- f fe.(ao + l) fe.(bo + l)
-                        done))
-            | Some ao, None -> (
-                match fhoist b with
-                | None -> generic ()
-                | Some hb ->
-                    lwith_float_dst i (fun dst ls ->
-                        let fe = ls.lfenv and y = hb ls in
-                        for l = 0 to ls.nl - 1 do
-                          fe.(dst + l) <- f fe.(ao + l) y
-                        done))
-            | None, Some bo -> (
-                match fhoist a with
-                | None -> generic ()
-                | Some ha ->
-                    lwith_float_dst i (fun dst ls ->
-                        let fe = ls.lfenv and x = ha ls in
-                        for l = 0 to ls.nl - 1 do
-                          fe.(dst + l) <- f x fe.(bo + l)
-                        done))
-            | None, None -> generic ())
-        | Vec (F32, _) -> (
-            let f = float_binop_fn op in
-            let generic () =
-              let ga = lv_vget a and gb = lv_vget b in
-              lwith_box_dst i (fun dst ls ->
-                  for l = 0 to ls.nl - 1 do
-                    ls.lbenv.(dst + l) <-
-                      (match (ga ls l, gb ls l) with
-                      | RVecF x, RVecF y -> RVecF (lanes_map2 f x y)
-                      | _ -> trap "binop operand mismatch")
-                  done)
-            in
-            match (bvar_slot a, bvar_slot b) with
-            | Some ao, Some bo -> (
-                match op with
-                | Fadd ->
-                    lwith_box_dst i (fun dst ls ->
-                        let be = ls.lbenv in
-                        for l = 0 to ls.nl - 1 do
-                          be.(dst + l) <-
-                            (match (be.(ao + l), be.(bo + l)) with
-                            | RVecF x, RVecF y ->
-                                RVecF (lanes_map2 ( +. ) x y)
-                            | _ -> trap "binop operand mismatch")
-                        done)
-                | Fmul ->
-                    lwith_box_dst i (fun dst ls ->
-                        let be = ls.lbenv in
-                        for l = 0 to ls.nl - 1 do
-                          be.(dst + l) <-
-                            (match (be.(ao + l), be.(bo + l)) with
-                            | RVecF x, RVecF y ->
-                                RVecF (lanes_map2 ( *. ) x y)
-                            | _ -> trap "binop operand mismatch")
-                        done)
-                | _ ->
-                    lwith_box_dst i (fun dst ls ->
-                        let be = ls.lbenv in
-                        for l = 0 to ls.nl - 1 do
-                          be.(dst + l) <-
-                            (match (be.(ao + l), be.(bo + l)) with
-                            | RVecF x, RVecF y -> RVecF (lanes_map2 f x y)
-                            | _ -> trap "binop operand mismatch")
-                        done))
-            | _ -> generic ())
-        | Vec (_, _) ->
-            let ga = lv_vget a and gb = lv_vget b and f = int_binop_fn I32 op in
-            lwith_box_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lbenv.(dst + l) <-
-                    (match (ga ls l, gb ls l) with
-                    | RVecI x, RVecI y -> RVecI (lanes_map2 f x y)
-                    | _ -> trap "binop operand mismatch")
-                done)
-        | _ -> fun _ -> trap "binop operand mismatch")
-    | Icmp (c, a, b) -> (
-        let f = icmp_fn (type_of a) c in
-        let generic () =
-          let ga = lv_iget a and gb = lv_iget b in
-          lwith_int_dst i (fun dst ls ->
-              for l = 0 to ls.nl - 1 do
-                ls.lienv.(dst + l) <- (if f (ga ls l) (gb ls l) then 1 else 0)
-              done)
-        in
-        match (ivar_slot a, ivar_slot b) with
-        | Some ao, Some bo ->
-            lwith_int_dst i (fun dst ls ->
-                let ie = ls.lienv in
-                for l = 0 to ls.nl - 1 do
-                  ie.(dst + l) <- (if f ie.(ao + l) ie.(bo + l) then 1 else 0)
-                done)
-        | Some ao, None -> (
-            match ihoist b with
-            | None -> generic ()
-            | Some hb ->
-                lwith_int_dst i (fun dst ls ->
-                    let ie = ls.lienv and y = hb ls in
-                    for l = 0 to ls.nl - 1 do
-                      ie.(dst + l) <- (if f ie.(ao + l) y then 1 else 0)
-                    done))
-        | None, Some bo -> (
-            match ihoist a with
-            | None -> generic ()
-            | Some ha ->
-                lwith_int_dst i (fun dst ls ->
-                    let ie = ls.lienv and x = ha ls in
-                    for l = 0 to ls.nl - 1 do
-                      ie.(dst + l) <- (if f x ie.(bo + l) then 1 else 0)
-                    done))
-        | None, None -> generic ())
-    | Fcmp (c, a, b) -> (
-        let f = fcmp_fn c in
-        let generic () =
-          let ga = lv_fget a and gb = lv_fget b in
-          lwith_int_dst i (fun dst ls ->
-              for l = 0 to ls.nl - 1 do
-                ls.lienv.(dst + l) <- (if f (ga ls l) (gb ls l) then 1 else 0)
-              done)
-        in
-        match (fvar_slot a, fvar_slot b) with
-        | Some ao, Some bo ->
-            lwith_int_dst i (fun dst ls ->
-                let ie = ls.lienv and fe = ls.lfenv in
-                for l = 0 to ls.nl - 1 do
-                  ie.(dst + l) <- (if f fe.(ao + l) fe.(bo + l) then 1 else 0)
-                done)
-        | Some ao, None -> (
-            match fhoist b with
-            | None -> generic ()
-            | Some hb ->
-                lwith_int_dst i (fun dst ls ->
-                    let ie = ls.lienv and fe = ls.lfenv and y = hb ls in
-                    for l = 0 to ls.nl - 1 do
-                      ie.(dst + l) <- (if f fe.(ao + l) y then 1 else 0)
-                    done))
-        | None, Some bo -> (
-            match fhoist a with
-            | None -> generic ()
-            | Some ha ->
-                lwith_int_dst i (fun dst ls ->
-                    let ie = ls.lienv and fe = ls.lfenv and x = ha ls in
-                    for l = 0 to ls.nl - 1 do
-                      ie.(dst + l) <- (if f x fe.(bo + l) then 1 else 0)
-                    done))
-        | None, None -> generic ())
-    | Select (c, a, b) -> (
-        let gc = lv_iget c in
-        match type_of a with
-        | I1 | I8 | I16 | I32 | I64 -> (
-            let generic () =
-              let ga = lv_iget a and gb = lv_iget b in
-              lwith_int_dst i (fun dst ls ->
-                  for l = 0 to ls.nl - 1 do
-                    ls.lienv.(dst + l) <-
-                      (if gc ls l <> 0 then ga ls l else gb ls l)
-                  done)
-            in
-            match (ivar_slot c, ivar_slot a, ivar_slot b) with
-            | Some co, Some ao, Some bo ->
-                lwith_int_dst i (fun dst ls ->
-                    let ie = ls.lienv in
-                    for l = 0 to ls.nl - 1 do
-                      ie.(dst + l) <-
-                        (if ie.(co + l) <> 0 then ie.(ao + l) else ie.(bo + l))
-                    done)
-            | Some co, _, _ -> (
-                match (ihoist a, ihoist b) with
-                | Some ha, Some hb ->
-                    lwith_int_dst i (fun dst ls ->
-                        let ie = ls.lienv in
-                        let x = ha ls and y = hb ls in
-                        for l = 0 to ls.nl - 1 do
-                          ie.(dst + l) <- (if ie.(co + l) <> 0 then x else y)
-                        done)
-                | _ -> generic ())
-            | _ -> generic ())
-        | F32 -> (
-            let generic () =
-              let ga = lv_fget a and gb = lv_fget b in
-              lwith_float_dst i (fun dst ls ->
-                  for l = 0 to ls.nl - 1 do
-                    ls.lfenv.(dst + l) <-
-                      (if gc ls l <> 0 then ga ls l else gb ls l)
-                  done)
-            in
-            match (ivar_slot c, fvar_slot a, fvar_slot b) with
-            | Some co, Some ao, Some bo ->
-                lwith_float_dst i (fun dst ls ->
-                    let ie = ls.lienv and fe = ls.lfenv in
-                    for l = 0 to ls.nl - 1 do
-                      fe.(dst + l) <-
-                        (if ie.(co + l) <> 0 then fe.(ao + l) else fe.(bo + l))
-                    done)
-            | Some co, _, _ -> (
-                match (fhoist a, fhoist b) with
-                | Some ha, Some hb ->
-                    lwith_float_dst i (fun dst ls ->
-                        let ie = ls.lienv and fe = ls.lfenv in
-                        let x = ha ls and y = hb ls in
-                        for l = 0 to ls.nl - 1 do
-                          fe.(dst + l) <- (if ie.(co + l) <> 0 then x else y)
-                        done)
-                | _ -> generic ())
-            | _ -> generic ())
-        | _ -> (
-            let generic () =
-              let ga = lv_vget a and gb = lv_vget b in
-              lwith_box_dst i (fun dst ls ->
-                  for l = 0 to ls.nl - 1 do
-                    ls.lbenv.(dst + l) <-
-                      (if gc ls l <> 0 then ga ls l else gb ls l)
-                  done)
-            in
-            match (ivar_slot c, bvar_slot a, bvar_slot b) with
-            | Some co, Some ao, Some bo ->
-                lwith_box_dst i (fun dst ls ->
-                    let ie = ls.lienv and be = ls.lbenv in
-                    for l = 0 to ls.nl - 1 do
-                      be.(dst + l) <-
-                        (if ie.(co + l) <> 0 then be.(ao + l) else be.(bo + l))
-                    done)
-            | _ -> generic ()))
-    | Cast (k, v, t) -> (
-        let src_t = type_of v in
-        match (k, src_t) with
-        | (Sext | Bitcast), (I1 | I8 | I16 | I32 | I64) ->
-            let g = lv_iget v in
-            lwith_int_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lienv.(dst + l) <- sext_of src_t (g ls l)
-                done)
-        | Zext, (I1 | I8 | I16 | I32 | I64) ->
-            let g = lv_iget v and m = mask_of src_t in
-            lwith_int_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lienv.(dst + l) <- g ls l land m
-                done)
-        | Trunc, (I1 | I8 | I16 | I32 | I64) ->
-            let g = lv_iget v in
-            lwith_int_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lienv.(dst + l) <- sext_of t (g ls l)
-                done)
-        | Si_to_fp, (I1 | I8 | I16 | I32 | I64) ->
-            let g = lv_iget v in
-            lwith_float_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lfenv.(dst + l) <- float_of_int (g ls l)
-                done)
-        | Ui_to_fp, (I1 | I8 | I16 | I32 | I64) ->
-            let g = lv_iget v and m = mask_of src_t in
-            lwith_float_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lfenv.(dst + l) <- float_of_int (g ls l land m)
-                done)
-        | Fp_to_si, F32 ->
-            let g = lv_fget v in
-            lwith_int_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lienv.(dst + l) <- int_of_float (g ls l)
-                done)
-        | Bitcast, F32 ->
-            let g = lv_fget v in
-            lwith_float_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lfenv.(dst + l) <- g ls l
-                done)
-        | Bitcast, _ ->
-            let g = lv_vget v in
-            lwith_box_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lbenv.(dst + l) <- g ls l
-                done)
-        | _ -> fun _ -> trap "unsupported cast")
-    | Call { callee; args; _ } -> lcompile_vcall i callee args
-    | Load { ptr; index } -> (
-        let gp = lv_bufget ptr and gi = lv_iget index in
-        let loc = i.iloc in
-        match elem_of_ptr (type_of ptr) with
-        | F32 -> (
-            match (buf_hoist ptr, ivar_slot index) with
-            | Some hb, Some io ->
-                lwith_float_dst i (fun dst ls ->
-                    let b = hb ls in
-                    let ie = ls.lienv and fe = ls.lfenv in
-                    let bf = ls.base_flat in
-                    match ls.lsan with
-                    | None ->
-                        for l = 0 to ls.nl - 1 do
-                          let idx = ie.(io + l) in
-                          Trace.record ls.lstats
-                            ~addr:(Memory.addr_of b idx)
-                            ~bytes:b.Memory.elem_bytes ~is_write:false
-                            ~space:b.Memory.space ~wi:(bf + l);
-                          fe.(dst + l) <- Memory.get_float b idx
-                        done
-                    | Some _ ->
-                        for l = 0 to ls.nl - 1 do
-                          let idx = ie.(io + l) in
-                          let wi = bf + l in
-                          lane_record ls b idx ~is_write:false ~wi;
-                          lane_san ls b idx ~is_write:false ~loc ~wi;
-                          fe.(dst + l) <- Memory.get_float b idx
-                        done)
-            | _ ->
-                lwith_float_dst i (fun dst ls ->
-                    let bf = ls.base_flat in
-                    for l = 0 to ls.nl - 1 do
-                      let b = gp ls l and idx = gi ls l in
-                      let wi = bf + l in
-                      lane_record ls b idx ~is_write:false ~wi;
-                      lane_san ls b idx ~is_write:false ~loc ~wi;
-                      ls.lfenv.(dst + l) <- Memory.get_float b idx
-                    done))
-        | I1 | I8 | I16 | I32 | I64 -> (
-            match (buf_hoist ptr, ivar_slot index) with
-            | Some hb, Some io ->
-                lwith_int_dst i (fun dst ls ->
-                    let b = hb ls in
-                    let ie = ls.lienv in
-                    let bf = ls.base_flat in
-                    match ls.lsan with
-                    | None ->
-                        for l = 0 to ls.nl - 1 do
-                          let idx = ie.(io + l) in
-                          Trace.record ls.lstats
-                            ~addr:(Memory.addr_of b idx)
-                            ~bytes:b.Memory.elem_bytes ~is_write:false
-                            ~space:b.Memory.space ~wi:(bf + l);
-                          ie.(dst + l) <- Memory.get_int b idx
-                        done
-                    | Some _ ->
-                        for l = 0 to ls.nl - 1 do
-                          let idx = ie.(io + l) in
-                          let wi = bf + l in
-                          lane_record ls b idx ~is_write:false ~wi;
-                          lane_san ls b idx ~is_write:false ~loc ~wi;
-                          ie.(dst + l) <- Memory.get_int b idx
-                        done)
-            | _ ->
-                lwith_int_dst i (fun dst ls ->
-                    let bf = ls.base_flat in
-                    for l = 0 to ls.nl - 1 do
-                      let b = gp ls l and idx = gi ls l in
-                      let wi = bf + l in
-                      lane_record ls b idx ~is_write:false ~wi;
-                      lane_san ls b idx ~is_write:false ~loc ~wi;
-                      ls.lienv.(dst + l) <- Memory.get_int b idx
-                    done))
-        | Vec (F32, n) ->
-            lwith_box_dst i (fun dst ls ->
-                let bf = ls.base_flat in
-                for l = 0 to ls.nl - 1 do
-                  let b = gp ls l and idx = gi ls l in
-                  let wi = bf + l in
-                  lane_record ls b idx ~is_write:false ~wi;
-                  lane_san ls b idx ~is_write:false ~loc ~wi;
-                  ls.lbenv.(dst + l) <-
-                    RVecF
-                      (Array.init n (fun j -> Memory.get_lane_float b idx j))
-                done)
-        | Vec (_, n) ->
-            lwith_box_dst i (fun dst ls ->
-                let bf = ls.base_flat in
-                for l = 0 to ls.nl - 1 do
-                  let b = gp ls l and idx = gi ls l in
-                  let wi = bf + l in
-                  lane_record ls b idx ~is_write:false ~wi;
-                  lane_san ls b idx ~is_write:false ~loc ~wi;
-                  ls.lbenv.(dst + l) <-
-                    RVecI (Array.init n (fun j -> Memory.get_lane_int b idx j))
-                done)
-        | _ -> fun _ -> trap "load of unsupported element type"
-        | exception Invalid_argument _ ->
-            fun _ -> trap "load of unsupported element type")
-    | Store { ptr; index; v } -> (
-        let gp = lv_bufget ptr and gi = lv_iget index in
-        let loc = i.iloc in
-        match type_of v with
-        | F32 -> (
-            let gv = lv_fget v in
-            match (buf_hoist ptr, ivar_slot index, fvar_slot v) with
-            | Some hb, Some io, Some vo ->
-                fun ls ->
-                  let b = hb ls in
-                  let ie = ls.lienv and fe = ls.lfenv in
-                  let bf = ls.base_flat in
-                  (match ls.lsan with
-                  | None ->
-                      for l = 0 to ls.nl - 1 do
-                        let idx = ie.(io + l) in
-                        Trace.record ls.lstats
-                          ~addr:(Memory.addr_of b idx)
-                          ~bytes:b.Memory.elem_bytes ~is_write:true
-                          ~space:b.Memory.space ~wi:(bf + l);
-                        Memory.set_float b idx fe.(vo + l)
-                      done
-                  | Some _ ->
-                      for l = 0 to ls.nl - 1 do
-                        let idx = ie.(io + l) in
-                        let wi = bf + l in
-                        lane_record ls b idx ~is_write:true ~wi;
-                        lane_san ls b idx ~is_write:true ~loc ~wi;
-                        Memory.set_float b idx fe.(vo + l)
-                      done)
-            | _ ->
-                fun ls ->
-                  let bf = ls.base_flat in
-                  for l = 0 to ls.nl - 1 do
-                    let b = gp ls l and idx = gi ls l in
-                    let wi = bf + l in
-                    lane_record ls b idx ~is_write:true ~wi;
-                    lane_san ls b idx ~is_write:true ~loc ~wi;
-                    Memory.set_float b idx (gv ls l)
-                  done)
-        | I1 | I8 | I16 | I32 | I64 -> (
-            let gv = lv_iget v in
-            match (buf_hoist ptr, ivar_slot index, ivar_slot v) with
-            | Some hb, Some io, Some vo ->
-                fun ls ->
-                  let b = hb ls in
-                  let ie = ls.lienv in
-                  let bf = ls.base_flat in
-                  (match ls.lsan with
-                  | None ->
-                      for l = 0 to ls.nl - 1 do
-                        let idx = ie.(io + l) in
-                        Trace.record ls.lstats
-                          ~addr:(Memory.addr_of b idx)
-                          ~bytes:b.Memory.elem_bytes ~is_write:true
-                          ~space:b.Memory.space ~wi:(bf + l);
-                        Memory.set_int b idx ie.(vo + l)
-                      done
-                  | Some _ ->
-                      for l = 0 to ls.nl - 1 do
-                        let idx = ie.(io + l) in
-                        let wi = bf + l in
-                        lane_record ls b idx ~is_write:true ~wi;
-                        lane_san ls b idx ~is_write:true ~loc ~wi;
-                        Memory.set_int b idx ie.(vo + l)
-                      done)
-            | _ ->
-                fun ls ->
-                  let bf = ls.base_flat in
-                  for l = 0 to ls.nl - 1 do
-                    let b = gp ls l and idx = gi ls l in
-                    let wi = bf + l in
-                    lane_record ls b idx ~is_write:true ~wi;
-                    lane_san ls b idx ~is_write:true ~loc ~wi;
-                    Memory.set_int b idx (gv ls l)
-                  done)
-        | _ ->
-            let gv = lv_vget v in
-            fun ls ->
-              let bf = ls.base_flat in
-              for l = 0 to ls.nl - 1 do
-                let b = gp ls l and idx = gi ls l in
-                let wi = bf + l in
-                lane_record ls b idx ~is_write:true ~wi;
-                lane_san ls b idx ~is_write:true ~loc ~wi;
-                match gv ls l with
-                | RFloat f -> Memory.set_float b idx f
-                | RInt n -> Memory.set_int b idx n
-                | RVecF a ->
-                    Array.iteri (fun j x -> Memory.set_lane_float b idx j x) a
-                | RVecI a ->
-                    Array.iteri (fun j x -> Memory.set_lane_int b idx j x) a
-                | RBuf _ -> trap "cannot store a pointer"
-              done)
-    | Extract (v, lane) -> (
-        let gl = lv_iget lane in
-        match type_of v with
-        | Vec (F32, _) -> (
-            match (bvar_slot v, ihoist lane) with
-            | Some vo, Some hl ->
-                lwith_float_dst i (fun dst ls ->
-                    let be = ls.lbenv and fe = ls.lfenv in
-                    let j = hl ls in
-                    for l = 0 to ls.nl - 1 do
-                      (match be.(vo + l) with
-                      | RVecF a -> fe.(dst + l) <- a.(j)
-                      | _ -> trap "extract from non-vector")
-                    done)
-            | _ ->
-                let gv = lv_vget v in
-                lwith_float_dst i (fun dst ls ->
-                    for l = 0 to ls.nl - 1 do
-                      (match gv ls l with
-                      | RVecF a -> ls.lfenv.(dst + l) <- a.(gl ls l)
-                      | _ -> trap "extract from non-vector")
-                    done))
-        | Vec (_, _) ->
-            let gv = lv_vget v in
-            lwith_int_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  (match gv ls l with
-                  | RVecI a -> ls.lienv.(dst + l) <- a.(gl ls l)
-                  | _ -> trap "extract from non-vector")
-                done)
-        | _ -> fun _ -> trap "extract from non-vector")
-    | Insert (v, lane, s) ->
-        let gv = lv_vget v and gl = lv_iget lane and gs = lv_vget s in
-        lwith_box_dst i (fun dst ls ->
-            for l = 0 to ls.nl - 1 do
-              (match (gv ls l, gs ls l) with
-              | RVecF a, RFloat x ->
-                  let a = Array.copy a in
-                  a.(gl ls l) <- x;
-                  ls.lbenv.(dst + l) <- RVecF a
-              | RVecI a, RInt x ->
-                  let a = Array.copy a in
-                  a.(gl ls l) <- x;
-                  ls.lbenv.(dst + l) <- RVecI a
-              | _ -> trap "insert mismatch")
+            if on < 0 || ls.lpred.(l) = on then begin
+              let b = gp ls l and idx = gi ls l in
+              let wi = bf + l in
+              lane_record ls b idx ~is_write:false ~wi;
+              lane_san ls b idx ~is_write:false ~loc ~wi;
+              read ls b idx l
+            end
+          done);
+      ]
+    in
+    let fast =
+      match kind_of i with
+      | Some (KFloat d) when on < 0 -> lv_fload optr oidx loc (d * lw)
+      | Some (KInt d) when on < 0 -> lv_iload optr oidx loc (d * lw)
+      | _ -> None
+    in
+    match (fast, kind_of i) with
+    | Some f, _ -> [ f ]
+    | None, Some (KFloat d) ->
+        let dst = d * lw in
+        each (fun ls b idx l -> ls.lfenv.(dst + l) <- get_lane_f b idx 0)
+    | None, Some (KInt d) ->
+        let dst = d * lw in
+        each (fun ls b idx l -> ls.lienv.(dst + l) <- Memory.get_int b idx)
+    | None, Some (KFvec (d, n)) ->
+        let dst = d * lw in
+        each (fun ls b idx l ->
+            for j = 0 to n - 1 do
+              ls.lfenv.(dst + (j * lw) + l) <- get_lane_f b idx j
             done)
-    | Vecbuild (t, vs) -> (
-        match t with
-        | Vec (F32, _) ->
-            let gs = Array.of_list (List.map lv_fget vs) in
-            lwith_box_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lbenv.(dst + l) <-
-                    RVecF (Array.map (fun g -> g ls l) gs)
+    | None, Some (KIvec (d, n)) ->
+        let dst = d * lw in
+        each (fun ls b idx l ->
+            for j = 0 to n - 1 do
+              ls.lienv.(dst + (j * lw) + l) <- Memory.get_lane_int b idx j
+            done)
+    | _ -> [ (fun _ -> trap "load of unsupported element type") ]
+  in
+  let lv_store (i : instr) (ptr : value) (index : value) (v : value) :
+      lane_state -> unit =
+    let optr = op ptr and oidx = op index and loc = i.iloc in
+    let gp = lv_bufget optr and gi = lv_iget oidx in
+    let each (write : lane_state -> Memory.buffer -> int -> int -> unit) ls =
+      let bf = ls.base_flat in
+      for l = 0 to ls.nl - 1 do
+        let b = gp ls l and idx = gi ls l in
+        let wi = bf + l in
+        lane_record ls b idx ~is_write:true ~wi;
+        lane_san ls b idx ~is_write:true ~loc ~wi;
+        write ls b idx l
+      done
+    in
+    (* a uniform vector is read from column 0 of each component *)
+    let stride = if varying v then 1 else 0 in
+    match (type_of v, v) with
+    | F32, _ -> (
+        match lv_fstore optr oidx (op v) loc with
+        | Some f -> f
+        | None ->
+            let gv = lv_fget (op v) in
+            each (fun ls b idx l -> set_lane_f b idx 0 (gv ls l)))
+    | (I1 | I8 | I16 | I32 | I64), _ -> (
+        match lv_istore optr oidx (op v) loc with
+        | Some f -> f
+        | None ->
+            let gv = lv_iget (op v) in
+            each (fun ls b idx l -> Memory.set_int b idx (gv ls l)))
+    | Vec _, Vinstr vi -> (
+        match kind_of vi with
+        | Some (KFvec (s, n)) ->
+            each (fun ls b idx l ->
+                for j = 0 to n - 1 do
+                  set_lane_f b idx j
+                    ls.lfenv.(((s + j) * lw) + (l * stride))
                 done)
-        | Vec (_, _) ->
-            let gs = Array.of_list (List.map lv_iget vs) in
-            lwith_box_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  ls.lbenv.(dst + l) <-
-                    RVecI (Array.map (fun g -> g ls l) gs)
+        | Some (KIvec (s, n)) ->
+            each (fun ls b idx l ->
+                for j = 0 to n - 1 do
+                  Memory.set_lane_int b idx j
+                    ls.lienv.(((s + j) * lw) + (l * stride))
                 done)
-        | _ -> fun _ -> trap "vecbuild of non-vector")
-    | Alloca _ -> fun _ -> trap "unsupported alloca space"
-    | Phi _ -> fun _ -> trap "phi executed outside block entry"
-    | Barrier _ -> fun _ -> trap "barrier executed as a body instruction"
-    | Br _ | Cond_br _ | Ret ->
-        fun _ -> trap "terminator executed as body instruction"
+        | _ -> fun _ -> trap "store of a non-vector")
+    | _ -> fun _ -> trap "cannot store a pointer"
   in
 
-  let lane_instr (i : instr) : lane_state -> unit =
-    match i.op with
-    | Alloca { aspace = Private; _ } -> raise Unbatchable
-    | _ ->
-        if Hashtbl.mem kinds i.iid && not (Divergence.iid_divergent dv i.iid)
-        then lcompile_uni i
-        else lcompile_var i
+  (* Vector lanes are addressed by constant indices after lowering; a
+     dynamic or out-of-range one leaves the region to the scalar sweep,
+     whose bounds check matches the tree engine. *)
+  let const_lane (v : value) (lane : value) : int =
+    match (lane, type_of v) with
+    | Cint (t, n), Vec (_, w) when sext_of t n >= 0 && sext_of t n < w ->
+        sext_of t n
+    | _ -> raise Unbatchable
+  in
+
+  (* A varying instruction: one result column per active lane and per
+     component. *)
+  let lcompile_var (i : instr) : (lane_state -> unit) list =
+    match (i.op, kind_of i) with
+    | Binop (bop, a, b), Some (KInt d) ->
+        [ lv_ibin (type_of a) bop (op a) (op b) (d * lw) ]
+    | Binop (bop, a, b), Some (KFloat d) ->
+        [ lv_fbin bop (op a) (op b) (d * lw) ]
+    | Binop (bop, a, b), Some (KFvec (d, n)) ->
+        per_comp d n (fun j -> lv_fbin bop (comp a j) (comp b j))
+    | Binop (bop, a, b), Some (KIvec (d, n)) ->
+        per_comp d n (fun j -> lv_ibin I32 bop (comp a j) (comp b j))
+    | Icmp (c, a, b), Some (KInt d) ->
+        [ lv_icmp (type_of a) c (op a) (op b) (d * lw) ]
+    | Fcmp (c, a, b), Some (KInt d) -> [ lv_fcmp c (op a) (op b) (d * lw) ]
+    | Select (c, a, b), Some (KInt d) ->
+        [ lv_isel (op c) (op a) (op b) (d * lw) ]
+    | Select (c, a, b), Some (KFloat d) ->
+        [ lv_fsel (op c) (op a) (op b) (d * lw) ]
+    | Select (c, a, b), Some (KBox d) ->
+        [ lv_bsel (op c) (op a) (op b) (d * lw) ]
+    | Select (c, a, b), Some (KFvec (d, n)) ->
+        per_comp d n (fun j -> lv_fsel (op c) (comp a j) (comp b j))
+    | Select (c, a, b), Some (KIvec (d, n)) ->
+        per_comp d n (fun j -> lv_isel (op c) (comp a j) (comp b j))
+    | Cast (k, v, t), _ -> lv_cast i k v t
+    | Call { callee; args; ret }, _ -> lcompile_call i callee args ret
+    | Alloca { aspace = Local; _ }, Some (KBox d) ->
+        let iid = i.iid and dst = d * lw in
+        [
+          (fun ls ->
+            match Hashtbl.find_opt ls.llocal iid with
+            | Some b ->
+                let r = RBuf b in
+                for l = 0 to ls.nl - 1 do
+                  ls.lbenv.(dst + l) <- r
+                done
+            | None -> trap "local alloca without a group buffer");
+        ]
+    | Alloca { aspace = Private; _ }, _ -> raise Unbatchable
+    | Load { ptr; index }, _ -> lv_load ~on:(-1) i ptr index
+    | Store { ptr; index; v }, _ -> [ lv_store i ptr index v ]
+    | Extract (v, lane), Some (KFloat d) ->
+        [ lv_fmove (comp v (const_lane v lane)) (d * lw) ]
+    | Extract (v, lane), Some (KInt d) ->
+        [ lv_imove (comp v (const_lane v lane)) (d * lw) ]
+    | Insert (v, lane, s), Some (KFvec (d, n)) ->
+        let j = const_lane v lane in
+        per_comp d n (fun k -> lv_fmove (if k = j then op s else comp v k))
+    | Insert (v, lane, s), Some (KIvec (d, n)) ->
+        let j = const_lane v lane in
+        per_comp d n (fun k -> lv_imove (if k = j then op s else comp v k))
+    | Vecbuild (_, vs), Some (KFvec (d, _)) ->
+        List.mapi (fun k v -> lv_fmove (op v) ((d + k) * lw)) vs
+    | Vecbuild (_, vs), Some (KIvec (d, _)) ->
+        List.mapi (fun k v -> lv_imove (op v) ((d + k) * lw)) vs
+    | Phi _, _ -> [ (fun _ -> trap "phi executed outside block entry") ]
+    | Barrier _, _ -> [ (fun _ -> trap "barrier executed as a body instruction") ]
+    | (Br _ | Cond_br _ | Ret), _ ->
+        [ (fun _ -> trap "terminator executed as body instruction") ]
+    | _ -> mismatch i
+  in
+
+  (* A uniform instruction is computed once per batch into the base
+     column: it is the varying instruction run over one lane, since all
+     of its operands are uniform and lane 0 of a slot is its base column. *)
+  let uniform (i : instr) =
+    Hashtbl.mem kinds i.iid && not (Divergence.iid_divergent dv i.iid)
+  in
+  let lcompile_uni (i : instr) : (lane_state -> unit) list =
+    List.map
+      (fun g ls ->
+        let nl = ls.nl in
+        ls.nl <- 1;
+        g ls;
+        ls.nl <- nl)
+      (lcompile_var i)
+  in
+  let lane_instr (i : instr) : (lane_state -> unit) list =
+    if uniform i then lcompile_uni i else lcompile_var i
   in
 
   (* Per-edge phi moves, split by the destination phi's uniformity. The
-     fixpoint guarantees a uniform phi only has uniform incomings. *)
+     fixpoint guarantees a uniform phi only has uniform incomings. Each
+     move stages into scratch over whole columns (one value for a uniform
+     move, [nl] for a varying one); a vector phi is one move per
+     component. *)
   let scr_ui = ref 0 and scr_uf = ref 0 and scr_ub = ref 0 in
   let scr_vi = ref 0 and scr_vf = ref 0 and scr_vb = ref 0 in
+  let opnds_of k v = opnds_of kinds ~vr:(varying v) k v in
   let mk_ledge (src : block) (dst : block) : ledge =
-    let uim = ref [] and ufm = ref [] and ubm = ref [] in
-    let vim = ref [] and vfm = ref [] and vbm = ref [] in
+    let stage = ref [] in
+    let ui = ref [] and uf = ref [] and ub = ref [] in
+    let vi = ref [] and vf = ref [] and vb = ref [] in
+    let add ~(uni : bool) slot (o : opnd) =
+      let g =
+        match (slot, uni) with
+        | `I s, true ->
+            let k = List.length !ui and g = lu_iget o in
+            ui := (s * lw) :: !ui;
+            fun ls -> ls.luiscr.(k) <- g ls
+        | `F s, true -> (
+            let k = List.length !uf in
+            uf := (s * lw) :: !uf;
+            match o with
+            | Of (x, _) ->
+                let x = x * lw in
+                fun ls -> ls.lufscr.(k) <- ls.lfenv.(x)
+            | _ ->
+                let g = lu_fget o in
+                fun ls -> ls.lufscr.(k) <- g ls)
+        | `B s, true ->
+            let k = List.length !ub and g = lu_bget o in
+            ub := (s * lw) :: !ub;
+            fun ls -> ls.lubscr.(k) <- g ls
+        | `I s, false ->
+            let k = List.length !vi in
+            vi := (s * lw) :: !vi;
+            lv_imove_to (fun ls -> ls.lviscr) o (k * lw)
+        | `F s, false ->
+            let k = List.length !vf in
+            vf := (s * lw) :: !vf;
+            lv_fmove_to (fun ls -> ls.lvfscr) o (k * lw)
+        | `B s, false ->
+            let k = List.length !vb and g = lv_bget o in
+            vb := (s * lw) :: !vb;
+            fun ls ->
+              for l = 0 to ls.nl - 1 do
+                ls.lvbscr.((k * lw) + l) <- g ls l
+              done
+      in
+      stage := g :: !stage
+    in
     List.iter
       (fun (pi : instr) ->
         match pi.op with
         | Phi { incoming; _ } -> (
-            match List.find_opt (fun (b, _) -> b.bid = src.bid) incoming with
-            | None ->
-                uim :=
-                  (0, fun _ -> trap "phi has no incoming for predecessor")
-                  :: !uim
-            | Some (_, v) -> (
-                let phi_uni = not (Divergence.iid_divergent dv pi.iid) in
-                match kind_of pi with
-                | Some (KInt s) ->
-                    if phi_uni then uim := (s * lw, lu_iget v) :: !uim
-                    else vim := (s * lw, lv_iget v) :: !vim
-                | Some (KFloat s) ->
-                    if phi_uni then ufm := (s * lw, lu_fget v) :: !ufm
-                    else vfm := (s * lw, lv_fget v) :: !vfm
-                | Some (KBox s) ->
-                    if phi_uni then ubm := (s * lw, lu_vget v) :: !ubm
-                    else vbm := (s * lw, lv_vget v) :: !vbm
-                | None -> ()))
+            match
+              ( List.find_opt (fun (b, _) -> b.bid = src.bid) incoming,
+                kind_of pi )
+            with
+            | None, _ ->
+                stage :=
+                  (fun _ -> trap "phi has no incoming for predecessor")
+                  :: !stage
+            | Some (_, v), Some k ->
+                let uni = not (Divergence.iid_divergent dv pi.iid) in
+                List.iter2 (add ~uni) (slots_of_kind k) (opnds_of k v)
+            | Some _, None -> ())
         | _ -> ())
       dst.instrs;
-    let uim = Array.of_list (List.rev !uim)
-    and ufm = Array.of_list (List.rev !ufm)
-    and ubm = Array.of_list (List.rev !ubm)
-    and vim = Array.of_list (List.rev !vim)
-    and vfm = Array.of_list (List.rev !vfm)
-    and vbm = Array.of_list (List.rev !vbm) in
-    scr_ui := max !scr_ui (Array.length uim);
-    scr_uf := max !scr_uf (Array.length ufm);
-    scr_ub := max !scr_ub (Array.length ubm);
-    scr_vi := max !scr_vi (Array.length vim);
-    scr_vf := max !scr_vf (Array.length vfm);
-    scr_vb := max !scr_vb (Array.length vbm);
+    let arr r = Array.of_list (List.rev !r) in
+    scr_ui := max !scr_ui (List.length !ui);
+    scr_uf := max !scr_uf (List.length !uf);
+    scr_ub := max !scr_ub (List.length !ub);
+    scr_vi := max !scr_vi (List.length !vi);
+    scr_vf := max !scr_vf (List.length !vf);
+    scr_vb := max !scr_vb (List.length !vb);
     {
       le_dst = Hashtbl.find bidx dst.bid;
-      lu_im_dst = Array.map fst uim;
-      lu_im_src = Array.map snd uim;
-      lu_fm_dst = Array.map fst ufm;
-      lu_fm_src = Array.map snd ufm;
-      lu_bm_dst = Array.map fst ubm;
-      lu_bm_src = Array.map snd ubm;
-      lv_im_dst = Array.map fst vim;
-      lv_im_src = Array.map snd vim;
-      lv_fm_dst = Array.map fst vfm;
-      lv_fm_src = Array.map snd vfm;
-      lv_bm_dst = Array.map fst vbm;
-      lv_bm_src = Array.map snd vbm;
+      le_stage = arr stage;
+      lu_im_dst = arr ui;
+      lu_fm_dst = arr uf;
+      lu_bm_dst = arr ub;
+      lv_im_dst = arr vi;
+      lv_fm_dst = arr vf;
+      lv_bm_dst = arr vb;
     }
   in
   let bare_ledge (dst : block) : ledge =
     {
       le_dst = Hashtbl.find bidx dst.bid;
+      le_stage = [||];
       lu_im_dst = [||];
-      lu_im_src = [||];
       lu_fm_dst = [||];
-      lu_fm_src = [||];
       lu_bm_dst = [||];
-      lu_bm_src = [||];
       lv_im_dst = [||];
-      lv_im_src = [||];
       lv_fm_dst = [||];
-      lv_fm_src = [||];
       lv_bm_dst = [||];
-      lv_bm_src = [||];
     }
   in
 
@@ -2224,168 +2156,85 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
      garbage is only ever read by the masked merge, which selects the
      other side — while instructions whose execution is observable or can
      fault (loads: trace/sanitizer event identity; integer division:
-     traps; vector extract/insert: data-dependent lane indices) run under
-     an explicit per-lane guard. Each arm's static cost is charged per
-     active lane and the arm is skipped outright when no lane takes it,
-     so trace totals stay bit-identical to the scalar sweep, which
-     executes an arm only for the work-items that branch into it. *)
+     traps) run under an explicit per-lane guard. Each arm's static cost
+     is charged per active lane and the arm is skipped outright when no
+     lane takes it, so trace totals stay bit-identical to the scalar
+     sweep, which executes an arm only for the work-items that branch
+     into it. *)
   let blk_of_bid : (int, block) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
     (fun ((b : block), _, _) -> Hashtbl.replace blk_of_bid b.bid b)
     seg_descs;
 
-  (* Masked compilation of the arm instructions that must not run on
-     inactive lanes; [on] is the [lpred] value (1 = then, 0 = else) that
-     activates this arm. *)
-  let lmasked_var ~(on : int) (i : instr) : lane_state -> unit =
-    match i.op with
-    | Load { ptr; index } -> (
-        let gp = lv_bufget ptr and gi = lv_iget index in
-        let loc = i.iloc in
-        match elem_of_ptr (type_of ptr) with
-        | F32 ->
-            lwith_float_dst i (fun dst ls ->
-                let bf = ls.base_flat in
-                for l = 0 to ls.nl - 1 do
-                  if ls.lpred.(l) = on then begin
-                    let b = gp ls l and idx = gi ls l in
-                    let wi = bf + l in
-                    lane_record ls b idx ~is_write:false ~wi;
-                    lane_san ls b idx ~is_write:false ~loc ~wi;
-                    ls.lfenv.(dst + l) <- Memory.get_float b idx
-                  end
-                done)
-        | I1 | I8 | I16 | I32 | I64 ->
-            lwith_int_dst i (fun dst ls ->
-                let bf = ls.base_flat in
-                for l = 0 to ls.nl - 1 do
-                  if ls.lpred.(l) = on then begin
-                    let b = gp ls l and idx = gi ls l in
-                    let wi = bf + l in
-                    lane_record ls b idx ~is_write:false ~wi;
-                    lane_san ls b idx ~is_write:false ~loc ~wi;
-                    ls.lienv.(dst + l) <- Memory.get_int b idx
-                  end
-                done)
-        | Vec (F32, n) ->
-            lwith_box_dst i (fun dst ls ->
-                let bf = ls.base_flat in
-                for l = 0 to ls.nl - 1 do
-                  if ls.lpred.(l) = on then begin
-                    let b = gp ls l and idx = gi ls l in
-                    let wi = bf + l in
-                    lane_record ls b idx ~is_write:false ~wi;
-                    lane_san ls b idx ~is_write:false ~loc ~wi;
-                    ls.lbenv.(dst + l) <-
-                      RVecF
-                        (Array.init n (fun j -> Memory.get_lane_float b idx j))
-                  end
-                done)
-        | Vec (_, n) ->
-            lwith_box_dst i (fun dst ls ->
-                let bf = ls.base_flat in
-                for l = 0 to ls.nl - 1 do
-                  if ls.lpred.(l) = on then begin
-                    let b = gp ls l and idx = gi ls l in
-                    let wi = bf + l in
-                    lane_record ls b idx ~is_write:false ~wi;
-                    lane_san ls b idx ~is_write:false ~loc ~wi;
-                    ls.lbenv.(dst + l) <-
-                      RVecI
-                        (Array.init n (fun j -> Memory.get_lane_int b idx j))
-                  end
-                done)
-        | _ -> fun _ -> trap "load of unsupported element type"
-        | exception Invalid_argument _ ->
-            fun _ -> trap "load of unsupported element type")
-    | Binop (op, a, b) -> (
-        match type_of a with
-        | (I1 | I8 | I16 | I32 | I64) as t ->
-            let f = int_binop_fn t op in
-            let ga = lv_iget a and gb = lv_iget b in
-            lwith_int_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  if ls.lpred.(l) = on then
-                    ls.lienv.(dst + l) <- f (ga ls l) (gb ls l)
-                done)
-        | Vec (_, _) ->
-            let ga = lv_vget a and gb = lv_vget b and f = int_binop_fn I32 op in
-            lwith_box_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  if ls.lpred.(l) = on then
-                    ls.lbenv.(dst + l) <-
-                      (match (ga ls l, gb ls l) with
-                      | RVecI x, RVecI y -> RVecI (lanes_map2 f x y)
-                      | _ -> trap "binop operand mismatch")
-                done)
-        | _ -> lcompile_var i)
-    | Extract (v, lane) -> (
-        let gl = lv_iget lane in
-        match type_of v with
-        | Vec (F32, _) ->
-            let gv = lv_vget v in
-            lwith_float_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  if ls.lpred.(l) = on then
-                    match gv ls l with
-                    | RVecF a -> ls.lfenv.(dst + l) <- a.(gl ls l)
-                    | _ -> trap "extract from non-vector"
-                done)
-        | Vec (_, _) ->
-            let gv = lv_vget v in
-            lwith_int_dst i (fun dst ls ->
-                for l = 0 to ls.nl - 1 do
-                  if ls.lpred.(l) = on then
-                    match gv ls l with
-                    | RVecI a -> ls.lienv.(dst + l) <- a.(gl ls l)
-                    | _ -> trap "extract from non-vector"
-                done)
-        | _ -> fun _ -> trap "extract from non-vector")
-    | Insert (v, lane, s) ->
-        let gv = lv_vget v and gl = lv_iget lane and gs = lv_vget s in
-        lwith_box_dst i (fun dst ls ->
-            for l = 0 to ls.nl - 1 do
-              if ls.lpred.(l) = on then
-                match (gv ls l, gs ls l) with
-                | RVecF a, RFloat x ->
-                    let a = Array.copy a in
-                    a.(gl ls l) <- x;
-                    ls.lbenv.(dst + l) <- RVecF a
-                | RVecI a, RInt x ->
-                    let a = Array.copy a in
-                    a.(gl ls l) <- x;
-                    ls.lbenv.(dst + l) <- RVecI a
-                | _ -> trap "insert mismatch"
-            done)
-    | _ -> lcompile_var i
+  (* Guarded integer division; [on] is the [lpred] value (1 = then, 0 =
+     else) that activates this arm. *)
+  let lv_idiv_masked ~(on : int) t bop (oa : opnd) (ob : opnd) (dst : int) :
+      lane_state -> unit =
+    let f = int_binop_fn t bop and ga = lv_iget oa and gb = lv_iget ob in
+    fun ls ->
+      for l = 0 to ls.nl - 1 do
+        if ls.lpred.(l) = on then ls.lienv.(dst + l) <- f (ga ls l) (gb ls l)
+      done
   in
-  let lane_arm_instr ~(on : int) (i : instr) : lane_state -> unit =
-    match i.op with
-    | Alloca { aspace = Private; _ } -> raise Unbatchable
-    | _ ->
-        if Hashtbl.mem kinds i.iid && not (Divergence.iid_divergent dv i.iid)
-        then
-          (* uniform: computed flat once per batch — safe because the arm
-             body is skipped entirely when no lane is active, and a
-             uniform divisor is the same value the scalar sweep divides
-             by for every work-item that takes the arm *)
-          lcompile_uni i
-        else (
-          match i.op with
-          | Load _
-          | Binop ((Sdiv | Udiv | Srem | Urem), _, _)
-          | Extract _ | Insert _ ->
-              lmasked_var ~on i
-          | _ -> lcompile_var i)
+  let lane_arm_instr ~(on : int) (i : instr) : (lane_state -> unit) list =
+    if uniform i then
+      (* uniform: computed flat once per batch — safe because the arm
+         body is skipped entirely when no lane is active, and a uniform
+         divisor is the same value the scalar sweep divides by for every
+         work-item that takes the arm *)
+      lcompile_uni i
+    else
+      match (i.op, kind_of i) with
+      | Load { ptr; index }, _ -> lv_load ~on i ptr index
+      | Binop (((Sdiv | Udiv | Srem | Urem) as bop), a, b), Some (KInt d) ->
+          [ lv_idiv_masked ~on (type_of a) bop (op a) (op b) (d * lw) ]
+      | Binop (((Sdiv | Udiv | Srem | Urem) as bop), a, b), Some (KIvec (d, n))
+        ->
+          per_comp d n (fun j ->
+              lv_idiv_masked ~on I32 bop (comp a j) (comp b j))
+      | _ -> lcompile_var i
   in
 
   (* Per-lane masked merges for the join's phis: each lane selects the
-     incoming value of the arm it took. Join phis are divergent by
-     construction (the divergence fixpoint marks every phi of a join
-     block), so the destinations are varying columns. *)
+     incoming value of the arm it took, per component. Join phis are
+     divergent by construction (the divergence fixpoint marks every phi
+     of a join block), so the destinations are varying columns. *)
+  let lv_merge slot (ot : opnd) (oe : opnd) : lane_state -> unit =
+    match slot with
+    | `I s ->
+        let b = s * lw and gt = lv_iget ot and ge = lv_iget oe in
+        fun ls ->
+          let ie = ls.lienv and pr = ls.lpred in
+          for l = 0 to ls.nl - 1 do
+            ie.(b + l) <- (if pr.(l) <> 0 then gt ls l else ge ls l)
+          done
+    | `F s -> (
+        let b = s * lw in
+        match (fvar_slot ot, fvar_slot oe) with
+        | Some x, Some y ->
+            fun ls ->
+              let fe = ls.lfenv and pr = ls.lpred in
+              for l = 0 to ls.nl - 1 do
+                fe.(b + l) <- (if pr.(l) <> 0 then fe.(x + l) else fe.(y + l))
+              done
+        | _ ->
+            let gt = lv_fget ot and ge = lv_fget oe in
+            fun ls ->
+              let fe = ls.lfenv and pr = ls.lpred in
+              for l = 0 to ls.nl - 1 do
+                fe.(b + l) <- (if pr.(l) <> 0 then gt ls l else ge ls l)
+              done)
+    | `B s ->
+        let b = s * lw and gt = lv_bget ot and ge = lv_bget oe in
+        fun ls ->
+          let be = ls.lbenv and pr = ls.lpred in
+          for l = 0 to ls.nl - 1 do
+            be.(b + l) <- (if pr.(l) <> 0 then gt ls l else ge ls l)
+          done
+  in
   let masked_phi_merges (jb : block) ~(tpred : int) ~(epred : int) :
       (lane_state -> unit) list =
-    List.filter_map
+    List.concat_map
       (fun (pi : instr) ->
         match pi.op with
         | Phi { incoming; _ } -> (
@@ -2393,38 +2242,15 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
               List.find_opt (fun ((p : block), _) -> p.bid = bid) incoming
             in
             match (inc tpred, inc epred, kind_of pi) with
-            | _, _, None -> None
-            | Some (_, tv), Some (_, ev), Some (KInt s) ->
-                let b = s * lw in
-                let gt = lv_iget tv and ge = lv_iget ev in
-                Some
-                  (fun ls ->
-                    let ie = ls.lienv and pr = ls.lpred in
-                    for l = 0 to ls.nl - 1 do
-                      ie.(b + l) <- (if pr.(l) <> 0 then gt ls l else ge ls l)
-                    done)
-            | Some (_, tv), Some (_, ev), Some (KFloat s) ->
-                let b = s * lw in
-                let gt = lv_fget tv and ge = lv_fget ev in
-                Some
-                  (fun ls ->
-                    let fe = ls.lfenv and pr = ls.lpred in
-                    for l = 0 to ls.nl - 1 do
-                      fe.(b + l) <- (if pr.(l) <> 0 then gt ls l else ge ls l)
-                    done)
-            | Some (_, tv), Some (_, ev), Some (KBox s) ->
-                let b = s * lw in
-                let gt = lv_vget tv and ge = lv_vget ev in
-                Some
-                  (fun ls ->
-                    let be = ls.lbenv and pr = ls.lpred in
-                    for l = 0 to ls.nl - 1 do
-                      be.(b + l) <- (if pr.(l) <> 0 then gt ls l else ge ls l)
-                    done)
-            | _ ->
-                Some
-                  (fun _ -> trap "phi has no incoming for a diamond edge"))
-        | _ -> None)
+            | _, _, None -> []
+            | Some (_, tv), Some (_, ev), Some k ->
+                let sl = slots_of_kind k in
+                List.map2
+                  (fun s (ot, oe) -> lv_merge s ot oe)
+                  sl
+                  (List.combine (opnds_of k tv) (opnds_of k ev))
+            | _ -> [ (fun _ -> trap "phi has no incoming for a diamond edge") ])
+        | _ -> [])
       jb.instrs
   in
   let compile_diamond (b : block) (c : value) (d : Regions.diamond) :
@@ -2432,7 +2258,7 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     let arm_blk = Option.map (Hashtbl.find blk_of_bid) in
     let tb = arm_blk d.Regions.d_then and eb = arm_blk d.Regions.d_else in
     let jb = Hashtbl.find blk_of_bid d.Regions.d_join in
-    let gc = lv_iget c in
+    let gc = lv_iget (op c) in
     let predicate ls =
       let n = ls.nl in
       let m = ref 0 in
@@ -2449,7 +2275,7 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
       | None -> []
       | Some blk ->
           let body =
-            Array.of_list (List.map (lane_arm_instr ~on) blk.instrs)
+            Array.of_list (List.concat_map (lane_arm_instr ~on) blk.instrs)
           in
           let ci, cf, cs = block_cost blk.instrs in
           [
@@ -2481,9 +2307,9 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     (fun si ((b : block), (instrs : instr list), (bar : instr option)) ->
       match
         let lbody =
-          List.filter_map
+          List.concat_map
             (fun (i : instr) ->
-              match i.op with Phi _ -> None | _ -> Some (lane_instr i))
+              match i.op with Phi _ -> [] | _ -> lane_instr i)
             instrs
         in
         let lbody =
@@ -2509,7 +2335,8 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
                     match Hashtbl.find_opt info.Regions.diamonds b.bid with
                     | Some d -> compile_diamond b c d
                     | None -> raise Unbatchable)
-                  else ([], LTcond (lu_iget c, mk_ledge b t, mk_ledge b e))
+                  else
+                    ([], LTcond (lu_iget (op c), mk_ledge b t, mk_ledge b e))
               | Some { op = Ret; _ } -> ([], LTret)
               | _ -> ([], LTtrap "missing terminator"))
         in
@@ -2568,15 +2395,21 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
         (fun iid ->
           let u = not (Divergence.iid_divergent dv iid) in
           match Hashtbl.find_opt kinds iid with
-          | Some (KInt s) ->
-              let p = (s * lw, Hashtbl.find ctx_col iid) in
-              if u then ui := p :: !ui else vi := p :: !vi
-          | Some (KFloat s) ->
-              let p = (s * lw, Hashtbl.find ctx_col iid) in
-              if u then uf := p :: !uf else vf := p :: !vf
-          | Some (KBox s) ->
-              let p = (s * lw, Hashtbl.find ctx_col iid) in
-              if u then ub := p :: !ub else vb := p :: !vb
+          | Some k ->
+              let c0 = Hashtbl.find ctx_col iid in
+              List.iteri
+                (fun c slot ->
+                  match slot with
+                  | `I s ->
+                      let p = (s * lw, c0 + c) in
+                      if u then ui := p :: !ui else vi := p :: !vi
+                  | `F s ->
+                      let p = (s * lw, c0 + c) in
+                      if u then uf := p :: !uf else vf := p :: !vf
+                  | `B s ->
+                      let p = (s * lw, c0 + c) in
+                      if u then ub := p :: !ub else vb := p :: !vb)
+                (slots_of_kind k)
           | None -> ())
         info.Regions.live_across.(j);
       let fill slots cols l =
@@ -2619,19 +2452,20 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
     cfunc =
   let kinds : (int, kind) Hashtbl.t = Hashtbl.create 64 in
   let ni = ref 0 and nf = ref 0 and nb = ref 0 in
+  let take r n =
+    let s = !r in
+    r := s + n;
+    s
+  in
   iter_instrs
     (fun i ->
       match type_of_opcode i.op with
       | Void -> ()
-      | I1 | I8 | I16 | I32 | I64 ->
-          Hashtbl.replace kinds i.iid (KInt !ni);
-          incr ni
-      | F32 ->
-          Hashtbl.replace kinds i.iid (KFloat !nf);
-          incr nf
-      | _ ->
-          Hashtbl.replace kinds i.iid (KBox !nb);
-          incr nb
+      | I1 | I8 | I16 | I32 | I64 -> Hashtbl.replace kinds i.iid (KInt (take ni 1))
+      | F32 -> Hashtbl.replace kinds i.iid (KFloat (take nf 1))
+      | Vec (F32, n) -> Hashtbl.replace kinds i.iid (KFvec (take nf n, n))
+      | Vec (_, n) -> Hashtbl.replace kinds i.iid (KIvec (take ni n, n))
+      | _ -> Hashtbl.replace kinds i.iid (KBox (take nb 1))
       | exception Invalid_argument _ -> ())
     fn;
   let kind_of (i : instr) = Hashtbl.find_opt kinds i.iid in
@@ -2661,105 +2495,146 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
     fn.blocks;
   let bar_entry = Array.of_list (List.rev !bar_entry_rev) in
 
-  (* Destination helpers: hand the slot to [mk], or trap at execution time
-     if the instruction's static type disagrees with the expected kind. *)
-  let with_int_dst (i : instr) (mk : int -> wi_state -> unit) =
-    match kind_of i with
-    | Some (KInt s) -> mk s
-    | _ -> fun _ -> trap "slot kind mismatch (int) at instruction %d" i.iid
+  let op (v : value) = opnd_of kinds ~vr:false v in
+  let comp (v : value) (j : int) = comp_of kinds ~vr:false v j in
+  let vslots (v : value) =
+    match v with Vinstr vi -> kind_of vi | _ -> None
   in
-  let with_float_dst (i : instr) (mk : int -> wi_state -> unit) =
-    match kind_of i with
-    | Some (KFloat s) -> mk s
-    | _ -> fun _ -> trap "slot kind mismatch (float) at instruction %d" i.iid
+  let mismatch (i : instr) =
+    [ (fun _ -> trap "slot kind mismatch at instruction %d" i.iid) ]
   in
-  let with_box_dst (i : instr) (mk : int -> wi_state -> unit) =
-    match kind_of i with
-    | Some (KBox s) -> mk s
-    | _ -> fun _ -> trap "slot kind mismatch (aggregate) at instruction %d" i.iid
+  let int_dst (i : instr) (mk : int -> wi_state -> unit) =
+    match kind_of i with Some (KInt d) -> [ mk d ] | _ -> mismatch i
+  in
+  let float_dst (i : instr) (mk : int -> wi_state -> unit) =
+    match kind_of i with Some (KFloat d) -> [ mk d ] | _ -> mismatch i
+  in
+  (* [n] component builders writing the vector's consecutive slots. *)
+  let per_comp (d : int) (n : int) (mk : int -> int -> wi_state -> unit) =
+    List.init n (fun j -> mk j (d + j))
   in
 
   (* Typed operand getters, resolved at compile time. *)
-  let iget (v : value) : wi_state -> int =
-    match v with
-    | Cint (t, n) ->
-        let k = sext_of t n in
-        fun _ -> k
-    | Cfloat f -> fun _ -> trap "expected int, got float %g" f
-    | Arg a ->
-        let j = a.a_index in
-        fun st -> as_int st.args.(j)
-    | Vinstr i -> (
-        match kind_of i with
-        | Some (KInt s) -> fun st -> st.ienv.(s)
-        | Some (KFloat s) -> fun st -> trap "expected int, got float %g" st.fenv.(s)
-        | Some (KBox s) -> fun st -> as_int st.benv.(s)
-        | None -> fun _ -> trap "use of a void value")
+  let iget (o : opnd) : wi_state -> int =
+    match o with
+    | Oint k -> fun _ -> k
+    | Oarg j -> fun st -> as_int st.args.(j)
+    | Oi (s, _) -> fun st -> st.ienv.(s)
+    | Onone m -> fun _ -> trap "%s" m
+    | Oflt _ | Of _ | Ob _ -> fun _ -> trap "expected int, got float"
   in
-  let fget (v : value) : wi_state -> float =
-    match v with
-    | Cfloat f -> fun _ -> f
-    | Cint (_, n) -> fun _ -> trap "expected float, got int %d" n
-    | Arg a ->
-        let j = a.a_index in
-        fun st -> as_float st.args.(j)
-    | Vinstr i -> (
-        match kind_of i with
-        | Some (KFloat s) -> fun st -> st.fenv.(s)
-        | Some (KInt s) -> fun st -> trap "expected float, got int %d" st.ienv.(s)
-        | Some (KBox s) -> fun st -> as_float st.benv.(s)
-        | None -> fun _ -> trap "use of a void value")
+  let fget (o : opnd) : wi_state -> float =
+    match o with
+    | Oflt f -> fun _ -> f
+    | Oarg j -> fun st -> as_float st.args.(j)
+    | Of (s, _) -> fun st -> st.fenv.(s)
+    | Onone m -> fun _ -> trap "%s" m
+    | Oint _ | Oi _ | Ob _ -> fun _ -> trap "expected float, got int"
   in
-  let bufget (v : value) : wi_state -> Memory.buffer =
-    match v with
-    | Arg a ->
-        let j = a.a_index in
-        fun st -> as_buf st.args.(j)
-    | Vinstr i -> (
-        match kind_of i with
-        | Some (KBox s) -> fun st -> as_buf st.benv.(s)
-        | _ -> fun _ -> trap "expected a pointer")
+  let bget (o : opnd) : wi_state -> rv =
+    match o with
+    | Oarg j -> fun st -> st.args.(j)
+    | Ob (s, _) -> fun st -> st.benv.(s)
+    | Onone m -> fun _ -> trap "%s" m
     | _ -> fun _ -> trap "expected a pointer"
   in
-  let vget (v : value) : wi_state -> rv =
-    match v with
-    | Cint (t, n) ->
-        let r = RInt (sext_of t n) in
-        fun _ -> r
-    | Cfloat f ->
-        let r = RFloat f in
-        fun _ -> r
-    | Arg a ->
-        let j = a.a_index in
-        fun st -> st.args.(j)
-    | Vinstr i -> (
-        match kind_of i with
-        | Some (KInt s) -> fun st -> RInt st.ienv.(s)
-        | Some (KFloat s) -> fun st -> RFloat st.fenv.(s)
-        | Some (KBox s) -> fun st -> st.benv.(s)
-        | None -> fun _ -> trap "use of a void value")
+  let bufget (o : opnd) : wi_state -> Memory.buffer =
+    let g = bget o in
+    fun st -> as_buf (g st)
   in
 
-  let is_int_ty = function I1 | I8 | I16 | I32 | I64 -> true | _ -> false in
+  (* Scalar builders writing slot [d]; a vector instruction is one of these
+     per component. Float operands in slots are read inside the closure,
+     so the common slot x slot shapes box nothing. *)
+  let ibin t bop (oa : opnd) (ob : opnd) (d : int) : wi_state -> unit =
+    let ga = iget oa and gb = iget ob and f = int_binop_fn t bop in
+    fun st -> st.ienv.(d) <- f (ga st) (gb st)
+  in
+  let fbin bop (oa : opnd) (ob : opnd) (d : int) : wi_state -> unit =
+    match (oa, ob, bop) with
+    | Of (x, _), Of (y, _), Fadd ->
+        fun st -> st.fenv.(d) <- st.fenv.(x) +. st.fenv.(y)
+    | Of (x, _), Of (y, _), Fsub ->
+        fun st -> st.fenv.(d) <- st.fenv.(x) -. st.fenv.(y)
+    | Of (x, _), Of (y, _), Fmul ->
+        fun st -> st.fenv.(d) <- st.fenv.(x) *. st.fenv.(y)
+    | Of (x, _), Of (y, _), Fdiv ->
+        fun st -> st.fenv.(d) <- st.fenv.(x) /. st.fenv.(y)
+    | _ ->
+        let ga = fget oa and gb = fget ob and f = float_binop_fn bop in
+        fun st -> st.fenv.(d) <- f (ga st) (gb st)
+  in
+  let imove (o : opnd) (d : int) : wi_state -> unit =
+    let g = iget o in
+    fun st -> st.ienv.(d) <- g st
+  in
+  let fmove (o : opnd) (d : int) : wi_state -> unit =
+    match o with
+    | Of (s, _) -> fun st -> st.fenv.(d) <- st.fenv.(s)
+    | _ ->
+        let g = fget o in
+        fun st -> st.fenv.(d) <- g st
+  in
+  let isel (oc : opnd) (oa : opnd) (ob : opnd) (d : int) : wi_state -> unit =
+    let gc = iget oc and ga = iget oa and gb = iget ob in
+    fun st -> st.ienv.(d) <- (if gc st <> 0 then ga st else gb st)
+  in
+  let fsel (oc : opnd) (oa : opnd) (ob : opnd) (d : int) : wi_state -> unit =
+    let gc = iget oc in
+    match (oa, ob) with
+    | Of (x, _), Of (y, _) ->
+        fun st ->
+          st.fenv.(d) <- (if gc st <> 0 then st.fenv.(x) else st.fenv.(y))
+    | _ ->
+        let ga = fget oa and gb = fget ob in
+        fun st -> st.fenv.(d) <- (if gc st <> 0 then ga st else gb st)
+  in
 
-  let compile_call (i : instr) callee (args : value list) : wi_state -> unit =
-    let arg_tys = List.map type_of args in
+  (* One pure builtin over scalars (or one vector component). *)
+  let callc callee ~(is_float : bool) (ops : opnd list) (d : int) :
+      wi_state -> unit =
+    match (callee, is_float, ops) with
+    | ("sqrt" | "native_sqrt"), true, [ Of (a, _) ] ->
+        fun st -> st.fenv.(d) <- Float.sqrt st.fenv.(a)
+    | ("rsqrt" | "native_rsqrt"), true, [ Of (a, _) ] ->
+        fun st -> st.fenv.(d) <- 1.0 /. Float.sqrt st.fenv.(a)
+    | ("mad" | "fma"), true, [ Of (a, _); Of (b, _); Of (c, _) ] ->
+        fun st ->
+          let fe = st.fenv in
+          fe.(d) <- (fe.(a) *. fe.(b)) +. fe.(c)
+    | _ -> (
+        let fs = List.map fget ops and is = List.map iget ops in
+        match (scalar_builtin callee ~is_float ~arity:(List.length ops), fs, is)
+        with
+        | Some (Sf1 f), [ ga ], _ -> fun st -> st.fenv.(d) <- f (ga st)
+        | Some (Sf2 f), [ ga; gb ], _ ->
+            fun st -> st.fenv.(d) <- f (ga st) (gb st)
+        | Some (Sf3 f), [ ga; gb; gc ], _ ->
+            fun st -> st.fenv.(d) <- f (ga st) (gb st) (gc st)
+        | Some (Si1 f), _, [ ga ] -> fun st -> st.ienv.(d) <- f (ga st)
+        | Some (Si2 f), _, [ ga; gb ] ->
+            fun st -> st.ienv.(d) <- f (ga st) (gb st)
+        | Some (Si3 f), _, [ ga; gb; gc ] ->
+            fun st -> st.ienv.(d) <- f (ga st) (gb st) (gc st)
+        | _ -> fun _ -> trap "unsupported call %s" callee)
+  in
+
+  let compile_call (i : instr) callee (args : value list) (ret : ty) :
+      (wi_state -> unit) list =
     (* Work-item index queries: resolve the selector and, when the
        dimension is a constant (the common case after canon), the index. *)
     let wi_query (sel : wi_ctx -> int array) =
       match args with
       | [ Cint (_, d) ] when d >= 0 && d < 3 ->
-          with_int_dst i (fun dst st ->
-              st.ienv.(dst) <- (sel st.ctx).(d))
+          int_dst i (fun dst st -> st.ienv.(dst) <- (sel st.ctx).(d))
       | [ dv ] ->
-          let g = iget dv in
-          with_int_dst i (fun dst st ->
+          let g = iget (op dv) in
+          int_dst i (fun dst st ->
               let d = g st in
               if d < 0 || d >= 3 then trap "dimension out of range";
               st.ienv.(dst) <- (sel st.ctx).(d))
-      | _ -> fun _ -> trap "%s expects a dimension" callee
+      | _ -> [ (fun _ -> trap "%s expects a dimension" callee) ]
     in
-    let mismatch = fun _ -> trap "%s argument mismatch" callee in
     match callee with
     | "get_local_id" -> wi_query (fun c -> c.lid)
     | "get_global_id" -> wi_query (fun c -> c.gid)
@@ -2767,387 +2642,290 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
     | "get_local_size" -> wi_query (fun c -> c.lsz)
     | "get_global_size" -> wi_query (fun c -> c.gsz)
     | "get_num_groups" -> wi_query (fun c -> c.ngr)
-    | "get_global_offset" ->
-        with_int_dst i (fun dst st ->
-            st.ienv.(dst) <- 0)
-    | "get_work_dim" ->
-        with_int_dst i (fun dst st ->
-            st.ienv.(dst) <- 3)
+    | "get_global_offset" -> int_dst i (fun dst st -> st.ienv.(dst) <- 0)
+    | "get_work_dim" -> int_dst i (fun dst st -> st.ienv.(dst) <- 3)
     | "dot" -> (
-        match (args, arg_tys) with
-        | [ a; b ], [ Vec (F32, _); Vec (F32, _) ] ->
-            let ga = vget a and gb = vget b in
-            with_float_dst i (fun dst st ->
-                match (ga st, gb st) with
-                | RVecF x, RVecF y ->
-                    let s = ref 0.0 in
-                    Array.iteri (fun l v -> s := !s +. (v *. y.(l))) x;
-                    st.fenv.(dst) <- !s
-                | _ -> trap "dot expects float vectors")
-        | [ a; b ], [ F32; F32 ] ->
-            let ga = fget a and gb = fget b in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- ga st *. gb st)
-        | _ -> fun _ -> trap "dot expects float vectors")
-    | "mad" | "fma" -> (
-        match (args, arg_tys) with
-        | [ a; b; c ], [ F32; F32; F32 ] ->
-            let ga = fget a and gb = fget b and gc = fget c in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- (ga st *. gb st) +. gc st)
-        | [ a; b; c ], [ Vec (F32, _); Vec (F32, _); Vec (F32, _) ] ->
-            let ga = vget a and gb = vget b and gc = vget c in
-            with_box_dst i (fun dst st ->
-                match (ga st, gb st, gc st) with
-                | RVecF x, RVecF y, RVecF z ->
-                    st.benv.(dst) <-
-                      RVecF
-                        (Array.init (Array.length x) (fun l ->
-                             (x.(l) *. y.(l)) +. z.(l)))
-                | _ -> trap "mad argument mismatch")
-        | [ a; b; c ], [ ta; tb; tc ]
-          when is_int_ty ta && is_int_ty tb && is_int_ty tc ->
-            let ga = iget a and gb = iget b and gc = iget c in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- (ga st * gb st) + gc st)
-        | _ -> mismatch)
-    | "clamp" -> (
-        match (args, arg_tys) with
-        | [ x; lo; hi ], [ F32; F32; F32 ] ->
-            let gx = fget x and gl = fget lo and gh = fget hi in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- Float.min (Float.max (gx st) (gl st)) (gh st))
-        | [ x; lo; hi ], [ tx; tl; th ]
-          when is_int_ty tx && is_int_ty tl && is_int_ty th ->
-            let gx = iget x and gl = iget lo and gh = iget hi in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- min (max (gx st) (gl st)) (gh st))
-        | _ -> mismatch)
-    | "mix" -> (
-        match (args, arg_tys) with
-        | [ a; b; t ], [ F32; F32; F32 ] ->
-            let ga = fget a and gb = fget b and gt = fget t in
-            with_float_dst i (fun dst st ->
-                let a = ga st in
-                st.fenv.(dst) <- a +. ((gb st -. a) *. gt st))
-        | _ -> mismatch)
-    | "min" | "max" -> (
-        let pick_i : int -> int -> int = if callee = "min" then min else max in
-        let pick_f : float -> float -> float =
-          if callee = "min" then Float.min else Float.max
-        in
-        match (args, arg_tys) with
-        | [ a; b ], [ ta; tb ] when is_int_ty ta && is_int_ty tb ->
-            let ga = iget a and gb = iget b in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- pick_i (ga st) (gb st))
-        | [ a; b ], [ F32; F32 ] ->
-            let ga = fget a and gb = fget b in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- pick_f (ga st) (gb st))
-        | _ -> mismatch)
-    | "abs" -> (
-        match (args, arg_tys) with
-        | [ a ], [ ta ] when is_int_ty ta ->
-            let ga = iget a in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- abs (ga st))
-        | [ a ], [ F32 ] ->
-            let ga = fget a in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- Float.abs (ga st))
-        | _ -> mismatch)
-    | "mul24" -> (
-        match (args, arg_tys) with
-        | [ a; b ], [ ta; tb ] when is_int_ty ta && is_int_ty tb ->
-            let ga = iget a and gb = iget b in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- ga st * gb st)
-        | _ -> mismatch)
-    | "mad24" -> (
-        match (args, arg_tys) with
-        | [ a; b; c ], [ ta; tb; tc ]
-          when is_int_ty ta && is_int_ty tb && is_int_ty tc ->
-            let ga = iget a and gb = iget b and gc = iget c in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- (ga st * gb st) + gc st)
-        | _ -> mismatch)
-    | "fmax" | "fmin" | "pow" | "fmod" | "hypot" | "native_divide" -> (
-        let f =
-          match math2_fn callee with Some f -> f | None -> assert false
-        in
-        match (args, arg_tys) with
-        | [ a; b ], [ F32; F32 ] ->
-            let ga = fget a and gb = fget b in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- f (ga st) (gb st))
-        | [ a; b ], [ Vec (F32, _); Vec (F32, _) ] ->
-            let ga = vget a and gb = vget b in
-            with_box_dst i (fun dst st ->
-                match (ga st, gb st) with
-                | RVecF x, RVecF y -> st.benv.(dst) <- RVecF (lanes_map2 f x y)
-                | _ -> trap "%s argument mismatch" callee)
-        | _ -> mismatch)
+        match (args, List.map vslots args) with
+        | [ a; b ], _ when type_of a = F32 -> float_dst i (fbin Fmul (op a) (op b))
+        | [ _; _ ], [ Some (KFvec (x, n)); Some (KFvec (y, _)) ] ->
+            (* summed in component order from 0.0, as the tree engine *)
+            float_dst i (fun dst st ->
+                let fe = st.fenv in
+                let s = ref 0.0 in
+                for j = 0 to n - 1 do
+                  s := !s +. (fe.(x + j) *. fe.(y + j))
+                done;
+                fe.(dst) <- !s)
+        | _ -> [ (fun _ -> trap "dot expects float vectors") ])
     | _ -> (
-        (* Remaining builtins are unary float math. *)
-        match (args, arg_tys, math1_fn callee) with
-        | [ a ], [ F32 ], Some f ->
-            let ga = fget a in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- f (ga st))
-        | [ a ], [ Vec (F32, _) ], Some f ->
-            let ga = vget a in
-            with_box_dst i (fun dst st ->
-                match ga st with
-                | RVecF x -> st.benv.(dst) <- RVecF (Array.map f x)
-                | _ -> trap "unsupported call %s" callee)
-        | _ -> fun _ -> trap "unsupported call %s" callee)
+        match (call_shape ret, kind_of i) with
+        | Some (is_float, 1), Some (KInt d | KFloat d) ->
+            [ callc callee ~is_float (List.map op args) d ]
+        | Some (is_float, n), Some (KIvec (d, _) | KFvec (d, _)) ->
+            per_comp d n (fun j ->
+                callc callee ~is_float (List.map (fun a -> comp a j) args))
+        | _ -> [ (fun _ -> trap "unsupported call %s" callee) ])
   in
 
-  let compile_instr (i : instr) : wi_state -> unit =
-    match i.op with
-    | Binop (op, a, b) -> (
-        match type_of a with
-        | (I1 | I8 | I16 | I32 | I64) as t ->
-            let ga = iget a and gb = iget b and f = int_binop_fn t op in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- f (ga st) (gb st))
-        | F32 ->
-            let ga = fget a and gb = fget b and f = float_binop_fn op in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- f (ga st) (gb st))
-        | Vec (F32, _) ->
-            let ga = vget a and gb = vget b and f = float_binop_fn op in
-            with_box_dst i (fun dst st ->
-                match (ga st, gb st) with
-                | RVecF x, RVecF y ->
-                    st.benv.(dst) <- RVecF (lanes_map2 f x y)
-                | _ -> trap "binop operand mismatch")
-        | Vec (_, _) ->
-            let ga = vget a and gb = vget b and f = int_binop_fn I32 op in
-            with_box_dst i (fun dst st ->
-                match (ga st, gb st) with
-                | RVecI x, RVecI y ->
-                    st.benv.(dst) <- RVecI (lanes_map2 f x y)
-                | _ -> trap "binop operand mismatch")
-        | _ -> fun _ -> trap "binop operand mismatch")
-    | Icmp (c, a, b) ->
-        let ga = iget a and gb = iget b and f = icmp_fn (type_of a) c in
-        with_int_dst i (fun dst st ->
-            st.ienv.(dst) <- (if f (ga st) (gb st) then 1 else 0))
-    | Fcmp (c, a, b) ->
-        let ga = fget a and gb = fget b and f = fcmp_fn c in
-        with_int_dst i (fun dst st ->
-            st.ienv.(dst) <- (if f (ga st) (gb st) then 1 else 0))
-    | Select (c, a, b) -> (
-        let gc = iget c in
-        match type_of a with
-        | I1 | I8 | I16 | I32 | I64 ->
-            let ga = iget a and gb = iget b in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- (if gc st <> 0 then ga st else gb st))
-        | F32 ->
-            let ga = fget a and gb = fget b in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- (if gc st <> 0 then ga st else gb st))
+  let compile_cast (i : instr) k (v : value) (t : ty) : (wi_state -> unit) list
+      =
+    let src_t = type_of v and o = op v in
+    match (k, src_t) with
+    | (Sext | Bitcast), (I1 | I8 | I16 | I32 | I64) ->
+        let g = iget o in
+        int_dst i (fun d st -> st.ienv.(d) <- sext_of src_t (g st))
+    | Zext, (I1 | I8 | I16 | I32 | I64) ->
+        let g = iget o and m = mask_of src_t in
+        int_dst i (fun d st -> st.ienv.(d) <- g st land m)
+    | Trunc, (I1 | I8 | I16 | I32 | I64) ->
+        let g = iget o in
+        int_dst i (fun d st -> st.ienv.(d) <- sext_of t (g st))
+    | Si_to_fp, (I1 | I8 | I16 | I32 | I64) ->
+        let g = iget o in
+        float_dst i (fun d st -> st.fenv.(d) <- float_of_int (g st))
+    | Ui_to_fp, (I1 | I8 | I16 | I32 | I64) ->
+        let g = iget o and m = mask_of src_t in
+        float_dst i (fun d st -> st.fenv.(d) <- float_of_int (g st land m))
+    | Fp_to_si, F32 -> (
+        match o with
+        | Of (s, _) -> int_dst i (fun d st -> st.ienv.(d) <- int_of_float st.fenv.(s))
         | _ ->
-            let ga = vget a and gb = vget b in
-            with_box_dst i (fun dst st ->
-                st.benv.(dst) <- (if gc st <> 0 then ga st else gb st)))
-    | Cast (k, v, t) -> (
-        let src_t = type_of v in
-        match (k, src_t) with
-        | (Sext | Bitcast), (I1 | I8 | I16 | I32 | I64) ->
-            let g = iget v in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- sext_of src_t (g st))
-        | Zext, (I1 | I8 | I16 | I32 | I64) ->
-            let g = iget v and m = mask_of src_t in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- g st land m)
-        | Trunc, (I1 | I8 | I16 | I32 | I64) ->
-            let g = iget v in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- sext_of t (g st))
-        | Si_to_fp, (I1 | I8 | I16 | I32 | I64) ->
-            let g = iget v in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- float_of_int (g st))
-        | Ui_to_fp, (I1 | I8 | I16 | I32 | I64) ->
-            let g = iget v and m = mask_of src_t in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- float_of_int (g st land m))
-        | Fp_to_si, F32 ->
-            let g = fget v in
-            with_int_dst i (fun dst st ->
-                st.ienv.(dst) <- int_of_float (g st))
-        | Bitcast, F32 ->
-            let g = fget v in
-            with_float_dst i (fun dst st ->
-                st.fenv.(dst) <- g st)
-        | Bitcast, _ ->
-            let g = vget v in
-            with_box_dst i (fun dst st ->
-                st.benv.(dst) <- g st)
-        | _ -> fun _ -> trap "unsupported cast")
-    | Call { callee; args; _ } -> compile_call i callee args
-    | Alloca { aspace = Local; _ } ->
+            let g = fget o in
+            int_dst i (fun d st -> st.ienv.(d) <- int_of_float (g st)))
+    | Bitcast, _ -> (
+        match kind_of i with
+        | Some (KFloat d) -> [ fmove o d ]
+        | Some (KBox d) ->
+            let g = bget o in
+            [ (fun st -> st.benv.(d) <- g st) ]
+        | Some (KFvec (d, n)) -> per_comp d n (fun j -> fmove (comp v j))
+        | Some (KIvec (d, n)) -> per_comp d n (fun j -> imove (comp v j))
+        | _ -> mismatch i)
+    | _ -> [ (fun _ -> trap "unsupported cast") ]
+  in
+
+  (* A vector lane index is checked like the tree engine's array access. *)
+  let lane_of (lane : value) (w : int) : wi_state -> int =
+    let g = iget (op lane) in
+    fun st ->
+      let j = g st in
+      if j < 0 || j >= w then invalid_arg "index out of bounds";
+      j
+  in
+
+  let compile_instr (i : instr) : (wi_state -> unit) list =
+    match (i.op, kind_of i) with
+    | Binop (bop, a, b), Some (KInt d) -> [ ibin (type_of a) bop (op a) (op b) d ]
+    | Binop (bop, a, b), Some (KFloat d) -> [ fbin bop (op a) (op b) d ]
+    | Binop (bop, a, b), Some (KFvec (d, n)) ->
+        per_comp d n (fun j -> fbin bop (comp a j) (comp b j))
+    | Binop (bop, a, b), Some (KIvec (d, n)) ->
+        per_comp d n (fun j -> ibin I32 bop (comp a j) (comp b j))
+    | Icmp (c, a, b), Some (KInt d) ->
+        let ga = iget (op a) and gb = iget (op b) and f = icmp_fn (type_of a) c in
+        [ (fun st -> st.ienv.(d) <- (if f (ga st) (gb st) then 1 else 0)) ]
+    | Fcmp (c, a, b), Some (KInt d) ->
+        let ga = fget (op a) and gb = fget (op b) and f = fcmp_fn c in
+        [ (fun st -> st.ienv.(d) <- (if f (ga st) (gb st) then 1 else 0)) ]
+    | Select (c, a, b), Some (KInt d) -> [ isel (op c) (op a) (op b) d ]
+    | Select (c, a, b), Some (KFloat d) -> [ fsel (op c) (op a) (op b) d ]
+    | Select (c, a, b), Some (KBox d) ->
+        let gc = iget (op c) and ga = bget (op a) and gb = bget (op b) in
+        [ (fun st -> st.benv.(d) <- (if gc st <> 0 then ga st else gb st)) ]
+    | Select (c, a, b), Some (KFvec (d, n)) ->
+        per_comp d n (fun j -> fsel (op c) (comp a j) (comp b j))
+    | Select (c, a, b), Some (KIvec (d, n)) ->
+        per_comp d n (fun j -> isel (op c) (comp a j) (comp b j))
+    | Cast (k, v, t), _ -> compile_cast i k v t
+    | Call { callee; args; ret }, _ -> compile_call i callee args ret
+    | Alloca { aspace = Local; _ }, Some (KBox d) ->
         let iid = i.iid in
-        with_box_dst i (fun dst st ->
+        [
+          (fun st ->
             match Hashtbl.find_opt st.local_bufs iid with
-            | Some b -> st.benv.(dst) <- RBuf b
-            | None -> trap "local alloca without a group buffer")
-    | Alloca { aspace = Private; elem; count; _ } ->
-        with_box_dst i (fun dst st ->
-            st.benv.(dst) <- RBuf (alloc_private st elem count))
-    | Alloca _ -> fun _ -> trap "unsupported alloca space"
-    | Load { ptr; index } -> (
-        let gp = bufget ptr and gi = iget index in
-        let loc = i.iloc in
-        match elem_of_ptr (type_of ptr) with
-        | F32 ->
-            with_float_dst i (fun dst st ->
+            | Some b -> st.benv.(d) <- RBuf b
+            | None -> trap "local alloca without a group buffer");
+        ]
+    | Alloca { aspace = Private; elem; count; _ }, Some (KBox d) ->
+        [ (fun st -> st.benv.(d) <- RBuf (alloc_private st elem count)) ]
+    | Load { ptr; index }, k -> (
+        let gp = bufget (op ptr) and gi = iget (op index) and loc = i.iloc in
+        let access (read : wi_state -> Memory.buffer -> int -> unit) =
+          [
+            (fun st ->
+              let b = gp st in
+              let idx = gi st in
+              record_access st b idx ~is_write:false;
+              san_access st b idx ~is_write:false ~loc;
+              read st b idx);
+          ]
+        in
+        match k with
+        | Some (KFloat d) ->
+            [
+              (fun st ->
                 let b = gp st in
                 let idx = gi st in
                 record_access st b idx ~is_write:false;
                 san_access st b idx ~is_write:false ~loc;
-                st.fenv.(dst) <- Memory.get_float b idx)
-        | I1 | I8 | I16 | I32 | I64 ->
-            with_int_dst i (fun dst st ->
+                st.fenv.(d) <- get_lane_f b idx 0);
+            ]
+        | Some (KInt d) ->
+            [
+              (fun st ->
                 let b = gp st in
                 let idx = gi st in
                 record_access st b idx ~is_write:false;
                 san_access st b idx ~is_write:false ~loc;
-                st.ienv.(dst) <- Memory.get_int b idx)
-        | Vec (F32, n) ->
-            with_box_dst i (fun dst st ->
-                let b = gp st in
-                let idx = gi st in
-                record_access st b idx ~is_write:false;
-                san_access st b idx ~is_write:false ~loc;
-                st.benv.(dst) <-
-                  RVecF (Array.init n (fun l -> Memory.get_lane_float b idx l)))
-        | Vec (_, n) ->
-            with_box_dst i (fun dst st ->
-                let b = gp st in
-                let idx = gi st in
-                record_access st b idx ~is_write:false;
-                san_access st b idx ~is_write:false ~loc;
-                st.benv.(dst) <-
-                  RVecI (Array.init n (fun l -> Memory.get_lane_int b idx l)))
-        | _ -> fun _ -> trap "load of unsupported element type"
-        | exception Invalid_argument _ ->
-            fun _ -> trap "load of unsupported element type")
-    | Store { ptr; index; v } -> (
-        let gp = bufget ptr and gi = iget index in
-        let loc = i.iloc in
-        match type_of v with
-        | F32 ->
-            let gv = fget v in
-            fun st ->
+                st.ienv.(d) <- Memory.get_int b idx);
+            ]
+        | Some (KFvec (d, n)) ->
+            access (fun st b idx ->
+                for j = 0 to n - 1 do
+                  st.fenv.(d + j) <- get_lane_f b idx j
+                done)
+        | Some (KIvec (d, n)) ->
+            access (fun st b idx ->
+                for j = 0 to n - 1 do
+                  st.ienv.(d + j) <- Memory.get_lane_int b idx j
+                done)
+        | _ -> [ (fun _ -> trap "load of unsupported element type") ])
+    | Store { ptr; index; v }, _ -> (
+        let gp = bufget (op ptr) and gi = iget (op index) and loc = i.iloc in
+        let access (write : wi_state -> Memory.buffer -> int -> unit) =
+          [
+            (fun st ->
               let b = gp st in
               let idx = gi st in
               record_access st b idx ~is_write:true;
               san_access st b idx ~is_write:true ~loc;
-              Memory.set_float b idx (gv st)
-        | I1 | I8 | I16 | I32 | I64 ->
-            let gv = iget v in
-            fun st ->
-              let b = gp st in
-              let idx = gi st in
-              record_access st b idx ~is_write:true;
-              san_access st b idx ~is_write:true ~loc;
-              Memory.set_int b idx (gv st)
-        | _ ->
-            let gv = vget v in
-            fun st -> store_elem st (gp st) (gi st) ~loc (gv st))
-    | Extract (v, lane) -> (
-        let gl = iget lane in
-        match type_of v with
-        | Vec (F32, _) ->
-            let gv = vget v in
-            with_float_dst i (fun dst st ->
-                let l = gl st in
-                match gv st with
-                | RVecF a -> st.fenv.(dst) <- a.(l)
-                | _ -> trap "extract from non-vector")
-        | Vec (_, _) ->
-            let gv = vget v in
-            with_int_dst i (fun dst st ->
-                let l = gl st in
-                match gv st with
-                | RVecI a -> st.ienv.(dst) <- a.(l)
-                | _ -> trap "extract from non-vector")
-        | _ -> fun _ -> trap "extract from non-vector")
-    | Insert (v, lane, s) ->
-        let gv = vget v and gl = iget lane and gs = vget s in
-        with_box_dst i (fun dst st ->
-            let l = gl st in
-            match (gv st, gs st) with
-            | RVecF a, RFloat x ->
-                let a = Array.copy a in
-                a.(l) <- x;
-                st.benv.(dst) <- RVecF a
-            | RVecI a, RInt x ->
-                let a = Array.copy a in
-                a.(l) <- x;
-                st.benv.(dst) <- RVecI a
-            | _ -> trap "insert mismatch")
-    | Vecbuild (t, vs) -> (
-        match t with
-        | Vec (F32, _) ->
-            let gs = Array.of_list (List.map fget vs) in
-            with_box_dst i (fun dst st ->
-                st.benv.(dst) <- RVecF (Array.map (fun g -> g st) gs))
-        | Vec (_, _) ->
-            let gs = Array.of_list (List.map iget vs) in
-            with_box_dst i (fun dst st ->
-                st.benv.(dst) <- RVecI (Array.map (fun g -> g st) gs))
-        | _ -> fun _ -> trap "vecbuild of non-vector")
-    | Phi _ -> fun _ -> trap "phi executed outside block entry"
-    | Barrier _ ->
+              write st b idx);
+          ]
+        in
+        match (type_of v, vslots v) with
+        | F32, _ -> (
+            match op v with
+            | Of (s, _) ->
+                access (fun st b idx -> set_lane_f b idx 0 st.fenv.(s))
+            | o ->
+                let gv = fget o in
+                access (fun st b idx -> set_lane_f b idx 0 (gv st)))
+        | (I1 | I8 | I16 | I32 | I64), _ ->
+            let gv = iget (op v) in
+            access (fun st b idx -> Memory.set_int b idx (gv st))
+        | Vec _, Some (KFvec (s, n)) ->
+            access (fun st b idx ->
+                for j = 0 to n - 1 do
+                  set_lane_f b idx j st.fenv.(s + j)
+                done)
+        | Vec _, Some (KIvec (s, n)) ->
+            access (fun st b idx ->
+                for j = 0 to n - 1 do
+                  Memory.set_lane_int b idx j st.ienv.(s + j)
+                done)
+        | _ -> access (fun _ _ _ -> trap "cannot store a pointer"))
+    | Extract (v, lane), Some (KFloat d) -> (
+        match vslots v with
+        | Some (KFvec (s, w)) ->
+            let gl = lane_of lane w in
+            [ (fun st -> st.fenv.(d) <- st.fenv.(s + gl st)) ]
+        | _ -> mismatch i)
+    | Extract (v, lane), Some (KInt d) -> (
+        match vslots v with
+        | Some (KIvec (s, w)) ->
+            let gl = lane_of lane w in
+            [ (fun st -> st.ienv.(d) <- st.ienv.(s + gl st)) ]
+        | _ -> mismatch i)
+    | Insert (v, lane, x), Some (KFvec (d, n)) -> (
+        match vslots v with
+        | Some (KFvec (s, _)) ->
+            let gl = lane_of lane n and gx = fget (op x) in
+            [
+              (fun st ->
+                let j = gl st in
+                Array.blit st.fenv s st.fenv d n;
+                st.fenv.(d + j) <- gx st);
+            ]
+        | _ -> mismatch i)
+    | Insert (v, lane, x), Some (KIvec (d, n)) -> (
+        match vslots v with
+        | Some (KIvec (s, _)) ->
+            let gl = lane_of lane n and gx = iget (op x) in
+            [
+              (fun st ->
+                let j = gl st in
+                Array.blit st.ienv s st.ienv d n;
+                st.ienv.(d + j) <- gx st);
+            ]
+        | _ -> mismatch i)
+    | Vecbuild (_, vs), Some (KFvec (d, _)) ->
+        List.mapi (fun k v -> fmove (op v) (d + k)) vs
+    | Vecbuild (_, vs), Some (KIvec (d, _)) ->
+        List.mapi (fun k v -> imove (op v) (d + k)) vs
+    | Phi _, _ -> [ (fun _ -> trap "phi executed outside block entry") ]
+    | Barrier _, _ ->
         (* Barriers end a segment; they never appear in a segment body. *)
-        fun _ -> trap "barrier executed as a body instruction"
-    | Br _ | Cond_br _ | Ret ->
-        fun _ -> trap "terminator executed as body instruction"
+        [ (fun _ -> trap "barrier executed as a body instruction") ]
+    | (Br _ | Cond_br _ | Ret), _ ->
+        [ (fun _ -> trap "terminator executed as body instruction") ]
+    | _ -> mismatch i
   in
 
-  (* Per-edge phi moves: evaluated against the predecessor's environment,
-     committed together (staged through the scratch arrays at run time). *)
+  (* Per-edge phi moves: every move is evaluated against the predecessor's
+     slots into its kind's scratch array, then all are committed together
+     (a vector phi is one move per component). *)
   let scr_i = ref 0 and scr_f = ref 0 and scr_b = ref 0 in
   let mk_edge (src : block) (dst : block) : edge =
-    let im = ref [] and fm = ref [] and bm = ref [] in
+    let stage = ref [] and im = ref [] and fm = ref [] and bm = ref [] in
+    let add slot (o : opnd) =
+      let g =
+        match slot with
+        | `I s ->
+            let k = List.length !im and g = iget o in
+            im := s :: !im;
+            fun st -> st.iscr.(k) <- g st
+        | `F s -> (
+            let k = List.length !fm in
+            fm := s :: !fm;
+            match o with
+            | Of (x, _) -> fun st -> st.fscr.(k) <- st.fenv.(x)
+            | _ ->
+                let g = fget o in
+                fun st -> st.fscr.(k) <- g st)
+        | `B s ->
+            let k = List.length !bm and g = bget o in
+            bm := s :: !bm;
+            fun st -> st.bscr.(k) <- g st
+      in
+      stage := g :: !stage
+    in
     List.iter
       (fun (pi : instr) ->
         match pi.op with
         | Phi { incoming; _ } -> (
-            match List.find_opt (fun (b, _) -> b.bid = src.bid) incoming with
-            | None ->
-                im :=
-                  (0, fun _ -> trap "phi has no incoming for predecessor")
-                  :: !im
-            | Some (_, v) -> (
-                match kind_of pi with
-                | Some (KInt s) -> im := (s, iget v) :: !im
-                | Some (KFloat s) -> fm := (s, fget v) :: !fm
-                | Some (KBox s) -> bm := (s, vget v) :: !bm
-                | None -> ()))
+            match
+              ( List.find_opt (fun (b, _) -> b.bid = src.bid) incoming,
+                kind_of pi )
+            with
+            | None, _ ->
+                stage :=
+                  (fun _ -> trap "phi has no incoming for predecessor")
+                  :: !stage
+            | Some (_, v), Some k ->
+                List.iter2 add (slots_of_kind k) (opnds_of kinds ~vr:false k v)
+            | Some _, None -> ())
         | _ -> ())
       dst.instrs;
-    let im = Array.of_list (List.rev !im)
-    and fm = Array.of_list (List.rev !fm)
-    and bm = Array.of_list (List.rev !bm) in
-    scr_i := max !scr_i (Array.length im);
-    scr_f := max !scr_f (Array.length fm);
-    scr_b := max !scr_b (Array.length bm);
+    let arr r = Array.of_list (List.rev !r) in
+    scr_i := max !scr_i (List.length !im);
+    scr_f := max !scr_f (List.length !fm);
+    scr_b := max !scr_b (List.length !bm);
     {
       e_dst = Hashtbl.find bidx dst.bid;
-      im_dst = Array.map fst im;
-      im_src = Array.map snd im;
-      fm_dst = Array.map fst fm;
-      fm_src = Array.map snd fm;
-      bm_dst = Array.map fst bm;
-      bm_src = Array.map snd bm;
+      e_stage = arr stage;
+      im_dst = arr im;
+      fm_dst = arr fm;
+      bm_dst = arr bm;
     }
   in
 
@@ -3159,7 +2937,7 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
       match b.term with
       | Some { op = Br target; _ } -> Tbr (mk_edge b target)
       | Some { op = Cond_br (c, t, e); _ } ->
-          Tcond (iget c, mk_edge b t, mk_edge b e)
+          Tcond (iget (op c), mk_edge b t, mk_edge b e)
       | Some { op = Ret; _ } -> Tret
       | _ -> Ttrap "missing terminator"
     in
@@ -3172,9 +2950,9 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
     in
     let mk_seg (j : int) ((instrs : instr list), (bar : instr option)) : cseg =
       let body =
-        List.filter_map
+        List.concat_map
           (fun (i : instr) ->
-            match i.op with Phi _ -> None | _ -> Some (compile_instr i))
+            match i.op with Phi _ -> [] | _ -> compile_instr i)
           instrs
       in
       let body =
@@ -3261,15 +3039,13 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
             (Array.iter (fun iid ->
                  if not (Hashtbl.mem ctx_col iid) then
                    match Hashtbl.find_opt kinds iid with
-                   | Some (KInt _) ->
-                       Hashtbl.replace ctx_col iid !ci;
-                       incr ci
-                   | Some (KFloat _) ->
-                       Hashtbl.replace ctx_col iid !cf;
-                       incr cf
-                   | Some (KBox _) ->
-                       Hashtbl.replace ctx_col iid !cb;
-                       incr cb
+                   | Some k -> (
+                       let n = List.length (slots_of_kind k) in
+                       match slots_of_kind k with
+                       | `I _ :: _ -> Hashtbl.replace ctx_col iid (take ci n)
+                       | `F _ :: _ -> Hashtbl.replace ctx_col iid (take cf n)
+                       | `B _ :: _ -> Hashtbl.replace ctx_col iid (take cb n)
+                       | [] -> ())
                    | None -> ()))
             info.live_across;
           let n = !n_bars in
@@ -3283,12 +3059,15 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
               Array.iter
                 (fun iid ->
                   match Hashtbl.find_opt kinds iid with
-                  | Some (KInt s) ->
-                      ie := (s, Hashtbl.find ctx_col iid) :: !ie
-                  | Some (KFloat s) ->
-                      fe := (s, Hashtbl.find ctx_col iid) :: !fe
-                  | Some (KBox s) ->
-                      be := (s, Hashtbl.find ctx_col iid) :: !be
+                  | Some k ->
+                      let c0 = Hashtbl.find ctx_col iid in
+                      List.iteri
+                        (fun c slot ->
+                          match slot with
+                          | `I s -> ie := (s, c0 + c) :: !ie
+                          | `F s -> fe := (s, c0 + c) :: !fe
+                          | `B s -> be := (s, c0 + c) :: !be)
+                        (slots_of_kind k)
                   | None -> ())
                 info.live_across.(j);
               let fill env ctx l =
@@ -3339,33 +3118,22 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
 (* -- The compiled-engine hot loop ------------------------------------------- *)
 
 let take_edge (st : wi_state) (e : edge) : int =
-  let ni = Array.length e.im_dst in
-  if ni > 0 then begin
-    for k = 0 to ni - 1 do
-      st.iscr.(k) <- e.im_src.(k) st
-    done;
-    for k = 0 to ni - 1 do
-      st.ienv.(e.im_dst.(k)) <- st.iscr.(k)
-    done
-  end;
-  let nf = Array.length e.fm_dst in
-  if nf > 0 then begin
-    for k = 0 to nf - 1 do
-      st.fscr.(k) <- e.fm_src.(k) st
-    done;
-    for k = 0 to nf - 1 do
-      st.fenv.(e.fm_dst.(k)) <- st.fscr.(k)
-    done
-  end;
-  let nb = Array.length e.bm_dst in
-  if nb > 0 then begin
-    for k = 0 to nb - 1 do
-      st.bscr.(k) <- e.bm_src.(k) st
-    done;
-    for k = 0 to nb - 1 do
-      st.benv.(e.bm_dst.(k)) <- st.bscr.(k)
-    done
-  end;
+  let stage = e.e_stage in
+  for k = 0 to Array.length stage - 1 do
+    stage.(k) st
+  done;
+  let d = e.im_dst in
+  for k = 0 to Array.length d - 1 do
+    st.ienv.(d.(k)) <- st.iscr.(k)
+  done;
+  let d = e.fm_dst in
+  for k = 0 to Array.length d - 1 do
+    st.fenv.(d.(k)) <- st.fscr.(k)
+  done;
+  let d = e.bm_dst in
+  for k = 0 to Array.length d - 1 do
+    st.benv.(d.(k)) <- st.bscr.(k)
+  done;
   e.e_dst
 
 let run_compiled (st : wi_state) (cf : cfunc) : unit =
@@ -3483,68 +3251,42 @@ let spill_restore (st : wi_state) (w : cwg) ~(bar : int) ~(ictx : int array)
 let take_ledge (ls : lane_state) (e : ledge) : int =
   let lw = ls.lw and nl = ls.nl in
   (* Stage every move against the predecessor's columns... *)
-  let nui = Array.length e.lu_im_dst in
-  for k = 0 to nui - 1 do
-    ls.luiscr.(k) <- e.lu_im_src.(k) ls
-  done;
-  let nuf = Array.length e.lu_fm_dst in
-  for k = 0 to nuf - 1 do
-    ls.lufscr.(k) <- e.lu_fm_src.(k) ls
-  done;
-  let nub = Array.length e.lu_bm_dst in
-  for k = 0 to nub - 1 do
-    ls.lubscr.(k) <- e.lu_bm_src.(k) ls
-  done;
-  let nvi = Array.length e.lv_im_dst in
-  for k = 0 to nvi - 1 do
-    let g = e.lv_im_src.(k) in
-    let base = k * lw in
-    for l = 0 to nl - 1 do
-      ls.lviscr.(base + l) <- g ls l
-    done
-  done;
-  let nvf = Array.length e.lv_fm_dst in
-  for k = 0 to nvf - 1 do
-    let g = e.lv_fm_src.(k) in
-    let base = k * lw in
-    for l = 0 to nl - 1 do
-      ls.lvfscr.(base + l) <- g ls l
-    done
-  done;
-  let nvb = Array.length e.lv_bm_dst in
-  for k = 0 to nvb - 1 do
-    let g = e.lv_bm_src.(k) in
-    let base = k * lw in
-    for l = 0 to nl - 1 do
-      ls.lvbscr.(base + l) <- g ls l
-    done
+  let stage = e.le_stage in
+  for k = 0 to Array.length stage - 1 do
+    stage.(k) ls
   done;
   (* ...then commit. *)
-  for k = 0 to nui - 1 do
-    ls.lienv.(e.lu_im_dst.(k)) <- ls.luiscr.(k)
+  let d = e.lu_im_dst in
+  for k = 0 to Array.length d - 1 do
+    ls.lienv.(d.(k)) <- ls.luiscr.(k)
   done;
-  for k = 0 to nuf - 1 do
-    ls.lfenv.(e.lu_fm_dst.(k)) <- ls.lufscr.(k)
+  let d = e.lu_fm_dst in
+  for k = 0 to Array.length d - 1 do
+    ls.lfenv.(d.(k)) <- ls.lufscr.(k)
   done;
-  for k = 0 to nub - 1 do
-    ls.lbenv.(e.lu_bm_dst.(k)) <- ls.lubscr.(k)
+  let d = e.lu_bm_dst in
+  for k = 0 to Array.length d - 1 do
+    ls.lbenv.(d.(k)) <- ls.lubscr.(k)
   done;
-  for k = 0 to nvi - 1 do
-    let d = e.lv_im_dst.(k) and base = k * lw in
+  let d = e.lv_im_dst in
+  for k = 0 to Array.length d - 1 do
+    let dk = d.(k) and base = k * lw in
     for l = 0 to nl - 1 do
-      ls.lienv.(d + l) <- ls.lviscr.(base + l)
+      ls.lienv.(dk + l) <- ls.lviscr.(base + l)
     done
   done;
-  for k = 0 to nvf - 1 do
-    let d = e.lv_fm_dst.(k) and base = k * lw in
+  let d = e.lv_fm_dst in
+  for k = 0 to Array.length d - 1 do
+    let dk = d.(k) and base = k * lw in
     for l = 0 to nl - 1 do
-      ls.lfenv.(d + l) <- ls.lvfscr.(base + l)
+      ls.lfenv.(dk + l) <- ls.lvfscr.(base + l)
     done
   done;
-  for k = 0 to nvb - 1 do
-    let d = e.lv_bm_dst.(k) and base = k * lw in
+  let d = e.lv_bm_dst in
+  for k = 0 to Array.length d - 1 do
+    let dk = d.(k) and base = k * lw in
     for l = 0 to nl - 1 do
-      ls.lbenv.(d + l) <- ls.lvbscr.(base + l)
+      ls.lbenv.(dk + l) <- ls.lvbscr.(base + l)
     done
   done;
   e.le_dst

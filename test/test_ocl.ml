@@ -1189,6 +1189,241 @@ let test_out_of_bounds_trapped () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-bounds store must trap"
 
+(* -- Vector builtins on float4 ---------------------------------------------------
+   One test per builtin family: the tree engine, the lane batches (the
+   compiled default plan) and the compiled scalar closures (forced onto
+   the fiber scheduler) must all produce the host-computed components bit
+   for bit. Groups of 6 work-items are smaller than the default lane
+   width of 8, so every batch runs with inactive tail lanes. *)
+
+let vec_n = 12
+
+let vec_inputs () =
+  ( Array.init (vec_n * 4) (fun k -> float_of_int ((k * 7 mod 19) - 9) /. 4.0),
+    Array.init (vec_n * 4) (fun k -> float_of_int ((k * 5 mod 13) - 6) /. 3.0),
+    Array.init (vec_n * 4) (fun k -> float_of_int ((k * 3 mod 11) - 2) /. 2.0) )
+
+let run_vec_builtin ~(scalar_out : bool) ~(expr : string)
+    ~(engine : Interp.engine) ?force_path () : float array =
+  let fn =
+    lower_one
+      (Printf.sprintf
+         {|__kernel void k(__global %s *out, __global const float4 *a,
+                           __global const float4 *b, __global const float4 *c) {
+             int i = get_global_id(0);
+             float4 x = a[i];
+             float4 y = b[i];
+             float4 z = c[i];
+             out[i] = %s;
+           }|}
+         (if scalar_out then "float" else "float4")
+         expr)
+  in
+  let v4 = Ssa.Vec (Ssa.F32, 4) in
+  let mem = Memory.create () in
+  let out = Memory.alloc mem (if scalar_out then Ssa.F32 else v4) vec_n in
+  let xs, ys, zs = vec_inputs () in
+  let bufs =
+    List.map
+      (fun src ->
+        let b = Memory.alloc mem v4 vec_n in
+        Memory.fill_floats b (fun k -> src.(k));
+        Runtime.Abuf b)
+      [ xs; ys; zs ]
+  in
+  let c = Interp.prepare ~engine fn in
+  ignore
+    (Runtime.launch c
+       ~cfg:{ Runtime.global = (vec_n, 1, 1); local = (6, 1, 1); queues = 1 }
+       ~args:(Runtime.Abuf out :: bufs) ~mem ?force_path ());
+  Memory.to_float_array out
+
+let check_vec_builtin ?(scalar_out = false) ~(expr : string)
+    (expected : float array -> float array -> float array -> float array) =
+  let xs, ys, zs = vec_inputs () in
+  let want = expected xs ys zs in
+  List.iter
+    (fun (label, engine, force_path) ->
+      let got = run_vec_builtin ~scalar_out ~expr ~engine ?force_path () in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s on %s = host" expr label)
+        true
+        (compare got want = 0))
+    [ ("tree", Interp.Tree, None);
+      ("compiled wg-vec", Interp.Compiled, None);
+      ("compiled fiber", Interp.Compiled, Some Runtime.Fiber) ]
+
+let componentwise f xs ys zs =
+  Array.init (Array.length xs) (fun k -> f xs.(k) ys.(k) zs.(k))
+
+let test_vec_clamp () =
+  check_vec_builtin ~expr:"clamp(x, -0.5f, 0.5f)"
+    (componentwise (fun x _ _ -> Float.min (Float.max x (-0.5)) 0.5));
+  check_vec_builtin ~expr:"clamp(x, y, z)"
+    (componentwise (fun x y z -> Float.min (Float.max x y) z))
+
+let test_vec_mix () =
+  check_vec_builtin ~expr:"mix(x, y, z)"
+    (componentwise (fun x y z -> x +. ((y -. x) *. z)))
+
+let test_vec_min_max () =
+  check_vec_builtin ~expr:"min(x, y)" (componentwise (fun x y _ -> Float.min x y));
+  check_vec_builtin ~expr:"max(x, y)" (componentwise (fun x y _ -> Float.max x y))
+
+let test_vec_abs () =
+  check_vec_builtin ~expr:"abs(x)" (componentwise (fun x _ _ -> Float.abs x))
+
+let test_vec_dot () =
+  check_vec_builtin ~scalar_out:true ~expr:"dot(x, y)" (fun xs ys _ ->
+      Array.init vec_n (fun i ->
+          let s = ref 0.0 in
+          for j = 0 to 3 do
+            s := !s +. (xs.((4 * i) + j) *. ys.((4 * i) + j))
+          done;
+          !s))
+
+let test_vec_mad_fma () =
+  List.iter
+    (fun f ->
+      check_vec_builtin ~expr:(f ^ "(x, y, z)")
+        (componentwise (fun x y z -> (x *. y) +. z)))
+    [ "mad"; "fma" ]
+
+let test_vec_fmax () =
+  check_vec_builtin ~expr:"fmax(x, y)" (componentwise (fun x y _ -> Float.max x y))
+
+let test_vec_sqrt () =
+  check_vec_builtin ~expr:"sqrt(x * x + y)"
+    (componentwise (fun x y _ -> Float.sqrt ((x *. x) +. y)))
+
+(* -- Random float4 kernels ------------------------------------------------------
+   Each generated kernel mixes float4 loads and stores, + - * /, splat and
+   literal constructors, .x/.y/.z/.w reads and writes, a float4 carried
+   around a loop, one live across a uniform barrier and one chosen inside
+   a pure divergent diamond. The tree engine, compiled wg-vec (W in
+   {1,4,8}), wg-loop and the fiber scheduler must agree on buffers and
+   totals bit for bit, at group sizes that are not multiples of W; the
+   lane run must really batch every region. *)
+
+let float4_kernel_gen =
+  let open QCheck.Gen in
+  let bop = oneofl [ "+"; "-"; "*"; "/" ] in
+  let cmp = oneofl [ "x"; "y"; "z"; "w" ] in
+  let lit =
+    oneof
+      [ map (fun k -> Printf.sprintf "(float4)(%d.5f)" k) (int_range (-3) 3);
+        map
+          (fun (a, b, c, d) ->
+            Printf.sprintf "(float4)(%d.0f, %d.25f, %d.5f, %d.75f)" a b c d)
+          (quad (int_range 1 4) (int_range (-2) 2) (int_range 1 3)
+             (int_range (-1) 2)) ]
+  in
+  let pred =
+    oneofl [ "x.x > 0.0f"; "g % 3 == 1"; "y.w < x.z"; "acc.y * acc.y > 1.0f" ]
+  in
+  map
+    (fun ((o1, o2, o3, o4), (c1, c2, c3), (l1, l2), (trip, p)) ->
+      Printf.sprintf
+        {|__kernel void k(__global float4 *out, __global const float4 *a,
+                          __global const float4 *b, int n) {
+            __local float4 tile[64];
+            int g = get_global_id(0);
+            int l = get_local_id(0);
+            float4 x = a[g];
+            float4 y = b[g];
+            float4 acc = %s;
+            for (int t = 0; t < %d; t++) {
+              acc = acc %s (x %s y);
+              acc.%s = acc.%s + y.%s;
+            }
+            float4 v;
+            if (%s) { v = acc %s y; } else { v = x + %s; }
+            tile[l] = v;
+            barrier(CLK_LOCAL_MEM_FENCE);
+            float4 w = tile[(l + 1) %% get_local_size(0)];
+            out[g] = w %s acc + x * (float)n;
+          }|}
+        l1 trip o1 o2 c1 c2 c3 p o3 l2 o4)
+    (quad (quad bop bop bop bop) (triple cmp cmp cmp) (pair lit lit)
+       (pair (int_range 0 3) pred))
+
+let prop_float4_kernels_agree =
+  QCheck.Test.make ~name:"random float4 kernels: tree = wg-vec = wg-loop = fiber"
+    ~count:40
+    QCheck.(
+      pair (make ~print:Fun.id float4_kernel_gen)
+        (triple (int_range 1 3) (int_range 1 13)
+           (oneofl ~print:string_of_int [ 1; 4; 8 ])))
+    (fun (src, (groups, wg, width)) ->
+      let n = groups * wg in
+      let run engine ?lane_width force_path =
+        let fn = lower_one src in
+        let v4 = Ssa.Vec (Ssa.F32, 4) in
+        let mem = Memory.create () in
+        let out = Memory.alloc mem v4 n in
+        let a = Memory.alloc mem v4 n and b = Memory.alloc mem v4 n in
+        Memory.fill_floats a (fun k -> float_of_int ((k * 7 mod 23) - 11) /. 8.0);
+        Memory.fill_floats b (fun k -> float_of_int ((k * 5 mod 17) - 8) /. 4.0);
+        let c = Interp.prepare ~engine ?lane_width fn in
+        let totals =
+          Runtime.launch c
+            ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
+            ~args:[ Runtime.Abuf out; Runtime.Abuf a; Runtime.Abuf b; Runtime.Aint n ]
+            ~mem ~force_path ()
+        in
+        (c, (totals, snapshot_buffers mem))
+      in
+      let cv, v = run Interp.Compiled ~lane_width:width Runtime.Wg_vec in
+      let batched =
+        match Interp.lane_entry_flags cv with
+        | Some f -> Array.for_all Fun.id f
+        | None -> false
+      in
+      let _, t = run Interp.Tree Runtime.Fiber in
+      let _, l = run Interp.Compiled Runtime.Wg_loop in
+      let _, f = run Interp.Compiled Runtime.Fiber in
+      (* [compare], not [=]: a 0/0 lane is NaN on every path alike *)
+      batched && compare v t = 0 && compare v l = 0 && compare v f = 0)
+
+(* -- Lane verdicts of the suite ---------------------------------------------------
+   The plan name stays wg-vec when a region falls back to the scalar sweep,
+   so the refined per-region lane flags are pinned here: every region of
+   every suite version runs lane-batched, except region 0 of AMD-SS,
+   PAB-ST and ROD-SC with_lm (their divergent stores). *)
+
+let expected_lane_flags =
+  [ ("AMD-SS", [| false; true |], [| true |]);
+    ("AMD-MT", [| true; true |], [| true |]);
+    ("NVD-MT", [| true; true |], [| true |]);
+    ("AMD-RG", [| true; true |], [| true |]);
+    ("AMD-MM", [| true; true; true |], [| true |]);
+    ("NVD-MM-A", [| true; true; true |], [| true; true; true |]);
+    ("NVD-MM-B", [| true; true; true |], [| true; true; true |]);
+    ("NVD-MM-AB", [| true; true; true |], [| true |]);
+    ("NVD-NBody", [| true; true; true |], [| true |]);
+    ("PAB-ST", [| false; true |], [| true |]);
+    ("ROD-SC", [| false; true |], [| true |]);
+    ("TNG-GEMM4", [| true; true; true |], [| true |]) ]
+
+let test_suite_lane_flags () =
+  Alcotest.(check int) "every suite case pinned"
+    (List.length Grover_suite.Suite.all)
+    (List.length expected_lane_flags);
+  List.iter
+    (fun (case : Kit.case) ->
+      let _, with_lm, without_lm =
+        List.find (fun (id, _, _) -> id = case.Kit.id) expected_lane_flags
+      in
+      List.iter
+        (fun (v, vn, want) ->
+          let fn, _ = H.compile_version case v in
+          let c = Interp.prepare ~engine:Interp.Compiled fn in
+          Alcotest.(check (option (array bool)))
+            (Printf.sprintf "%s %s lane flags" case.Kit.id vn)
+            (Some want) (Interp.lane_entry_flags c))
+        [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ])
+    Grover_suite.Suite.all
+
 let suite =
   [ ( "interp",
       [ Alcotest.test_case "vector add" `Quick test_vector_add;
@@ -1235,6 +1470,19 @@ let suite =
         Alcotest.test_case "tail group smaller than lane width" `Quick
           test_masked_tail_smaller_than_width;
         QCheck_alcotest.to_alcotest prop_masked_diamond_agrees ] );
+    ( "vector-builtins",
+      [ Alcotest.test_case "clamp" `Quick test_vec_clamp;
+        Alcotest.test_case "mix" `Quick test_vec_mix;
+        Alcotest.test_case "min and max" `Quick test_vec_min_max;
+        Alcotest.test_case "abs" `Quick test_vec_abs;
+        Alcotest.test_case "dot" `Quick test_vec_dot;
+        Alcotest.test_case "mad and fma" `Quick test_vec_mad_fma;
+        Alcotest.test_case "fmax" `Quick test_vec_fmax;
+        Alcotest.test_case "sqrt" `Quick test_vec_sqrt;
+        QCheck_alcotest.to_alcotest prop_float4_kernels_agree ] );
+    ( "lane-verdicts",
+      [ Alcotest.test_case "suite regions batch as pinned" `Quick
+          test_suite_lane_flags ] );
     ( "regions",
       [ Alcotest.test_case "barrier-free is trivial" `Quick
           test_regions_barrier_free;
