@@ -3,8 +3,9 @@
 
     Classic forward data-flow with control-dependence propagation:
 
-    - seeds are [get_local_id]/[get_global_id] calls and every [Load]
-      (memory contents are per-work-item in general — conservative);
+    - seeds are [get_local_id]/[get_global_id] calls, every [Load]
+      (memory contents are per-work-item in general — conservative) and
+      every private [Alloca] (its address names per-work-item storage);
     - kernel arguments, constants, and launch-geometry builtins
       ([get_group_id], [get_local_size], ...) are uniform *within a group*,
       which is the scope that matters for barriers and local-memory races;
@@ -85,6 +86,8 @@ let compute (fn : Ssa.func) : t =
             | Ssa.Call { callee; args; _ } ->
                 divergent_call callee || List.exists (value_divergent t) args
             | Ssa.Load _ -> true
+            (* each work-item's private array is its own storage *)
+            | Ssa.Alloca { aspace = Ssa.Private; _ } -> true
             | Ssa.Phi p ->
                 (match i.parent with
                 | Some b -> H.mem t.div_block b.bid || H.mem t.join_block b.bid
