@@ -371,15 +371,15 @@ let transform_cmd =
    accepted, not just the static region verdict) but nothing is executed.
    Returns the path line plus one lane verdict per parallel region: the
    static {!Regions} classification, narrowed to a scalar-sweep verdict
-   when the lane compiler rejected a segment the static analysis
-   accepted. *)
+   when the lane compiler found a one-lane segment the static analysis
+   did not. *)
 let path_info (fn : Grover_ir.Ssa.func) : string * string list =
   let v = Grover_ir.Regions.form fn in
   let c = Grover_ocl.Interp.prepare ~engine:Grover_ocl.Interp.Compiled fn in
   let path =
     match Grover_ocl.Runtime.default_path c with
-    | Grover_ocl.Runtime.Wg_vec ->
-        Printf.sprintf "wg-vec, %d lanes" (Grover_ocl.Interp.lane_width_of c)
+    | Grover_ocl.Runtime.Lanes w ->
+        Printf.sprintf "wg-vec, %d lane%s" w (if w = 1 then "" else "s")
     | p -> Grover_ocl.Runtime.string_of_path p
   in
   let regions =
@@ -394,7 +394,7 @@ let path_info (fn : Grover_ir.Ssa.func) : string * string list =
                  match (lv, flags) with
                  | Grover_ir.Regions.Scalar _, _ -> lv
                  | _, Some fl when not fl.(e) ->
-                     Grover_ir.Regions.Scalar "unbatchable instruction"
+                     Grover_ir.Regions.Scalar "one-lane segment"
                  | _, _ -> lv
                in
                Grover_ir.Regions.verdict_string refined)

@@ -45,8 +45,9 @@ echo "== suite under every forced execution path =="
 # GROVER_FORCE_PATH pins the group scheduler; kernels that cannot take the
 # requested path degrade to the strongest one they can. Executing the whole
 # suite (both kernel versions, outputs validated, sanitizer on) under each
-# mode gates all four schedulers — wg-vec, wg-loop, fiberless, fiber — on
-# every kernel shape we have.
+# mode gates both schedulers — lane batches (wg-vec: W-wide where a region
+# allows; wg-loop and fiberless: one-lane everywhere) and fiber — on every
+# kernel shape we have.
 for mode in wg-vec wg-loop fiberless fiber; do
   echo "-- GROVER_FORCE_PATH=$mode"
   GROVER_FORCE_PATH=$mode dune exec bin/groverc.exe -- sanitize all --scale 8 \
@@ -67,34 +68,55 @@ esac
 dune exec bin/groverc.exe -- sanitize examples/kernels/uniform_branch_barrier.cl \
   --local 16 > /dev/null
 
-echo "== wg-vec planned for the flagship barrier kernels =="
-# Non-vacuousness: the lane-batched path must actually be selected for
-# the transpose and GEMM kernels, or every wg-vec differential and bench
-# row silently degrades to wg-loop.
+echo "== W-wide batches planned for the flagship barrier kernels =="
+# Non-vacuousness: W-wide lane batches must actually be selected for the
+# transpose and GEMM kernels, or every lane differential and bench row
+# silently degrades to one-lane batches ("wg-vec, 1 lane").
 for f in examples/kernels/transpose_tile.cl examples/kernels/gemm_float4.cl; do
   out=$(dune exec bin/groverc.exe -- report "$f")
   case "$out" in
-    *"execution path (with local memory): wg-vec"*) echo "-- $f plans wg-vec" ;;
-    *) echo "FAIL: $f did not plan as wg-vec"; echo "$out"; exit 1 ;;
+    *"execution path (with local memory): wg-vec, "[0-9]" lanes"*|\
+    *"execution path (with local memory): wg-vec, "[0-9][0-9]" lanes"*)
+      echo "-- $f plans W-wide wg-vec" ;;
+    *) echo "FAIL: $f did not plan W-wide wg-vec"; echo "$out"; exit 1 ;;
   esac
 done
 
-echo "== wg-vec planned for a barrier-free (Grover-transformed) kernel =="
+echo "== W-wide batches planned for a barrier-free (Grover-transformed) kernel =="
 # A barrier-free kernel is the one-region case of the lane executor: the
-# default plan must not drop Grover's transformed kernels back to the
-# scalar fiberless loop.
+# default plan must not drop Grover's transformed kernels back to
+# one-lane batches.
 out=$(dune exec bin/groverc.exe -- report examples/kernels/transpose_tile.cl)
 case "$out" in
-  *"execution path (local memory disabled): wg-vec"*)
-     echo "-- transpose_tile.cl without local memory plans wg-vec" ;;
-  *) echo "FAIL: transpose_tile.cl (local memory disabled) did not plan as wg-vec"
+  *"execution path (local memory disabled): wg-vec, "[0-9]" lanes"*|\
+  *"execution path (local memory disabled): wg-vec, "[0-9][0-9]" lanes"*)
+     echo "-- transpose_tile.cl without local memory plans W-wide wg-vec" ;;
+  *) echo "FAIL: transpose_tile.cl (local memory disabled) did not plan W-wide wg-vec"
      echo "$out"; exit 1 ;;
 esac
+
+echo "== private array across a barrier: one-lane region 0, clean sanitizer =="
+# A region that allocates private memory runs one-lane batches under the
+# wg-vec plan, keeping its "scalar sweep: private alloca" verdict; the
+# region after the barrier reads each work-item's private array.
+out=$(dune exec bin/groverc.exe -- report examples/kernels/private_array.cl)
+case "$out" in
+  *"execution path (with local memory): wg-vec"*) ;;
+  *) echo "FAIL: private_array.cl did not plan as wg-vec"; echo "$out"; exit 1 ;;
+esac
+case "$out" in
+  *"scalar sweep: private alloca"*)
+     echo "-- private_array.cl region 0 reports its private alloca" ;;
+  *) echo "FAIL: private_array.cl lost its private-alloca verdict"
+     echo "$out"; exit 1 ;;
+esac
+dune exec bin/groverc.exe -- sanitize examples/kernels/private_array.cl \
+  --local 16 > /dev/null
 
 echo "== masked lane execution: guard diamonds upgrade, divergent stores bail =="
 # The guarded matmul carries the SDK boundary-clamp idiom: a pure
 # divergent diamond that must be if-converted and run as a masked lane
-# batch (not dropped to the scalar sweep), keeping the kernel on wg-vec.
+# batch (not dropped to one-lane batches), keeping the kernel on wg-vec.
 out=$(dune exec bin/groverc.exe -- report examples/kernels/guarded_matmul.cl)
 case "$out" in
   *"execution path (with local memory): wg-vec"*) ;;
@@ -107,8 +129,8 @@ case "$out" in
      echo "$out"; exit 1 ;;
 esac
 # Side effects are never masked: a store under divergent control must
-# keep its scalar-sweep verdict, and the bail reason must carry the
-# offending store's source location.
+# keep its scalar-sweep verdict (one-lane batches), and the bail reason
+# must carry the offending store's source location.
 out=$(dune exec bin/groverc.exe -- report examples/kernels/divergent_store.cl)
 case "$out" in
   *"scalar sweep: divergent store at"*)

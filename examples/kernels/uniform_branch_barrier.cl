@@ -4,10 +4,10 @@
    agree on reaching it — well-defined OpenCL, and the region verifier
    must not reject it. Guards against over-conservative barrier-region
    formation: a barrier under uniform control still qualifies for the
-   wg-loop execution path.
+   lane-batched region executor.
 
    Expected: groverc report shows "execution path (with local memory):
-   wg-loop"; groverc sanitize --local 16 is clean.                       */
+   wg-vec"; groverc sanitize --local 16 is clean.                        */
 __kernel void uniform_branch_barrier(__global float *out,
                                      __global const float *in) {
   __local float tile[16];

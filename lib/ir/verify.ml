@@ -23,6 +23,15 @@ let fail_at (loc : Loc.t) fmt =
 let check_types (i : instr) : unit =
   let t v = type_of v in
   let fail fmt = fail_at i.iloc fmt in
+  (* Lowering addresses vector components by constant index only, and the
+     closure compiler resolves them at compile time. *)
+  let check_lane what lane n =
+    match lane with
+    | Cint (_, k) when k >= 0 && k < n -> ()
+    | _ ->
+        fail "%s lane must be a constant in 0..%d, got %a" what (n - 1)
+          Printer.pp_value lane
+  in
   match i.op with
   | Binop (b, x, y) ->
       if t x <> t y then
@@ -55,14 +64,15 @@ let check_types (i : instr) : unit =
               (Format.asprintf "%a" Printer.pp_ty elem)
       | _ -> fail "store to non-pointer");
       if not (ty_is_integer (t index)) then fail "store index must be integer"
-  | Extract (v, lane) ->
-      (match t v with Vec _ -> () | _ -> fail "extract from non-vector");
-      if not (ty_is_integer (t lane)) then fail "extract lane must be integer"
+  | Extract (v, lane) -> (
+      match t v with
+      | Vec (_, n) -> check_lane "extract" lane n
+      | _ -> fail "extract from non-vector")
   | Insert (v, lane, s) -> (
       match t v with
-      | Vec (e, _) ->
+      | Vec (e, n) ->
           if e <> t s then fail "insert scalar type mismatch";
-          if not (ty_is_integer (t lane)) then fail "insert lane must be integer"
+          check_lane "insert" lane n
       | _ -> fail "insert into non-vector")
   | Vecbuild (ty, vs) -> (
       match ty with

@@ -4,31 +4,28 @@
     two engines:
 
     - {b Compiled} (the default): {!prepare} translates every basic block,
-      once per kernel, into an array of OCaml closures. Operand slots,
-      argument indices, branch targets, builtin dispatch and phi moves are
-      all resolved at compile time — the hot loop does no [Hashtbl]
-      lookups and no [op] pattern matching, and [int]/[float] results
-      (vectors one slot per component) live unboxed in typed slot
-      arrays.
+      once per kernel, into an array of OCaml closures that advance a
+      batch of consecutive work-items over struct-of-arrays lane slots.
+      Operand slots, argument indices, branch targets, builtin dispatch
+      and phi moves are all resolved at compile time — the hot loop does
+      no [Hashtbl] lookups and no [op] pattern matching, and [int]/[float]
+      results (vectors one slot per component) live unboxed in typed slot
+      arrays. The kernel is cut into barrier-delimited {e regions}
+      ({!Grover_ir.Regions}); the runtime sweeps each region over the
+      group in batches of W lanes, or of one lane where the region needs
+      per-work-item control flow, spilling the SSA values that cross a
+      region boundary into per-work-item context arrays. One batch of one
+      lane is exactly one work-item, so the same code serves both.
     - {b Tree}: the original tree-walking reference engine, kept as the
       oracle for the differential test suite (and selectable with
-      [GROVER_ENGINE=tree]).
-
-    [barrier()] semantics come in two flavours:
-
-    - {b fibers} (the fallback, and the only option for the tree engine):
-      each work-item runs as an OCaml 5 fiber; hitting a barrier performs
-      [Barrier_hit], the group scheduler parks the continuation, and
-      resumes every work-item of the group once all of them have arrived;
-    - {b work-group loops} (compiled engine, when {!Grover_ir.Regions}
-      verifies every barrier is group-uniform): the kernel is compiled
-      into barrier-split {e segments}; the runtime sweeps a plain
-      [for]-loop over the group's work-items once per barrier-delimited
-      region, spilling the SSA values that cross a region boundary into
-      per-work-item context arrays. No effect handlers, no fiber stacks.
+      [GROVER_ENGINE=tree]). Each work-item runs as an OCaml 5 fiber;
+      hitting a barrier performs [Barrier_hit], the group scheduler parks
+      the continuation and resumes every work-item of the group once all
+      of them have arrived. Kernels whose barriers do not form regions
+      (divergent barriers) run here on either engine.
 
     Memory accesses stream into the group's {!Trace.wg_stats} for the
-    performance simulator either way, in the same order. *)
+    performance simulator either way, in the same per-work-item order. *)
 
 open Grover_ir
 open Ssa
@@ -234,20 +231,20 @@ let math2 name a b =
 (* -- State and compiled form -------------------------------------------------
 
    The compiled form assigns each value-producing instruction slots in a
-   typed environment: integers in [ienv], floats in [fenv] (both unboxed;
-   a vector takes one slot per component), pointers in [benv]. Phi moves
-   ride on CFG edges with evaluate-all-then-commit semantics, staged
-   through the per-work-item scratch arrays. *)
+   typed environment: integers in [lienv], floats in [lfenv] (both
+   unboxed; a vector takes one slot per component), pointers in [lbenv].
+   Phi moves ride on CFG edges with evaluate-all-then-commit semantics,
+   staged through scratch arrays. *)
 
-(** Lane-batched execution state (the wg-vec path): one state executes a
-    batch of [lw] consecutive work-items per closure invocation over
+(** Lane-batched execution state: one state executes a batch of up to
+    [lw] consecutive work-items per closure invocation over
     struct-of-arrays slots. Every value-producing instruction keeps its
     scalar slot number [s]; the lane environments store slot [s] in the
     columns [s*lw .. s*lw+lw-1]. A value the uniformity analysis proved
     group-uniform is computed once per batch and lives in column 0 of its
     slot ([s*lw]); varying values occupy one column per lane. [nl] < [lw]
-    only in the peeled tail batch of a group whose size is not a multiple
-    of the lane width. *)
+    in a one-lane region's batches and in the peeled tail batch of a group
+    whose size is not a multiple of the lane width. *)
 type lane_state = {
   lw : int;  (** compiled lane width W *)
   mutable nl : int;  (** active lanes in the current batch *)
@@ -273,28 +270,27 @@ type lane_state = {
           arm's population count; the else arm's is [nl - lnthen] *)
   llid : int array array;  (** 3 dims x [lw]: per-lane local ids *)
   lgid : int array array;  (** 3 dims x [lw]: per-lane global ids *)
+  lcur : int array;  (** local id of the work-item after the current batch *)
   lctx : wi_ctx;
       (** shares [grp]/[lsz]/[gsz]/[ngr] with the group runner; its
           [lid]/[gid] fields are unused here (lanes read [llid]/[lgid]) *)
   largs : rv array;
   lstats : Trace.wg_stats;
   mutable llocal : (int, Memory.buffer) Hashtbl.t;
-      (** alloca iid -> group buffer, swapped with the queue like
-          [wi_state.local_bufs] *)
+      (** alloca iid -> group buffer, swapped by the runtime when the
+          executing queue changes *)
+  lmem : Memory.t;  (** private allocations land here *)
+  mutable lqueue : int;  (** hardware queue: selects the private address region *)
+  mutable lpriv : int;
+      (** private bump offset of the work-item a one-lane batch runs; the
+          runtime carries it per work-item across regions *)
   mutable lsan : Sanitize.t option;
 }
 
+(** Tree-engine state of one work-item (the fiber scheduler's unit). *)
 type wi_state = {
   c : compiled;
-  (* Tree engine: one boxed slot per instruction. *)
-  env : rv array;
-  (* Compiled engine: typed slot arrays + phi-move scratch. *)
-  ienv : int array;
-  fenv : float array;
-  benv : rv array;
-  iscr : int array;
-  fscr : float array;
-  bscr : rv array;
+  env : rv array;  (** one boxed slot per instruction *)
   args : rv array;
   ctx : wi_ctx;
   stats : Trace.wg_stats;
@@ -313,107 +309,46 @@ and compiled = {
   slots : (int, int) Hashtbl.t;  (** instruction id -> tree environment slot *)
   n_slots : int;
   local_allocas : instr list;  (** local arrays, allocated once per group *)
-  has_barrier : bool;
-      (** statically true iff the kernel contains a [Barrier] instruction;
-          barrier-free kernels never need the fiber scheduler *)
   regions : Regions.verdict;
       (** barrier-region formation result, for path reporting; the
-          compiled spill metadata derived from it lives in [code.wg] *)
-  code : cfunc option;  (** [Some] iff the kernel was closure-compiled *)
+          compiled spill metadata derived from it lives in [code] *)
+  code : clanes option;
+      (** [Some] iff the kernel was closure-compiled and {!Regions.form}
+          verified every barrier group-uniform (trivially for barrier-free
+          code); [None] runs the tree engine under fibers *)
 }
 
-and cfunc = {
-  csegs : cseg array;
-      (** basic blocks split at barriers; index 0 is the kernel entry,
-          each block's segments are contiguous in block order *)
-  n_int : int;
-  n_float : int;
-  n_box : int;
-  scr_int : int;  (** max int phi moves on any edge *)
-  scr_float : int;
-  scr_box : int;
-  wg : cwg option;
-      (** region-execution metadata; [Some] iff {!Regions.form} verified
-          every barrier group-uniform (trivially for barrier-free code) *)
-  lanes : clanes option;
-      (** lane-batched compilation (the wg-vec path); [Some] iff [wg] is
-          [Some] and at least one region entry is lane-capable *)
-}
-
-and cseg = {
-  body : (wi_state -> unit) array;
-  cterm : cterm;
-  (* Op counts are only observable at group granularity, so the
-     statically-known per-instruction costs are summed once per segment at
-     compile time and bumped in one go per segment execution. *)
-  b_int : int;
-  b_float : int;
-  b_special : int;
-}
-
-and cterm =
-  | Tbr of edge
-  | Tcond of (wi_state -> int) * edge * edge
-  | Tret
-  | Tbarrier of { bar : int; next : int }
-      (** barrier [bar] (dense {!Regions} index); [next] is the
-          continuation segment right after it. The fiber executor performs
-          [Barrier_hit] and continues at [next]; the region executor
-          returns [bar] to the group sweep instead. *)
-  | Ttrap of string
-
-(** Per-work-item spill plan of the region executor. Every SSA value live
-    across some barrier owns one column in a per-kind context matrix
-    ([n_items] rows of width [ctx_*]); per barrier, the (env slot, context
-    column) pairs to copy are precompiled into parallel arrays. *)
-and cwg = {
-  bar_entry : int array;  (** barrier index -> continuation segment *)
-  sp_i_env : int array array;  (** per barrier: int env slots to spill *)
-  sp_i_ctx : int array array;  (** per barrier: matching context columns *)
-  sp_f_env : int array array;
-  sp_f_ctx : int array array;
-  sp_b_env : int array array;
-  sp_b_ctx : int array array;
-  ctx_i : int;  (** context row width per kind *)
-  ctx_f : int;
-  ctx_b : int;
-}
-
-and edge = {
-  e_dst : int;  (** dense index of the successor block's entry segment *)
-  e_stage : (wi_state -> unit) array;
-      (** evaluate every phi move into its kind's scratch array, against
-          the predecessor's slots... *)
-  im_dst : int array;  (** ...then commit: int scratch [k] -> [ienv.(im_dst.(k))] *)
-  fm_dst : int array;
-  bm_dst : int array;
-}
-
-(** Lane-batched compilation of the same segment layout (the wg-vec
-    path). [lsegs] parallels [csegs]; a segment the lane compiler could
-    not batch (divergent branch condition, private alloca) is [None] and
-    every region entry reaching it is marked not lane-capable in
-    [lentry] — those regions run the scalar one-work-item sweep of the
-    wg-loop path within the same launch. Op costs are read from the
-    parallel {!cseg} and bumped once per batch, multiplied by the active
-    lane count, so trace totals are bit-identical to the scalar paths. *)
+(** The closure-compiled kernel. Basic blocks are split at barriers into
+    segments: index 0 is the kernel entry, each block's segments are
+    contiguous in block order. Every value live across some barrier owns
+    columns in per-kind context matrices ([n_items] rows of width
+    [ctx_*]); per barrier, the (slot, column) pairs to copy are
+    precompiled, split by uniformity: uniform values replicate slot
+    column 0 into every active work-item's row on save, varying values
+    copy one lane column per row. Slot entries are pre-multiplied bases
+    ([slot * lwidth]). *)
 and clanes = {
   lwidth : int;  (** lane width W the kernel was compiled for *)
-  lsegs : lseg option array;
+  lsegs : lseg array;
   lentry : bool array;
       (** per region entry (0 = kernel entry, [b+1] = barrier [b]'s
-          continuation): sweep this region in lane batches? *)
+          continuation): sweep this region in batches of W? [false] for a
+          region that reaches a one-lane segment (a divergent branch
+          outside a classified diamond, or a private alloca): it runs
+          batches of one *)
+  n_int : int;  (** slots per kind *)
+  n_float : int;
+  n_box : int;
   lscr_ui : int;  (** phi staging widths: uniform moves (scalars)... *)
   lscr_uf : int;
   lscr_ub : int;
   lscr_vi : int;  (** ...and varying moves (x [lwidth] lane columns) *)
   lscr_vf : int;
   lscr_vb : int;
-  (* Lane spill plans, per barrier. Uniform values replicate slot column 0
-     into every active work-item's context row; varying values copy one
-     lane column per row. Slot entries are pre-multiplied bases
-     ([slot * lwidth]); context columns are shared with {!cwg} so lane and
-     scalar regions exchange live values through the same matrices. *)
+  bar_entry : int array;  (** barrier index -> continuation segment *)
+  ctx_i : int;  (** context row width per kind *)
+  ctx_f : int;
+  ctx_b : int;
   lsp_ui_slot : int array array;
   lsp_ui_ctx : int array array;
   lsp_uf_slot : int array array;
@@ -428,19 +363,31 @@ and clanes = {
   lsp_vb_ctx : int array array;
 }
 
-and lseg = { lbody : (lane_state -> unit) array; lterm : lterm }
+(* Op counts are only observable at group granularity, so the statically
+   known per-instruction costs of a segment are summed at compile time and
+   bumped once per batch, multiplied by the active lane count. *)
+and lseg = {
+  lbody : (lane_state -> unit) array;
+  lterm : lterm;
+  c_int : int;
+  c_float : int;
+  c_special : int;
+}
 
 and lterm =
   | LTbr of ledge
   | LTcond of (lane_state -> int) * ledge * ledge
-      (** the condition is group-uniform by construction — one evaluation
-          decides the branch for the whole batch *)
+      (** one evaluation decides the branch for the whole batch: the
+          condition is group-uniform, or the batch is one lane *)
   | LTret
   | LTbarrier of { lbar : int; lnext : int }
+      (** barrier [lbar] (dense {!Regions} index); [lnext] is the
+          continuation segment right after it. The region executor
+          returns [lbar] to the group sweep. *)
   | LTtrap of string
 
 and ledge = {
-  le_dst : int;
+  le_dst : int;  (** dense index of the successor block's entry segment *)
   le_stage : (lane_state -> unit) array;
       (** evaluate every phi move over whole columns into scratch: a
           uniform move stages one value at [k], a varying one [nl] values
@@ -529,12 +476,13 @@ let lane_san (ls : lane_state) (b : Memory.buffer) (idx : int)
   | None -> ()
   | Some s -> Sanitize.access s ~buf:b ~idx ~is_write ~wi ~loc
 
-let alloc_private (st : wi_state) elem count : Memory.buffer =
-  (* Private arrays live in a per-queue private address region; the data
-     array itself is fresh per work-item. *)
-  let base = 0x0000_1000 + (st.queue * 0x0010_0000) + st.private_offset in
-  st.private_offset <- st.private_offset + (count * ty_size_bytes elem);
-  Memory.alloc_at st.mem ~space:Private ~base_addr:base elem count
+(* Private arrays live in a per-queue private address region at the
+   work-item's bump [offset]; the data array itself is fresh per
+   allocation. *)
+let alloc_private (mem : Memory.t) ~(queue : int) ~(offset : int) elem count :
+    Memory.buffer =
+  let base = 0x0000_1000 + (queue * 0x0010_0000) + offset in
+  Memory.alloc_at mem ~space:Private ~base_addr:base elem count
 
 (* == The tree-walking reference engine ====================================== *)
 
@@ -692,7 +640,12 @@ and exec_instr (st : wi_state) (i : instr) : unit =
       | Some b -> set (RBuf b)
       | None -> trap "local alloca without a group buffer")
   | Alloca { aspace = Private; elem; count; _ } ->
-      set (RBuf (alloc_private st elem count))
+      let b =
+        alloc_private st.mem ~queue:st.queue ~offset:st.private_offset elem
+          count
+      in
+      st.private_offset <- st.private_offset + (count * ty_size_bytes elem);
+      set (RBuf b)
   | Alloca _ -> trap "unsupported alloca space"
   | Load { ptr; index } ->
       set
@@ -771,8 +724,8 @@ and run_tree (st : wi_state) : unit =
 
 (* == The closure compiler =================================================== *)
 
-(* Slot assignment shared by both closure compilers. Scalars take one slot
-   of their kind; a [<n x T>] vector takes [n] consecutive slots of its
+(* Slot assignment of the closure compiler. Scalars take one slot of their
+   kind; a [<n x T>] vector takes [n] consecutive slots of its
    component kind (first slot, [n]), so a vector operation is [n] scalar
    operations on component slots and nothing is boxed. [KBox] is left to
    pointers. *)
@@ -783,9 +736,9 @@ type kind =
   | KIvec of int * int
   | KFvec of int * int
 
-(* A scalar operand as the compilers resolve it: a constant, a kernel
-   argument, or a typed slot ([vr]: varying; only the lane compiler reads
-   it). Component [j] of a vector is the slot operand [first + j]. *)
+(* A scalar operand as the compiler resolves it: a constant, a kernel
+   argument, or a typed slot ([vr]: varying). Component [j] of a vector is
+   the slot operand [first + j]. *)
 type opnd =
   | Oint of int  (** integer constant, already sign-extended *)
   | Oflt of float
@@ -813,8 +766,8 @@ let comp_of (kinds : (int, kind) Hashtbl.t) ~(vr : bool) (v : value) (j : int)
   match v with
   | Vinstr i -> (
       match Hashtbl.find_opt kinds i.iid with
-      | Some (KFvec (s, n)) when j < n -> Of (s + j, vr)
-      | Some (KIvec (s, n)) when j < n -> Oi (s + j, vr)
+      | Some (KFvec (s, n)) when j >= 0 && j < n -> Of (s + j, vr)
+      | Some (KIvec (s, n)) when j >= 0 && j < n -> Oi (s + j, vr)
       | _ -> Onone "expected a vector")
   | _ -> Onone "expected a vector"
 
@@ -875,17 +828,10 @@ let call_shape (t : ty) : (bool * int) option =
   | Vec (_, n) -> Some (false, n)
   | _ -> None
 
-(* Raised while lane-compiling a segment that cannot be batched (private
-   alloca, divergent branch condition outside a classified diamond); the
-   segment stays [None] in [clanes.lsegs] and every region entry reaching
-   it runs scalar. *)
-exception Unbatchable
-
 (* Static op cost of one instruction, (int, float, special) — mirrors the
-   per-instruction bumps of the tree engine exactly. Shared between the
-   scalar segment compiler (summed per segment, bumped per work-item) and
-   the lane compiler (masked diamond arms bump their sum once per batch,
-   multiplied by the arm's active-lane count). *)
+   per-instruction bumps of the tree engine exactly. Summed per segment
+   and per masked diamond arm, and bumped once per batch multiplied by the
+   active-lane count. *)
 let op_cost (i : instr) : int * int * int =
   match i.op with
   | Binop (_, a, _) -> (
@@ -912,16 +858,19 @@ let block_cost (instrs : instr list) : int * int * int =
           (ai + ci, af + cf, as_ + cs))
     (0, 0, 0) instrs
 
-(* Lane-batched compilation: the same segment layout as the scalar closure
-   compiler, but each closure advances a whole batch of [lw] work-items
-   over struct-of-arrays columns. Uniform values (per the {!Divergence}
+(* Lane-batched compilation over the segment layout {!compile_fn} builds:
+   each closure advances a whole batch of up to [lw] work-items over
+   struct-of-arrays columns. Uniform values (per the {!Divergence}
    fixpoint) are computed once per batch into column 0 of their slot;
-   varying values loop over the active lanes. *)
+   varying values loop over the active lanes. Two kinds of segment only
+   have a one-lane form — a divergent branch outside a classified diamond
+   branches on lane 0's condition, and a private alloca allocates for lane
+   0 — and every region entry reaching one runs batches of one. *)
 let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
-    ~(bidx : (int, int) Hashtbl.t) ~(bar_index : (int, int) Hashtbl.t)
-    ~(bar_entry : int array)
+    ~(n_slots : int * int * int) ~(bidx : (int, int) Hashtbl.t)
+    ~(bar_index : (int, int) Hashtbl.t) ~(bar_entry : int array)
     ~(seg_descs : (block * instr list * instr option) array)
-    ~(info : Regions.info) ~(ctx_col : (int, int) Hashtbl.t) : clanes =
+    ~(info : Regions.info) : clanes =
   let dv = info.Regions.div in
   let kind_of (i : instr) = Hashtbl.find_opt kinds i.iid in
   let varying (v : value) =
@@ -1952,16 +1901,6 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     | _ -> fun _ -> trap "cannot store a pointer"
   in
 
-  (* Vector lanes are addressed by constant indices after lowering; a
-     dynamic or out-of-range one leaves the region to the scalar sweep,
-     whose bounds check matches the tree engine. *)
-  let const_lane (v : value) (lane : value) : int =
-    match (lane, type_of v) with
-    | Cint (t, n), Vec (_, w) when sext_of t n >= 0 && sext_of t n < w ->
-        sext_of t n
-    | _ -> raise Unbatchable
-  in
-
   (* A varying instruction: one result column per active lane and per
      component. *)
   let lcompile_var (i : instr) : (lane_state -> unit) list =
@@ -2001,19 +1940,34 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
                 done
             | None -> trap "local alloca without a group buffer");
         ]
-    | Alloca { aspace = Private; _ }, _ -> raise Unbatchable
+    | Alloca { aspace = Private; elem; count; _ }, Some (KBox d) ->
+        (* one-lane form: allocates for lane 0's work-item *)
+        let dst = d * lw and bytes = count * ty_size_bytes elem in
+        [
+          (fun ls ->
+            let b =
+              alloc_private ls.lmem ~queue:ls.lqueue ~offset:ls.lpriv elem
+                count
+            in
+            ls.lpriv <- ls.lpriv + bytes;
+            ls.lbenv.(dst) <- RBuf b);
+        ]
     | Load { ptr; index }, _ -> lv_load ~on:(-1) i ptr index
     | Store { ptr; index; v }, _ -> [ lv_store i ptr index v ]
-    | Extract (v, lane), Some (KFloat d) ->
-        [ lv_fmove (comp v (const_lane v lane)) (d * lw) ]
-    | Extract (v, lane), Some (KInt d) ->
-        [ lv_imove (comp v (const_lane v lane)) (d * lw) ]
-    | Insert (v, lane, s), Some (KFvec (d, n)) ->
-        let j = const_lane v lane in
-        per_comp d n (fun k -> lv_fmove (if k = j then op s else comp v k))
-    | Insert (v, lane, s), Some (KIvec (d, n)) ->
-        let j = const_lane v lane in
-        per_comp d n (fun k -> lv_imove (if k = j then op s else comp v k))
+    (* Vector lanes are in-range constants ({!Verify} rejects anything
+       else); [comp] resolves an out-of-range one to a trap. *)
+    | Extract (v, Cint (t, j)), Some (KFloat d) ->
+        [ lv_fmove (comp v (sext_of t j)) (d * lw) ]
+    | Extract (v, Cint (t, j)), Some (KInt d) ->
+        [ lv_imove (comp v (sext_of t j)) (d * lw) ]
+    | Insert (v, Cint (t, j), s), Some (KFvec (d, n)) ->
+        let j = sext_of t j in
+        if j < 0 || j >= n then mismatch i
+        else per_comp d n (fun k -> lv_fmove (if k = j then op s else comp v k))
+    | Insert (v, Cint (t, j), s), Some (KIvec (d, n)) ->
+        let j = sext_of t j in
+        if j < 0 || j >= n then mismatch i
+        else per_comp d n (fun k -> lv_imove (if k = j then op s else comp v k))
     | Vecbuild (_, vs), Some (KFvec (d, _)) ->
         List.mapi (fun k v -> lv_fmove (op v) ((d + k) * lw)) vs
     | Vecbuild (_, vs), Some (KIvec (d, _)) ->
@@ -2031,17 +1985,35 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
   let uniform (i : instr) =
     Hashtbl.mem kinds i.iid && not (Divergence.iid_divergent dv i.iid)
   in
-  let lcompile_uni (i : instr) : (lane_state -> unit) list =
-    List.map
-      (fun g ls ->
-        let nl = ls.nl in
-        ls.nl <- 1;
-        g ls;
-        ls.nl <- nl)
-      (lcompile_var i)
+  let uni_window (gs : (lane_state -> unit) list) : lane_state -> unit =
+    let gs = Array.of_list gs in
+    fun ls ->
+      let nl = ls.nl in
+      ls.nl <- 1;
+      for k = 0 to Array.length gs - 1 do
+        gs.(k) ls
+      done;
+      ls.nl <- nl
   in
-  let lane_instr (i : instr) : (lane_state -> unit) list =
-    if uniform i then lcompile_uni i else lcompile_var i
+  let lcompile_uni (i : instr) : (lane_state -> unit) list =
+    [ uni_window (lcompile_var i) ]
+  in
+  (* A segment body: each run of consecutive uniform instructions shares
+     one [nl = 1] window. *)
+  let lane_body (instrs : instr list) : (lane_state -> unit) list =
+    let flush run acc =
+      if run = [] then acc else uni_window (List.rev run) :: acc
+    in
+    let run, acc =
+      List.fold_left
+        (fun (run, acc) (i : instr) ->
+          match i.op with
+          | Phi _ -> (run, acc)
+          | _ when uniform i -> (List.rev_append (lcompile_var i) run, acc)
+          | _ -> ([], List.rev_append (lcompile_var i) (flush run acc)))
+        ([], []) instrs
+    in
+    List.rev (flush run acc)
   in
 
   (* Per-edge phi moves, split by the destination phi's uniformity. The
@@ -2148,8 +2120,8 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
 
      A divergent [Cond_br] classified by {!Regions} as a pure diamond is
      compiled into the branch block's own segment: a predicate closure
-     fills [lpred]/[lnthen] (charging one branch per lane, as the scalar
-     executors do at [Tcond]), each arm's body runs under its mask, phi
+     fills [lpred]/[lnthen] (charging one branch per lane, as the tree
+     engine does per work-item), each arm's body runs under its mask, phi
      nodes at the join are written as per-lane masked merges, and the
      terminator becomes a plain jump to the join. Pure varying
      instructions evaluate flat over every lane — an inactive lane's
@@ -2158,8 +2130,8 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
      fault (loads: trace/sanitizer event identity; integer division:
      traps) run under an explicit per-lane guard. Each arm's static cost
      is charged per active lane and the arm is skipped outright when no
-     lane takes it, so trace totals stay bit-identical to the scalar
-     sweep, which executes an arm only for the work-items that branch
+     lane takes it, so trace totals stay bit-identical to the tree
+     engine, which executes an arm only for the work-items that branch
      into it. *)
   let blk_of_bid : (int, block) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
@@ -2180,7 +2152,7 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     if uniform i then
       (* uniform: computed flat once per batch — safe because the arm
          body is skipped entirely when no lane is active, and a uniform
-         divisor is the same value the scalar sweep divides by for every
+         divisor is the same value the tree engine divides by for every
          work-item that takes the arm *)
       lcompile_uni i
     else
@@ -2299,19 +2271,20 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
       LTbr (bare_ledge jb) )
   in
 
-  (* Compile every segment that can be batched; [Unbatchable] leaves its
-     slot [None]. *)
+  (* Compile every segment; [one_lane] marks those that only have the
+     one-lane form. *)
   let n_segs = Array.length seg_descs in
-  let lsegs : lseg option array = Array.make n_segs None in
-  Array.iteri
-    (fun si ((b : block), (instrs : instr list), (bar : instr option)) ->
-      match
-        let lbody =
-          List.concat_map
+  let one_lane = Array.make n_segs false in
+  let lsegs =
+    Array.mapi
+      (fun si ((b : block), (instrs : instr list), (bar : instr option)) ->
+        if
+          List.exists
             (fun (i : instr) ->
-              match i.op with Phi _ -> [] | _ -> lane_instr i)
+              match i.op with Alloca { aspace = Private; _ } -> true | _ -> false)
             instrs
-        in
+        then one_lane.(si) <- true;
+        let lbody = lane_body instrs in
         let lbody =
           if
             si = 0
@@ -2330,24 +2303,26 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
           | None -> (
               match b.term with
               | Some { op = Br target; _ } -> ([], LTbr (mk_ledge b target))
-              | Some { op = Cond_br (c, t, e); _ } ->
-                  if Divergence.value_divergent dv c then (
-                    match Hashtbl.find_opt info.Regions.diamonds b.bid with
-                    | Some d -> compile_diamond b c d
-                    | None -> raise Unbatchable)
-                  else
-                    ([], LTcond (lu_iget (op c), mk_ledge b t, mk_ledge b e))
+              | Some { op = Cond_br (c, t, e); _ } -> (
+                  match Hashtbl.find_opt info.Regions.diamonds b.bid with
+                  | Some d when Divergence.value_divergent dv c ->
+                      compile_diamond b c d
+                  | _ ->
+                      (* uniform, or the one-lane form: lane 0's condition
+                         (column 0) decides *)
+                      if Divergence.value_divergent dv c then
+                        one_lane.(si) <- true;
+                      ([], LTcond (lu_iget (op c), mk_ledge b t, mk_ledge b e)))
               | Some { op = Ret; _ } -> ([], LTret)
               | _ -> ([], LTtrap "missing terminator"))
         in
-        { lbody = Array.of_list (lbody @ extra); lterm }
-      with
-      | lseg -> lsegs.(si) <- Some lseg
-      | exception Unbatchable -> ())
-    seg_descs;
+        let c_int, c_float, c_special = block_cost instrs in
+        { lbody = Array.of_list (lbody @ extra); lterm; c_int; c_float; c_special })
+      seg_descs
+  in
 
-  (* A region entry is lane-sweepable iff {!Regions} said so and every
-     segment reachable from it (stopping at barriers) actually compiled. *)
+  (* A region entry runs W-wide batches iff {!Regions} said so and no
+     segment reachable from it (stopping at barriers) is one-lane. *)
   let entry_seg e = if e = 0 then 0 else bar_entry.(e - 1) in
   let reachable_ok (start : int) : bool =
     let seen = Array.make (max 1 n_segs) false in
@@ -2355,15 +2330,14 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     let rec walk s =
       if !ok && not seen.(s) then begin
         seen.(s) <- true;
-        match lsegs.(s) with
-        | None -> ok := false
-        | Some sg -> (
-            match sg.lterm with
-            | LTbr e -> walk e.le_dst
-            | LTcond (_, t, e) ->
-                walk t.le_dst;
-                walk e.le_dst
-            | LTret | LTbarrier _ | LTtrap _ -> ())
+        if one_lane.(s) then ok := false
+        else
+          match lsegs.(s).lterm with
+          | LTbr e -> walk e.le_dst
+          | LTcond (_, t, e) ->
+              walk t.le_dst;
+              walk e.le_dst
+          | LTret | LTbarrier _ | LTtrap _ -> ()
       end
     in
     walk start;
@@ -2377,8 +2351,27 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
         && reachable_ok (entry_seg e))
   in
 
-  (* Lane spill plans: same context columns as the scalar plan ([ctx_col]),
-     slot bases pre-multiplied, split by uniformity. *)
+  (* Context columns: every value live across {e some} barrier owns one
+     column per component in its kind's per-work-item context row. *)
+  let ctx_col : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let ci = ref 0 and cf = ref 0 and cb = ref 0 in
+  let take r n =
+    let c = !r in
+    r := c + n;
+    c
+  in
+  Array.iter
+    (Array.iter (fun iid ->
+         if not (Hashtbl.mem ctx_col iid) then
+           match Option.map slots_of_kind (Hashtbl.find_opt kinds iid) with
+           | Some (`I _ :: _ as sl) -> Hashtbl.replace ctx_col iid (take ci (List.length sl))
+           | Some (`F _ :: _ as sl) -> Hashtbl.replace ctx_col iid (take cf (List.length sl))
+           | Some (`B _ :: _ as sl) -> Hashtbl.replace ctx_col iid (take cb (List.length sl))
+           | Some [] | None -> ()))
+    info.Regions.live_across;
+
+  (* Spill plans per barrier: slot bases pre-multiplied, split by
+     uniformity. *)
   let n_bars = Array.length info.Regions.barriers in
   let uis = Array.make n_bars [||] and uic = Array.make n_bars [||] in
   let ufs = Array.make n_bars [||] and ufc = Array.make n_bars [||] in
@@ -2424,16 +2417,24 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
       fill vfs vfc !vf;
       fill vbs vbc !vb)
     info.Regions.barriers;
+  let n_int, n_float, n_box = n_slots in
   {
     lwidth = lw;
     lsegs;
     lentry;
+    n_int;
+    n_float;
+    n_box;
     lscr_ui = !scr_ui;
     lscr_uf = !scr_uf;
     lscr_ub = !scr_ub;
     lscr_vi = !scr_vi;
     lscr_vf = !scr_vf;
     lscr_vb = !scr_vb;
+    bar_entry;
+    ctx_i = !ci;
+    ctx_f = !cf;
+    ctx_b = !cb;
     lsp_ui_slot = uis;
     lsp_ui_ctx = uic;
     lsp_uf_slot = ufs;
@@ -2448,991 +2449,280 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     lsp_vb_ctx = vbc;
   }
 
+(* Slot kinds, segment layout and barrier numbering of [fn], then its lane
+   code. [None] when the barriers do not form regions: such a kernel runs
+   the tree engine under fibers. *)
 let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
-    cfunc =
-  let kinds : (int, kind) Hashtbl.t = Hashtbl.create 64 in
-  let ni = ref 0 and nf = ref 0 and nb = ref 0 in
-  let take r n =
-    let s = !r in
-    r := s + n;
-    s
-  in
-  iter_instrs
-    (fun i ->
-      match type_of_opcode i.op with
-      | Void -> ()
-      | I1 | I8 | I16 | I32 | I64 -> Hashtbl.replace kinds i.iid (KInt (take ni 1))
-      | F32 -> Hashtbl.replace kinds i.iid (KFloat (take nf 1))
-      | Vec (F32, n) -> Hashtbl.replace kinds i.iid (KFvec (take nf n, n))
-      | Vec (_, n) -> Hashtbl.replace kinds i.iid (KIvec (take ni n, n))
-      | _ -> Hashtbl.replace kinds i.iid (KBox (take nb 1))
-      | exception Invalid_argument _ -> ())
-    fn;
-  let kind_of (i : instr) = Hashtbl.find_opt kinds i.iid in
-  (* Segment layout: each block contributes an entry segment plus one
-     continuation segment per barrier it contains, laid out contiguously.
-     [bidx] maps a block id to its entry segment (branch edges can only
-     target block entries); [bar_index]/[bar_entry] number barriers
-     densely in block-then-body order, matching {!Regions.form}. *)
-  let bidx : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let bar_index : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let n_segs = ref 0 and n_bars = ref 0 in
-  let bar_entry_rev = ref [] in
-  List.iter
-    (fun b ->
-      Hashtbl.replace bidx b.bid !n_segs;
-      incr n_segs;
-      List.iter
-        (fun (i : instr) ->
-          match i.op with
-          | Barrier _ ->
+    clanes option =
+  match regions with
+  | Regions.Fallback _ -> None
+  | Regions.Formed info ->
+      let kinds : (int, kind) Hashtbl.t = Hashtbl.create 64 in
+      let ni = ref 0 and nf = ref 0 and nb = ref 0 in
+      let take r n =
+        let s = !r in
+        r := s + n;
+        s
+      in
+      iter_instrs
+        (fun i ->
+          match type_of_opcode i.op with
+          | Void -> ()
+          | I1 | I8 | I16 | I32 | I64 ->
+              Hashtbl.replace kinds i.iid (KInt (take ni 1))
+          | F32 -> Hashtbl.replace kinds i.iid (KFloat (take nf 1))
+          | Vec (F32, n) -> Hashtbl.replace kinds i.iid (KFvec (take nf n, n))
+          | Vec (_, n) -> Hashtbl.replace kinds i.iid (KIvec (take ni n, n))
+          | _ -> Hashtbl.replace kinds i.iid (KBox (take nb 1))
+          | exception Invalid_argument _ -> ())
+        fn;
+      (* Segment layout: each block contributes an entry segment plus one
+         continuation segment per barrier it contains, laid out
+         contiguously. [bidx] maps a block id to its entry segment (branch
+         edges can only target block entries); [bar_index]/[bar_entry]
+         number barriers densely in block-then-body order, matching
+         {!Regions.form}. [seg_descs] keeps, per segment, its owning block,
+         body instructions and terminating barrier (if any). *)
+      let bidx : (int, int) Hashtbl.t = Hashtbl.create 8 in
+      let bar_index : (int, int) Hashtbl.t = Hashtbl.create 4 in
+      let n_segs = ref 0 and n_bars = ref 0 in
+      let bar_entry_rev = ref [] in
+      let cut_block (b : block) =
+        Hashtbl.replace bidx b.bid !n_segs;
+        incr n_segs;
+        let rec go acc cur = function
+          | [] -> List.rev ((b, List.rev cur, None) :: acc)
+          | (i : instr) :: tl
+            when match i.op with Barrier _ -> true | _ -> false ->
               Hashtbl.replace bar_index i.iid !n_bars;
               incr n_bars;
               bar_entry_rev := !n_segs :: !bar_entry_rev;
-              incr n_segs
-          | _ -> ())
-        b.instrs)
-    fn.blocks;
-  let bar_entry = Array.of_list (List.rev !bar_entry_rev) in
-
-  let op (v : value) = opnd_of kinds ~vr:false v in
-  let comp (v : value) (j : int) = comp_of kinds ~vr:false v j in
-  let vslots (v : value) =
-    match v with Vinstr vi -> kind_of vi | _ -> None
-  in
-  let mismatch (i : instr) =
-    [ (fun _ -> trap "slot kind mismatch at instruction %d" i.iid) ]
-  in
-  let int_dst (i : instr) (mk : int -> wi_state -> unit) =
-    match kind_of i with Some (KInt d) -> [ mk d ] | _ -> mismatch i
-  in
-  let float_dst (i : instr) (mk : int -> wi_state -> unit) =
-    match kind_of i with Some (KFloat d) -> [ mk d ] | _ -> mismatch i
-  in
-  (* [n] component builders writing the vector's consecutive slots. *)
-  let per_comp (d : int) (n : int) (mk : int -> int -> wi_state -> unit) =
-    List.init n (fun j -> mk j (d + j))
-  in
-
-  (* Typed operand getters, resolved at compile time. *)
-  let iget (o : opnd) : wi_state -> int =
-    match o with
-    | Oint k -> fun _ -> k
-    | Oarg j -> fun st -> as_int st.args.(j)
-    | Oi (s, _) -> fun st -> st.ienv.(s)
-    | Onone m -> fun _ -> trap "%s" m
-    | Oflt _ | Of _ | Ob _ -> fun _ -> trap "expected int, got float"
-  in
-  let fget (o : opnd) : wi_state -> float =
-    match o with
-    | Oflt f -> fun _ -> f
-    | Oarg j -> fun st -> as_float st.args.(j)
-    | Of (s, _) -> fun st -> st.fenv.(s)
-    | Onone m -> fun _ -> trap "%s" m
-    | Oint _ | Oi _ | Ob _ -> fun _ -> trap "expected float, got int"
-  in
-  let bget (o : opnd) : wi_state -> rv =
-    match o with
-    | Oarg j -> fun st -> st.args.(j)
-    | Ob (s, _) -> fun st -> st.benv.(s)
-    | Onone m -> fun _ -> trap "%s" m
-    | _ -> fun _ -> trap "expected a pointer"
-  in
-  let bufget (o : opnd) : wi_state -> Memory.buffer =
-    let g = bget o in
-    fun st -> as_buf (g st)
-  in
-
-  (* Scalar builders writing slot [d]; a vector instruction is one of these
-     per component. Float operands in slots are read inside the closure,
-     so the common slot x slot shapes box nothing. *)
-  let ibin t bop (oa : opnd) (ob : opnd) (d : int) : wi_state -> unit =
-    let ga = iget oa and gb = iget ob and f = int_binop_fn t bop in
-    fun st -> st.ienv.(d) <- f (ga st) (gb st)
-  in
-  let fbin bop (oa : opnd) (ob : opnd) (d : int) : wi_state -> unit =
-    match (oa, ob, bop) with
-    | Of (x, _), Of (y, _), Fadd ->
-        fun st -> st.fenv.(d) <- st.fenv.(x) +. st.fenv.(y)
-    | Of (x, _), Of (y, _), Fsub ->
-        fun st -> st.fenv.(d) <- st.fenv.(x) -. st.fenv.(y)
-    | Of (x, _), Of (y, _), Fmul ->
-        fun st -> st.fenv.(d) <- st.fenv.(x) *. st.fenv.(y)
-    | Of (x, _), Of (y, _), Fdiv ->
-        fun st -> st.fenv.(d) <- st.fenv.(x) /. st.fenv.(y)
-    | _ ->
-        let ga = fget oa and gb = fget ob and f = float_binop_fn bop in
-        fun st -> st.fenv.(d) <- f (ga st) (gb st)
-  in
-  let imove (o : opnd) (d : int) : wi_state -> unit =
-    let g = iget o in
-    fun st -> st.ienv.(d) <- g st
-  in
-  let fmove (o : opnd) (d : int) : wi_state -> unit =
-    match o with
-    | Of (s, _) -> fun st -> st.fenv.(d) <- st.fenv.(s)
-    | _ ->
-        let g = fget o in
-        fun st -> st.fenv.(d) <- g st
-  in
-  let isel (oc : opnd) (oa : opnd) (ob : opnd) (d : int) : wi_state -> unit =
-    let gc = iget oc and ga = iget oa and gb = iget ob in
-    fun st -> st.ienv.(d) <- (if gc st <> 0 then ga st else gb st)
-  in
-  let fsel (oc : opnd) (oa : opnd) (ob : opnd) (d : int) : wi_state -> unit =
-    let gc = iget oc in
-    match (oa, ob) with
-    | Of (x, _), Of (y, _) ->
-        fun st ->
-          st.fenv.(d) <- (if gc st <> 0 then st.fenv.(x) else st.fenv.(y))
-    | _ ->
-        let ga = fget oa and gb = fget ob in
-        fun st -> st.fenv.(d) <- (if gc st <> 0 then ga st else gb st)
-  in
-
-  (* One pure builtin over scalars (or one vector component). *)
-  let callc callee ~(is_float : bool) (ops : opnd list) (d : int) :
-      wi_state -> unit =
-    match (callee, is_float, ops) with
-    | ("sqrt" | "native_sqrt"), true, [ Of (a, _) ] ->
-        fun st -> st.fenv.(d) <- Float.sqrt st.fenv.(a)
-    | ("rsqrt" | "native_rsqrt"), true, [ Of (a, _) ] ->
-        fun st -> st.fenv.(d) <- 1.0 /. Float.sqrt st.fenv.(a)
-    | ("mad" | "fma"), true, [ Of (a, _); Of (b, _); Of (c, _) ] ->
-        fun st ->
-          let fe = st.fenv in
-          fe.(d) <- (fe.(a) *. fe.(b)) +. fe.(c)
-    | _ -> (
-        let fs = List.map fget ops and is = List.map iget ops in
-        match (scalar_builtin callee ~is_float ~arity:(List.length ops), fs, is)
-        with
-        | Some (Sf1 f), [ ga ], _ -> fun st -> st.fenv.(d) <- f (ga st)
-        | Some (Sf2 f), [ ga; gb ], _ ->
-            fun st -> st.fenv.(d) <- f (ga st) (gb st)
-        | Some (Sf3 f), [ ga; gb; gc ], _ ->
-            fun st -> st.fenv.(d) <- f (ga st) (gb st) (gc st)
-        | Some (Si1 f), _, [ ga ] -> fun st -> st.ienv.(d) <- f (ga st)
-        | Some (Si2 f), _, [ ga; gb ] ->
-            fun st -> st.ienv.(d) <- f (ga st) (gb st)
-        | Some (Si3 f), _, [ ga; gb; gc ] ->
-            fun st -> st.ienv.(d) <- f (ga st) (gb st) (gc st)
-        | _ -> fun _ -> trap "unsupported call %s" callee)
-  in
-
-  let compile_call (i : instr) callee (args : value list) (ret : ty) :
-      (wi_state -> unit) list =
-    (* Work-item index queries: resolve the selector and, when the
-       dimension is a constant (the common case after canon), the index. *)
-    let wi_query (sel : wi_ctx -> int array) =
-      match args with
-      | [ Cint (_, d) ] when d >= 0 && d < 3 ->
-          int_dst i (fun dst st -> st.ienv.(dst) <- (sel st.ctx).(d))
-      | [ dv ] ->
-          let g = iget (op dv) in
-          int_dst i (fun dst st ->
-              let d = g st in
-              if d < 0 || d >= 3 then trap "dimension out of range";
-              st.ienv.(dst) <- (sel st.ctx).(d))
-      | _ -> [ (fun _ -> trap "%s expects a dimension" callee) ]
-    in
-    match callee with
-    | "get_local_id" -> wi_query (fun c -> c.lid)
-    | "get_global_id" -> wi_query (fun c -> c.gid)
-    | "get_group_id" -> wi_query (fun c -> c.grp)
-    | "get_local_size" -> wi_query (fun c -> c.lsz)
-    | "get_global_size" -> wi_query (fun c -> c.gsz)
-    | "get_num_groups" -> wi_query (fun c -> c.ngr)
-    | "get_global_offset" -> int_dst i (fun dst st -> st.ienv.(dst) <- 0)
-    | "get_work_dim" -> int_dst i (fun dst st -> st.ienv.(dst) <- 3)
-    | "dot" -> (
-        match (args, List.map vslots args) with
-        | [ a; b ], _ when type_of a = F32 -> float_dst i (fbin Fmul (op a) (op b))
-        | [ _; _ ], [ Some (KFvec (x, n)); Some (KFvec (y, _)) ] ->
-            (* summed in component order from 0.0, as the tree engine *)
-            float_dst i (fun dst st ->
-                let fe = st.fenv in
-                let s = ref 0.0 in
-                for j = 0 to n - 1 do
-                  s := !s +. (fe.(x + j) *. fe.(y + j))
-                done;
-                fe.(dst) <- !s)
-        | _ -> [ (fun _ -> trap "dot expects float vectors") ])
-    | _ -> (
-        match (call_shape ret, kind_of i) with
-        | Some (is_float, 1), Some (KInt d | KFloat d) ->
-            [ callc callee ~is_float (List.map op args) d ]
-        | Some (is_float, n), Some (KIvec (d, _) | KFvec (d, _)) ->
-            per_comp d n (fun j ->
-                callc callee ~is_float (List.map (fun a -> comp a j) args))
-        | _ -> [ (fun _ -> trap "unsupported call %s" callee) ])
-  in
-
-  let compile_cast (i : instr) k (v : value) (t : ty) : (wi_state -> unit) list
-      =
-    let src_t = type_of v and o = op v in
-    match (k, src_t) with
-    | (Sext | Bitcast), (I1 | I8 | I16 | I32 | I64) ->
-        let g = iget o in
-        int_dst i (fun d st -> st.ienv.(d) <- sext_of src_t (g st))
-    | Zext, (I1 | I8 | I16 | I32 | I64) ->
-        let g = iget o and m = mask_of src_t in
-        int_dst i (fun d st -> st.ienv.(d) <- g st land m)
-    | Trunc, (I1 | I8 | I16 | I32 | I64) ->
-        let g = iget o in
-        int_dst i (fun d st -> st.ienv.(d) <- sext_of t (g st))
-    | Si_to_fp, (I1 | I8 | I16 | I32 | I64) ->
-        let g = iget o in
-        float_dst i (fun d st -> st.fenv.(d) <- float_of_int (g st))
-    | Ui_to_fp, (I1 | I8 | I16 | I32 | I64) ->
-        let g = iget o and m = mask_of src_t in
-        float_dst i (fun d st -> st.fenv.(d) <- float_of_int (g st land m))
-    | Fp_to_si, F32 -> (
-        match o with
-        | Of (s, _) -> int_dst i (fun d st -> st.ienv.(d) <- int_of_float st.fenv.(s))
-        | _ ->
-            let g = fget o in
-            int_dst i (fun d st -> st.ienv.(d) <- int_of_float (g st)))
-    | Bitcast, _ -> (
-        match kind_of i with
-        | Some (KFloat d) -> [ fmove o d ]
-        | Some (KBox d) ->
-            let g = bget o in
-            [ (fun st -> st.benv.(d) <- g st) ]
-        | Some (KFvec (d, n)) -> per_comp d n (fun j -> fmove (comp v j))
-        | Some (KIvec (d, n)) -> per_comp d n (fun j -> imove (comp v j))
-        | _ -> mismatch i)
-    | _ -> [ (fun _ -> trap "unsupported cast") ]
-  in
-
-  (* A vector lane index is checked like the tree engine's array access. *)
-  let lane_of (lane : value) (w : int) : wi_state -> int =
-    let g = iget (op lane) in
-    fun st ->
-      let j = g st in
-      if j < 0 || j >= w then invalid_arg "index out of bounds";
-      j
-  in
-
-  let compile_instr (i : instr) : (wi_state -> unit) list =
-    match (i.op, kind_of i) with
-    | Binop (bop, a, b), Some (KInt d) -> [ ibin (type_of a) bop (op a) (op b) d ]
-    | Binop (bop, a, b), Some (KFloat d) -> [ fbin bop (op a) (op b) d ]
-    | Binop (bop, a, b), Some (KFvec (d, n)) ->
-        per_comp d n (fun j -> fbin bop (comp a j) (comp b j))
-    | Binop (bop, a, b), Some (KIvec (d, n)) ->
-        per_comp d n (fun j -> ibin I32 bop (comp a j) (comp b j))
-    | Icmp (c, a, b), Some (KInt d) ->
-        let ga = iget (op a) and gb = iget (op b) and f = icmp_fn (type_of a) c in
-        [ (fun st -> st.ienv.(d) <- (if f (ga st) (gb st) then 1 else 0)) ]
-    | Fcmp (c, a, b), Some (KInt d) ->
-        let ga = fget (op a) and gb = fget (op b) and f = fcmp_fn c in
-        [ (fun st -> st.ienv.(d) <- (if f (ga st) (gb st) then 1 else 0)) ]
-    | Select (c, a, b), Some (KInt d) -> [ isel (op c) (op a) (op b) d ]
-    | Select (c, a, b), Some (KFloat d) -> [ fsel (op c) (op a) (op b) d ]
-    | Select (c, a, b), Some (KBox d) ->
-        let gc = iget (op c) and ga = bget (op a) and gb = bget (op b) in
-        [ (fun st -> st.benv.(d) <- (if gc st <> 0 then ga st else gb st)) ]
-    | Select (c, a, b), Some (KFvec (d, n)) ->
-        per_comp d n (fun j -> fsel (op c) (comp a j) (comp b j))
-    | Select (c, a, b), Some (KIvec (d, n)) ->
-        per_comp d n (fun j -> isel (op c) (comp a j) (comp b j))
-    | Cast (k, v, t), _ -> compile_cast i k v t
-    | Call { callee; args; ret }, _ -> compile_call i callee args ret
-    | Alloca { aspace = Local; _ }, Some (KBox d) ->
-        let iid = i.iid in
-        [
-          (fun st ->
-            match Hashtbl.find_opt st.local_bufs iid with
-            | Some b -> st.benv.(d) <- RBuf b
-            | None -> trap "local alloca without a group buffer");
-        ]
-    | Alloca { aspace = Private; elem; count; _ }, Some (KBox d) ->
-        [ (fun st -> st.benv.(d) <- RBuf (alloc_private st elem count)) ]
-    | Load { ptr; index }, k -> (
-        let gp = bufget (op ptr) and gi = iget (op index) and loc = i.iloc in
-        let access (read : wi_state -> Memory.buffer -> int -> unit) =
-          [
-            (fun st ->
-              let b = gp st in
-              let idx = gi st in
-              record_access st b idx ~is_write:false;
-              san_access st b idx ~is_write:false ~loc;
-              read st b idx);
-          ]
+              incr n_segs;
+              go ((b, List.rev cur, Some i) :: acc) [] tl
+          | i :: tl -> go acc (i :: cur) tl
         in
-        match k with
-        | Some (KFloat d) ->
-            [
-              (fun st ->
-                let b = gp st in
-                let idx = gi st in
-                record_access st b idx ~is_write:false;
-                san_access st b idx ~is_write:false ~loc;
-                st.fenv.(d) <- get_lane_f b idx 0);
-            ]
-        | Some (KInt d) ->
-            [
-              (fun st ->
-                let b = gp st in
-                let idx = gi st in
-                record_access st b idx ~is_write:false;
-                san_access st b idx ~is_write:false ~loc;
-                st.ienv.(d) <- Memory.get_int b idx);
-            ]
-        | Some (KFvec (d, n)) ->
-            access (fun st b idx ->
-                for j = 0 to n - 1 do
-                  st.fenv.(d + j) <- get_lane_f b idx j
-                done)
-        | Some (KIvec (d, n)) ->
-            access (fun st b idx ->
-                for j = 0 to n - 1 do
-                  st.ienv.(d + j) <- Memory.get_lane_int b idx j
-                done)
-        | _ -> [ (fun _ -> trap "load of unsupported element type") ])
-    | Store { ptr; index; v }, _ -> (
-        let gp = bufget (op ptr) and gi = iget (op index) and loc = i.iloc in
-        let access (write : wi_state -> Memory.buffer -> int -> unit) =
-          [
-            (fun st ->
-              let b = gp st in
-              let idx = gi st in
-              record_access st b idx ~is_write:true;
-              san_access st b idx ~is_write:true ~loc;
-              write st b idx);
-          ]
-        in
-        match (type_of v, vslots v) with
-        | F32, _ -> (
-            match op v with
-            | Of (s, _) ->
-                access (fun st b idx -> set_lane_f b idx 0 st.fenv.(s))
-            | o ->
-                let gv = fget o in
-                access (fun st b idx -> set_lane_f b idx 0 (gv st)))
-        | (I1 | I8 | I16 | I32 | I64), _ ->
-            let gv = iget (op v) in
-            access (fun st b idx -> Memory.set_int b idx (gv st))
-        | Vec _, Some (KFvec (s, n)) ->
-            access (fun st b idx ->
-                for j = 0 to n - 1 do
-                  set_lane_f b idx j st.fenv.(s + j)
-                done)
-        | Vec _, Some (KIvec (s, n)) ->
-            access (fun st b idx ->
-                for j = 0 to n - 1 do
-                  Memory.set_lane_int b idx j st.ienv.(s + j)
-                done)
-        | _ -> access (fun _ _ _ -> trap "cannot store a pointer"))
-    | Extract (v, lane), Some (KFloat d) -> (
-        match vslots v with
-        | Some (KFvec (s, w)) ->
-            let gl = lane_of lane w in
-            [ (fun st -> st.fenv.(d) <- st.fenv.(s + gl st)) ]
-        | _ -> mismatch i)
-    | Extract (v, lane), Some (KInt d) -> (
-        match vslots v with
-        | Some (KIvec (s, w)) ->
-            let gl = lane_of lane w in
-            [ (fun st -> st.ienv.(d) <- st.ienv.(s + gl st)) ]
-        | _ -> mismatch i)
-    | Insert (v, lane, x), Some (KFvec (d, n)) -> (
-        match vslots v with
-        | Some (KFvec (s, _)) ->
-            let gl = lane_of lane n and gx = fget (op x) in
-            [
-              (fun st ->
-                let j = gl st in
-                Array.blit st.fenv s st.fenv d n;
-                st.fenv.(d + j) <- gx st);
-            ]
-        | _ -> mismatch i)
-    | Insert (v, lane, x), Some (KIvec (d, n)) -> (
-        match vslots v with
-        | Some (KIvec (s, _)) ->
-            let gl = lane_of lane n and gx = iget (op x) in
-            [
-              (fun st ->
-                let j = gl st in
-                Array.blit st.ienv s st.ienv d n;
-                st.ienv.(d + j) <- gx st);
-            ]
-        | _ -> mismatch i)
-    | Vecbuild (_, vs), Some (KFvec (d, _)) ->
-        List.mapi (fun k v -> fmove (op v) (d + k)) vs
-    | Vecbuild (_, vs), Some (KIvec (d, _)) ->
-        List.mapi (fun k v -> imove (op v) (d + k)) vs
-    | Phi _, _ -> [ (fun _ -> trap "phi executed outside block entry") ]
-    | Barrier _, _ ->
-        (* Barriers end a segment; they never appear in a segment body. *)
-        [ (fun _ -> trap "barrier executed as a body instruction") ]
-    | (Br _ | Cond_br _ | Ret), _ ->
-        [ (fun _ -> trap "terminator executed as body instruction") ]
-    | _ -> mismatch i
-  in
-
-  (* Per-edge phi moves: every move is evaluated against the predecessor's
-     slots into its kind's scratch array, then all are committed together
-     (a vector phi is one move per component). *)
-  let scr_i = ref 0 and scr_f = ref 0 and scr_b = ref 0 in
-  let mk_edge (src : block) (dst : block) : edge =
-    let stage = ref [] and im = ref [] and fm = ref [] and bm = ref [] in
-    let add slot (o : opnd) =
-      let g =
-        match slot with
-        | `I s ->
-            let k = List.length !im and g = iget o in
-            im := s :: !im;
-            fun st -> st.iscr.(k) <- g st
-        | `F s -> (
-            let k = List.length !fm in
-            fm := s :: !fm;
-            match o with
-            | Of (x, _) -> fun st -> st.fscr.(k) <- st.fenv.(x)
-            | _ ->
-                let g = fget o in
-                fun st -> st.fscr.(k) <- g st)
-        | `B s ->
-            let k = List.length !bm and g = bget o in
-            bm := s :: !bm;
-            fun st -> st.bscr.(k) <- g st
+        go [] [] b.instrs
       in
-      stage := g :: !stage
-    in
-    List.iter
-      (fun (pi : instr) ->
-        match pi.op with
-        | Phi { incoming; _ } -> (
-            match
-              ( List.find_opt (fun (b, _) -> b.bid = src.bid) incoming,
-                kind_of pi )
-            with
-            | None, _ ->
-                stage :=
-                  (fun _ -> trap "phi has no incoming for predecessor")
-                  :: !stage
-            | Some (_, v), Some k ->
-                List.iter2 add (slots_of_kind k) (opnds_of kinds ~vr:false k v)
-            | Some _, None -> ())
-        | _ -> ())
-      dst.instrs;
-    let arr r = Array.of_list (List.rev !r) in
-    scr_i := max !scr_i (List.length !im);
-    scr_f := max !scr_f (List.length !fm);
-    scr_b := max !scr_b (List.length !bm);
-    {
-      e_dst = Hashtbl.find bidx dst.bid;
-      e_stage = arr stage;
-      im_dst = arr im;
-      fm_dst = arr fm;
-      bm_dst = arr bm;
-    }
-  in
-
-  (* One block compiles to 1 + (barriers in block) segments: the body is
-     cut at each barrier, non-final chunks terminate in [Tbarrier], the
-     final chunk carries the block's real terminator. *)
-  let compile_block (k : int) (b : block) : cseg list =
-    let final_term =
-      match b.term with
-      | Some { op = Br target; _ } -> Tbr (mk_edge b target)
-      | Some { op = Cond_br (c, t, e); _ } ->
-          Tcond (iget (op c), mk_edge b t, mk_edge b e)
-      | Some { op = Ret; _ } -> Tret
-      | _ -> Ttrap "missing terminator"
-    in
-    let rec cut acc cur = function
-      | [] -> List.rev ((List.rev cur, None) :: acc)
-      | (i : instr) :: tl when (match i.op with Barrier _ -> true | _ -> false)
-        ->
-          cut ((List.rev cur, Some i) :: acc) [] tl
-      | i :: tl -> cut acc (i :: cur) tl
-    in
-    let mk_seg (j : int) ((instrs : instr list), (bar : instr option)) : cseg =
-      let body =
-        List.concat_map
-          (fun (i : instr) ->
-            match i.op with Phi _ -> [] | _ -> compile_instr i)
-          instrs
+      let seg_descs = Array.of_list (List.concat_map cut_block fn.blocks) in
+      let bar_entry = Array.of_list (List.rev !bar_entry_rev) in
+      let enumeration_matches =
+        Array.length info.barriers = !n_bars
+        && Array.for_all
+             (fun (bi : instr) -> Hashtbl.mem bar_index bi.iid)
+             info.barriers
       in
-      let body =
-        (* Phis are only written by incoming edges; a phi in the entry
-           block has no incoming edge and is malformed IR. *)
-        if
-          j = 0 && k = 0
-          && List.exists
-               (fun i -> match i.op with Phi _ -> true | _ -> false)
-               instrs
-        then (fun _ -> trap "phi in entry block") :: body
-        else body
-      in
-      let cterm =
-        match bar with
-        | Some bi ->
-            let bar = Hashtbl.find bar_index bi.iid in
-            Tbarrier { bar; next = bar_entry.(bar) }
-        | None -> final_term
-      in
-      let c_int = ref 0 and c_float = ref 0 and c_special = ref 0 in
-      List.iter
-        (fun (i : instr) ->
-          match i.op with
-          | Phi _ -> ()
-          | _ ->
-              let ci, cf, cs = op_cost i in
-              c_int := !c_int + ci;
-              c_float := !c_float + cf;
-              c_special := !c_special + cs)
-        instrs;
-      {
-        body = Array.of_list body;
-        cterm;
-        b_int = !c_int;
-        b_float = !c_float;
-        b_special = !c_special;
-      }
-    in
-    List.mapi mk_seg (cut [] [] b.instrs)
-  in
-  let csegs =
-    Array.of_list (List.concat (List.mapi compile_block fn.blocks))
-  in
-  assert (Array.length csegs = !n_segs);
-  (* The same cut, kept as data: per segment its owning block, body
-     instructions and terminating barrier (if any) — the lane compiler
-     re-walks it to build the parallel [lsegs] array. *)
-  let seg_descs : (block * instr list * instr option) array =
-    let cut_block (b : block) =
-      let rec go acc cur = function
-        | [] -> List.rev ((b, List.rev cur, None) :: acc)
-        | (i : instr) :: tl
-          when (match i.op with Barrier _ -> true | _ -> false) ->
-            go ((b, List.rev cur, Some i) :: acc) [] tl
-        | i :: tl -> go acc (i :: cur) tl
-      in
-      go [] [] b.instrs
-    in
-    Array.of_list (List.concat_map cut_block fn.blocks)
-  in
-  assert (Array.length seg_descs = !n_segs);
-  (* Spill plan for the region executor: give every value that is live
-     across {e some} barrier one context column of its kind, then
-     precompile each barrier's (env slot, column) copy lists. *)
-  let wg, lanes =
-    match regions with
-    | Regions.Fallback _ -> (None, None)
-    | Regions.Formed info ->
-        let enumeration_matches =
-          Array.length info.barriers = !n_bars
-          && Array.for_all
-               (fun (bi : instr) ->
-                 match Hashtbl.find_opt bar_index bi.iid with
-                 | Some _ -> true
-                 | None -> false)
-               info.barriers
-        in
-        if not enumeration_matches then (None, None)
-        else begin
-          let ctx_col : (int, int) Hashtbl.t = Hashtbl.create 16 in
-          let ci = ref 0 and cf = ref 0 and cb = ref 0 in
-          Array.iter
-            (Array.iter (fun iid ->
-                 if not (Hashtbl.mem ctx_col iid) then
-                   match Hashtbl.find_opt kinds iid with
-                   | Some k -> (
-                       let n = List.length (slots_of_kind k) in
-                       match slots_of_kind k with
-                       | `I _ :: _ -> Hashtbl.replace ctx_col iid (take ci n)
-                       | `F _ :: _ -> Hashtbl.replace ctx_col iid (take cf n)
-                       | `B _ :: _ -> Hashtbl.replace ctx_col iid (take cb n)
-                       | [] -> ())
-                   | None -> ()))
-            info.live_across;
-          let n = !n_bars in
-          let sp_i_env = Array.make n [||] and sp_i_ctx = Array.make n [||] in
-          let sp_f_env = Array.make n [||] and sp_f_ctx = Array.make n [||] in
-          let sp_b_env = Array.make n [||] and sp_b_ctx = Array.make n [||] in
-          Array.iteri
-            (fun j (bi : instr) ->
-              let at = Hashtbl.find bar_index bi.iid in
-              let ie = ref [] and fe = ref [] and be = ref [] in
-              Array.iter
-                (fun iid ->
-                  match Hashtbl.find_opt kinds iid with
-                  | Some k ->
-                      let c0 = Hashtbl.find ctx_col iid in
-                      List.iteri
-                        (fun c slot ->
-                          match slot with
-                          | `I s -> ie := (s, c0 + c) :: !ie
-                          | `F s -> fe := (s, c0 + c) :: !fe
-                          | `B s -> be := (s, c0 + c) :: !be)
-                        (slots_of_kind k)
-                  | None -> ())
-                info.live_across.(j);
-              let fill env ctx l =
-                let a = Array.of_list (List.rev l) in
-                env.(at) <- Array.map fst a;
-                ctx.(at) <- Array.map snd a
-              in
-              fill sp_i_env sp_i_ctx !ie;
-              fill sp_f_env sp_f_ctx !fe;
-              fill sp_b_env sp_b_ctx !be)
-            info.barriers;
-          let w =
-            {
-              bar_entry;
-              sp_i_env;
-              sp_i_ctx;
-              sp_f_env;
-              sp_f_ctx;
-              sp_b_env;
-              sp_b_ctx;
-              ctx_i = !ci;
-              ctx_f = !cf;
-              ctx_b = !cb;
-            }
-          in
-          let lanes =
-            if Array.exists Regions.lane_ok info.lane_entries then
-              Some
-                (compile_lanes ~lw:lane_width ~kinds ~bidx ~bar_index
-                   ~bar_entry ~seg_descs ~info ~ctx_col)
-            else None
-          in
-          (Some w, lanes)
-        end
-  in
-  {
-    csegs;
-    n_int = !ni;
-    n_float = !nf;
-    n_box = !nb;
-    scr_int = !scr_i;
-    scr_float = !scr_f;
-    scr_box = !scr_b;
-    wg;
-    lanes;
-  }
+      if not enumeration_matches then None
+      else
+        Some
+          (compile_lanes ~lw:lane_width ~kinds ~n_slots:(!ni, !nf, !nb) ~bidx
+             ~bar_index ~bar_entry ~seg_descs ~info)
 
-(* -- The compiled-engine hot loop ------------------------------------------- *)
-
-let take_edge (st : wi_state) (e : edge) : int =
-  let stage = e.e_stage in
-  for k = 0 to Array.length stage - 1 do
-    stage.(k) st
-  done;
-  let d = e.im_dst in
-  for k = 0 to Array.length d - 1 do
-    st.ienv.(d.(k)) <- st.iscr.(k)
-  done;
-  let d = e.fm_dst in
-  for k = 0 to Array.length d - 1 do
-    st.fenv.(d.(k)) <- st.fscr.(k)
-  done;
-  let d = e.bm_dst in
-  for k = 0 to Array.length d - 1 do
-    st.benv.(d.(k)) <- st.bscr.(k)
-  done;
-  e.e_dst
-
-let run_compiled (st : wi_state) (cf : cfunc) : unit =
-  let segs = cf.csegs in
-  let cur = ref 0 in
-  let stats = st.stats in
-  while !cur >= 0 do
-    let b = segs.(!cur) in
-    stats.Trace.int_ops <- stats.Trace.int_ops + b.b_int;
-    stats.Trace.float_ops <- stats.Trace.float_ops + b.b_float;
-    stats.Trace.special_ops <- stats.Trace.special_ops + b.b_special;
-    let body = b.body in
-    for k = 0 to Array.length body - 1 do
-      body.(k) st
-    done;
-    cur :=
-      (match b.cterm with
-      | Tbr e -> take_edge st e
-      | Tcond (g, t, e) ->
-          st.stats.Trace.branches <- st.stats.Trace.branches + 1;
-          if g st <> 0 then take_edge st t else take_edge st e
-      | Tret -> -1
-      | Tbarrier { bar = _; next } ->
-          stats.Trace.barriers <- stats.Trace.barriers + 1;
-          Effect.perform Barrier_hit;
-          next
-      | Ttrap m -> trap "%s" m)
-  done
-
-(* -- The region executor ------------------------------------------------------
-
-   The runtime's wg-loop scheduler drives one work-item at a time through
-   the current parallel region: [run_region] runs from segment [from]
-   until the work-item either returns (result -1) or reaches a barrier
-   (result = the barrier's dense index; the sweep continues the whole
-   group at [cwg.bar_entry.(bar)] once every work-item arrived there).
-   Values live across the boundary are copied between the shared slot
-   environment and the work-item's row of the group's context matrices by
-   [spill_save]/[spill_restore]. *)
-
-let run_region (st : wi_state) (cf : cfunc) ~(from : int) : int =
-  let segs = cf.csegs in
-  let cur = ref from in
-  let exitc = ref (-1) in
-  let running = ref true in
-  let stats = st.stats in
-  while !running do
-    let b = segs.(!cur) in
-    stats.Trace.int_ops <- stats.Trace.int_ops + b.b_int;
-    stats.Trace.float_ops <- stats.Trace.float_ops + b.b_float;
-    stats.Trace.special_ops <- stats.Trace.special_ops + b.b_special;
-    let body = b.body in
-    for k = 0 to Array.length body - 1 do
-      body.(k) st
-    done;
-    match b.cterm with
-    | Tbr e -> cur := take_edge st e
-    | Tcond (g, t, e) ->
-        stats.Trace.branches <- stats.Trace.branches + 1;
-        cur := (if g st <> 0 then take_edge st t else take_edge st e)
-    | Tret -> running := false
-    | Tbarrier { bar; next = _ } ->
-        stats.Trace.barriers <- stats.Trace.barriers + 1;
-        exitc := bar;
-        running := false
-    | Ttrap m -> trap "%s" m
-  done;
-  !exitc
-
-let spill_save (st : wi_state) (w : cwg) ~(bar : int) ~(ictx : int array)
-    ~(fctx : float array) ~(bctx : rv array) ~(flat : int) : unit =
-  let env = w.sp_i_env.(bar) and col = w.sp_i_ctx.(bar) in
-  let base = flat * w.ctx_i in
-  for k = 0 to Array.length env - 1 do
-    ictx.(base + col.(k)) <- st.ienv.(env.(k))
-  done;
-  let env = w.sp_f_env.(bar) and col = w.sp_f_ctx.(bar) in
-  let base = flat * w.ctx_f in
-  for k = 0 to Array.length env - 1 do
-    fctx.(base + col.(k)) <- st.fenv.(env.(k))
-  done;
-  let env = w.sp_b_env.(bar) and col = w.sp_b_ctx.(bar) in
-  let base = flat * w.ctx_b in
-  for k = 0 to Array.length env - 1 do
-    bctx.(base + col.(k)) <- st.benv.(env.(k))
-  done
-
-let spill_restore (st : wi_state) (w : cwg) ~(bar : int) ~(ictx : int array)
-    ~(fctx : float array) ~(bctx : rv array) ~(flat : int) : unit =
-  let env = w.sp_i_env.(bar) and col = w.sp_i_ctx.(bar) in
-  let base = flat * w.ctx_i in
-  for k = 0 to Array.length env - 1 do
-    st.ienv.(env.(k)) <- ictx.(base + col.(k))
-  done;
-  let env = w.sp_f_env.(bar) and col = w.sp_f_ctx.(bar) in
-  let base = flat * w.ctx_f in
-  for k = 0 to Array.length env - 1 do
-    st.fenv.(env.(k)) <- fctx.(base + col.(k))
-  done;
-  let env = w.sp_b_env.(bar) and col = w.sp_b_ctx.(bar) in
-  let base = flat * w.ctx_b in
-  for k = 0 to Array.length env - 1 do
-    st.benv.(env.(k)) <- bctx.(base + col.(k))
-  done
-
-(* -- The lane-batched region executor (wg-vec) -------------------------------
+(* -- The region executor -------------------------------------------------------
 
    [run_lane_region] drives a whole batch of [nl] consecutive work-items
-   through the current parallel region in one pass over the compiled lane
-   segments; the group sweep advances [group-size / lane-width] times per
-   region instead of [group-size] times. Costs are read from the parallel
-   scalar segment and bumped once per batch, multiplied by the active lane
-   count, so trace totals are bit-identical to the scalar paths. *)
+   through the current parallel region in one pass over the compiled
+   segments, until the batch either returns (result -1) or reaches a
+   barrier (result = the barrier's dense index; the group sweep continues
+   at [bar_entry.(bar)] once every batch arrived there). Segment costs are
+   bumped once per batch, multiplied by the active lane count, so trace
+   totals are bit-identical to the tree engine. *)
 
 let take_ledge (ls : lane_state) (e : ledge) : int =
-  let lw = ls.lw and nl = ls.nl in
-  (* Stage every move against the predecessor's columns... *)
   let stage = e.le_stage in
-  for k = 0 to Array.length stage - 1 do
-    stage.(k) ls
-  done;
-  (* ...then commit. *)
-  let d = e.lu_im_dst in
-  for k = 0 to Array.length d - 1 do
-    ls.lienv.(d.(k)) <- ls.luiscr.(k)
-  done;
-  let d = e.lu_fm_dst in
-  for k = 0 to Array.length d - 1 do
-    ls.lfenv.(d.(k)) <- ls.lufscr.(k)
-  done;
-  let d = e.lu_bm_dst in
-  for k = 0 to Array.length d - 1 do
-    ls.lbenv.(d.(k)) <- ls.lubscr.(k)
-  done;
-  let d = e.lv_im_dst in
-  for k = 0 to Array.length d - 1 do
-    let dk = d.(k) and base = k * lw in
-    for l = 0 to nl - 1 do
-      ls.lienv.(dk + l) <- ls.lviscr.(base + l)
+  if Array.length stage > 0 then begin
+    let lw = ls.lw and nl = ls.nl in
+    (* Stage every move against the predecessor's columns... *)
+    for k = 0 to Array.length stage - 1 do
+      stage.(k) ls
+    done;
+    (* ...then commit. *)
+    let d = e.lu_im_dst in
+    for k = 0 to Array.length d - 1 do
+      ls.lienv.(d.(k)) <- ls.luiscr.(k)
+    done;
+    let d = e.lu_fm_dst in
+    for k = 0 to Array.length d - 1 do
+      ls.lfenv.(d.(k)) <- ls.lufscr.(k)
+    done;
+    let d = e.lu_bm_dst in
+    for k = 0 to Array.length d - 1 do
+      ls.lbenv.(d.(k)) <- ls.lubscr.(k)
+    done;
+    let d = e.lv_im_dst in
+    for k = 0 to Array.length d - 1 do
+      let dk = d.(k) and base = k * lw in
+      for l = 0 to nl - 1 do
+        ls.lienv.(dk + l) <- ls.lviscr.(base + l)
+      done
+    done;
+    let d = e.lv_fm_dst in
+    for k = 0 to Array.length d - 1 do
+      let dk = d.(k) and base = k * lw in
+      for l = 0 to nl - 1 do
+        ls.lfenv.(dk + l) <- ls.lvfscr.(base + l)
+      done
+    done;
+    let d = e.lv_bm_dst in
+    for k = 0 to Array.length d - 1 do
+      let dk = d.(k) and base = k * lw in
+      for l = 0 to nl - 1 do
+        ls.lbenv.(dk + l) <- ls.lvbscr.(base + l)
+      done
     done
-  done;
-  let d = e.lv_fm_dst in
-  for k = 0 to Array.length d - 1 do
-    let dk = d.(k) and base = k * lw in
-    for l = 0 to nl - 1 do
-      ls.lfenv.(dk + l) <- ls.lvfscr.(base + l)
-    done
-  done;
-  let d = e.lv_bm_dst in
-  for k = 0 to Array.length d - 1 do
-    let dk = d.(k) and base = k * lw in
-    for l = 0 to nl - 1 do
-      ls.lbenv.(dk + l) <- ls.lvbscr.(base + l)
-    done
-  done;
+  end;
   e.le_dst
 
-let run_lane_region (ls : lane_state) (cf : cfunc) (ln : clanes)
-    ~(from : int) : int =
-  let segs = ln.lsegs and costs = cf.csegs in
+let run_lane_region (ls : lane_state) (ln : clanes) ~(from : int) : int =
+  let segs = ln.lsegs in
   let cur = ref from in
   let exitc = ref (-1) in
   let running = ref true in
   let stats = ls.lstats in
   let nl = ls.nl in
   while !running do
-    let si = !cur in
-    let cb = costs.(si) in
-    stats.Trace.int_ops <- stats.Trace.int_ops + (cb.b_int * nl);
-    stats.Trace.float_ops <- stats.Trace.float_ops + (cb.b_float * nl);
-    stats.Trace.special_ops <- stats.Trace.special_ops + (cb.b_special * nl);
-    match segs.(si) with
-    | None -> trap "lane executor entered an unvectorized segment"
-    | Some sg -> (
-        let body = sg.lbody in
-        for k = 0 to Array.length body - 1 do
-          body.(k) ls
-        done;
-        match sg.lterm with
-        | LTbr e -> cur := take_ledge ls e
-        | LTcond (g, t, e) ->
-            stats.Trace.branches <- stats.Trace.branches + nl;
-            cur := (if g ls <> 0 then take_ledge ls t else take_ledge ls e)
-        | LTret -> running := false
-        | LTbarrier { lbar; lnext = _ } ->
-            stats.Trace.barriers <- stats.Trace.barriers + nl;
-            exitc := lbar;
-            running := false
-        | LTtrap m -> trap "%s" m)
+    let sg = segs.(!cur) in
+    stats.Trace.int_ops <- stats.Trace.int_ops + (sg.c_int * nl);
+    stats.Trace.float_ops <- stats.Trace.float_ops + (sg.c_float * nl);
+    stats.Trace.special_ops <- stats.Trace.special_ops + (sg.c_special * nl);
+    let body = sg.lbody in
+    for k = 0 to Array.length body - 1 do
+      body.(k) ls
+    done;
+    match sg.lterm with
+    | LTbr e -> cur := take_ledge ls e
+    | LTcond (g, t, e) ->
+        stats.Trace.branches <- stats.Trace.branches + nl;
+        cur := (if g ls <> 0 then take_ledge ls t else take_ledge ls e)
+    | LTret -> running := false
+    | LTbarrier { lbar; lnext = _ } ->
+        stats.Trace.barriers <- stats.Trace.barriers + nl;
+        exitc := lbar;
+        running := false
+    | LTtrap m -> trap "%s" m
   done;
   !exitc
 
-(* Lane spill save/restore against the same per-work-item context matrices
-   as the scalar region executor ([cwg] columns): uniform values replicate
-   their base column into every active row on save and read the batch's
-   base row on restore (a group-uniform value is identical in every row by
-   construction, whichever path wrote it); varying values copy one lane
-   column per row. *)
+(* Spill save/restore against the per-work-item context matrices: uniform
+   values replicate their base column into every active row on save and
+   read the batch's base row on restore (a group-uniform value is
+   identical in every row by construction, whatever batch width wrote
+   it); varying values copy one lane column per row. *)
 
-let lane_spill_save (ls : lane_state) (w : cwg) (ln : clanes) ~(bar : int)
+let lane_spill_save (ls : lane_state) (ln : clanes) ~(bar : int)
     ~(ictx : int array) ~(fctx : float array) ~(bctx : rv array) : unit =
   let bf = ls.base_flat and nl = ls.nl in
   let slots = ln.lsp_ui_slot.(bar) and cols = ln.lsp_ui_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
     let v = ls.lienv.(slots.(k)) and c = cols.(k) in
     for l = 0 to nl - 1 do
-      ictx.(((bf + l) * w.ctx_i) + c) <- v
+      ictx.(((bf + l) * ln.ctx_i) + c) <- v
     done
   done;
   let slots = ln.lsp_uf_slot.(bar) and cols = ln.lsp_uf_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
     let v = ls.lfenv.(slots.(k)) and c = cols.(k) in
     for l = 0 to nl - 1 do
-      fctx.(((bf + l) * w.ctx_f) + c) <- v
+      fctx.(((bf + l) * ln.ctx_f) + c) <- v
     done
   done;
   let slots = ln.lsp_ub_slot.(bar) and cols = ln.lsp_ub_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
     let v = ls.lbenv.(slots.(k)) and c = cols.(k) in
     for l = 0 to nl - 1 do
-      bctx.(((bf + l) * w.ctx_b) + c) <- v
+      bctx.(((bf + l) * ln.ctx_b) + c) <- v
     done
   done;
   let slots = ln.lsp_vi_slot.(bar) and cols = ln.lsp_vi_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
     let s = slots.(k) and c = cols.(k) in
     for l = 0 to nl - 1 do
-      ictx.(((bf + l) * w.ctx_i) + c) <- ls.lienv.(s + l)
+      ictx.(((bf + l) * ln.ctx_i) + c) <- ls.lienv.(s + l)
     done
   done;
   let slots = ln.lsp_vf_slot.(bar) and cols = ln.lsp_vf_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
     let s = slots.(k) and c = cols.(k) in
     for l = 0 to nl - 1 do
-      fctx.(((bf + l) * w.ctx_f) + c) <- ls.lfenv.(s + l)
+      fctx.(((bf + l) * ln.ctx_f) + c) <- ls.lfenv.(s + l)
     done
   done;
   let slots = ln.lsp_vb_slot.(bar) and cols = ln.lsp_vb_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
     let s = slots.(k) and c = cols.(k) in
     for l = 0 to nl - 1 do
-      bctx.(((bf + l) * w.ctx_b) + c) <- ls.lbenv.(s + l)
+      bctx.(((bf + l) * ln.ctx_b) + c) <- ls.lbenv.(s + l)
     done
   done
 
-let lane_spill_restore (ls : lane_state) (w : cwg) (ln : clanes) ~(bar : int)
+let lane_spill_restore (ls : lane_state) (ln : clanes) ~(bar : int)
     ~(ictx : int array) ~(fctx : float array) ~(bctx : rv array) : unit =
   let bf = ls.base_flat and nl = ls.nl in
   let slots = ln.lsp_ui_slot.(bar) and cols = ln.lsp_ui_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
-    ls.lienv.(slots.(k)) <- ictx.((bf * w.ctx_i) + cols.(k))
+    ls.lienv.(slots.(k)) <- ictx.((bf * ln.ctx_i) + cols.(k))
   done;
   let slots = ln.lsp_uf_slot.(bar) and cols = ln.lsp_uf_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
-    ls.lfenv.(slots.(k)) <- fctx.((bf * w.ctx_f) + cols.(k))
+    ls.lfenv.(slots.(k)) <- fctx.((bf * ln.ctx_f) + cols.(k))
   done;
   let slots = ln.lsp_ub_slot.(bar) and cols = ln.lsp_ub_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
-    ls.lbenv.(slots.(k)) <- bctx.((bf * w.ctx_b) + cols.(k))
+    ls.lbenv.(slots.(k)) <- bctx.((bf * ln.ctx_b) + cols.(k))
   done;
   let slots = ln.lsp_vi_slot.(bar) and cols = ln.lsp_vi_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
     let s = slots.(k) and c = cols.(k) in
     for l = 0 to nl - 1 do
-      ls.lienv.(s + l) <- ictx.(((bf + l) * w.ctx_i) + c)
+      ls.lienv.(s + l) <- ictx.(((bf + l) * ln.ctx_i) + c)
     done
   done;
   let slots = ln.lsp_vf_slot.(bar) and cols = ln.lsp_vf_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
     let s = slots.(k) and c = cols.(k) in
     for l = 0 to nl - 1 do
-      ls.lfenv.(s + l) <- fctx.(((bf + l) * w.ctx_f) + c)
+      ls.lfenv.(s + l) <- fctx.(((bf + l) * ln.ctx_f) + c)
     done
   done;
   let slots = ln.lsp_vb_slot.(bar) and cols = ln.lsp_vb_ctx.(bar) in
   for k = 0 to Array.length slots - 1 do
     let s = slots.(k) and c = cols.(k) in
     for l = 0 to nl - 1 do
-      ls.lbenv.(s + l) <- bctx.(((bf + l) * w.ctx_b) + c)
+      ls.lbenv.(s + l) <- bctx.(((bf + l) * ln.ctx_b) + c)
     done
   done
 
 (** Re-aim the lane state at the batch of [nl] work-items starting at flat
-    id [base] of the group currently held in [lctx.grp]. *)
+    id [base] of the group currently held in [lctx.grp]. A sweep visits
+    the group in flat order from 0: each batch must start where the last
+    one ended, or at 0. The local id is carried forward from the previous
+    batch instead of divided out of [base]. *)
 let reset_lane_batch (ls : lane_state) ~(base : int) ~(nl : int) : unit =
   ls.base_flat <- base;
   ls.nl <- nl;
-  let lsz = ls.lctx.lsz and grp = ls.lctx.grp in
+  let lsz = ls.lctx.lsz and grp = ls.lctx.grp and cur = ls.lcur in
+  if base = 0 then Array.fill cur 0 3 0;
+  let lid0 = ls.llid.(0) and lid1 = ls.llid.(1) and lid2 = ls.llid.(2) in
+  let gid0 = ls.lgid.(0) and gid1 = ls.lgid.(1) and gid2 = ls.lgid.(2) in
+  let g0 = grp.(0) * lsz.(0)
+  and g1 = grp.(1) * lsz.(1)
+  and g2 = grp.(2) * lsz.(2) in
   for l = 0 to nl - 1 do
-    let flat = base + l in
-    let lx = flat mod lsz.(0)
-    and ly = flat / lsz.(0) mod lsz.(1)
-    and lz = flat / (lsz.(0) * lsz.(1)) in
-    ls.llid.(0).(l) <- lx;
-    ls.llid.(1).(l) <- ly;
-    ls.llid.(2).(l) <- lz;
-    ls.lgid.(0).(l) <- (grp.(0) * lsz.(0)) + lx;
-    ls.lgid.(1).(l) <- (grp.(1) * lsz.(1)) + ly;
-    ls.lgid.(2).(l) <- (grp.(2) * lsz.(2)) + lz
+    let lx = cur.(0) and ly = cur.(1) and lz = cur.(2) in
+    lid0.(l) <- lx;
+    lid1.(l) <- ly;
+    lid2.(l) <- lz;
+    gid0.(l) <- g0 + lx;
+    gid1.(l) <- g1 + ly;
+    gid2.(l) <- g2 + lz;
+    if lx + 1 < lsz.(0) then cur.(0) <- lx + 1
+    else begin
+      cur.(0) <- 0;
+      if ly + 1 < lsz.(1) then cur.(1) <- ly + 1
+      else begin
+        cur.(1) <- 0;
+        cur.(2) <- lz + 1
+      end
+    end
   done
 
 (* -- Public interface -------------------------------------------------------- *)
@@ -3496,121 +2786,80 @@ let prepare ?engine ?lane_width (fn : func) : compiled =
       [] fn
     |> List.rev
   in
-  let has_barrier =
-    fold_instrs
-      (fun acc i -> acc || match i.op with Barrier _ -> true | _ -> false)
-      false fn
-  in
   let regions = Regions.form fn in
   let code =
     match engine with
-    | Compiled -> Some (compile_fn ~lane_width fn regions)
+    | Compiled -> compile_fn ~lane_width fn regions
     | Tree -> None
   in
-  { fn; slots; n_slots = !n; local_allocas; has_barrier; regions; code }
+  { fn; slots; n_slots = !n; local_allocas; regions; code }
 
-let engine_of (c : compiled) : engine =
-  match c.code with Some _ -> Compiled | None -> Tree
-
-(** Lane width the kernel was compiled for; 1 when no lane-batched code
-    exists (tree engine, fiber fallback, or no lane-capable region). *)
+(** Lane width the kernel was compiled for; 1 when no lane code exists
+    (tree engine, or barriers that do not form regions). *)
 let lane_width_of (c : compiled) : int =
-  match c.code with Some { lanes = Some ln; _ } -> ln.lwidth | _ -> 1
+  match c.code with Some ln -> ln.lwidth | None -> 1
 
-(** Per-region-entry lane capability as the lane compiler refined it: the
-    static {!Regions.lane_entries} verdict, narrowed by whatever the
-    compiler itself had to reject ([Unbatchable] segments). [None] when no
-    lane code exists at all (tree engine, or no statically lane-capable
-    region). *)
+(** Per-region-entry batch width as the lane compiler refined it: [true]
+    runs W-wide batches, [false] batches of one. The static
+    {!Regions.lane_entries} verdict, narrowed by any one-lane segment the
+    compiler found. [None] when no lane code exists. *)
 let lane_entry_flags (c : compiled) : bool array option =
-  match c.code with
-  | Some { lanes = Some ln; _ } -> Some (Array.copy ln.lentry)
-  | _ -> None
+  Option.map (fun ln -> Array.copy ln.lentry) c.code
 
+(** Fresh tree-engine state of one work-item. *)
 let make_state (c : compiled) ~(args : rv array) ~(ctx : wi_ctx)
     ~(stats : Trace.wg_stats) ~(local_bufs : (int, Memory.buffer) Hashtbl.t)
     ~(mem : Memory.t) ~(queue : int) : wi_state =
-  match c.code with
-  | Some cf ->
-      {
-        c;
-        env = [||];
-        ienv = Array.make cf.n_int 0;
-        fenv = Array.make cf.n_float 0.0;
-        benv = Array.make cf.n_box (RInt 0);
-        iscr = Array.make cf.scr_int 0;
-        fscr = Array.make cf.scr_float 0.0;
-        bscr = Array.make cf.scr_box (RInt 0);
-        args;
-        ctx;
-        stats;
-        local_bufs;
-        mem;
-        queue;
-        private_offset = 0;
-        san = None;
-      }
-  | None ->
-      {
-        c;
-        env = Array.make c.n_slots (RInt 0);
-        ienv = [||];
-        fenv = [||];
-        benv = [||];
-        iscr = [||];
-        fscr = [||];
-        bscr = [||];
-        args;
-        ctx;
-        stats;
-        local_bufs;
-        mem;
-        queue;
-        private_offset = 0;
-        san = None;
-      }
+  {
+    c;
+    env = Array.make c.n_slots (RInt 0);
+    args;
+    ctx;
+    stats;
+    local_bufs;
+    mem;
+    queue;
+    private_offset = 0;
+    san = None;
+  }
 
-(** Fresh lane-batched execution state, [None] unless the kernel was
-    closure-compiled with at least one lane-capable region. Shares the
-    group context, argument row and stats sink with the scalar states so
-    mixed lane/scalar execution of one launch observes the same group. *)
-let make_lane_state (c : compiled) ~(ctx : wi_ctx) ~(args : rv array)
-    ~(stats : Trace.wg_stats) ~(local_bufs : (int, Memory.buffer) Hashtbl.t) :
-    lane_state option =
-  match c.code with
-  | Some ({ lanes = Some ln; _ } as cf) ->
-      let lw = ln.lwidth in
-      Some
-        {
-          lw;
-          nl = 0;
-          base_flat = 0;
-          lienv = Array.make (max 1 (cf.n_int * lw)) 0;
-          lfenv = Array.make (max 1 (cf.n_float * lw)) 0.0;
-          lbenv = Array.make (max 1 (cf.n_box * lw)) (RInt 0);
-          luiscr = Array.make (max 1 ln.lscr_ui) 0;
-          lufscr = Array.make (max 1 ln.lscr_uf) 0.0;
-          lubscr = Array.make (max 1 ln.lscr_ub) (RInt 0);
-          lviscr = Array.make (max 1 (ln.lscr_vi * lw)) 0;
-          lvfscr = Array.make (max 1 (ln.lscr_vf * lw)) 0.0;
-          lvbscr = Array.make (max 1 (ln.lscr_vb * lw)) (RInt 0);
-          lpred = Array.make lw 0;
-          lnthen = 0;
-          llid = Array.init 3 (fun _ -> Array.make lw 0);
-          lgid = Array.init 3 (fun _ -> Array.make lw 0);
-          lctx = ctx;
-          largs = args;
-          lstats = stats;
-          llocal = local_bufs;
-          lsan = None;
-        }
-  | _ -> None
+(** Fresh lane-batched execution state for [ln], sharing the group
+    context, argument row and stats sink with the runtime. *)
+let make_lane_state (ln : clanes) ~(ctx : wi_ctx) ~(args : rv array)
+    ~(stats : Trace.wg_stats) ~(local_bufs : (int, Memory.buffer) Hashtbl.t)
+    ~(mem : Memory.t) : lane_state =
+  let lw = ln.lwidth in
+  {
+    lw;
+    nl = 0;
+    base_flat = 0;
+    lienv = Array.make (max 1 (ln.n_int * lw)) 0;
+    lfenv = Array.make (max 1 (ln.n_float * lw)) 0.0;
+    lbenv = Array.make (max 1 (ln.n_box * lw)) (RInt 0);
+    luiscr = Array.make (max 1 ln.lscr_ui) 0;
+    lufscr = Array.make (max 1 ln.lscr_uf) 0.0;
+    lubscr = Array.make (max 1 ln.lscr_ub) (RInt 0);
+    lviscr = Array.make (max 1 (ln.lscr_vi * lw)) 0;
+    lvfscr = Array.make (max 1 (ln.lscr_vf * lw)) 0.0;
+    lvbscr = Array.make (max 1 (ln.lscr_vb * lw)) (RInt 0);
+    lpred = Array.make lw 0;
+    lnthen = 0;
+    llid = Array.init 3 (fun _ -> Array.make lw 0);
+    lgid = Array.init 3 (fun _ -> Array.make lw 0);
+    lcur = [| 0; 0; 0 |];
+    lctx = ctx;
+    largs = args;
+    lstats = stats;
+    llocal = local_bufs;
+    lmem = mem;
+    lqueue = 0;
+    lpriv = 0;
+    lsan = None;
+  }
 
-(** Re-aim a pooled state at work-item [flat] of the group currently held
+(** Re-aim a tree state at work-item [flat] of the group currently held
     in [st.ctx.grp]: recompute [lid]/[gid] in place and rewind the private
-    bump allocator. Slot arrays are deliberately {e not} cleared — SSA
-    dominance guarantees every use is preceded by a def on any execution
-    path, so a stale slot from the previous work-item is unobservable. *)
+    bump allocator. *)
 let reset_item (st : wi_state) ~(flat : int) : unit =
   let ctx = st.ctx in
   let lsz = ctx.lsz and grp = ctx.grp in
@@ -3625,36 +2874,3 @@ let reset_item (st : wi_state) ~(flat : int) : unit =
   ctx.gid.(2) <- (grp.(2) * lsz.(2)) + lz;
   ctx.flat_lid <- flat;
   st.private_offset <- 0
-
-(** [advance_item st] = [reset_item st ~flat:(st.ctx.flat_lid + 1)], but
-    by carry-propagating increments instead of the div/mod chain — the
-    sweep loops of the fiberless and wg-loop schedulers visit work-items
-    in flat order, so the full recomputation is only needed at [flat = 0]. *)
-let advance_item (st : wi_state) : unit =
-  let ctx = st.ctx in
-  let lid = ctx.lid and gid = ctx.gid and lsz = ctx.lsz in
-  ctx.flat_lid <- ctx.flat_lid + 1;
-  st.private_offset <- 0;
-  let x = lid.(0) + 1 in
-  if x < lsz.(0) then begin
-    lid.(0) <- x;
-    gid.(0) <- gid.(0) + 1
-  end
-  else begin
-    lid.(0) <- 0;
-    gid.(0) <- gid.(0) - lsz.(0) + 1;
-    let y = lid.(1) + 1 in
-    if y < lsz.(1) then begin
-      lid.(1) <- y;
-      gid.(1) <- gid.(1) + 1
-    end
-    else begin
-      lid.(1) <- 0;
-      gid.(1) <- gid.(1) - lsz.(1) + 1;
-      lid.(2) <- lid.(2) + 1;
-      gid.(2) <- gid.(2) + 1
-    end
-  end
-
-let run_workitem (st : wi_state) : unit =
-  match st.c.code with Some cf -> run_compiled st cf | None -> run_tree st

@@ -238,7 +238,7 @@ let hazard_deps_locked (q : t) ~(reads : Memory.buffer list)
     same values. *)
 let enqueue_nd_range (q : t) (c : Interp.compiled)
     ~(cfg : Runtime.launch_config) ~(args : Runtime.arg_binding list)
-    ?(wait : Event.t list = []) ?(force_fibers = false) ?force_path () :
+    ?(wait : Event.t list = []) ?force_path () :
     Event.t =
   let gx, gy, gz = cfg.Runtime.global and lx, ly, lz = cfg.Runtime.local in
   if lx <= 0 || ly <= 0 || lz <= 0 then
@@ -249,7 +249,7 @@ let enqueue_nd_range (q : t) (c : Interp.compiled)
          "global size must be a multiple of the work-group size");
   let rv_args = Runtime.bind_args c.Interp.fn args in
   let plan =
-    Runtime.plan c ~cfg ~force_fibers ?force_path ~domains:q.q_domains ()
+    Runtime.plan c ~cfg ?force_path ~domains:q.q_domains ()
   in
   let lsz = [| lx; ly; lz |] in
   let gsz = [| gx; gy; gz |] in

@@ -1,29 +1,23 @@
 (** Kernel launch: NDRange iteration, per-queue local-memory allocation,
-    pooled work-item states, and four group schedulers —
+    pooled execution state, and two group schedulers —
 
-    - {b wg-vec}: lane-batched work-item loops (pocl-style work-group
-      vectorization) for kernels whose barriers {!Grover_ir.Regions}
-      proved group-uniform {e and} whose regions stay lane-sweepable
-      (uniform control flow, no private allocas); each region advances a
-      batch of W work-items per compiled closure over struct-of-arrays
-      lane slots, so the sweep runs group-size/W times. Regions the lane
-      compiler could not batch run the scalar sweep within the same
-      launch. A barrier-free kernel is the one-region case, so every
-      Grover-transformed kernel with a lane-capable body runs here;
-    - {b wg-loop}: pocl-style work-item loops for kernels whose barriers
-      {!Grover_ir.Regions} proved group-uniform; each barrier-delimited
-      region runs as a plain loop over the group's work-items, live values
-      crossing region boundaries ride in per-work-item context arrays;
-    - {b fiberless}: the degenerate single-region loop for statically
-      barrier-free kernels the lane compiler could not batch, and for
-      every barrier-free kernel on the tree engine;
-    - {b fiber}: the effect-handler scheduler, kept as the differential
-      oracle and as the fallback for kernels with divergent barriers
-      (where it detects the divergence dynamically).
+    - {b lanes} ([wg-vec]): pocl-style work-item loops over the
+      closure-compiled lane code, for kernels whose barriers
+      {!Grover_ir.Regions} proved group-uniform (trivially every
+      barrier-free kernel). Each barrier-delimited region sweeps the
+      group in batches of W work-items per compiled closure over
+      struct-of-arrays lane slots, or in batches of one where the region
+      needs per-work-item control flow (a divergent branch outside a
+      maskable diamond, a private alloca); live values crossing region
+      boundaries ride in per-work-item context arrays;
+    - {b fiber}: the effect-handler scheduler over the tree engine, kept
+      as the differential oracle and as the path for kernels with
+      divergent barriers (where it detects the divergence dynamically),
+      and for every kernel on the tree engine.
 
-    [GROVER_FORCE_PATH=wg-vec|wg-loop|fiberless|fiber] overrides the
-    choice for every launch of the process, within static capability (a
-    path a kernel cannot take degrades to the nearest one that it can).
+    [GROVER_FORCE_PATH=wg-vec|fiber] overrides the choice for every
+    launch of the process, within static capability; [wg-loop] and
+    [fiberless] are accepted and mean one-lane batches.
 
     Parallel launches run on a {e persistent} domain pool: worker domains
     are spawned once (lazily, grown on demand) and reused across launches,
@@ -73,8 +67,9 @@ let bind_args (fn : func) (bindings : arg_binding list) : Interp.rv array =
 
 (* -- Execution plan ----------------------------------------------------------- *)
 
-(** The group scheduler a launch will use (see the module docs). *)
-type path = Wg_vec | Wg_loop | Fiberless | Fiber
+(** The group scheduler a launch will use (see the module docs): lane
+    batches of at most the given width, or fibers. *)
+type path = Lanes of int | Fiber
 
 (** How a launch will execute: which group scheduler, and on how many
     domains (including the calling one). Computed by {!plan} with the
@@ -134,30 +129,16 @@ let resolve_domains (domains : int) : int =
   if domains = 0 then effective_domain_cap ()
   else max 1 (min max_domains domains)
 
-(* The region executor needs the compiled spill metadata — absent on the
-   tree engine and whenever region formation fell back. *)
-let wg_capable (c : Interp.compiled) : bool =
-  match c.Interp.code with
-  | Some cf -> cf.Interp.wg <> None
-  | None -> false
-
-(* The lane executor additionally needs lane-batched code with at least
-   one sweepable region entry (the refined [lentry], which also accounts
-   for segments the lane compiler had to give up on). *)
-let wgvec_capable (c : Interp.compiled) : bool =
-  match c.Interp.code with
-  | Some { Interp.lanes = Some ln; _ } ->
-      Array.exists Fun.id ln.Interp.lentry
-  | _ -> false
-
 (* -- Autotune hook ------------------------------------------------------- *)
 
+(* [wg-vec] asks for the widest batches the kernel was compiled for; the
+   retired one-work-item schedulers [wg-loop] and [fiberless] are batches
+   of one. *)
 let path_of_string (s : string) : path option =
   match s with
   | "fiber" | "fibers" -> Some Fiber
-  | "fiberless" -> Some Fiberless
-  | "wg-loop" | "wgloop" | "wg_loop" -> Some Wg_loop
-  | "wg-vec" | "wgvec" | "wg_vec" -> Some Wg_vec
+  | "wg-vec" | "wgvec" | "wg_vec" -> Some (Lanes max_int)
+  | "wg-loop" | "wgloop" | "wg_loop" | "fiberless" -> Some (Lanes 1)
   | _ -> None
 
 (** A tuning decision resolved from a persistent database: which kernel
@@ -186,49 +167,46 @@ let clear_tuner () : unit = the_tuner := None
 let lookup_tuned ~(name : string) ~(cfg : launch_config) : tuned option =
   match !the_tuner with None -> None | Some t -> t ~name ~cfg
 
-(* The capability ladder: the path [c] takes when [want] is requested. A
-   path the kernel cannot take degrades to the strongest one it can; a
-   kernel with barriers never runs unsynchronized. Below wg-vec, a
-   barrier-free kernel takes the fiberless loop: the one-region sweep,
-   without the context matrices wg-loop would allocate. *)
+(* The capability ladder: the path [c] takes when [want] is requested.
+   Without lane code (tree engine, or barriers that do not form regions)
+   every kernel runs on fibers. Lane batches are at most as wide as the
+   compiled width, and one lane wide when no region runs W-wide. *)
 let degrade (c : Interp.compiled) (want : path) : path =
-  let b = c.Interp.has_barrier in
-  match want with
-  | Fiber -> Fiber
-  | Wg_vec when wgvec_capable c -> Wg_vec
-  | Wg_loop when wg_capable c -> Wg_loop
-  | Wg_vec when b && wg_capable c -> Wg_loop
-  | Wg_vec | Wg_loop | Fiberless -> if b then Fiber else Fiberless
+  match (want, c.Interp.code) with
+  | Fiber, _ | _, None -> Fiber
+  | Lanes w, Some ln ->
+      if Array.exists Fun.id ln.Interp.lentry then
+        Lanes (max 1 (min w ln.Interp.lwidth))
+      else Lanes 1
 
-(** The path [c] takes with no override: the [Wg_vec] ladder. A kernel
-    with a lane-capable region runs lane-batched, with or without
-    barriers — a barrier-free kernel is the one-region case. *)
-let default_path (c : Interp.compiled) : path = degrade c Wg_vec
+(** The path [c] takes with no override: the widest lane batches it has. *)
+let default_path (c : Interp.compiled) : path = degrade c (Lanes max_int)
+
+(** The largest batch width of a path: 1 for fibers. *)
+let batch_width : path -> int = function Lanes w -> w | Fiber -> 1
 
 let choose_path (c : Interp.compiled) ~(cfg : launch_config)
-    ~(force_fibers : bool) ~(force_path : path option) : path =
-  if force_fibers then Fiber
-  else
-    let want =
-      match force_path with
-      | Some _ -> force_path
-      | None -> (
-          match Sys.getenv_opt "GROVER_FORCE_PATH" with
-          | None | Some "" ->
-              (* No explicit override: a populated autotune DB decides,
-                 still subject to the capability ladder. *)
-              Option.bind (lookup_tuned ~name:c.Interp.fn.f_name ~cfg)
-                (fun t -> t.tn_path)
-          | Some s -> (
-              match path_of_string s with
-              | Some _ as p -> p
-              | None ->
-                  fail
-                    "unknown GROVER_FORCE_PATH %S (expected wg-vec, wg-loop, \
-                     fiberless or fiber)"
-                    s))
-    in
-    degrade c (Option.value want ~default:Wg_vec)
+    ~(force_path : path option) : path =
+  let want =
+    match force_path with
+    | Some _ -> force_path
+    | None -> (
+        match Sys.getenv_opt "GROVER_FORCE_PATH" with
+        | None | Some "" ->
+            (* No explicit override: a populated autotune DB decides,
+               still subject to the capability ladder. *)
+            Option.bind (lookup_tuned ~name:c.Interp.fn.f_name ~cfg) (fun t ->
+                t.tn_path)
+        | Some s -> (
+            match path_of_string s with
+            | Some _ as p -> p
+            | None ->
+                fail
+                  "unknown GROVER_FORCE_PATH %S (expected wg-vec, wg-loop, \
+                   fiberless or fiber)"
+                  s))
+  in
+  degrade c (Option.value want ~default:(Lanes max_int))
 
 (* Pool-growth cap: a domain whose share of the NDRange is below one
    claimable chunk of work adds coordination (and domain wake-up) cost
@@ -236,8 +214,8 @@ let choose_path (c : Interp.compiled) ~(cfg : launch_config)
    of spreading a handful of groups over every core. *)
 let min_groups_per_domain = 2
 
-let plan (c : Interp.compiled) ~(cfg : launch_config) ?(force_fibers = false)
-    ?force_path ?(domains = 1) () : exec_plan =
+let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
+    ?(domains = 1) () : exec_plan =
   let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
   let n_groups =
     if lx <= 0 || ly <= 0 || lz <= 0 then 0
@@ -250,16 +228,14 @@ let plan (c : Interp.compiled) ~(cfg : launch_config) ?(force_fibers = false)
     else min d (max 1 (n_groups / min_groups_per_domain))
   in
   {
-    path = choose_path c ~cfg ~force_fibers ~force_path;
+    path = choose_path c ~cfg ~force_path;
     domains_used = d;
     domains_requested = requested;
     domains_clamped = d < requested;
   }
 
 let string_of_path : path -> string = function
-  | Wg_vec -> "wg-vec"
-  | Wg_loop -> "wg-loop"
-  | Fiberless -> "fiberless"
+  | Lanes _ -> "wg-vec"
   | Fiber -> "fiber"
 
 let path_name (p : exec_plan) : string = string_of_path p.path
@@ -267,11 +243,11 @@ let path_name (p : exec_plan) : string = string_of_path p.path
 (* -- Per-(launch x domain) execution context ---------------------------------
 
    Everything a domain needs to run work-groups, allocated once per launch
-   per domain and reused across all its groups: the pooled work-item
-   states (one per group slot under fibers, a single one on the fiberless
-   path), the reused [grp] coordinate array shared by every state's
-   context, the per-queue local-memory allocations, and the parked-
-   continuation queue of the fiber scheduler. *)
+   per domain and reused across all its groups: the scheduler's state
+   (the lane state and context matrices, or one tree state per work-item
+   plus the parked-continuation queue), the reused [grp] coordinate array
+   shared by every state's context, and the per-queue local-memory
+   allocations. *)
 
 type local_set = {
   ls_tab : (int, Memory.buffer) Hashtbl.t;  (** alloca iid -> buffer *)
@@ -282,33 +258,39 @@ type local_set = {
    Hashtbl.create, no per-group setup at all. *)
 let no_locals : local_set = { ls_tab = Hashtbl.create 1; ls_bufs = [] }
 
+type sched =
+  | Lane_sweep of {
+      ln : Interp.clanes;
+      lst : Interp.lane_state;
+      width : int;  (** batch width of the W-wide regions *)
+      ictx : int array;
+          (** context matrices: [n_items] rows of the widths in [ln]; a
+              work-item's values that survive a region boundary park in
+              its row between sweeps *)
+      fctx : float array;
+      bctx : Interp.rv array;
+      priv : int array;
+          (** per work-item private bump offset carried across regions,
+              so private allocas land at the same addresses the fiber
+              path gives them *)
+    }
+  | Fibers of {
+      states : Interp.wi_state array;
+          (** one tree state per work-item: the work-items of a group are
+              live concurrently between barriers *)
+      parked : (unit, unit) Effect.Deep.continuation Stdlib.Queue.t;
+    }
+
 type exec_ctx = {
   xc : Interp.compiled;
   scratch : Memory.t;  (** local / private allocations land here *)
   stats : Trace.wg_stats;  (** pooled; reset per group *)
+  args : Interp.rv array;  (** shared by every state; rebound per launch *)
   lsz : int array;
   ngr : int array;
   grp : int array;  (** shared by all states' contexts; rewritten per group *)
-  states : Interp.wi_state array;
-      (** pooled work-item states: [n_items] under fibers (work-items of a
-          group are live concurrently between barriers), 1 otherwise *)
   n_items : int;
-  path : path;
-  parked : (unit, unit) Effect.Deep.continuation Stdlib.Queue.t;
-  (* Region-executor context matrices: [n_items] rows of the widths in
-     [cwg]; a work-item's values that survive a region boundary park in
-     its row between sweeps. Empty on the other paths. *)
-  wg_ictx : int array;
-  wg_fctx : float array;
-  wg_bctx : Interp.rv array;
-  wg_priv : int array;
-      (** per work-item private-allocation bump offset carried across
-          regions, so private allocas land at the same addresses the fiber
-          path would give them *)
-  lanes : Interp.lane_state option;
-      (** lane-batched execution state; [Some] iff [path] is [Wg_vec].
-          Shares the group context and stats sink with [states.(0)] so
-          mixed lane/scalar regions observe the same group. *)
+  sched : sched;
   mutable local_sets : local_set option array;  (** per queue, lazy *)
   mutable cur_queue : int;  (** queue the states are currently aimed at *)
   san : Sanitize.t option;
@@ -320,69 +302,58 @@ let make_ctx (c : Interp.compiled) ~(rv_args : Interp.rv array)
     ?(san : Sanitize.t option) () : exec_ctx =
   let n_items = lsz.(0) * lsz.(1) * lsz.(2) in
   let grp = [| 0; 0; 0 |] in
-  let n_states = if path = Fiber then n_items else 1 in
-  let states =
-    Array.init n_states (fun _ ->
-        let ctx =
+  let wi_ctx () =
+    {
+      Interp.lid = [| 0; 0; 0 |];
+      gid = [| 0; 0; 0 |];
+      grp;
+      lsz;
+      gsz;
+      ngr;
+      flat_lid = 0;
+    }
+  in
+  let sched =
+    match (path, c.Interp.code) with
+    | Lanes width, Some ln ->
+        let lst =
+          Interp.make_lane_state ln ~ctx:(wi_ctx ()) ~args:rv_args ~stats
+            ~local_bufs:no_locals.ls_tab ~mem:scratch
+        in
+        lst.Interp.lsan <- san;
+        Lane_sweep
           {
-            Interp.lid = [| 0; 0; 0 |];
-            gid = [| 0; 0; 0 |];
-            grp;
-            lsz;
-            gsz;
-            ngr;
-            flat_lid = 0;
+            ln;
+            lst;
+            width;
+            ictx = Array.make (max 1 (n_items * ln.Interp.ctx_i)) 0;
+            fctx = Array.make (max 1 (n_items * ln.Interp.ctx_f)) 0.0;
+            bctx = Array.make (max 1 (n_items * ln.Interp.ctx_b)) (Interp.RInt 0);
+            priv = Array.make n_items 0;
           }
+    | Lanes _, None -> fail "lane batches planned for a kernel without lane code"
+    | Fiber, _ ->
+        let states =
+          Array.init n_items (fun _ ->
+              let st =
+                Interp.make_state c ~args:rv_args ~ctx:(wi_ctx ()) ~stats
+                  ~local_bufs:no_locals.ls_tab ~mem:scratch ~queue:0
+              in
+              st.Interp.san <- san;
+              st)
         in
-        let st =
-          Interp.make_state c ~args:rv_args ~ctx ~stats
-            ~local_bufs:no_locals.ls_tab ~mem:scratch ~queue:0
-        in
-        st.Interp.san <- san;
-        st)
-  in
-  let wg_ictx, wg_fctx, wg_bctx, wg_priv =
-    match path with
-    | Wg_loop | Wg_vec -> (
-        match c.Interp.code with
-        | Some { Interp.wg = Some w; _ } ->
-            ( Array.make (max 1 (n_items * w.Interp.ctx_i)) 0,
-              Array.make (max 1 (n_items * w.Interp.ctx_f)) 0.0,
-              Array.make (max 1 (n_items * w.Interp.ctx_b)) (Interp.RInt 0),
-              Array.make n_items 0 )
-        | _ -> fail "wg-loop planned for a kernel without region metadata")
-    | Fiberless | Fiber -> ([||], [||], [||], [||])
-  in
-  let lanes =
-    match path with
-    | Wg_vec -> (
-        let st0 = states.(0) in
-        match
-          Interp.make_lane_state c ~ctx:st0.Interp.ctx ~args:rv_args ~stats
-            ~local_bufs:no_locals.ls_tab
-        with
-        | Some ls ->
-            ls.Interp.lsan <- san;
-            Some ls
-        | None -> fail "wg-vec planned for a kernel without lane metadata")
-    | Wg_loop | Fiberless | Fiber -> None
+        Fibers { states; parked = Stdlib.Queue.create () }
   in
   {
     xc = c;
     scratch;
     stats;
+    args = rv_args;
     lsz;
     ngr;
     grp;
-    states;
     n_items;
-    path;
-    parked = Stdlib.Queue.create ();
-    wg_ictx;
-    wg_fctx;
-    wg_bctx;
-    wg_priv;
-    lanes;
+    sched;
     local_sets = [||];
     cur_queue = -1;
     san;
@@ -426,19 +397,20 @@ let local_set_for (x : exec_ctx) (queue : int) : local_set =
 
 (* -- Group schedulers --------------------------------------------------------- *)
 
-(* Barrier-aware scheduler: every work-item runs as a fiber; hitting a
-   barrier performs [Barrier_hit], the handler parks the continuation, and
-   the group resumes in rounds once all still-running items have arrived. *)
-let run_group_fibers (x : exec_ctx) : unit =
+(* Barrier-aware scheduler: every work-item runs as a fiber on the tree
+   engine; hitting a barrier performs [Barrier_hit], the handler parks the
+   continuation, and the group resumes in rounds once all still-running
+   items have arrived. *)
+let run_group_fibers (x : exec_ctx) ~(states : Interp.wi_state array)
+    ~(parked : (unit, unit) Effect.Deep.continuation Stdlib.Queue.t) : unit =
   let open Effect.Deep in
-  let parked = x.parked in
   let finished = ref 0 in
   for flat = 0 to x.n_items - 1 do
-    let st = x.states.(flat) in
+    let st = states.(flat) in
     Interp.reset_item st ~flat;
     match_with
       (fun () ->
-        Interp.run_workitem st;
+        Interp.run_tree st;
         incr finished)
       ()
       {
@@ -472,67 +444,54 @@ let run_group_fibers (x : exec_ctx) : unit =
   if !finished <> x.n_items then
     fail "work-group did not run to completion in %s" x.xc.Interp.fn.f_name
 
-(* Fiberless fast path: the kernel provably performs no [Barrier_hit], so
-   work-items are just a loop over one pooled state — no [match_with], no
-   fiber stacks, no continuation queue. *)
-let run_group_fiberless (x : exec_ctx) : unit =
-  let st = x.states.(0) in
-  for flat = 0 to x.n_items - 1 do
-    if flat = 0 then Interp.reset_item st ~flat:0 else Interp.advance_item st;
-    Interp.run_workitem st
-  done
-
-(* Work-group loops: sweep every work-item through the current parallel
-   region, then advance the whole group past the barrier and sweep the
-   next region. One pooled state serves all work-items — values that
-   survive a region boundary are spilled to (and restored from) the
-   work-item's row of the context matrices. The sweep order matches the
-   fiber scheduler's FIFO rounds (work-item 0..n-1 per region), so trace
-   event streams are bit-identical.
+(* Work-group loops: sweep the group through the current parallel region
+   in batches — [width] work-items wide where the region's entry allows,
+   one wide otherwise — then advance the whole group past the barrier and
+   sweep the next region. Values that survive a region boundary are
+   spilled to (and restored from) each work-item's row of the context
+   matrices, so batch widths may differ from region to region. Each
+   work-item's accesses keep its program order, which is all the trace
+   consumers depend on, so results are bit-identical to the fiber
+   scheduler.
 
    Region formation proved barriers group-uniform, but that is a static
    claim about a dynamic property; the sweep still verifies that every
-   work-item leaves the region at the same exit and reports barrier
+   batch leaves the region at the same exit and reports barrier
    divergence like the fiber scheduler would. *)
-let run_group_wgloop (x : exec_ctx) : unit =
-  let st = x.states.(0) in
-  let cf =
-    match x.xc.Interp.code with
-    | Some cf -> cf
-    | None -> fail "wg-loop without compiled code"
-  in
-  let w =
-    match cf.Interp.wg with
-    | Some w -> w
-    | None -> fail "wg-loop without region metadata"
-  in
+let run_group_lanes (x : exec_ctx) ~(ln : Interp.clanes)
+    ~(lst : Interp.lane_state) ~(width : int) ~ictx ~fctx ~bctx
+    ~(priv : int array) : unit =
   let n = x.n_items in
+  (* A one-lane region after a W-wide one reads offsets no batch of this
+     group wrote yet: start every work-item's from zero. *)
+  Array.fill priv 0 n 0;
   let cur = ref 0 in
   let entered = ref (-1) in
   (* barrier we resumed from; -1 = kernel entry *)
   let finished = ref false in
   while not !finished do
-    let exit0 = ref (-1) in
-    for flat = 0 to n - 1 do
-      if flat = 0 then Interp.reset_item st ~flat:0
-      else Interp.advance_item st;
-      if !entered >= 0 then begin
-        st.Interp.private_offset <- x.wg_priv.(flat);
-        Interp.spill_restore st w ~bar:!entered ~ictx:x.wg_ictx
-          ~fctx:x.wg_fctx ~bctx:x.wg_bctx ~flat
-      end;
-      let e = Interp.run_region st cf ~from:!cur in
+    (* -2 = no batch has exited this region yet *)
+    let exit0 = ref (-2) in
+    let bw = if ln.Interp.lentry.(!entered + 1) then width else 1 in
+    let base = ref 0 in
+    while !base < n do
+      let nl = min bw (n - !base) in
+      Interp.reset_lane_batch lst ~base:!base ~nl;
+      if !entered >= 0 then
+        Interp.lane_spill_restore lst ln ~bar:!entered ~ictx ~fctx ~bctx;
+      if bw = 1 then lst.Interp.lpriv <- priv.(!base);
+      let e = Interp.run_lane_region lst ln ~from:!cur in
       if e >= 0 then begin
-        Interp.spill_save st w ~bar:e ~ictx:x.wg_ictx ~fctx:x.wg_fctx
-          ~bctx:x.wg_bctx ~flat;
-        x.wg_priv.(flat) <- st.Interp.private_offset
+        Interp.lane_spill_save lst ln ~bar:e ~ictx ~fctx ~bctx;
+        if bw = 1 then priv.(!base) <- lst.Interp.lpriv
       end;
-      if flat = 0 then exit0 := e
+      if !exit0 = -2 then exit0 := e
       else if e <> !exit0 then
         fail
           "barrier divergence in %s: work-item %d left the parallel region \
            at a different point than work-item 0"
-          x.xc.Interp.fn.f_name flat
+          x.xc.Interp.fn.f_name !base;
+      base := !base + nl
     done;
     if !exit0 < 0 then finished := true
     else begin
@@ -540,102 +499,7 @@ let run_group_wgloop (x : exec_ctx) : unit =
       x.stats.Trace.barrier_rounds <- x.stats.Trace.barrier_rounds + 1;
       (match x.san with Some s -> Sanitize.barrier_round s | None -> ());
       entered := !exit0;
-      cur := w.Interp.bar_entry.(!exit0)
-    end
-  done
-
-(* Lane-batched work-group loops: like [run_group_wgloop], but a region
-   whose (refined) entry is lane-sweepable advances a whole batch of
-   work-items per pass — group-size/W sweep steps instead of group-size.
-   Regions the lane compiler could not batch run the scalar sweep; the two
-   execution styles exchange live values through the same per-work-item
-   context matrices (uniform values replicate into every row on the lane
-   side, so a following scalar region reads exactly what the scalar path
-   would have written). *)
-let run_group_wgvec (x : exec_ctx) : unit =
-  let st = x.states.(0) in
-  let cf =
-    match x.xc.Interp.code with
-    | Some cf -> cf
-    | None -> fail "wg-vec without compiled code"
-  in
-  let w =
-    match cf.Interp.wg with
-    | Some w -> w
-    | None -> fail "wg-vec without region metadata"
-  in
-  let ln =
-    match cf.Interp.lanes with
-    | Some ln -> ln
-    | None -> fail "wg-vec without lane metadata"
-  in
-  let lst =
-    match x.lanes with
-    | Some lst -> lst
-    | None -> fail "wg-vec without a lane state"
-  in
-  let n = x.n_items in
-  let lw = lst.Interp.lw in
-  (* Lane regions have no private allocas and never write the bump
-     offsets; clear last group's values so a later scalar region starts
-     from the same offsets the pure-scalar sweep would. *)
-  Array.fill x.wg_priv 0 (Array.length x.wg_priv) 0;
-  let cur = ref 0 in
-  let entered = ref (-1) in
-  (* barrier we resumed from; -1 = kernel entry *)
-  let finished = ref false in
-  while not !finished do
-    (* -2 = no batch/work-item has exited this region yet *)
-    let exit0 = ref (-2) in
-    if ln.Interp.lentry.(!entered + 1) then begin
-      let base = ref 0 in
-      while !base < n do
-        let nl = min lw (n - !base) in
-        Interp.reset_lane_batch lst ~base:!base ~nl;
-        if !entered >= 0 then
-          Interp.lane_spill_restore lst w ln ~bar:!entered ~ictx:x.wg_ictx
-            ~fctx:x.wg_fctx ~bctx:x.wg_bctx;
-        let e = Interp.run_lane_region lst cf ln ~from:!cur in
-        if e >= 0 then
-          Interp.lane_spill_save lst w ln ~bar:e ~ictx:x.wg_ictx
-            ~fctx:x.wg_fctx ~bctx:x.wg_bctx;
-        if !exit0 = -2 then exit0 := e
-        else if e <> !exit0 then
-          fail
-            "barrier divergence in %s: work-item %d left the parallel \
-             region at a different point than work-item 0"
-            x.xc.Interp.fn.f_name !base;
-        base := !base + nl
-      done
-    end
-    else
-      for flat = 0 to n - 1 do
-        if flat = 0 then Interp.reset_item st ~flat:0
-        else Interp.advance_item st;
-        if !entered >= 0 then begin
-          st.Interp.private_offset <- x.wg_priv.(flat);
-          Interp.spill_restore st w ~bar:!entered ~ictx:x.wg_ictx
-            ~fctx:x.wg_fctx ~bctx:x.wg_bctx ~flat
-        end;
-        let e = Interp.run_region st cf ~from:!cur in
-        if e >= 0 then begin
-          Interp.spill_save st w ~bar:e ~ictx:x.wg_ictx ~fctx:x.wg_fctx
-            ~bctx:x.wg_bctx ~flat;
-          x.wg_priv.(flat) <- st.Interp.private_offset
-        end;
-        if flat = 0 then exit0 := e
-        else if e <> !exit0 then
-          fail
-            "barrier divergence in %s: work-item %d left the parallel \
-             region at a different point than work-item 0"
-            x.xc.Interp.fn.f_name flat
-      done;
-    if !exit0 < 0 then finished := true
-    else begin
-      x.stats.Trace.barrier_rounds <- x.stats.Trace.barrier_rounds + 1;
-      (match x.san with Some s -> Sanitize.barrier_round s | None -> ());
-      entered := !exit0;
-      cur := w.Interp.bar_entry.(!exit0)
+      cur := ln.Interp.bar_entry.(!exit0)
     end
   done
 
@@ -647,25 +511,26 @@ let run_one_group (x : exec_ctx) ~(wg : int) ~(queue : int) : unit =
   x.grp.(2) <- wg / (ngr.(0) * ngr.(1));
   let ls = local_set_for x queue in
   if queue <> x.cur_queue then begin
-    Array.iter
-      (fun (st : Interp.wi_state) ->
-        st.Interp.queue <- queue;
-        st.Interp.local_bufs <- ls.ls_tab)
-      x.states;
-    (match x.lanes with
-    | Some lst -> lst.Interp.llocal <- ls.ls_tab
-    | None -> ());
+    (match x.sched with
+    | Lane_sweep { lst; _ } ->
+        lst.Interp.lqueue <- queue;
+        lst.Interp.llocal <- ls.ls_tab
+    | Fibers { states; _ } ->
+        Array.iter
+          (fun (st : Interp.wi_state) ->
+            st.Interp.queue <- queue;
+            st.Interp.local_bufs <- ls.ls_tab)
+          states);
     x.cur_queue <- queue
   end;
   (* Fresh local memory per group, matching the former per-group
      allocation semantics. *)
   List.iter Memory.clear ls.ls_bufs;
   Trace.reset x.stats ~wg_id:wg ~queue ~wg_size:x.n_items;
-  match x.path with
-  | Wg_vec -> run_group_wgvec x
-  | Wg_loop -> run_group_wgloop x
-  | Fiberless -> run_group_fiberless x
-  | Fiber -> run_group_fibers x
+  match x.sched with
+  | Lane_sweep { ln; lst; width; ictx; fctx; bctx; priv } ->
+      run_group_lanes x ~ln ~lst ~width ~ictx ~fctx ~bctx ~priv
+  | Fibers { states; parked } -> run_group_fibers x ~states ~parked
 
 (* -- The persistent domain pool -----------------------------------------------
 
@@ -932,8 +797,7 @@ module Sched = struct
            allocations left by the previous launch; local allocations are
            kept — their addresses are (queue, offset)-determined and their
            storage is cleared per group anyway. *)
-        Array.blit l.l_args 0 x.states.(0).Interp.args 0
-          (Array.length l.l_args);
+        Array.blit l.l_args 0 x.args 0 (Array.length l.l_args);
         x.scratch.Memory.buffers <-
           List.filter
             (fun (b : Memory.buffer) -> b.Memory.space <> Private)
@@ -1085,9 +949,6 @@ end
     assumes work-groups write disjoint output elements, as well-formed
     data-parallel kernels do.
 
-    [force_fibers] runs a barrier-free kernel under the fiber scheduler
-    anyway — the differential test hook for the fast path.
-
     [sanitizer] installs a {!Sanitize.t} on every work-item state: each
     load/store is checked for intra-group races and out-of-bounds indices
     (findings accumulate in the sanitizer; the run's buffers are
@@ -1097,8 +958,8 @@ end
     Returns aggregate totals. *)
 let launch (c : Interp.compiled) ~(cfg : launch_config)
     ~(args : arg_binding list) ~(mem : Memory.t)
-    ?(on_group : (Trace.wg_stats -> unit) option) ?(domains = 1)
-    ?(force_fibers = false) ?force_path ?(sanitizer : Sanitize.t option) () :
+    ?(on_group : (Trace.wg_stats -> unit) option) ?(domains = 1) ?force_path
+    ?(sanitizer : Sanitize.t option) () :
     Trace.totals =
   let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
   if lx <= 0 || ly <= 0 || lz <= 0 then fail "work-group sizes must be positive";
@@ -1112,7 +973,7 @@ let launch (c : Interp.compiled) ~(cfg : launch_config)
   let n_groups = ngr.(0) * ngr.(1) * ngr.(2) in
   let domains = if sanitizer <> None then 1 else domains in
   let { path; domains_used = d; _ } =
-    plan c ~cfg ~force_fibers ?force_path ~domains ()
+    plan c ~cfg ?force_path ~domains ()
   in
   if d <= 1 then begin
     (* One pooled execution context for the whole launch: states, stats
@@ -1154,11 +1015,11 @@ let launch (c : Interp.compiled) ~(cfg : launch_config)
     diagnostic of its own. The execution itself is bit-identical to a
     normal [launch]. *)
 let run_sanitized (c : Interp.compiled) ~(cfg : launch_config)
-    ~(args : arg_binding list) ~(mem : Memory.t) ?(force_fibers = false)
-    ?force_path () : Trace.totals * Sanitize.finding list =
+    ~(args : arg_binding list) ~(mem : Memory.t) ?force_path () :
+    Trace.totals * Sanitize.finding list =
   let san = Sanitize.create () in
   let totals =
-    try launch c ~cfg ~args ~mem ~force_fibers ?force_path ~sanitizer:san ()
+    try launch c ~cfg ~args ~mem ?force_path ~sanitizer:san ()
     with Sanitize.Abort _ -> Trace.empty_totals ()
   in
   (totals, Sanitize.findings san)

@@ -19,7 +19,7 @@ type run = {
   totals : Trace.totals;
   sim : Sim.result option;
   path : string;
-      (** execution path taken: "wg-vec", "wg-loop", "fiberless" or "fiber" *)
+      (** execution path taken: "wg-vec" or "fiber" *)
 }
 
 type comparison = {
@@ -127,12 +127,12 @@ let run_version ?vectorized_override ?engine ?domains (case : Kit.case)
 type wallclock_run = {
   wc_seconds : float;
   wc_items : int;  (** work-items executed *)
-  wc_path : string;  (** "wg-vec", "wg-loop", "fiberless" or "fiber" *)
+  wc_path : string;  (** "wg-vec" or "fiber" *)
   wc_domains : int;  (** parallel domains actually used (incl. the caller) *)
   wc_lane_width : int;  (** lane width compiled for (1 = scalar) *)
 }
 
-let wallclock ?engine ?(domains = 1) ?(force_fibers = false) ?(reps = 1)
+let wallclock ?engine ?(domains = 1) ?(reps = 1)
     (case : Kit.case) (v : version) ~(scale : int) : wallclock_run =
   if reps < 1 then invalid_arg "wallclock: reps must be >= 1";
   let fn, _ = compile_version case v in
@@ -140,7 +140,7 @@ let wallclock ?engine ?(domains = 1) ?(force_fibers = false) ?(reps = 1)
   let w = case.Kit.mk ~scale in
   let gx, gy, gz = w.Kit.global in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
-  let p = Runtime.plan compiled ~cfg ~force_fibers ~domains () in
+  let p = Runtime.plan compiled ~cfg ~domains () in
   (* Min-of-N: scheduler noise and warm-up only ever make a run slower, so
      the minimum is the honest estimate of the kernel's cost (the tinygrad
      timing idiom) — what the autotune DB should record. *)
@@ -148,8 +148,7 @@ let wallclock ?engine ?(domains = 1) ?(force_fibers = false) ?(reps = 1)
   for _ = 1 to reps do
     let t0 = Unix.gettimeofday () in
     let (_ : Trace.totals) =
-      Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~domains
-        ~force_fibers ()
+      Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~domains ()
     in
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt

@@ -454,7 +454,8 @@ let check_db_provenance () =
 let check_tuned_of_entry () =
   let t = Atdb.tuned_of_entry (entry ()) in
   Alcotest.(check string) "version" "without_lm" t.Runtime.tn_version;
-  Alcotest.(check bool) "path" true (t.Runtime.tn_path = Some Runtime.Wg_loop);
+  (* the retired one-work-item sweep's name parses as one-lane batches *)
+  Alcotest.(check bool) "path" true (t.Runtime.tn_path = Some (Runtime.Lanes 1));
   Alcotest.(check bool) "lane width" true (t.Runtime.tn_lane_width = Some 8)
 
 (** The acceptance property: with a populated DB installed, [Runtime.plan]
@@ -480,8 +481,8 @@ let check_plan_consults_db () =
     { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
   in
   let default_path = (Runtime.plan compiled ~cfg ()).Runtime.path in
-  Alcotest.(check bool) "barrier kernel defaults to wg-vec" true
-    (default_path = Runtime.Wg_vec);
+  Alcotest.(check bool) "barrier kernel defaults to W-wide lane batches" true
+    (match default_path with Runtime.Lanes w -> w > 1 | Runtime.Fiber -> false);
   let khash =
     Cache.kernel_hash ~source:case.Kit.source ~defines:case.Kit.defines
       ~name:case.Kit.kernel
@@ -494,7 +495,7 @@ let check_plan_consults_db () =
   Fun.protect ~finally:Atdb.clear_tuner (fun () ->
       let p = Runtime.plan compiled ~cfg () in
       Alcotest.(check bool) "plan takes the tuned path" true
-        (p.Runtime.path = Runtime.Wg_loop);
+        (p.Runtime.path = Runtime.Lanes 1);
       (* Drivers read version / lane width through the same hook. *)
       (match Runtime.lookup_tuned ~name:case.Kit.kernel ~cfg with
       | Some t ->

@@ -328,6 +328,38 @@ let test_verify_use_before_def () =
       Builder.ret b;
       Verify.run fn)
 
+(* Vector components are addressed by in-range constants only: a dynamic
+   lane index and an out-of-range constant are both malformed, and the
+   error cites the source span of the offending instruction. *)
+let test_verify_vector_lane () =
+  let v4 = Ssa.Vec (Ssa.F32, 4) in
+  let build lane () =
+    let n = { Ssa.a_index = 0; a_name = "n"; a_ty = Ssa.I32 } in
+    let fn, b = Builder.create_function ~name:"bad" ~args:[ n ] in
+    let p = Builder.alloca b Ssa.Private v4 1 in
+    let v = Builder.load b p (Builder.i32 0) in
+    let e = Builder.extract b v (lane (Ssa.Arg n)) in
+    (match e with
+    | Ssa.Vinstr i -> i.Ssa.iloc <- { Grover_support.Loc.line = 3; col = 7 }
+    | _ -> ());
+    Builder.store b p (Builder.i32 0) (Builder.insert b v (Builder.i32 1) e);
+    Builder.ret b;
+    Verify.run fn
+  in
+  build (fun _ -> Builder.i32 3) ();
+  List.iter
+    (fun (name, lane) ->
+      match build lane () with
+      | exception Verify.Invalid_ir m ->
+          let suffix = "(from source 3:7)" in
+          let ls = String.length m and lx = String.length suffix in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: error is located (%s)" name m)
+            true
+            (ls >= lx && String.sub m (ls - lx) lx = suffix)
+      | () -> Alcotest.failf "%s: verifier accepted malformed IR" name)
+    [ ("dynamic lane", fun a -> a); ("lane out of range", fun _ -> Builder.i32 4) ]
+
 (* -- dominators ----------------------------------------------------------------- *)
 
 let test_dominators_diamond () =
@@ -418,7 +450,9 @@ let suite =
         Alcotest.test_case "float op on ints" `Quick test_verify_float_op_on_ints;
         Alcotest.test_case "store type mismatch" `Quick test_verify_store_type_mismatch;
         Alcotest.test_case "cond on non-i1" `Quick test_verify_cond_on_non_i1;
-        Alcotest.test_case "use before def" `Quick test_verify_use_before_def ] );
+        Alcotest.test_case "use before def" `Quick test_verify_use_before_def;
+        Alcotest.test_case "vector lane not an in-range constant" `Quick
+          test_verify_vector_lane ] );
     ( "dominators",
       [ Alcotest.test_case "diamond" `Quick test_dominators_diamond;
         Alcotest.test_case "loop frontier" `Quick test_dominators_loop_frontier ] );
