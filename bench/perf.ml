@@ -347,11 +347,13 @@ let report_masked (s : masked_stats) : unit =
    default-plan launch (scale 1, one domain) of a suite version.
 
    - The allocation gate: the float4 kernels (TNG-GEMM4 and NVD-NBody,
-     both versions). Vector values live in per-component slots and float
-     operands are read inside the lane loops, so a launch allocates next
-     to nothing per work-item; the run fails when a row exceeds
-     [alloc_limit], which the boxed-vector representation exceeded 15 to
-     80 times over.
+     both versions), plain and through the sanitizer. Vector values live
+     in per-component slots and float operands are read inside the lane
+     loops, and a sanitized access only reads and writes shadow stamps,
+     so a launch allocates next to nothing per work-item; the run fails
+     when a row exceeds [alloc_limit], which the boxed-vector
+     representation exceeded 15 to 80 times over and a closure-building
+     sanitizer 3 to 11 times over.
    - The one-lane rows: AMD-SS, PAB-ST and ROD-SC with_lm, the only
      default-plan launches whose region 0 (a divergent store) runs
      one-lane batches. Recorded, not gated. *)
@@ -360,14 +362,15 @@ type alloc_row = {
   ar_case : string;
   ar_version : H.version;
   ar_path : string;
+  ar_sanitize : bool;
   ar_wi_per_sec : float;
   ar_words_per_wi : float;
 }
 
 let alloc_limit = 512.0
 
-let launch_rows ~(reps : int) (pairs : (Kit.case * H.version) list) :
-    alloc_row list =
+let launch_rows ~(sanitize : bool) ~(reps : int)
+    (pairs : (Kit.case * H.version) list) : alloc_row list =
   List.map
     (fun ((case : Kit.case), version) ->
       let fn, _ = H.compile_version case version in
@@ -379,9 +382,20 @@ let launch_rows ~(reps : int) (pairs : (Kit.case * H.version) list) :
       let gx, gy, gz = w.Kit.global in
       let items = float_of_int (gx * gy * gz) in
       let launch () =
-        ignore
-          (Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem
-             ~domains:1 ())
+        if sanitize then begin
+          let _totals, findings =
+            Runtime.run_sanitized compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem
+              ()
+          in
+          if findings <> [] then
+            failwith
+              (Printf.sprintf "perf bench: %s: unexpected sanitizer finding"
+                 case.Kit.id)
+        end
+        else
+          ignore
+            (Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem
+               ~domains:1 ())
       in
       launch ();
       let w0 = Gc.minor_words () in
@@ -404,19 +418,23 @@ let launch_rows ~(reps : int) (pairs : (Kit.case * H.version) list) :
         ar_case = case.Kit.id;
         ar_version = version;
         ar_path = Runtime.path_name (Runtime.plan compiled ~cfg ~domains:1 ());
+        ar_sanitize = sanitize;
         ar_wi_per_sec = items /. !best;
         ar_words_per_wi = words /. items;
       })
     pairs
 
 let alloc_bench ~(reps : int) () : alloc_row list =
-  launch_rows ~reps
-    (List.concat_map
-       (fun c -> [ (c, H.With_lm); (c, H.Without_lm) ])
-       [ Grover_suite.Gemm4.case; Grover_suite.Nvd_nbody.case ])
+  let pairs =
+    List.concat_map
+      (fun c -> [ (c, H.With_lm); (c, H.Without_lm) ])
+      [ Grover_suite.Gemm4.case; Grover_suite.Nvd_nbody.case ]
+  in
+  launch_rows ~sanitize:false ~reps pairs
+  @ launch_rows ~sanitize:true ~reps pairs
 
 let one_lane_bench ~(reps : int) () : alloc_row list =
-  launch_rows ~reps
+  launch_rows ~sanitize:false ~reps
     (List.map
        (fun id ->
          ( List.find (fun (c : Kit.case) -> c.Kit.id = id) Grover_suite.Suite.all,
@@ -424,12 +442,14 @@ let one_lane_bench ~(reps : int) () : alloc_row list =
        [ "AMD-SS"; "PAB-ST"; "ROD-SC" ])
 
 let print_launch_rows (rows : alloc_row list) : unit =
-  Printf.printf "%-12s %-12s %-8s %14s %14s\n" "case" "version" "path" "wi/sec"
-    "words/wi";
+  Printf.printf "%-12s %-12s %-8s %-8s %14s %14s\n" "case" "version" "path"
+    "sanitize" "wi/sec" "words/wi";
   List.iter
     (fun r ->
-      Printf.printf "%-12s %-12s %-8s %14.0f %14.1f\n" r.ar_case
-        (version_name r.ar_version) r.ar_path r.ar_wi_per_sec r.ar_words_per_wi)
+      Printf.printf "%-12s %-12s %-8s %-8s %14.0f %14.1f\n" r.ar_case
+        (version_name r.ar_version) r.ar_path
+        (if r.ar_sanitize then "yes" else "no")
+        r.ar_wi_per_sec r.ar_words_per_wi)
     rows
 
 let report_one_lane (rows : alloc_row list) : unit =
@@ -450,9 +470,11 @@ let report_alloc (rows : alloc_row list) : unit =
       List.iter
         (fun r ->
           Printf.eprintf
-            "perf bench FAILED: %s %s allocates %.0f minor words per \
+            "perf bench FAILED: %s %s%s allocates %.0f minor words per \
              work-item (limit %.0f)\n"
-            r.ar_case (version_name r.ar_version) r.ar_words_per_wi alloc_limit)
+            r.ar_case (version_name r.ar_version)
+            (if r.ar_sanitize then " (sanitized)" else "")
+            r.ar_words_per_wi alloc_limit)
         bad;
       exit 1
 
@@ -824,10 +846,10 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       (fun k r ->
         Printf.fprintf oc
           "    {\"case\": \"%s\", \"version\": \"%s\", \"path\": \"%s\", \
-           \"domains\": 1, \"scale\": 1, \"wi_per_sec\": %.0f, \
-           \"minor_words_per_wi\": %.1f}%s\n"
-          r.ar_case (version_name r.ar_version) r.ar_path r.ar_wi_per_sec
-          r.ar_words_per_wi
+           \"sanitize\": %b, \"domains\": 1, \"scale\": 1, \
+           \"wi_per_sec\": %.0f, \"minor_words_per_wi\": %.1f}%s\n"
+          r.ar_case (version_name r.ar_version) r.ar_path r.ar_sanitize
+          r.ar_wi_per_sec r.ar_words_per_wi
           (if k = List.length rows - 1 then "" else ","))
       rows
   in

@@ -164,7 +164,34 @@ dune exec bin/groverc.exe -- sanitize examples/kernels/transpose_tile.cl \
   --local 16,16 > /dev/null
 dune exec bin/groverc.exe -- sanitize examples/kernels/tiled_matmul.cl \
   --global 16,16 --local 8,8 > /dev/null
-dune exec bin/groverc.exe -- sanitize all --scale 8 > /dev/null
+
+echo "== sanitizer output: byte-identical to the checked-in references =="
+# Findings, their order, their dedup and their messages are the
+# sanitizer's contract, not only their codes: `sanitize all --scale 8`
+# (stdout and stderr) and the bad corpus's JSON diagnostics must match
+# test/sanitize_golden/ byte for byte (read here, never rewritten).
+golden=test/sanitize_golden
+san_out=$(mktemp)
+san_err=$(mktemp)
+expect_golden() {
+  if ! cmp -s "$1" "$golden/$2"; then
+    echo "FAIL: $3: output differs from $golden/$2"
+    diff "$1" "$golden/$2" || true
+    exit 1
+  fi
+}
+dune exec bin/groverc.exe -- sanitize all --scale 8 > "$san_out" 2> "$san_err"
+expect_golden "$san_out" sanitize_all_scale8.out "sanitize all --scale 8 (stdout)"
+expect_golden "$san_err" sanitize_all_scale8.err "sanitize all --scale 8 (stderr)"
+for k in bad_racy_store bad_divergent_barrier bad_oob_index; do
+  if dune exec bin/groverc.exe -- sanitize "examples/kernels/$k.cl" --local 16 \
+      --diag-format json > "$san_out"; then
+    echo "FAIL: $k.cl exited 0 but must be rejected"; exit 1
+  fi
+  expect_golden "$san_out" "$k.json" "$k.cl --diag-format json"
+done
+rm -f "$san_out" "$san_err"
+echo "-- sanitize all --scale 8 and the bad corpus are byte-identical"
 
 echo "== sanitizer smoke: bad corpus must be rejected with the right codes =="
 expect_bad() {

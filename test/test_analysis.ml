@@ -2,8 +2,9 @@
    certify every suite kernel race-free under its true work-group size and
    reject each kernel of the negative corpus with the right finding code;
    the dynamic sanitizer must stay silent on the whole suite (both kernel
-   versions, both engines) and must not perturb results — sanitized output
-   buffers are bit-identical to a plain launch. *)
+   versions, both engines), report exactly the pinned findings on a faulty
+   kernel, and must not perturb results — sanitized output buffers are
+   bit-identical to a plain launch. *)
 
 open Grover_ocl
 module H = Grover_suite.Harness
@@ -165,6 +166,170 @@ let qcheck_bit_identity =
       let plain, sanitized = run_pair cases.(i) v e in
       plain = sanitized)
 
+(* -- Dynamic: the findings themselves, not only their codes ------------------ *)
+
+(* Three faults in one launch of one 16-wide group: every work-item writes
+   acc[0] (a write/write race that dedups to one finding), g is written at
+   lx and read at 15 - lx in the same barrier interval (read/write races
+   on a global buffer), and after the barrier out[lx + 1] runs one element
+   past the end (out-of-bounds, which aborts the launch). *)
+let three_faults =
+  {|__kernel void three_faults(__global float *out, __global float *g,
+                           __global const float *in) {
+  __local float acc[16];
+  int lx = get_local_id(0);
+  acc[0] = in[lx];
+  g[lx] = in[lx] * 2.0f;
+  out[lx] = g[15 - lx];
+  barrier(CLK_LOCAL_MEM_FENCE);
+  out[lx + 1] = acc[0];
+}|}
+
+(* What a schedule may not change; which work-item pair fires, and the
+   order, it may. *)
+let verdict_of (f : Sanitize.finding) : string =
+  Printf.sprintf "%s %d:%d %s"
+    (Sanitize.code_of_kind f.Sanitize.f_kind)
+    f.Sanitize.f_loc.Grover_support.Loc.line
+    f.Sanitize.f_loc.Grover_support.Loc.col f.Sanitize.f_buffer
+
+let finding_row (f : Sanitize.finding) : string =
+  Printf.sprintf "%s idx=%d n=%d group=%d wi=%d,%d" (verdict_of f)
+    f.Sanitize.f_index f.Sanitize.f_extent f.Sanitize.f_group f.Sanitize.f_wi1
+    f.Sanitize.f_wi2
+
+let sanitize_three_faults (c : Interp.compiled) ~(force_path : Runtime.path) :
+    Sanitize.finding list =
+  let mem = Memory.create () in
+  let buf () = Memory.alloc mem Grover_ir.Ssa.F32 16 in
+  let out = buf () and g = buf () and inp = buf () in
+  Memory.fill_floats inp (fun i -> float_of_int i);
+  snd
+    (Runtime.run_sanitized c
+       ~cfg:{ Runtime.global = (16, 1, 1); local = (16, 1, 1); queues = 1 }
+       ~args:[ Runtime.Abuf out; Runtime.Abuf g; Runtime.Abuf inp ]
+       ~mem ~force_path ())
+
+let three_faults_expected =
+  [
+    "GRV-SAN-WW 5:7 local buffer 'acc' idx=0 n=16 group=0 wi=0,1";
+    "GRV-SAN-RW 6:5 global buffer 'g' idx=8 n=16 group=0 wi=7,8";
+    "GRV-SAN-RW 7:20 global buffer 'g' idx=7 n=16 group=0 wi=7,8";
+    "GRV-SAN-OOB 9:12 global buffer 'out' idx=16 n=16 group=0 wi=15,15";
+  ]
+
+let test_findings_pinned () =
+  let c = Interp.prepare ~engine:Interp.Tree (compile_one three_faults) in
+  Alcotest.(check (list string))
+    "tree+fiber findings" three_faults_expected
+    (List.map finding_row (sanitize_three_faults c ~force_path:Runtime.Fiber))
+
+let test_findings_width_invariant () =
+  let fn = compile_one three_faults in
+  let verdicts c force_path =
+    List.sort_uniq compare
+      (List.map verdict_of (sanitize_three_faults c ~force_path))
+  in
+  let oracle =
+    verdicts (Interp.prepare ~engine:Interp.Tree fn) Runtime.Fiber
+  in
+  List.iter
+    (fun (name, c, force_path) ->
+      Alcotest.(check (list string)) name oracle (verdicts c force_path))
+    [
+      ( "W=4",
+        Interp.prepare ~engine:Interp.Compiled ~lane_width:4 fn,
+        Runtime.Lanes max_int );
+      ( "W=8",
+        Interp.prepare ~engine:Interp.Compiled ~lane_width:8 fn,
+        Runtime.Lanes max_int );
+      ( "one-lane",
+        Interp.prepare ~engine:Interp.Compiled fn,
+        Runtime.Lanes 1 );
+    ]
+
+(* 70 store lines, each to its own element of acc, run by two work-items
+   in one barrier interval: every line races, and the sanitizer keeps the
+   first 64 findings. *)
+let test_findings_capped () =
+  let lines = 70 in
+  let src =
+    let b = Buffer.create 4096 in
+    Printf.bprintf b
+      "__kernel void many(__global float *out) {\n\
+      \  __local float acc[%d];\n\
+      \  int lx = get_local_id(0);\n"
+      lines;
+    for k = 0 to lines - 1 do
+      Printf.bprintf b "  acc[%d] = (float)(lx + %d);\n" k k
+    done;
+    Buffer.add_string b
+      "  barrier(CLK_LOCAL_MEM_FENCE);\n  out[lx] = acc[lx];\n}\n";
+    Buffer.contents b
+  in
+  let c = Interp.prepare (compile_one src) in
+  let mem = Memory.create () in
+  let out = Memory.alloc mem Grover_ir.Ssa.F32 2 in
+  let _, findings =
+    Runtime.run_sanitized c
+      ~cfg:{ Runtime.global = (2, 1, 1); local = (2, 1, 1); queues = 1 }
+      ~args:[ Runtime.Abuf out ] ~mem ()
+  in
+  (* The first store is on source line 4. *)
+  Alcotest.(check (list (pair string int)))
+    "first 64 racy lines, in source order"
+    (List.init 64 (fun k -> ("GRV-SAN-WW", 4 + k)))
+    (List.map
+       (fun (f : Sanitize.finding) ->
+         ( Sanitize.code_of_kind f.Sanitize.f_kind,
+           f.Sanitize.f_loc.Grover_support.Loc.line ))
+       findings)
+
+(* Shadows are per buffer, not per buffer id: an argument buffer from
+   another [Memory.t] shares its [bid] with the [__local] buffer the
+   launch allocates in [~mem], and must still get its own shadow. *)
+let bid_probe =
+  {|__kernel void probe(__global float *out) {
+  __local float tmp[64];
+  int lx = get_local_id(0);
+  tmp[lx] = (float)lx;
+  barrier(CLK_LOCAL_MEM_FENCE);
+  out[lx] = tmp[63 - lx];
+}|}
+
+let test_foreign_arg_buffer () =
+  let c = Interp.prepare (compile_one bid_probe) in
+  let run sanitized =
+    let host = Memory.create () in
+    let out = Memory.alloc host Grover_ir.Ssa.F32 64 in
+    let mem = Memory.create () in
+    let cfg = { Runtime.global = (64, 1, 1); local = (64, 1, 1); queues = 1 } in
+    let args = [ Runtime.Abuf out ] in
+    let findings =
+      if sanitized then snd (Runtime.run_sanitized c ~cfg ~args ~mem ())
+      else (
+        ignore (Runtime.launch c ~cfg ~args ~mem ());
+        [])
+    in
+    (findings, storage_bits out)
+  in
+  let _, plain = run false in
+  let findings, sanitized = run true in
+  Alcotest.(check (list string))
+    "no findings" []
+    (List.map finding_row findings);
+  Alcotest.(check bool) "bit-identical to a plain run" true (plain = sanitized)
+
+(* A shadow stamp keeps the epoch above bit 32, so the epoch counter must
+   stop with a message before it would overflow the stamp. *)
+let test_epoch_limit () =
+  let s = Sanitize.create () in
+  s.Sanitize.epoch <- Sanitize.max_epoch - 2;
+  Sanitize.barrier_round s;
+  match Sanitize.enter_group s ~group:1 with
+  | () -> Alcotest.fail "the epoch counter passed its limit"
+  | exception Failure _ -> ()
+
 let suite =
   let static =
     List.map
@@ -199,7 +364,20 @@ let suite =
   in
   [
     ("analysis-static", static);
-    ("analysis-sanitize", dynamic);
+    ( "analysis-sanitize",
+      dynamic
+      @ [
+          Alcotest.test_case "three faults: pinned findings" `Quick
+            test_findings_pinned;
+          Alcotest.test_case "three faults: same verdicts at every width"
+            `Quick test_findings_width_invariant;
+          Alcotest.test_case "findings capped at 64, in source order" `Quick
+            test_findings_capped;
+          Alcotest.test_case "argument buffer from another Memory.t" `Quick
+            test_foreign_arg_buffer;
+          Alcotest.test_case "epoch counter stops at its limit" `Quick
+            test_epoch_limit;
+        ] );
     ( "analysis-props",
       [ QCheck_alcotest.to_alcotest qcheck_bit_identity ] );
   ]
