@@ -320,6 +320,32 @@ let test_foreign_arg_buffer () =
     (List.map finding_row findings);
   Alcotest.(check bool) "bit-identical to a plain run" true (plain = sanitized)
 
+(* A checked access that fires nothing allocates nothing: the shadow comes
+   from the cache and no finding is built. 6144 accesses over three
+   buffers, after a first sweep has created their shadows. *)
+let test_access_allocates_nothing () =
+  let mem = Memory.create () in
+  let bufs = Array.init 3 (fun _ -> Memory.alloc mem Grover_ir.Ssa.F32 1024) in
+  let s = Sanitize.create () in
+  Sanitize.enter_group s ~group:0;
+  let loc = Grover_support.Loc.dummy in
+  let sweep () =
+    for i = 0 to 1023 do
+      for k = 0 to 2 do
+        let buf = bufs.(k) in
+        Sanitize.access s ~buf ~idx:i ~is_write:true ~wi:i ~loc;
+        Sanitize.access s ~buf ~idx:i ~is_write:false ~wi:i ~loc
+      done
+    done
+  in
+  sweep ();
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. w0 in
+  if words > 64.0 then
+    Alcotest.failf "6144 sanitized accesses allocated %.0f minor words" words;
+  Alcotest.(check int) "no findings" 0 (List.length (Sanitize.findings s))
+
 (* A shadow stamp keeps the epoch above bit 32, so the epoch counter must
    stop with a message before it would overflow the stamp. *)
 let test_epoch_limit () =
@@ -377,6 +403,8 @@ let suite =
             test_foreign_arg_buffer;
           Alcotest.test_case "epoch counter stops at its limit" `Quick
             test_epoch_limit;
+          Alcotest.test_case "a checked access allocates nothing" `Quick
+            test_access_allocates_nothing;
         ] );
     ( "analysis-props",
       [ QCheck_alcotest.to_alcotest qcheck_bit_identity ] );
