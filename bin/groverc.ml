@@ -20,6 +20,10 @@ module Diag = Grover_support.Diag
 module Pass = Grover_passes.Pass
 module Cache = Grover_cache.Compile_cache
 module Atdb = Grover_cache.Autotune_db
+module H = Grover_suite.Harness
+module Kit = Grover_suite.Kit
+module Suite = Grover_suite.Suite
+module Runtime = Grover_ocl.Runtime
 
 (* Referencing the Grover pass forces Grover_core to link, which registers
    "grover" in the pass registry for -passes= pipelines; likewise the
@@ -112,7 +116,35 @@ let local_arg =
           "Work-group size the kernel is launched with. The static analyses \
            assume 16 per thread-indexed dimension when not given.")
 
-(* -- Compile-cache flags (shared by transform / pipeline / report) ----------- *)
+(* -- Kernel inputs (shared by the commands) ----------------------------------- *)
+
+let defines_arg : (string * string) list Term.t =
+  Term.(
+    const parse_defines
+    $ Arg.(
+        value & opt_all string []
+        & info [ "define"; "D" ] ~docv:"NAME=VALUE"
+            ~doc:"Preprocessor definition (kernel-file targets)."))
+
+(* Every command that runs bundled benchmarks takes --scale; each keeps its
+   own default. *)
+let scale_arg (default : int) : int Term.t =
+  Arg.(
+    value & opt int default
+    & info [ "scale" ] ~doc:"Problem-size divisor (benchmark targets).")
+
+(* A benchmark target: "all" or a bundled benchmark id -> its suite cases. *)
+let suite_cases (target : string) : (Kit.case list, string) result =
+  if String.lowercase_ascii target = "all" then Ok Suite.all
+  else
+    match Suite.by_id target with
+    | Some c -> Ok [ c ]
+    | None ->
+        Error
+          (Printf.sprintf "unknown benchmark %s; try: all, %s" target
+             (String.concat ", " (List.map (fun c -> c.Kit.id) Suite.all)))
+
+(* -- Compile-cache and autotune-DB flags ------------------------------------- *)
 
 let cache_dir_arg =
   Arg.(
@@ -138,6 +170,30 @@ let resolve_cache_dir (cache_dir : string option) : string option =
       match Sys.getenv_opt "GROVER_CACHE_DIR" with
       | None | Some "" -> None
       | Some d -> Some d)
+
+(* The autotune DB file: --db, else autotune.db in the cache directory,
+   else in .grover-cache. *)
+let db_file_arg : string Term.t =
+  let db =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "db" ] ~docv:"FILE"
+          ~doc:
+            "Autotune database file (default: $(b,CACHE_DIR/autotune.db) \
+             under --cache-dir / GROVER_CACHE_DIR, or \
+             $(b,.grover-cache/autotune.db)).")
+  in
+  let pick db cache_dir =
+    match db with
+    | Some f -> f
+    | None ->
+        Atdb.default_file
+          ~cache_dir:
+            (Option.value (resolve_cache_dir cache_dir)
+               ~default:".grover-cache")
+  in
+  Term.(const pick $ db $ cache_dir_arg)
 
 (* The cache replays stored results; per-pass instrumentation only exists on
    a real run, so instrumented invocations always compile. *)
@@ -207,6 +263,20 @@ let finish fmt ?file ~time_passes (c : Pass.ctx) : unit =
 
 (* -- transform ---------------------------------------------------------------- *)
 
+(* Grover's outcome on kernel [name]: its reports and rejections, then the
+   header of the transformed kernel printed next. *)
+let print_grover_outcome (name : string) (o : Grover_core.Grover.outcome) :
+    unit =
+  List.iter
+    (fun e -> print_endline (Grover_core.Report.to_string e))
+    o.Grover_core.Grover.reports;
+  List.iter
+    (fun (n, r) -> Printf.printf "; rejected %s: %s\n" n r)
+    o.Grover_core.Grover.rejected;
+  Printf.printf "; === %s (local memory disabled: %s) ===\n" name
+    (if o.Grover_core.Grover.transformed = [] then "nothing to do"
+     else String.concat ", " o.Grover_core.Grover.transformed)
+
 let transform_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"KERNEL.cl")
@@ -216,12 +286,6 @@ let transform_cmd =
       value & opt_all string []
       & info [ "only" ] ~docv:"NAME"
           ~doc:"Restrict the transformation to the named local buffer(s).")
-  in
-  let defines =
-    Arg.(
-      value & opt_all string []
-      & info [ "define"; "D" ] ~docv:"NAME=VALUE"
-          ~doc:"Preprocessor definition.")
   in
   let show_before =
     Arg.(
@@ -239,7 +303,6 @@ let transform_cmd =
   let run file only defines show_before emit_c passes time_passes print_changed
       verify_each fmt cache_dir no_cache =
     let src = read_file file in
-    let defines = parse_defines defines in
     let only = if only = [] then None else Some only in
     let custom =
       Option.map (fun spec -> parse_pipeline fmt ~file spec) passes
@@ -289,21 +352,9 @@ let transform_cmd =
                        print_string
                          (Grover_ir.Printer.func_to_string bka.Cache.ka_fn)
                    | None -> ());
-                (match ka.Cache.ka_outcome with
-                | None -> ()
-                | Some o ->
-                    List.iter
-                      (fun e -> print_endline (Grover_core.Report.to_string e))
-                      o.Grover_core.Grover.reports;
-                    List.iter
-                      (fun (n, r) -> Printf.printf "; rejected %s: %s\n" n r)
-                      o.Grover_core.Grover.rejected;
-                    Printf.printf "; === %s (local memory disabled: %s) ===\n"
-                      ka.Cache.ka_name
-                      (if o.Grover_core.Grover.transformed = [] then
-                         "nothing to do"
-                       else
-                         String.concat ", " o.Grover_core.Grover.transformed));
+                Option.iter
+                  (print_grover_outcome ka.Cache.ka_name)
+                  ka.Cache.ka_outcome;
                 if emit_c then
                   print_string (Grover_ir.Emit_c.kernel_to_c ka.Cache.ka_fn)
                 else
@@ -333,22 +384,9 @@ let transform_cmd =
                 end;
                 (* With a custom pipeline the user decides where (and whether)
                    Grover runs; the default path runs it after normalisation. *)
-                (match custom with
-                | Some _ -> ()
-                | None ->
-                    let o = Grover_core.Grover.run ?only ~ctx fn in
-                    List.iter
-                      (fun e -> print_endline (Grover_core.Report.to_string e))
-                      o.Grover_core.Grover.reports;
-                    List.iter
-                      (fun (n, r) -> Printf.printf "; rejected %s: %s\n" n r)
-                      o.Grover_core.Grover.rejected;
-                    Printf.printf "; === %s (local memory disabled: %s) ===\n"
-                      fn.Grover_ir.Ssa.f_name
-                      (if o.Grover_core.Grover.transformed = [] then
-                         "nothing to do"
-                       else
-                         String.concat ", " o.Grover_core.Grover.transformed));
+                if custom = None then
+                  print_grover_outcome fn.Grover_ir.Ssa.f_name
+                    (Grover_core.Grover.run ?only ~ctx fn);
                 if emit_c then print_string (Grover_ir.Emit_c.kernel_to_c fn)
                 else print_string (Grover_ir.Printer.func_to_string fn))
               fns;
@@ -359,8 +397,8 @@ let transform_cmd =
        ~doc:"Disable local memory usage in an OpenCL kernel file.")
     Term.(
       ret
-        (const run $ file $ only $ defines $ show_before $ emit_c $ passes_arg
-       $ time_passes_arg $ print_changed_arg $ verify_each_arg
+        (const run $ file $ only $ defines_arg $ show_before $ emit_c
+       $ passes_arg $ time_passes_arg $ print_changed_arg $ verify_each_arg
        $ diag_format_arg $ cache_dir_arg $ no_cache_arg))
 
 (* -- report -------------------------------------------------------------------- *)
@@ -377,10 +415,10 @@ let path_info (fn : Grover_ir.Ssa.func) : string * string list =
   let v = Grover_ir.Regions.form fn in
   let c = Grover_ocl.Interp.prepare ~engine:Grover_ocl.Interp.Compiled fn in
   let path =
-    match Grover_ocl.Runtime.default_path c with
-    | Grover_ocl.Runtime.Lanes w ->
+    match Runtime.default_path c with
+    | Runtime.Lanes w ->
         Printf.sprintf "wg-vec, %d lane%s" w (if w = 1 then "" else "s")
-    | p -> Grover_ocl.Runtime.string_of_path p
+    | p -> Runtime.string_of_path p
   in
   let regions =
     match v with
@@ -406,15 +444,8 @@ let report_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"KERNEL.cl")
   in
-  let defines =
-    Arg.(
-      value & opt_all string []
-      & info [ "define"; "D" ] ~docv:"NAME=VALUE"
-          ~doc:"Preprocessor definition.")
-  in
   let run file defines local fmt cache_dir =
     let src = read_file file in
-    let defines = parse_defines defines in
     (* A populated autotune DB (under the cache dir) adds a "tuned:" line
        per kernel: the recorded winner for each measured launch site. *)
     let db =
@@ -503,7 +534,7 @@ let report_cmd =
           also prints the recorded $(b,tuned:) winner per kernel.")
     Term.(
       ret
-        (const run $ file $ defines $ local_arg $ diag_format_arg
+        (const run $ file $ defines_arg $ local_arg $ diag_format_arg
        $ cache_dir_arg))
 
 (* -- sanitize ------------------------------------------------------------------- *)
@@ -549,6 +580,10 @@ let sanitize_file fmt ~(file : string) ~(kernel : string option)
     | None -> fst (Grover_analysis.Config.box_for fn)
   in
   let global = Option.value global ~default:local in
+  let cfg = { Runtime.global; local; queues = 1 } in
+  (* A launch the runtime would refuse is a usage error, not a finding. *)
+  (try Runtime.check_geometry cfg
+   with Runtime.Launch_error m -> Diag.fatalf ~file ~pass:"sanitize" "%s" m);
   let gx, gy, gz = global in
   let elems = match elems with Some n -> n | None -> max 64 (4 * gx * gy * gz) in
   let mem = Grover_ocl.Memory.create () in
@@ -564,26 +599,27 @@ let sanitize_file fmt ~(file : string) ~(kernel : string option)
               Grover_ocl.Memory.fill_floats buf (fun i ->
                   float_of_int (i mod 17) *. 0.25)
             else Grover_ocl.Memory.fill_ints buf (fun i -> i mod 13);
-            Grover_ocl.Runtime.Abuf buf
+            Runtime.Abuf buf
         | t when Ssa.ty_is_integer t ->
-            Grover_ocl.Runtime.Aint
+            Runtime.Aint
               (match List.assoc_opt a.Ssa.a_name scalars with
               | Some v -> int_of_float v
               | None -> gx)
         | _ ->
-            Grover_ocl.Runtime.Afloat
+            Runtime.Afloat
               (Option.value (List.assoc_opt a.Ssa.a_name scalars) ~default:1.0))
       fn.Ssa.f_args
   in
   let compiled = Grover_ocl.Interp.prepare fn in
-  let cfg = { Grover_ocl.Runtime.global; local; queues = 1 } in
   let dyn =
     try
       let _totals, findings =
-        Grover_ocl.Runtime.run_sanitized compiled ~cfg ~args ~mem ()
+        Runtime.run_sanitized compiled ~cfg ~args ~mem ()
       in
       List.map (Grover_ocl.Sanitize.to_diag ~file) findings
-    with Grover_ocl.Runtime.Launch_error m ->
+    with Runtime.Launch_error m ->
+      (* The geometry was checked above: what remains is barrier
+         divergence. *)
       [ Diag.errorf ~file ~pass:"sanitize" ~code:"GRV-SAN-DIV" "%s" m ]
   in
   emit_diags fmt dyn;
@@ -596,22 +632,15 @@ let sanitize_file fmt ~(file : string) ~(kernel : string option)
 
 (* Sanitize a bundled benchmark: its real workload, geometry and output
    validation, via the suite harness. *)
-let sanitize_case fmt (case : Grover_suite.Kit.case) ~(scale : int) : bool =
-  let r =
-    Grover_suite.Harness.sanitize_run ~scale case Grover_suite.Harness.With_lm
-  in
+let sanitize_case fmt (case : Kit.case) ~(scale : int) : bool =
+  let r = H.sanitize_run ~scale case H.With_lm in
   let static_errors =
-    static_half fmt ~local:(Some r.Grover_suite.Harness.sz_local)
-      r.Grover_suite.Harness.sz_fn
+    static_half fmt ~local:(Some r.H.sz_local) r.H.sz_fn
   in
-  let dyn =
-    List.map
-      (fun f -> Grover_ocl.Sanitize.to_diag f)
-      r.Grover_suite.Harness.sz_findings
-  in
+  let dyn = List.map (fun f -> Grover_ocl.Sanitize.to_diag f) r.H.sz_findings in
   emit_diags fmt dyn;
   let check_failed =
-    match r.Grover_suite.Harness.sz_check with
+    match r.H.sz_check with
     | Ok () -> false
     | Error m ->
         emit_diag fmt
@@ -619,7 +648,7 @@ let sanitize_case fmt (case : Grover_suite.Kit.case) ~(scale : int) : bool =
              m);
         true
   in
-  Printf.printf "%-11s %s\n" case.Grover_suite.Kit.id
+  Printf.printf "%-11s %s\n" case.Kit.id
     (match List.length dyn with
     | 0 -> "sanitizer clean"
     | 1 -> "1 sanitizer finding"
@@ -668,46 +697,29 @@ let sanitize_cmd =
             "Value for a scalar kernel argument (file targets; default: the \
              x-extent of the global size for ints, 1.0 for floats).")
   in
-  let defines =
-    Arg.(
-      value & opt_all string []
-      & info [ "define"; "D" ] ~docv:"NAME=VALUE"
-          ~doc:"Preprocessor definition (file targets only).")
-  in
-  let scale =
-    Arg.(
-      value & opt int 4
-      & info [ "scale" ]
-          ~doc:"Problem-size divisor (benchmark targets only).")
-  in
   let run target kernel global local elems scalars defines scale fmt =
     ignore analyze_pass;
-    let defines = parse_defines defines in
-    guarded fmt (fun () ->
-        let failed =
-          try
-            if Sys.file_exists target then
-              sanitize_file fmt ~file:target ~kernel ~global ~local ~elems
-                ~scalars ~defines
-            else if String.lowercase_ascii target = "all" then
-              List.fold_left
-                (fun acc c -> sanitize_case fmt c ~scale || acc)
-                false Grover_suite.Suite.all
-            else
-              match Grover_suite.Suite.by_id target with
-              | Some c -> sanitize_case fmt c ~scale
-              | None ->
-                  emit_diag fmt
-                    (Diag.errorf
-                       "unknown sanitize target %s (expected a kernel file, a \
-                        benchmark id or \"all\")"
-                       target);
-                  exit 1
-          with Grover_suite.Harness.Harness_error m ->
-            emit_diag fmt (Diag.errorf ~pass:"sanitize" "%s" m);
-            true
-        in
-        if failed then exit 1)
+    if Sys.file_exists target then
+      guarded fmt (fun () ->
+          if
+            sanitize_file fmt ~file:target ~kernel ~global ~local ~elems
+              ~scalars ~defines
+          then exit 1)
+    else
+      match suite_cases target with
+      | Error m -> `Error (false, m)
+      | Ok cases ->
+          guarded fmt (fun () ->
+              let failed =
+                try
+                  List.fold_left
+                    (fun acc c -> sanitize_case fmt c ~scale || acc)
+                    false cases
+                with H.Harness_error m ->
+                  emit_diag fmt (Diag.errorf ~pass:"sanitize" "%s" m);
+                  true
+              in
+              if failed then exit 1)
   in
   Cmd.v
     (Cmd.info "sanitize"
@@ -718,39 +730,23 @@ let sanitize_cmd =
     Term.(
       ret
         (const run $ target $ kernel $ global $ local_arg $ elems $ scalars
-       $ defines $ scale $ diag_format_arg))
+       $ defines_arg $ scale_arg 4 $ diag_format_arg))
 
 (* -- pipeline (also the default command) --------------------------------------- *)
 
 (* What to run the pipeline over: a kernel file on disk, a bundled
-   benchmark id, or "all" = every case of the paper's Table I suite. *)
-let pipeline_targets fmt (target : string) (defines : (string * string) list) :
-    (string * string option * (string * string) list * string) list =
-  (* (display name, file, defines, source) *)
+   benchmark id, or "all" = every case of the paper's Table I suite, as
+   (display name, file, defines, source). *)
+let pipeline_targets (target : string) (defines : (string * string) list) :
+    ((string * string option * (string * string) list * string) list, string)
+    result =
   if Sys.file_exists target then
-    [ (target, Some target, defines, read_file target) ]
-  else if String.lowercase_ascii target = "all" then
-    List.map
-      (fun (c : Grover_suite.Kit.case) ->
-        (c.Grover_suite.Kit.id, None, c.Grover_suite.Kit.defines,
-         c.Grover_suite.Kit.source))
-      Grover_suite.Suite.all
+    Ok [ (target, Some target, defines, read_file target) ]
   else
-    match Grover_suite.Suite.by_id target with
-    | Some c ->
-        [ (c.Grover_suite.Kit.id, None, c.Grover_suite.Kit.defines,
-           c.Grover_suite.Kit.source) ]
-    | None ->
-        emit_diag fmt
-          (Diag.errorf
-             "unknown pipeline target %s (expected a kernel file, a \
-              benchmark id or \"all\"); try: %s"
-             target
-             (String.concat ", "
-                (List.map
-                   (fun c -> c.Grover_suite.Kit.id)
-                   Grover_suite.Suite.all)));
-        exit 1
+    Result.map
+      (List.map (fun (c : Kit.case) ->
+           (c.Kit.id, None, c.Kit.defines, c.Kit.source)))
+      (suite_cases target)
 
 let pipeline_term =
   let target =
@@ -761,16 +757,9 @@ let pipeline_term =
             "A kernel file, a bundled benchmark id (see $(b,groverc list)) or \
              $(b,all) for the whole suite.")
   in
-  let defines =
-    Arg.(
-      value & opt_all string []
-      & info [ "define"; "D" ] ~docv:"NAME=VALUE"
-          ~doc:"Preprocessor definition (file targets only).")
-  in
   let run target defines passes time_passes print_changed verify_each fmt
       cache_dir no_cache =
     ignore grover_pass;
-    let defines = parse_defines defines in
     let ps =
       match passes with
       | Some spec -> parse_pipeline fmt spec
@@ -780,62 +769,66 @@ let pipeline_term =
       cache_for ~cache_dir ~no_cache
         ~instrumented:(time_passes || print_changed || verify_each)
     in
-    let targets = pipeline_targets fmt target defines in
-    guarded fmt (fun () ->
-        match cache with
-        | Some t ->
-            (* Staged path: one request per target, cache misses compiled
-               concurrently over the runtime's domain pool. *)
-            let rqs =
-              List.map
-                (fun (_, _, defines, src) ->
-                  Cache.request ~defines ~pipeline:ps src)
-                targets
-            in
-            let prs = Cache.compile_batch t rqs in
-            let diags = ref [] in
-            List.iter2
-              (fun (name, file, _, _) (pr : Cache.prepared) ->
-                List.iter
-                  (fun (ka : Cache.kernel_art) ->
-                    Printf.printf "%-12s %-24s %4d -> %4d instrs  %s\n" name
-                      ka.Cache.ka_name ka.Cache.ka_before ka.Cache.ka_after
-                      (if ka.Cache.ka_changed then "changed" else "unchanged");
-                    diags :=
-                      !diags
-                      @ List.map (fun d -> (file, d)) ka.Cache.ka_diags)
-                  pr.Cache.pr_art.Cache.art_kernels)
-              targets prs;
-            List.iter (fun (file, d) -> emit_diag fmt ?file d) !diags;
-            emit_cache_stats cache;
-            if List.exists (fun (_, d) -> Diag.is_error d) !diags then exit 1
-        | None ->
-            let ctx = mk_ctx ~verify_each ~print_changed () in
-            List.iter
-              (fun (name, file, defines, src) ->
-                let fns =
-                  try Grover_ir.Lower.compile ~defines src
-                  with Grover_clc.Loc.Error (l, m) ->
-                    emit_diag fmt ?file
-                      (Diag.of_loc_error
-                         ?file:(Some (Option.value ~default:name file))
-                         l m);
-                    exit 1
+    match pipeline_targets target defines with
+    | Error m -> `Error (false, m)
+    | Ok targets ->
+        guarded fmt (fun () ->
+            match cache with
+            | Some t ->
+                (* Staged path: one request per target, cache misses compiled
+                   concurrently over the runtime's domain pool. *)
+                let rqs =
+                  List.map
+                    (fun (_, _, defines, src) ->
+                      Cache.request ~defines ~pipeline:ps src)
+                    targets
                 in
+                let prs = Cache.compile_batch t rqs in
+                let diags = ref [] in
+                List.iter2
+                  (fun (name, file, _, _) (pr : Cache.prepared) ->
+                    List.iter
+                      (fun (ka : Cache.kernel_art) ->
+                        Printf.printf "%-12s %-24s %4d -> %4d instrs  %s\n" name
+                          ka.Cache.ka_name ka.Cache.ka_before ka.Cache.ka_after
+                          (if ka.Cache.ka_changed then "changed"
+                           else "unchanged");
+                        diags :=
+                          !diags
+                          @ List.map (fun d -> (file, d)) ka.Cache.ka_diags)
+                      pr.Cache.pr_art.Cache.art_kernels)
+                  targets prs;
+                List.iter (fun (file, d) -> emit_diag fmt ?file d) !diags;
+                emit_cache_stats cache;
+                if List.exists (fun (_, d) -> Diag.is_error d) !diags then
+                  exit 1
+            | None ->
+                let ctx = mk_ctx ~verify_each ~print_changed () in
                 List.iter
-                  (fun fn ->
-                    let before = Pass.instr_count fn in
-                    let changed = Pass.run_pipeline ctx ps fn in
-                    Printf.printf "%-12s %-24s %4d -> %4d instrs  %s\n" name
-                      fn.Grover_ir.Ssa.f_name before (Pass.instr_count fn)
-                      (if changed then "changed" else "unchanged"))
-                  fns)
-              targets;
-            finish fmt ~time_passes ctx)
+                  (fun (name, file, defines, src) ->
+                    let fns =
+                      try Grover_ir.Lower.compile ~defines src
+                      with Grover_clc.Loc.Error (l, m) ->
+                        emit_diag fmt ?file
+                          (Diag.of_loc_error
+                             ?file:(Some (Option.value ~default:name file))
+                             l m);
+                        exit 1
+                    in
+                    List.iter
+                      (fun fn ->
+                        let before = Pass.instr_count fn in
+                        let changed = Pass.run_pipeline ctx ps fn in
+                        Printf.printf "%-12s %-24s %4d -> %4d instrs  %s\n" name
+                          fn.Grover_ir.Ssa.f_name before (Pass.instr_count fn)
+                          (if changed then "changed" else "unchanged"))
+                      fns)
+                  targets;
+                finish fmt ~time_passes ctx)
   in
   Term.(
     ret
-      (const run $ target $ defines $ passes_arg $ time_passes_arg
+      (const run $ target $ defines_arg $ passes_arg $ time_passes_arg
      $ print_changed_arg $ verify_each_arg $ diag_format_arg $ cache_dir_arg
      $ no_cache_arg))
 
@@ -865,21 +858,44 @@ let passes_cmd =
 
 (* -- autotune ------------------------------------------------------------------- *)
 
+(* Record the tuning decision for [case] at workload [w]'s launch geometry
+   in the autotune DB [db_file]. *)
+let record_winner ~(db_file : string) (case : Kit.case) (w : Kit.workload)
+    ~winner ~path ~lane_width ~np ~t_with ~t_without ~tuned_by : unit =
+  let db = Atdb.load db_file in
+  Atdb.record db
+    {
+      Atdb.e_kernel = case.Kit.kernel;
+      e_khash =
+        Cache.kernel_hash ~source:case.Kit.source ~defines:case.Kit.defines
+          ~name:case.Kit.kernel;
+      e_platform = Atdb.host_platform;
+      e_global = w.Kit.global;
+      e_local = w.Kit.local;
+      e_version = winner;
+      e_path = path;
+      e_lane_width = lane_width;
+      e_np = np;
+      e_t_with = t_with;
+      e_t_without = t_without;
+      e_tuned_by = tuned_by;
+    };
+  Atdb.save db
+
 let autotune_cmd =
   let bench =
     Arg.(
       required & pos 0 (some string) None
       & info [] ~docv:"BENCHMARK"
-          ~doc:"A bundled benchmark id (e.g. NVD-MT; see groverc list).")
+          ~doc:
+            "A bundled benchmark id (e.g. NVD-MT; see groverc list), or \
+             $(b,all) for the whole suite.")
   in
   let platform =
     Arg.(
       value & opt string "SNB"
       & info [ "platform" ] ~docv:"NAME"
           ~doc:"Simulated platform: Fermi, Kepler, Tahiti, SNB, Nehalem, MIC.")
-  in
-  let scale =
-    Arg.(value & opt int 2 & info [ "scale" ] ~doc:"Problem-size divisor.")
   in
   let domains =
     Arg.(
@@ -897,19 +913,8 @@ let autotune_cmd =
           ~doc:
             "Persist the host wall-clock winner (version, execution path, \
              lane width) into the autotune database, keyed by kernel content \
-             hash, platform and launch geometry. $(b,Runtime.plan) and \
-             $(b,groverc report) consult it. Default $(b,true); \
-             $(b,--save=false) only prints.")
-  in
-  let db_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "db" ] ~docv:"FILE"
-          ~doc:
-            "Autotune database file (default: $(b,CACHE_DIR/autotune.db) \
-             under --cache-dir / GROVER_CACHE_DIR, or \
-             $(b,.grover-cache/autotune.db)).")
+             hash, platform and launch geometry; $(b,groverc report) prints \
+             it. Default $(b,true); $(b,--save=false) only prints.")
   in
   let reps =
     Arg.(
@@ -919,125 +924,84 @@ let autotune_cmd =
             "Wall-clock repetitions per version; the minimum is recorded \
              (noise only ever slows a run down).")
   in
-  let run bench platform scale domains save db_file reps cache_dir =
-    match
-      ( Grover_suite.Suite.by_id bench,
-        Grover_memsim.Platform.by_name platform )
-    with
-    | None, _ ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown benchmark %s; try: %s" bench
-              (String.concat ", "
-                 (List.map
-                    (fun c -> c.Grover_suite.Kit.id)
-                    Grover_suite.Suite.all)) )
-    | _, None -> `Error (false, "unknown platform " ^ platform)
-    | Some case, Some plat ->
-        let cmp = Grover_suite.Harness.compare case ~platform:plat ~scale in
-        Printf.printf "%s on %s:\n" cmp.Grover_suite.Harness.case_id platform;
-        Printf.printf "  with local memory:    %.3f ms [%s path]\n"
-          (cmp.Grover_suite.Harness.with_lm.Grover_suite.Harness.seconds *. 1e3)
-          cmp.Grover_suite.Harness.with_lm.Grover_suite.Harness.path;
-        Printf.printf "  without local memory: %.3f ms [%s path]\n"
-          (cmp.Grover_suite.Harness.without_lm.Grover_suite.Harness.seconds *. 1e3)
-          cmp.Grover_suite.Harness.without_lm.Grover_suite.Harness.path;
-        Printf.printf "  normalized perf:      %.2f -> keep the version %s\n"
-          cmp.Grover_suite.Harness.normalized
-          (if cmp.Grover_suite.Harness.normalized > 1.0 then
-             "WITHOUT local memory"
-           else "WITH local memory");
-        let wc =
-          (* Host wall-clock timing, min-of-N per version: printed when
-             --domains asks for it, recorded when --save (the default). *)
-          if save || domains <> 1 then
-            Some
-              (List.map
-                 (fun v ->
-                   (v, Grover_suite.Harness.wallclock ~domains ~reps case v ~scale))
-                 [ Grover_suite.Harness.With_lm; Grover_suite.Harness.Without_lm ])
-          else None
-        in
-        (match wc with
-        | Some runs when domains <> 1 ->
-            Printf.printf "host throughput (%s domain%s requested):\n"
-              (if domains = 0 then "auto" else string_of_int domains)
-              (if domains = 1 then "" else "s");
-            List.iter
-              (fun (v, r) ->
-                let label =
-                  match v with
-                  | Grover_suite.Harness.With_lm -> "with local memory:"
-                  | Grover_suite.Harness.Without_lm -> "without local memory:"
-                in
-                Printf.printf
-                  "  %-21s %.3f ms, %.0f work-items/sec [%s path, %d pool \
-                   domain%s]\n"
-                  label
-                  (r.Grover_suite.Harness.wc_seconds *. 1e3)
-                  (float_of_int r.Grover_suite.Harness.wc_items
-                  /. r.Grover_suite.Harness.wc_seconds)
-                  r.Grover_suite.Harness.wc_path
-                  r.Grover_suite.Harness.wc_domains
-                  (if r.Grover_suite.Harness.wc_domains = 1 then "" else "s"))
-              runs
-        | _ -> ());
-        (match (save, wc) with
-        | true, Some runs ->
-            let t_of v = List.assoc v runs in
-            let rw = t_of Grover_suite.Harness.With_lm
-            and rwo = t_of Grover_suite.Harness.Without_lm in
-            let np =
-              rw.Grover_suite.Harness.wc_seconds
-              /. rwo.Grover_suite.Harness.wc_seconds
+  let run_case ~plat ~platform ~scale ~domains ~save ~db_file ~reps
+      (case : Kit.case) =
+    let cmp = H.compare case ~platform:plat ~scale in
+    Printf.printf "%s on %s:\n" cmp.H.case_id platform;
+    Printf.printf "  with local memory:    %.3f ms [%s path]\n"
+      (cmp.H.with_lm.H.seconds *. 1e3)
+      cmp.H.with_lm.H.path;
+    Printf.printf "  without local memory: %.3f ms [%s path]\n"
+      (cmp.H.without_lm.H.seconds *. 1e3)
+      cmp.H.without_lm.H.path;
+    Printf.printf "  normalized perf:      %.2f -> keep the version %s\n"
+      cmp.H.normalized
+      (if cmp.H.normalized > 1.0 then "WITHOUT local memory"
+       else "WITH local memory");
+    let wc =
+      (* Host wall-clock timing, min-of-N per version: printed when
+         --domains asks for it, recorded when --save (the default). *)
+      if save || domains <> 1 then
+        Some
+          (List.map
+             (fun v ->
+               let fn, _ = H.compile_version case v in
+               (v, H.wallclock ~domains ~reps case fn ~scale))
+             [ H.With_lm; H.Without_lm ])
+      else None
+    in
+    (match wc with
+    | Some runs when domains <> 1 ->
+        Printf.printf "host throughput (%s domain%s requested):\n"
+          (if domains = 0 then "auto" else string_of_int domains)
+          (if domains = 1 then "" else "s");
+        List.iter
+          (fun (v, r) ->
+            let label =
+              match v with
+              | H.With_lm -> "with local memory:"
+              | H.Without_lm -> "without local memory:"
             in
-            let winner, wr =
-              if np > 1.0 then ("without_lm", rwo) else ("with_lm", rw)
-            in
-            let w = case.Grover_suite.Kit.mk ~scale in
-            let file =
-              match db_file with
-              | Some f -> f
-              | None ->
-                  let dir =
-                    Option.value
-                      (resolve_cache_dir cache_dir)
-                      ~default:".grover-cache"
-                  in
-                  Atdb.default_file ~cache_dir:dir
-            in
-            let db = Atdb.load file in
-            Atdb.record db
-              {
-                Atdb.e_kernel = case.Grover_suite.Kit.kernel;
-                e_khash =
-                  Cache.kernel_hash ~source:case.Grover_suite.Kit.source
-                    ~defines:case.Grover_suite.Kit.defines
-                    ~name:case.Grover_suite.Kit.kernel;
-                e_platform = Atdb.host_platform;
-                e_global = w.Grover_suite.Kit.global;
-                e_local = w.Grover_suite.Kit.local;
-                e_version = winner;
-                e_path = wr.Grover_suite.Harness.wc_path;
-                e_lane_width = wr.Grover_suite.Harness.wc_lane_width;
-                e_np = np;
-                e_t_with = rw.Grover_suite.Harness.wc_seconds;
-                e_t_without = rwo.Grover_suite.Harness.wc_seconds;
-                e_tuned_by = Atdb.tuned_by_measured;
-              };
-            Atdb.save db;
-            let gx, gy, gz = w.Grover_suite.Kit.global
-            and lx, ly, lz = w.Grover_suite.Kit.local in
             Printf.printf
-              "  saved: %s [%s path%s] for %d,%d,%d/%d,%d,%d (host np %.2f, \
-               min of %d) -> %s\n"
-              winner wr.Grover_suite.Harness.wc_path
-              (if wr.Grover_suite.Harness.wc_lane_width > 1 then
-                 Printf.sprintf ", %d lanes"
-                   wr.Grover_suite.Harness.wc_lane_width
-               else "")
-              gx gy gz lx ly lz np reps file
-        | _ -> ());
+              "  %-21s %.3f ms, %.0f work-items/sec [%s path, %d pool \
+               domain%s]\n"
+              label (r.H.wc_seconds *. 1e3)
+              (float_of_int r.H.wc_items /. r.H.wc_seconds)
+              r.H.wc_path r.H.wc_domains
+              (if r.H.wc_domains = 1 then "" else "s"))
+          runs
+    | _ -> ());
+    match (save, wc) with
+    | true, Some runs ->
+        let rw = List.assoc H.With_lm runs
+        and rwo = List.assoc H.Without_lm runs in
+        let np = rw.H.wc_seconds /. rwo.H.wc_seconds in
+        let winner, wr =
+          if np > 1.0 then ("without_lm", rwo) else ("with_lm", rw)
+        in
+        let w = case.Kit.mk ~scale in
+        record_winner ~db_file case w ~winner ~path:wr.H.wc_path
+          ~lane_width:wr.H.wc_lane_width ~np ~t_with:rw.H.wc_seconds
+          ~t_without:rwo.H.wc_seconds ~tuned_by:Atdb.tuned_by_measured;
+        let gx, gy, gz = w.Kit.global and lx, ly, lz = w.Kit.local in
+        Printf.printf
+          "  saved: %s [%s path%s] for %d,%d,%d/%d,%d,%d (host np %.2f, min \
+           of %d) -> %s\n"
+          winner wr.H.wc_path
+          (if wr.H.wc_lane_width > 1 then
+             Printf.sprintf ", %d lanes" wr.H.wc_lane_width
+           else "")
+          gx gy gz lx ly lz np reps db_file
+    | _ -> ()
+  in
+  let run bench platform scale domains save db_file reps =
+    match (suite_cases bench, Grover_memsim.Platform.by_name platform) with
+    | Error m, _ -> `Error (false, m)
+    | _, None -> `Error (false, "unknown platform " ^ platform)
+    | Ok cases, Some plat ->
+        List.iter
+          (run_case ~plat ~platform ~scale ~domains ~save ~db_file ~reps)
+          cases;
         `Ok ()
   in
   Cmd.v
@@ -1048,8 +1012,8 @@ let autotune_cmd =
           database (disable with $(b,--save=false)).")
     Term.(
       ret
-        (const run $ bench $ platform $ scale $ domains $ save $ db_arg $ reps
-       $ cache_dir_arg))
+        (const run $ bench $ platform $ scale_arg 2 $ domains $ save
+       $ db_file_arg $ reps))
 
 (* -- promote -------------------------------------------------------------------- *)
 
@@ -1060,13 +1024,9 @@ let autotune_cmd =
    (--predict, memsim model) or by wall-clock (--measure), recording the
    decision into the autotune DB with its provenance. *)
 let promote_cmd =
-  let module H = Grover_suite.Harness in
-  let module Kit = Grover_suite.Kit in
   let module Promote = Grover_promote.Promote in
   let module Predict = Grover_memsim.Predict in
   let module P = Grover_memsim.Platform in
-  let module Runtime = Grover_ocl.Runtime in
-  let module Interp = Grover_ocl.Interp in
   let target =
     Arg.(
       required & pos 0 (some string) None
@@ -1092,30 +1052,11 @@ let promote_cmd =
             "Wall-clock all three variants on the host (min of $(b,--reps)) \
              and record the winner with $(b,tuned-by: measured).")
   in
-  let scale =
-    Arg.(value & opt int 4 & info [ "scale" ] ~doc:"Problem-size divisor.")
-  in
   let reps =
     Arg.(
       value & opt int 3
       & info [ "reps" ] ~docv:"N"
           ~doc:"Wall-clock repetitions per variant for $(b,--measure).")
-  in
-  let defines =
-    Arg.(
-      value & opt_all string []
-      & info [ "define"; "D" ] ~docv:"NAME=VALUE"
-          ~doc:"Preprocessor definition (file targets).")
-  in
-  let db_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "db" ] ~docv:"FILE"
-          ~doc:
-            "Autotune database file (default: $(b,CACHE_DIR/autotune.db) \
-             under --cache-dir / GROVER_CACHE_DIR, or \
-             $(b,.grover-cache/autotune.db)).")
   in
   let print_outcome indent (o : Promote.outcome) =
     List.iter
@@ -1195,27 +1136,10 @@ let promote_cmd =
         false
       end
       else begin
-        let record_entry ~winner ~path ~lane_width ~np ~t_with ~t_without
-            ~tuned_by =
-          let db = Atdb.load db_file in
-          Atdb.record db
-            {
-              Atdb.e_kernel = case.Kit.kernel;
-              e_khash =
-                Cache.kernel_hash ~source:case.Kit.source
-                  ~defines:case.Kit.defines ~name:case.Kit.kernel;
-              e_platform = Atdb.host_platform;
-              e_global = w.Kit.global;
-              e_local = w.Kit.local;
-              e_version = winner;
-              e_path = path;
-              e_lane_width = lane_width;
-              e_np = np;
-              e_t_with = t_with;
-              e_t_without = t_without;
-              e_tuned_by = tuned_by;
-            };
-          Atdb.save db;
+        let record ~winner ~path ~lane_width ~np ~t_with ~t_without ~tuned_by
+            =
+          record_winner ~db_file case w ~winner ~path ~lane_width ~np ~t_with
+            ~t_without ~tuned_by;
           Printf.printf "  saved: %s (np %.2f) -> %s [tuned-by: %s]\n" winner
             np db_file tuned_by
         in
@@ -1248,7 +1172,7 @@ let promote_cmd =
           let _, _, _, wpath, _ =
             List.find (fun (l, _, _, _, _) -> l = winner) execd
           in
-          record_entry ~winner ~path:wpath ~lane_width:1
+          record ~winner ~path:wpath ~lane_width:1
             ~np:(seconds_of "with_lm" /. seconds_of "without_lm")
             ~t_with:(seconds_of "with_lm")
             ~t_without:(seconds_of "without_lm")
@@ -1258,51 +1182,22 @@ let promote_cmd =
           let timed =
             List.map
               (fun (label, fn, _, _, _) ->
-                let compiled = Interp.prepare fn in
-                let best = ref infinity in
-                for _ = 1 to reps do
-                  let wm = case.Kit.mk ~scale in
-                  let cfgm =
-                    {
-                      Runtime.global = wm.Kit.global;
-                      local = wm.Kit.local;
-                      queues = 1;
-                    }
-                  in
-                  let t0 = Unix.gettimeofday () in
-                  let (_ : Grover_ocl.Trace.totals) =
-                    Runtime.launch compiled ~cfg:cfgm ~args:wm.Kit.args
-                      ~mem:wm.Kit.mem ()
-                  in
-                  let dt = Unix.gettimeofday () -. t0 in
-                  if dt < !best then best := dt
-                done;
-                (label, compiled, !best))
+                (label, H.wallclock ~reps case fn ~scale))
               execd
           in
           Printf.printf "  measured (min of %d):\n" reps;
           List.iter
-            (fun (label, _, t) ->
-              Printf.printf "    %-10s %.3f ms\n" label (t *. 1e3))
+            (fun (label, r) ->
+              Printf.printf "    %-10s %.3f ms\n" label (r.H.wc_seconds *. 1e3))
             timed;
-          let wl, wc, _ =
+          let wl, wr =
             List.fold_left
-              (fun (al, ac, at) (l, c, t) ->
-                if t < at then (l, c, t) else (al, ac, at))
-              (let l, c, t = List.hd timed in
-               (l, c, t))
-              (List.tl timed)
+              (fun (bl, br) (l, r) ->
+                if r.H.wc_seconds < br.H.wc_seconds then (l, r) else (bl, br))
+              (List.hd timed) (List.tl timed)
           in
-          let t_of l =
-            let _, _, t = List.find (fun (l', _, _) -> l' = l) timed in
-            t
-          in
-          let cfg =
-            { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
-          in
-          record_entry ~winner:wl
-            ~path:(Runtime.path_name (Runtime.plan wc ~cfg ()))
-            ~lane_width:(Interp.lane_width_of wc)
+          let t_of l = (List.assoc l timed).H.wc_seconds in
+          record ~winner:wl ~path:wr.H.wc_path ~lane_width:wr.H.wc_lane_width
             ~np:(t_of "with_lm" /. t_of "without_lm")
             ~t_with:(t_of "with_lm") ~t_without:(t_of "without_lm")
             ~tuned_by:Atdb.tuned_by_measured
@@ -1348,51 +1243,30 @@ let promote_cmd =
         end)
       fns
   in
-  let run target predict measure scale reps defines db_file local cache_dir
-      fmt =
-    let defines = parse_defines defines in
-    let db_file =
-      match db_file with
-      | Some f -> f
-      | None ->
-          let dir =
-            Option.value (resolve_cache_dir cache_dir)
-              ~default:".grover-cache"
-          in
-          Atdb.default_file ~cache_dir:dir
-    in
-    let cases =
-      if target = "all" then Some Grover_suite.Suite.all
-      else Option.map (fun c -> [ c ]) (Grover_suite.Suite.by_id target)
-    in
-    match cases with
-    | Some cases -> (
-        try
-          let ok =
-            List.fold_left
-              (fun acc case ->
-                run_case ~predict ~measure ~scale ~reps ~db_file case && acc)
-              true cases
-          in
-          if ok then `Ok ()
-          else `Error (false, "promotion validation failed (see above)")
-        with H.Harness_error m -> `Error (false, m))
-    | None ->
-        if not (Sys.file_exists target) then
-          `Error
-            ( false,
-              Printf.sprintf
-                "%s is neither a benchmark id nor a file; try: %s" target
-                (String.concat ", "
-                   (List.map (fun c -> c.Kit.id) Grover_suite.Suite.all)) )
-        else if predict || measure then
-          `Error
-            ( false,
-              "--predict/--measure rank executions and need a bundled \
-               benchmark (file targets have no workload)" )
-        else
-          guarded fmt ~file:target (fun () ->
-              if not (run_file ~defines ~local target) then exit 1)
+  let run target predict measure scale reps defines db_file local fmt =
+    if Sys.file_exists target then
+      if predict || measure then
+        `Error
+          ( false,
+            "--predict/--measure rank executions and need a bundled \
+             benchmark (file targets have no workload)" )
+      else
+        guarded fmt ~file:target (fun () ->
+            if not (run_file ~defines ~local target) then exit 1)
+    else
+      match suite_cases target with
+      | Error m -> `Error (false, m)
+      | Ok cases -> (
+          try
+            let ok =
+              List.fold_left
+                (fun acc case ->
+                  run_case ~predict ~measure ~scale ~reps ~db_file case && acc)
+                true cases
+            in
+            if ok then `Ok ()
+            else `Error (false, "promotion validation failed (see above)")
+          with H.Harness_error m -> `Error (false, m))
   in
   Cmd.v
     (Cmd.info "promote"
@@ -1404,14 +1278,12 @@ let promote_cmd =
           $(b,--measure) for wall-clock).")
     Term.(
       ret
-        (const run $ target $ predict $ measure $ scale $ reps $ defines
-       $ db_arg $ local_arg $ cache_dir_arg $ diag_format_arg))
+        (const run $ target $ predict $ measure $ scale_arg 4 $ reps
+       $ defines_arg $ db_file_arg $ local_arg $ diag_format_arg))
 
 (* -- run ------------------------------------------------------------------------ *)
 
 let run_cmd =
-  let module H = Grover_suite.Harness in
-  let module Kit = Grover_suite.Kit in
   let target =
     Arg.(
       value & pos 0 string "all"
@@ -1428,9 +1300,6 @@ let run_cmd =
             "Independent copies of each (benchmark, version) launch to \
              enqueue — the whole set is submitted to one out-of-order \
              command queue and drained across the domain pool.")
-  in
-  let scale =
-    Arg.(value & opt int 4 & info [ "scale" ] ~doc:"Problem-size divisor.")
   in
   let domains =
     Arg.(
@@ -1460,25 +1329,15 @@ let run_cmd =
              enqueue.")
   in
   let run target jobs scale domains sequential profile =
-    let cases =
-      if target = "all" then Some Grover_suite.Suite.all
-      else
-        Option.map (fun c -> [ c ]) (Grover_suite.Suite.by_id target)
-    in
-    match cases with
-    | None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown benchmark %s; try: %s" target
-              (String.concat ", "
-                 (List.map (fun c -> c.Kit.id) Grover_suite.Suite.all)) )
-    | Some _ when jobs < 1 -> `Error (false, "--jobs must be >= 1")
-    | Some _ when sequential && profile ->
+    match suite_cases target with
+    | Error m -> `Error (false, m)
+    | Ok _ when jobs < 1 -> `Error (false, "--jobs must be >= 1")
+    | Ok _ when sequential && profile ->
         `Error
           ( false,
             "--profile reads the queue's event timestamps; it cannot be \
              combined with --sequential" )
-    | Some cases -> (
+    | Ok cases -> (
         let set =
           List.concat_map
             (fun c -> [ (c, H.With_lm); (c, H.Without_lm) ])
@@ -1495,10 +1354,8 @@ let run_cmd =
           in
           H.validate_launches pls;
           let items = H.launch_items pls in
-          let requested = Grover_ocl.Runtime.resolve_domains domains in
-          let width =
-            min requested (Grover_ocl.Runtime.effective_domain_cap ())
-          in
+          let requested = Runtime.resolve_domains domains in
+          let width = min requested (Runtime.effective_domain_cap ()) in
           Printf.printf
             "%s: %d launches (%d jobs x %d kernel versions), %d work-items\n"
             (if sequential then "sequential" else "queued")
@@ -1541,7 +1398,7 @@ let run_cmd =
           `Ok ()
         with
         | H.Harness_error m -> `Error (false, m)
-        | Grover_ocl.Runtime.Launch_error m -> `Error (false, m))
+        | Runtime.Launch_error m -> `Error (false, m))
   in
   Cmd.v
     (Cmd.info "run"
@@ -1550,7 +1407,9 @@ let run_cmd =
           copies each) to one out-of-order command queue and drain it over \
           the domain pool, validating every output.")
     Term.(
-      ret (const run $ target $ jobs $ scale $ domains $ sequential $ profile))
+      ret
+        (const run $ target $ jobs $ scale_arg 4 $ domains $ sequential
+       $ profile))
 
 (* -- cache ---------------------------------------------------------------------- *)
 
@@ -1644,10 +1503,10 @@ let cache_cmd =
 let list_cmd =
   let run () =
     List.iter
-      (fun (c : Grover_suite.Kit.case) ->
-        Printf.printf "%-11s %-30s %s\n" c.Grover_suite.Kit.id
-          c.Grover_suite.Kit.origin c.Grover_suite.Kit.description)
-      Grover_suite.Suite.all;
+      (fun (c : Kit.case) ->
+        Printf.printf "%-11s %-30s %s\n" c.Kit.id c.Kit.origin
+          c.Kit.description)
+      Suite.all;
     `Ok ()
   in
   Cmd.v
@@ -1669,6 +1528,15 @@ let argv =
     Sys.argv
 
 let () =
+  (* A bad GROVER_FORCE_PATH fails every command the same way, before it
+     runs, instead of wherever a launch first plans its path. *)
+  (match Runtime.env_force_path () with
+  | _ -> ()
+  | exception Runtime.Launch_error m ->
+      prerr_endline
+        (Diag.to_string
+           (Diag.errorf ~file:"$GROVER_FORCE_PATH" ~code:"GRV-ENV" "%s" m));
+      exit 1);
   let info =
     Cmd.info "groverc" ~version:"1.0.0"
       ~doc:"Disable local memory usage in OpenCL kernels (Grover, ICPP 2014)."

@@ -54,6 +54,29 @@ for mode in wg-vec wg-loop fiberless fiber; do
     > /dev/null
 done
 
+echo "== a bad GROVER_FORCE_PATH fails every command the same way =="
+# groverc checks the variable once, before any command runs: each command
+# must print exactly one located GRV-ENV error on stderr and exit 1 (not a
+# sanitizer finding, a usage error or an uncaught exception).
+for cmd in "report examples/kernels/saxpy.cl" "sanitize examples/kernels/saxpy.cl" \
+    "sanitize NVD-MT" "autotune NVD-MT --save=false" "promote NVD-MT --predict" \
+    "run NVD-MT"; do
+  status=0
+  # shellcheck disable=SC2086
+  err=$(GROVER_FORCE_PATH=bogus dune exec bin/groverc.exe -- $cmd 2>&1 >/dev/null) \
+    || status=$?
+  case "$status:$err" in
+    '1:$GROVER_FORCE_PATH: error: unknown GROVER_FORCE_PATH "bogus"'*'[GRV-ENV]') ;;
+    *) echo "FAIL: GROVER_FORCE_PATH=bogus groverc $cmd (exit $status):"
+       echo "$err"; exit 1 ;;
+  esac
+  if [ "$(printf '%s\n' "$err" | wc -l)" -ne 1 ]; then
+    echo "FAIL: GROVER_FORCE_PATH=bogus groverc $cmd printed more than one line:"
+    echo "$err"; exit 1
+  fi
+done
+echo "-- report, sanitize (file, case), autotune, promote, run: one GRV-ENV error each"
+
 echo "== uniform-branch barrier qualifies for lane-batched execution =="
 # A barrier under *group-uniform* control flow must still take a region
 # path — and this one is lane-capable, so the planner must pick wg-vec
@@ -165,6 +188,19 @@ dune exec bin/groverc.exe -- sanitize examples/kernels/transpose_tile.cl \
 dune exec bin/groverc.exe -- sanitize examples/kernels/tiled_matmul.cl \
   --global 16,16 --local 8,8 > /dev/null
 
+echo "== sanitizer: a launch geometry the runtime refuses is an error, not a finding =="
+# A global size that is not a multiple of the work-group size is checked
+# before launching: one located error, exit 1, no GRV-SAN-* code and no
+# finding count (only barrier divergence is reported as GRV-SAN-DIV).
+status=0
+out=$(dune exec bin/groverc.exe -- sanitize examples/kernels/saxpy.cl \
+  --global 10 --local 4 2>&1) || status=$?
+case "$status:$out" in
+  "1:examples/kernels/saxpy.cl: error: [sanitize] global size must be a multiple of the work-group size") ;;
+  *) echo "FAIL: sanitize with a bad geometry (exit $status):"; echo "$out"; exit 1 ;;
+esac
+echo "-- saxpy.cl --global 10 --local 4: located error, exit 1, no finding"
+
 echo "== sanitizer output: byte-identical to the checked-in references =="
 # Findings, their order, their dedup and their messages are the
 # sanitizer's contract, not only their codes: `sanitize all --scale 8`
@@ -192,6 +228,34 @@ for k in bad_racy_store bad_divergent_barrier bad_oob_index; do
 done
 rm -f "$san_out" "$san_err"
 echo "-- sanitize all --scale 8 and the bad corpus are byte-identical"
+
+echo "== groverc output: byte-identical to the checked-in references =="
+# groverc has no unit tests of its own. The listings, the suite pipeline
+# and promotion, and report / report --diag-format json / transform over
+# four example kernels must match test/groverc_golden/ (stdout and stderr)
+# byte for byte (read here, never rewritten). No cache directory: a cached
+# run adds a cache line to stderr.
+golden=test/groverc_golden
+g_out=$(mktemp)
+g_err=$(mktemp)
+expect_groverc() {
+  name=$1; shift
+  GROVER_CACHE_DIR= dune exec bin/groverc.exe -- "$@" > "$g_out" 2> "$g_err"
+  expect_golden "$g_out" "$name.out" "groverc $* (stdout)"
+  expect_golden "$g_err" "$name.err" "groverc $* (stderr)"
+}
+expect_groverc list list
+expect_groverc passes passes
+expect_groverc pipeline_all pipeline all
+expect_groverc promote_all promote all
+for k in transpose_tile tiled_matmul guarded_matmul saxpy; do
+  expect_groverc "report_$k" report "examples/kernels/$k.cl"
+  expect_groverc "report_json_$k" report "examples/kernels/$k.cl" \
+    --diag-format json
+  expect_groverc "transform_$k" transform "examples/kernels/$k.cl"
+done
+rm -f "$g_out" "$g_err"
+echo "-- groverc listings, pipeline, promote, report and transform are byte-identical"
 
 echo "== sanitizer smoke: bad corpus must be rejected with the right codes =="
 expect_bad() {

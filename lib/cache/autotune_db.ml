@@ -3,24 +3,19 @@
     Maps (kernel, content hash, platform, launch geometry) to the winner of
     the paper's with_lm / without_lm race — plus the execution path and
     lane width the winner ran with — so "run both, keep the faster" (§V) is
-    paid once fleet-wide and every later launch resolves the decision by
-    lookup. [groverc autotune] populates it with min-of-N wall-clock
-    timings; {!install_tuner} plugs it into {!Grover_ocl.Runtime.plan}.
+    paid once and later runs can read the decision back. [groverc autotune]
+    and [groverc promote] populate it; [groverc report] prints the
+    recorded winner per kernel.
 
     The file format is one tab-separated line per entry, human-greppable
-    and merge-friendly; unparseable lines are skipped so mixed-version
-    files degrade to fewer entries, not a crash.
-
-    Since "atdb2", every entry carries its provenance ([tuned-by]):
-    ["measured"] for wall-clock winners and ["predictor"] for decisions
-    taken analytically by {!Grover_memsim.Predict.rank} without executing
-    the losing versions. "atdb1" lines (which were always measured) still
-    parse, as measured. *)
-
-module Runtime = Grover_ocl.Runtime
+    and merge-friendly; unparseable lines (including those of older format
+    versions) are skipped, so the DB degrades to fewer entries, not a
+    crash. Every entry carries its provenance ([tuned-by]): ["measured"]
+    for wall-clock winners and ["predictor"] for decisions taken
+    analytically by {!Grover_memsim.Predict.rank} without executing the
+    losing versions. *)
 
 let db_version = "atdb2"
-let db_version_v1 = "atdb1"
 
 (** Provenance values for {!entry.e_tuned_by}. *)
 let tuned_by_measured = "measured"
@@ -80,39 +75,28 @@ let entry_to_line (e : entry) : string =
       e.e_tuned_by;
     ]
 
-let entry_of_fields ~tuned_by kernel khash platform global local version path
-    lw np tw two : entry option =
-  try
-    Some
-      {
-        e_kernel = kernel;
-        e_khash = khash;
-        e_platform = platform;
-        e_global = dims_of_string global;
-        e_local = dims_of_string local;
-        e_version = version;
-        e_path = path;
-        e_lane_width = int_of_string lw;
-        e_np = float_of_string np;
-        e_t_with = float_of_string tw;
-        e_t_without = float_of_string two;
-        e_tuned_by = tuned_by;
-      }
-  with _ -> None
-
 let entry_of_line (line : string) : entry option =
   match String.split_on_char '\t' line with
   | [ v; kernel; khash; platform; global; local; version; path; lw; np;
       tw; two; tuned_by ]
-    when v = db_version ->
-      entry_of_fields ~tuned_by kernel khash platform global local version
-        path lw np tw two
-  | [ v; kernel; khash; platform; global; local; version; path; lw; np;
-      tw; two ]
-    when v = db_version_v1 ->
-      (* atdb1 predates provenance; every entry came from a measurement. *)
-      entry_of_fields ~tuned_by:tuned_by_measured kernel khash platform
-        global local version path lw np tw two
+    when v = db_version -> (
+      try
+        Some
+          {
+            e_kernel = kernel;
+            e_khash = khash;
+            e_platform = platform;
+            e_global = dims_of_string global;
+            e_local = dims_of_string local;
+            e_version = version;
+            e_path = path;
+            e_lane_width = int_of_string lw;
+            e_np = float_of_string np;
+            e_t_with = float_of_string tw;
+            e_t_without = float_of_string two;
+            e_tuned_by = tuned_by;
+          }
+      with _ -> None)
   | _ -> None
 
 (* -- Load / save ------------------------------------------------------------ *)
@@ -173,7 +157,7 @@ let provenance_counts (t : t) : int * int =
           if e.e_tuned_by = tuned_by_predictor then (m, p + 1) else (m + 1, p))
         (0, 0) t.entries)
 
-(* -- Record / lookup -------------------------------------------------------- *)
+(* -- Record ----------------------------------------------------------------- *)
 
 let same_site (a : entry) ~kernel ~platform ~global ~local : bool =
   a.e_kernel = kernel && a.e_platform = platform && a.e_global = global
@@ -191,39 +175,3 @@ let record (t : t) (e : entry) : unit =
                  (same_site o ~kernel:e.e_kernel ~platform:e.e_platform
                     ~global:e.e_global ~local:e.e_local))
              t.entries)
-
-(** Exact-site lookup. When [khash] is given, a stale entry (recorded for
-    a different version of the kernel's source) does not match. *)
-let lookup (t : t) ~(kernel : string) ?khash
-    ?(platform = host_platform) ~(global : int * int * int)
-    ~(local : int * int * int) () : entry option =
-  Mutex.protect t.mutex (fun () ->
-      List.find_opt
-        (fun e ->
-          same_site e ~kernel ~platform ~global ~local
-          && match khash with None -> true | Some h -> e.e_khash = h)
-        t.entries)
-
-let tuned_of_entry (e : entry) : Runtime.tuned =
-  {
-    Runtime.tn_version = e.e_version;
-    tn_path = Runtime.path_of_string e.e_path;
-    tn_lane_width = (if e.e_lane_width >= 1 then Some e.e_lane_width else None);
-  }
-
-(** Install this DB as the runtime's tuner: {!Grover_ocl.Runtime.plan}
-    then resolves the execution path for a (kernel name, geometry) site
-    from the recorded winner, and drivers resolve version / lane width via
-    [Runtime.lookup_tuned] — no measurement, no double execution. Entries
-    recorded for a different kernel source under the same name are ignored
-    when the caller provides [khash_of] (kernel name -> current content
-    hash). *)
-let install_tuner ?(khash_of : (string -> string option) option) (t : t) : unit
-    =
-  Runtime.set_tuner (fun ~name ~cfg ->
-      let khash = match khash_of with None -> None | Some f -> f name in
-      lookup t ~kernel:name ?khash ~global:cfg.Runtime.global
-        ~local:cfg.Runtime.local ()
-      |> Option.map tuned_of_entry)
-
-let clear_tuner = Runtime.clear_tuner

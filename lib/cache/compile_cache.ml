@@ -106,18 +106,16 @@ let canonical_source ~(defines : (string * string) list) (src : string) :
           Hashtbl.replace canon_memo memo_key c);
       c
 
-(* The engine and lane width are resolved against the environment *at key
-   time*: "GROVER_LANE_WIDTH=4" and an explicit [lane_width:4] request are
-   the same compilation and share an entry, while the auto width (which
-   depends on the kernel) keys as "auto" and resolves deterministically
-   per function inside [Interp.prepare]. *)
+(* The engine is resolved *at key time*, so a request for the process
+   default and one naming the same engine share an entry. An explicit lane
+   width is clamped like [Interp.prepare] clamps it; the auto width (which
+   depends on the kernel) keys as "auto" and resolves deterministically per
+   function inside [Interp.prepare]. *)
 let resolved_engine (rq : request) : Interp.engine =
   match rq.rq_engine with Some e -> e | None -> Interp.default_engine ()
 
 let resolved_lane_width (rq : request) : int option =
-  match rq.rq_lane_width with
-  | Some w -> Some (max 1 (min w 16))
-  | None -> Interp.lane_width_env ()
+  Option.map (fun w -> max 1 (min w 16)) rq.rq_lane_width
 
 (** The human-readable key material; {!key_of_request} hashes exactly this.
     Exposed so tests and [groverc cache stats] can explain a key. *)
@@ -225,13 +223,6 @@ let prepare_artifact (rq : request) (art : artifact) :
     (fun ka -> (ka.ka_name, Interp.prepare ~engine ?lane_width ka.ka_fn))
     art.art_kernels
 
-(** One full compile with no cache involved (the baseline the determinism
-    tests and the cold-compile bench rows measure). *)
-let compile_nocache (rq : request) : prepared =
-  let key = key_of_request rq in
-  let art = build_artifact rq ~key in
-  { pr_art = art; pr_compiled = prepare_artifact rq art }
-
 (* -- The cache -------------------------------------------------------------- *)
 
 type stats = {
@@ -255,8 +246,6 @@ type t = {
   stats : stats;
 }
 
-let warned_max_bytes_env = ref false
-
 (* The disk budget: an explicit [?max_bytes] wins; otherwise
    [GROVER_CACHE_MAX_BYTES] (plain byte count) applies to every cache the
    process opens. 0 or negative disables the budget. *)
@@ -271,13 +260,10 @@ let resolve_max_bytes (arg : int option) : int option =
           | Some n when n > 0 -> Some n
           | Some _ -> None
           | None ->
-              if not !warned_max_bytes_env then begin
-                warned_max_bytes_env := true;
-                Printf.eprintf
-                  "grover: ignoring invalid GROVER_CACHE_MAX_BYTES=%S (want \
-                   a byte count)\n%!"
-                  s
-              end;
+              Grover_support.Diag.warn_env "GROVER_CACHE_MAX_BYTES"
+                "ignoring invalid GROVER_CACHE_MAX_BYTES %S (want a byte \
+                 count)"
+                s;
               None))
 
 let create ?dir ?(mem_capacity = 128) ?max_bytes () : t =

@@ -45,8 +45,6 @@ let table : (string * category) list =
 
 let category name = List.assoc_opt name table
 
-let is_builtin name = category name <> None
-
 (* Fence flags as in cl.h; usable with | in kernels. *)
 let predefined_constants =
   [ ("CLK_LOCAL_MEM_FENCE", 1); ("CLK_GLOBAL_MEM_FENCE", 2) ]

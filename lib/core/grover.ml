@@ -117,15 +117,6 @@ let run ?(only : string list option) ?(ctx : Pass.ctx option) (fn : Ssa.func) :
     o
   end
 
-(** Compile + normalise + transform: the whole Fig. 9 pipeline on source.
-    Returns one (function, outcome) per kernel in the source. *)
-let run_on_source ?defines ?only ?ctx (src : string) : (Ssa.func * outcome) list =
-  Lower.compile ?defines src
-  |> List.map (fun fn ->
-         Passes.Pipeline.normalize ?ctx fn;
-         let o = run ?only ?ctx fn in
-         (fn, o))
-
 (** Grover as a registered pass ("grover"), so custom [-passes=...]
     pipelines can place the transformation anywhere. The per-candidate
     outcome is reported through the context as remarks; the boolean is

@@ -29,14 +29,5 @@ val run :
     Table-III "why rejected" reasons) are emitted as [remark]
     diagnostics. *)
 
-val run_on_source :
-  ?defines:(string * string) list ->
-  ?only:string list ->
-  ?ctx:Grover_passes.Pass.ctx ->
-  string ->
-  (Grover_ir.Ssa.func * outcome) list
-(** The whole paper-Fig.-9 pipeline: compile OpenCL C, normalise, transform.
-    Returns one (function, outcome) pair per kernel in the source. *)
-
 val pass : Grover_passes.Pass.t
 (** Grover registered as the pass ["grover"], for custom pipelines. *)

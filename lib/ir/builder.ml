@@ -12,8 +12,6 @@ let create_function ~name ~args : func * t =
   let fn = { f_name = name; f_args = args; blocks = [ entry ] } in
   (fn, { fn; cur = entry; loc = Loc.dummy })
 
-let on_function (fn : func) : t = { fn; cur = entry fn; loc = Loc.dummy }
-
 let current (b : t) : block = b.cur
 let set_block (b : t) (blk : block) : unit = b.cur <- blk
 
@@ -62,13 +60,6 @@ let extract b v lane = add b (Extract (v, lane))
 let insert b v lane s = add b (Insert (v, lane, s))
 let vecbuild b t vs = add b (Vecbuild (t, vs))
 let barrier b ~blocal ~bglobal = add_unit b (Barrier { blocal; bglobal })
-
-let phi_in (blk : block) (p_ty : ty) : value =
-  (* Phis must precede ordinary instructions: prepend. *)
-  let i = fresh_instr (Phi { incoming = []; p_ty }) in
-  i.parent <- Some blk;
-  blk.instrs <- i :: blk.instrs;
-  Vinstr i
 
 let add_incoming (v : value) ~(from : block) (inc : value) : unit =
   match v with

@@ -263,14 +263,6 @@ let replace_uses (fn : func) ~(target : value) ~(by : value) : unit =
   let subst v = if value_equal v target then by else v in
   iter_instrs (fun i -> i.op <- map_operands ~f:subst i.op) fn
 
-(** Number of instruction operands referring to [v]. *)
-let count_uses (fn : func) (v : value) : int =
-  fold_instrs
-    (fun acc i ->
-      acc
-      + List.length (List.filter (fun o -> value_equal o v) (operands i.op)))
-    0 fn
-
 let successors (b : block) : block list =
   match b.term with
   | Some { op = Br t; _ } -> [ t ]
@@ -314,9 +306,6 @@ let entry (fn : func) : block =
   match fn.blocks with
   | b :: _ -> b
   | [] -> invalid_arg "entry: function has no blocks"
-
-let find_arg (fn : func) (name : string) : arg option =
-  List.find_opt (fun a -> a.a_name = name) fn.f_args
 
 (* -- Canonical renumbering ------------------------------------------------ *)
 

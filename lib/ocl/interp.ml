@@ -45,32 +45,12 @@ type engine = Compiled | Tree
 
 let engine_name = function Compiled -> "compiled" | Tree -> "tree"
 
-(* Bad environment values warn (once per process, on stderr) instead of
-   falling back silently — same spirit as the GROVER_FORCE_PATH error in
-   Runtime.choose_path, but non-fatal: an env var is advisory, a typo in it
-   should not abort a launch, only stop being invisible. *)
-let env_warned : (string, unit) Hashtbl.t = Hashtbl.create 4
-let env_warn_mutex = Mutex.create ()
-
-let warn_env (var : string) fmt =
-  Format.kasprintf
-    (fun msg ->
-      Mutex.protect env_warn_mutex (fun () ->
-          if not (Hashtbl.mem env_warned var) then begin
-            Hashtbl.replace env_warned var ();
-            prerr_endline
-              (Grover_support.Diag.to_string
-                 (Grover_support.Diag.warningf ~file:("$" ^ var)
-                    ~code:"GRV-ENV" "%s" msg))
-          end))
-    fmt
-
 let default_engine () =
   match Sys.getenv_opt "GROVER_ENGINE" with
   | Some ("tree" | "Tree" | "TREE") -> Tree
   | None | Some ("" | "closure" | "compiled") -> Compiled
   | Some s ->
-      warn_env "GROVER_ENGINE"
+      Grover_support.Diag.warn_env "GROVER_ENGINE"
         "unknown GROVER_ENGINE %S (expected tree or compiled); using the \
          compiled engine"
         s;
@@ -2729,37 +2709,18 @@ let reset_lane_batch (ls : lane_state) ~(base : int) ~(nl : int) : unit =
 
 (* Default lane width: 8, dropping to 4 for kernels with many live slots
    (a wide batch of a slot-heavy kernel blows the L1-resident working set
-   of the lane environments). [GROVER_LANE_WIDTH] overrides, clamped to
-   1..16. *)
-(** The [GROVER_LANE_WIDTH] override, clamped to 1..16; [None] when unset,
-    empty, or unparseable (which warns — see {!warn_env}). *)
-let lane_width_env () : int option =
-  match Sys.getenv_opt "GROVER_LANE_WIDTH" with
-  | None | Some "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some w when w >= 1 -> Some (min w 16)
-      | _ ->
-          warn_env "GROVER_LANE_WIDTH"
-            "bad GROVER_LANE_WIDTH %S (expected an integer >= 1); using the \
-             kernel-size default"
-            s;
-          None)
-
+   of the lane environments). *)
 let lane_width_for (fn : func) : int =
-  let default () =
-    let n =
-      fold_instrs
-        (fun acc i ->
-          match type_of_opcode i.op with
-          | Void -> acc
-          | _ -> acc + 1
-          | exception Invalid_argument _ -> acc)
-        0 fn
-    in
-    if n > 96 then 4 else 8
+  let n =
+    fold_instrs
+      (fun acc i ->
+        match type_of_opcode i.op with
+        | Void -> acc
+        | _ -> acc + 1
+        | exception Invalid_argument _ -> acc)
+      0 fn
   in
-  match lane_width_env () with Some w -> w | None -> default ()
+  if n > 96 then 4 else 8
 
 let prepare ?engine ?lane_width (fn : func) : compiled =
   let engine =

@@ -93,35 +93,18 @@ let max_domains = 64
    the launch *slower* than serial (the BENCH_interp.json 4-domain
    regression). Every domain request is therefore clamped to the
    recommended domain count, overridable for tests and oversubscription
-   experiments via {!set_domain_cap} or [GROVER_DOMAIN_CAP]. *)
+   experiments via {!set_domain_cap}. *)
 let domain_cap : int option ref = ref None
 
 (** Override the hardware parallelism cap ([Some n]) or restore the
-    default ([None]: [GROVER_DOMAIN_CAP] if set, else
-    [Domain.recommended_domain_count ()]). *)
+    default ([None]: [Domain.recommended_domain_count ()]). *)
 let set_domain_cap (c : int option) : unit = domain_cap := c
-
-let warned_cap_env = ref false
 
 let effective_domain_cap () : int =
   let cap =
     match !domain_cap with
     | Some n when n > 0 -> n
-    | Some _ | None -> (
-        match Sys.getenv_opt "GROVER_DOMAIN_CAP" with
-        | None | Some "" -> Domain.recommended_domain_count ()
-        | Some s -> (
-            match int_of_string_opt s with
-            | Some n when n > 0 -> n
-            | Some _ | None ->
-                if not !warned_cap_env then begin
-                  warned_cap_env := true;
-                  Printf.eprintf
-                    "grover: ignoring invalid GROVER_DOMAIN_CAP=%S (want a \
-                     positive integer)\n%!"
-                    s
-                end;
-                Domain.recommended_domain_count ()))
+    | Some _ | None -> Domain.recommended_domain_count ()
   in
   max 1 (min max_domains cap)
 
@@ -129,7 +112,7 @@ let resolve_domains (domains : int) : int =
   if domains = 0 then effective_domain_cap ()
   else max 1 (min max_domains domains)
 
-(* -- Autotune hook ------------------------------------------------------- *)
+(* -- Path selection ------------------------------------------------------ *)
 
 (* [wg-vec] asks for the widest batches the kernel was compiled for; the
    retired one-work-item schedulers [wg-loop] and [fiberless] are batches
@@ -141,31 +124,19 @@ let path_of_string (s : string) : path option =
   | "wg-loop" | "wgloop" | "wg_loop" | "fiberless" -> Some (Lanes 1)
   | _ -> None
 
-(** A tuning decision resolved from a persistent database: which kernel
-    version won the paper's with_lm/without_lm race for this (kernel,
-    geometry), which execution path it took and at what lane width. The
-    runtime applies [tn_path] itself (in {!plan} / {!choose_path}, within
-    static capability); [tn_version] and [tn_lane_width] are decided before
-    a kernel reaches the runtime, so drivers read them via {!lookup_tuned}
-    when choosing what to compile. *)
-type tuned = {
-  tn_version : string;  (** "with_lm" or "without_lm" *)
-  tn_path : path option;
-  tn_lane_width : int option;
-}
-
-(** The installed tuner: kernel name + launch geometry in, database entry
-    out. [None] means "no entry — fall back to measurement / static
-    choice"; installed by [Grover_cache.Autotune_db.install_tuner]. *)
-type tuner = name:string -> cfg:launch_config -> tuned option
-
-let the_tuner : tuner option ref = ref None
-
-let set_tuner (t : tuner) : unit = the_tuner := Some t
-let clear_tuner () : unit = the_tuner := None
-
-let lookup_tuned ~(name : string) ~(cfg : launch_config) : tuned option =
-  match !the_tuner with None -> None | Some t -> t ~name ~cfg
+(** The path [GROVER_FORCE_PATH] pins, [None] when it is unset or empty.
+    @raise Launch_error on a value {!path_of_string} does not accept. *)
+let env_force_path () : path option =
+  match Sys.getenv_opt "GROVER_FORCE_PATH" with
+  | None | Some "" -> None
+  | Some s -> (
+      match path_of_string s with
+      | Some _ as p -> p
+      | None ->
+          fail
+            "unknown GROVER_FORCE_PATH %S (expected wg-vec, wg-loop, \
+             fiberless or fiber)"
+            s)
 
 (* The capability ladder: the path [c] takes when [want] is requested.
    Without lane code (tree engine, or barriers that do not form regions)
@@ -185,26 +156,11 @@ let default_path (c : Interp.compiled) : path = degrade c (Lanes max_int)
 (** The largest batch width of a path: 1 for fibers. *)
 let batch_width : path -> int = function Lanes w -> w | Fiber -> 1
 
-let choose_path (c : Interp.compiled) ~(cfg : launch_config)
-    ~(force_path : path option) : path =
+(** The path a launch takes: [force_path], else [GROVER_FORCE_PATH], else
+    the widest lane batches — always within [c]'s capability. *)
+let choose_path (c : Interp.compiled) ~(force_path : path option) : path =
   let want =
-    match force_path with
-    | Some _ -> force_path
-    | None -> (
-        match Sys.getenv_opt "GROVER_FORCE_PATH" with
-        | None | Some "" ->
-            (* No explicit override: a populated autotune DB decides,
-               still subject to the capability ladder. *)
-            Option.bind (lookup_tuned ~name:c.Interp.fn.f_name ~cfg) (fun t ->
-                t.tn_path)
-        | Some s -> (
-            match path_of_string s with
-            | Some _ as p -> p
-            | None ->
-                fail
-                  "unknown GROVER_FORCE_PATH %S (expected wg-vec, wg-loop, \
-                   fiberless or fiber)"
-                  s))
+    match force_path with Some _ -> force_path | None -> env_force_path ()
   in
   degrade c (Option.value want ~default:(Lanes max_int))
 
@@ -228,7 +184,7 @@ let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
     else min d (max 1 (n_groups / min_groups_per_domain))
   in
   {
-    path = choose_path c ~cfg ~force_path;
+    path = choose_path c ~force_path;
     domains_used = d;
     domains_requested = requested;
     domains_clamped = d < requested;
@@ -933,6 +889,15 @@ end
 
 (* -- Launch -------------------------------------------------------------------- *)
 
+(** Reject an NDRange {!launch} cannot run: a non-positive work-group
+    size, or a global size that is not a multiple of it.
+    @raise Launch_error naming the violated rule. *)
+let check_geometry (cfg : launch_config) : unit =
+  let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
+  if lx <= 0 || ly <= 0 || lz <= 0 then fail "work-group sizes must be positive";
+  if gx mod lx <> 0 || gy mod ly <> 0 || gz mod lz <> 0 then
+    fail "global size must be a multiple of the work-group size"
+
 (** Launch a compiled kernel over the NDRange. [on_group] receives each
     work-group's statistics (with its raw memory events) as soon as the
     group finishes — the performance simulator consumes them streamingly.
@@ -961,10 +926,8 @@ let launch (c : Interp.compiled) ~(cfg : launch_config)
     ?(on_group : (Trace.wg_stats -> unit) option) ?(domains = 1) ?force_path
     ?(sanitizer : Sanitize.t option) () :
     Trace.totals =
+  check_geometry cfg;
   let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
-  if lx <= 0 || ly <= 0 || lz <= 0 then fail "work-group sizes must be positive";
-  if gx mod lx <> 0 || gy mod ly <> 0 || gz mod lz <> 0 then
-    fail "global size must be a multiple of the work-group size";
   let rv_args = bind_args c.Interp.fn args in
   let lsz = [| lx; ly; lz |] in
   let gsz = [| gx; gy; gz |] in

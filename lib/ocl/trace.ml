@@ -24,9 +24,6 @@ type event = {
   wi : int;  (** linear work-item id within its work-group *)
 }
 
-let dummy_event =
-  { addr = 0; bytes = 0; is_write = false; space = Ssa.Global; wi = 0 }
-
 (* Packed event info word: [wi lsl 3 lor space lsl 1 lor is_write]. *)
 
 let space_code = function

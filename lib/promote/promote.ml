@@ -171,10 +171,6 @@ let up_add (a : upoly) (b : upoly) : upoly =
       if Q.is_zero c then rest else { uc = c; ufac = t.ufac } :: rest)
     a b
 
-let up_scale (q : Q.t) (p : upoly) : upoly =
-  if Q.is_zero q then []
-  else List.map (fun t -> { t with uc = Q.mul q t.uc }) p
-
 let up_mul (a : upoly) (b : upoly) : upoly =
   List.fold_left
     (fun acc ta ->

@@ -120,10 +120,10 @@ let run_version ?vectorized_override ?engine ?domains (case : Kit.case)
     },
     outcome )
 
-(** One wall-clock execution of one version on the host (no platform
-    simulation), with the execution metadata needed to audit a tuning
-    decision. Used by the interpreter-throughput bench and
-    [groverc autotune --domains]. *)
+(** Wall-clock timing of one kernel on a case's workload on the host (no
+    platform simulation), with the execution metadata needed to audit a
+    tuning decision. Used by [groverc autotune] and
+    [groverc promote --measure]. *)
 type wallclock_run = {
   wc_seconds : float;
   wc_items : int;  (** work-items executed *)
@@ -133,9 +133,8 @@ type wallclock_run = {
 }
 
 let wallclock ?engine ?(domains = 1) ?(reps = 1)
-    (case : Kit.case) (v : version) ~(scale : int) : wallclock_run =
+    (case : Kit.case) (fn : Ssa.func) ~(scale : int) : wallclock_run =
   if reps < 1 then invalid_arg "wallclock: reps must be >= 1";
-  let fn, _ = compile_version case v in
   let compiled = Interp.prepare ?engine fn in
   let w = case.Kit.mk ~scale in
   let gx, gy, gz = w.Kit.global in

@@ -50,10 +50,6 @@ let fatalf ?loc ?file ?pass ?code fmt =
 
 let is_error d = d.severity = Error
 
-(** Attach [file] (and/or a location) after the fact — the front-end knows
-    the span, only the driver knows the file name. *)
-let with_file file d = { d with file = Some file }
-
 let of_loc_error ?file (loc : Loc.t) (message : string) : t =
   make ~loc ?file Error message
 
@@ -118,3 +114,24 @@ let to_json ?file d =
   ^ String.concat ", "
       (List.rev_map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) !fields)
   ^ "}"
+
+(* -- Environment variables ------------------------------------------------- *)
+
+(* A bad value of an advisory environment variable warns (once per
+   variable per process, on stderr) instead of falling back silently: a
+   typo in it should not abort a run, only stop being invisible. *)
+let env_warned : (string, unit) Hashtbl.t = Hashtbl.create 4
+let env_warn_mutex = Mutex.create ()
+
+(** Warn about environment variable [var] as [$VAR: warning: ... [GRV-ENV]],
+    the first time only. *)
+let warn_env (var : string) fmt =
+  Format.kasprintf
+    (fun msg ->
+      Mutex.protect env_warn_mutex (fun () ->
+          if not (Hashtbl.mem env_warned var) then begin
+            Hashtbl.replace env_warned var ();
+            prerr_endline
+              (to_string (warningf ~file:("$" ^ var) ~code:"GRV-ENV" "%s" msg))
+          end))
+    fmt

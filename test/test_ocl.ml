@@ -518,11 +518,7 @@ let has_barrier (c : Interp.compiled) : bool =
    GROVER_FORCE_PATH — must plan wg-vec. At least one of them must run
    W-wide batches, or the W-wide differentials above would be vacuous. *)
 let test_wgloop_selected_for_suite () =
-  let forced =
-    match Sys.getenv_opt "GROVER_FORCE_PATH" with
-    | None | Some "" -> false
-    | Some _ -> true
-  in
+  let forced = Runtime.env_force_path () <> None in
   let barrier_kernels = ref 0 and wide_kernels = ref 0 in
   List.iter
     (fun (case : Kit.case) ->
@@ -583,8 +579,8 @@ let check_default_plan ~(label : string) (c : Interp.compiled)
   Alcotest.check path_t (label ^ ": default path") want (Runtime.default_path c);
   (* [plan] with no arguments must agree, unless the environment forces a
      path for the whole run. *)
-  match Sys.getenv_opt "GROVER_FORCE_PATH" with
-  | None | Some "" ->
+  match Runtime.env_force_path () with
+  | None ->
       Alcotest.check path_t (label ^ ": planned path") want
         (Runtime.plan c ~cfg ()).Runtime.path
   | Some _ -> ()
@@ -626,6 +622,19 @@ let test_tree_engine_plans_fiber () =
             Runtime.Fiber)
         [ H.With_lm; H.Without_lm ])
     Grover_suite.Suite.all
+
+(* The GROVER_FORCE_PATH vocabulary: [wg-vec] asks for the widest lane
+   batches, the retired one-work-item schedulers' names mean one-lane
+   batches, and anything else is rejected. *)
+let test_path_of_string () =
+  let check s want =
+    Alcotest.(check (option path_t)) s want (Runtime.path_of_string s)
+  in
+  check "wg-vec" (Some (Runtime.Lanes max_int));
+  check "wg-loop" (Some (Runtime.Lanes 1));
+  check "fiberless" (Some (Runtime.Lanes 1));
+  check "fiber" (Some Runtime.Fiber);
+  List.iter (fun s -> check s None) [ ""; "bogus"; "lanes"; "WG-VEC" ]
 
 (* A kernel with an int, a float and a boxed (vector) value all live
    across its barrier: every context-spill kind is exercised. *)
@@ -1682,7 +1691,8 @@ let suite =
         Alcotest.test_case "divergent store plans one-lane batches" `Quick
           test_divergent_store_plans_one_lane;
         Alcotest.test_case "tree engine plans fiber" `Quick
-          test_tree_engine_plans_fiber ] );
+          test_tree_engine_plans_fiber;
+        Alcotest.test_case "path_of_string" `Quick test_path_of_string ] );
     ( "private-arrays",
       [ Alcotest.test_case "private array across a barrier = tree+fiber" `Quick
           test_private_array_matches_fibers;
