@@ -998,6 +998,7 @@ let autotune_cmd =
     match (suite_cases bench, Grover_memsim.Platform.by_name platform) with
     | Error m, _ -> `Error (false, m)
     | _, None -> `Error (false, "unknown platform " ^ platform)
+    | _ when reps < 1 -> `Error (false, "--reps must be >= 1")
     | Ok cases, Some plat ->
         List.iter
           (run_case ~plat ~platform ~scale ~domains ~save ~db_file ~reps)
@@ -1244,7 +1245,8 @@ let promote_cmd =
       fns
   in
   let run target predict measure scale reps defines db_file local fmt =
-    if Sys.file_exists target then
+    if reps < 1 then `Error (false, "--reps must be >= 1")
+    else if Sys.file_exists target then
       if predict || measure then
         `Error
           ( false,
