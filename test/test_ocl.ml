@@ -636,6 +636,35 @@ let test_path_of_string () =
   check "fiber" (Some Runtime.Fiber);
   List.iter (fun s -> check s None) [ ""; "bogus"; "lanes"; "WG-VEC" ]
 
+(* GROVER_FORCE_PATH is read through [env_force_path] alone: unset or
+   empty pins nothing, a known name pins its path, and anything else is a
+   launch error rather than a silent default. *)
+let test_env_force_path () =
+  let with_force_path v f =
+    let old = Sys.getenv_opt "GROVER_FORCE_PATH" in
+    Unix.putenv "GROVER_FORCE_PATH" v;
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "GROVER_FORCE_PATH" (Option.value old ~default:""))
+      f
+  in
+  let check v want =
+    with_force_path v (fun () ->
+        Alcotest.(check (option path_t)) v want (Runtime.env_force_path ()))
+  in
+  check "" None;
+  check "wg-vec" (Some (Runtime.Lanes max_int));
+  check "fiberless" (Some (Runtime.Lanes 1));
+  check "fiber" (Some Runtime.Fiber);
+  with_force_path "bogus" (fun () ->
+      match Runtime.env_force_path () with
+      | exception Runtime.Launch_error m ->
+          Alcotest.(check string) "the error names the value"
+            "unknown GROVER_FORCE_PATH \"bogus\" (expected wg-vec, wg-loop, \
+             fiberless or fiber)"
+            m
+      | _ -> Alcotest.fail "an unknown GROVER_FORCE_PATH must be rejected")
+
 (* A kernel with an int, a float and a boxed (vector) value all live
    across its barrier: every context-spill kind is exercised. *)
 let spill_prop_source =
@@ -1257,6 +1286,31 @@ let test_launch_bad_sizes () =
   | exception Runtime.Launch_error _ -> ()
   | _ -> Alcotest.fail "non-divisible global size must be rejected"
 
+(* The geometry rule [launch] applies, checked before anything runs (the
+   sanitizer calls it to report a bad NDRange as a usage error): every
+   work-group size positive, every global size a multiple of it. *)
+let test_check_geometry () =
+  let check label ~global ~local want =
+    let got =
+      match
+        Runtime.check_geometry { Runtime.global; local; queues = 1 }
+      with
+      | () -> None
+      | exception Runtime.Launch_error m -> Some m
+    in
+    Alcotest.(check (option string)) label want got
+  in
+  let positive = Some "work-group sizes must be positive"
+  and multiple = Some "global size must be a multiple of the work-group size" in
+  check "divisible" ~global:(64, 8, 2) ~local:(16, 4, 2) None;
+  check "one group" ~global:(1, 1, 1) ~local:(1, 1, 1) None;
+  check "zero local x" ~global:(8, 1, 1) ~local:(0, 1, 1) positive;
+  check "negative local y" ~global:(8, 4, 1) ~local:(8, -2, 1) positive;
+  check "zero local z" ~global:(8, 1, 1) ~local:(8, 1, 0) positive;
+  check "x not a multiple" ~global:(10, 1, 1) ~local:(4, 1, 1) multiple;
+  check "y not a multiple" ~global:(8, 6, 1) ~local:(8, 4, 1) multiple;
+  check "z not a multiple" ~global:(8, 1, 3) ~local:(8, 1, 2) multiple
+
 let test_launch_bad_args () =
   let c =
     Runtime.compile_kernel "__kernel void f(__global int *a, int n) { a[0] = n; }"
@@ -1675,7 +1729,8 @@ let suite =
     ( "launch-validation",
       [ Alcotest.test_case "bad sizes" `Quick test_launch_bad_sizes;
         Alcotest.test_case "bad args" `Quick test_launch_bad_args;
-        Alcotest.test_case "out of bounds" `Quick test_out_of_bounds_trapped ] );
+        Alcotest.test_case "out of bounds" `Quick test_out_of_bounds_trapped;
+        Alcotest.test_case "check_geometry" `Quick test_check_geometry ] );
     ("engine-differential", differential_cases);
     ("fastpath-differential", fastpath_cases);
     ("wgloop-differential", wgloop_cases);
@@ -1692,7 +1747,8 @@ let suite =
           test_divergent_store_plans_one_lane;
         Alcotest.test_case "tree engine plans fiber" `Quick
           test_tree_engine_plans_fiber;
-        Alcotest.test_case "path_of_string" `Quick test_path_of_string ] );
+        Alcotest.test_case "path_of_string" `Quick test_path_of_string;
+        Alcotest.test_case "env_force_path" `Quick test_env_force_path ] );
     ( "private-arrays",
       [ Alcotest.test_case "private array across a barrier = tree+fiber" `Quick
           test_private_array_matches_fibers;
