@@ -15,7 +15,9 @@
    - default-plan rows of the with_lm kernels whose region 0 runs
      one-lane batches (AMD-SS, PAB-ST, ROD-SC), and
    - minor-heap words per work-item of the float4 kernels (TNG-GEMM4,
-     NVD-NBody), gated at [alloc_limit].
+     NVD-NBody), gated at [alloc_limit], and
+   - memsim replay: events/sec of NVD-MT's captured groups through fresh
+     SNB, Nehalem and MIC simulators.
 
    Every row records which execution path ran (wg-vec / fiber), the
    largest batch width of its plan (1 for one-lane batches and fibers)
@@ -478,6 +480,102 @@ let report_alloc (rows : alloc_row list) : unit =
         bad;
       exit 1
 
+(* -- Memsim replay ----------------------------------------------------------------
+
+   Events per second through the performance simulator, with no execution
+   timed. The groups of one NVD-MT launch per version, at the size the
+   rows above time and on one queue, are copied out of the pooled
+   [on_group] buffer once; each round then replays them through a fresh
+   SNB, Nehalem and MIC simulator: [create], every [consume] and
+   [result]. Min of [replay_rounds] per row. *)
+
+module Sim = Grover_memsim.Simulate
+
+type replay_row = {
+  rr_version : H.version;
+  rr_platform : string;
+  rr_groups : int;
+  rr_events : int;
+  rr_seconds : float;
+  rr_events_per_sec : float;
+}
+
+let replay_rounds = 20
+
+let capture_groups ~(version : H.version) ~(n : int) : bool * Trace.wg_stats array =
+  let fn, _ = H.compile_version Nvd_mt.case version in
+  let compiled = Interp.prepare ~engine:Interp.Compiled fn in
+  let w = mk_transpose ~n in
+  let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
+  let groups = ref [] in
+  let on_group (s : Trace.wg_stats) =
+    let n = s.Trace.n_events in
+    groups :=
+      {
+        s with
+        Trace.ev_addr = Array.sub s.Trace.ev_addr 0 n;
+        ev_bytes = Array.sub s.Trace.ev_bytes 0 n;
+        ev_info = Array.sub s.Trace.ev_info 0 n;
+      }
+      :: !groups
+  in
+  ignore (Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~on_group ~domains:1 ());
+  (H.uses_vector_types fn, Array.of_list (List.rev !groups))
+
+let replay_bench ~(n : int) () : replay_row list =
+  let replays =
+    List.concat_map
+      (fun version ->
+        let vectorized, groups = capture_groups ~version ~n in
+        List.map
+          (fun (plat : Grover_memsim.Platform.t) ->
+            let replay () =
+              let sim = Sim.create ~vectorized plat in
+              Array.iter (Sim.consume sim) groups;
+              Sim.result sim
+            in
+            (version, plat, groups, replay, replay (), ref infinity))
+          Grover_memsim.Platform.cache_only)
+      [ H.With_lm; H.Without_lm ]
+  in
+  (* Rounds visit every row in turn, so a slow spell of a shared host
+     lands on all rows' rounds alike instead of on one row's minimum. *)
+  for _ = 1 to replay_rounds do
+    List.iter
+      (fun (_, _, _, replay, expected, best) ->
+        let t0 = Unix.gettimeofday () in
+        let r = replay () in
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt < !best then best := dt;
+        if r <> expected then failwith "perf bench: memsim replay is not deterministic")
+      replays
+  done;
+  List.map
+    (fun (version, (plat : Grover_memsim.Platform.t), groups, _, _, best) ->
+      let events = Array.fold_left (fun a s -> a + s.Trace.n_events) 0 groups in
+      {
+        rr_version = version;
+        rr_platform = plat.Grover_memsim.Platform.name;
+        rr_groups = Array.length groups;
+        rr_events = events;
+        rr_seconds = !best;
+        rr_events_per_sec = float_of_int events /. !best;
+      })
+    replays
+
+let report_replay ~(n : int) (rows : replay_row list) : unit =
+  Printf.printf
+    "\nmemsim replay: NVD-MT %dx%d groups captured once (1 queue), replayed \
+     through a fresh simulator (create + consume + result), min of %d\n"
+    n n replay_rounds;
+  Printf.printf "%-12s %-8s %8s %10s %12s %14s\n" "version" "platform" "groups"
+    "events" "seconds" "events/sec";
+  List.iter
+    (fun r ->
+      Printf.printf "%-12s %-8s %8d %10d %12.4f %14.0f\n" (version_name r.rr_version)
+        r.rr_platform r.rr_groups r.rr_events r.rr_seconds r.rr_events_per_sec)
+    rows
+
 (* -- Multi-launch (out-of-order queue) throughput -----------------------------
 
    The whole suite in both versions x [jobs] independent workloads each,
@@ -756,6 +854,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   report_one_lane one_lane;
   let alloc = alloc_bench ~reps () in
   report_alloc alloc;
+  let replay = replay_bench ~n () in
+  report_replay ~n replay;
   let ml = if multi_launch then Some (multi_launch_bench ~quick ~reps ()) else None in
   Option.iter report_multi_launch ml;
   (* The predictor-agreement gate runs in every mode, quick included: if
@@ -858,7 +958,25 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   launch_rows_json alloc;
   Printf.fprintf oc "  ],\n  \"one_lane_rows\": [\n";
   launch_rows_json one_lane;
-  Printf.fprintf oc "  ]";
+  Printf.fprintf oc
+    "  ],\n\
+    \  \"memsim_replay\": {\n\
+    \    \"case\": \"NVD-MT\",\n\
+    \    \"n\": %d,\n\
+    \    \"queues\": 1,\n\
+    \    \"rounds\": %d,\n\
+    \    \"rows\": [\n"
+    n replay_rounds;
+  List.iteri
+    (fun k r ->
+      Printf.fprintf oc
+        "      {\"version\": \"%s\", \"platform\": \"%s\", \"groups\": %d, \
+         \"events\": %d, \"seconds\": %.6f, \"events_per_sec\": %.0f}%s\n"
+        (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_events
+        r.rr_seconds r.rr_events_per_sec
+        (if k = List.length replay - 1 then "" else ","))
+    replay;
+  Printf.fprintf oc "    ]\n  }";
   Option.iter
     (fun s ->
       Printf.fprintf oc

@@ -2,9 +2,9 @@
 # CI entry point: build everything, run the full test suite under both
 # interpreter engines, smoke-test groverc (--verify-each over the example
 # kernels; any error-severity diagnostic makes groverc exit non-zero and
-# fails the run), gate Table IV at scale 8 against its checked-in output,
-# then the interpreter throughput bench at a small size so the perf target
-# cannot bit-rot.
+# fails the run), gate Table IV at scales 1 and 8 against its checked-in
+# output, then the interpreter throughput bench at a small size so the perf
+# target cannot bit-rot.
 set -eu
 
 cd "$(dirname "$0")"
@@ -26,20 +26,24 @@ GROVER_ENGINE=closure dune runtest --force
 echo "== dune runtest (tree engine) =="
 GROVER_ENGINE=tree dune runtest --force
 
-echo "== paper figures: Table IV at scale 8 matches the checked-in reference =="
+echo "== paper figures: Table IV at scales 1 and 8 match the checked-in references =="
 # The simulated cycles behind Fig. 10 / Table IV must not drift: the table4
-# output at scale 8 must be byte-identical to the reference the end-to-end
+# output at scale 1 (the size the end-to-end benchmark's fig10 workload
+# runs) and at scale 8 must be byte-identical to the references the
 # benchmark gates on (read here, never rewritten).
 table4=$(mktemp)
-dune exec bench/main.exe -- table4 --scale 8 > "$table4"
-if ! cmp -s "$table4" bench/e2e/fig10_table4_scale8.txt; then
-  echo "FAIL: table4 --scale 8 differs from bench/e2e/fig10_table4_scale8.txt"
-  diff "$table4" bench/e2e/fig10_table4_scale8.txt || true
-  rm -f "$table4"
-  exit 1
-fi
+for scale in 1 8; do
+  ref=bench/e2e/fig10_table4_scale$scale.txt
+  dune exec bench/main.exe -- table4 --scale $scale > "$table4"
+  if ! cmp -s "$table4" "$ref"; then
+    echo "FAIL: table4 --scale $scale differs from $ref"
+    diff "$table4" "$ref" || true
+    rm -f "$table4"
+    exit 1
+  fi
+  echo "-- table4 --scale $scale is byte-identical"
+done
 rm -f "$table4"
-echo "-- table4 --scale 8 is byte-identical"
 
 echo "== suite under every forced execution path =="
 # GROVER_FORCE_PATH pins the group scheduler; kernels that cannot take the

@@ -1,5 +1,12 @@
 (** A set-associative, write-allocate, write-back cache with LRU
-    replacement. Addresses are byte addresses; the cache tracks lines. *)
+    replacement. Addresses are byte addresses; the cache tracks lines.
+
+    Each set is a run of [ways] slots in one packed [int array], kept
+    most-recently-used first. A slot holds [(line lsl 1) lor dirty], or -1
+    when the way is empty. A hit moves its slot to the front of the set; a
+    miss drops the last slot (an empty way while the set is not full,
+    otherwise the least recently used line) and inserts the new line at
+    the front. *)
 
 type config = {
   size_bytes : int;
@@ -11,73 +18,79 @@ type config = {
 type t = {
   cfg : config;
   sets : int;
-  tags : int array;  (** [set * ways + way] -> line tag, -1 = invalid *)
-  lru : int array;  (** recency counter per slot; larger = more recent *)
-  dirty : Bytes.t;  (** one byte per slot, ['\001'] = dirty *)
-  mutable tick : int;
+  set_mask : int;  (** [sets - 1] when [sets] is a power of two, else -1 *)
+  line_shift : int;  (** log2 [line_bytes] *)
+  slots : int array;  (** [set * ways + i] -> the set's i-th most recent way *)
   mutable hits : int;
   mutable misses : int;
   mutable writebacks : int;
 }
 
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
 let create (cfg : config) : t =
+  if not (is_pow2 cfg.line_bytes) then
+    invalid_arg "Cache.create: line_bytes must be a positive power of two";
+  if cfg.ways <= 0 then invalid_arg "Cache.create: ways must be positive";
+  if cfg.size_bytes <= 0 then invalid_arg "Cache.create: size_bytes must be positive";
   if cfg.size_bytes mod (cfg.line_bytes * cfg.ways) <> 0 then
-    invalid_arg "Cache.create: size must divide into ways * line";
+    invalid_arg "Cache.create: size_bytes must divide into ways * line_bytes";
   let sets = cfg.size_bytes / (cfg.line_bytes * cfg.ways) in
   {
     cfg;
     sets;
-    tags = Array.make (sets * cfg.ways) (-1);
-    lru = Array.make (sets * cfg.ways) 0;
-    dirty = Bytes.make (sets * cfg.ways) '\000';
-    tick = 0;
+    set_mask = (if is_pow2 sets then sets - 1 else -1);
+    line_shift = log2 cfg.line_bytes;
+    slots = Array.make (sets * cfg.ways) (-1);
     hits = 0;
     misses = 0;
     writebacks = 0;
   }
 
 let reset (c : t) : unit =
-  Array.fill c.tags 0 (Array.length c.tags) (-1);
-  Array.fill c.lru 0 (Array.length c.lru) 0;
-  Bytes.fill c.dirty 0 (Bytes.length c.dirty) '\000';
-  c.tick <- 0;
+  Array.fill c.slots 0 (Array.length c.slots) (-1);
   c.hits <- 0;
   c.misses <- 0;
   c.writebacks <- 0
 
-let line_of (c : t) (addr : int) : int = addr / c.cfg.line_bytes
+let line_of (c : t) (addr : int) : int = addr asr c.line_shift
 
 (** Access one cache line. Returns [true] on hit. On miss the line is
     allocated (write-allocate for writes too), possibly writing back a
     dirty victim. *)
 let access_line (c : t) ~(line : int) ~(is_write : bool) : bool =
-  c.tick <- c.tick + 1;
-  let base = line mod c.sets * c.cfg.ways in
-  let stop = base + c.cfg.ways in
-  (* Tags are unique within a set, so the scan stops at the first match;
-     until then it tracks the least recently used slot (the first one of
-     minimum recency) as the victim. *)
-  let slot = ref base and victim = ref base in
-  while !slot < stop && c.tags.(!slot) <> line do
-    if c.lru.(!slot) < c.lru.(!victim) then victim := !slot;
-    incr slot
+  let ways = c.cfg.ways and slots = c.slots in
+  let base = (if c.set_mask >= 0 then line land c.set_mask else line mod c.sets) * ways in
+  let key = line lsl 1 and dirty = Bool.to_int is_write in
+  (* Lines are unique within a set, so the scan stops at the first match.
+     An empty way (-1) masks to -2, which no non-negative line's key is. *)
+  let i = ref base and stop = base + ways in
+  while !i < stop && slots.(!i) land -2 <> key do
+    incr i
   done;
-  if !slot < stop then begin
-    c.hits <- c.hits + 1;
-    c.lru.(!slot) <- c.tick;
-    if is_write then Bytes.set c.dirty !slot '\001';
-    true
-  end
-  else begin
-    let v = !victim in
-    c.misses <- c.misses + 1;
-    if c.tags.(v) >= 0 && Bytes.get c.dirty v <> '\000' then
-      c.writebacks <- c.writebacks + 1;
-    c.tags.(v) <- line;
-    c.lru.(v) <- c.tick;
-    Bytes.set c.dirty v (if is_write then '\001' else '\000');
-    false
-  end
+  let hit = !i < stop in
+  let front =
+    if hit then begin
+      c.hits <- c.hits + 1;
+      slots.(!i) lor dirty
+    end
+    else begin
+      c.misses <- c.misses + 1;
+      let last = slots.(stop - 1) in
+      if last > 0 && last land 1 <> 0 then c.writebacks <- c.writebacks + 1;
+      i := stop - 1;
+      key lor dirty
+    end
+  in
+  for j = !i downto base + 1 do
+    slots.(j) <- slots.(j - 1)
+  done;
+  slots.(base) <- front;
+  hit
 
 (** Access [bytes] bytes at [addr]; accesses spanning lines touch each line.
     Returns the number of line misses (0 = all hits). *)

@@ -20,6 +20,13 @@
     likewise pooled in the instance, so replaying a trace allocates
     nothing once the buffers have grown to the largest group.
 
+    Every cache level of a platform shares one line size (on GPUs, the
+    coalescing segment), so an access's line or segment number is shifted
+    out of its address once and handed to every level. The replay loops
+    read [Trace]'s event arrays and decode the info word inline: with
+    [-opaque] no call into another module is inlined, and a per-event call
+    costs more than the arithmetic it would do.
+
     The total is the maximum over queues (cores run concurrently). *)
 
 open Grover_ocl
@@ -41,6 +48,9 @@ type breakdown = {
 type t = {
   plat : P.t;
   simd : int;  (** effective implicit-vectorisation width for this kernel *)
+  line_shift : int;
+      (** log2 of the line size every cache level shares (CPU) or of the
+          coalescing segment (GPU) *)
   queues : queue_state array;
   shared : Cache.t option;  (** LLC (CPU) or device L2 (GPU) *)
   bd : breakdown;
@@ -63,6 +73,23 @@ type t = {
     Vendor CPU compilers then disable implicit work-item vectorisation
     (Intel's rule), so work-items run scalar and lane coalescing is lost. *)
 let create ?(vectorized = false) (plat : P.t) : t =
+  (* The hierarchy's one line size (the L1's, or the GPU segment) and the
+     levels that must share it. *)
+  let line, levels =
+    match plat.P.mem with
+    | P.Cpu_mem m ->
+        (m.P.l1.Cache.line_bytes, (m.P.l1 :: Option.to_list m.P.l2) @ Option.to_list m.P.llc)
+    | P.Gpu_mem g -> (g.P.segment, Option.to_list g.P.l1g @ Option.to_list g.P.l2g)
+  in
+  let fail fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Simulate.create: " ^ plat.P.name ^ ": " ^ m)) fmt
+  in
+  if not (Cache.is_pow2 line) then fail "line size %d is not a power of two" line;
+  List.iter
+    (fun (c : Cache.config) ->
+      if c.Cache.line_bytes <> line then
+        fail "a %d-byte cache line differs from the hierarchy's %d bytes" c.Cache.line_bytes line)
+    levels;
   let mk_queue () =
     match plat.P.mem with
     | P.Cpu_mem m ->
@@ -82,6 +109,7 @@ let create ?(vectorized = false) (plat : P.t) : t =
   {
     plat;
     simd = (if vectorized then 1 else max 1 plat.P.simd);
+    line_shift = Cache.log2 line;
     queues = Array.init plat.P.cores (fun _ -> mk_queue ());
     shared;
     bd = { compute = 0.0; memory = 0.0; barrier = 0.0; spm = 0.0 };
@@ -103,7 +131,7 @@ let create ?(vectorized = false) (plat : P.t) : t =
 (* Counting-sort the group's event indices by work-item into [t.lane_evs].
    The sort is stable, so index order within a lane is execution order.
    Events of work-items outside the group ([wi >= wg_size]) are dropped;
-   [Trace.ev_wi] is a logical shift, so it is never negative. *)
+   the work-item is a logical shift of the info word, so never negative. *)
 let index_lanes (t : t) (s : Trace.wg_stats) : unit =
   let n = s.Trace.wg_size in
   if Array.length t.lane_count < n then begin
@@ -111,9 +139,10 @@ let index_lanes (t : t) (s : Trace.wg_stats) : unit =
     t.lane_count <- Array.make n 0
   end;
   let start = t.lane_start and count = t.lane_count in
+  let info = s.Trace.ev_info and wi_shift = Trace.wi_shift in
   Array.fill count 0 n 0;
   for k = 0 to s.Trace.n_events - 1 do
-    let wi = Trace.ev_wi s k in
+    let wi = info.(k) lsr wi_shift in
     if wi < n then count.(wi) <- count.(wi) + 1
   done;
   let kept = ref 0 in
@@ -126,7 +155,7 @@ let index_lanes (t : t) (s : Trace.wg_stats) : unit =
     t.lane_evs <- Array.make (max !kept (2 * Array.length t.lane_evs)) 0;
   let evs = t.lane_evs in
   for k = 0 to s.Trace.n_events - 1 do
-    let wi = Trace.ev_wi s k in
+    let wi = info.(k) lsr wi_shift in
     if wi < n then begin
       let c = count.(wi) in
       evs.(start.(wi) + c) <- k;
@@ -166,20 +195,18 @@ let uniq_add (t : t) (key : int) (is_write : bool) : unit =
 
 (* -- CPU engine -------------------------------------------------------------- *)
 
-let touch (c : Cache.t) ~addr ~is_write : bool =
-  Cache.access_line c ~line:(Cache.line_of c addr) ~is_write
-
 (* Cycles of one line access from core [q]: the latency of the first level
    outward from L1 that holds the line, or memory latency. *)
-let cpu_line (t : t) (q : queue_state) (m : P.cpu_mem) ~addr ~is_write : int =
+let cpu_line (t : t) (q : queue_state) (m : P.cpu_mem) ~line ~is_write : int =
   match q.l1 with
-  | Some l1 when touch l1 ~addr ~is_write -> l1.Cache.cfg.Cache.latency
+  | Some l1 when Cache.access_line l1 ~line ~is_write -> l1.Cache.cfg.Cache.latency
   | _ -> (
       match q.l2 with
-      | Some l2 when touch l2 ~addr ~is_write -> l2.Cache.cfg.Cache.latency
+      | Some l2 when Cache.access_line l2 ~line ~is_write -> l2.Cache.cfg.Cache.latency
       | _ -> (
           match t.shared with
-          | Some llc when touch llc ~addr ~is_write -> llc.Cache.cfg.Cache.latency
+          | Some llc when Cache.access_line llc ~line ~is_write ->
+              llc.Cache.cfg.Cache.latency
           | _ -> m.P.mem_latency))
 
 let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
@@ -203,7 +230,8 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
      cache line (an 8-wide unit-stride load is one hardware access). Lines
      are visited in first-seen order — ascending lane, then ascending line —
      and a line is written if any lane writes it. *)
-  let line = m.P.l1.Cache.line_bytes in
+  let shift = t.line_shift and write_bit = Trace.write_bit in
+  let ev_addr = s.Trace.ev_addr and ev_bytes = s.Trace.ev_bytes and ev_info = s.Trace.ev_info in
   index_lanes t s;
   let memory = ref 0 in
   let n_batches = (s.Trace.wg_size + simd - 1) / simd in
@@ -215,9 +243,9 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
       for l = first to last do
         if k < t.lane_count.(l) then begin
           let ei = t.lane_evs.(t.lane_start.(l) + k) in
-          let addr = Trace.ev_addr s ei in
-          let is_write = Trace.ev_is_write s ei in
-          for ln = addr / line to (addr + Trace.ev_bytes s ei - 1) / line do
+          let addr = ev_addr.(ei) in
+          let is_write = ev_info.(ei) land write_bit <> 0 in
+          for ln = addr asr shift to (addr + ev_bytes.(ei) - 1) asr shift do
             let i = uniq_find t ln in
             if i < 0 then uniq_add t ln is_write
             else if is_write then t.uniq_write.(i) <- true
@@ -225,9 +253,7 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
         end
       done;
       for i = 0 to t.n_uniq - 1 do
-        memory :=
-          !memory
-          + cpu_line t q m ~addr:(t.uniq_key.(i) * line) ~is_write:t.uniq_write.(i)
+        memory := !memory + cpu_line t q m ~line:t.uniq_key.(i) ~is_write:t.uniq_write.(i)
       done
     done
   done;
@@ -240,18 +266,19 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
 
 (* -- GPU engine --------------------------------------------------------------- *)
 
-(* Cycles of one global-memory transaction for segment address [addr]. *)
-let gpu_segment (t : t) (q : queue_state) (g : P.gpu_mem) ~addr ~is_write : float =
+(* Cycles of one global-memory transaction for segment number [seg]. *)
+let gpu_segment (t : t) (q : queue_state) (g : P.gpu_mem) ~seg ~is_write : float =
   match q.l1 with
   (* A per-CU L1 that caches global loads (Tahiti) absorbs repeated and
      broadcast transactions. *)
-  | Some l1 when (not is_write) && touch l1 ~addr ~is_write ->
+  | Some l1 when (not is_write) && Cache.access_line l1 ~line:seg ~is_write ->
       float_of_int l1.Cache.cfg.Cache.latency
   | _ ->
       let extra =
         match t.shared with
         | Some l2 ->
-            if touch l2 ~addr ~is_write then 0.0 else float_of_int g.P.mem_latency
+            if Cache.access_line l2 ~line:seg ~is_write then 0.0
+            else float_of_int g.P.mem_latency
         | None -> float_of_int g.P.mem_latency
       in
       g.P.trans_cost +. extra
@@ -269,6 +296,11 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
   in
   let barrier = float_of_int s.Trace.barrier_rounds *. c.P.c_barrier_round in
   let n_warps = (s.Trace.wg_size + warp - 1) / warp in
+  let shift = t.line_shift and write_bit = Trace.write_bit in
+  let space_shift = Trace.space_shift and space_mask = Trace.space_mask in
+  let global = Trace.code_global and constant = Trace.code_constant in
+  let local = Trace.code_local in
+  let ev_addr = s.Trace.ev_addr and ev_bytes = s.Trace.ev_bytes and ev_info = s.Trace.ev_info in
   index_lanes t s;
   let memory = ref 0.0 and spm = ref 0.0 in
   for w = 0 to n_warps - 1 do
@@ -282,21 +314,19 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
       for l = first to last do
         if k < t.lane_count.(l) then begin
           let ei = t.lane_evs.(t.lane_start.(l) + k) in
-          match Trace.ev_space s ei with
-          | Grover_ir.Ssa.Global | Grover_ir.Ssa.Constant ->
-              let addr = Trace.ev_addr s ei in
-              let is_write = Trace.ev_is_write s ei in
-              for seg = addr / g.P.segment to (addr + Trace.ev_bytes s ei - 1) / g.P.segment do
-                if uniq_find t seg < 0 then uniq_add t seg is_write
-              done
-          | Grover_ir.Ssa.Local | Grover_ir.Ssa.Private -> ()
+          let info = ev_info.(ei) in
+          let space = (info lsr space_shift) land space_mask in
+          if space = global || space = constant then begin
+            let addr = ev_addr.(ei) in
+            let is_write = info land write_bit <> 0 in
+            for seg = addr asr shift to (addr + ev_bytes.(ei) - 1) asr shift do
+              if uniq_find t seg < 0 then uniq_add t seg is_write
+            done
+          end
         end
       done;
       for i = 0 to t.n_uniq - 1 do
-        memory :=
-          !memory
-          +. gpu_segment t q g ~addr:(t.uniq_key.(i) * g.P.segment)
-               ~is_write:t.uniq_write.(i)
+        memory := !memory +. gpu_segment t q g ~seg:t.uniq_key.(i) ~is_write:t.uniq_write.(i)
       done;
       (* Scratch-pad: serialisation by the worst-loaded bank. Lanes making
          the same access (address and direction) broadcast, so each distinct
@@ -305,11 +335,11 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
       for l = first to last do
         if k < t.lane_count.(l) then begin
           let ei = t.lane_evs.(t.lane_start.(l) + k) in
-          match Trace.ev_space s ei with
-          | Grover_ir.Ssa.Local ->
-              let key = (Trace.ev_addr s ei lsl 1) lor Bool.to_int (Trace.ev_is_write s ei) in
-              if uniq_find t key < 0 then uniq_add t key false
-          | Grover_ir.Ssa.Global | Grover_ir.Ssa.Constant | Grover_ir.Ssa.Private -> ()
+          let info = ev_info.(ei) in
+          if (info lsr space_shift) land space_mask = local then begin
+            let key = (ev_addr.(ei) lsl 1) lor Bool.to_int (info land write_bit <> 0) in
+            if uniq_find t key < 0 then uniq_add t key false
+          end
         end
       done;
       if t.n_uniq > 0 then begin

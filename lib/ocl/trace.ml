@@ -24,19 +24,32 @@ type event = {
   wi : int;  (** linear work-item id within its work-group *)
 }
 
-(* Packed event info word: [wi lsl 3 lor space lsl 1 lor is_write]. *)
+(** Packed event info word:
+    [(wi lsl wi_shift) lor (space code lsl space_shift) lor is_write].
+    The layout is exported so that a replay loop in another module can
+    decode it inline: the dev profile compiles with [-opaque], so a call
+    into this module is never inlined. *)
+
+let write_bit = 1
+let space_shift = 1
+let space_mask = 3
+let wi_shift = 3
+let code_global = 0
+let code_local = 1
+let code_constant = 2
+let code_private = 3
 
 let space_code = function
-  | Ssa.Global -> 0
-  | Ssa.Local -> 1
-  | Ssa.Constant -> 2
-  | Ssa.Private -> 3
+  | Ssa.Global -> code_global
+  | Ssa.Local -> code_local
+  | Ssa.Constant -> code_constant
+  | Ssa.Private -> code_private
 
-let space_of_code = function
-  | 0 -> Ssa.Global
-  | 1 -> Ssa.Local
-  | 2 -> Ssa.Constant
-  | _ -> Ssa.Private
+let space_of_code c =
+  if c = code_global then Ssa.Global
+  else if c = code_local then Ssa.Local
+  else if c = code_constant then Ssa.Constant
+  else Ssa.Private
 
 type wg_stats = {
   mutable wg_id : int;
@@ -102,15 +115,9 @@ let record (s : wg_stats) ~addr ~bytes ~is_write ~space ~wi : unit =
   if n = Array.length s.ev_addr then grow s;
   s.ev_addr.(n) <- addr;
   s.ev_bytes.(n) <- bytes;
-  s.ev_info.(n) <- (wi lsl 3) lor (space_code space lsl 1) lor Bool.to_int is_write;
+  s.ev_info.(n) <-
+    (wi lsl wi_shift) lor (space_code space lsl space_shift) lor Bool.to_int is_write;
   s.n_events <- n + 1
-
-(* Per-event accessors over the packed arrays. *)
-let ev_addr (s : wg_stats) k = s.ev_addr.(k)
-let ev_bytes (s : wg_stats) k = s.ev_bytes.(k)
-let ev_is_write (s : wg_stats) k = s.ev_info.(k) land 1 <> 0
-let ev_space (s : wg_stats) k = space_of_code ((s.ev_info.(k) lsr 1) land 3)
-let ev_wi (s : wg_stats) k = s.ev_info.(k) lsr 3
 
 (** Record-view helpers for tests and debugging. *)
 let push_event (s : wg_stats) (e : event) : unit =
@@ -118,12 +125,13 @@ let push_event (s : wg_stats) (e : event) : unit =
     ~wi:e.wi
 
 let get_event (s : wg_stats) k : event =
+  let info = s.ev_info.(k) in
   {
-    addr = ev_addr s k;
-    bytes = ev_bytes s k;
-    is_write = ev_is_write s k;
-    space = ev_space s k;
-    wi = ev_wi s k;
+    addr = s.ev_addr.(k);
+    bytes = s.ev_bytes.(k);
+    is_write = info land write_bit <> 0;
+    space = space_of_code ((info lsr space_shift) land space_mask);
+    wi = info lsr wi_shift;
   }
 
 let iter_events (f : event -> unit) (s : wg_stats) : unit =
@@ -182,8 +190,8 @@ let accumulate (tot : totals) (s : wg_stats) : unit =
   tot.t_groups <- tot.t_groups + 1;
   for k = 0 to s.n_events - 1 do
     let info = s.ev_info.(k) in
-    if info land 1 <> 0 then tot.t_stores <- tot.t_stores + 1
+    if info land write_bit <> 0 then tot.t_stores <- tot.t_stores + 1
     else tot.t_loads <- tot.t_loads + 1;
-    if (info lsr 1) land 3 = 1 then
+    if (info lsr space_shift) land space_mask = code_local then
       tot.t_local_accesses <- tot.t_local_accesses + 1
   done

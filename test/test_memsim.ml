@@ -71,6 +71,21 @@ let test_cache_reset () =
   Alcotest.(check int) "misses cleared" 0 s.Cache.s_misses;
   Alcotest.(check int) "cold again" 1 (Cache.access c ~addr:0 ~bytes:4 ~is_write:false)
 
+(* Degenerate geometries are refused up front, naming the field, instead
+   of dividing by zero in [create] or on the first [access]. *)
+let test_cache_rejects ~reason config () =
+  Alcotest.check_raises reason (Invalid_argument ("Cache.create: " ^ reason)) (fun () ->
+      ignore (Cache.create config))
+
+let rejected_configs =
+  [ ("line_bytes = 0", "line_bytes must be a positive power of two", cfg ~line:0 ());
+    ( "line_bytes = 48",
+      "line_bytes must be a positive power of two",
+      cfg ~size:(48 * 2 * 8) ~line:48 () );
+    ("ways = 0", "ways must be positive", cfg ~ways:0 ());
+    ("ways = -2", "ways must be positive", cfg ~ways:(-2) ());
+    ("size_bytes = 0", "size_bytes must be positive", cfg ~size:0 ()) ]
+
 let prop_cache_miss_bound =
   (* Total misses never exceed total accesses; unique lines lower-bound. *)
   QCheck.Test.make ~name:"cache miss bounds" ~count:200
@@ -133,12 +148,17 @@ module Ref_lru = struct
         end
 end
 
-(* 8 sets x 2 ways; 5 sets x 3 ways; the SNB LLC (20 MiB, 16 ways:
-   20480 sets, not a power of two). *)
+(* Set indices by mask (a power-of-two set count) and by [mod]:
+   8 sets x 2 ways; 5 sets x 3 ways; the SNB LLC (20 MiB, 16 ways: 20480
+   sets, not a power of two); direct-mapped, 8 sets x 1 way; 4 sets x 16
+   ways. One way and a hit in the last way are the edge cases of keeping
+   each set most-recent first. *)
 let diff_configs =
   [ cfg ();
     cfg ~size:(5 * 3 * 32) ~line:32 ~ways:3 ();
-    { Cache.size_bytes = 20 * 1024 * 1024; line_bytes = 64; ways = 16; latency = 40 } ]
+    { Cache.size_bytes = 20 * 1024 * 1024; line_bytes = 64; ways = 16; latency = 40 };
+    cfg ~size:(8 * 64) ~ways:1 ();
+    cfg ~size:(4 * 16 * 32) ~line:32 ~ways:16 () ]
 
 let prop_cache_matches_reference =
   let open QCheck in
@@ -158,7 +178,7 @@ let prop_cache_matches_reference =
       in
       pair (return ci) (list_size (int_range 1 300) access))
   in
-  Test.make ~name:"Cache.access matches a reference LRU" ~count:150
+  Test.make ~name:"Cache.access matches a reference LRU" ~count:250
     (make gen ~print:(fun (ci, accs) ->
          Printf.sprintf "config %d, %d accesses: %s" ci (List.length accs)
            (String.concat " "
@@ -285,6 +305,21 @@ let test_platform_structure () =
   match P.mic.P.mem with
   | P.Cpu_mem m -> Alcotest.(check bool) "MIC has no shared LLC" true (m.P.llc = None)
   | _ -> Alcotest.fail "MIC must be a cache hierarchy"
+
+let test_simulate_rejects_mixed_lines () =
+  let snb_l2_128 =
+    match P.snb.P.mem with
+    | P.Cpu_mem m ->
+        { P.snb with
+          P.mem =
+            P.Cpu_mem
+              { m with P.l2 = Option.map (fun c -> { c with Cache.line_bytes = 128 }) m.P.l2 } }
+    | P.Gpu_mem _ -> Alcotest.fail "SNB must be a cache hierarchy"
+  in
+  Alcotest.check_raises "SNB with a 128-byte L2"
+    (Invalid_argument
+       "Simulate.create: SNB: a 128-byte cache line differs from the hierarchy's 64 bytes")
+    (fun () -> ignore (Sim.create snb_l2_128))
 
 let test_simulate_accumulates_queues () =
   let sim = Sim.create P.snb in
@@ -428,7 +463,7 @@ let reference_replay (plat : P.t) ~vectorized groups =
 
 let prop_consume_matches_reference =
   let open QCheck in
-  let plats = [ P.snb; P.mic; P.fermi; P.tahiti ] in
+  let plats = P.all in
   let space =
     Gen.oneofl Grover_ir.Ssa.[ Global; Global; Local; Local; Constant; Private ]
   in
@@ -539,7 +574,11 @@ let suite =
         Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
         Alcotest.test_case "set conflict thrash" `Quick test_cache_set_conflict_thrash;
         Alcotest.test_case "writeback" `Quick test_cache_writeback;
-        Alcotest.test_case "reset" `Quick test_cache_reset ] );
+        Alcotest.test_case "reset" `Quick test_cache_reset ]
+      @ List.map
+          (fun (name, reason, config) ->
+            Alcotest.test_case ("rejects " ^ name) `Quick (test_cache_rejects ~reason config))
+          rejected_configs );
     qsuite "cache-props" [ prop_cache_miss_bound; prop_cache_matches_reference ];
     ( "gpu-model",
       [ Alcotest.test_case "coalescing" `Quick test_gpu_coalesced_vs_strided;
@@ -551,6 +590,8 @@ let suite =
     ( "platforms",
       [ Alcotest.test_case "lookup" `Quick test_platform_lookup;
         Alcotest.test_case "structure" `Quick test_platform_structure;
+        Alcotest.test_case "one line size per hierarchy" `Quick
+          test_simulate_rejects_mixed_lines;
         Alcotest.test_case "queue accumulation" `Quick test_simulate_accumulates_queues ] );
     qsuite "memsim-props" [ prop_consume_matches_reference ];
     ( "memsim-golden",
