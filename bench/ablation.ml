@@ -6,12 +6,17 @@ module H = Grover_suite.Harness
 module Kit = Grover_suite.Kit
 module P = Grover_memsim.Platform
 
-let np case platform ~scale = (H.compare case ~platform ~scale).H.normalized
+(* np of [case] on the [baseline] and the [ablated] platform, both simulated
+   from one execution per version. *)
+let np_pair case ~baseline ~ablated ~scale =
+  match H.compare_all case ~platforms:[ baseline; ablated ] ~scale with
+  | [ b; a ] -> (b.H.normalized, a.H.normalized)
+  | _ -> assert false
 
 let np_forced case platform ~scale ~vectorized =
   (H.compare ~vectorized_override:vectorized case ~platform ~scale).H.normalized
 
-let row label a b = Printf.printf "  %-42s %8.2f %10.2f\n" label a b
+let row label (a, b) = Printf.printf "  %-42s %8.2f %10.2f\n" label a b
 
 (* 1. Barrier cost: how much of the CPU-side gain is barrier removal? *)
 let barrier_cost ~scale () =
@@ -26,8 +31,7 @@ let barrier_cost ~scale () =
   in
   Printf.printf "  %-42s %8s %10s\n" "" "baseline" "ablated";
   row "barrier cost zeroed"
-    (np Grover_suite.Nvd_mt.case P.snb ~scale)
-    (np Grover_suite.Nvd_mt.case free_barriers ~scale);
+    (np_pair Grover_suite.Nvd_mt.case ~baseline:P.snb ~ablated:free_barriers ~scale);
   print_endline
     "  (if np drops toward 1, the measured gain is driven by the barrier\n\
     \   and work-item loop-fission overhead the transformation removes)"
@@ -39,8 +43,8 @@ let simd_coalescing ~scale () =
     "Ablation 2: CPU SIMD lane coalescing (NVD-MM-B normalized perf on SNB)";
   Printf.printf "  %-42s %8s %10s\n" "" "baseline" "ablated";
   row "lane coalescing disabled (scalar work-items)"
-    (np_forced Grover_suite.Nvd_mm.case_b P.snb ~scale ~vectorized:false)
-    (np_forced Grover_suite.Nvd_mm.case_b P.snb ~scale ~vectorized:true);
+    ( np_forced Grover_suite.Nvd_mm.case_b P.snb ~scale ~vectorized:false,
+      np_forced Grover_suite.Nvd_mm.case_b P.snb ~scale ~vectorized:true );
   print_endline
     "  (without 8-wide lane execution every work-item pays the strided\n\
     \   column walk individually: the loss deepens sharply)"
@@ -57,8 +61,7 @@ let tahiti_l1 ~scale () =
   in
   Printf.printf "  %-42s %8s %10s\n" "" "baseline" "ablated";
   row "global-load L1 removed"
-    (np Grover_suite.Nvd_mm.case_a P.tahiti ~scale)
-    (np Grover_suite.Nvd_mm.case_a no_l1 ~scale);
+    (np_pair Grover_suite.Nvd_mm.case_a ~baseline:P.tahiti ~ablated:no_l1 ~scale);
   print_endline
     "  (without the L1, every de-staged broadcast load becomes a full\n\
     \   memory transaction, as on Fermi/Kepler: removal turns into a loss)"
@@ -93,8 +96,7 @@ let mic_llc ~scale () =
   in
   Printf.printf "  %-42s %8s %10s\n" "" "baseline" "ablated";
   row "large per-core L2 replaced by shared LLC"
-    (np Grover_suite.Nvd_mm.case_b P.mic ~scale)
-    (np Grover_suite.Nvd_mm.case_b unified ~scale);
+    (np_pair Grover_suite.Nvd_mm.case_b ~baseline:P.mic ~ablated:unified ~scale);
   print_endline
     "  (the paper credits MIC's per-core 512K L2 for its flat profile:\n\
     \   shrinking it moves MIC toward the SNB/Nehalem behaviour)"

@@ -125,23 +125,28 @@ let bar np =
   let n = int_of_float (np *. 20.0 +. 0.5) in
   String.make (min n 60) '#'
 
+(* Each case runs once per version for all platforms; the comparisons come
+   back platform-major, each platform's in [cases] order. *)
 let run_cases ~(platforms : P.t list) ~(cases : Kit.case list) ~(scale : int) :
     H.comparison list =
-  List.concat_map
-    (fun (p : P.t) ->
-      List.map
-        (fun (c : Kit.case) ->
-          let cmp = H.compare c ~platform:p ~scale in
-          (match cmp.H.with_lm.H.valid with
-          | Error m -> Printf.printf "!! %s/%s with-lm INVALID: %s\n" c.Kit.id p.P.name m
-          | Ok () -> ());
-          (match cmp.H.without_lm.H.valid with
-          | Error m ->
-              Printf.printf "!! %s/%s grover INVALID: %s\n" c.Kit.id p.P.name m
-          | Ok () -> ());
-          cmp)
-        cases)
-    platforms
+  let per_case = List.map (fun c -> H.compare_all c ~platforms ~scale) cases in
+  List.concat
+    (List.mapi
+       (fun i (p : P.t) ->
+         List.map
+           (fun cmps ->
+             let cmp = List.nth cmps i in
+             (match cmp.H.with_lm.H.valid with
+             | Error m ->
+                 Printf.printf "!! %s/%s with-lm INVALID: %s\n" cmp.H.case_id p.P.name m
+             | Ok () -> ());
+             (match cmp.H.without_lm.H.valid with
+             | Error m ->
+                 Printf.printf "!! %s/%s grover INVALID: %s\n" cmp.H.case_id p.P.name m
+             | Ok () -> ());
+             cmp)
+           per_case)
+       platforms)
 
 let print_np (cmps : H.comparison list) =
   Printf.printf "%-11s %-9s %10s %10s %8s  %-7s %s\n" "Benchmark" "Platform"

@@ -50,6 +50,15 @@ let micro () =
 
 (* -- Dispatch ------------------------------------------------------------------ *)
 
+let usage () =
+  prerr_endline
+    "usage: main.exe [--scale N] [--quick] [--check-scaling] [--multi-launch] \
+     [EXPERIMENT...]\n\
+     \  --scale N  problem-size divisor, an integer >= 1 (default 1)\n\
+     \  EXPERIMENT: table1 table2 fig1 fig9 table3 fig2 fig10 table4 micro perf \
+     ablation predictor (default: all)";
+  exit 2
+
 let () =
   let scale = ref 1 in
   let quick = ref false in
@@ -60,7 +69,11 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
-        scale := int_of_string v;
+        (match int_of_string_opt v with
+        | Some n when n >= 1 -> scale := n
+        | _ ->
+            Printf.eprintf "invalid --scale %S (want an integer >= 1)\n" v;
+            usage ());
         parse rest
     | "--quick" :: rest ->
         quick := true;
@@ -95,11 +108,8 @@ let () =
     | "ablation" -> Ablation.all ~scale ()
     | "predictor" -> Predictor.run ~scale ()
     | other ->
-        Printf.eprintf
-          "unknown experiment %s (try table1 table2 fig1 fig9 table3 fig2 \
-           fig10 table4 micro perf ablation predictor)\n"
-          other;
-        exit 2
+        Printf.eprintf "unknown experiment %s\n" other;
+        usage ()
   in
   match todo with
   | [] ->

@@ -484,10 +484,11 @@ let report_alloc (rows : alloc_row list) : unit =
 
    Events per second through the performance simulator, with no execution
    timed. The groups of one NVD-MT launch per version, at the size the
-   rows above time and on one queue, are copied out of the pooled
-   [on_group] buffer once; each round then replays them through a fresh
-   SNB, Nehalem and MIC simulator: [create], every [consume] and
-   [result]. Min of [replay_rounds] per row. *)
+   rows above time, are copied out of the pooled [on_group] buffer once,
+   each as work-group 0: every group replays on core 0, as in earlier
+   runs of these rows. Each round then replays them through a fresh SNB,
+   Nehalem and MIC simulator: [create], every [consume] and [result].
+   Min of [replay_rounds] per row. *)
 
 module Sim = Grover_memsim.Simulate
 
@@ -513,7 +514,8 @@ let capture_groups ~(version : H.version) ~(n : int) : bool * Trace.wg_stats arr
     groups :=
       {
         s with
-        Trace.ev_addr = Array.sub s.Trace.ev_addr 0 n;
+        Trace.wg_id = 0;
+        ev_addr = Array.sub s.Trace.ev_addr 0 n;
         ev_bytes = Array.sub s.Trace.ev_bytes 0 n;
         ev_info = Array.sub s.Trace.ev_info 0 n;
       }
@@ -565,8 +567,8 @@ let replay_bench ~(n : int) () : replay_row list =
 
 let report_replay ~(n : int) (rows : replay_row list) : unit =
   Printf.printf
-    "\nmemsim replay: NVD-MT %dx%d groups captured once (1 queue), replayed \
-     through a fresh simulator (create + consume + result), min of %d\n"
+    "\nmemsim replay: NVD-MT %dx%d groups captured once (all on core 0), \
+     replayed through a fresh simulator (create + consume + result), min of %d\n"
     n n replay_rounds;
   Printf.printf "%-12s %-8s %8s %10s %12s %14s\n" "version" "platform" "groups"
     "events" "seconds" "events/sec";
@@ -963,7 +965,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     \  \"memsim_replay\": {\n\
     \    \"case\": \"NVD-MT\",\n\
     \    \"n\": %d,\n\
-    \    \"queues\": 1,\n\
+    \    \"core\": 0,\n\
     \    \"rounds\": %d,\n\
     \    \"rows\": [\n"
     n replay_rounds;

@@ -127,10 +127,16 @@ let defines_arg : (string * string) list Term.t =
             ~doc:"Preprocessor definition (kernel-file targets)."))
 
 (* Every command that runs bundled benchmarks takes --scale; each keeps its
-   own default. *)
+   own default. A divisor below 1 is a usage error. *)
 let scale_arg (default : int) : int Term.t =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid scale %S (want an integer >= 1)" s))
+  in
   Arg.(
-    value & opt int default
+    value
+    & opt (conv (parse, Format.pp_print_int)) default
     & info [ "scale" ] ~doc:"Problem-size divisor (benchmark targets).")
 
 (* A benchmark target: "all" or a bundled benchmark id -> its suite cases. *)
@@ -1118,9 +1124,7 @@ let promote_cmd =
       let execd =
         List.map
           (fun (label, fn) ->
-            let _, totals, _, check, path =
-              H.execute case fn ~scale ~platform:None
-            in
+            let totals, _, check, path = H.execute case fn ~scale ~platforms:[] in
             (label, fn, totals, path, check))
           variants
       in

@@ -2,9 +2,10 @@
 # CI entry point: build everything, run the full test suite under both
 # interpreter engines, smoke-test groverc (--verify-each over the example
 # kernels; any error-severity diagnostic makes groverc exit non-zero and
-# fails the run), gate Table IV at scales 1 and 8 against its checked-in
-# output, then the interpreter throughput bench at a small size so the perf
-# target cannot bit-rot.
+# fails the run), gate Table IV at scales 1 and 8 and Fig. 2 and the
+# ablations at scale 1 against their checked-in output, then the
+# interpreter throughput bench at a small size so the perf target cannot
+# bit-rot.
 set -eu
 
 cd "$(dirname "$0")"
@@ -44,6 +45,53 @@ for scale in 1 8; do
   echo "-- table4 --scale $scale is byte-identical"
 done
 rm -f "$table4"
+
+echo "== paper figures: Fig. 2 and the ablations at scale 1 match the checked-in references =="
+# fig2 is the only gate on the GPU engine at the paper's size; ablation's
+# MIC-unifiedLLC has the most cores (60) sharing one cache, where the
+# simulator's per-core local/private window matters most. Both outputs
+# must be byte-identical to test/bench_golden/ (read here, never
+# rewritten).
+fig_out=$(mktemp)
+for exp in fig2 ablation; do
+  ref=test/bench_golden/${exp}_scale1.txt
+  dune exec bench/main.exe -- $exp --scale 1 > "$fig_out"
+  if ! cmp -s "$fig_out" "$ref"; then
+    echo "FAIL: $exp --scale 1 differs from $ref"
+    diff "$fig_out" "$ref" || true
+    rm -f "$fig_out"
+    exit 1
+  fi
+  echo "-- $exp --scale 1 is byte-identical"
+done
+rm -f "$fig_out"
+
+echo "== a --scale below 1 is a usage error =="
+# groverc: every command that takes --scale rejects a non-integer or
+# non-positive divisor with a usage message (exit 124), before running
+# anything. bench/main.exe prints its usage and exits 2.
+for cmd in run sanitize promote autotune; do
+  for v in 0 -1 x; do
+    status=0
+    err=$(dune exec bin/groverc.exe -- $cmd NVD-MT --scale=$v 2>&1 >/dev/null) \
+      || status=$?
+    case "$status:$err" in
+      "124:groverc: option '--scale': invalid scale \"$v\" (want an integer >= 1)"*) ;;
+      *) echo "FAIL: groverc $cmd NVD-MT --scale=$v (exit $status):"
+         echo "$err"; exit 1 ;;
+    esac
+  done
+done
+for v in 0 -1 x; do
+  status=0
+  err=$(dune exec bench/main.exe -- --scale $v fig2 2>&1 >/dev/null) || status=$?
+  case "$status:$err" in
+    "2:invalid --scale \"$v\" (want an integer >= 1)"*"usage: "*) ;;
+    *) echo "FAIL: bench/main.exe --scale $v fig2 (exit $status):"
+       echo "$err"; exit 1 ;;
+  esac
+done
+echo "-- groverc run/sanitize/promote/autotune exit 124, bench/main.exe exits 2"
 
 echo "== suite under every forced execution path =="
 # GROVER_FORCE_PATH pins the group scheduler; kernels that cannot take the

@@ -40,19 +40,20 @@ let () =
   (* Compare the four versions on SNB. *)
   let plat = P.snb in
   Printf.printf "Simulated on %s (C slab, B row stride 4 KiB):\n" plat.P.name;
-  let with_lm, _ =
-    H.run_version Grover_suite.Nvd_mm.case_a H.With_lm ~scale:2
-      ~platform:(Some plat)
+  (* Simulated seconds of one version of [case], its output validated. *)
+  let seconds label case v =
+    let fn, _ = H.compile_version case v in
+    match H.execute case fn ~scale:2 ~platforms:[ plat ] with
+    | _, [ r ], Ok (), _ -> r.Grover_memsim.Simulate.seconds
+    | _, _, Error m, _ -> failwith (label ^ ": " ^ m)
+    | _ -> assert false
   in
-  Printf.printf "  %-22s %10.3f ms\n" "with local memory" (with_lm.H.seconds *. 1e3);
+  let with_lm = seconds "with local memory" Grover_suite.Nvd_mm.case_a H.With_lm in
+  Printf.printf "  %-22s %10.3f ms\n" "with local memory" (with_lm *. 1e3);
   List.iter
     (fun (label, case) ->
-      let r, _ = H.run_version case H.Without_lm ~scale:2 ~platform:(Some plat) in
-      (match r.H.valid with
-      | Ok () -> ()
-      | Error m -> failwith (label ^ ": " ^ m));
-      Printf.printf "  %-22s %10.3f ms  (np %.2f)\n" label (r.H.seconds *. 1e3)
-        (with_lm.H.seconds /. r.H.seconds))
+      let t = seconds label case H.Without_lm in
+      Printf.printf "  %-22s %10.3f ms  (np %.2f)\n" label (t *. 1e3) (with_lm /. t))
     [ ("NVD-MM-A (A removed)", Grover_suite.Nvd_mm.case_a);
       ("NVD-MM-B (B removed)", Grover_suite.Nvd_mm.case_b);
       ("NVD-MM-AB (both)", Grover_suite.Nvd_mm.case_ab) ];

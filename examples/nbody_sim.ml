@@ -35,7 +35,7 @@ let run_accel ~use_grover (pos_data : float array) : float array =
   Memory.fill_floats pos (fun i -> pos_data.(i));
   ignore
     (Runtime.launch compiled
-       ~cfg:{ Runtime.global = (n, 1, 1); local = (64, 1, 1); queues = 4 }
+       ~cfg:{ Runtime.global = (n, 1, 1); local = (64, 1, 1); queues = 1 }
        ~args:
          [ Runtime.Abuf accel; Runtime.Abuf pos; Runtime.Aint n;
            Runtime.Afloat eps ]

@@ -2,7 +2,7 @@
 
     A simulator instance consumes per-work-group traces (streamed from
     {!Grover_ocl.Runtime.launch}'s [on_group] callback) and charges cycles
-    to the hardware queue the group ran on:
+    to the core the group runs on, core [wg_id mod cores]:
 
     - CPU/MIC: work-items of a group execute serially on one core; every
       memory access (global, local and private alike — local memory is
@@ -12,6 +12,13 @@
       lanes coalesces into as many transactions as it touches distinct
       address segments; local memory is a banked scratch-pad with conflict
       serialisation; barriers are hardware-cheap.
+
+    A trace does not depend on the platform, so one launch can feed one
+    simulator per platform. Every group's local buffers and private arrays
+    sit at the same addresses in the trace; the simulator moves them into
+    the window of the group's core ({!core_window}), as a vendor CPU
+    runtime gives each hardware thread local and private memory of its
+    own.
 
     The [wg_stats] handed to {!consume} is a pooled buffer owned by the
     runtime — everything needed from it is charged before returning, and
@@ -27,15 +34,20 @@
     [-opaque] no call into another module is inlined, and a per-event call
     costs more than the arithmetic it would do.
 
-    The total is the maximum over queues (cores run concurrently). *)
+    The total is the maximum over cores (cores run concurrently). *)
 
 open Grover_ocl
 module P = Platform
 
-type queue_state = {
+(** Bytes of local (and of private) address space per core: a Local or
+    Private event of a group on core [c] is simulated at its address plus
+    [c * core_window]. Global and constant addresses do not move. *)
+let core_window = 0x0010_0000
+
+type core = {
   l1 : Cache.t option;
   l2 : Cache.t option;
-  mutable q_cycles : float;
+  mutable busy : float;  (** cycles charged to this core *)
 }
 
 type breakdown = {
@@ -51,7 +63,7 @@ type t = {
   line_shift : int;
       (** log2 of the line size every cache level shares (CPU) or of the
           coalescing segment (GPU) *)
-  queues : queue_state array;
+  cores : core array;
   shared : Cache.t option;  (** LLC (CPU) or device L2 (GPU) *)
   bd : breakdown;
   mutable groups : int;
@@ -90,16 +102,11 @@ let create ?(vectorized = false) (plat : P.t) : t =
       if c.Cache.line_bytes <> line then
         fail "a %d-byte cache line differs from the hierarchy's %d bytes" c.Cache.line_bytes line)
     levels;
-  let mk_queue () =
+  let mk_core () =
     match plat.P.mem with
     | P.Cpu_mem m ->
-        {
-          l1 = Some (Cache.create m.P.l1);
-          l2 = Option.map Cache.create m.P.l2;
-          q_cycles = 0.0;
-        }
-    | P.Gpu_mem g ->
-        { l1 = Option.map Cache.create g.P.l1g; l2 = None; q_cycles = 0.0 }
+        { l1 = Some (Cache.create m.P.l1); l2 = Option.map Cache.create m.P.l2; busy = 0.0 }
+    | P.Gpu_mem g -> { l1 = Option.map Cache.create g.P.l1g; l2 = None; busy = 0.0 }
   in
   let shared =
     match plat.P.mem with
@@ -110,7 +117,7 @@ let create ?(vectorized = false) (plat : P.t) : t =
     plat;
     simd = (if vectorized then 1 else max 1 plat.P.simd);
     line_shift = Cache.log2 line;
-    queues = Array.init plat.P.cores (fun _ -> mk_queue ());
+    cores = Array.init plat.P.cores (fun _ -> mk_core ());
     shared;
     bd = { compute = 0.0; memory = 0.0; barrier = 0.0; spm = 0.0 };
     groups = 0;
@@ -197,7 +204,7 @@ let uniq_add (t : t) (key : int) (is_write : bool) : unit =
 
 (* Cycles of one line access from core [q]: the latency of the first level
    outward from L1 that holds the line, or memory latency. *)
-let cpu_line (t : t) (q : queue_state) (m : P.cpu_mem) ~line ~is_write : int =
+let cpu_line (t : t) (q : core) (m : P.cpu_mem) ~line ~is_write : int =
   match q.l1 with
   | Some l1 when Cache.access_line l1 ~line ~is_write -> l1.Cache.cfg.Cache.latency
   | _ -> (
@@ -210,7 +217,8 @@ let cpu_line (t : t) (q : queue_state) (m : P.cpu_mem) ~line ~is_write : int =
           | _ -> m.P.mem_latency))
 
 let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
-  let q = t.queues.(s.Trace.queue mod Array.length t.queues) in
+  let core = s.Trace.wg_id mod Array.length t.cores in
+  let q = t.cores.(core) and window = core * core_window in
   let c = t.plat.P.costs in
   let simd = t.simd in
   let compute =
@@ -231,6 +239,8 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
      are visited in first-seen order — ascending lane, then ascending line —
      and a line is written if any lane writes it. *)
   let shift = t.line_shift and write_bit = Trace.write_bit in
+  let space_shift = Trace.space_shift and space_mask = Trace.space_mask in
+  let local = Trace.code_local and private_ = Trace.code_private in
   let ev_addr = s.Trace.ev_addr and ev_bytes = s.Trace.ev_bytes and ev_info = s.Trace.ev_info in
   index_lanes t s;
   let memory = ref 0 in
@@ -243,8 +253,12 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
       for l = first to last do
         if k < t.lane_count.(l) then begin
           let ei = t.lane_evs.(t.lane_start.(l) + k) in
-          let addr = ev_addr.(ei) in
-          let is_write = ev_info.(ei) land write_bit <> 0 in
+          let info = ev_info.(ei) in
+          let space = (info lsr space_shift) land space_mask in
+          let addr =
+            if space = local || space = private_ then ev_addr.(ei) + window else ev_addr.(ei)
+          in
+          let is_write = info land write_bit <> 0 in
           for ln = addr asr shift to (addr + ev_bytes.(ei) - 1) asr shift do
             let i = uniq_find t ln in
             if i < 0 then uniq_add t ln is_write
@@ -259,7 +273,7 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
   done;
   (* Accesses pipeline on real cores; charge a fraction of pure latency. *)
   let memory = float_of_int !memory *. 0.35 in
-  q.q_cycles <- q.q_cycles +. compute +. dispatch +. barrier +. memory;
+  q.busy <- q.busy +. compute +. dispatch +. barrier +. memory;
   t.bd.compute <- t.bd.compute +. compute +. dispatch;
   t.bd.barrier <- t.bd.barrier +. barrier;
   t.bd.memory <- t.bd.memory +. memory
@@ -267,7 +281,7 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
 (* -- GPU engine --------------------------------------------------------------- *)
 
 (* Cycles of one global-memory transaction for segment number [seg]. *)
-let gpu_segment (t : t) (q : queue_state) (g : P.gpu_mem) ~seg ~is_write : float =
+let gpu_segment (t : t) (q : core) (g : P.gpu_mem) ~seg ~is_write : float =
   match q.l1 with
   (* A per-CU L1 that caches global loads (Tahiti) absorbs repeated and
      broadcast transactions. *)
@@ -284,7 +298,8 @@ let gpu_segment (t : t) (q : queue_state) (g : P.gpu_mem) ~seg ~is_write : float
       g.P.trans_cost +. extra
 
 let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
-  let q = t.queues.(s.Trace.queue mod Array.length t.queues) in
+  let core = s.Trace.wg_id mod Array.length t.cores in
+  let q = t.cores.(core) and window = core * core_window in
   let c = t.plat.P.costs in
   let warp = max 1 t.plat.P.warp in
   let compute =
@@ -337,7 +352,7 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
           let ei = t.lane_evs.(t.lane_start.(l) + k) in
           let info = ev_info.(ei) in
           if (info lsr space_shift) land space_mask = local then begin
-            let key = (ev_addr.(ei) lsl 1) lor Bool.to_int (info land write_bit <> 0) in
+            let key = ((ev_addr.(ei) + window) lsl 1) lor Bool.to_int (info land write_bit <> 0) in
             if uniq_find t key < 0 then uniq_add t key false
           end
         end
@@ -357,7 +372,7 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
       end
     done
   done;
-  q.q_cycles <- q.q_cycles +. compute +. barrier +. !memory +. !spm;
+  q.busy <- q.busy +. compute +. barrier +. !memory +. !spm;
   t.bd.compute <- t.bd.compute +. compute;
   t.bd.barrier <- t.bd.barrier +. barrier;
   t.bd.memory <- t.bd.memory +. !memory;
@@ -373,9 +388,9 @@ let consume (t : t) (s : Trace.wg_stats) : unit =
 
 type result = {
   r_platform : string;
-  cycles : float;  (** critical-path cycles (max over queues) *)
+  cycles : float;  (** critical-path cycles (max over cores) *)
   seconds : float;
-  per_queue : float array;
+  per_core : float array;
   r_compute : float;
   r_memory : float;
   r_barrier : float;
@@ -384,13 +399,13 @@ type result = {
 }
 
 let result (t : t) : result =
-  let per_queue = Array.map (fun q -> q.q_cycles) t.queues in
-  let cycles = Array.fold_left max 0.0 per_queue in
+  let per_core = Array.map (fun q -> q.busy) t.cores in
+  let cycles = Array.fold_left max 0.0 per_core in
   {
     r_platform = t.plat.P.name;
     cycles;
     seconds = cycles /. (t.plat.P.freq_ghz *. 1e9);
-    per_queue;
+    per_core;
     r_compute = t.bd.compute;
     r_memory = t.bd.memory;
     r_barrier = t.bd.barrier;

@@ -256,11 +256,8 @@ type lane_state = {
           [lid]/[gid] fields are unused here (lanes read [llid]/[lgid]) *)
   largs : rv array;
   lstats : Trace.wg_stats;
-  mutable llocal : (int, Memory.buffer) Hashtbl.t;
-      (** alloca iid -> group buffer, swapped by the runtime when the
-          executing queue changes *)
+  llocal : (int, Memory.buffer) Hashtbl.t;  (** alloca iid -> group buffer *)
   lmem : Memory.t;  (** private allocations land here *)
-  mutable lqueue : int;  (** hardware queue: selects the private address region *)
   mutable lpriv : int;
       (** private bump offset of the work-item a one-lane batch runs; the
           runtime carries it per work-item across regions *)
@@ -274,11 +271,8 @@ type wi_state = {
   args : rv array;
   ctx : wi_ctx;
   stats : Trace.wg_stats;
-  mutable local_bufs : (int, Memory.buffer) Hashtbl.t;
-      (** alloca iid -> group buffer; swapped by the runtime when the
-          executing queue changes *)
+  local_bufs : (int, Memory.buffer) Hashtbl.t;  (** alloca iid -> group buffer *)
   mem : Memory.t;
-  mutable queue : int;
   mutable private_offset : int;  (** bump offset in the private address region *)
   mutable san : Sanitize.t option;
       (** installed by [Runtime.launch ~sanitizer]; [None] on normal runs *)
@@ -456,13 +450,10 @@ let lane_san (ls : lane_state) (b : Memory.buffer) (idx : int)
   | None -> ()
   | Some s -> Sanitize.access s ~buf:b ~idx ~is_write ~wi ~loc
 
-(* Private arrays live in a per-queue private address region at the
-   work-item's bump [offset]; the data array itself is fresh per
-   allocation. *)
-let alloc_private (mem : Memory.t) ~(queue : int) ~(offset : int) elem count :
-    Memory.buffer =
-  let base = 0x0000_1000 + (queue * 0x0010_0000) + offset in
-  Memory.alloc_at mem ~space:Private ~base_addr:base elem count
+(* Private arrays live in the private address region at the work-item's
+   bump [offset]; the data array itself is fresh per allocation. *)
+let alloc_private (mem : Memory.t) ~(offset : int) elem count : Memory.buffer =
+  Memory.alloc_at mem ~space:Private ~base_addr:(0x0000_1000 + offset) elem count
 
 (* == The tree-walking reference engine ====================================== *)
 
@@ -620,10 +611,7 @@ and exec_instr (st : wi_state) (i : instr) : unit =
       | Some b -> set (RBuf b)
       | None -> trap "local alloca without a group buffer")
   | Alloca { aspace = Private; elem; count; _ } ->
-      let b =
-        alloc_private st.mem ~queue:st.queue ~offset:st.private_offset elem
-          count
-      in
+      let b = alloc_private st.mem ~offset:st.private_offset elem count in
       st.private_offset <- st.private_offset + (count * ty_size_bytes elem);
       set (RBuf b)
   | Alloca _ -> trap "unsupported alloca space"
@@ -1925,10 +1913,7 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
         let dst = d * lw and bytes = count * ty_size_bytes elem in
         [
           (fun ls ->
-            let b =
-              alloc_private ls.lmem ~queue:ls.lqueue ~offset:ls.lpriv elem
-                count
-            in
+            let b = alloc_private ls.lmem ~offset:ls.lpriv elem count in
             ls.lpriv <- ls.lpriv + bytes;
             ls.lbenv.(dst) <- RBuf b);
         ]
@@ -2770,7 +2755,7 @@ let lane_entry_flags (c : compiled) : bool array option =
 (** Fresh tree-engine state of one work-item. *)
 let make_state (c : compiled) ~(args : rv array) ~(ctx : wi_ctx)
     ~(stats : Trace.wg_stats) ~(local_bufs : (int, Memory.buffer) Hashtbl.t)
-    ~(mem : Memory.t) ~(queue : int) : wi_state =
+    ~(mem : Memory.t) : wi_state =
   {
     c;
     env = Array.make c.n_slots (RInt 0);
@@ -2779,7 +2764,6 @@ let make_state (c : compiled) ~(args : rv array) ~(ctx : wi_ctx)
     stats;
     local_bufs;
     mem;
-    queue;
     private_offset = 0;
     san = None;
   }
@@ -2813,7 +2797,6 @@ let make_lane_state (ln : clanes) ~(ctx : wi_ctx) ~(args : rv array)
     lstats = stats;
     llocal = local_bufs;
     lmem = mem;
-    lqueue = 0;
     lpriv = 0;
     lsan = None;
   }

@@ -2,10 +2,11 @@
     performance simulator.
 
     Every buffer gets a range in a single 64-bit address space (global and
-    constant buffers from a bump allocator; local buffers inside per-queue
-    regions so that a hardware thread re-uses the same local addresses
-    across work-groups, as vendor CPU runtimes do). Data itself lives in
-    OCaml arrays — one scalar slot per vector lane. *)
+    constant buffers from a bump allocator; local buffers in one local
+    region that every work-group re-uses, as a hardware thread of a vendor
+    CPU runtime does — the simulator moves it into the window of the core
+    a group runs on). Data itself lives in OCaml arrays — one scalar slot
+    per vector lane. *)
 
 open Grover_ir
 open Ssa
@@ -40,7 +41,6 @@ type t = {
 
 let global_base = 0x1000_0000
 let local_region_base = 0x0100_0000
-let local_region_size = 0x0010_0000 (* 1 MiB of local addresses per queue *)
 
 let create () : t = { next_addr = global_base; next_bid = 0; buffers = [] }
 
@@ -86,13 +86,10 @@ let alloc (m : t) ?name ?(space = Global) (elem : ty) (n : int) : buffer =
   m.next_addr <- base + (n * ty_size_bytes elem);
   b
 
-(** Allocate a local buffer whose addresses live in [queue]'s local region
-    at byte offset [offset] (so a queue re-uses the same local addresses
-    for every work-group it runs). *)
-let alloc_local (m : t) ?name ~(queue : int) ~(offset : int) (elem : ty)
-    (n : int) : buffer =
-  let base = local_region_base + (queue * local_region_size) + offset in
-  alloc_at m ?name ~space:Local ~base_addr:base elem n
+(** Allocate a local buffer at byte offset [offset] of the local region
+    (every work-group's local buffers have the same addresses). *)
+let alloc_local (m : t) ?name ~(offset : int) (elem : ty) (n : int) : buffer =
+  alloc_at m ?name ~space:Local ~base_addr:(local_region_base + offset) elem n
 
 (** A short human label for diagnostics: the source name when known,
     otherwise the address space plus buffer id. *)
@@ -108,9 +105,9 @@ let describe (b : buffer) : string =
   else Printf.sprintf "%s buffer #%d" space b.bid
 
 (** Zero a buffer's storage in place. The runtime reuses one local-memory
-    allocation per (queue, launch) across all the work-groups that run on
-    that queue; clearing it at group start restores the fresh-buffer
-    semantics groups observed when each one allocated its own storage. *)
+    allocation per execution context across all the work-groups it runs;
+    clearing it at group start restores the fresh-buffer semantics groups
+    observed when each one allocated its own storage. *)
 let clear (b : buffer) : unit =
   match b.st with
   | F a -> Array.fill a 0 (Array.length a) 0.0

@@ -1,5 +1,5 @@
-(** Kernel launch: NDRange iteration, per-queue local-memory allocation,
-    pooled execution state, and two group schedulers —
+(** Kernel launch: NDRange iteration, local-memory allocation, pooled
+    execution state, and two group schedulers —
 
     - {b lanes} ([wg-vec]): pocl-style work-item loops over the
       closure-compiled lane code, for kernels whose barriers
@@ -36,7 +36,9 @@ type arg_binding =
 type launch_config = {
   global : int * int * int;  (** global work size per dimension *)
   local : int * int * int;  (** work-group size per dimension *)
-  queues : int;  (** hardware queues (cores / CUs); groups round-robin *)
+  queues : int;
+      (** not read: a launch's trace does not depend on the hardware, and
+          the simulator maps work-groups to cores *)
 }
 
 exception Launch_error of string
@@ -202,17 +204,35 @@ let path_name (p : exec_plan) : string = string_of_path p.path
    per domain and reused across all its groups: the scheduler's state
    (the lane state and context matrices, or one tree state per work-item
    plus the parked-continuation queue), the reused [grp] coordinate array
-   shared by every state's context, and the per-queue local-memory
-   allocations. *)
+   shared by every state's context, and the local-memory allocations. *)
 
-type local_set = {
-  ls_tab : (int, Memory.buffer) Hashtbl.t;  (** alloca iid -> buffer *)
-  ls_bufs : Memory.buffer list;  (** same buffers, for per-group clearing *)
-}
+(* Kernels with no local allocas share one immutable empty table. *)
+let no_locals : (int, Memory.buffer) Hashtbl.t = Hashtbl.create 1
 
-(* Kernels with no local allocas share one immutable empty table: no
-   Hashtbl.create, no per-group setup at all. *)
-let no_locals : local_set = { ls_tab = Hashtbl.create 1; ls_bufs = [] }
+(* A context's local buffers, laid out back to back from the start of the
+   local region: the alloca iid -> buffer table the states read, and the
+   same buffers as a list for per-group clearing. Their addresses are the
+   same in every context. *)
+let alloc_locals (c : Interp.compiled) (scratch : Memory.t) :
+    (int, Memory.buffer) Hashtbl.t * Memory.buffer list =
+  if c.Interp.local_allocas = [] then (no_locals, [])
+  else begin
+    let tab = Hashtbl.create 4 in
+    let offset = ref 0 in
+    let bufs =
+      List.map
+        (fun (i : instr) ->
+          match i.op with
+          | Alloca { elem; count; aname; _ } ->
+              let b = Memory.alloc_local scratch ~name:aname ~offset:!offset elem count in
+              offset := !offset + (count * ty_size_bytes elem);
+              Hashtbl.replace tab i.iid b;
+              b
+          | _ -> assert false)
+        c.Interp.local_allocas
+    in
+    (tab, bufs)
+  end
 
 type sched =
   | Lane_sweep of {
@@ -247,8 +267,7 @@ type exec_ctx = {
   grp : int array;  (** shared by all states' contexts; rewritten per group *)
   n_items : int;
   sched : sched;
-  mutable local_sets : local_set option array;  (** per queue, lazy *)
-  mutable cur_queue : int;  (** queue the states are currently aimed at *)
+  locals : Memory.buffer list;  (** the states' local buffers, cleared per group *)
   san : Sanitize.t option;
 }
 
@@ -258,6 +277,7 @@ let make_ctx (c : Interp.compiled) ~(rv_args : Interp.rv array)
     ?(san : Sanitize.t option) () : exec_ctx =
   let n_items = lsz.(0) * lsz.(1) * lsz.(2) in
   let grp = [| 0; 0; 0 |] in
+  let local_bufs, locals = alloc_locals c scratch in
   let wi_ctx () =
     {
       Interp.lid = [| 0; 0; 0 |];
@@ -274,7 +294,7 @@ let make_ctx (c : Interp.compiled) ~(rv_args : Interp.rv array)
     | Lanes width, Some ln ->
         let lst =
           Interp.make_lane_state ln ~ctx:(wi_ctx ()) ~args:rv_args ~stats
-            ~local_bufs:no_locals.ls_tab ~mem:scratch
+            ~local_bufs ~mem:scratch
         in
         lst.Interp.lsan <- san;
         Lane_sweep
@@ -293,7 +313,7 @@ let make_ctx (c : Interp.compiled) ~(rv_args : Interp.rv array)
           Array.init n_items (fun _ ->
               let st =
                 Interp.make_state c ~args:rv_args ~ctx:(wi_ctx ()) ~stats
-                  ~local_bufs:no_locals.ls_tab ~mem:scratch ~queue:0
+                  ~local_bufs ~mem:scratch
               in
               st.Interp.san <- san;
               st)
@@ -310,46 +330,9 @@ let make_ctx (c : Interp.compiled) ~(rv_args : Interp.rv array)
     grp;
     n_items;
     sched;
-    local_sets = [||];
-    cur_queue = -1;
+    locals;
     san;
   }
-
-(* Local buffers are allocated once per (launch, queue) — their addresses
-   recycle per queue exactly as before, but the storage is now reused and
-   cleared per group instead of reallocated. *)
-let local_set_for (x : exec_ctx) (queue : int) : local_set =
-  if x.xc.Interp.local_allocas = [] then no_locals
-  else begin
-    if queue >= Array.length x.local_sets then begin
-      let a = Array.make (queue + 1) None in
-      Array.blit x.local_sets 0 a 0 (Array.length x.local_sets);
-      x.local_sets <- a
-    end;
-    match x.local_sets.(queue) with
-    | Some ls -> ls
-    | None ->
-        let tab = Hashtbl.create 4 in
-        let offset = ref 0 in
-        let bufs =
-          List.map
-            (fun (i : instr) ->
-              match i.op with
-              | Alloca { elem; count; aname; _ } ->
-                  let b =
-                    Memory.alloc_local x.scratch ~name:aname ~queue
-                      ~offset:!offset elem count
-                  in
-                  offset := !offset + (count * ty_size_bytes elem);
-                  Hashtbl.replace tab i.iid b;
-                  b
-              | _ -> assert false)
-            x.xc.Interp.local_allocas
-        in
-        let ls = { ls_tab = tab; ls_bufs = bufs } in
-        x.local_sets.(queue) <- Some ls;
-        ls
-  end
 
 (* -- Group schedulers --------------------------------------------------------- *)
 
@@ -459,30 +442,16 @@ let run_group_lanes (x : exec_ctx) ~(ln : Interp.clanes)
     end
   done
 
-let run_one_group (x : exec_ctx) ~(wg : int) ~(queue : int) : unit =
+let run_one_group (x : exec_ctx) ~(wg : int) : unit =
   (match x.san with Some s -> Sanitize.enter_group s ~group:wg | None -> ());
   let ngr = x.ngr in
   x.grp.(0) <- wg mod ngr.(0);
   x.grp.(1) <- wg / ngr.(0) mod ngr.(1);
   x.grp.(2) <- wg / (ngr.(0) * ngr.(1));
-  let ls = local_set_for x queue in
-  if queue <> x.cur_queue then begin
-    (match x.sched with
-    | Lane_sweep { lst; _ } ->
-        lst.Interp.lqueue <- queue;
-        lst.Interp.llocal <- ls.ls_tab
-    | Fibers { states; _ } ->
-        Array.iter
-          (fun (st : Interp.wi_state) ->
-            st.Interp.queue <- queue;
-            st.Interp.local_bufs <- ls.ls_tab)
-          states);
-    x.cur_queue <- queue
-  end;
   (* Fresh local memory per group, matching the former per-group
      allocation semantics. *)
-  List.iter Memory.clear ls.ls_bufs;
-  Trace.reset x.stats ~wg_id:wg ~queue ~wg_size:x.n_items;
+  List.iter Memory.clear x.locals;
+  Trace.reset x.stats ~wg_id:wg ~wg_size:x.n_items;
   match x.sched with
   | Lane_sweep { ln; lst; width; ictx; fctx; bctx; priv } ->
       run_group_lanes x ~ln ~lst ~width ~ictx ~fctx ~bctx ~priv
@@ -751,8 +720,7 @@ module Sched = struct
         (* Rebind this launch's arguments into the pooled states (every
            state of a context aliases one args array) and drop private
            allocations left by the previous launch; local allocations are
-           kept — their addresses are (queue, offset)-determined and their
-           storage is cleared per group anyway. *)
+           kept — their storage is cleared per group anyway. *)
         Array.blit l.l_args 0 x.args 0 (Array.length l.l_args);
         x.scratch.Memory.buffers <-
           List.filter
@@ -761,7 +729,7 @@ module Sched = struct
         cache := cc :: List.filter (fun c -> c != cc) !cache;
         x
     | None ->
-        let stats = Trace.fresh_stats ~wg_id:0 ~queue:0 ~wg_size:0 in
+        let stats = Trace.fresh_stats ~wg_id:0 ~wg_size:0 in
         let x =
           make_ctx l.l_c ~rv_args:(Array.copy l.l_args)
             ~scratch:(Memory.create ()) ~stats ~lsz:l.l_lsz ~gsz:l.l_gsz
@@ -783,10 +751,10 @@ module Sched = struct
   (* Execute a claimed chunk (no lock held). A failure poisons the launch:
      the first error is recorded, unclaimed groups are abandoned, and the
      error re-raises at the launch's wait point. *)
-  let execute (h : holder) ~(g0 : int) ~(sz : int) ~(idx : int) : unit =
+  let execute (h : holder) ~(g0 : int) ~(sz : int) : unit =
     try
       for wg = g0 to g0 + sz - 1 do
-        run_one_group h.h_x ~wg ~queue:idx;
+        run_one_group h.h_x ~wg;
         Trace.accumulate h.h_tot h.h_x.stats
       done
     with e ->
@@ -817,10 +785,8 @@ module Sched = struct
 
   (** Scheduler worker loop: claim and execute (launch, chunk) pairs until
       nothing is live, or [stop] (checked between chunks) says this domain
-      may leave. [idx] is the stable worker index — it is the hardware-
-      queue id work-groups observe, so local-memory addresses recycle per
-      domain exactly as single-launch dispatch always did. *)
-  let run_worker ~(idx : int) ~(stop : unit -> bool) : unit =
+      may leave. *)
+  let run_worker ~(stop : unit -> bool) : unit =
     let cur : holder option ref = ref None in
     let running = ref true in
     while !running do
@@ -859,7 +825,7 @@ module Sched = struct
             decide ())
       in
       match act with
-      | Run (h, g0, sz) -> execute h ~g0 ~sz ~idx
+      | Run (h, g0, sz) -> execute h ~g0 ~sz
       | Acquire l ->
           (* Context lookup / construction is heavy; outside the lock. *)
           cur :=
@@ -878,11 +844,10 @@ module Sched = struct
       this (same rule as [Pool.dispatch]). *)
   let drain ?(stop = fun () -> false) ~(workers : int) () : unit =
     let workers = max 0 (min workers (max_domains - 1)) in
-    if workers = 0 then run_worker ~idx:0 ~stop
+    if workers = 0 then run_worker ~stop
     else begin
-      Pool.dispatch ~workers (fun k ->
-          run_worker ~idx:k ~stop:(fun () -> false));
-      run_worker ~idx:0 ~stop;
+      Pool.dispatch ~workers (fun _ -> run_worker ~stop:(fun () -> false));
+      run_worker ~stop;
       match Pool.wait () with Some e -> raise e | None -> ()
     end
 end
@@ -942,14 +907,13 @@ let launch (c : Interp.compiled) ~(cfg : launch_config)
     (* One pooled execution context for the whole launch: states, stats
        event arrays and local allocations all keep their capacity across
        groups. *)
-    let stats = Trace.fresh_stats ~wg_id:0 ~queue:0 ~wg_size:0 in
+    let stats = Trace.fresh_stats ~wg_id:0 ~wg_size:0 in
     let x =
       make_ctx c ~rv_args ~scratch:mem ~stats ~lsz ~gsz ~ngr ~path
         ?san:sanitizer ()
     in
     for wg = 0 to n_groups - 1 do
-      let queue = wg mod max 1 cfg.queues in
-      run_one_group x ~wg ~queue;
+      run_one_group x ~wg;
       Trace.accumulate totals stats;
       match on_group with Some f -> f stats | None -> ()
     done;

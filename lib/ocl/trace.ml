@@ -52,8 +52,7 @@ let space_of_code c =
   else Ssa.Private
 
 type wg_stats = {
-  mutable wg_id : int;
-  mutable queue : int;  (** hardware queue (core / CU) the group ran on *)
+  mutable wg_id : int;  (** linear work-group id; the simulator maps it to a core *)
   mutable wg_size : int;
   mutable int_ops : int;
   mutable float_ops : int;
@@ -67,10 +66,9 @@ type wg_stats = {
   mutable ev_info : int array;
 }
 
-let fresh_stats ~wg_id ~queue ~wg_size : wg_stats =
+let fresh_stats ~wg_id ~wg_size : wg_stats =
   {
     wg_id;
-    queue;
     wg_size;
     int_ops = 0;
     float_ops = 0;
@@ -86,9 +84,8 @@ let fresh_stats ~wg_id ~queue ~wg_size : wg_stats =
 
 (** Rewind a pooled stats buffer for the next work-group: zero the
     counters and the event count, keep the event arrays' capacity. *)
-let reset (s : wg_stats) ~wg_id ~queue ~wg_size : unit =
+let reset (s : wg_stats) ~wg_id ~wg_size : unit =
   s.wg_id <- wg_id;
-  s.queue <- queue;
   s.wg_size <- wg_size;
   s.int_ops <- 0;
   s.float_ops <- 0;

@@ -11,13 +11,14 @@ module Sim = Grover_memsim.Simulate
 
 type version = With_lm | Without_lm
 
+(** One version of a benchmark on one platform. The execution (output
+    check, totals, path) is shared by every platform it was simulated on. *)
 type run = {
   version : version;
-  seconds : float;
-  cycles : float;
+  seconds : float;  (** simulated seconds on the platform *)
   valid : (unit, string) result;
   totals : Trace.totals;
-  sim : Sim.result option;
+  sim : Sim.result;
   path : string;
       (** execution path taken: "wg-vec" or "fiber" *)
 }
@@ -79,46 +80,29 @@ let uses_vector_types (fn : Ssa.func) : bool =
          | _ -> false)
        false fn
 
-let execute ?vectorized_override ?engine ?(domains = 1) (case : Kit.case)
-    (fn : Ssa.func) ~(scale : int) ~(platform : P.t option) :
-    float * Trace.totals * Sim.result option * (unit, string) result * string =
+(** Execute [fn] once on [case]'s workload and stream every work-group to
+    one simulator per platform. Returns the launch totals, the simulated
+    results in [platforms] order, the output check and the execution path
+    taken. With no platform nothing is simulated. *)
+let execute ?vectorized_override (case : Kit.case) (fn : Ssa.func) ~(scale : int)
+    ~(platforms : P.t list) : Trace.totals * Sim.result list * (unit, string) result * string =
   let w = case.Kit.mk ~scale in
-  let compiled = Interp.prepare ?engine fn in
-  let queues = match platform with Some p -> p.P.cores | None -> 1 in
+  let compiled = Interp.prepare fn in
   let vectorized =
     match vectorized_override with
     | Some v -> v
     | None -> uses_vector_types fn
   in
-  let sim = Option.map (Sim.create ~vectorized) platform in
-  let on_group = Option.map (fun s -> fun g -> Sim.consume s g) sim in
-  let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues } in
-  let totals =
-    Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ?on_group
-      ~domains ()
+  let sims = List.map (Sim.create ~vectorized) platforms in
+  let on_group =
+    match sims with
+    | [] -> None
+    | _ -> Some (fun g -> List.iter (fun s -> Sim.consume s g) sims)
   in
-  let result = Option.map Sim.result sim in
-  let seconds = match result with Some r -> r.Sim.seconds | None -> 0.0 in
-  let path = Runtime.path_name (Runtime.plan compiled ~cfg ~domains ()) in
-  (seconds, totals, result, w.Kit.check (), path)
-
-let run_version ?vectorized_override ?engine ?domains (case : Kit.case)
-    (v : version) ~(scale : int) ~(platform : P.t option) :
-    run * Grover_core.Grover.outcome option =
-  let fn, outcome = compile_version case v in
-  let seconds, totals, sim, valid, path =
-    execute ?vectorized_override ?engine ?domains case fn ~scale ~platform
-  in
-  ( {
-      version = v;
-      seconds;
-      cycles = (match sim with Some r -> r.Sim.cycles | None -> 0.0);
-      valid;
-      totals;
-      sim;
-      path;
-    },
-    outcome )
+  let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
+  let totals = Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ?on_group () in
+  let path = Runtime.path_name (Runtime.plan compiled ~cfg ()) in
+  (totals, List.map Sim.result sims, w.Kit.check (), path)
 
 (** Wall-clock timing of one kernel on a case's workload on the host (no
     platform simulation), with the execution metadata needed to audit a
@@ -355,30 +339,45 @@ let promote_run ?engine ?(scale = 4) (case : Kit.case) : promoted =
     pm_local = w.Kit.local;
   }
 
-(** The full experiment for one (benchmark, platform) test case. *)
-let compare ?vectorized_override (case : Kit.case) ~(platform : P.t)
-    ~(scale : int) : comparison =
-  let with_lm, _ =
-    run_version ?vectorized_override case With_lm ~scale
-      ~platform:(Some platform)
+(** The full experiment for one benchmark on every platform: each version
+    is compiled, executed and validated once, and simulated on all of
+    [platforms]. One comparison per platform, in [platforms] order. *)
+let compare_all ?vectorized_override (case : Kit.case) ~(platforms : P.t list)
+    ~(scale : int) : comparison list =
+  let runs v =
+    let fn, outcome = compile_version case v in
+    let totals, sims, valid, path =
+      execute ?vectorized_override case fn ~scale ~platforms
+    in
+    ( List.map
+        (fun (sim : Sim.result) ->
+          { version = v; seconds = sim.Sim.seconds; valid; totals; sim; path })
+        sims,
+      outcome )
   in
-  let without_lm, outcome =
-    run_version ?vectorized_override case Without_lm ~scale
-      ~platform:(Some platform)
-  in
+  let with_lm, _ = runs With_lm in
+  let without_lm, outcome = runs Without_lm in
   let grover =
     match outcome with
     | Some o -> o
     | None -> raise (Harness_error "missing Grover outcome")
   in
-  {
-    case_id = case.Kit.id;
-    platform = platform.P.name;
-    with_lm;
-    without_lm;
-    grover;
-    normalized = with_lm.seconds /. without_lm.seconds;
-  }
+  List.map2
+    (fun with_lm without_lm ->
+      {
+        case_id = case.Kit.id;
+        platform = with_lm.sim.Sim.r_platform;
+        with_lm;
+        without_lm;
+        grover;
+        normalized = with_lm.seconds /. without_lm.seconds;
+      })
+    with_lm without_lm
+
+(** The full experiment for one (benchmark, platform) test case. *)
+let compare ?vectorized_override (case : Kit.case) ~(platform : P.t)
+    ~(scale : int) : comparison =
+  List.hd (compare_all ?vectorized_override case ~platforms:[ platform ] ~scale)
 
 (** Classification with the paper's 5% similarity threshold (Table IV). *)
 type verdict = Gain | Loss | Similar

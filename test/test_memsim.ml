@@ -205,8 +205,8 @@ let prop_cache_matches_reference =
 
 (* -- Synthetic traces through the simulator ---------------------------------- *)
 
-let mk_stats ?(queue = 0) ~wg_size events =
-  let s = Grover_ocl.Trace.fresh_stats ~wg_id:0 ~queue ~wg_size in
+let mk_stats ?(wg_id = 0) ~wg_size events =
+  let s = Grover_ocl.Trace.fresh_stats ~wg_id ~wg_size in
   List.iter (fun e -> Trace.push_event s e) events;
   s
 
@@ -321,18 +321,36 @@ let test_simulate_rejects_mixed_lines () =
        "Simulate.create: SNB: a 128-byte cache line differs from the hierarchy's 64 bytes")
     (fun () -> ignore (Sim.create snb_l2_128))
 
-let test_simulate_accumulates_queues () =
+(* Group [wg_id] runs on core [wg_id mod cores] (SNB has 8), and its local
+   addresses move into that core's window while global ones stay put. *)
+let test_simulate_maps_groups_to_cores () =
   let sim = Sim.create P.snb in
-  let mk q = mk_stats ~queue:q ~wg_size:1 [ ev ~wi:0 ~addr:0 () ] in
-  Sim.consume sim (mk 0);
-  Sim.consume sim (mk 1);
+  let llc = Option.get sim.Sim.shared and l1 = Option.get sim.Sim.cores.(0).Sim.l1 in
+  (* The hits and misses one access of group [wg_id] adds to cache [c]. *)
+  let access c ~wg_id ~addr space =
+    let before = Cache.stats c in
+    Sim.consume sim (mk_stats ~wg_id ~wg_size:1 [ ev ~wi:0 ~addr ~space () ]);
+    let after = Cache.stats c in
+    (after.Cache.s_hits - before.Cache.s_hits, after.Cache.s_misses - before.Cache.s_misses)
+  in
+  let local = Grover_ir.Ssa.Local and global = Grover_ir.Ssa.Global in
+  let hit = (1, 0) and miss = (0, 1) in
+  let check = Alcotest.(check (pair int int)) in
+  check "group 0 misses the LLC on a local address" miss (access llc ~wg_id:0 ~addr:0x40 local);
+  check "group 1 misses it on the same local address" miss (access llc ~wg_id:1 ~addr:0x40 local);
+  check "group 0 misses the LLC on a global address" miss
+    (access llc ~wg_id:0 ~addr:0x1000_0000 global);
+  check "group 1 hits it on the same global address" hit
+    (access llc ~wg_id:1 ~addr:0x1000_0000 global);
+  check "group 8, back on core 0, hits its L1 on the local address" hit
+    (access l1 ~wg_id:8 ~addr:0x40 local);
   let r = Sim.result sim in
-  Alcotest.(check int) "two groups" 2 r.Sim.r_groups;
-  Alcotest.(check bool) "both queues charged" true
-    (r.Sim.per_queue.(0) > 0.0 && r.Sim.per_queue.(1) > 0.0);
+  Alcotest.(check int) "five groups" 5 r.Sim.r_groups;
+  Alcotest.(check bool) "cores 0 and 1 charged" true
+    (r.Sim.per_core.(0) > 0.0 && r.Sim.per_core.(1) > 0.0);
   (* Critical path = max, not sum. *)
-  Alcotest.(check bool) "max over queues" true
-    (r.Sim.cycles < r.Sim.per_queue.(0) +. r.Sim.per_queue.(1))
+  Alcotest.(check bool) "max over cores" true
+    (r.Sim.cycles < r.Sim.per_core.(0) +. r.Sim.per_core.(1))
 
 (* -- Differential: Simulate.consume vs a list-based reference engine --------- *)
 
@@ -352,15 +370,26 @@ let span ~unit (e : Trace.event) =
   let a = e.Trace.addr / unit and b = (e.Trace.addr + e.Trace.bytes - 1) / unit in
   List.init (max 0 (b - a + 1)) (fun i -> (a + i, e.Trace.is_write))
 
-(* Replays [groups] (queue, wg_size, events) the way the simulator's cost
+(* Replays [groups] (wg_id, wg_size, events) the way the simulator's cost
    model prescribes, with per-lane lists instead of the lane index.
-   Returns (per-queue cycles, memory, spm). Groups carry no op counts or
+   Returns (per-core cycles, memory, spm). Groups carry no op counts or
    barriers, so only dispatch and memory costs are charged. *)
 let reference_replay (plat : P.t) ~vectorized groups =
   let cores = plat.P.cores in
-  let per_queue = Array.make cores 0.0 and memory = ref 0.0 and spm = ref 0.0 in
+  let per_core = Array.make cores 0.0 and memory = ref 0.0 and spm = ref 0.0 in
   let hit c addr is_write = Cache.access c ~addr ~bytes:1 ~is_write = 0 in
-  let lanes wg_size evs =
+  (* Group [wg_id]'s events with its local and private addresses moved into
+     its core's window, split by lane. *)
+  let lanes wg_id wg_size evs =
+    let window = wg_id mod cores * Sim.core_window in
+    let evs =
+      List.map
+        (fun (e : Trace.event) ->
+          match e.Trace.space with
+          | Grover_ir.Ssa.Local | Grover_ir.Ssa.Private -> { e with Trace.addr = e.Trace.addr + window }
+          | Grover_ir.Ssa.Global | Grover_ir.Ssa.Constant -> e)
+        evs
+    in
     Array.init wg_size (fun l -> List.filter (fun (e : Trace.event) -> e.Trace.wi = l) evs)
   in
   (* The k-th event of every lane in [first..last] that has one, by lane. *)
@@ -378,8 +407,8 @@ let reference_replay (plat : P.t) ~vectorized groups =
       let simd = if vectorized then 1 else plat.P.simd in
       let line = m.P.l1.Cache.line_bytes in
       List.iter
-        (fun (queue, wg_size, evs) ->
-          let q = queue mod cores and lanes = lanes wg_size evs in
+        (fun (wg_id, wg_size, evs) ->
+          let q = wg_id mod cores and lanes = lanes wg_id wg_size evs in
           let latency addr w =
             if hit l1.(q) addr w then m.P.l1.Cache.latency
             else
@@ -403,7 +432,7 @@ let reference_replay (plat : P.t) ~vectorized groups =
           let dispatch =
             float_of_int wg_size *. plat.P.costs.P.c_wi_dispatch /. float_of_int simd
           in
-          per_queue.(q) <- per_queue.(q) +. dispatch +. mem;
+          per_core.(q) <- per_core.(q) +. dispatch +. mem;
           memory := !memory +. mem)
         groups
   | P.Gpu_mem g ->
@@ -411,8 +440,8 @@ let reference_replay (plat : P.t) ~vectorized groups =
       let l2 = Option.map Cache.create g.P.l2g in
       let warp = plat.P.warp in
       List.iter
-        (fun (queue, wg_size, evs) ->
-          let q = queue mod cores and lanes = lanes wg_size evs in
+        (fun (wg_id, wg_size, evs) ->
+          let q = wg_id mod cores and lanes = lanes wg_id wg_size evs in
           let mem = ref 0.0 and sp = ref 0.0 in
           for wp = 0 to ((wg_size + warp - 1) / warp) - 1 do
             let first = wp * warp and last = min ((wp + 1) * warp) wg_size - 1 in
@@ -455,11 +484,11 @@ let reference_replay (plat : P.t) ~vectorized groups =
               end
             done
           done;
-          per_queue.(q) <- per_queue.(q) +. !mem +. !sp;
+          per_core.(q) <- per_core.(q) +. !mem +. !sp;
           memory := !memory +. !mem;
           spm := !spm +. !sp)
         groups);
-  (per_queue, !memory, !spm)
+  (per_core, !memory, !spm)
 
 let prop_consume_matches_reference =
   let open QCheck in
@@ -485,10 +514,11 @@ let prop_consume_matches_reference =
            (triple (int_range 0 (wg_size + 3)) addr (oneofl [ 1; 4; 8; 16; 100 ]))
            (pair bool space)))
   in
+  (* Work-group ids wrap around every platform's cores (at most 60). *)
   let group =
     Gen.(
-      pair (int_range 0 70) (int_range 1 40) >>= fun (queue, wg_size) ->
-      map (fun evs -> (queue, wg_size, evs)) (list_size (int_range 0 80) (event wg_size)))
+      pair (int_range 0 130) (int_range 1 40) >>= fun (wg_id, wg_size) ->
+      map (fun evs -> (wg_id, wg_size, evs)) (list_size (int_range 0 80) (event wg_size)))
   in
   let gen =
     Gen.(triple (int_range 0 (List.length plats - 1)) bool (list_size (int_range 1 4) group))
@@ -497,8 +527,8 @@ let prop_consume_matches_reference =
     Printf.sprintf "%s vectorized=%b: %s" (List.nth plats pi).P.name vectorized
       (String.concat " | "
          (List.map
-            (fun (q, n, evs) ->
-              Printf.sprintf "q%d wg%d [%s]" q n
+            (fun (g, n, evs) ->
+              Printf.sprintf "g%d wg%d [%s]" g n
                 (String.concat "; "
                    (List.map
                       (fun (e : Trace.event) ->
@@ -517,10 +547,10 @@ let prop_consume_matches_reference =
     (fun (pi, vectorized, groups) ->
       let plat = List.nth plats pi in
       let sim = Sim.create ~vectorized plat in
-      List.iter (fun (queue, wg_size, evs) -> Sim.consume sim (mk_stats ~queue ~wg_size evs)) groups;
+      List.iter (fun (wg_id, wg_size, evs) -> Sim.consume sim (mk_stats ~wg_id ~wg_size evs)) groups;
       let r = Sim.result sim in
-      let per_queue, memory, spm = reference_replay plat ~vectorized groups in
-      r.Sim.per_queue = per_queue
+      let per_core, memory, spm = reference_replay plat ~vectorized groups in
+      r.Sim.per_core = per_core
       && r.Sim.r_memory = memory
       && r.Sim.r_spm = spm
       && r.Sim.r_groups = List.length groups)
@@ -533,27 +563,32 @@ let golden_file = "memsim_golden_scale8.txt"
 
 (* One line per (platform, suite case, version) at scale 8, every result
    field in [%h], so any change in the order lines are visited or sums are
-   formed shows up as a diff. *)
+   formed shows up as a diff. Each (case, version) executes once and is
+   simulated on every platform. *)
 let golden_lines () : string list =
-  List.concat_map
-    (fun (p : P.t) ->
-      List.concat_map
-        (fun (case : Grover_suite.Kit.case) ->
-          List.map
-            (fun v ->
-              let run, _ = H.run_version case v ~scale:8 ~platform:(Some p) in
-              let r = Option.get run.H.sim in
-              Printf.sprintf
-                "%s %s %s cycles=%h memory=%h compute=%h barrier=%h spm=%h \
-                 per_queue=%s"
-                p.P.name case.Grover_suite.Kit.id (H.version_name v)
-                r.Sim.cycles r.Sim.r_memory r.Sim.r_compute r.Sim.r_barrier
-                r.Sim.r_spm
-                (String.concat ","
-                   (Array.to_list (Array.map (Printf.sprintf "%h") r.Sim.per_queue))))
-            [ H.With_lm; H.Without_lm ])
-        Grover_suite.Suite.all)
-    P.all
+  let per_case =
+    List.map (fun case -> H.compare_all case ~platforms:P.all ~scale:8) Grover_suite.Suite.all
+  in
+  List.concat
+    (List.mapi
+       (fun i (p : P.t) ->
+         List.concat_map
+           (fun cmps ->
+             let cmp = List.nth cmps i in
+             List.map
+               (fun (run : H.run) ->
+                 let r = run.H.sim in
+                 Printf.sprintf
+                   "%s %s %s cycles=%h memory=%h compute=%h barrier=%h spm=%h \
+                    per_queue=%s"
+                   p.P.name cmp.H.case_id (H.version_name run.H.version)
+                   r.Sim.cycles r.Sim.r_memory r.Sim.r_compute r.Sim.r_barrier
+                   r.Sim.r_spm
+                   (String.concat ","
+                      (Array.to_list (Array.map (Printf.sprintf "%h") r.Sim.per_core))))
+               [ cmp.H.with_lm; cmp.H.without_lm ])
+           per_case)
+       P.all)
 
 let test_golden () =
   let expected =
@@ -592,7 +627,7 @@ let suite =
         Alcotest.test_case "structure" `Quick test_platform_structure;
         Alcotest.test_case "one line size per hierarchy" `Quick
           test_simulate_rejects_mixed_lines;
-        Alcotest.test_case "queue accumulation" `Quick test_simulate_accumulates_queues ] );
+        Alcotest.test_case "core mapping" `Quick test_simulate_maps_groups_to_cores ] );
     qsuite "memsim-props" [ prop_consume_matches_reference ];
     ( "memsim-golden",
       [ Alcotest.test_case "suite x platforms at scale 8, bit for bit" `Quick

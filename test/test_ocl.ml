@@ -994,8 +994,11 @@ let prop_masked_diamond_agrees =
    it and runs one-lane batches; region 1 runs W-wide batches, every lane
    reading its own work-item's array. The compiled default plan must match
    tree+fiber on buffers (the private arrays included), totals and every
-   Private-space trace event: same work-item, address and direction, in
-   each work-item's program order. Groups of 10 are not a multiple of W. *)
+   Private- and Local-space trace event: same work-item, address and
+   direction, in each work-item's program order. Groups of 10 are not a
+   multiple of W. The trace does not depend on the hardware: every group
+   has group 0's local and private addresses, and [queues] changes
+   nothing. *)
 
 let private_array_source =
   {|__kernel void private_array(__global float *out, __global const float *in) {
@@ -1013,7 +1016,7 @@ let private_array_source =
 
 let test_private_array_matches_fibers () =
   let n = 40 and wg = 10 in
-  let run engine force_path =
+  let run ?(queues = 1) engine force_path =
     let fn = lower_one private_array_source in
     let c = Interp.prepare ~engine fn in
     let mem = Memory.create () in
@@ -1026,18 +1029,18 @@ let test_private_array_matches_fibers () =
         List.filter_map
           (fun k ->
             let e = Trace.get_event s k in
-            if e.Trace.space = Ssa.Private then
-              Some (e.Trace.wi, e.Trace.addr, e.Trace.is_write)
+            if e.Trace.space = Ssa.Private || e.Trace.space = Ssa.Local then
+              Some (e.Trace.wi, e.Trace.space, e.Trace.addr, e.Trace.is_write)
             else None)
           (List.init s.Trace.n_events Fun.id)
       in
       priv :=
-        (s.Trace.wg_id, List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) evs)
+        (s.Trace.wg_id, List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) evs)
         :: !priv
     in
     let totals =
       Runtime.launch c
-        ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
+        ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues }
         ~args:[ Runtime.Abuf out; Runtime.Abuf inp ]
         ~mem ~on_group ?force_path ()
     in
@@ -1045,6 +1048,8 @@ let test_private_array_matches_fibers () =
   in
   let c, d_tot, d_bufs, d_priv = run Interp.Compiled None in
   let _, f_tot, f_bufs, f_priv = run Interp.Tree (Some Runtime.Fiber) in
+  let _, _, _, d_priv8 = run ~queues:8 Interp.Compiled None in
+  let _, _, _, f_priv8 = run ~queues:8 Interp.Tree (Some Runtime.Fiber) in
   (match c.Interp.regions with
   | Regions.Formed i -> (
       match i.Regions.lane_entries.(0) with
@@ -1061,11 +1066,25 @@ let test_private_array_matches_fibers () =
     (Some [| false; true |]) (Interp.lane_entry_flags c);
   Alcotest.check path_t "default plan" (Runtime.Lanes (Interp.lane_width_of c))
     (Runtime.default_path c);
-  Alcotest.(check bool) "private events traced" true
-    (List.exists (fun (_, evs) -> evs <> []) d_priv);
+  let traced space =
+    List.exists (fun (_, evs) -> List.exists (fun (_, sp, _, _) -> sp = space) evs) d_priv
+  in
+  Alcotest.(check bool) "private events traced" true (traced Ssa.Private);
+  Alcotest.(check bool) "local events traced" true (traced Ssa.Local);
+  Alcotest.(check int) "four groups" 4 (List.length d_priv);
   Alcotest.(check bool) "identical launch totals" true (d_tot = f_tot);
   Alcotest.(check bool) "bit-identical buffers" true (compare d_bufs f_bufs = 0);
-  Alcotest.(check bool) "identical private trace events" true (d_priv = f_priv)
+  Alcotest.(check bool) "identical private and local trace events" true (d_priv = f_priv);
+  List.iter
+    (fun (label, evs) ->
+      let group0 = List.assoc 0 evs in
+      Alcotest.(check bool)
+        (label ^ ": every group has group 0's local and private addresses")
+        true
+        (List.for_all (fun (_, e) -> e = group0) evs))
+    [ ("compiled, 8 queues", d_priv8); ("tree, 8 queues", f_priv8) ];
+  Alcotest.(check bool) "8 queues trace what 1 queue traces (compiled)" true (d_priv8 = d_priv);
+  Alcotest.(check bool) "8 queues trace what 1 queue traces (tree)" true (f_priv8 = f_priv)
 
 (* Lowering puts every alloca in the entry block, so only hand-built IR
    allocates in a later region: there the work-item's bump offset must

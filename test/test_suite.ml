@@ -13,17 +13,24 @@ let check_valid id = function
   | Ok () -> ()
   | Error m -> Alcotest.failf "%s: %s" id m
 
+(* One unsimulated execution of a version: its totals, output check and
+   Grover outcome. *)
+let run (case : Kit.case) v =
+  let fn, outcome = H.compile_version case v in
+  let totals, _, valid, _ = H.execute case fn ~scale ~platforms:[] in
+  (totals, valid, outcome)
+
 let test_case_with_lm (case : Kit.case) () =
-  let run, _ = H.run_version case H.With_lm ~scale ~platform:None in
-  check_valid (case.Kit.id ^ " (with lm)") run.H.valid;
+  let totals, valid, _ = run case H.With_lm in
+  check_valid (case.Kit.id ^ " (with lm)") valid;
   Alcotest.(check bool)
     (case.Kit.id ^ " uses local memory")
     true
-    (run.H.totals.Trace.t_local_accesses > 0)
+    (totals.Trace.t_local_accesses > 0)
 
 let test_case_without_lm (case : Kit.case) () =
-  let run, outcome = H.run_version case H.Without_lm ~scale ~platform:None in
-  check_valid (case.Kit.id ^ " (grover)") run.H.valid;
+  let _, valid, outcome = run case H.Without_lm in
+  check_valid (case.Kit.id ^ " (grover)") valid;
   match outcome with
   | Some o ->
       Alcotest.(check bool)
@@ -35,11 +42,11 @@ let test_case_without_lm (case : Kit.case) () =
 let test_full_removal_drops_local (case : Kit.case) () =
   (* When no candidate restriction applies, all local traffic must vanish. *)
   if case.Kit.remove = None then begin
-    let run, _ = H.run_version case H.Without_lm ~scale ~platform:None in
+    let totals, _, _ = run case H.Without_lm in
     Alcotest.(check int)
       (case.Kit.id ^ " local accesses")
-      0 run.H.totals.Trace.t_local_accesses;
-    Alcotest.(check int) (case.Kit.id ^ " barriers") 0 run.H.totals.Trace.t_barriers
+      0 totals.Trace.t_local_accesses;
+    Alcotest.(check int) (case.Kit.id ^ " barriers") 0 totals.Trace.t_barriers
   end
 
 (* Round trip: IR -> emitted OpenCL C -> front-end -> execution must still
@@ -83,12 +90,12 @@ let per_case_tests =
 (* NVD-MM partial removals must keep the *other* matrix in local memory. *)
 let test_partial_removal_keeps_other () =
   let case = Grover_suite.Nvd_mm.case_a in
-  let run, _ = H.run_version case H.Without_lm ~scale ~platform:None in
-  check_valid "NVD-MM-A" run.H.valid;
+  let totals, valid, _ = run case H.Without_lm in
+  check_valid "NVD-MM-A" valid;
   Alcotest.(check bool) "Bs still uses local memory" true
-    (run.H.totals.Trace.t_local_accesses > 0);
+    (totals.Trace.t_local_accesses > 0);
   Alcotest.(check bool) "barriers still present" true
-    (run.H.totals.Trace.t_barriers > 0)
+    (totals.Trace.t_barriers > 0)
 
 let test_table3_indexes () =
   (* The nGL abstractions of paper Table III, on the kernels where the
