@@ -2,8 +2,8 @@
 # CI entry point: build everything, run the full test suite under both
 # interpreter engines, smoke-test groverc (--verify-each over the example
 # kernels; any error-severity diagnostic makes groverc exit non-zero and
-# fails the run), gate Table IV at scales 1 and 8 and Fig. 2 and the
-# ablations at scale 1 against their checked-in output, then the
+# fails the run), gate Table IV at scales 1 and 8 and Fig. 2, Fig. 10 and
+# the ablations at scale 1 against their checked-in output, then the
 # interpreter throughput bench at a small size so the perf target cannot
 # bit-rot.
 set -eu
@@ -46,14 +46,15 @@ for scale in 1 8; do
 done
 rm -f "$table4"
 
-echo "== paper figures: Fig. 2 and the ablations at scale 1 match the checked-in references =="
-# fig2 is the only gate on the GPU engine at the paper's size; ablation's
-# MIC-unifiedLLC has the most cores (60) sharing one cache, where the
-# simulator's per-core local/private window matters most. Both outputs
-# must be byte-identical to test/bench_golden/ (read here, never
+echo "== paper figures: Fig. 2, Fig. 10 and the ablations at scale 1 match the checked-in references =="
+# fig2 is the only gate on the GPU engine at the paper's size; fig10
+# prints every t_with/t_wout to 1 us, finer than table4's two-decimal np;
+# ablation's MIC-unifiedLLC has the most cores (60) sharing one cache,
+# where the simulator's per-core local/private window matters most. Each
+# output must be byte-identical to test/bench_golden/ (read here, never
 # rewritten).
 fig_out=$(mktemp)
-for exp in fig2 ablation; do
+for exp in fig2 fig10 ablation; do
   ref=test/bench_golden/${exp}_scale1.txt
   dune exec bench/main.exe -- $exp --scale 1 > "$fig_out"
   if ! cmp -s "$fig_out" "$ref"; then

@@ -26,9 +26,9 @@ type event = {
 
 (** Packed event info word:
     [(wi lsl wi_shift) lor (space code lsl space_shift) lor is_write].
-    The layout is exported so that a replay loop in another module can
-    decode it inline: the dev profile compiles with [-opaque], so a call
-    into this module is never inlined. *)
+    The layout is exported so that the lane engine can append events and
+    a replay loop can decode them inline: the dev profile compiles with
+    [-opaque], so a call into this module is never inlined. *)
 
 let write_bit = 1
 let space_shift = 1
@@ -107,6 +107,9 @@ let grow (s : wg_stats) : unit =
   s.ev_bytes <- extend s.ev_bytes;
   s.ev_info <- extend s.ev_info
 
+(** Append one event. The tree engine and {!push_event} record through
+    here; the lane engine appends inline with the exported layout (see
+    [Interp.lane_tap]) and calls only {!grow}. *)
 let record (s : wg_stats) ~addr ~bytes ~is_write ~space ~wi : unit =
   let n = s.n_events in
   if n = Array.length s.ev_addr then grow s;

@@ -1352,20 +1352,76 @@ let test_launch_bad_args () =
   | exception Runtime.Launch_error _ -> ()
   | _ -> Alcotest.fail "type mismatch must be rejected"
 
-let test_out_of_bounds_trapped () =
-  let c =
-    Runtime.compile_kernel "__kernel void f(__global int *a) { a[99] = 1; }"
-      ~name:"f"
+(* Every access shape traps on its first out-of-bounds index with
+   [Memory.check]'s message: int, float and float4 loads and stores at a
+   varying, a uniform, an argument and a constant index (work-item 0 of
+   group 0 always reaches element 99 of the 4-element buffer [a] first),
+   plus a store of a constant, on W-wide and one-lane batches and on
+   tree+fiber. A sanitized launch reports the same access as its one
+   GRV-SAN-OOB finding instead. *)
+let oob_kernels =
+  let body t idx value =
+    Printf.sprintf
+      {|__kernel void k(__global %s *a, __global %s *out, int n) {
+          int g = get_global_id(0);
+          %s;
+        }|}
+      t t
+      (match value with
+      | None -> Printf.sprintf "out[g] = a[%s]" idx
+      | Some v -> Printf.sprintf "a[%s] = %s" idx v)
   in
-  let mem = Memory.create () in
-  let a = Memory.alloc mem Ssa.I32 4 in
-  match
-    Runtime.launch c
-      ~cfg:{ Runtime.global = (1, 1, 1); local = (1, 1, 1); queues = 1 }
-      ~args:[ Runtime.Abuf a ] ~mem ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-bounds store must trap"
+  ("int store of a constant", Ssa.I32, body "int" "99" (Some "1"))
+  :: List.concat_map
+       (fun (t, elem, value) ->
+         List.concat_map
+           (fun (shape, idx) ->
+             [ (Printf.sprintf "%s load, %s index" t shape, elem, body t idx None);
+               ( Printf.sprintf "%s store, %s index" t shape,
+                 elem,
+                 body t idx (Some value) ) ])
+           [ ("varying", "g + 99"); ("uniform", "get_group_id(0) + 99");
+             ("argument", "n"); ("constant", "99") ])
+       [ ("int", Ssa.I32, "g"); ("float", Ssa.F32, "(float)g");
+         ("float4", Ssa.Vec (Ssa.F32, 4), "(float4)((float)g)") ]
+
+let test_out_of_bounds_trapped () =
+  let want = "buffer 0 (global): element index 99 out of bounds [0,4)" in
+  List.iter
+    (fun (name, elem, src) ->
+      List.iter
+        (fun (path, engine, force_path) ->
+          let setup () =
+            let mem = Memory.create () in
+            let a = Memory.alloc mem elem 4 in
+            let out = Memory.alloc mem elem 8 in
+            ( Interp.prepare ~engine ~lane_width:8 (lower_one src),
+              { Runtime.global = (8, 1, 1); local = (8, 1, 1); queues = 1 },
+              [ Runtime.Abuf a; Runtime.Abuf out; Runtime.Aint 99 ],
+              mem )
+          in
+          let label = Printf.sprintf "%s on %s" name path in
+          (let c, cfg, args, mem = setup () in
+           Alcotest.(check int) (label ^ ": batch width")
+             (match force_path with Runtime.Lanes 1 | Runtime.Fiber -> 1 | _ -> 8)
+             (Runtime.batch_width (Runtime.choose_path c ~force_path:(Some force_path)));
+           match Runtime.launch c ~cfg ~args ~mem ~force_path () with
+           | exception Invalid_argument m -> Alcotest.(check string) label want m
+           | _ -> Alcotest.failf "%s: the access did not trap" label);
+          let c, cfg, args, mem = setup () in
+          let _, findings = Runtime.run_sanitized c ~cfg ~args ~mem ~force_path () in
+          Alcotest.(check (list (pair string (triple string int int))))
+            (label ^ ", sanitized")
+            [ ("GRV-SAN-OOB", ("global buffer 'a'", 99, 4)) ]
+            (List.map
+               (fun (f : Sanitize.finding) ->
+                 ( Sanitize.code_of_kind f.Sanitize.f_kind,
+                   (f.Sanitize.f_buffer, f.Sanitize.f_index, f.Sanitize.f_extent) ))
+               findings))
+        [ ("W=8 batches", Interp.Compiled, Runtime.Lanes max_int);
+          ("one-lane batches", Interp.Compiled, Runtime.Lanes 1);
+          ("tree+fiber", Interp.Tree, Runtime.Fiber) ])
+    oob_kernels
 
 (* -- Vector builtins on float4 ---------------------------------------------------
    One test per builtin family: the tree engine, the W-wide lane batches
@@ -1478,10 +1534,24 @@ let test_vec_sqrt () =
    Each generated kernel mixes float4 loads and stores, + - * /, splat and
    literal constructors, .x/.y/.z/.w reads and writes, a float4 carried
    around a loop, one live across a uniform barrier and one chosen inside
-   a pure divergent diamond. The tree engine under fibers and the
-   compiled lane code in W-wide (W in {1,4,8}) and one-lane batches must
-   agree on buffers and totals bit for bit, at group sizes that are not
+   a pure divergent diamond. Two accesses read a batch-uniform column: a
+   store of a group-uniform float4 to [__local], and a [__local] load at
+   the counter of a uniform loop (NBody's [sh[j]]). The tree engine under
+   fibers and the compiled lane code in W-wide (W in {1,4,8}) and one-lane
+   batches must agree bit for bit on buffers, totals and each group's
+   counters and per-work-item event stream, at group sizes that are not
    multiples of W; the W-wide run must really batch every region. *)
+
+(* One group's observable trace: its counters and its events, stably
+   sorted by work-item so each work-item's program order is kept whatever
+   order the schedule interleaved them in. *)
+let group_trace (s : Trace.wg_stats) =
+  let evs = List.init s.Trace.n_events (Trace.get_event s) in
+  ( ( s.Trace.wg_id,
+      (s.Trace.int_ops, s.Trace.float_ops, s.Trace.special_ops),
+      (s.Trace.branches, s.Trace.barriers, s.Trace.barrier_rounds) ),
+    List.stable_sort (fun (x : Trace.event) y -> compare x.Trace.wi y.Trace.wi) evs
+  )
 
 let float4_kernel_gen =
   let open QCheck.Gen in
@@ -1500,7 +1570,7 @@ let float4_kernel_gen =
     oneofl [ "x.x > 0.0f"; "g % 3 == 1"; "y.w < x.z"; "acc.y * acc.y > 1.0f" ]
   in
   map
-    (fun ((o1, o2, o3, o4), (c1, c2, c3), (l1, l2), (trip, p)) ->
+    (fun ((o1, o2, o3, o4), (c1, c2, c3), (l1, l2), (trip, p, o5)) ->
       Printf.sprintf
         {|__kernel void k(__global float4 *out, __global const float4 *a,
                           __global const float4 *b, int n) {
@@ -1517,13 +1587,15 @@ let float4_kernel_gen =
             float4 v;
             if (%s) { v = acc %s y; } else { v = x + %s; }
             tile[l] = v;
+            tile[32 + l] = (float4)((float)n, 0.5f, (float)get_group_id(0), -1.0f);
             barrier(CLK_LOCAL_MEM_FENCE);
             float4 w = tile[(l + 1) %% get_local_size(0)];
-            out[g] = w %s acc + x * (float)n;
+            for (int j = 0; j < get_local_size(0); j++) w = w %s tile[j];
+            out[g] = w %s acc + x * (float)n + tile[32 + l];
           }|}
-        l1 trip o1 o2 c1 c2 c3 p o3 l2 o4)
+        l1 trip o1 o2 c1 c2 c3 p o3 l2 o5 o4)
     (quad (quad bop bop bop bop) (triple cmp cmp cmp) (pair lit lit)
-       (pair (int_range 0 3) pred))
+       (triple (int_range 0 3) pred bop))
 
 let prop_float4_kernels_agree =
   QCheck.Test.make
@@ -1544,13 +1616,16 @@ let prop_float4_kernels_agree =
         Memory.fill_floats a (fun k -> float_of_int ((k * 7 mod 23) - 11) /. 8.0);
         Memory.fill_floats b (fun k -> float_of_int ((k * 5 mod 17) - 8) /. 4.0);
         let c = Interp.prepare ~engine ?lane_width fn in
+        let groups = ref [] in
         let totals =
           Runtime.launch c
             ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
             ~args:[ Runtime.Abuf out; Runtime.Abuf a; Runtime.Abuf b; Runtime.Aint n ]
-            ~mem ~force_path ()
+            ~mem ~domains:1
+            ~on_group:(fun s -> groups := group_trace s :: !groups)
+            ~force_path ()
         in
-        (c, (totals, snapshot_buffers mem))
+        (c, (totals, snapshot_buffers mem, List.rev !groups))
       in
       let cv, v = run Interp.Compiled ~lane_width:width (Runtime.Lanes max_int) in
       let batched =
@@ -1614,17 +1689,6 @@ let random_kernel_gen =
     (quad (quad iop iop iop iop) (quad iop iop iop iop)
        (quad small small small (pair small small))
        (triple (triple (int_range 1 5) comp comp) pred (int_range 0 3)))
-
-(* One group's observable trace: its counters and its events, stably
-   sorted by work-item so each work-item's program order is kept whatever
-   order the schedule interleaved them in. *)
-let group_trace (s : Trace.wg_stats) =
-  let evs = List.init s.Trace.n_events (Trace.get_event s) in
-  ( ( s.Trace.wg_id,
-      (s.Trace.int_ops, s.Trace.float_ops, s.Trace.special_ops),
-      (s.Trace.branches, s.Trace.barriers, s.Trace.barrier_rounds) ),
-    List.stable_sort (fun (x : Trace.event) y -> compare x.Trace.wi y.Trace.wi) evs
-  )
 
 let run_random_kernel src ~engine ?lane_width ?force_path ~domains ~n ~wg ~reps
     () =
