@@ -1,17 +1,18 @@
 (* Interpreter throughput benchmark on NVD-MT (matrix transpose), measured
    in work-items/sec over a full launch (trace recording included, no
-   platform simulation):
+   platform simulation). Each (version, path, domains, sanitize)
+   configuration is timed once:
 
-   - the closure-compiled engine vs the legacy tree-walking engine,
    - W-wide lane batches (wg-vec, the default for this kernel) vs forced
-     one-lane batches vs the forced fiber scheduler, on both the
-     barrier-carrying with_lm version and the barrier-free
-     Grover-transformed one (a forced fiber launch always runs the tree
-     engine), and
+     one-lane batches vs the forced fiber scheduler (the tree-engine
+     oracle), on both the barrier-carrying with_lm version and the
+     barrier-free Grover-transformed one, and
    - a domain-scaling sweep — (1, 2, 4, 0=auto) requested domains x
      (wg-vec on both versions; forced fibers on the Grover-transformed
      one) — exercising the persistent domain pool and the chunked group
      scheduler, and
+   - the wg-vec launch of both versions under the shadow-memory sanitizer
+     (one domain), and
    - default-plan rows of the with_lm kernels whose region 0 runs
      one-lane batches (AMD-SS, PAB-ST, ROD-SC), and
    - minor-heap words per work-item of the float4 kernels (TNG-GEMM4,
@@ -60,7 +61,6 @@ let mk_transpose ~n : Kit.workload =
 
 type row = {
   version : H.version;
-  engine : Interp.engine;
   domains : int;  (** requested (0 = auto) *)
   path : string;  (** execution path actually taken: wg-vec / fiber *)
   lane_width : int;  (** largest batch width of the plan; 1 for fibers *)
@@ -74,12 +74,11 @@ type row = {
 }
 
 let version_name = function H.With_lm -> "with_lm" | H.Without_lm -> "without_lm"
-let engine_name = function Interp.Compiled -> "compiled" | Interp.Tree -> "tree"
 
-let measure ~(version : H.version) ~(engine : Interp.engine) ?force_path
-    ?(sanitize = false) ~(domains : int) ~(n : int) ~(reps : int) () : row =
+let measure ~(version : H.version) ?force_path ?(sanitize = false)
+    ~(domains : int) ~(n : int) ~(reps : int) () : row =
   let fn, _ = H.compile_version Nvd_mt.case version in
-  let compiled = Interp.prepare ~engine fn in
+  let compiled = Interp.prepare fn in
   let w = mk_transpose ~n in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
   let p = Runtime.plan compiled ~cfg ?force_path ~domains () in
@@ -114,7 +113,6 @@ let measure ~(version : H.version) ~(engine : Interp.engine) ?force_path
   let n_items = n * n in
   {
     version;
-    engine;
     domains;
     path = Runtime.path_name p;
     lane_width = Runtime.batch_width p.Runtime.path;
@@ -284,7 +282,7 @@ let masked_bench ~(quick : bool) ~(reps : int) () : masked_stats =
   end;
   let case = Nvd_mm.case_a in
   let fn, _ = H.compile_version case H.With_lm in
-  let compiled = Interp.prepare ~engine:Interp.Compiled fn in
+  let compiled = Interp.prepare fn in
   let scale = if quick then 4 else 1 in
   let w = case.Kit.mk ~scale in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
@@ -376,7 +374,7 @@ let launch_rows ~(sanitize : bool) ~(reps : int)
   List.map
     (fun ((case : Kit.case), version) ->
       let fn, _ = H.compile_version case version in
-      let compiled = Interp.prepare ~engine:Interp.Compiled fn in
+      let compiled = Interp.prepare fn in
       let w = case.Kit.mk ~scale:1 in
       let cfg =
         { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
@@ -505,7 +503,7 @@ let replay_rounds = 20
 
 let capture_groups ~(version : H.version) ~(n : int) : bool * Trace.wg_stats array =
   let fn, _ = H.compile_version Nvd_mt.case version in
-  let compiled = Interp.prepare ~engine:Interp.Compiled fn in
+  let compiled = Interp.prepare fn in
   let w = mk_transpose ~n in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
   let groups = ref [] in
@@ -727,61 +725,35 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   Exp.header
     (Printf.sprintf
        "Interpreter throughput: NVD-MT %dx%d, %d reps (work-items/sec; \
-        compiled closures vs tree walk; domain-scaling sweep on the \
+        lane batches vs the fiber oracle; domain-scaling sweep on the \
         persistent pool)"
        n n reps);
   let m = measure ~n ~reps in
-  let engine_rows =
-    [ m ~version:H.With_lm ~engine:Interp.Tree ~domains:1 ();
-      (* Default path for the compiled with_lm version: W-wide batches. *)
-      m ~version:H.With_lm ~engine:Interp.Compiled ~domains:1 ();
-      (* One-lane batches on the same kernel — the pair quantifies what
-         W-wide batching buys over a one-work-item sweep. *)
-      m ~version:H.With_lm ~engine:Interp.Compiled ~domains:1
-        ~force_path:(Runtime.Lanes 1) ();
-      (* The fiber oracle (tree engine) — one-lane batches vs this pair
-         quantifies what compiled region execution buys over it. *)
-      m ~version:H.With_lm ~engine:Interp.Compiled ~domains:1
-        ~force_path:Runtime.Fiber ();
-      m ~version:H.Without_lm ~engine:Interp.Tree ~domains:1 ();
-      (* Default path for the barrier-free version: W-wide batches. *)
-      m ~version:H.Without_lm ~engine:Interp.Compiled ~domains:1 ();
-      (* One-lane batches on the same kernel — the pair quantifies what
-         lane batching buys a barrier-free kernel. *)
-      m ~version:H.Without_lm ~engine:Interp.Compiled ~domains:1
-        ~force_path:(Runtime.Lanes 1) ();
-      (* domains = 0 asks the runtime for the recommended domain count. *)
-      m ~version:H.With_lm ~engine:Interp.Compiled ~domains:0 () ]
+  let sweep version force_path =
+    List.map (fun domains -> m ~version ?force_path ~domains ()) [ 1; 2; 4; 0 ]
   in
-  (* Sanitizer overhead: the same launch through the shadow-memory
-     sanitizer (always single-domain — the shadow state is not
-     thread-safe), against the plain 1-domain compiled rows above. *)
-  let sanitize_rows =
-    [ m ~version:H.With_lm ~engine:Interp.Compiled ~domains:1 ~sanitize:true ();
-      m ~version:H.Without_lm ~engine:Interp.Compiled ~domains:1 ~sanitize:true
-        () ]
-  in
-  (* The scaling sweep: wg-vec on the with_lm version, then the
-     Grover-transformed (barrier-free) version on wg-vec vs forced
-     fibers, across requested domain counts. *)
-  let sweep_rows =
+  (* Per version: wg-vec on every domain count; one-lane batches on one
+     domain (against W-wide: what lane batching buys); the fiber oracle
+     on one domain for with_lm and on every domain count for the
+     barrier-free version; and the sanitizer (always one domain: the
+     shadow state is not thread-safe) against the plain wg-vec row. *)
+  let rows =
     List.concat_map
-      (fun (version, force_path) ->
-        List.map
-          (fun domains ->
-            m ~version ~engine:Interp.Compiled ?force_path ~domains ())
-          [ 1; 2; 4; 0 ])
-      [ (H.With_lm, None); (H.Without_lm, None);
-        (H.Without_lm, Some Runtime.Fiber) ]
+      (fun version ->
+        sweep version None
+        @ [ m ~version ~force_path:(Runtime.Lanes 1) ~domains:1 () ]
+        @ (match version with
+          | H.With_lm -> [ m ~version ~force_path:Runtime.Fiber ~domains:1 () ]
+          | H.Without_lm -> sweep version (Some Runtime.Fiber))
+        @ [ m ~version ~domains:1 ~sanitize:true () ])
+      [ H.With_lm; H.Without_lm ]
   in
-  let rows = engine_rows @ sanitize_rows @ sweep_rows in
-  Printf.printf "%-12s %-10s %-8s %-10s %5s %6s %7s %9s %12s %14s\n" "version"
-    "engine" "domains" "path" "lanes" "pool" "clamped" "sanitize" "seconds"
-    "wi/sec";
+  Printf.printf "%-12s %-8s %-10s %5s %6s %7s %9s %12s %14s\n" "version"
+    "domains" "path" "lanes" "pool" "clamped" "sanitize" "seconds" "wi/sec";
   List.iter
     (fun r ->
-      Printf.printf "%-12s %-10s %-8s %-10s %5d %6d %7s %9s %12.4f %14.0f\n"
-        (version_name r.version) (engine_name r.engine)
+      Printf.printf "%-12s %-8s %-10s %5d %6d %7s %9s %12.4f %14.0f\n"
+        (version_name r.version)
         (if r.domains = 0 then "auto" else string_of_int r.domains)
         r.path r.lane_width r.pool_domains
         (if r.clamped then "yes" else "no")
@@ -789,10 +761,10 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
         r.seconds r.wi_per_sec)
     rows;
   (* [lanes]: match W-wide (> 1) or one-lane (= 1) rows of a lane plan. *)
-  let find ?(path = "") ?lanes ?(sanitize = false) v e d =
+  let find ?(path = "") ?lanes ?(sanitize = false) v d =
     List.find
       (fun r ->
-        r.version = v && r.engine = e && r.domains = d
+        r.version = v && r.domains = d
         && r.sanitize = sanitize
         && (path = "" || r.path = path)
         &&
@@ -829,24 +801,17 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   gate H.With_lm `Wide "W-wide batches";
   gate H.With_lm `One "one-lane batches";
   gate H.Without_lm `Wide "W-wide batches";
-  let speedup v =
-    (find v Interp.Compiled 1).wi_per_sec /. (find v Interp.Tree 1).wi_per_sec
-  in
+  let wide v = find ~path:"wg-vec" ~lanes:`Wide v 1 in
+  let one v = find ~path:"wg-vec" ~lanes:`One v 1 in
+  let fiber v = find ~path:"fiber" v 1 in
+  let ratio a b = a.wi_per_sec /. b.wi_per_sec in
+  let speedup v = ratio (wide v) (fiber v) in
   let sp_with = speedup H.With_lm and sp_without = speedup H.Without_lm in
-  let wo_one_1 = find ~path:"wg-vec" ~lanes:`One H.Without_lm Interp.Compiled 1 in
-  let wo_fiber_1 = find ~path:"fiber" H.Without_lm Interp.Compiled 1 in
-  let sp_one_fiber_wo = wo_one_1.wi_per_sec /. wo_fiber_1.wi_per_sec in
-  let wo_wide_1 = find ~path:"wg-vec" ~lanes:`Wide H.Without_lm Interp.Compiled 1 in
-  let sp_wide_one_wo = wo_wide_1.wi_per_sec /. wo_one_1.wi_per_sec in
-  let wide_1 = find ~path:"wg-vec" ~lanes:`Wide H.With_lm Interp.Compiled 1 in
-  let one_1 = find ~path:"wg-vec" ~lanes:`One H.With_lm Interp.Compiled 1 in
-  let fiber_1 = find ~path:"fiber" H.With_lm Interp.Compiled 1 in
-  let sp_wide_one = wide_1.wi_per_sec /. one_1.wi_per_sec in
-  let sp_one_fiber = one_1.wi_per_sec /. fiber_1.wi_per_sec in
-  let overhead v =
-    (find v Interp.Compiled 1).wi_per_sec
-    /. (find ~sanitize:true v Interp.Compiled 1).wi_per_sec
-  in
+  let sp_wide_one = ratio (wide H.With_lm) (one H.With_lm) in
+  let sp_one_fiber = ratio (one H.With_lm) (fiber H.With_lm) in
+  let sp_one_fiber_wo = ratio (one H.Without_lm) (fiber H.Without_lm) in
+  let sp_wide_one_wo = ratio (wide H.Without_lm) (one H.Without_lm) in
+  let overhead v = ratio (wide v) (find ~sanitize:true v 1) in
   let ov_with = overhead H.With_lm and ov_without = overhead H.Without_lm in
   let cs = cache_bench () in
   report_cache cs;
@@ -865,7 +830,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
      promote --predict` would start recording wrong tuning decisions. *)
   let pa = Predictor.agreement_gate () in
   Printf.printf
-    "\nspeedup compiled/tree: with_lm %.2fx, without_lm %.2fx\n\
+    "\nwg-vec vs forced fibers (1 domain): with_lm %.2fx, without_lm %.2fx\n\
      wg-vec (%d lanes) vs forced one-lane batches (with_lm, 1 domain): %.2fx\n\
      one-lane batches vs forced fibers (with_lm, 1 domain): %.2fx\n\
      one-lane batches vs forced fibers (without_lm, 1 domain): %.2fx\n\
@@ -873,8 +838,9 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
      %.2fx\n\
      sanitizer overhead (plain / sanitized wi/sec): with_lm %.2fx, \
      without_lm %.2fx\n"
-    sp_with sp_without wide_1.lane_width sp_wide_one sp_one_fiber
-    sp_one_fiber_wo wo_wide_1.lane_width sp_wide_one_wo ov_with ov_without;
+    sp_with sp_without (wide H.With_lm).lane_width sp_wide_one sp_one_fiber
+    sp_one_fiber_wo (wide H.Without_lm).lane_width sp_wide_one_wo ov_with
+    ov_without;
   if not quick then begin
   let oc = open_out "BENCH_interp.json" in
   Printf.fprintf oc
@@ -883,10 +849,10 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   List.iteri
     (fun k r ->
       Printf.fprintf oc
-        "    {\"version\": \"%s\", \"engine\": \"%s\", \"domains\": %d, \
-         \"path\": \"%s\", \"lane_width\": %d, \"pool_domains\": %d, \
-         \"sanitize\": %b, \"seconds\": %.6f, \"wi_per_sec\": %.0f}%s\n"
-        (version_name r.version) (engine_name r.engine) r.domains r.path
+        "    {\"version\": \"%s\", \"domains\": %d, \"path\": \"%s\", \
+         \"lane_width\": %d, \"pool_domains\": %d, \"sanitize\": %b, \
+         \"seconds\": %.6f, \"wi_per_sec\": %.0f}%s\n"
+        (version_name r.version) r.domains r.path
         r.lane_width r.pool_domains r.sanitize r.seconds r.wi_per_sec
         (if k = List.length rows - 1 then "" else ","))
     rows;
@@ -1017,7 +983,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
        so both sides sample the same load profile, and compares best-of. *)
     let measure_pair ~version ~force_path =
       let fn, _ = H.compile_version Nvd_mt.case version in
-      let compiled = Interp.prepare ~engine:Interp.Compiled fn in
+      let compiled = Interp.prepare fn in
       let w = mk_transpose ~n in
       let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
       let time domains =
@@ -1044,7 +1010,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       List.filter_map
         (fun (label, version, force_path) ->
           let path = if force_path = None then "wg-vec" else "fiber" in
-          let auto_row = find ~path version Interp.Compiled 0 in
+          let auto_row = find ~path version 0 in
           (* Three attempts: a genuine regression (the per-launch spawn
              runtime was ~2x slower) fails every one; an unlucky load
              burst does not. *)

@@ -409,7 +409,7 @@ let transform_cmd =
 
 (* -- report -------------------------------------------------------------------- *)
 
-(* The execution path the compiled engine would pick for [fn]:
+(* The execution path [fn] would take:
    [Runtime.default_path], the plan with no overrides. The kernel is
    compiled (so lane-batchability reflects what the lane compiler actually
    accepted, not just the static region verdict) but nothing is executed.
@@ -419,7 +419,7 @@ let transform_cmd =
    did not. *)
 let path_info (fn : Grover_ir.Ssa.func) : string * string list =
   let v = Grover_ir.Regions.form fn in
-  let c = Grover_ocl.Interp.prepare ~engine:Grover_ocl.Interp.Compiled fn in
+  let c = Grover_ocl.Interp.prepare fn in
   let path =
     match Runtime.default_path c with
     | Runtime.Lanes w ->

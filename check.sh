@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI entry point: build everything, run the full test suite under both
-# interpreter engines, smoke-test groverc (--verify-each over the example
+# CI entry point: build everything, run the full test suite on the default
+# plan and with every launch on the fiber path (the tree-engine oracle,
+# GROVER_FORCE_PATH=fiber), smoke-test groverc (--verify-each over the example
 # kernels; any error-severity diagnostic makes groverc exit non-zero and
 # fails the run), gate Table IV at scales 1 and 8 and Fig. 2, Fig. 10 and
 # the ablations at scale 1 against their checked-in output, then the
@@ -21,11 +22,11 @@ else
   echo "(ocamlformat not installed; skipped)"
 fi
 
-echo "== dune runtest (closure engine) =="
-GROVER_ENGINE=closure dune runtest --force
+echo "== dune runtest (default plan) =="
+dune runtest --force
 
-echo "== dune runtest (tree engine) =="
-GROVER_ENGINE=tree dune runtest --force
+echo "== dune runtest (every launch on the fiber path: tree engine) =="
+GROVER_FORCE_PATH=fiber dune runtest --force
 
 echo "== paper figures: Table IV at scales 1 and 8 match the checked-in references =="
 # The simulated cycles behind Fig. 10 / Table IV must not drift: the table4
@@ -328,15 +329,28 @@ expect_bad bad_racy_store.cl GRV-RACE-MUST GRV-SAN-WW
 expect_bad bad_divergent_barrier.cl GRV-BARRIER-DIV GRV-SAN-DIV
 expect_bad bad_oob_index.cl GRV-OOB-STATIC GRV-SAN-OOB
 
-echo "== autotune with auto domains, both engines (validated wallclock) =="
+echo "== autotune with auto domains, default plan and fiber path (validated wallclock) =="
 # The host-throughput phase verifies kernel output per measured run, so a
 # chunked-parallel miscompute fails this step (not just slows it down).
-# The winner is persisted to a throwaway DB, which must gain an entry.
+# The winner is persisted to a throwaway DB, which must gain an entry. The
+# saved line names the plan that was timed and its batch width: W-wide
+# lanes on the default plan; the fiber path with no lane count under
+# GROVER_FORCE_PATH=fiber, which times the tree-engine oracle.
 tunedir=$(mktemp -d)
-GROVER_ENGINE=closure dune exec bin/groverc.exe -- autotune NVD-MT --domains 0 \
-  --cache-dir "$tunedir" > /dev/null
-GROVER_ENGINE=tree dune exec bin/groverc.exe -- autotune NVD-MT --domains 0 \
-  --cache-dir "$tunedir" > /dev/null
+out=$(dune exec bin/groverc.exe -- autotune NVD-MT --domains 0 \
+  --cache-dir "$tunedir")
+case "$out" in
+  *"  saved: "*" path, "[0-9]*" lanes] for "*) ;;
+  *) echo "FAIL: autotune on the default plan saved no W-wide line"
+     echo "$out"; exit 1 ;;
+esac
+out=$(GROVER_FORCE_PATH=fiber dune exec bin/groverc.exe -- autotune NVD-MT \
+  --domains 0 --cache-dir "$tunedir")
+case "$out" in
+  *"  saved: "*" [fiber path] for "*) ;;
+  *) echo "FAIL: autotune under GROVER_FORCE_PATH=fiber saved no [fiber path] line"
+     echo "$out"; exit 1 ;;
+esac
 if ! grep -q "transpose" "$tunedir/autotune.db"; then
   echo "FAIL: autotune did not persist a transpose entry to $tunedir/autotune.db"
   exit 1

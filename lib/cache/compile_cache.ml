@@ -10,13 +10,14 @@
        ({!Grover_clc.Lexer.canonical_source}), the [-D] defines, the
        structural pipeline spec ({!Grover_passes.Pass.pipeline_spec}), the
        requested variant (with_lm, or without_lm with its buffer
-       selection), the resolved engine and lane width, and a code-version
-       stamp bumped whenever the compiler itself changes meaning;}
+       selection), and a code-version stamp bumped whenever the compiler
+       itself changes meaning;}
     {- {b artifact}: the post-pipeline (and, for without_lm, post-Grover)
        IR plus the transformation outcome, in {e canonically renumbered}
        form ({!Grover_ir.Ssa.renumber_func}) so two compiles of the same
        input are bit-identical and the artifact can live on disk
-       ([<dir>/<key>.art], written atomically via rename);}
+       ([<dir>/<key>.art], written atomically via rename, behind a header
+       checked before anything is unmarshalled);}
     {- {b prepared}: the {!Grover_ocl.Interp.compiled} closures, which
        cannot be serialized — they live only in the in-memory LRU tier, and
        are re-[prepare]d (cheap relative to the pipeline) on a disk hit.}}
@@ -41,7 +42,7 @@ module Runtime = Grover_ocl.Runtime
 (* Bump whenever a change to the front-end, the passes, Grover or the IR
    could make an old artifact stale: every on-disk entry keyed under a
    different stamp is simply never hit again. *)
-let code_version = "grover-cache-2"
+let code_version = "grover-cache-3"
 
 (* -- Requests and keys ----------------------------------------------------- *)
 
@@ -55,19 +56,15 @@ type request = {
   rq_defines : (string * string) list;
   rq_pipeline : Pass.t list;  (** pre-transform pipeline *)
   rq_variant : variant;
-  rq_engine : Interp.engine option;  (** [None] = process default *)
-  rq_lane_width : int option;  (** [None] = per-kernel auto width *)
 }
 
 let request ?(defines = []) ?(pipeline = [ Pipeline.normalize_pass ])
-    ?(variant = With_lm) ?engine ?lane_width source =
+    ?(variant = With_lm) source =
   {
     rq_source = source;
     rq_defines = defines;
     rq_pipeline = pipeline;
     rq_variant = variant;
-    rq_engine = engine;
-    rq_lane_width = lane_width;
   }
 
 let variant_spec = function
@@ -106,17 +103,6 @@ let canonical_source ~(defines : (string * string) list) (src : string) :
           Hashtbl.replace canon_memo memo_key c);
       c
 
-(* The engine is resolved *at key time*, so a request for the process
-   default and one naming the same engine share an entry. An explicit lane
-   width is clamped like [Interp.prepare] clamps it; the auto width (which
-   depends on the kernel) keys as "auto" and resolves deterministically per
-   function inside [Interp.prepare]. *)
-let resolved_engine (rq : request) : Interp.engine =
-  match rq.rq_engine with Some e -> e | None -> Interp.default_engine ()
-
-let resolved_lane_width (rq : request) : int option =
-  Option.map (fun w -> max 1 (min w 16)) rq.rq_lane_width
-
 (** The human-readable key material; {!key_of_request} hashes exactly this.
     Exposed so tests and [groverc cache stats] can explain a key. *)
 let key_spec (rq : request) : string =
@@ -127,20 +113,16 @@ let key_spec (rq : request) : string =
       defines_spec rq.rq_defines;
       Pass.pipeline_spec rq.rq_pipeline;
       variant_spec rq.rq_variant;
-      Interp.engine_name (resolved_engine rq);
-      (match resolved_lane_width rq with
-      | Some w -> string_of_int w
-      | None -> "auto");
     ]
 
 let key_of_request (rq : request) : string =
   Digest.to_hex (Digest.string (key_spec rq))
 
 (** Content hash identifying one kernel for the autotune database: the
-    canonical source (under its defines) and the kernel name. Pipeline,
-    engine and lane width are deliberately {e not} part of it — a tuning
-    entry answers "which version wins for this kernel", which survives
-    recompilation with different executor settings. *)
+    canonical source (under its defines) and the kernel name. The
+    pipeline is deliberately {e not} part of it — a tuning entry answers
+    "which version wins for this kernel", which survives recompilation
+    with a different pipeline. *)
 let kernel_hash ~(source : string) ~(defines : (string * string) list)
     ~(name : string) : string =
   Digest.to_hex
@@ -164,7 +146,6 @@ type kernel_art = {
 }
 
 type artifact = {
-  art_version : string;  (** = [code_version] at build time *)
   art_key : string;
   art_kernels : kernel_art list;
 }
@@ -213,15 +194,10 @@ let build_artifact (rq : request) ~(key : string) : artifact =
         })
       fns
   in
-  { art_version = code_version; art_key = key; art_kernels = kernels }
+  { art_key = key; art_kernels = kernels }
 
-let prepare_artifact (rq : request) (art : artifact) :
-    (string * Interp.compiled) list =
-  let engine = resolved_engine rq in
-  let lane_width = resolved_lane_width rq in
-  List.map
-    (fun ka -> (ka.ka_name, Interp.prepare ~engine ?lane_width ka.ka_fn))
-    art.art_kernels
+let prepare_artifact (art : artifact) : (string * Interp.compiled) list =
+  List.map (fun ka -> (ka.ka_name, Interp.prepare ka.ka_fn)) art.art_kernels
 
 (* -- The cache -------------------------------------------------------------- *)
 
@@ -310,6 +286,15 @@ let mem_size (t : t) : int =
 
 let art_path (dir : string) (key : string) : string =
   Filename.concat dir (key ^ ".art")
+
+(* An artifact file is one header line, then the marshalled artifact. The
+   header names the format, the code version, the key, and the payload's
+   length and MD5, so a stale, foreign, truncated or bit-flipped file is
+   told apart by a string compare before [Marshal] reads a byte of it. *)
+let header ~(key : string) (payload : string) : string =
+  Printf.sprintf "grover-art %s %s %d %s\n" code_version key
+    (String.length payload)
+    (Digest.to_hex (Digest.string payload))
 
 (* -- Cross-process locking --
 
@@ -418,10 +403,10 @@ let disk_store (t : t) (art : artifact) : unit =
         Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
           (Domain.self () :> int)
       in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Marshal.to_channel oc art []);
+      let payload = Marshal.to_string art [] in
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc (header ~key:art.art_key payload);
+          output_string oc payload);
       (* Atomic publish: a concurrent reader sees the old state or the
          complete new file, never a torn write. *)
       Sys.rename tmp final;
@@ -443,30 +428,37 @@ let max_ids (art : artifact) : int =
       max acc (max ka.ka_after (List.length ka.ka_fn.Ssa.blocks)))
     0 art.art_kernels
 
+(* The artifact in file contents [s] if its header matches its own
+   payload, [key] and this code version. *)
+let checked_artifact ~(key : string) (s : string) : artifact option =
+  match String.index_opt s '\n' with
+  | None -> None
+  | Some i ->
+      let payload = String.sub s (i + 1) (String.length s - i - 1) in
+      if String.equal (String.sub s 0 (i + 1)) (header ~key payload) then
+        Some (Marshal.from_string payload 0 : artifact)
+      else None
+
 let disk_load (t : t) (key : string) : artifact option =
   match t.dir with
   | None -> None
   | Some dir -> (
       let path = art_path dir key in
-      if not (Sys.file_exists path) then None
-      else
-        (* A corrupt, truncated or stale-versioned artifact is a miss, not
-           an error: the entry is rebuilt and overwritten. *)
-        match
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> (Marshal.from_channel ic : artifact))
-        with
-        | art when art.art_version = code_version && art.art_key = key ->
-            Ssa.reserve_ids (max_ids art);
-            (* Touch for LRU: {!trim} evicts by mtime, so a hit must
-               refresh it or hot artifacts age out by creation date. *)
-            (let now = Unix.gettimeofday () in
-             try Unix.utimes path now now with Unix.Unix_error _ -> ());
-            Some art
-        | _ -> None
-        | exception _ -> None)
+      (* A missing, unreadable or unchecked file is a miss, not an error:
+         the entry is rebuilt and overwritten. *)
+      match In_channel.with_open_bin path In_channel.input_all with
+      | exception Sys_error _ -> None
+      | s ->
+          let art = checked_artifact ~key s in
+          Option.iter
+            (fun art ->
+              Ssa.reserve_ids (max_ids art);
+              (* Touch for LRU: {!trim} evicts by mtime, so a hit must
+                 refresh it or hot artifacts age out by creation date. *)
+              let now = Unix.gettimeofday () in
+              try Unix.utimes path now now with Unix.Unix_error _ -> ())
+            art;
+          art)
 
 (* -- Memory (LRU) tier -- *)
 
@@ -521,7 +513,7 @@ let compile (t : t) (rq : request) : prepared =
   | Some pr -> pr
   | None -> (
       let from_disk art =
-        let pr = { pr_art = art; pr_compiled = prepare_artifact rq art } in
+        let pr = { pr_art = art; pr_compiled = prepare_artifact art } in
         count_miss t ~disk:true;
         mem_insert t key pr;
         pr
@@ -539,7 +531,7 @@ let compile (t : t) (rq : request) : prepared =
               | None ->
                   let art = build_artifact rq ~key in
                   let pr =
-                    { pr_art = art; pr_compiled = prepare_artifact rq art }
+                    { pr_art = art; pr_compiled = prepare_artifact art }
                   in
                   count_miss t ~disk:false;
                   disk_store t art;

@@ -17,12 +17,14 @@
       region boundary into per-work-item context arrays. One batch of one
       lane is exactly one work-item, so the same code serves both.
     - {b Tree}: the original tree-walking reference engine, kept as the
-      oracle for the differential test suite (and selectable with
-      [GROVER_ENGINE=tree]). Each work-item runs as an OCaml 5 fiber;
-      hitting a barrier performs [Barrier_hit], the group scheduler parks
-      the continuation and resumes every work-item of the group once all
-      of them have arrived. Kernels whose barriers do not form regions
-      (divergent barriers) run here on either engine.
+      oracle for the differential test suite and run only by the fiber
+      path ([~force_path:Runtime.Fiber] for a launch,
+      [GROVER_FORCE_PATH=fiber] for a process). Each work-item runs as an
+      OCaml 5 fiber; hitting a barrier performs [Barrier_hit], the group
+      scheduler parks the continuation and resumes every work-item of the
+      group once all of them have arrived. Kernels whose barriers do not
+      form regions (divergent barriers) have no lane code and always run
+      here.
 
     Memory accesses stream into the group's {!Trace.wg_stats} for the
     performance simulator either way, in the same per-work-item order. *)
@@ -40,21 +42,6 @@ type rv =
 exception Kernel_trap of string
 
 let trap fmt = Printf.ksprintf (fun m -> raise (Kernel_trap m)) fmt
-
-type engine = Compiled | Tree
-
-let engine_name = function Compiled -> "compiled" | Tree -> "tree"
-
-let default_engine () =
-  match Sys.getenv_opt "GROVER_ENGINE" with
-  | Some ("tree" | "Tree" | "TREE") -> Tree
-  | None | Some ("" | "closure" | "compiled") -> Compiled
-  | Some s ->
-      Grover_support.Diag.warn_env "GROVER_ENGINE"
-        "unknown GROVER_ENGINE %S (expected tree or compiled); using the \
-         compiled engine"
-        s;
-      Compiled
 
 (* -- Work-item context ------------------------------------------------------- *)
 
@@ -287,9 +274,9 @@ and compiled = {
       (** barrier-region formation result, for path reporting; the
           compiled spill metadata derived from it lives in [code] *)
   code : clanes option;
-      (** [Some] iff the kernel was closure-compiled and {!Regions.form}
-          verified every barrier group-uniform (trivially for barrier-free
-          code); [None] runs the tree engine under fibers *)
+      (** [Some] iff {!Regions.form} verified every barrier
+          group-uniform (trivially for barrier-free code); [None] runs
+          the tree engine under fibers *)
 }
 
 (** The closure-compiled kernel. Basic blocks are split at barriers into
@@ -2595,10 +2582,7 @@ let lane_width_for (fn : func) : int =
   in
   if n > 96 then 4 else 8
 
-let prepare ?engine ?lane_width (fn : func) : compiled =
-  let engine =
-    match engine with Some e -> e | None -> default_engine ()
-  in
+let prepare ?lane_width (fn : func) : compiled =
   let lane_width =
     match lane_width with
     | Some w -> max 1 (min w 16)
@@ -2621,15 +2605,11 @@ let prepare ?engine ?lane_width (fn : func) : compiled =
     |> List.rev
   in
   let regions = Regions.form fn in
-  let code =
-    match engine with
-    | Compiled -> compile_fn ~lane_width fn regions
-    | Tree -> None
-  in
+  let code = compile_fn ~lane_width fn regions in
   { fn; slots; n_slots = !n; local_allocas; regions; code }
 
 (** Lane width the kernel was compiled for; 1 when no lane code exists
-    (tree engine, or barriers that do not form regions). *)
+    (barriers that do not form regions). *)
 let lane_width_of (c : compiled) : int =
   match c.code with Some ln -> ln.lwidth | None -> 1
 

@@ -16,10 +16,10 @@
 
     Ready launches are executed as (launch, chunk) pairs pulled from the
     shared ready set — many small launches saturate the domain pool even
-    when no single launch scales (the pocl command-queue model). Totals
-    accumulate per event and per queue by the same additive
-    {!Trace.merge_totals} a sequential run uses, so fig2/fig10/table4
-    aggregates are schedule-invariant.
+    when no single launch scales (the pocl command-queue model). Each
+    event carries its launch's totals, merged over chunks by the same
+    additive {!Trace.merge_totals} a sequential run uses, so they are
+    schedule-invariant.
 
     All queues share one scheduler: [finish] on any queue drains every
     submitted command in the process. Only the main domain may enqueue or
@@ -127,9 +127,6 @@ type t = {
       (** still-pending events, newest first — what an empty-wait-list
           marker ("after everything enqueued so far") depends on *)
   mutable q_error : exn option;  (** first command failure; sticky *)
-  q_totals : Trace.totals;
-      (** merged totals of every completed launch, identical to
-          sequentially launching and merging *)
   hazards : (int, hazard) Hashtbl.t;
 }
 
@@ -139,7 +136,6 @@ let create ?(domains = 0) () : t =
     q_pending = 0;
     q_live = [];
     q_error = None;
-    q_totals = Trace.empty_totals ();
     hazards = Hashtbl.create 16;
   }
 
@@ -160,9 +156,6 @@ let complete_locked (q : t) (ev : Event.t) ~(totals : Trace.totals option)
   ev.Event.ev_seqno <- !completion_seq;
   ev.Event.ev_totals <- totals;
   ev.Event.ev_error <- error;
-  (match (totals, error) with
-  | Some t, None -> Trace.merge_totals q.q_totals t
-  | _ -> ());
   (match error with
   | Some e when q.q_error = None -> q.q_error <- Some e
   | _ -> ());
@@ -240,13 +233,8 @@ let enqueue_nd_range (q : t) (c : Interp.compiled)
     ~(cfg : Runtime.launch_config) ~(args : Runtime.arg_binding list)
     ?(wait : Event.t list = []) ?force_path () :
     Event.t =
+  Runtime.check_geometry cfg;
   let gx, gy, gz = cfg.Runtime.global and lx, ly, lz = cfg.Runtime.local in
-  if lx <= 0 || ly <= 0 || lz <= 0 then
-    raise (Runtime.Launch_error "work-group sizes must be positive");
-  if gx mod lx <> 0 || gy mod ly <> 0 || gz mod lz <> 0 then
-    raise
-      (Runtime.Launch_error
-         "global size must be a multiple of the work-group size");
   let rv_args = Runtime.bind_args c.Interp.fn args in
   let plan =
     Runtime.plan c ~cfg ?force_path ~domains:q.q_domains ()
@@ -366,7 +354,3 @@ let wait (q : t) (ev : Event.t) : unit =
       (Runtime.Launch_error
          "Queue.wait: event still pending after drain (wait-list cycle?)");
   match Event.error ev with Some e -> raise e | None -> ()
-
-(** Merged trace totals of every launch completed on [q] so far —
-    bit-identical to sequentially launching the same set and merging. *)
-let totals (q : t) : Trace.totals = q.q_totals

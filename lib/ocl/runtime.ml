@@ -12,12 +12,13 @@
       boundaries ride in per-work-item context arrays;
     - {b fiber}: the effect-handler scheduler over the tree engine, kept
       as the differential oracle and as the path for kernels with
-      divergent barriers (where it detects the divergence dynamically),
-      and for every kernel on the tree engine.
+      divergent barriers (where it detects the divergence dynamically).
 
     [GROVER_FORCE_PATH=wg-vec|fiber] overrides the choice for every
     launch of the process, within static capability; [wg-loop] and
-    [fiberless] are accepted and mean one-lane batches.
+    [fiberless] are accepted and mean one-lane batches. The fiber path is
+    the only way to run the tree engine: [~force_path:Fiber] for one
+    launch, [GROVER_FORCE_PATH=fiber] for a process.
 
     Parallel launches run on a {e persistent} domain pool: worker domains
     are spawned once (lazily, grown on demand) and reused across launches,
@@ -141,8 +142,8 @@ let env_force_path () : path option =
             s)
 
 (* The capability ladder: the path [c] takes when [want] is requested.
-   Without lane code (tree engine, or barriers that do not form regions)
-   every kernel runs on fibers. Lane batches are at most as wide as the
+   Without lane code (barriers that do not form regions) every kernel
+   runs on fibers. Lane batches are at most as wide as the
    compiled width, and one lane wide when no region runs W-wide. *)
 let degrade (c : Interp.compiled) (want : path) : path =
   match (want, c.Interp.code) with

@@ -113,13 +113,13 @@ type wallclock_run = {
   wc_items : int;  (** work-items executed *)
   wc_path : string;  (** "wg-vec" or "fiber" *)
   wc_domains : int;  (** parallel domains actually used (incl. the caller) *)
-  wc_lane_width : int;  (** lane width compiled for (1 = scalar) *)
+  wc_lane_width : int;  (** largest batch width of the plan (1 = one lane) *)
 }
 
-let wallclock ?engine ?(domains = 1) ?(reps = 1)
-    (case : Kit.case) (fn : Ssa.func) ~(scale : int) : wallclock_run =
+let wallclock ?(domains = 1) ?(reps = 1) (case : Kit.case) (fn : Ssa.func)
+    ~(scale : int) : wallclock_run =
   if reps < 1 then invalid_arg "wallclock: reps must be >= 1";
-  let compiled = Interp.prepare ?engine fn in
+  let compiled = Interp.prepare fn in
   let w = case.Kit.mk ~scale in
   let gx, gy, gz = w.Kit.global in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
@@ -150,7 +150,7 @@ let wallclock ?engine ?(domains = 1) ?(reps = 1)
     wc_items = gx * gy * gz;
     wc_path = Runtime.path_name p;
     wc_domains = p.Runtime.domains_used;
-    wc_lane_width = Interp.lane_width_of compiled;
+    wc_lane_width = Runtime.batch_width p.Runtime.path;
   }
 
 (* -- Multi-launch (command queue) submission ---------------------------------- *)
@@ -170,12 +170,12 @@ type prepared_launch = {
 (** Prepare [jobs] independent workloads for every (case, version) pair:
     each job gets its own buffers, but all jobs of a pair share one
     compiled kernel — the shape of a queue fed by many clients. *)
-let prepare_launches ?engine ~(jobs : int) ~(scale : int)
+let prepare_launches ~(jobs : int) ~(scale : int)
     (cases : (Kit.case * version) list) : prepared_launch list =
   List.concat_map
     (fun ((case : Kit.case), v) ->
       let fn, _ = compile_version case v in
-      let compiled = Interp.prepare ?engine fn in
+      let compiled = Interp.prepare fn in
       List.init jobs (fun j ->
           let w = case.Kit.mk ~scale in
           {
@@ -258,10 +258,9 @@ type sanitize_run = {
   sz_fn : Ssa.func;  (** the normalised kernel, for the static passes *)
 }
 
-let sanitize_run ?engine ?(scale = 4) (case : Kit.case) (v : version) :
-    sanitize_run =
+let sanitize_run ?(scale = 4) (case : Kit.case) (v : version) : sanitize_run =
   let fn, _ = compile_version case v in
-  let compiled = Interp.prepare ?engine fn in
+  let compiled = Interp.prepare fn in
   let w = case.Kit.mk ~scale in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
   let _totals, findings =
@@ -308,7 +307,7 @@ type promoted = {
     then validate the result end to end — static race certification, a
     sanitized execution, and output validation against the host
     reference. *)
-let promote_run ?engine ?(scale = 4) (case : Kit.case) : promoted =
+let promote_run ?(scale = 4) (case : Kit.case) : promoted =
   let fn0, _ = compile_version case Without_lm in
   let fn = clone_fn fn0 in
   let w = case.Kit.mk ~scale in
@@ -324,7 +323,7 @@ let promote_run ?engine ?(scale = 4) (case : Kit.case) : promoted =
         in
         (o, rf))
   in
-  let compiled = Interp.prepare ?engine fn in
+  let compiled = Interp.prepare fn in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
   let totals, findings =
     Runtime.run_sanitized compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ()

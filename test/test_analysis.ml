@@ -2,7 +2,8 @@
    certify every suite kernel race-free under its true work-group size and
    reject each kernel of the negative corpus with the right finding code;
    the dynamic sanitizer must stay silent on the whole suite (both kernel
-   versions, both engines), report exactly the pinned findings on a faulty
+   versions, default plan and tree-engine oracle), report exactly the
+   pinned findings on a faulty
    kernel, and must not perturb results — sanitized output buffers are
    bit-identical to a plain launch. *)
 
@@ -103,9 +104,11 @@ let test_bad_kernel (name : string) (src : string) (expected : string) () =
 
 (* -- Dynamic: the sanitizer is silent on the whole suite -------------------- *)
 
-let test_sanitize_clean (case : Kit.case) (v : H.version) (eng : Interp.engine)
-    () =
-  let r = H.sanitize_run ~engine:eng ~scale case v in
+(* [fiber] runs on the tree-engine oracle through GROVER_FORCE_PATH:
+   [sanitize_run] takes no path. *)
+let test_sanitize_clean (case : Kit.case) (v : H.version) ~(fiber : bool) () =
+  let run () = H.sanitize_run ~scale case v in
+  let r = if fiber then Test_ocl.with_force_path "fiber" run else run () in
   (match r.H.sz_check with
   | Ok () -> ()
   | Error m -> Alcotest.failf "%s: sanitized run invalid: %s" case.Kit.id m);
@@ -125,10 +128,10 @@ let storage_bits (b : Memory.buffer) : string =
      compared bit-for-bit, not through (=) on possibly-boxed floats. *)
   Marshal.to_string (Memory.to_float_array b, Memory.to_int_array b) []
 
-let run_pair (case : Kit.case) (v : H.version) (eng : Interp.engine) :
+let run_pair (case : Kit.case) (v : H.version) ?force_path () :
     string list * string list =
   let fn, _ = H.compile_version case v in
-  let compiled = Interp.prepare ~engine:eng fn in
+  let compiled = Interp.prepare fn in
   let mk () =
     let w = case.Kit.mk ~scale in
     ( { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 },
@@ -136,11 +139,11 @@ let run_pair (case : Kit.case) (v : H.version) (eng : Interp.engine) :
       w.Kit.mem )
   in
   let cfg, args, mem = mk () in
-  ignore (Runtime.launch compiled ~cfg ~args ~mem ());
+  ignore (Runtime.launch compiled ~cfg ~args ~mem ?force_path ());
   let plain = List.map storage_bits (buffers_of args) in
   let cfg2, args2, mem2 = mk () in
   let _totals, findings =
-    Runtime.run_sanitized compiled ~cfg:cfg2 ~args:args2 ~mem:mem2 ()
+    Runtime.run_sanitized compiled ~cfg:cfg2 ~args:args2 ~mem:mem2 ?force_path ()
   in
   Alcotest.(check int) (case.Kit.id ^ " findings") 0 (List.length findings);
   (plain, List.map storage_bits (buffers_of args2))
@@ -152,18 +155,18 @@ let qcheck_bit_identity =
       triple
         (int_bound (Array.length cases - 1))
         (oneofl [ H.With_lm; H.Without_lm ])
-        (oneofl [ Interp.Compiled; Interp.Tree ]))
+        (oneofl [ None; Some Runtime.Fiber ]))
   in
   let print (i, v, e) =
     Printf.sprintf "%s/%s/%s" cases.(i).Kit.id
       (match v with H.With_lm -> "lm" | H.Without_lm -> "grover")
-      (match e with Interp.Compiled -> "compiled" | Interp.Tree -> "tree")
+      (match e with None -> "compiled" | Some _ -> "tree")
   in
   QCheck.Test.make ~name:"sanitized runs are bit-identical to plain runs"
     ~count:16
     (QCheck.make ~print gen)
-    (fun (i, v, e) ->
-      let plain, sanitized = run_pair cases.(i) v e in
+    (fun (i, v, force_path) ->
+      let plain, sanitized = run_pair cases.(i) v ?force_path () in
       plain = sanitized)
 
 (* -- Dynamic: the findings themselves, not only their codes ------------------ *)
@@ -219,7 +222,7 @@ let three_faults_expected =
   ]
 
 let test_findings_pinned () =
-  let c = Interp.prepare ~engine:Interp.Tree (compile_one three_faults) in
+  let c = Interp.prepare (compile_one three_faults) in
   Alcotest.(check (list string))
     "tree+fiber findings" three_faults_expected
     (List.map finding_row (sanitize_three_faults c ~force_path:Runtime.Fiber))
@@ -230,21 +233,19 @@ let test_findings_width_invariant () =
     List.sort_uniq compare
       (List.map verdict_of (sanitize_three_faults c ~force_path))
   in
-  let oracle =
-    verdicts (Interp.prepare ~engine:Interp.Tree fn) Runtime.Fiber
-  in
+  let oracle = verdicts (Interp.prepare fn) Runtime.Fiber in
   List.iter
     (fun (name, c, force_path) ->
       Alcotest.(check (list string)) name oracle (verdicts c force_path))
     [
       ( "W=4",
-        Interp.prepare ~engine:Interp.Compiled ~lane_width:4 fn,
+        Interp.prepare ~lane_width:4 fn,
         Runtime.Lanes max_int );
       ( "W=8",
-        Interp.prepare ~engine:Interp.Compiled ~lane_width:8 fn,
+        Interp.prepare ~lane_width:8 fn,
         Runtime.Lanes max_int );
       ( "one-lane",
-        Interp.prepare ~engine:Interp.Compiled fn,
+        Interp.prepare fn,
         Runtime.Lanes 1 );
     ]
 
@@ -379,12 +380,12 @@ let suite =
         List.concat_map
           (fun (vn, v) ->
             List.map
-              (fun (en, e) ->
+              (fun (en, fiber) ->
                 Alcotest.test_case
                   (Printf.sprintf "%s %s/%s clean" case.Kit.id vn en)
                   `Quick
-                  (test_sanitize_clean case v e))
-              [ ("compiled", Interp.Compiled); ("tree", Interp.Tree) ])
+                  (test_sanitize_clean case v ~fiber))
+              [ ("compiled", false); ("tree", true) ])
           [ ("lm", H.With_lm); ("grover", H.Without_lm) ])
       Grover_suite.Suite.all
   in

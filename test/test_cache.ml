@@ -1,8 +1,9 @@
 (** Tests for the staged compile cache and the persistent autotune DB:
     key invalidation (every input dimension reaches the hash; formatting
     does not), artifact determinism, cached-vs-uncached launch identity
-    across the whole suite, the disk/LRU tiers, batch compilation, the
-    autotune DB file, and the environment-variable fallbacks. *)
+    across the whole suite, the disk/LRU tiers, rejection of corrupted disk
+    artifacts, batch compilation, the autotune DB file, and the
+    environment-variable fallbacks. *)
 
 open Grover_ir
 open Grover_ocl
@@ -63,14 +64,7 @@ let check_each_dimension_invalidates () =
       Cache.rq_pipeline = [ Pipeline.normalize_pass; Pipeline.cleanup_pass ] };
   distinct "variant" { base with Cache.rq_variant = Cache.Without_lm None };
   distinct "variant selection"
-    { base with Cache.rq_variant = Cache.Without_lm (Some [ "tmp" ]) };
-  (* Explicit engines on both sides: the base request resolves its engine
-     from GROVER_ENGINE, which CI sets to either value. *)
-  let tree = { base with Cache.rq_engine = Some Interp.Tree } in
-  let compiled = { base with Cache.rq_engine = Some Interp.Compiled } in
-  if key tree = key compiled then
-    Alcotest.fail "engine edit did not change the key";
-  distinct "lane width" { base with Cache.rq_lane_width = Some 4 }
+    { base with Cache.rq_variant = Cache.Without_lm (Some [ "tmp" ]) }
 
 let check_defines_order_insensitive () =
   let a = Cache.request ~defines:[ ("A", "1"); ("B", "2") ] base_source in
@@ -89,13 +83,6 @@ let prop_constant_edits =
       let ka = key (Cache.request (src a)) in
       let kb = key (Cache.request (src b)) in
       (a = b) = (ka = kb))
-
-let prop_lane_widths =
-  QCheck.Test.make ~name:"keys equal iff lane width equal" ~count:30
-    QCheck.(pair (int_range 1 16) (int_range 1 16))
-    (fun (w1, w2) ->
-      let k w = key (Cache.request ~lane_width:w base_source) in
-      (w1 = w2) = (k w1 = k w2))
 
 (* -- Determinism --------------------------------------------------------------- *)
 
@@ -186,6 +173,11 @@ let cached_uncached_cases =
 
 (* -- Disk tier and LRU --------------------------------------------------------- *)
 
+(* Request [i] of a family with one key per [i]: the same kernel under
+   an unused define. *)
+let keyed (i : int) : Cache.request =
+  Cache.request ~defines:[ ("REQ", string_of_int i) ] base_source
+
 let dir_counter = ref 0
 
 let fresh_dir () =
@@ -232,27 +224,25 @@ let check_disk_tier () =
 
 let check_lru_eviction () =
   let cache = Cache.create ~mem_capacity:2 () in
-  let rq w = Cache.request ~lane_width:w base_source in
-  List.iter (fun w -> ignore (Cache.compile cache (rq w))) [ 1; 2; 3 ];
+  List.iter (fun i -> ignore (Cache.compile cache (keyed i))) [ 1; 2; 3 ];
   let s = Cache.stats cache in
   Alcotest.(check int) "three misses" 3 s.Cache.st_misses;
   Alcotest.(check bool) "evicted at capacity" true (s.Cache.st_evictions >= 1);
   Alcotest.(check bool) "memory tier bounded" true (Cache.mem_size cache <= 2);
-  (* The LRU victim was the least-recently-used entry: width 1. *)
-  ignore (Cache.compile cache (rq 1));
+  (* The LRU victim was the least-recently-used entry: request 1. *)
+  ignore (Cache.compile cache (keyed 1));
   Alcotest.(check int) "evictee misses again" 4 (Cache.stats cache).Cache.st_misses
 
 let check_disk_trim () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir () in
-  let rq w = Cache.request ~lane_width:w base_source in
-  let art w = Filename.concat dir (Cache.key_of_request (rq w) ^ ".art") in
+  let art i = Filename.concat dir (Cache.key_of_request (keyed i) ^ ".art") in
   let size w = (Unix.stat (art w)).Unix.st_size in
-  List.iter (fun w -> ignore (Cache.compile cache (rq w))) [ 1; 2; 3; 4 ];
+  List.iter (fun i -> ignore (Cache.compile cache (keyed i))) [ 1; 2; 3; 4 ];
   Alcotest.(check int) "four artifacts" 4 (Cache.disk_size cache);
   Alcotest.(check bool) "disk_bytes sums them" true
     (Cache.disk_bytes cache >= size 1 + size 2 + size 3 + size 4);
-  (* Distinct, strictly increasing mtimes: widths 1 and 2 are the LRU
+  (* Distinct, strictly increasing mtimes: requests 1 and 2 are the LRU
      victims by construction (same-second store times would tie). *)
   List.iteri
     (fun i w ->
@@ -271,7 +261,7 @@ let check_disk_trim () =
   Unix.utimes (art 3) 1000.0 1000.0;
   Unix.utimes (art 4) 1001.0 1001.0;
   let c2 = Cache.create ~dir () in
-  ignore (Cache.compile c2 (rq 3));
+  ignore (Cache.compile c2 (keyed 3));
   Alcotest.(check int) "disk hit" 1 (Cache.stats c2).Cache.st_disk_hits;
   let removed2, _ = Cache.trim c2 ~max_bytes:(size 3) in
   Alcotest.(check int) "one more evicted" 1 removed2;
@@ -305,13 +295,74 @@ let check_max_bytes_budget () =
      empty — every store trims immediately. *)
   let dir = fresh_dir () in
   let cache = Cache.create ~dir ~max_bytes:1 () in
-  let rq w = Cache.request ~lane_width:w base_source in
-  List.iter (fun w -> ignore (Cache.compile cache (rq w))) [ 1; 2 ];
+  List.iter (fun i -> ignore (Cache.compile cache (keyed i))) [ 1; 2 ];
   Alcotest.(check int) "budget enforced on store" 0 (Cache.disk_size cache);
   Alcotest.(check bool) "evictions counted" true
     ((Cache.stats cache).Cache.st_evictions >= 2);
   Cache.clear cache;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+
+(* -- Corrupted artifacts -------------------------------------------------------- *)
+
+(* Every suite case's artifact, in both variants, built once into one
+   directory (removed at exit): the request, the file and its clean bytes. *)
+let clean_artifacts =
+  lazy
+    (let dir = fresh_dir () in
+     let cache = Cache.create ~dir () in
+     at_exit (fun () ->
+         Cache.clear cache;
+         try Unix.rmdir dir with Unix.Unix_error _ -> ());
+     Array.of_list
+       (List.concat_map
+          (fun (case : Kit.case) ->
+            List.map
+              (fun variant ->
+                let rq =
+                  Cache.request ~defines:case.Kit.defines ~variant
+                    case.Kit.source
+                in
+                ignore (Cache.compile cache rq);
+                let file =
+                  Filename.concat dir (Cache.key_of_request rq ^ ".art")
+                in
+                (rq, dir, file, In_channel.with_open_bin file In_channel.input_all))
+              [ Cache.With_lm; Cache.Without_lm case.Kit.remove ])
+          Grover_suite.Suite.all))
+
+(* Flip bytes at distinct offsets of an artifact's header line or of its
+   payload: the next process to open the cache must count a miss (never a
+   disk hit, a crash or an exception), rebuild, and store a file
+   byte-identical to the clean one. *)
+let prop_corrupt_artifact_rebuilds =
+  QCheck.Test.make
+    ~name:"a corrupted artifact is a miss, rebuilt byte-identical" ~count:40
+    QCheck.(
+      triple (int_bound 1_000) bool
+        (list_of_size (Gen.int_range 1 4)
+           (pair (int_bound 1_000_000) (int_range 1 255))))
+    (fun (which, in_header, flips) ->
+      let arts = Lazy.force clean_artifacts in
+      let rq, dir, file, clean = arts.(which mod Array.length arts) in
+      let header_len = String.index clean '\n' + 1 in
+      let base, len =
+        if in_header then (0, header_len)
+        else (header_len, String.length clean - header_len)
+      in
+      let bytes = Bytes.of_string clean in
+      List.iter
+        (fun (off, mask) ->
+          let i = base + (off mod len) in
+          Bytes.set bytes i (Char.chr (Char.code clean.[i] lxor mask)))
+        (List.sort_uniq (fun (a, _) (b, _) -> compare (a mod len) (b mod len))
+           flips);
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc bytes);
+      let c = Cache.create ~dir () in
+      ignore (Cache.compile c rq);
+      let s = Cache.stats c in
+      s.Cache.st_misses = 1 && s.Cache.st_disk_hits = 0
+      && String.equal clean
+           (In_channel.with_open_bin file In_channel.input_all))
 
 let check_batch () =
   let cache = Cache.create () in
@@ -472,12 +523,6 @@ let check_env_fallbacks () =
       ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
       f
   in
-  with_env "GROVER_ENGINE" "bogus" (fun () ->
-      Alcotest.(check bool) "unknown engine falls back to compiled" true
-        (Interp.default_engine () = Interp.Compiled));
-  with_env "GROVER_ENGINE" "tree" (fun () ->
-      Alcotest.(check bool) "tree selects the tree engine" true
-        (Interp.default_engine () = Interp.Tree));
   (* An invalid cache budget warns once per process, in the GRV-ENV format.
      An earlier test may already have triggered the warning: reset the
      once-per-variable state so this check does not depend on test order. *)
@@ -504,7 +549,6 @@ let suite =
         Alcotest.test_case "define order irrelevant" `Quick
           check_defines_order_insensitive;
         QCheck_alcotest.to_alcotest prop_constant_edits;
-        QCheck_alcotest.to_alcotest prop_lane_widths;
       ] );
     ( "cache.determinism",
       [ Alcotest.test_case "artifacts bit-identical" `Quick check_determinism ]
@@ -518,6 +562,7 @@ let suite =
         Alcotest.test_case "disk budget (max bytes)" `Quick
           check_max_bytes_budget;
         Alcotest.test_case "batch compile" `Quick check_batch;
+        QCheck_alcotest.to_alcotest prop_corrupt_artifact_rebuilds;
       ] );
     ( "cache.autotune",
       [

@@ -282,10 +282,11 @@ let test_parallel_rejects_tracing () =
   | exception Runtime.Launch_error _ -> ()
   | _ -> Alcotest.fail "tracing + parallel must be rejected"
 
-(* -- Differential: compiled engine vs the tree-walk oracle --------------------
+(* -- Differential: the default plan vs the tree-walk oracle --------------------
    Every suite kernel, in both versions, must produce bit-identical buffers
-   and identical launch totals under the closure-compiled engine and the
-   legacy tree-walking engine (kept exactly for this test). *)
+   and identical launch totals under the default plan (lane code) and on
+   the fiber path, which runs the legacy tree-walking engine (kept exactly
+   for this test). *)
 
 module H = Grover_suite.Harness
 module Kit = Grover_suite.Kit
@@ -298,27 +299,41 @@ let snapshot_buffers (mem : Memory.t) : (int * Ssa.space * Memory.storage) list 
   |> List.map (fun (b : Memory.buffer) -> (b.Memory.bid, b.Memory.space, b.Memory.st))
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-let run_engine (case : Kit.case) (v : H.version) ~(engine : Interp.engine) :
+(* One launch of a suite case at scale 8, on [force_path] or the default
+   plan, with code compiled at [lane_width] or the kernel's default;
+   [sanitize] launches it under the sanitizer, which must find nothing. *)
+let run_oracle (case : Kit.case) (v : H.version) ?lane_width ?force_path
+    ?(sanitize = false) () :
     Trace.totals * (int * Ssa.space * Memory.storage) list * (unit, string) result =
   let fn, _ = H.compile_version case v in
-  let compiled = Interp.prepare ~engine fn in
+  let compiled = Interp.prepare ?lane_width fn in
   let w = case.Kit.mk ~scale:8 in
+  let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
   let totals =
-    Runtime.launch compiled
-      ~cfg:{ Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
-      ~args:w.Kit.args ~mem:w.Kit.mem ()
+    if sanitize then (
+      let totals, findings =
+        Runtime.run_sanitized compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem
+          ?force_path ()
+      in
+      if findings <> [] then
+        Alcotest.failf "sanitizer finding: %s"
+          (Sanitize.message (List.hd findings));
+      totals)
+    else
+      Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ?force_path
+        ()
   in
   (totals, snapshot_buffers w.Kit.mem, w.Kit.check ())
 
 let check_engines_agree (case : Kit.case) (v : H.version) () =
-  let t_tot, t_bufs, t_valid = run_engine case v ~engine:Interp.Tree in
-  let c_tot, c_bufs, c_valid = run_engine case v ~engine:Interp.Compiled in
+  let t_tot, t_bufs, t_valid = run_oracle case v ~force_path:Runtime.Fiber () in
+  let c_tot, c_bufs, c_valid = run_oracle case v () in
   (match t_valid with
   | Ok () -> ()
   | Error m -> Alcotest.failf "tree engine invalid output: %s" m);
   (match c_valid with
   | Ok () -> ()
-  | Error m -> Alcotest.failf "compiled engine invalid output: %s" m);
+  | Error m -> Alcotest.failf "default plan invalid output: %s" m);
   Alcotest.(check bool) "identical launch totals" true (t_tot = c_tot);
   Alcotest.(check bool) "bit-identical buffers" true (compare t_bufs c_bufs = 0)
 
@@ -351,14 +366,14 @@ let prop_engines_agree =
     QCheck.(pair (int_range 1 8) (int_range 1 8))
     (fun (groups, wg) ->
       let n = groups * wg in
-      let run engine =
+      let run force_path =
         let fn =
           match Lower.compile diff_prop_source with
           | [ f ] -> f
           | _ -> assert false
         in
         Grover_passes.Pipeline.normalize fn;
-        let c = Interp.prepare ~engine fn in
+        let c = Interp.prepare fn in
         let mem = Memory.create () in
         let out = Memory.alloc mem Ssa.F32 n in
         let a = Memory.alloc mem Ssa.F32 n in
@@ -367,12 +382,12 @@ let prop_engines_agree =
           Runtime.launch c
             ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
             ~args:[ Runtime.Abuf out; Runtime.Abuf a; Runtime.Aint n ]
-            ~mem ()
+            ~mem ?force_path ()
         in
         (totals, Memory.to_float_array out)
       in
-      let t_tot, t_out = run Interp.Tree in
-      let c_tot, c_out = run Interp.Compiled in
+      let t_tot, t_out = run (Some Runtime.Fiber) in
+      let c_tot, c_out = run None in
       t_tot = c_tot && compare t_out c_out = 0)
 
 (* -- Differential: one-lane batches vs tree+fiber --------------------------------
@@ -384,24 +399,11 @@ let prop_engines_agree =
    identical launch totals (so the trace stream — cost model, barrier
    rounds — is unchanged). *)
 
-let run_oracle (case : Kit.case) (v : H.version) ?lane_width
-    ~(engine : Interp.engine) ~(force_path : Runtime.path) () :
-    Trace.totals * (int * Ssa.space * Memory.storage) list * (unit, string) result =
-  let fn, _ = H.compile_version case v in
-  let compiled = Interp.prepare ~engine ?lane_width fn in
-  let w = case.Kit.mk ~scale:8 in
-  let totals =
-    Runtime.launch compiled
-      ~cfg:{ Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
-      ~args:w.Kit.args ~mem:w.Kit.mem ~force_path ()
-  in
-  (totals, snapshot_buffers w.Kit.mem, w.Kit.check ())
-
 let check_against_fibers ~(label : string) (case : Kit.case) (v : H.version)
     (run : unit -> Trace.totals * _ * (unit, string) result) =
   let d_tot, d_bufs, d_valid = run () in
   let f_tot, f_bufs, f_valid =
-    run_oracle case v ~engine:Interp.Tree ~force_path:Runtime.Fiber ()
+    run_oracle case v ~force_path:Runtime.Fiber ()
   in
   (match d_valid with
   | Ok () -> ()
@@ -414,7 +416,7 @@ let check_against_fibers ~(label : string) (case : Kit.case) (v : H.version)
 
 let check_paths_agree (case : Kit.case) (v : H.version) () =
   check_against_fibers ~label:"one-lane batches" case v (fun () ->
-      run_oracle case v ~engine:Interp.Compiled ~force_path:(Runtime.Lanes 1) ())
+      run_oracle case v ~force_path:(Runtime.Lanes 1) ())
 
 let fastpath_cases =
   List.concat_map
@@ -430,14 +432,14 @@ let fastpath_cases =
 
 (* -- Differential: one-lane batches of W=1 code vs tree+fiber ---------------------
    The same one-lane sweep over code compiled at lane width 1, where a
-   uniform value's column and lane 0's coincide. On the tree engine the
-   one-lane request degrades to the fiber scheduler, so the comparison
-   also pins the capability ladder there. *)
+   uniform value's column and lane 0's coincide, plain and under the
+   sanitizer (which only observes: it must find nothing and change no
+   result). *)
 
-let check_wgloop_agrees (case : Kit.case) (v : H.version)
-    (engine : Interp.engine) () =
+let check_wgloop_agrees (case : Kit.case) (v : H.version) (sanitize : bool) ()
+    =
   check_against_fibers ~label:"one-lane batches (W=1)" case v (fun () ->
-      run_oracle case v ~engine ~lane_width:1 ~force_path:(Runtime.Lanes 1) ())
+      run_oracle case v ~lane_width:1 ~force_path:(Runtime.Lanes 1) ~sanitize ())
 
 let wgloop_cases =
   List.concat_map
@@ -445,12 +447,12 @@ let wgloop_cases =
       List.concat_map
         (fun (v, vn) ->
           List.map
-            (fun (e, en) ->
+            (fun (sanitize, sn) ->
               Alcotest.test_case
-                (Printf.sprintf "%s %s %s" case.Kit.id vn en)
+                (Printf.sprintf "%s %s %s" case.Kit.id vn sn)
                 `Quick
-                (check_wgloop_agrees case v e))
-            [ (Interp.Compiled, "compiled"); (Interp.Tree, "tree") ])
+                (check_wgloop_agrees case v sanitize))
+            [ (false, "compiled"); (true, "sanitized") ])
         [ (H.With_lm, "with-lm"); (H.Without_lm, "grover") ])
     Grover_suite.Suite.all
 
@@ -459,16 +461,15 @@ let wgloop_cases =
    (struct-of-arrays lane slots, uniform values computed once per batch),
    so it is held to the same standard: bit-identical buffers and identical
    launch totals against one-lane batches and tree+fiber, over the whole
-   suite x both kernel versions x both engines. [force_path] degrades
-   exactly like the default plan, so on the tree engine every run takes
-   the fiber scheduler. *)
+   suite x both kernel versions, with code compiled at the kernel's default
+   lane width and at W=4. *)
 
 let check_wgvec_agrees (case : Kit.case) (v : H.version)
-    (engine : Interp.engine) () =
+    (lane_width : int option) () =
   let runs =
     List.map
       (fun (p, pn) ->
-        let tot, bufs, valid = run_oracle case v ~engine ~force_path:p () in
+        let tot, bufs, valid = run_oracle case v ?lane_width ~force_path:p () in
         (match valid with
         | Ok () -> ()
         | Error m -> Alcotest.failf "%s path invalid output: %s" pn m);
@@ -497,12 +498,12 @@ let wgvec_cases =
       List.concat_map
         (fun (v, vn) ->
           List.map
-            (fun (e, en) ->
+            (fun (w, wn) ->
               Alcotest.test_case
-                (Printf.sprintf "%s %s %s" case.Kit.id vn en)
+                (Printf.sprintf "%s %s %s" case.Kit.id vn wn)
                 `Quick
-                (check_wgvec_agrees case v e))
-            [ (Interp.Compiled, "compiled"); (Interp.Tree, "tree") ])
+                (check_wgvec_agrees case v w))
+            [ (None, "compiled"); (Some 4, "W=4") ])
         [ (H.With_lm, "with-lm"); (H.Without_lm, "grover") ])
     Grover_suite.Suite.all
 
@@ -523,7 +524,7 @@ let test_wgloop_selected_for_suite () =
   List.iter
     (fun (case : Kit.case) ->
       let fn, _ = H.compile_version case H.With_lm in
-      let c = Interp.prepare ~engine:Interp.Compiled fn in
+      let c = Interp.prepare fn in
       if has_barrier c then begin
         incr barrier_kernels;
         Alcotest.(check bool)
@@ -552,9 +553,9 @@ let test_wgloop_selected_for_suite () =
    With no override the plan is the widest lane batches a kernel's code
    has, with or without barriers (a barrier-free kernel is the one-region
    case). So Grover's transformed kernels — the without_lm side of every
-   Fig. 10 race — must plan W-wide batches on the compiled engine. A
-   kernel none of whose regions runs W-wide plans one-lane batches, and
-   every kernel on the tree engine plans the fiber scheduler. *)
+   Fig. 10 race — must plan W-wide batches. A kernel none of whose regions
+   runs W-wide plans one-lane batches, and a fiber request plans the fiber
+   scheduler (the tree engine). *)
 
 (* Same kernel as examples/kernels/saxpy.cl: its bounds-guarded store is
    divergent, so its only region runs one-lane batches. *)
@@ -566,6 +567,15 @@ let saxpy_source =
         y[i] = a * x[i] + y[i];
       }
     }|}
+
+(* Run [f] with GROVER_FORCE_PATH set to [v], restoring it afterwards. *)
+let with_force_path (v : string) (f : unit -> 'a) : 'a =
+  let old = Sys.getenv_opt "GROVER_FORCE_PATH" in
+  Unix.putenv "GROVER_FORCE_PATH" v;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "GROVER_FORCE_PATH" (Option.value old ~default:""))
+    f
 
 let path_t =
   Alcotest.testable
@@ -593,7 +603,7 @@ let test_grover_versions_plan_wgvec () =
   List.iter
     (fun (case : Kit.case) ->
       let fn, _ = H.compile_version case H.Without_lm in
-      let c = Interp.prepare ~engine:Interp.Compiled fn in
+      let c = Interp.prepare fn in
       check_default_plan ~label:case.Kit.id c ~cfg:(suite_cfg case)
         (Runtime.Lanes (Interp.lane_width_of c)))
     Grover_suite.Suite.all
@@ -603,7 +613,7 @@ let test_divergent_store_plans_one_lane () =
     match Lower.compile saxpy_source with [ f ] -> f | _ -> assert false
   in
   Grover_passes.Pipeline.normalize fn;
-  let c = Interp.prepare ~engine:Interp.Compiled fn in
+  let c = Interp.prepare fn in
   Alcotest.(check bool) "saxpy is barrier-free" false (has_barrier c);
   Alcotest.(check (option (array bool))) "saxpy's one region is one-lane"
     (Some [| false |]) (Interp.lane_entry_flags c);
@@ -611,15 +621,23 @@ let test_divergent_store_plans_one_lane () =
     ~cfg:{ Runtime.global = (64, 1, 1); local = (16, 1, 1); queues = 1 }
     (Runtime.Lanes 1)
 
-let test_tree_engine_plans_fiber () =
+(* The tree engine's one switch: every suite kernel builds lane code, and
+   a fiber request — [~force_path] for a launch, [GROVER_FORCE_PATH] for
+   the process — plans the fiber scheduler. *)
+let test_fiber_request_plans_fiber () =
   List.iter
     (fun (case : Kit.case) ->
       List.iter
         (fun v ->
           let fn, _ = H.compile_version case v in
-          let c = Interp.prepare ~engine:Interp.Tree fn in
-          check_default_plan ~label:case.Kit.id c ~cfg:(suite_cfg case)
-            Runtime.Fiber)
+          let c = Interp.prepare fn and cfg = suite_cfg case in
+          let label what = Printf.sprintf "%s: %s" case.Kit.id what in
+          Alcotest.(check bool) (label "lane code") true (c.Interp.code <> None);
+          Alcotest.check path_t (label "~force_path:Fiber") Runtime.Fiber
+            (Runtime.plan c ~cfg ~force_path:Runtime.Fiber ()).Runtime.path;
+          with_force_path "fiber" (fun () ->
+              Alcotest.check path_t (label "GROVER_FORCE_PATH=fiber")
+                Runtime.Fiber (Runtime.plan c ~cfg ()).Runtime.path))
         [ H.With_lm; H.Without_lm ])
     Grover_suite.Suite.all
 
@@ -640,14 +658,6 @@ let test_path_of_string () =
    empty pins nothing, a known name pins its path, and anything else is a
    launch error rather than a silent default. *)
 let test_env_force_path () =
-  let with_force_path v f =
-    let old = Sys.getenv_opt "GROVER_FORCE_PATH" in
-    Unix.putenv "GROVER_FORCE_PATH" v;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "GROVER_FORCE_PATH" (Option.value old ~default:""))
-      f
-  in
   let check v want =
     with_force_path v (fun () ->
         Alcotest.(check (option path_t)) v want (Runtime.env_force_path ()))
@@ -709,10 +719,8 @@ let prop_spill_preserves_results =
           | _ -> assert false
         in
         Grover_passes.Pipeline.normalize fn;
-        let c, force_path =
-          if oracle then (Interp.prepare ~engine:Interp.Tree fn, Some Runtime.Fiber)
-          else (Interp.prepare ~engine:Interp.Compiled fn, None)
-        in
+        let c = Interp.prepare fn in
+        let force_path = if oracle then Some Runtime.Fiber else None in
         let mem = Memory.create () in
         let vout = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) n in
         let sout = Memory.alloc mem Ssa.F32 n in
@@ -851,8 +859,7 @@ let test_divergent_store_still_bails () =
             (Regions.verdict_string lv))
   | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
 
-let run_masked_kernel ~(engine : Interp.engine) ?lane_width ~force_path ~n ~wg
-    () =
+let run_masked_kernel ?lane_width ~force_path ~n ~wg () =
   let fn =
     match Lower.compile masked_diamond_source with
     | [ f ] -> f
@@ -863,7 +870,7 @@ let run_masked_kernel ~(engine : Interp.engine) ?lane_width ~force_path ~n ~wg
   let out = Memory.alloc mem Ssa.F32 n in
   let a = Memory.alloc mem Ssa.F32 n in
   Memory.fill_floats a (fun i -> float_of_int (i * 13 mod 17) /. 8.0);
-  let c = Interp.prepare ~engine ?lane_width fn in
+  let c = Interp.prepare ?lane_width fn in
   let totals =
     Runtime.launch c
       ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
@@ -882,7 +889,7 @@ let test_masked_tail_smaller_than_width () =
       for wg = 1 to w - 1 do
         let n = wg * 3 in
         let cv, v_tot, v_bufs =
-          run_masked_kernel ~engine:Interp.Compiled ~lane_width:w
+          run_masked_kernel ~lane_width:w
             ~force_path:(Some (Runtime.Lanes max_int)) ~n ~wg ()
         in
         Alcotest.(check bool)
@@ -890,12 +897,10 @@ let test_masked_tail_smaller_than_width () =
           true
           (Runtime.default_path cv = Runtime.Lanes w);
         let _, l_tot, l_bufs =
-          run_masked_kernel ~engine:Interp.Compiled
-            ~force_path:(Some (Runtime.Lanes 1)) ~n ~wg ()
+          run_masked_kernel ~force_path:(Some (Runtime.Lanes 1)) ~n ~wg ()
         in
         let _, f_tot, f_bufs =
-          run_masked_kernel ~engine:Interp.Tree
-            ~force_path:(Some Runtime.Fiber) ~n ~wg ()
+          run_masked_kernel ~force_path:(Some Runtime.Fiber) ~n ~wg ()
         in
         Alcotest.(check bool)
           (Printf.sprintf "W=%d wg=%d: W-wide totals = one-lane totals" w wg)
@@ -917,10 +922,7 @@ let test_masked_tail_smaller_than_width () =
 (* Random guarded-diamond kernels. A pure two-armed diamond with a random
    predicate and random pure arms, behind a random clamp guard, at group
    sizes that are deliberately not multiples of W: masked W-wide batches
-   must agree with one-lane batches and the fiber scheduler bit for bit,
-   under both engines (the tree engine has no lane code, so its lane
-   requests degrade to fibers — the property still pins all three plans
-   to one answer). *)
+   must agree with one-lane batches and the fiber scheduler bit for bit. *)
 let prop_masked_diamond_agrees =
   let pred_of = function
     | 0 -> "x > 0.25f"
@@ -962,7 +964,7 @@ let prop_masked_diamond_agrees =
           (pred_of p) (then_of t) (else_of e)
       in
       let n = groups * wg in
-      let run engine force_path lane_width =
+      let run force_path lane_width =
         let fn =
           match Lower.compile src with [ f ] -> f | _ -> assert false
         in
@@ -971,7 +973,7 @@ let prop_masked_diamond_agrees =
         let out = Memory.alloc mem Ssa.F32 n in
         let a = Memory.alloc mem Ssa.F32 n in
         Memory.fill_floats a (fun i -> float_of_int (i * 7 mod 13) /. 6.0);
-        let c = Interp.prepare ~engine ?lane_width fn in
+        let c = Interp.prepare ?lane_width fn in
         let totals =
           Runtime.launch c
             ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
@@ -980,13 +982,10 @@ let prop_masked_diamond_agrees =
         in
         (totals, snapshot_buffers mem)
       in
-      List.for_all
-        (fun engine ->
-          let v = run engine (Runtime.Lanes max_int) (Some width) in
-          let l = run engine (Runtime.Lanes 1) None in
-          let f = run engine Runtime.Fiber None in
-          v = l && l = f)
-        [ Interp.Compiled; Interp.Tree ])
+      let v = run (Runtime.Lanes max_int) (Some width) in
+      let l = run (Runtime.Lanes 1) None in
+      let f = run Runtime.Fiber None in
+      v = l && l = f)
 
 (* -- Private arrays across a barrier ---------------------------------------------
    Same kernel as examples/kernels/private_array.cl: a private array
@@ -1016,9 +1015,9 @@ let private_array_source =
 
 let test_private_array_matches_fibers () =
   let n = 40 and wg = 10 in
-  let run ?(queues = 1) engine force_path =
+  let run ?(queues = 1) force_path =
     let fn = lower_one private_array_source in
-    let c = Interp.prepare ~engine fn in
+    let c = Interp.prepare fn in
     let mem = Memory.create () in
     let out = Memory.alloc mem Ssa.F32 n in
     let inp = Memory.alloc mem Ssa.F32 n in
@@ -1046,10 +1045,10 @@ let test_private_array_matches_fibers () =
     in
     (c, totals, snapshot_buffers mem, List.rev !priv)
   in
-  let c, d_tot, d_bufs, d_priv = run Interp.Compiled None in
-  let _, f_tot, f_bufs, f_priv = run Interp.Tree (Some Runtime.Fiber) in
-  let _, _, _, d_priv8 = run ~queues:8 Interp.Compiled None in
-  let _, _, _, f_priv8 = run ~queues:8 Interp.Tree (Some Runtime.Fiber) in
+  let c, d_tot, d_bufs, d_priv = run None in
+  let _, f_tot, f_bufs, f_priv = run (Some Runtime.Fiber) in
+  let _, _, _, d_priv8 = run ~queues:8 None in
+  let _, _, _, f_priv8 = run ~queues:8 (Some Runtime.Fiber) in
   (match c.Interp.regions with
   | Regions.Formed i -> (
       match i.Regions.lane_entries.(0) with
@@ -1082,9 +1081,9 @@ let test_private_array_matches_fibers () =
         (label ^ ": every group has group 0's local and private addresses")
         true
         (List.for_all (fun (_, e) -> e = group0) evs))
-    [ ("compiled, 8 queues", d_priv8); ("tree, 8 queues", f_priv8) ];
-  Alcotest.(check bool) "8 queues trace what 1 queue traces (compiled)" true (d_priv8 = d_priv);
-  Alcotest.(check bool) "8 queues trace what 1 queue traces (tree)" true (f_priv8 = f_priv)
+    [ ("default plan, 8 queues", d_priv8); ("fiber, 8 queues", f_priv8) ];
+  Alcotest.(check bool) "8 queues trace what 1 queue traces (default plan)" true (d_priv8 = d_priv);
+  Alcotest.(check bool) "8 queues trace what 1 queue traces (fiber)" true (f_priv8 = f_priv)
 
 (* Lowering puts every alloca in the entry block, so only hand-built IR
    allocates in a later region: there the work-item's bump offset must
@@ -1104,8 +1103,8 @@ let test_private_alloca_after_barrier () =
   Builder.store b (Ssa.Arg out) g (Builder.load b q (Builder.i32 1));
   Builder.ret b;
   Verify.run fn;
-  let run engine force_path =
-    let c = Interp.prepare ~engine fn in
+  let run force_path =
+    let c = Interp.prepare fn in
     let mem = Memory.create () in
     let ob = Memory.alloc mem Ssa.I32 12 in
     let priv = ref [] in
@@ -1123,8 +1122,8 @@ let test_private_alloca_after_barrier () =
     in
     (c, totals, snapshot_buffers mem, List.sort compare !priv)
   in
-  let c, d_tot, d_bufs, d_priv = run Interp.Compiled None in
-  let _, f_tot, f_bufs, f_priv = run Interp.Tree (Some Runtime.Fiber) in
+  let c, d_tot, d_bufs, d_priv = run None in
+  let _, f_tot, f_bufs, f_priv = run (Some Runtime.Fiber) in
   Alcotest.(check (option (array bool))) "both regions run one-lane batches"
     (Some [| false; false |]) (Interp.lane_entry_flags c);
   (* q.(1) of a work-item whose p took the first 8 bytes *)
@@ -1307,17 +1306,27 @@ let test_launch_bad_sizes () =
 
 (* The geometry rule [launch] applies, checked before anything runs (the
    sanitizer calls it to report a bad NDRange as a usage error): every
-   work-group size positive, every global size a multiple of it. *)
+   work-group size positive, every global size a multiple of it. A queue
+   rejects the same geometries with the same message when they are
+   enqueued (a valid one is not enqueued: it would wait in the shared
+   scheduler for another test's drain). *)
 let test_check_geometry () =
+  let c =
+    Runtime.compile_kernel "__kernel void f(__global int *a) { a[0] = 1; }"
+      ~name:"f"
+  in
+  let args = [ Runtime.Abuf (Memory.alloc (Memory.create ()) Ssa.I32 4) ] in
   let check label ~global ~local want =
-    let got =
-      match
-        Runtime.check_geometry { Runtime.global; local; queues = 1 }
-      with
-      | () -> None
-      | exception Runtime.Launch_error m -> Some m
+    let cfg = { Runtime.global; local; queues = 1 } in
+    let error f =
+      match f () with () -> None | exception Runtime.Launch_error m -> Some m
     in
-    Alcotest.(check (option string)) label want got
+    Alcotest.(check (option string)) label want
+      (error (fun () -> Runtime.check_geometry cfg));
+    if want <> None then
+      Alcotest.(check (option string)) (label ^ ", enqueued") want
+        (error (fun () ->
+             ignore (Queue.enqueue_nd_range (Queue.create ()) c ~cfg ~args ())))
   in
   let positive = Some "work-group sizes must be positive"
   and multiple = Some "global size must be a multiple of the work-group size" in
@@ -1390,12 +1399,12 @@ let test_out_of_bounds_trapped () =
   List.iter
     (fun (name, elem, src) ->
       List.iter
-        (fun (path, engine, force_path) ->
+        (fun (path, force_path) ->
           let setup () =
             let mem = Memory.create () in
             let a = Memory.alloc mem elem 4 in
             let out = Memory.alloc mem elem 8 in
-            ( Interp.prepare ~engine ~lane_width:8 (lower_one src),
+            ( Interp.prepare ~lane_width:8 (lower_one src),
               { Runtime.global = (8, 1, 1); local = (8, 1, 1); queues = 1 },
               [ Runtime.Abuf a; Runtime.Abuf out; Runtime.Aint 99 ],
               mem )
@@ -1418,9 +1427,9 @@ let test_out_of_bounds_trapped () =
                  ( Sanitize.code_of_kind f.Sanitize.f_kind,
                    (f.Sanitize.f_buffer, f.Sanitize.f_index, f.Sanitize.f_extent) ))
                findings))
-        [ ("W=8 batches", Interp.Compiled, Runtime.Lanes max_int);
-          ("one-lane batches", Interp.Compiled, Runtime.Lanes 1);
-          ("tree+fiber", Interp.Tree, Runtime.Fiber) ])
+        [ ("W=8 batches", Runtime.Lanes max_int);
+          ("one-lane batches", Runtime.Lanes 1);
+          ("tree+fiber", Runtime.Fiber) ])
     oob_kernels
 
 (* -- Vector builtins on float4 ---------------------------------------------------
@@ -1437,8 +1446,8 @@ let vec_inputs () =
     Array.init (vec_n * 4) (fun k -> float_of_int ((k * 5 mod 13) - 6) /. 3.0),
     Array.init (vec_n * 4) (fun k -> float_of_int ((k * 3 mod 11) - 2) /. 2.0) )
 
-let run_vec_builtin ~(scalar_out : bool) ~(expr : string)
-    ~(engine : Interp.engine) ?force_path () : float array =
+let run_vec_builtin ~(scalar_out : bool) ~(expr : string) ?force_path () :
+    float array =
   let fn =
     lower_one
       (Printf.sprintf
@@ -1465,7 +1474,7 @@ let run_vec_builtin ~(scalar_out : bool) ~(expr : string)
         Runtime.Abuf b)
       [ xs; ys; zs ]
   in
-  let c = Interp.prepare ~engine fn in
+  let c = Interp.prepare fn in
   ignore
     (Runtime.launch c
        ~cfg:{ Runtime.global = (vec_n, 1, 1); local = (6, 1, 1); queues = 1 }
@@ -1477,15 +1486,15 @@ let check_vec_builtin ?(scalar_out = false) ~(expr : string)
   let xs, ys, zs = vec_inputs () in
   let want = expected xs ys zs in
   List.iter
-    (fun (label, engine, force_path) ->
-      let got = run_vec_builtin ~scalar_out ~expr ~engine ?force_path () in
+    (fun (label, force_path) ->
+      let got = run_vec_builtin ~scalar_out ~expr ?force_path () in
       Alcotest.(check bool)
         (Printf.sprintf "%s on %s = host" expr label)
         true
         (compare got want = 0))
-    [ ("tree", Interp.Tree, None);
-      ("compiled wg-vec", Interp.Compiled, None);
-      ("compiled one-lane", Interp.Compiled, Some (Runtime.Lanes 1)) ]
+    [ ("tree", Some Runtime.Fiber);
+      ("compiled wg-vec", None);
+      ("compiled one-lane", Some (Runtime.Lanes 1)) ]
 
 let componentwise f xs ys zs =
   Array.init (Array.length xs) (fun k -> f xs.(k) ys.(k) zs.(k))
@@ -1607,7 +1616,7 @@ let prop_float4_kernels_agree =
            (oneofl ~print:string_of_int [ 1; 4; 8 ])))
     (fun (src, (groups, wg, width)) ->
       let n = groups * wg in
-      let run engine ?lane_width force_path =
+      let run ?lane_width force_path =
         let fn = lower_one src in
         let v4 = Ssa.Vec (Ssa.F32, 4) in
         let mem = Memory.create () in
@@ -1615,7 +1624,7 @@ let prop_float4_kernels_agree =
         let a = Memory.alloc mem v4 n and b = Memory.alloc mem v4 n in
         Memory.fill_floats a (fun k -> float_of_int ((k * 7 mod 23) - 11) /. 8.0);
         Memory.fill_floats b (fun k -> float_of_int ((k * 5 mod 17) - 8) /. 4.0);
-        let c = Interp.prepare ~engine ?lane_width fn in
+        let c = Interp.prepare ?lane_width fn in
         let groups = ref [] in
         let totals =
           Runtime.launch c
@@ -1627,14 +1636,14 @@ let prop_float4_kernels_agree =
         in
         (c, (totals, snapshot_buffers mem, List.rev !groups))
       in
-      let cv, v = run Interp.Compiled ~lane_width:width (Runtime.Lanes max_int) in
+      let cv, v = run ~lane_width:width (Runtime.Lanes max_int) in
       let batched =
         match Interp.lane_entry_flags cv with
         | Some f -> Array.for_all Fun.id f
         | None -> false
       in
-      let _, t = run Interp.Tree Runtime.Fiber in
-      let _, l = run Interp.Compiled (Runtime.Lanes 1) in
+      let _, t = run Runtime.Fiber in
+      let _, l = run (Runtime.Lanes 1) in
       (* [compare], not [=]: a 0/0 lane is NaN on every path alike *)
       batched && compare v t = 0 && compare v l = 0)
 
@@ -1690,8 +1699,7 @@ let random_kernel_gen =
        (quad small small small (pair small small))
        (triple (triple (int_range 1 5) comp comp) pred (int_range 0 3)))
 
-let run_random_kernel src ~engine ?lane_width ?force_path ~domains ~n ~wg ~reps
-    () =
+let run_random_kernel src ?lane_width ?force_path ~domains ~n ~wg ~reps () =
   let fn = lower_one src in
   let mem = Memory.create () in
   let out = Memory.alloc mem Ssa.I32 n in
@@ -1699,7 +1707,7 @@ let run_random_kernel src ~engine ?lane_width ?force_path ~domains ~n ~wg ~reps
   let dout = Memory.alloc mem Ssa.I32 n in
   let a = Memory.alloc mem Ssa.I32 n in
   Memory.fill_ints a (fun i -> (i * 5 mod 11) - 3);
-  let c = Interp.prepare ~engine ?lane_width fn in
+  let c = Interp.prepare ?lane_width fn in
   let groups = ref [] in
   let on_group =
     if domains = 1 then Some (fun s -> groups := group_trace s :: !groups)
@@ -1728,17 +1736,16 @@ let prop_random_kernels_agree =
     (fun (src, (groups, wg, width, reps)) ->
       let n = groups * wg in
       let t_tot, t_bufs, t_trace =
-        run_random_kernel src ~engine:Interp.Tree ~force_path:Runtime.Fiber
-          ~domains:1 ~n ~wg ~reps ()
+        run_random_kernel src ~force_path:Runtime.Fiber ~domains:1 ~n ~wg
+          ~reps ()
       in
       let c_tot, c_bufs, c_trace =
-        run_random_kernel src ~engine:Interp.Compiled ~lane_width:width
-          ~domains:1 ~n ~wg ~reps ()
+        run_random_kernel src ~lane_width:width ~domains:1 ~n ~wg ~reps ()
       in
       let p_tot, p_bufs, _ =
         with_domain_cap 2 (fun () ->
-            run_random_kernel src ~engine:Interp.Compiled ~lane_width:width
-              ~domains:2 ~n ~wg ~reps ())
+            run_random_kernel src ~lane_width:width ~domains:2 ~n ~wg ~reps
+              ())
       in
       let t_globals =
         List.filter
@@ -1784,7 +1791,7 @@ let test_suite_lane_flags () =
       List.iter
         (fun (v, vn, want) ->
           let fn, _ = H.compile_version case v in
-          let c = Interp.prepare ~engine:Interp.Compiled fn in
+          let c = Interp.prepare fn in
           Alcotest.(check (option (array bool)))
             (Printf.sprintf "%s %s lane flags" case.Kit.id vn)
             (Some want) (Interp.lane_entry_flags c))
@@ -1828,8 +1835,8 @@ let suite =
           test_grover_versions_plan_wgvec;
         Alcotest.test_case "divergent store plans one-lane batches" `Quick
           test_divergent_store_plans_one_lane;
-        Alcotest.test_case "tree engine plans fiber" `Quick
-          test_tree_engine_plans_fiber;
+        Alcotest.test_case "fiber request plans fiber" `Quick
+          test_fiber_request_plans_fiber;
         Alcotest.test_case "path_of_string" `Quick test_path_of_string;
         Alcotest.test_case "env_force_path" `Quick test_env_force_path ] );
     ( "private-arrays",

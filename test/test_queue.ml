@@ -33,14 +33,14 @@ let global_storages (pls : H.prepared_launch list) =
 
 (* -- Differential: queued = sequential over the whole suite ----------------- *)
 
-let check_queued_matches_sequential (engine : Interp.engine) () =
+let check_queued_matches_sequential () =
   let set =
     List.concat_map
       (fun c -> [ (c, H.With_lm); (c, H.Without_lm) ])
       Grover_suite.Suite.all
   in
-  let pls_seq = H.prepare_launches ~engine ~jobs:2 ~scale:8 set in
-  let pls_q = H.prepare_launches ~engine ~jobs:2 ~scale:8 set in
+  let pls_seq = H.prepare_launches ~jobs:2 ~scale:8 set in
+  let pls_q = H.prepare_launches ~jobs:2 ~scale:8 set in
   let _, tot_seq = H.run_sequential pls_seq in
   let _, tot_q = with_domain_cap 3 (fun () -> H.run_queued ~domains:0 pls_q) in
   H.validate_launches pls_seq;
@@ -289,9 +289,12 @@ let suite =
     ( "queue",
       [
         Alcotest.test_case "queued matches sequential (compiled)" `Slow
-          (check_queued_matches_sequential Interp.Compiled);
+          check_queued_matches_sequential;
+        (* The tree-engine oracle through GROVER_FORCE_PATH: the harness
+           launches take no path. *)
         Alcotest.test_case "queued matches sequential (tree)" `Slow
-          (check_queued_matches_sequential Interp.Tree);
+          (fun () ->
+            Test_ocl.with_force_path "fiber" check_queued_matches_sequential);
         Alcotest.test_case "buffer hazards serialize launches" `Quick
           test_hazard_chain;
         Alcotest.test_case "read/write barriers and markers" `Quick

@@ -148,9 +148,32 @@ let test_table3_indexes () =
         (contains ngl "stride")
   | _ -> Alcotest.fail "ROD-SC: expected one report"
 
+(* [Harness.wallclock] reports the batch width of the plan it timed: the
+   compiled width on the default plan, one lane under a one-lane or fiber
+   GROVER_FORCE_PATH (it takes no path of its own). *)
+let test_wallclock_lane_width () =
+  let case = Grover_suite.Nvd_mt.case in
+  List.iter
+    (fun v ->
+      let fn, _ = H.compile_version case v in
+      let timed force =
+        Test_ocl.with_force_path force (fun () ->
+            let r = H.wallclock case fn ~scale:8 in
+            (r.H.wc_path, r.H.wc_lane_width))
+      in
+      let compiled = Interp.lane_width_of (Interp.prepare fn) in
+      Alcotest.(check bool) "NVD-MT compiles W-wide" true (compiled > 1);
+      Alcotest.(check (pair string int)) "unset" ("wg-vec", compiled) (timed "");
+      Alcotest.(check (pair string int)) "fiber" ("fiber", 1) (timed "fiber");
+      Alcotest.(check (pair string int)) "wg-loop" ("wg-vec", 1)
+        (timed "wg-loop"))
+    [ H.With_lm; H.Without_lm ]
+
 let suite =
   [ ("benchmarks", per_case_tests);
     ( "benchmark-details",
       [ Alcotest.test_case "partial removal keeps other matrix" `Quick
           test_partial_removal_keeps_other;
-        Alcotest.test_case "table III indexes" `Quick test_table3_indexes ] ) ]
+        Alcotest.test_case "table III indexes" `Quick test_table3_indexes;
+        Alcotest.test_case "wallclock reports the planned lane width" `Quick
+          test_wallclock_lane_width ] ) ]
