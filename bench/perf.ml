@@ -20,6 +20,10 @@
    - memsim replay: events/sec of NVD-MT's captured groups through fresh
      SNB, Nehalem and MIC simulators.
 
+   Every launch-throughput, one-lane and allocation row times the
+   fastest of at least 3 launches (5 with --quick) that together ran at
+   least 1 s (0.2 s with --quick).
+
    Every row records which execution path ran (wg-vec / fiber), the
    largest batch width of its plan (1 for one-lane batches and fibers)
    and how many pool domains were actually used, so the numbers feeding
@@ -75,8 +79,24 @@ type row = {
 
 let version_name = function H.With_lm -> "with_lm" | H.Without_lm -> "without_lm"
 
+(* The fastest of at least [reps] calls of [f] that together ran at least
+   [min_s] seconds. Noise only ever makes a launch slower, and on a VM
+   whose speed level moves between runs a fixed three launches of
+   20–70 ms spread a row up to 2x; a second of launches does not. *)
+let min_time ~(reps : int) ~(min_s : float) (f : unit -> unit) : float =
+  let best = ref infinity and spent = ref 0.0 and k = ref 0 in
+  while !k < reps || !spent < min_s do
+    let t0 = Unix.gettimeofday () in
+    f ();
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt;
+    spent := !spent +. dt;
+    incr k
+  done;
+  !best
+
 let measure ~(version : H.version) ?force_path ?(sanitize = false)
-    ~(domains : int) ~(n : int) ~(reps : int) () : row =
+    ~(domains : int) ~(n : int) ~(reps : int) ~(min_s : float) () : row =
   let fn, _ = H.compile_version Nvd_mt.case version in
   let compiled = Interp.prepare fn in
   let w = mk_transpose ~n in
@@ -100,13 +120,7 @@ let measure ~(version : H.version) ?force_path ?(sanitize = false)
      spawning and GC ramp-up otherwise land on whichever row runs first
      and skew the scaling comparison at small sizes. *)
   one_launch ();
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    one_launch ();
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
+  let best = min_time ~reps ~min_s one_launch in
   (match w.Kit.check () with
   | Ok () -> ()
   | Error m -> failwith ("perf bench produced wrong output: " ^ m));
@@ -119,8 +133,8 @@ let measure ~(version : H.version) ?force_path ?(sanitize = false)
     pool_domains = p.Runtime.domains_used;
     clamped = p.Runtime.domains_clamped;
     sanitize;
-    seconds = !best;
-    wi_per_sec = float_of_int n_items /. !best;
+    seconds = best;
+    wi_per_sec = float_of_int n_items /. best;
   }
 
 (* -- Compile-cache timing -----------------------------------------------------
@@ -369,7 +383,7 @@ type alloc_row = {
 
 let alloc_limit = 512.0
 
-let launch_rows ~(sanitize : bool) ~(reps : int)
+let launch_rows ~(sanitize : bool) ~(reps : int) ~(min_s : float)
     (pairs : (Kit.case * H.version) list) : alloc_row list =
   List.map
     (fun ((case : Kit.case), version) ->
@@ -401,13 +415,7 @@ let launch_rows ~(sanitize : bool) ~(reps : int)
       let w0 = Gc.minor_words () in
       launch ();
       let words = Gc.minor_words () -. w0 in
-      let best = ref infinity in
-      for _ = 1 to reps do
-        let t0 = Unix.gettimeofday () in
-        launch ();
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt
-      done;
+      let best = min_time ~reps ~min_s launch in
       (match w.Kit.check () with
       | Ok () -> ()
       | Error m ->
@@ -419,22 +427,22 @@ let launch_rows ~(sanitize : bool) ~(reps : int)
         ar_version = version;
         ar_path = Runtime.path_name (Runtime.plan compiled ~cfg ~domains:1 ());
         ar_sanitize = sanitize;
-        ar_wi_per_sec = items /. !best;
+        ar_wi_per_sec = items /. best;
         ar_words_per_wi = words /. items;
       })
     pairs
 
-let alloc_bench ~(reps : int) () : alloc_row list =
+let alloc_bench ~(reps : int) ~(min_s : float) () : alloc_row list =
   let pairs =
     List.concat_map
       (fun c -> [ (c, H.With_lm); (c, H.Without_lm) ])
       [ Grover_suite.Gemm4.case; Grover_suite.Nvd_nbody.case ]
   in
-  launch_rows ~sanitize:false ~reps pairs
-  @ launch_rows ~sanitize:true ~reps pairs
+  launch_rows ~sanitize:false ~reps ~min_s pairs
+  @ launch_rows ~sanitize:true ~reps ~min_s pairs
 
-let one_lane_bench ~(reps : int) () : alloc_row list =
-  launch_rows ~sanitize:false ~reps
+let one_lane_bench ~(reps : int) ~(min_s : float) () : alloc_row list =
+  launch_rows ~sanitize:false ~reps ~min_s
     (List.map
        (fun id ->
          ( List.find (fun (c : Kit.case) -> c.Kit.id = id) Grover_suite.Suite.all,
@@ -719,16 +727,18 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     unit =
   (* Quick mode still needs runs long enough for the 10% scaling gate:
      at 128^2 a row finishes in ~3 ms and timer noise alone exceeds the
-     gate, so quick uses 256^2 with best-of-5. *)
+     gate, so quick uses 256^2 with best-of-5. The launch rows take the
+     fastest of at least [reps] launches and [min_s] seconds. *)
   let n = if quick then 256 else 512 in
   let reps = if quick then 5 else 3 in
+  let min_s = if quick then 0.2 else 1.0 in
   Exp.header
     (Printf.sprintf
-       "Interpreter throughput: NVD-MT %dx%d, %d reps (work-items/sec; \
-        lane batches vs the fiber oracle; domain-scaling sweep on the \
-        persistent pool)"
-       n n reps);
-  let m = measure ~n ~reps in
+       "Interpreter throughput: NVD-MT %dx%d, fastest of >= %d launches and \
+        >= %.1f s per row (work-items/sec; lane batches vs the fiber oracle; \
+        domain-scaling sweep on the persistent pool)"
+       n n reps min_s);
+  let m = measure ~n ~reps ~min_s in
   let sweep version force_path =
     List.map (fun domains -> m ~version ?force_path ~domains ()) [ 1; 2; 4; 0 ]
   in
@@ -817,9 +827,9 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   report_cache cs;
   let mk = masked_bench ~quick ~reps () in
   report_masked mk;
-  let one_lane = one_lane_bench ~reps () in
+  let one_lane = one_lane_bench ~reps ~min_s () in
   report_one_lane one_lane;
-  let alloc = alloc_bench ~reps () in
+  let alloc = alloc_bench ~reps ~min_s () in
   report_alloc alloc;
   let replay = replay_bench ~n () in
   report_replay ~n replay;
@@ -845,7 +855,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   let oc = open_out "BENCH_interp.json" in
   Printf.fprintf oc
     "{\n  \"bench\": \"interp-throughput\",\n  \"case\": \"NVD-MT\",\n\
-    \  \"n\": %d,\n  \"reps\": %d,\n  \"rows\": [\n" n reps;
+    \  \"n\": %d,\n  \"reps\": %d,\n  \"min_seconds\": %.1f,\n  \"rows\": [\n"
+    n reps min_s;
   List.iteri
     (fun k r ->
       Printf.fprintf oc

@@ -200,8 +200,9 @@ let math2 name a b =
    The compiled form assigns each value-producing instruction slots in a
    typed environment: integers in [lienv], floats in [lfenv] (both
    unboxed; a vector takes one slot per component), pointers in [lbenv].
-   Phi moves ride on CFG edges with evaluate-all-then-commit semantics,
-   staged through scratch arrays. *)
+   Phi moves ride on CFG edges with evaluate-all-then-commit semantics:
+   an edge whose moves read no slot they write moves in place, any other
+   edge stages through scratch arrays. *)
 
 (** Lane-batched execution state: one state executes a batch of up to
     [lw] consecutive work-items per closure invocation over
@@ -210,8 +211,9 @@ let math2 name a b =
     columns [s*lw .. s*lw+lw-1]. A value the uniformity analysis proved
     group-uniform is computed once per batch and lives in column 0 of its
     slot ([s*lw]); varying values occupy one column per lane. [nl] < [lw]
-    in a one-lane region's batches and in the peeled tail batch of a group
-    whose size is not a multiple of the lane width. *)
+    in a one-lane region's batches, in the one batch of a group smaller
+    than the lane width, and in the peeled tail batch of a larger group
+    whose size is not a multiple of it. *)
 type lane_state = {
   lw : int;  (** compiled lane width W *)
   mutable nl : int;  (** active lanes in the current batch *)
@@ -219,8 +221,9 @@ type lane_state = {
   lienv : int array;  (** [n_int] slots x [lw] lanes *)
   lfenv : float array;
   lbenv : rv array;
-  (* Phi-move staging, split by uniformity: uniform moves stage one value,
-     varying moves stage [lw] columns per move. *)
+  (* Phi-move staging of the edges whose moves conflict, split by
+     uniformity: uniform moves stage one value, varying moves stage [lw]
+     columns per move. *)
   luiscr : int array;
   lufscr : float array;
   lubscr : rv array;
@@ -350,10 +353,12 @@ and lterm =
 and ledge = {
   le_dst : int;  (** dense index of the successor block's entry segment *)
   le_stage : (lane_state -> unit) array;
-      (** evaluate every phi move over whole columns into scratch: a
-          uniform move stages one value at [k], a varying one [nl] values
-          at [k * lwidth]... *)
-  (* ...then commit, per kind, to destination slot bases ([slot * lwidth]) *)
+      (** one closure per phi move, over whole columns: in place, straight
+          into its destination slot; on an edge whose moves conflict, into
+          scratch — a uniform move stages one value at [k], a varying one
+          [nl] values at [k * lwidth]... *)
+  (* ...then commit, per kind, to destination slot bases ([slot * lwidth]);
+     empty on an in-place edge *)
   lu_im_dst : int array;
   lu_fm_dst : int array;
   lu_bm_dst : int array;
@@ -1857,74 +1862,99 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
   in
 
   (* Per-edge phi moves, split by the destination phi's uniformity. The
-     fixpoint guarantees a uniform phi only has uniform incomings. Each
-     move stages into scratch over whole columns (one value for a uniform
-     move, [nl] for a varying one); a vector phi is one move per
-     component. *)
+     fixpoint guarantees a uniform phi only has uniform incomings; a
+     vector phi is one move per component. An edge none of whose moves
+     reads a slot (of the same kind) that one of its moves writes moves
+     in place: each move writes its destination columns directly (one
+     value for a uniform move, [nl] for a varying one) and the commit
+     arrays stay empty. An edge with such a conflict — a rotation
+     [t = a; a = b; b = t + 1] around a loop — stages every move into
+     scratch over whole columns, then commits. *)
   let scr_ui = ref 0 and scr_uf = ref 0 and scr_ub = ref 0 in
   let scr_vi = ref 0 and scr_vf = ref 0 and scr_vb = ref 0 in
   let opnds_of k v = opnds_of kinds ~vr:(varying v) k v in
   let mk_ledge (src : block) (dst : block) : ledge =
-    let stage = ref [] in
+    (* [Some (uniform, destination slot, source)] per move, in phi order;
+       [None] for a phi with no incoming for [src] *)
+    let moves =
+      List.concat_map
+        (fun (pi : instr) ->
+          match pi.op with
+          | Phi { incoming; _ } -> (
+              match
+                ( List.find_opt (fun (b, _) -> b.bid = src.bid) incoming,
+                  kind_of pi )
+              with
+              | None, _ -> [ None ]
+              | Some (_, v), Some k ->
+                  let uni = not (Divergence.iid_divergent dv pi.iid) in
+                  List.map2
+                    (fun s o -> Some (uni, s, o))
+                    (slots_of_kind k) (opnds_of k v)
+              | Some _, None -> [])
+          | _ -> [])
+        dst.instrs
+    in
+    let writes = List.filter_map (Option.map (fun (_, s, _) -> s)) moves in
+    let conflicts = function
+      | Some (_, _, Oi (s, _)) -> List.mem (`I s) writes
+      | Some (_, _, Of (s, _)) -> List.mem (`F s) writes
+      | Some (_, _, Ob (s, _)) -> List.mem (`B s) writes
+      | _ -> false
+    in
+    let in_place = not (List.exists conflicts moves) in
     let ui = ref [] and uf = ref [] and ub = ref [] in
     let vi = ref [] and vf = ref [] and vb = ref [] in
-    let add ~(uni : bool) slot (o : opnd) =
-      let g =
-        match (slot, uni) with
-        | `I s, true ->
-            let k = List.length !ui and g = lu_iget o in
-            ui := (s * lw) :: !ui;
-            fun ls -> ls.luiscr.(k) <- g ls
-        | `F s, true -> (
-            let k = List.length !uf in
-            uf := (s * lw) :: !uf;
-            match o with
-            | Of (x, _) ->
-                let x = x * lw in
-                fun ls -> ls.lufscr.(k) <- ls.lfenv.(x)
-            | _ ->
-                let g = lu_fget o in
-                fun ls -> ls.lufscr.(k) <- g ls)
-        | `B s, true ->
-            let k = List.length !ub and g = lu_bget o in
-            ub := (s * lw) :: !ub;
-            fun ls -> ls.lubscr.(k) <- g ls
-        | `I s, false ->
-            let k = List.length !vi in
-            vi := (s * lw) :: !vi;
-            lv_imove_to (fun ls -> ls.lviscr) o (k * lw)
-        | `F s, false ->
-            let k = List.length !vf in
-            vf := (s * lw) :: !vf;
-            lv_fmove_to (fun ls -> ls.lvfscr) o (k * lw)
-        | `B s, false ->
-            let k = List.length !vb and g = lv_bget o in
-            vb := (s * lw) :: !vb;
-            fun ls ->
-              for l = 0 to ls.nl - 1 do
-                ls.lvbscr.((k * lw) + l) <- g ls l
-              done
-      in
-      stage := g :: !stage
+    (* Where a move of slot [s] writes: its base column in place, else the
+       next scratch index of its class ([scale] columns apart), recording
+       [s]'s base column for the commit. *)
+    let dest r s ~scale =
+      if in_place then s * lw
+      else begin
+        let k = List.length !r in
+        r := (s * lw) :: !r;
+        k * scale
+      end
     in
-    List.iter
-      (fun (pi : instr) ->
-        match pi.op with
-        | Phi { incoming; _ } -> (
-            match
-              ( List.find_opt (fun (b, _) -> b.bid = src.bid) incoming,
-                kind_of pi )
-            with
-            | None, _ ->
-                stage :=
-                  (fun _ -> trap "phi has no incoming for predecessor")
-                  :: !stage
-            | Some (_, v), Some k ->
-                let uni = not (Divergence.iid_divergent dv pi.iid) in
-                List.iter2 (add ~uni) (slots_of_kind k) (opnds_of k v)
-            | Some _, None -> ())
-        | _ -> ())
-      dst.instrs;
+    let ienv ls = ls.lienv and fenv ls = ls.lfenv and benv ls = ls.lbenv in
+    let ti, tf, tb, tvi, tvf, tvb =
+      if in_place then (ienv, fenv, benv, ienv, fenv, benv)
+      else
+        ( (fun ls -> ls.luiscr),
+          (fun ls -> ls.lufscr),
+          (fun ls -> ls.lubscr),
+          (fun ls -> ls.lviscr),
+          (fun ls -> ls.lvfscr),
+          fun ls -> ls.lvbscr )
+    in
+    let compile = function
+      | None -> fun _ -> trap "phi has no incoming for predecessor"
+      | Some (true, `I s, o) ->
+          let d = dest ui s ~scale:1 and g = lu_iget o in
+          fun ls -> (ti ls).(d) <- g ls
+      | Some (true, `F s, o) -> (
+          let d = dest uf s ~scale:1 in
+          match o with
+          | Of (x, _) ->
+              let x = x * lw in
+              fun ls -> (tf ls).(d) <- ls.lfenv.(x)
+          | _ ->
+              let g = lu_fget o in
+              fun ls -> (tf ls).(d) <- g ls)
+      | Some (true, `B s, o) ->
+          let d = dest ub s ~scale:1 and g = lu_bget o in
+          fun ls -> (tb ls).(d) <- g ls
+      | Some (false, `I s, o) -> lv_imove_to tvi o (dest vi s ~scale:lw)
+      | Some (false, `F s, o) -> lv_fmove_to tvf o (dest vf s ~scale:lw)
+      | Some (false, `B s, o) ->
+          let d = dest vb s ~scale:lw and g = lv_bget o in
+          fun ls ->
+            let t = tvb ls in
+            for l = 0 to ls.nl - 1 do
+              t.(d + l) <- g ls l
+            done
+    in
+    let stage = Array.of_list (List.map compile moves) in
     let arr r = Array.of_list (List.rev !r) in
     scr_ui := max !scr_ui (List.length !ui);
     scr_uf := max !scr_uf (List.length !uf);
@@ -1934,7 +1964,7 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     scr_vb := max !scr_vb (List.length !vb);
     {
       le_dst = Hashtbl.find bidx dst.bid;
-      le_stage = arr stage;
+      le_stage = stage;
       lu_im_dst = arr ui;
       lu_fm_dst = arr uf;
       lu_bm_dst = arr ub;
@@ -2371,11 +2401,11 @@ let take_ledge (ls : lane_state) (e : ledge) : int =
   let stage = e.le_stage in
   if Array.length stage > 0 then begin
     let lw = ls.lw and nl = ls.nl in
-    (* Stage every move against the predecessor's columns... *)
+    (* Run every move against the predecessor's columns... *)
     for k = 0 to Array.length stage - 1 do
       stage.(k) ls
     done;
-    (* ...then commit. *)
+    (* ...then commit what was staged (nothing on an in-place edge). *)
     let d = e.lu_im_dst in
     for k = 0 to Array.length d - 1 do
       ls.lienv.(d.(k)) <- ls.luiscr.(k)
@@ -2567,27 +2597,13 @@ let reset_lane_batch (ls : lane_state) ~(base : int) ~(nl : int) : unit =
 
 (* -- Public interface -------------------------------------------------------- *)
 
-(* Default lane width: 8, dropping to 4 for kernels with many live slots
-   (a wide batch of a slot-heavy kernel blows the L1-resident working set
-   of the lane environments). *)
-let lane_width_for (fn : func) : int =
-  let n =
-    fold_instrs
-      (fun acc i ->
-        match type_of_opcode i.op with
-        | Void -> acc
-        | _ -> acc + 1
-        | exception Invalid_argument _ -> acc)
-      0 fn
-  in
-  if n > 96 then 4 else 8
+(** The widest lane batch, and the width {!prepare} compiles for by
+    default: every work-group of up to this many work-items sweeps each
+    barrier region as one batch (pocl's whole-group work-item loop). *)
+let max_lane_width = 256
 
-let prepare ?lane_width (fn : func) : compiled =
-  let lane_width =
-    match lane_width with
-    | Some w -> max 1 (min w 16)
-    | None -> lane_width_for fn
-  in
+let prepare ?(lane_width = max_lane_width) (fn : func) : compiled =
+  let lane_width = max 1 (min lane_width max_lane_width) in
   let slots = Hashtbl.create 64 in
   let n = ref 0 in
   iter_instrs

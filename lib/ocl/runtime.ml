@@ -9,7 +9,8 @@
       struct-of-arrays lane slots, or in batches of one where the region
       needs per-work-item control flow (a divergent branch outside a
       maskable diamond, a private alloca); live values crossing region
-      boundaries ride in per-work-item context arrays;
+      boundaries ride in per-work-item context arrays, or stay in the
+      lane slots where one batch sweeps the whole group on both sides;
     - {b fiber}: the effect-handler scheduler over the tree engine, kept
       as the differential oracle and as the path for kernels with
       divergent barriers (where it detects the divergence dynamically).
@@ -173,6 +174,9 @@ let choose_path (c : Interp.compiled) ~(force_path : path option) : path =
    of spreading a handful of groups over every core. *)
 let min_groups_per_domain = 2
 
+(** How {!launch} runs [c] on [cfg]: the path {!choose_path} picks, its
+    lane batches no wider than one work-group (the width the sweep really
+    runs), and the domains the NDRange can keep busy. *)
 let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
     ?(domains = 1) () : exec_plan =
   let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
@@ -186,8 +190,13 @@ let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
     if n_groups < 2 then 1
     else min d (max 1 (n_groups / min_groups_per_domain))
   in
+  let path =
+    match choose_path c ~force_path with
+    | Lanes w -> Lanes (max 1 (min w (lx * ly * lz)))
+    | Fiber -> Fiber
+  in
   {
-    path = choose_path c ~force_path;
+    path;
     domains_used = d;
     domains_requested = requested;
     domains_clamped = d < requested;
@@ -389,7 +398,9 @@ let run_group_fibers (x : exec_ctx) ~(states : Interp.wi_state array)
    one wide otherwise — then advance the whole group past the barrier and
    sweep the next region. Values that survive a region boundary are
    spilled to (and restored from) each work-item's row of the context
-   matrices, so batch widths may differ from region to region. Each
+   matrices, so batch widths may differ from region to region. A barrier
+   with one batch covering the group on both sides skips that round trip:
+   the lane environment already holds every work-item's values. Each
    work-item's accesses keep its program order, which is all the trace
    consumers depend on, so results are bit-identical to the fiber
    scheduler.
@@ -405,24 +416,35 @@ let run_group_lanes (x : exec_ctx) ~(ln : Interp.clanes)
   (* A one-lane region after a W-wide one reads offsets no batch of this
      group wrote yet: start every work-item's from zero. *)
   Array.fill priv 0 n 0;
+  (* Batch width of the region entered at [entry] (0 = kernel entry,
+     [b+1] = past barrier [b]). A barrier [b] reached from region [from]
+     keeps its live values in the lane environment when one batch sweeps
+     both sides: the spill round trip would write them back unchanged. *)
+  let width_at entry = if ln.Interp.lentry.(entry) then width else 1 in
+  let keeps b ~from = n <= width_at from && n <= width_at (b + 1) in
   let cur = ref 0 in
   let entered = ref (-1) in
   (* barrier we resumed from; -1 = kernel entry *)
+  let came_from = ref 0 in
+  (* entry of the region swept before [entered] *)
   let finished = ref false in
   while not !finished do
     (* -2 = no batch has exited this region yet *)
     let exit0 = ref (-2) in
-    let bw = if ln.Interp.lentry.(!entered + 1) then width else 1 in
+    let region = !entered + 1 in
+    let bw = width_at region in
+    let restore = !entered >= 0 && not (keeps !entered ~from:!came_from) in
     let base = ref 0 in
     while !base < n do
       let nl = min bw (n - !base) in
       Interp.reset_lane_batch lst ~base:!base ~nl;
-      if !entered >= 0 then
+      if restore then
         Interp.lane_spill_restore lst ln ~bar:!entered ~ictx ~fctx ~bctx;
       if bw = 1 then lst.Interp.lpriv <- priv.(!base);
       let e = Interp.run_lane_region lst ln ~from:!cur in
       if e >= 0 then begin
-        Interp.lane_spill_save lst ln ~bar:e ~ictx ~fctx ~bctx;
+        if not (keeps e ~from:region) then
+          Interp.lane_spill_save lst ln ~bar:e ~ictx ~fctx ~bctx;
         if bw = 1 then priv.(!base) <- lst.Interp.lpriv
       end;
       if !exit0 = -2 then exit0 := e
@@ -438,6 +460,7 @@ let run_group_lanes (x : exec_ctx) ~(ln : Interp.clanes)
       (* The whole group arrived: this sweep boundary is the barrier. *)
       x.stats.Trace.barrier_rounds <- x.stats.Trace.barrier_rounds + 1;
       (match x.san with Some s -> Sanitize.barrier_round s | None -> ());
+      came_from := region;
       entered := !exit0;
       cur := ln.Interp.bar_entry.(!exit0)
     end

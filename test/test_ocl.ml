@@ -585,13 +585,15 @@ let path_t =
     ( = )
 
 let check_default_plan ~(label : string) (c : Interp.compiled)
-    ~(cfg : Runtime.launch_config) (want : Runtime.path) =
+    ~(cfg : Runtime.launch_config) ?planned (want : Runtime.path) =
   Alcotest.check path_t (label ^ ": default path") want (Runtime.default_path c);
-  (* [plan] with no arguments must agree, unless the environment forces a
-     path for the whole run. *)
+  (* [plan] with no arguments must agree — its batches no wider than
+     [planned], one work-group — unless the environment forces a path for
+     the whole run. *)
   match Runtime.env_force_path () with
   | None ->
-      Alcotest.check path_t (label ^ ": planned path") want
+      Alcotest.check path_t (label ^ ": planned path")
+        (Option.value planned ~default:want)
         (Runtime.plan c ~cfg ()).Runtime.path
   | Some _ -> ()
 
@@ -599,13 +601,20 @@ let suite_cfg (case : Kit.case) : Runtime.launch_config =
   let w = case.Kit.mk ~scale:8 in
   { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
 
+(* A launch plans batches of [min W group]: a 64-item group (AMD-SS,
+   AMD-MT, AMD-MM, NVD-NBody, ROD-SC) runs 64-lane batches of code
+   compiled at W = 256. *)
 let test_grover_versions_plan_wgvec () =
   List.iter
     (fun (case : Kit.case) ->
       let fn, _ = H.compile_version case H.Without_lm in
-      let c = Interp.prepare fn in
-      check_default_plan ~label:case.Kit.id c ~cfg:(suite_cfg case)
-        (Runtime.Lanes (Interp.lane_width_of c)))
+      let c = Interp.prepare fn and cfg = suite_cfg case in
+      let w = Interp.lane_width_of c and lx, ly, lz = cfg.Runtime.local in
+      Alcotest.(check int) (case.Kit.id ^ ": compiled width")
+        Interp.max_lane_width w;
+      check_default_plan ~label:case.Kit.id c ~cfg
+        ~planned:(Runtime.Lanes (min w (lx * ly * lz)))
+        (Runtime.Lanes w))
     Grover_suite.Suite.all
 
 let test_divergent_store_plans_one_lane () =
@@ -742,16 +751,19 @@ let prop_spill_preserves_results =
       let f_tot, f_bufs = run true in
       d_tot = f_tot && compare d_bufs f_bufs = 0)
 
-(* Lane width is an implementation knob, not a semantic one: W ∈ {1,4,8}
-   must be output-invariant for every launch shape, including group sizes
-   that are not a multiple of W (the final batch of a sweep shrinks to
-   the remainder — the peeled tail). The every-spill-kind kernel above
-   runs under the forced wg-vec plan at each width and is compared
-   against the fiber scheduler bit for bit. *)
+(* Lane width is an implementation knob, not a semantic one: W ∈
+   {1,4,8,256} must be output-invariant for every launch shape, including
+   group sizes that are not a multiple of W (the final batch of a sweep
+   shrinks to the remainder — the peeled tail) and groups one batch of
+   the default W = 256 covers (no spill round trip at the barrier). The
+   every-spill-kind kernel above runs under the forced wg-vec plan at
+   each width and is compared against the fiber scheduler bit for bit. *)
 let prop_lane_width_invariant =
-  QCheck.Test.make ~name:"lane width W in {1,4,8} is output-invariant"
+  QCheck.Test.make ~name:"lane width W in {1,4,8,256} is output-invariant"
     ~count:20
-    QCheck.(triple (int_range 1 6) (int_range 1 16) (oneofl [ 1; 4; 8 ]))
+    QCheck.(
+      triple (int_range 1 6) (int_range 1 16)
+        (oneofl [ 1; 4; 8; Interp.max_lane_width ]))
     (fun (groups, wg, width) ->
       let n = groups * wg in
       let run mode =
@@ -1436,7 +1448,7 @@ let test_out_of_bounds_trapped () =
    One test per builtin family: the tree engine, the W-wide lane batches
    (the compiled default plan) and one-lane batches must all produce the
    host-computed components bit for bit. Groups of 6 work-items are
-   smaller than the default lane width of 8, so every W-wide batch runs
+   smaller than the default lane width of 256, so every W-wide batch runs
    with inactive tail lanes. *)
 
 let vec_n = 12
@@ -1546,10 +1558,11 @@ let test_vec_sqrt () =
    a pure divergent diamond. Two accesses read a batch-uniform column: a
    store of a group-uniform float4 to [__local], and a [__local] load at
    the counter of a uniform loop (NBody's [sh[j]]). The tree engine under
-   fibers and the compiled lane code in W-wide (W in {1,4,8}) and one-lane
-   batches must agree bit for bit on buffers, totals and each group's
-   counters and per-work-item event stream, at group sizes that are not
-   multiples of W; the W-wide run must really batch every region. *)
+   fibers and the compiled lane code in W-wide (W in {1,4,8,256}) and
+   one-lane batches must agree bit for bit on buffers, totals and each
+   group's counters and per-work-item event stream, at group sizes that
+   are not multiples of W (at W = 256, one batch sweeps each group); the
+   W-wide run must really batch every region. *)
 
 (* One group's observable trace: its counters and its events, stably
    sorted by work-item so each work-item's program order is kept whatever
@@ -1613,7 +1626,7 @@ let prop_float4_kernels_agree =
     QCheck.(
       pair (make ~print:Fun.id float4_kernel_gen)
         (triple (int_range 1 3) (int_range 1 13)
-           (oneofl ~print:string_of_int [ 1; 4; 8 ])))
+           (oneofl ~print:string_of_int [ 1; 4; 8; Interp.max_lane_width ])))
     (fun (src, (groups, wg, width)) ->
       let n = groups * wg in
       let run ?lane_width force_path =
@@ -1652,11 +1665,12 @@ let prop_float4_kernels_agree =
    counter, one indexed by [get_local_id], one live across a uniform
    barrier), a loop whose trip count depends on [get_local_id], a
    divergent store outside any diamond, two barriers inside a uniform loop
-   and int4 arithmetic. The compiled default plan at W in {1,4,8} must
-   match tree+fiber bit for bit at group sizes that are not multiples of
-   W: buffers (private and local scratch included), totals and each
-   group's counters and per-work-item event stream on one domain; global
-   buffers and totals on two. *)
+   and int4 arithmetic. The compiled default plan at W in {1,4,8,256}
+   must match tree+fiber bit for bit at group sizes that are not
+   multiples of W: buffers (private and local scratch included), totals
+   and each group's counters and per-work-item event stream on one
+   domain; global buffers and totals on two. At W = 256 one batch sweeps
+   each W-wide region, next to one-lane regions swept item by item. *)
 
 let random_kernel_gen =
   let open QCheck.Gen in
@@ -1699,14 +1713,14 @@ let random_kernel_gen =
        (quad small small small (pair small small))
        (triple (triple (int_range 1 5) comp comp) pred (int_range 0 3)))
 
-let run_random_kernel src ?lane_width ?force_path ~domains ~n ~wg ~reps () =
+(* One 1-D launch of [src] compiled at [lane_width] on the arguments
+   [setup] allocates in a fresh memory: its totals, its buffers (every
+   space on one domain, the global ones on more) and, on one domain,
+   each group's [group_trace]. *)
+let run_traced src ?lane_width ?force_path ~setup ~domains ~n ~wg () =
   let fn = lower_one src in
   let mem = Memory.create () in
-  let out = Memory.alloc mem Ssa.I32 n in
-  let vout = Memory.alloc mem (Ssa.Vec (Ssa.I32, 4)) n in
-  let dout = Memory.alloc mem Ssa.I32 n in
-  let a = Memory.alloc mem Ssa.I32 n in
-  Memory.fill_ints a (fun i -> (i * 5 mod 11) - 3);
+  let args = setup mem in
   let c = Interp.prepare ?lane_width fn in
   let groups = ref [] in
   let on_group =
@@ -1716,13 +1730,51 @@ let run_random_kernel src ?lane_width ?force_path ~domains ~n ~wg ~reps () =
   let totals =
     Runtime.launch c
       ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
-      ~args:
-        [ Runtime.Abuf out; Runtime.Abuf vout; Runtime.Abuf dout;
-          Runtime.Abuf a; Runtime.Aint n; Runtime.Aint reps ]
-      ~mem ?on_group ~domains ?force_path ()
+      ~args ~mem ?on_group ~domains ?force_path ()
   in
   let bufs = if domains = 1 then snapshot_buffers mem else snapshot_globals mem in
   (totals, bufs, List.rev !groups)
+
+(* [src] at [lane_width] (the default W when [None]) against tree+fiber,
+   as named verdicts: bit-identical buffers, totals and group traces on
+   one domain, and global buffers and totals on two. *)
+let traced_vs_fibers src ?lane_width ~setup ~n ~wg () : (string * bool) list =
+  let t_tot, t_bufs, t_trace =
+    run_traced src ~force_path:Runtime.Fiber ~setup ~domains:1 ~n ~wg ()
+  in
+  let c_tot, c_bufs, c_trace =
+    run_traced src ?lane_width ~setup ~domains:1 ~n ~wg ()
+  in
+  let p_tot, p_bufs, _ =
+    with_domain_cap 2 (fun () ->
+        run_traced src ?lane_width ~setup ~domains:2 ~n ~wg ())
+  in
+  let t_globals =
+    List.filter
+      (fun (_, sp, _) ->
+        match sp with Ssa.Global | Ssa.Constant -> true | _ -> false)
+      t_bufs
+  in
+  [ ("identical launch totals", t_tot = c_tot);
+    ("bit-identical buffers", compare t_bufs c_bufs = 0);
+    ("identical group traces", compare t_trace c_trace = 0);
+    ("identical totals on 2 domains", t_tot = p_tot);
+    ("bit-identical globals on 2 domains", compare t_globals p_bufs = 0) ]
+
+let check_traced_against_fibers ~(label : string) src ?lane_width ~setup ~n
+    ~wg () =
+  List.iter
+    (fun (what, ok) -> Alcotest.(check bool) (label ^ ": " ^ what) true ok)
+    (traced_vs_fibers src ?lane_width ~setup ~n ~wg ())
+
+let random_kernel_args ~n ~reps mem =
+  let out = Memory.alloc mem Ssa.I32 n in
+  let vout = Memory.alloc mem (Ssa.Vec (Ssa.I32, 4)) n in
+  let dout = Memory.alloc mem Ssa.I32 n in
+  let a = Memory.alloc mem Ssa.I32 n in
+  Memory.fill_ints a (fun i -> (i * 5 mod 11) - 3);
+  [ Runtime.Abuf out; Runtime.Abuf vout; Runtime.Abuf dout; Runtime.Abuf a;
+    Runtime.Aint n; Runtime.Aint reps ]
 
 let prop_random_kernels_agree =
   QCheck.Test.make
@@ -1731,33 +1783,135 @@ let prop_random_kernels_agree =
     QCheck.(
       pair (make ~print:Fun.id random_kernel_gen)
         (quad (int_range 1 4) (int_range 1 13)
-           (oneofl ~print:string_of_int [ 1; 4; 8 ])
+           (oneofl ~print:string_of_int [ 1; 4; 8; Interp.max_lane_width ])
            (int_range 0 2)))
     (fun (src, (groups, wg, width, reps)) ->
       let n = groups * wg in
-      let t_tot, t_bufs, t_trace =
-        run_random_kernel src ~force_path:Runtime.Fiber ~domains:1 ~n ~wg
-          ~reps ()
+      List.for_all snd
+        (traced_vs_fibers src ~lane_width:width ~setup:(random_kernel_args ~n ~reps)
+           ~n ~wg ()))
+
+(* -- One batch per work-group --------------------------------------------------
+   At the default W = 256 a work-group of up to 256 work-items sweeps each
+   region as one batch, and a barrier with one batch on both sides keeps
+   its live values in the lane slots instead of a round trip through the
+   context rows. This kernel keeps an int, a float and a float4 (and
+   uniform values) live across two barriers in a uniform loop, with a
+   [__local] array sized for the group. It must match tree+fiber when one
+   batch covers the group (1, 64 and 256 work-items: no spill), when two
+   batches do (257: the spill path) and at W = 4 (9 work-items, three
+   batches). *)
+
+let group_spill_source wg =
+  Printf.sprintf
+    {|__kernel void k(__global float4 *vout, __global float *fout,
+                      __global int *iout, __global const float4 *a,
+                      __global const float *b, int reps) {
+        __local float tmp[%d];
+        int l = get_local_id(0);
+        int g = get_global_id(0);
+        int n = get_local_size(0);
+        int li = l * 3 + 1;
+        float fv = b[g] * 0.5f;
+        float4 v = a[g];
+        float fu = (float)reps * 0.25f;
+        for (int r = 0; r < reps; r++) {
+          tmp[l] = fv + (float)li;
+          barrier(CLK_LOCAL_MEM_FENCE);
+          fv = fv * 0.5f + tmp[(l + 1) %% n];
+          li = (li * 5 + l + r) %% 1009;
+          barrier(CLK_LOCAL_MEM_FENCE);
+          v = v * 0.5f + (float4)(fv, (float)li, fu, (float)r);
+        }
+        vout[g] = v;
+        fout[g] = fv + fu;
+        iout[g] = li + n;
+      }|}
+    wg
+
+let test_group_batches_spill () =
+  List.iter
+    (fun (lane_width, wg) ->
+      let src = group_spill_source wg and n = 4 * wg in
+      let label =
+        Printf.sprintf "W=%d, group of %d"
+          (Option.value lane_width ~default:Interp.max_lane_width)
+          wg
       in
-      let c_tot, c_bufs, c_trace =
-        run_random_kernel src ~lane_width:width ~domains:1 ~n ~wg ~reps ()
+      let c = Interp.prepare ?lane_width (lower_one src) in
+      Alcotest.(check (option (array bool)))
+        (label ^ ": three W-wide regions") (Some [| true; true; true |])
+        (Interp.lane_entry_flags c);
+      let setup mem =
+        let v4 = Ssa.Vec (Ssa.F32, 4) in
+        let vout = Memory.alloc mem v4 n and fout = Memory.alloc mem Ssa.F32 n in
+        let iout = Memory.alloc mem Ssa.I32 n in
+        let a = Memory.alloc mem v4 n and b = Memory.alloc mem Ssa.F32 n in
+        Memory.fill_floats a (fun k -> float_of_int ((k * 7 mod 23) - 11) /. 8.0);
+        Memory.fill_floats b (fun k -> float_of_int ((k * 5 mod 17) - 8) /. 4.0);
+        [ Runtime.Abuf vout; Runtime.Abuf fout; Runtime.Abuf iout;
+          Runtime.Abuf a; Runtime.Abuf b; Runtime.Aint 3 ]
       in
-      let p_tot, p_bufs, _ =
-        with_domain_cap 2 (fun () ->
-            run_random_kernel src ~lane_width:width ~domains:2 ~n ~wg ~reps
-              ())
+      check_traced_against_fibers ~label src ?lane_width ~setup ~n ~wg ())
+    [ (None, 1); (None, 64); (None, 256); (None, 257); (Some 4, 9) ]
+
+(* -- Phi moves in place --------------------------------------------------------
+   An edge whose phi moves read no slot they write moves in place; an
+   edge where one move reads a phi another move writes must stage. Here
+   the loop's back edge rotates [t = a; a = b; b = t + 1] and swaps two
+   floats, uniform or varying; moved in place, the swap would read the
+   value it just wrote. At W in {1,8,256} the result must match
+   tree+fiber, and the back edge must really stage. *)
+
+let phi_rotation_source ~varying =
+  let a, b, p, q =
+    if varying then ("g", "l * 2 + 1", "x[g]", "x[g] * 0.5f + 1.0f")
+    else ("reps", "reps * 2 + 1", "0.5f", "(float)reps + 0.25f")
+  in
+  Printf.sprintf
+    {|__kernel void k(__global int *iout, __global float *fout,
+                      __global const float *x, int reps) {
+        int g = get_global_id(0);
+        int l = get_local_id(0);
+        int a = %s;
+        int b = %s;
+        float p = %s;
+        float q = %s;
+        float s = 0.0f;
+        for (int k = 0; k < reps; k++) {
+          s = s + p * (float)(a - b);
+          int t = a; a = b; b = t + 1;
+          float u = p; p = q; q = u;
+        }
+        iout[g] = a * 3 + b;
+        fout[g] = s + p - q * 2.0f;
+      }|}
+    a b p q
+
+let test_phi_rotation ~varying () =
+  let src = phi_rotation_source ~varying and wg = 13 in
+  let n = 3 * wg in
+  List.iter
+    (fun w ->
+      let label =
+        Printf.sprintf "%s, W=%d" (if varying then "varying" else "uniform") w
       in
-      let t_globals =
-        List.filter
-          (fun (_, sp, _) ->
-            match sp with Ssa.Global | Ssa.Constant -> true | _ -> false)
-          t_bufs
+      (match (Interp.prepare ~lane_width:w (lower_one src)).Interp.code with
+      | Some ln ->
+          let staged =
+            if varying then ln.Interp.lscr_vi > 0 && ln.Interp.lscr_vf > 0
+            else ln.Interp.lscr_ui > 0 && ln.Interp.lscr_uf > 0
+          in
+          Alcotest.(check bool) (label ^ ": back edge stages") true staged
+      | None -> Alcotest.failf "%s: no lane code" label);
+      let setup mem =
+        let iout = Memory.alloc mem Ssa.I32 n and fout = Memory.alloc mem Ssa.F32 n in
+        let x = Memory.alloc mem Ssa.F32 n in
+        Memory.fill_floats x (fun k -> float_of_int ((k * 5 mod 17) - 8) /. 4.0);
+        [ Runtime.Abuf iout; Runtime.Abuf fout; Runtime.Abuf x; Runtime.Aint 5 ]
       in
-      t_tot = c_tot
-      && compare t_bufs c_bufs = 0
-      && compare t_trace c_trace = 0
-      && t_tot = p_tot
-      && compare t_globals p_bufs = 0)
+      check_traced_against_fibers ~label src ~lane_width:w ~setup ~n ~wg ())
+    [ 1; 8; Interp.max_lane_width ]
 
 (* -- Lane verdicts of the suite ---------------------------------------------------
    The plan name stays wg-vec when a region runs one-lane batches, so the
@@ -1864,6 +2018,13 @@ let suite =
         QCheck_alcotest.to_alcotest prop_float4_kernels_agree ] );
     ( "random-kernels",
       [ QCheck_alcotest.to_alcotest prop_random_kernels_agree ] );
+    ( "group-batches",
+      [ Alcotest.test_case "spills across two barriers = tree+fiber" `Quick
+          test_group_batches_spill;
+        Alcotest.test_case "uniform phi rotation = tree+fiber" `Quick
+          (test_phi_rotation ~varying:false);
+        Alcotest.test_case "varying phi rotation = tree+fiber" `Quick
+          (test_phi_rotation ~varying:true) ] );
     ( "lane-verdicts",
       [ Alcotest.test_case "suite regions batch as pinned" `Quick
           test_suite_lane_flags ] );

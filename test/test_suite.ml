@@ -149,25 +149,33 @@ let test_table3_indexes () =
   | _ -> Alcotest.fail "ROD-SC: expected one report"
 
 (* [Harness.wallclock] reports the batch width of the plan it timed: the
-   compiled width on the default plan, one lane under a one-lane or fiber
-   GROVER_FORCE_PATH (it takes no path of its own). *)
+   compiled width clamped to the work-group on the default plan (NVD-MT's
+   256-item groups run 256 lanes, AMD-MT's 64-item groups 64), one lane
+   under a one-lane or fiber GROVER_FORCE_PATH (it takes no path of its
+   own). *)
 let test_wallclock_lane_width () =
-  let case = Grover_suite.Nvd_mt.case in
   List.iter
-    (fun v ->
-      let fn, _ = H.compile_version case v in
-      let timed force =
-        Test_ocl.with_force_path force (fun () ->
-            let r = H.wallclock case fn ~scale:8 in
-            (r.H.wc_path, r.H.wc_lane_width))
-      in
-      let compiled = Interp.lane_width_of (Interp.prepare fn) in
-      Alcotest.(check bool) "NVD-MT compiles W-wide" true (compiled > 1);
-      Alcotest.(check (pair string int)) "unset" ("wg-vec", compiled) (timed "");
-      Alcotest.(check (pair string int)) "fiber" ("fiber", 1) (timed "fiber");
-      Alcotest.(check (pair string int)) "wg-loop" ("wg-vec", 1)
-        (timed "wg-loop"))
-    [ H.With_lm; H.Without_lm ]
+    (fun ((case : Kit.case), group) ->
+      List.iter
+        (fun v ->
+          let fn, _ = H.compile_version case v in
+          let timed force =
+            Test_ocl.with_force_path force (fun () ->
+                let r = H.wallclock case fn ~scale:8 in
+                (r.H.wc_path, r.H.wc_lane_width))
+          in
+          let label what = Printf.sprintf "%s %s" case.Kit.id what in
+          let compiled = Interp.lane_width_of (Interp.prepare fn) in
+          Alcotest.(check int) (label "compiled width")
+            Interp.max_lane_width compiled;
+          Alcotest.(check (pair string int)) (label "unset") ("wg-vec", group)
+            (timed "");
+          Alcotest.(check (pair string int)) (label "fiber") ("fiber", 1)
+            (timed "fiber");
+          Alcotest.(check (pair string int)) (label "wg-loop") ("wg-vec", 1)
+            (timed "wg-loop"))
+        [ H.With_lm; H.Without_lm ])
+    [ (Grover_suite.Nvd_mt.case, 256); (Grover_suite.Amd_mt.case, 64) ]
 
 let suite =
   [ ("benchmarks", per_case_tests);
