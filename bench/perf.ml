@@ -17,8 +17,8 @@
      one-lane batches (AMD-SS, PAB-ST, ROD-SC), and
    - minor-heap words per work-item of the float4 kernels (TNG-GEMM4,
      NVD-NBody), gated at [alloc_limit], and
-   - memsim replay: events/sec of NVD-MT's captured groups through fresh
-     SNB, Nehalem and MIC simulators.
+   - memsim replay: events/sec of NVD-MT's and PAB-ST with_lm's captured
+     groups through fresh SNB, Nehalem and MIC simulators.
 
    Every launch-throughput, one-lane and allocation row times the
    fastest of at least 3 launches (5 with --quick) that together ran at
@@ -489,19 +489,24 @@ let report_alloc (rows : alloc_row list) : unit =
 (* -- Memsim replay ----------------------------------------------------------------
 
    Events per second through the performance simulator, with no execution
-   timed. The groups of one NVD-MT launch per version, at the size the
-   rows above time, are copied out of the pooled [on_group] buffer once,
-   each as work-group 0: every group replays on core 0, as in earlier
-   runs of these rows. Each round then replays them through a fresh SNB,
-   Nehalem and MIC simulator: [create], every [consume] and [result].
-   Min of [replay_rounds] per row. *)
+   timed. The groups of one launch are copied out of the pooled
+   [on_group] buffer once, each as work-group 0: every group replays on
+   core 0, as in earlier runs of these rows. NVD-MT's groups (both
+   versions, at the size the rows above time) are swept as one batch per
+   region, so each is in lockstep order and replays in place; PAB-ST
+   with_lm's (scale 1) run region 0 in one-lane batches, so each goes
+   through the simulator's lane index. Each round then replays them
+   through a fresh SNB, Nehalem and MIC simulator: [create], every
+   [consume] and [result]. Min of [replay_rounds] per row. *)
 
 module Sim = Grover_memsim.Simulate
 
 type replay_row = {
+  rr_case : string;
   rr_version : H.version;
   rr_platform : string;
   rr_groups : int;
+  rr_lockstep : int;  (** groups in lockstep order, replayed in place *)
   rr_events : int;
   rr_seconds : float;
   rr_events_per_sec : float;
@@ -509,10 +514,10 @@ type replay_row = {
 
 let replay_rounds = 20
 
-let capture_groups ~(version : H.version) ~(n : int) : bool * Trace.wg_stats array =
-  let fn, _ = H.compile_version Nvd_mt.case version in
+let capture_groups (case : Kit.case) ~(version : H.version) (w : Kit.workload) :
+    bool * Trace.wg_stats array =
+  let fn, _ = H.compile_version case version in
   let compiled = Interp.prepare fn in
-  let w = mk_transpose ~n in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
   let groups = ref [] in
   let on_group (s : Trace.wg_stats) =
@@ -522,7 +527,6 @@ let capture_groups ~(version : H.version) ~(n : int) : bool * Trace.wg_stats arr
         s with
         Trace.wg_id = 0;
         ev_addr = Array.sub s.Trace.ev_addr 0 n;
-        ev_bytes = Array.sub s.Trace.ev_bytes 0 n;
         ev_info = Array.sub s.Trace.ev_info 0 n;
       }
       :: !groups
@@ -531,10 +535,11 @@ let capture_groups ~(version : H.version) ~(n : int) : bool * Trace.wg_stats arr
   (H.uses_vector_types fn, Array.of_list (List.rev !groups))
 
 let replay_bench ~(n : int) () : replay_row list =
+  let pab_st = Grover_suite.Pab_st.case in
   let replays =
     List.concat_map
-      (fun version ->
-        let vectorized, groups = capture_groups ~version ~n in
+      (fun ((case : Kit.case), version, w) ->
+        let vectorized, groups = capture_groups case ~version w in
         List.map
           (fun (plat : Grover_memsim.Platform.t) ->
             let replay () =
@@ -542,15 +547,17 @@ let replay_bench ~(n : int) () : replay_row list =
               Array.iter (Sim.consume sim) groups;
               Sim.result sim
             in
-            (version, plat, groups, replay, replay (), ref infinity))
+            (case, version, plat, groups, replay, replay (), ref infinity))
           Grover_memsim.Platform.cache_only)
-      [ H.With_lm; H.Without_lm ]
+      [ (Nvd_mt.case, H.With_lm, mk_transpose ~n);
+        (Nvd_mt.case, H.Without_lm, mk_transpose ~n);
+        (pab_st, H.With_lm, pab_st.Kit.mk ~scale:1) ]
   in
   (* Rounds visit every row in turn, so a slow spell of a shared host
      lands on all rows' rounds alike instead of on one row's minimum. *)
   for _ = 1 to replay_rounds do
     List.iter
-      (fun (_, _, _, replay, expected, best) ->
+      (fun (_, _, _, _, replay, expected, best) ->
         let t0 = Unix.gettimeofday () in
         let r = replay () in
         let dt = Unix.gettimeofday () -. t0 in
@@ -559,12 +566,22 @@ let replay_bench ~(n : int) () : replay_row list =
       replays
   done;
   List.map
-    (fun (version, (plat : Grover_memsim.Platform.t), groups, _, _, best) ->
+    (fun ((case : Kit.case), version, (plat : Grover_memsim.Platform.t), groups, _, _, best) ->
       let events = Array.fold_left (fun a s -> a + s.Trace.n_events) 0 groups in
+      let sim = Sim.create plat in
+      let lockstep =
+        Array.fold_left
+          (fun a s ->
+            Sim.index_lanes sim s;
+            a + Bool.to_int sim.Sim.lockstep)
+          0 groups
+      in
       {
+        rr_case = case.Kit.id;
         rr_version = version;
         rr_platform = plat.Grover_memsim.Platform.name;
         rr_groups = Array.length groups;
+        rr_lockstep = lockstep;
         rr_events = events;
         rr_seconds = !best;
         rr_events_per_sec = float_of_int events /. !best;
@@ -573,15 +590,17 @@ let replay_bench ~(n : int) () : replay_row list =
 
 let report_replay ~(n : int) (rows : replay_row list) : unit =
   Printf.printf
-    "\nmemsim replay: NVD-MT %dx%d groups captured once (all on core 0), \
-     replayed through a fresh simulator (create + consume + result), min of %d\n"
+    "\nmemsim replay: NVD-MT %dx%d and PAB-ST (scale 1) groups captured once \
+     (all on core 0), replayed through a fresh simulator (create + consume + \
+     result), min of %d\n"
     n n replay_rounds;
-  Printf.printf "%-12s %-8s %8s %10s %12s %14s\n" "version" "platform" "groups"
-    "events" "seconds" "events/sec";
+  Printf.printf "%-8s %-12s %-8s %8s %9s %10s %12s %14s\n" "case" "version" "platform"
+    "groups" "lockstep" "events" "seconds" "events/sec";
   List.iter
     (fun r ->
-      Printf.printf "%-12s %-8s %8d %10d %12.4f %14.0f\n" (version_name r.rr_version)
-        r.rr_platform r.rr_groups r.rr_events r.rr_seconds r.rr_events_per_sec)
+      Printf.printf "%-8s %-12s %-8s %8d %9d %10d %12.4f %14.0f\n" r.rr_case
+        (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_lockstep
+        r.rr_events r.rr_seconds r.rr_events_per_sec)
     rows
 
 (* -- Multi-launch (out-of-order queue) throughput -----------------------------
@@ -940,7 +959,6 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   Printf.fprintf oc
     "  ],\n\
     \  \"memsim_replay\": {\n\
-    \    \"case\": \"NVD-MT\",\n\
     \    \"n\": %d,\n\
     \    \"core\": 0,\n\
     \    \"rounds\": %d,\n\
@@ -949,9 +967,11 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   List.iteri
     (fun k r ->
       Printf.fprintf oc
-        "      {\"version\": \"%s\", \"platform\": \"%s\", \"groups\": %d, \
-         \"events\": %d, \"seconds\": %.6f, \"events_per_sec\": %.0f}%s\n"
-        (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_events
+        "      {\"case\": \"%s\", \"version\": \"%s\", \"platform\": \"%s\", \
+         \"groups\": %d, \"lockstep_groups\": %d, \"events\": %d, \
+         \"seconds\": %.6f, \"events_per_sec\": %.0f}%s\n"
+        r.rr_case (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_lockstep
+        r.rr_events
         r.rr_seconds r.rr_events_per_sec
         (if k = List.length replay - 1 then "" else ","))
     replay;

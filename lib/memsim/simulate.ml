@@ -25,14 +25,18 @@
     no reference to it (or its event arrays) is retained. The simulator's
     own working storage (the lane index and the per-step dedup buffer) is
     likewise pooled in the instance, so replaying a trace allocates
-    nothing once the buffers have grown to the largest group.
+    nothing once the buffers have grown to the largest group. A group
+    whose events are already in lockstep order — the k-th access of every
+    work-item in turn, as one lane batch per region records them — is
+    replayed in place, without a lane index.
 
     Every cache level of a platform shares one line size (on GPUs, the
     coalescing segment), so an access's line or segment number is shifted
     out of its address once and handed to every level. The replay loops
-    read [Trace]'s event arrays and decode the info word inline: with
-    [-opaque] no call into another module is inlined, and a per-event call
-    costs more than the arithmetic it would do.
+    read [Trace]'s two event arrays and decode the info word (work-item,
+    width, space, write bit) inline: with [-opaque] no call into another
+    module is inlined, and a per-event call costs more than the arithmetic
+    it would do.
 
     The total is the maximum over cores (cores run concurrently). *)
 
@@ -67,8 +71,12 @@ type t = {
   shared : Cache.t option;  (** LLC (CPU) or device L2 (GPU) *)
   bd : breakdown;
   mutable groups : int;
+  mutable lockstep : bool;
+      (** the group's events are in lockstep order: lane [l]'s [k]-th
+          event is [l + k * wg_size], and [lane_start]/[lane_evs] are not
+          built *)
   mutable lane_start : int array;
-  mutable lane_count : int array;
+  mutable lane_count : int array;  (** events per lane, in either order *)
   mutable lane_evs : int array;
       (** lane index: the group's event indices sorted by work-item, each
           lane's in execution order; lane [l] owns
@@ -121,6 +129,7 @@ let create ?(vectorized = false) (plat : P.t) : t =
     shared;
     bd = { compute = 0.0; memory = 0.0; barrier = 0.0; spm = 0.0 };
     groups = 0;
+    lockstep = false;
     lane_start = [||];
     lane_count = [||];
     lane_evs = [||];
@@ -135,40 +144,65 @@ let create ?(vectorized = false) (plat : P.t) : t =
 
 (* -- Lane index and dedup buffer, shared by both engines ---------------------- *)
 
-(* Counting-sort the group's event indices by work-item into [t.lane_evs].
-   The sort is stable, so index order within a lane is execution order.
-   Events of work-items outside the group ([wi >= wg_size]) are dropped;
-   the work-item is a logical shift of the info word, so never negative. *)
+(* Index the group's events by work-item. A lane batch of W work-items
+   records its k-th access as W consecutive events, so a group swept as
+   one batch per region is usually in lockstep order: [n_events] is a
+   multiple of [wg_size] and event [e] belongs to work-item
+   [e mod wg_size]. One pass over the info words checks that; such a
+   group needs no index, since lane [l]'s [k]-th event is
+   [l + k * wg_size] ({!lane_event}). Every other group (one-lane
+   regions, masked arms, fiber schedules, several batches per region,
+   events of work-items outside the group) is counting-sorted into
+   [t.lane_evs]. The sort is stable, so index order within a lane is
+   execution order. Events of work-items outside the group
+   ([wi >= wg_size]) are dropped; the work-item is a logical shift of the
+   info word, so never negative. *)
 let index_lanes (t : t) (s : Trace.wg_stats) : unit =
-  let n = s.Trace.wg_size in
+  let n = s.Trace.wg_size and ne = s.Trace.n_events in
   if Array.length t.lane_count < n then begin
     t.lane_start <- Array.make n 0;
     t.lane_count <- Array.make n 0
   end;
   let start = t.lane_start and count = t.lane_count in
   let info = s.Trace.ev_info and wi_shift = Trace.wi_shift in
-  Array.fill count 0 n 0;
-  for k = 0 to s.Trace.n_events - 1 do
-    let wi = info.(k) lsr wi_shift in
-    if wi < n then count.(wi) <- count.(wi) + 1
-  done;
-  let kept = ref 0 in
-  for l = 0 to n - 1 do
-    start.(l) <- !kept;
-    kept := !kept + count.(l);
-    count.(l) <- 0
-  done;
-  if Array.length t.lane_evs < !kept then
-    t.lane_evs <- Array.make (max !kept (2 * Array.length t.lane_evs)) 0;
-  let evs = t.lane_evs in
-  for k = 0 to s.Trace.n_events - 1 do
-    let wi = info.(k) lsr wi_shift in
-    if wi < n then begin
-      let c = count.(wi) in
-      evs.(start.(wi) + c) <- k;
-      count.(wi) <- c + 1
-    end
-  done
+  let whole = n > 0 && ne mod n = 0 in
+  let e = ref 0 and l = ref 0 in
+  if whole then
+    while !e < ne && info.(!e) lsr wi_shift = !l do
+      incr e;
+      l := if !l = n - 1 then 0 else !l + 1
+    done;
+  t.lockstep <- whole && !e = ne;
+  if t.lockstep then Array.fill count 0 n (ne / n)
+  else begin
+    Array.fill count 0 n 0;
+    for k = 0 to ne - 1 do
+      let wi = info.(k) lsr wi_shift in
+      if wi < n then count.(wi) <- count.(wi) + 1
+    done;
+    let kept = ref 0 in
+    for l = 0 to n - 1 do
+      start.(l) <- !kept;
+      kept := !kept + count.(l);
+      count.(l) <- 0
+    done;
+    if Array.length t.lane_evs < !kept then
+      t.lane_evs <- Array.make (max !kept (2 * Array.length t.lane_evs)) 0;
+    let evs = t.lane_evs in
+    for k = 0 to ne - 1 do
+      let wi = info.(k) lsr wi_shift in
+      if wi < n then begin
+        let c = count.(wi) in
+        evs.(start.(wi) + c) <- k;
+        count.(wi) <- c + 1
+      end
+    done
+  end
+
+(* The event index of lane [l]'s [k]-th event ([k < lane_count.(l)]) in a
+   group of [n] work-items. *)
+let[@inline] lane_event (t : t) ~n l k : int =
+  if t.lockstep then l + (k * n) else t.lane_evs.(t.lane_start.(l) + k)
 
 (* The most events any lane in [first..last] recorded. *)
 let depth (t : t) ~first ~last : int =
@@ -179,13 +213,18 @@ let depth (t : t) ~first ~last : int =
   !d
 
 (* Position of [key] in the dedup buffer, or -1. Searched newest first:
-   neighbouring lanes mostly touch the line the previous lane touched. *)
+   neighbouring lanes mostly touch the line the previous lane touched, so
+   both engines compare the newest entry inline before calling this. *)
 let uniq_find (t : t) (key : int) : int =
   let i = ref (t.n_uniq - 1) in
   while !i >= 0 && t.uniq_key.(!i) <> key do
     decr i
   done;
   !i
+
+(* Is [key] the dedup buffer's newest entry? *)
+let[@inline] newest (t : t) (key : int) : bool =
+  t.n_uniq > 0 && t.uniq_key.(t.n_uniq - 1) = key
 
 let uniq_add (t : t) (key : int) (is_write : bool) : unit =
   let n = t.n_uniq in
@@ -240,8 +279,10 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
      and a line is written if any lane writes it. *)
   let shift = t.line_shift and write_bit = Trace.write_bit in
   let space_shift = Trace.space_shift and space_mask = Trace.space_mask in
+  let bytes_shift = Trace.bytes_shift and bytes_mask = Trace.bytes_mask in
   let local = Trace.code_local and private_ = Trace.code_private in
-  let ev_addr = s.Trace.ev_addr and ev_bytes = s.Trace.ev_bytes and ev_info = s.Trace.ev_info in
+  let ev_addr = s.Trace.ev_addr and ev_info = s.Trace.ev_info in
+  let n = s.Trace.wg_size in
   index_lanes t s;
   let memory = ref 0 in
   let n_batches = (s.Trace.wg_size + simd - 1) / simd in
@@ -252,17 +293,22 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
       t.n_uniq <- 0;
       for l = first to last do
         if k < t.lane_count.(l) then begin
-          let ei = t.lane_evs.(t.lane_start.(l) + k) in
+          let ei = lane_event t ~n l k in
           let info = ev_info.(ei) in
           let space = (info lsr space_shift) land space_mask in
           let addr =
             if space = local || space = private_ then ev_addr.(ei) + window else ev_addr.(ei)
           in
           let is_write = info land write_bit <> 0 in
-          for ln = addr asr shift to (addr + ev_bytes.(ei) - 1) asr shift do
-            let i = uniq_find t ln in
-            if i < 0 then uniq_add t ln is_write
-            else if is_write then t.uniq_write.(i) <- true
+          let bytes = (info lsr bytes_shift) land bytes_mask in
+          for ln = addr asr shift to (addr + bytes - 1) asr shift do
+            if newest t ln then begin
+              if is_write then t.uniq_write.(t.n_uniq - 1) <- true
+            end
+            else
+              let i = uniq_find t ln in
+              if i < 0 then uniq_add t ln is_write
+              else if is_write then t.uniq_write.(i) <- true
           done
         end
       done;
@@ -315,7 +361,9 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
   let space_shift = Trace.space_shift and space_mask = Trace.space_mask in
   let global = Trace.code_global and constant = Trace.code_constant in
   let local = Trace.code_local in
-  let ev_addr = s.Trace.ev_addr and ev_bytes = s.Trace.ev_bytes and ev_info = s.Trace.ev_info in
+  let bytes_shift = Trace.bytes_shift and bytes_mask = Trace.bytes_mask in
+  let ev_addr = s.Trace.ev_addr and ev_info = s.Trace.ev_info in
+  let n = s.Trace.wg_size in
   index_lanes t s;
   let memory = ref 0.0 and spm = ref 0.0 in
   for w = 0 to n_warps - 1 do
@@ -328,14 +376,15 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
       t.n_uniq <- 0;
       for l = first to last do
         if k < t.lane_count.(l) then begin
-          let ei = t.lane_evs.(t.lane_start.(l) + k) in
+          let ei = lane_event t ~n l k in
           let info = ev_info.(ei) in
           let space = (info lsr space_shift) land space_mask in
           if space = global || space = constant then begin
             let addr = ev_addr.(ei) in
             let is_write = info land write_bit <> 0 in
-            for seg = addr asr shift to (addr + ev_bytes.(ei) - 1) asr shift do
-              if uniq_find t seg < 0 then uniq_add t seg is_write
+            let bytes = (info lsr bytes_shift) land bytes_mask in
+            for seg = addr asr shift to (addr + bytes - 1) asr shift do
+              if not (newest t seg) && uniq_find t seg < 0 then uniq_add t seg is_write
             done
           end
         end
@@ -349,11 +398,11 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
       t.n_uniq <- 0;
       for l = first to last do
         if k < t.lane_count.(l) then begin
-          let ei = t.lane_evs.(t.lane_start.(l) + k) in
+          let ei = lane_event t ~n l k in
           let info = ev_info.(ei) in
           if (info lsr space_shift) land space_mask = local then begin
             let key = ((ev_addr.(ei) + window) lsl 1) lor Bool.to_int (info land write_bit <> 0) in
-            if uniq_find t key < 0 then uniq_add t key false
+            if not (newest t key) && uniq_find t key < 0 then uniq_add t key false
           end
         end
       done;

@@ -409,27 +409,16 @@ let store_elem (st : wi_state) (b : Memory.buffer) (idx : int)
 
 (* The lane engine's side of the same access stream. The dev profile
    compiles with [-opaque], so a call into [Trace] or [Memory] is never
-   inlined (and a float crossing one is boxed): a lane access appends its
-   event with {!Trace}'s exported layout, checks its index and moves the
-   element's components here, calling out only to grow the event arrays
-   and to raise [Memory.check]'s out-of-bounds error. The work-item id is
-   the batch base plus the lane index; each lane's events land in its own
-   program order, which is the only ordering the memory simulator and the
-   sanitizer depend on. [info] is the event's space and write bits. *)
-let access_info (b : Memory.buffer) ~(is_write : bool) : int =
-  (Trace.space_code b.Memory.space lsl Trace.space_shift)
-  lor Bool.to_int is_write
-
-let[@inline] lane_tap (ls : lane_state) (b : Memory.buffer) (idx : int)
-    ~(wi : int) ~(info : int) ~(is_write : bool) ~(loc : Grover_support.Loc.t)
-    : unit =
-  let st = ls.lstats in
-  let e = st.Trace.n_events in
-  if e = Array.length st.Trace.ev_addr then Trace.grow st;
-  st.Trace.ev_addr.(e) <- b.Memory.base_addr + (idx * b.Memory.elem_bytes);
-  st.Trace.ev_bytes.(e) <- b.Memory.elem_bytes;
-  st.Trace.ev_info.(e) <- (wi lsl Trace.wi_shift) lor info;
-  st.Trace.n_events <- e + 1;
+   inlined (and a float crossing one is boxed): a lane batch appends its
+   events with {!Trace}'s exported layout, checks its indices and moves the
+   elements' components here (see [lv_access]). Per lane, after its event,
+   [lane_check] hands the access to the sanitizer, if one is installed,
+   and checks the index, calling out only to raise [Memory.check]'s
+   out-of-bounds error. The work-item id is the batch base plus the lane
+   index; each lane's events land in its own program order, which is the
+   only ordering the memory simulator and the sanitizer depend on. *)
+let[@inline] lane_check (ls : lane_state) (b : Memory.buffer) (idx : int)
+    ~(wi : int) ~(is_write : bool) ~(loc : Grover_support.Loc.t) : unit =
   (match ls.lsan with
   | None -> ()
   | Some s -> Sanitize.access s ~buf:b ~idx ~is_write ~wi ~loc);
@@ -1673,12 +1662,18 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
      its base column). [on] >= 0 guards a masked arm: only lanes whose
      predicate equals [on] access.
 
-     A batch-uniform buffer indexed by an int slot takes one inline loop:
-     the buffer and the event's space and write bits are resolved once per
-     batch, and lane [l] reads its index at [io + l * stride] (stride 0: a
-     uniform slot, such as NBody's [sh[j]]). A per-lane buffer, a constant
-     or argument index, and a constant or argument stored value take
-     [each], which reads them through per-lane getters. *)
+     A batch-uniform buffer indexed by an int slot takes one inline loop
+     with one bookkeeping step per batch: the event arrays grow once until
+     every lane's event fits; the arrays, the buffer's base and width and
+     the batch's info word are resolved once; lane [l] reads its index at
+     [io + l * stride] (stride 0: a uniform slot, such as NBody's [sh[j]])
+     and writes its event at a local cursor; the event count and the
+     access counters are written after the loop, counting active lanes
+     only. A trap leaves them unwritten, which nothing reads: the launch
+     is abandoned and the next group resets them. A per-lane buffer, a
+     constant or argument index, and a constant or argument stored value
+     take [each], which reads them through per-lane getters and records
+     per lane with [Trace.record]. *)
   let each ~(on : int) ~(is_write : bool) (i : instr) (ptr : value)
       (index : value) (move : lane_state -> Memory.buffer -> int -> int -> unit)
       : lane_state -> unit =
@@ -1686,9 +1681,10 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     fun ls ->
       for l = 0 to ls.nl - 1 do
         if on < 0 || ls.lpred.(l) = on then begin
-          let b = gp ls l and idx = gi ls l in
-          lane_tap ls b idx ~wi:(ls.base_flat + l)
-            ~info:(access_info b ~is_write) ~is_write ~loc;
+          let b = gp ls l and idx = gi ls l and wi = ls.base_flat + l in
+          Trace.record ls.lstats ~addr:(Memory.addr_of b idx)
+            ~bytes:b.Memory.elem_bytes ~is_write ~space:b.Memory.space ~wi;
+          lane_check ls b idx ~wi ~is_write ~loc;
           move ls b idx l
         end
       done
@@ -1707,16 +1703,33 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     | Some hb, Oi (s, vr) ->
         let io = s * lw and stride = Bool.to_int vr and loc = i.iloc in
         fun ls ->
-          let b = hb ls in
-          let info = access_info b ~is_write in
+          let b = hb ls and st = ls.lstats and nl = ls.nl in
+          let e0 = st.Trace.n_events in
+          if e0 + nl > Array.length st.Trace.ev_addr then Trace.grow st (e0 + nl);
+          let ea = st.Trace.ev_addr and ei = st.Trace.ev_info in
+          let base = b.Memory.base_addr and w = b.Memory.elem_bytes in
+          let info =
+            (ls.base_flat lsl Trace.wi_shift)
+            lor Trace.info ~bytes:w ~space:b.Memory.space ~is_write
+          in
           let ie = ls.lienv and fe = ls.lfenv and pr = ls.lpred in
-          for l = 0 to ls.nl - 1 do
+          let e = ref e0 in
+          for l = 0 to nl - 1 do
             if on < 0 || pr.(l) = on then begin
               let idx = ie.(io + (l * stride)) in
-              lane_tap ls b idx ~wi:(ls.base_flat + l) ~info ~is_write ~loc;
+              ea.(!e) <- base + (idx * w);
+              ei.(!e) <- info + (l lsl Trace.wi_shift);
+              incr e;
+              lane_check ls b idx ~wi:(ls.base_flat + l) ~is_write ~loc;
               lane_move b idx ~is_write ~fl fe ie ~p:(c + (l * cs)) ~lw ~n
             end
-          done
+          done;
+          let m = !e - e0 in
+          st.Trace.n_events <- !e;
+          if is_write then st.Trace.stores <- st.Trace.stores + m
+          else st.Trace.loads <- st.Trace.loads + m;
+          if b.Memory.space = Local then
+            st.Trace.local_accesses <- st.Trace.local_accesses + m
     | _ ->
         each ~on ~is_write i ptr index (fun ls b idx l ->
             lane_move b idx ~is_write ~fl ls.lfenv ls.lienv

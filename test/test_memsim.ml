@@ -490,70 +490,130 @@ let reference_replay (plat : P.t) ~vectorized groups =
         groups);
   (per_core, !memory, !spm)
 
+(* Random groups for the properties below. Dense addresses share lines,
+   segments and banks; strided ones conflict; 4 KiB-strided ones all fall
+   into one L1 set, so the order a step's lines are visited in decides
+   which of them stay resident. *)
+let gen_event ~wi =
+  let open QCheck.Gen in
+  let addr =
+    oneof
+      [ int_range 0 511;
+        map (fun i -> 0x4000 + (i * 64 * 37)) (int_range 0 40);
+        map (fun i -> 0x80000 + (i * 4096)) (int_range 0 40) ]
+  in
+  let space = oneofl Grover_ir.Ssa.[ Global; Global; Local; Local; Constant; Private ] in
+  map
+    (fun ((addr, bytes), (write, space)) -> ev ~wi ~addr ~bytes ~write ~space ())
+    (pair (pair addr (oneofl [ 1; 4; 8; 16; 100 ])) (pair bool space))
+
+(* Any order: each event of a random work-item, a few outside the group. *)
+let gen_scattered wg_size =
+  QCheck.Gen.(
+    list_size (int_range 0 80) (int_range 0 (wg_size + 3) >>= fun wi -> gen_event ~wi))
+
+(* Lockstep order, as a group swept in one lane batch per region records
+   it: the same number of events per work-item, step-major, so event [e]
+   belongs to work-item [e mod wg_size]. *)
+let gen_lockstep wg_size =
+  QCheck.Gen.(
+    int_range 0 4 >>= fun depth ->
+    flatten_l (List.init (depth * wg_size) (fun e -> gen_event ~wi:(e mod wg_size))))
+
+(* Near misses of lockstep order: one adjacent pair swapped, one extra
+   event, or one event moved to a work-item outside the group. *)
+let gen_near_miss wg_size =
+  QCheck.Gen.(
+    gen_lockstep wg_size >>= fun evs ->
+    let a = Array.of_list evs in
+    let n = Array.length a in
+    let swap i = List.init n (fun j -> a.(if j = i then i + 1 else if j = i + 1 then i else j)) in
+    let insert pos x = List.init (n + 1) (fun j -> if j = pos then x else a.(if j < pos then j else j - 1)) in
+    let outside i k = List.mapi (fun j e -> if j = i then { e with Trace.wi = wg_size + k } else e) evs in
+    oneof
+      ((if n >= 2 then [ map swap (int_range 0 (n - 2)) ] else [])
+      @ (if n >= 1 then [ map2 outside (int_range 0 (n - 1)) (int_range 0 3) ] else [])
+      @ [ map2 insert (int_range 0 n) (int_range 0 (wg_size - 1) >>= fun wi -> gen_event ~wi) ]))
+
+(* Work-group ids wrap around every platform's cores (at most 60). *)
+let gen_groups events =
+  QCheck.Gen.(
+    list_size (int_range 1 4)
+      ( pair (int_range 0 130) (int_range 1 40) >>= fun (wg_id, wg_size) ->
+        map (fun evs -> (wg_id, wg_size, evs)) (events wg_size) ))
+
+let print_groups groups =
+  String.concat " | "
+    (List.map
+       (fun (g, n, evs) ->
+         Printf.sprintf "g%d wg%d [%s]" g n
+           (String.concat "; "
+              (List.map
+                 (fun (e : Trace.event) ->
+                   Printf.sprintf "wi%d %d+%d%s%s" e.Trace.wi e.Trace.addr e.Trace.bytes
+                     (if e.Trace.is_write then "w" else "")
+                     (match e.Trace.space with
+                     | Grover_ir.Ssa.Global -> "g"
+                     | Grover_ir.Ssa.Local -> "l"
+                     | Grover_ir.Ssa.Constant -> "c"
+                     | Grover_ir.Ssa.Private -> "p"))
+                 evs)))
+       groups)
+
+let consume_matches_reference plat ~vectorized groups =
+  let sim = Sim.create ~vectorized plat in
+  List.iter (fun (wg_id, wg_size, evs) -> Sim.consume sim (mk_stats ~wg_id ~wg_size evs)) groups;
+  let r = Sim.result sim in
+  let per_core, memory, spm = reference_replay plat ~vectorized groups in
+  r.Sim.per_core = per_core
+  && r.Sim.r_memory = memory
+  && r.Sim.r_spm = spm
+  && r.Sim.r_groups = List.length groups
+
 let prop_consume_matches_reference =
   let open QCheck in
   let plats = P.all in
-  let space =
-    Gen.oneofl Grover_ir.Ssa.[ Global; Global; Local; Local; Constant; Private ]
+  let group_events wg_size =
+    Gen.frequency
+      [ (3, gen_scattered wg_size); (1, gen_lockstep wg_size); (1, gen_near_miss wg_size) ]
   in
-  (* Dense addresses share lines, segments and banks; strided ones conflict;
-     4 KiB-strided ones all fall into one L1 set, so the order a step's
-     lines are visited in decides which of them stay resident. *)
-  let addr =
-    Gen.(
-      oneof
-        [ int_range 0 511;
-          map (fun i -> 0x4000 + (i * 64 * 37)) (int_range 0 40);
-          map (fun i -> 0x80000 + (i * 4096)) (int_range 0 40) ])
-  in
-  let event wg_size =
-    Gen.(
-      map
-        (fun ((wi, addr, bytes), (write, space)) -> ev ~wi ~addr ~bytes ~write ~space ())
-        (pair
-           (triple (int_range 0 (wg_size + 3)) addr (oneofl [ 1; 4; 8; 16; 100 ]))
-           (pair bool space)))
-  in
-  (* Work-group ids wrap around every platform's cores (at most 60). *)
-  let group =
-    Gen.(
-      pair (int_range 0 130) (int_range 1 40) >>= fun (wg_id, wg_size) ->
-      map (fun evs -> (wg_id, wg_size, evs)) (list_size (int_range 0 80) (event wg_size)))
-  in
-  let gen =
-    Gen.(triple (int_range 0 (List.length plats - 1)) bool (list_size (int_range 1 4) group))
-  in
+  let gen = Gen.(triple (int_range 0 (List.length plats - 1)) bool (gen_groups group_events)) in
   let print (pi, vectorized, groups) =
     Printf.sprintf "%s vectorized=%b: %s" (List.nth plats pi).P.name vectorized
-      (String.concat " | "
-         (List.map
-            (fun (g, n, evs) ->
-              Printf.sprintf "g%d wg%d [%s]" g n
-                (String.concat "; "
-                   (List.map
-                      (fun (e : Trace.event) ->
-                        Printf.sprintf "wi%d %d+%d%s%s" e.Trace.wi e.Trace.addr e.Trace.bytes
-                          (if e.Trace.is_write then "w" else "")
-                          (match e.Trace.space with
-                          | Grover_ir.Ssa.Global -> "g"
-                          | Grover_ir.Ssa.Local -> "l"
-                          | Grover_ir.Ssa.Constant -> "c"
-                          | Grover_ir.Ssa.Private -> "p"))
-                      evs)))
-            groups))
+      (print_groups groups)
   in
   Test.make ~name:"Simulate.consume matches a list-based reference" ~count:300
     (make gen ~print)
     (fun (pi, vectorized, groups) ->
-      let plat = List.nth plats pi in
-      let sim = Sim.create ~vectorized plat in
-      List.iter (fun (wg_id, wg_size, evs) -> Sim.consume sim (mk_stats ~wg_id ~wg_size evs)) groups;
-      let r = Sim.result sim in
-      let per_core, memory, spm = reference_replay plat ~vectorized groups in
-      r.Sim.per_core = per_core
-      && r.Sim.r_memory = memory
-      && r.Sim.r_spm = spm
-      && r.Sim.r_groups = List.length groups)
+      consume_matches_reference (List.nth plats pi) ~vectorized groups)
+
+(* The simulator replays a lockstep group in place and sorts every other
+   one into its lane index. Lockstep groups and their near misses must
+   take the path the definition gives them, and replay like the
+   reference on all six platforms, vectorized or not. *)
+let prop_lockstep_replay_matches_reference =
+  let open QCheck in
+  let group_events wg_size = Gen.oneof [ gen_lockstep wg_size; gen_near_miss wg_size ] in
+  let lockstep (_, wg_size, evs) =
+    List.length evs mod wg_size = 0
+    && List.for_all Fun.id (List.mapi (fun e (x : Trace.event) -> x.Trace.wi = e mod wg_size) evs)
+  in
+  Test.make ~name:"lockstep groups and near misses match the reference on every platform"
+    ~count:100
+    (make (gen_groups group_events) ~print:print_groups)
+    (fun groups ->
+      let sim = Sim.create P.snb in
+      List.for_all
+        (fun ((wg_id, wg_size, evs) as g) ->
+          Sim.index_lanes sim (mk_stats ~wg_id ~wg_size evs);
+          sim.Sim.lockstep = lockstep g)
+        groups
+      && List.for_all
+           (fun plat ->
+             List.for_all
+               (fun vectorized -> consume_matches_reference plat ~vectorized groups)
+               [ false; true ])
+           P.all)
 
 (* -- Golden: the simulator's output pinned bit for bit ------------------------ *)
 
@@ -628,7 +688,8 @@ let suite =
         Alcotest.test_case "one line size per hierarchy" `Quick
           test_simulate_rejects_mixed_lines;
         Alcotest.test_case "core mapping" `Quick test_simulate_maps_groups_to_cores ] );
-    qsuite "memsim-props" [ prop_consume_matches_reference ];
+    qsuite "memsim-props"
+      [ prop_consume_matches_reference; prop_lockstep_replay_matches_reference ];
     ( "memsim-golden",
       [ Alcotest.test_case "suite x platforms at scale 8, bit for bit" `Quick
           test_golden ] ) ]

@@ -1564,14 +1564,15 @@ let test_vec_sqrt () =
    are not multiples of W (at W = 256, one batch sweeps each group); the
    W-wide run must really batch every region. *)
 
-(* One group's observable trace: its counters and its events, stably
-   sorted by work-item so each work-item's program order is kept whatever
-   order the schedule interleaved them in. *)
+(* One group's observable trace: its counters (access counters included)
+   and its events, stably sorted by work-item so each work-item's program
+   order is kept whatever order the schedule interleaved them in. *)
 let group_trace (s : Trace.wg_stats) =
   let evs = List.init s.Trace.n_events (Trace.get_event s) in
   ( ( s.Trace.wg_id,
       (s.Trace.int_ops, s.Trace.float_ops, s.Trace.special_ops),
-      (s.Trace.branches, s.Trace.barriers, s.Trace.barrier_rounds) ),
+      (s.Trace.branches, s.Trace.barriers, s.Trace.barrier_rounds),
+      (s.Trace.loads, s.Trace.stores, s.Trace.local_accesses) ),
     List.stable_sort (fun (x : Trace.event) y -> compare x.Trace.wi y.Trace.wi) evs
   )
 
@@ -1952,6 +1953,260 @@ let test_suite_lane_flags () =
         [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ])
     Grover_suite.Suite.all
 
+(* The access width travels in the info word: the widest element that
+   fits comes back intact, and a wider one is rejected where the word is
+   built. *)
+let test_trace_width_field () =
+  let s = Trace.fresh_stats ~wg_id:0 ~wg_size:4 in
+  let e = { Trace.addr = 0x40; bytes = Trace.bytes_mask; is_write = true; space = Ssa.Local; wi = 3 } in
+  Trace.push_event s e;
+  Alcotest.(check bool) "widest width round-trips" true (Trace.get_event s 0 = e);
+  Alcotest.(check (triple int int int)) "counted" (0, 1, 1)
+    (s.Trace.loads, s.Trace.stores, s.Trace.local_accesses);
+  List.iter
+    (fun bytes ->
+      match Trace.push_event s { e with Trace.bytes } with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "a %d-byte access must be rejected" bytes)
+    [ Trace.bytes_mask + 1; -4 ];
+  Alcotest.(check int) "nothing more recorded" 1 s.Trace.n_events
+
+(* -- Access counters agree with the recorded events --------------------------
+   A group's [loads], [stores] and [local_accesses] are counted as its
+   events are recorded: once per lane batch in the lane engine (active
+   lanes only in a masked arm), once per event in the tree engine and in
+   per-lane accesses. On W-wide batches, one-lane batches and tree+fiber,
+   every group's counters must equal the counts taken from its events,
+   and the launch totals summed from them must equal tree+fiber's. *)
+
+let event_counts (s : Trace.wg_stats) : int * int * int =
+  let loads = ref 0 and stores = ref 0 and local = ref 0 in
+  Trace.iter_events
+    (fun e ->
+      if e.Trace.is_write then incr stores else incr loads;
+      if e.Trace.space = Ssa.Local then incr local)
+    s;
+  (!loads, !stores, !local)
+
+(* [launch ~force_path ~on_group] on W-wide batches, one-lane batches and
+   tree+fiber. *)
+let check_counters ~(label : string)
+    (launch : force_path:Runtime.path -> on_group:(Trace.wg_stats -> unit) -> Trace.totals) =
+  let runs =
+    List.map
+      (fun (p, pn) ->
+        let groups = ref 0 and differ = ref 0 in
+        let on_group (s : Trace.wg_stats) =
+          incr groups;
+          if (s.Trace.loads, s.Trace.stores, s.Trace.local_accesses) <> event_counts s then
+            incr differ
+        in
+        let tot = launch ~force_path:p ~on_group in
+        Alcotest.(check int)
+          (Printf.sprintf "%s on %s: groups whose counters differ from their events" label pn)
+          0 !differ;
+        Alcotest.(check int) (Printf.sprintf "%s on %s: groups" label pn) tot.Trace.t_groups
+          !groups;
+        (pn, tot))
+      [ (Runtime.Lanes max_int, "W-wide batches");
+        (Runtime.Lanes 1, "one-lane batches");
+        (Runtime.Fiber, "tree+fiber") ]
+  in
+  let fiber = List.assoc "tree+fiber" runs in
+  Alcotest.(check bool) (label ^ ": the launch accesses memory") true
+    (fiber.Trace.t_loads + fiber.Trace.t_stores > 0);
+  List.iter
+    (fun (pn, tot) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s on %s: totals = tree+fiber's" label pn)
+        true (tot = fiber))
+    runs
+
+let check_suite_counters (case : Kit.case) () =
+  List.iter
+    (fun (v, vn) ->
+      let fn, _ = H.compile_version case v in
+      let c = Interp.prepare fn in
+      check_counters ~label:(Printf.sprintf "%s %s" case.Kit.id vn)
+        (fun ~force_path ~on_group ->
+          let w = case.Kit.mk ~scale:8 in
+          let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
+          Runtime.launch c ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~on_group ~force_path ()))
+    [ (H.With_lm, "with-lm"); (H.Without_lm, "grover") ]
+
+(* A masked diamond whose arms load: a global in the then arm, the
+   work-item's own local slot in the else arm. *)
+let masked_load_source =
+  {|__kernel void k(__global float *out, __global const float *a,
+                    __global const float *b) {
+      __local float tile[64];
+      int g = get_global_id(0);
+      int l = get_local_id(0);
+      float x = a[g];
+      tile[l] = x + 1.0f;
+      float y;
+      if (x > 0.5f) { y = b[g] * 2.0f; } else { y = tile[l] - 3.0f; }
+      out[g] = y;
+    }|}
+
+let test_masked_counters () =
+  let fn = lower_one masked_load_source in
+  (match Regions.form fn with
+  | Regions.Formed i -> (
+      match i.Regions.lane_entries.(0) with
+      | Regions.Lane_masked 1 -> ()
+      | lv -> Alcotest.failf "region 0 should hold one masked diamond, got: %s" (Regions.verdict_string lv))
+  | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r);
+  let c = Interp.prepare fn in
+  let n = 120 and wg = 40 in
+  check_counters ~label:"masked loads" (fun ~force_path ~on_group ->
+      let mem = Memory.create () in
+      let out = Memory.alloc mem Ssa.F32 n in
+      let a = Memory.alloc mem Ssa.F32 n and b = Memory.alloc mem Ssa.F32 n in
+      Memory.fill_floats a (fun i -> float_of_int (i * 13 mod 17) /. 8.0);
+      Memory.fill_floats b (fun i -> float_of_int i);
+      Runtime.launch c
+        ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
+        ~args:[ Runtime.Abuf out; Runtime.Abuf a; Runtime.Abuf b ]
+        ~mem ~on_group ~force_path ())
+
+let counter_cases =
+  List.map
+    (fun (case : Kit.case) ->
+      Alcotest.test_case case.Kit.id `Quick (check_suite_counters case))
+    Grover_suite.Suite.all
+  @ [ Alcotest.test_case "masked diamond with loads" `Quick test_masked_counters ]
+
+(* -- A trap inside a lane batch poisons only its launch ---------------------------
+   Two kernels index out of bounds only from lane 100 of a 256-item
+   group (one batch at W = 256) when [k] is large: one in straight-line
+   code, one inside a masked arm. Every launch with that [k] must raise
+   [Memory.check]'s message, on one domain, on two, and through a queue.
+   Relaunching the same compiled kernel with [k] = 0 then reuses what the
+   aborted launches left behind: its lane state, on one domain, and each
+   pool domain's cached context, on two. Buffers, totals and each group's
+   trace and counters must equal a fresh kernel's, and a sanitized launch
+   must report what it reports on a fresh kernel. *)
+
+let trap_sources =
+  [ ( "straight-line",
+      {|__kernel void k(__global float *out, __global const float *a, int k) {
+          int g = get_global_id(0);
+          int l = get_local_id(0);
+          __local float tile[256];
+          tile[l] = a[g + (l / 100) * k];
+          barrier(CLK_LOCAL_MEM_FENCE);
+          out[g] = tile[255 - l];
+        }|},
+      None );
+    ( "masked arm",
+      {|__kernel void k(__global float *out, __global const float *a, int k) {
+          int g = get_global_id(0);
+          int l = get_local_id(0);
+          float y;
+          if (l >= 100) { y = a[g + k]; } else { y = a[g] + 1.0f; }
+          out[g] = y;
+        }|},
+      Some 1 ) ]
+
+let trap_n = 1024
+let trap_wg = 256
+let trap_k = 1 lsl 20
+
+(* A fresh memory holding [out] (buffer 0) and [a] (buffer 1). *)
+let trap_args ~k =
+  let mem = Memory.create () in
+  let out = Memory.alloc mem Ssa.F32 trap_n in
+  let a = Memory.alloc mem Ssa.F32 trap_n in
+  Memory.fill_floats a (fun i -> float_of_int (i mod 37));
+  (mem, [ Runtime.Abuf out; Runtime.Abuf a; Runtime.Aint k ])
+
+let trap_cfg = { Runtime.global = (trap_n, 1, 1); local = (trap_wg, 1, 1); queues = 1 }
+
+(* Lane batches whatever [GROVER_FORCE_PATH] says: the traps under test
+   are the lane engine's. *)
+let trap_path = Runtime.Lanes max_int
+
+let test_trap_poisons_only_its_launch (label, src, masked) () =
+  let fn = lower_one src in
+  (match (Regions.form fn, masked) with
+  | Regions.Formed i, Some d -> (
+      match i.Regions.lane_entries.(0) with
+      | Regions.Lane_masked d' when d' = d -> ()
+      | lv -> Alcotest.failf "%s: region 0 should be masked, got: %s" label (Regions.verdict_string lv))
+  | Regions.Formed _, None -> ()
+  | Regions.Fallback r, _ -> Alcotest.failf "%s: unexpected fallback: %s" label r);
+  let c = Interp.prepare fn in
+  Alcotest.check path_t (label ^ ": one batch per group")
+    (Runtime.Lanes trap_wg)
+    (Runtime.plan c ~cfg:trap_cfg ~force_path:trap_path ~domains:1 ()).Runtime.path;
+  (* Lane 100 is each group's first access out of bounds. One domain
+     traps in group 0; on two, the first group to trap may be any. *)
+  let traps what ~groups f =
+    let want =
+      List.init groups (fun wg ->
+          Printf.sprintf "buffer 1 (global): element index %d out of bounds [0,%d)"
+            ((wg * trap_wg) + 100 + trap_k) trap_n)
+    in
+    match f () with
+    | exception Invalid_argument m ->
+        if not (List.mem m want) then Alcotest.failf "%s: %s raised %S" label what m
+    | _ -> Alcotest.failf "%s: %s did not trap" label what
+  in
+  let launch ?on_group ~domains c (mem, args) =
+    Runtime.launch c ~cfg:trap_cfg ~args ~mem ?on_group ~domains ~force_path:trap_path ()
+  in
+  let traced c =
+    let groups = ref [] in
+    let ((mem, _) as ma) = trap_args ~k:0 in
+    let tot = launch ~on_group:(fun s -> groups := group_trace s :: !groups) ~domains:1 c ma in
+    (tot, snapshot_buffers mem, List.rev !groups)
+  in
+  let on_two c =
+    let ((mem, _) as ma) = trap_args ~k:0 in
+    let tot = with_domain_cap 2 (fun () -> launch ~domains:2 c ma) in
+    (tot, snapshot_globals mem)
+  in
+  let queued c ~k =
+    with_domain_cap 2 (fun () ->
+        let q = Queue.create ~domains:2 () in
+        let mem, args = trap_args ~k in
+        let ev = Queue.enqueue_nd_range q c ~cfg:trap_cfg ~args ~force_path:trap_path () in
+        Queue.finish q;
+        (Event.totals ev, snapshot_globals mem))
+  in
+  let sanitized c ~k =
+    let mem, args = trap_args ~k in
+    let _, findings = Runtime.run_sanitized c ~cfg:trap_cfg ~args ~mem ~force_path:trap_path () in
+    List.map Sanitize.message findings
+  in
+  let fresh () = Interp.prepare (lower_one src) in
+  let f_traced = traced (fresh ()) and f_two = on_two (fresh ()) in
+  let f_queued = queued (fresh ()) ~k:0 in
+  let f_san_trap = sanitized (fresh ()) ~k:trap_k and f_san = sanitized (fresh ()) ~k:0 in
+  Alcotest.(check int) (label ^ ": a fresh sanitized trap reports one finding") 1
+    (List.length f_san_trap);
+  traps "one domain" ~groups:1 (fun () -> launch ~domains:1 c (trap_args ~k:trap_k));
+  Alcotest.(check bool) (label ^ ": one domain, after a trap = fresh") true
+    (compare (traced c) f_traced = 0);
+  traps "two domains" ~groups:(trap_n / trap_wg) (fun () ->
+      with_domain_cap 2 (fun () -> launch ~domains:2 c (trap_args ~k:trap_k)));
+  Alcotest.(check bool) (label ^ ": two domains, after a trap = fresh") true
+    (compare (on_two c) f_two = 0);
+  traps "queue" ~groups:(trap_n / trap_wg) (fun () -> queued c ~k:trap_k);
+  Alcotest.(check bool) (label ^ ": queue, after a trap = fresh") true
+    (compare (queued c ~k:0) f_queued = 0);
+  Alcotest.(check (list string)) (label ^ ": sanitized trap after traps = fresh") f_san_trap
+    (sanitized c ~k:trap_k);
+  Alcotest.(check (list string)) (label ^ ": sanitized launch after an abort = fresh") f_san
+    (sanitized c ~k:0)
+
+let trap_cases =
+  List.map
+    (fun ((label, _, _) as t) ->
+      Alcotest.test_case label `Quick (test_trap_poisons_only_its_launch t))
+    trap_sources
+
 let suite =
   [ ( "interp",
       [ Alcotest.test_case "vector add" `Quick test_vector_add;
@@ -2038,6 +2293,9 @@ let suite =
         Alcotest.test_case "uniform branch qualifies" `Quick
           test_regions_uniform_branch_qualifies ] );
     ("parallel-differential", parallel_cases);
+    ( "trace-counters",
+      Alcotest.test_case "width field" `Quick test_trace_width_field :: counter_cases );
+    ("traps", trap_cases);
     ( "engine-differential-props",
       [ QCheck_alcotest.to_alcotest prop_engines_agree;
         QCheck_alcotest.to_alcotest prop_domain_count_invariant;
