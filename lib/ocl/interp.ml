@@ -913,13 +913,13 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     fun ls l -> as_buf (g ls l)
   in
 
-  (* Operand classification for the specialized hot loops below. An
-     operand is either a varying slot read at a compile-time base offset
-     (the common case in address arithmetic), or hoistable — the same
-     value for every lane of a batch (constants, kernel arguments,
-     uniform slots), read once at batch entry instead of per lane.
-     [None] from both classifiers sends the instruction to the generic
-     closure-per-operand arm. *)
+  (* Operand classification for the direct loops below. An operand is
+     either a varying slot read at a compile-time base offset (the common
+     case in address arithmetic), or hoistable — the same value for every
+     lane of a batch (constants, kernel arguments, uniform slots), read
+     once at batch entry instead of per lane. Only the op and operand
+     shapes that the suite's launches run have a direct loop (DESIGN
+     §4k); any other shape takes the generic closure-per-operand arm. *)
   let ivar_slot = function Oi (s, true) -> Some (s * lw) | _ -> None in
   let fvar_slot = function Of (s, true) -> Some (s * lw) | _ -> None in
   let ihoist (o : opnd) =
@@ -1001,445 +1001,134 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
   (* Varying scalar builders: one result column per active lane into the
      slot base [dst]. A vector instruction is one of these per component.
      The int and float binops are the innermost ops of every address
-     computation and every float4 lane, so their common operand shapes
-     (slot x slot, slot x hoistable) get dedicated loops with direct
-     array reads, and the wrap-free operators are inlined rather than
-     called through the resolved closure. *)
+     computation and every float4 lane. The shapes that the suite's
+     launches run get direct loops with direct array reads and inline
+     operators; every other shape calls the resolved function through
+     one getter per operand. *)
   let lv_ibin t op (oa : opnd) (ob : opnd) (dst : int) : lane_state -> unit =
-    let f = int_binop_fn t op in
-    let generic () =
-      let ga = lv_iget oa and gb = lv_iget ob in
-      fun ls ->
-        for l = 0 to ls.nl - 1 do
-          ls.lienv.(dst + l) <- f (ga ls l) (gb ls l)
-        done
+    (* an Add or Mul whose only varying slot is its second operand swaps
+       its operands, so one slot x hoist loop serves both orders *)
+    let oa, ob =
+      match (op, ivar_slot oa, ivar_slot ob) with
+      | (Add | Mul), None, Some _ -> (ob, oa)
+      | _ -> (oa, ob)
     in
-    match (ivar_slot oa, ivar_slot ob) with
-    | Some ao, Some bo -> (
-        match op with
-        | Add ->
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- ie.(ao + l) + ie.(bo + l)
-              done
-        | Mul ->
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- ie.(ao + l) * ie.(bo + l)
-              done
-        | Sub ->
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- ie.(ao + l) - ie.(bo + l)
-              done
-        | And ->
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- ie.(ao + l) land ie.(bo + l)
-              done
-        | Or ->
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- ie.(ao + l) lor ie.(bo + l)
-              done
-        | Xor ->
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- ie.(ao + l) lxor ie.(bo + l)
-              done
-        | Shl ->
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- ie.(ao + l) lsl (ie.(bo + l) land 63)
-              done
-        | Ashr ->
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- ie.(ao + l) asr (ie.(bo + l) land 63)
-              done
-        | Lshr ->
-            let m = mask_of t in
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <-
-                  (ie.(ao + l) land m) lsr (ie.(bo + l) land 63)
-              done
-        | _ ->
-            fun ls ->
-              let ie = ls.lienv in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- f ie.(ao + l) ie.(bo + l)
-              done)
-    | Some ao, None -> (
-        match ihoist ob with
-        | None -> generic ()
-        | Some hb -> (
-            match op with
-            | Add ->
-                fun ls ->
-                  let ie = ls.lienv and y = hb ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- ie.(ao + l) + y
-                  done
-            | Mul ->
-                fun ls ->
-                  let ie = ls.lienv and y = hb ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- ie.(ao + l) * y
-                  done
-            | Sub ->
-                fun ls ->
-                  let ie = ls.lienv and y = hb ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- ie.(ao + l) - y
-                  done
-            | And ->
-                fun ls ->
-                  let ie = ls.lienv and y = hb ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- ie.(ao + l) land y
-                  done
-            | Or ->
-                fun ls ->
-                  let ie = ls.lienv and y = hb ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- ie.(ao + l) lor y
-                  done
-            | Xor ->
-                fun ls ->
-                  let ie = ls.lienv and y = hb ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- ie.(ao + l) lxor y
-                  done
-            | Shl ->
-                fun ls ->
-                  let ie = ls.lienv and sh = hb ls land 63 in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- ie.(ao + l) lsl sh
-                  done
-            | Ashr ->
-                fun ls ->
-                  let ie = ls.lienv and sh = hb ls land 63 in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- ie.(ao + l) asr sh
-                  done
-            | Lshr ->
-                let m = mask_of t in
-                fun ls ->
-                  let ie = ls.lienv and sh = hb ls land 63 in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- (ie.(ao + l) land m) lsr sh
-                  done
-            | _ ->
-                fun ls ->
-                  let ie = ls.lienv and y = hb ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- f ie.(ao + l) y
-                  done))
-    | None, Some bo -> (
-        match ihoist oa with
-        | None -> generic ()
-        | Some ha -> (
-            match op with
-            | Add ->
-                fun ls ->
-                  let ie = ls.lienv and x = ha ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- x + ie.(bo + l)
-                  done
-            | Mul ->
-                fun ls ->
-                  let ie = ls.lienv and x = ha ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- x * ie.(bo + l)
-                  done
-            | Sub ->
-                fun ls ->
-                  let ie = ls.lienv and x = ha ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- x - ie.(bo + l)
-                  done
-            | And ->
-                fun ls ->
-                  let ie = ls.lienv and x = ha ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- x land ie.(bo + l)
-                  done
-            | Or ->
-                fun ls ->
-                  let ie = ls.lienv and x = ha ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- x lor ie.(bo + l)
-                  done
-            | Xor ->
-                fun ls ->
-                  let ie = ls.lienv and x = ha ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- x lxor ie.(bo + l)
-                  done
-            | Shl ->
-                fun ls ->
-                  let ie = ls.lienv and x = ha ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- x lsl (ie.(bo + l) land 63)
-                  done
-            | Ashr ->
-                fun ls ->
-                  let ie = ls.lienv and x = ha ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- x asr (ie.(bo + l) land 63)
-                  done
-            | Lshr ->
-                let m = mask_of t in
-                fun ls ->
-                  let ie = ls.lienv in
-                  let x = ha ls land m in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- x lsr (ie.(bo + l) land 63)
-                  done
-            | _ ->
-                fun ls ->
-                  let ie = ls.lienv and x = ha ls in
-                  for l = 0 to ls.nl - 1 do
-                    ie.(dst + l) <- f x ie.(bo + l)
-                  done))
-    | None, None -> generic ()
+    match (op, ivar_slot oa, ivar_slot ob, ihoist ob) with
+    | Add, Some ao, Some bo, _ ->
+        fun ls ->
+          let ie = ls.lienv in
+          for l = 0 to ls.nl - 1 do
+            ie.(dst + l) <- ie.(ao + l) + ie.(bo + l)
+          done
+    | Add, Some ao, _, Some hb ->
+        fun ls ->
+          let ie = ls.lienv and y = hb ls in
+          for l = 0 to ls.nl - 1 do
+            ie.(dst + l) <- ie.(ao + l) + y
+          done
+    | Mul, Some ao, _, Some hb ->
+        fun ls ->
+          let ie = ls.lienv and y = hb ls in
+          for l = 0 to ls.nl - 1 do
+            ie.(dst + l) <- ie.(ao + l) * y
+          done
+    | Sub, Some ao, _, Some hb ->
+        fun ls ->
+          let ie = ls.lienv and y = hb ls in
+          for l = 0 to ls.nl - 1 do
+            ie.(dst + l) <- ie.(ao + l) - y
+          done
+    | _ ->
+        let f = int_binop_fn t op and ga = lv_iget oa and gb = lv_iget ob in
+        fun ls ->
+          for l = 0 to ls.nl - 1 do
+            ls.lienv.(dst + l) <- f (ga ls l) (gb ls l)
+          done
   in
   let lv_icmp t c (oa : opnd) (ob : opnd) (dst : int) : lane_state -> unit =
     let f = icmp_fn t c in
-    let generic () =
-      let ga = lv_iget oa and gb = lv_iget ob in
-      fun ls ->
-        for l = 0 to ls.nl - 1 do
-          ls.lienv.(dst + l) <- (if f (ga ls l) (gb ls l) then 1 else 0)
-        done
-    in
-    match (ivar_slot oa, ivar_slot ob) with
-    | Some ao, Some bo ->
+    match (ivar_slot oa, ivar_slot ob, ihoist ob) with
+    | Some ao, Some bo, _ ->
         fun ls ->
           let ie = ls.lienv in
           for l = 0 to ls.nl - 1 do
             ie.(dst + l) <- (if f ie.(ao + l) ie.(bo + l) then 1 else 0)
           done
-    | Some ao, None -> (
-        match ihoist ob with
-        | None -> generic ()
-        | Some hb ->
-            fun ls ->
-              let ie = ls.lienv and y = hb ls in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- (if f ie.(ao + l) y then 1 else 0)
-              done)
-    | None, Some bo -> (
-        match ihoist oa with
-        | None -> generic ()
-        | Some ha ->
-            fun ls ->
-              let ie = ls.lienv and x = ha ls in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- (if f x ie.(bo + l) then 1 else 0)
-              done)
-    | None, None -> generic ()
+    | Some ao, _, Some hb ->
+        fun ls ->
+          let ie = ls.lienv and y = hb ls in
+          for l = 0 to ls.nl - 1 do
+            ie.(dst + l) <- (if f ie.(ao + l) y then 1 else 0)
+          done
+    | _ ->
+        let ga = lv_iget oa and gb = lv_iget ob in
+        fun ls ->
+          for l = 0 to ls.nl - 1 do
+            ls.lienv.(dst + l) <- (if f (ga ls l) (gb ls l) then 1 else 0)
+          done
   in
   let lv_fcmp c (oa : opnd) (ob : opnd) (dst : int) : lane_state -> unit =
-    let f = fcmp_fn c in
-    let generic () =
-      let ga = lv_fget oa and gb = lv_fget ob in
-      fun ls ->
-        for l = 0 to ls.nl - 1 do
-          ls.lienv.(dst + l) <- (if f (ga ls l) (gb ls l) then 1 else 0)
-        done
-    in
-    match (fvar_slot oa, fvar_slot ob) with
-    | Some ao, Some bo ->
-        fun ls ->
-          let ie = ls.lienv and fe = ls.lfenv in
-          for l = 0 to ls.nl - 1 do
-            ie.(dst + l) <- (if f fe.(ao + l) fe.(bo + l) then 1 else 0)
-          done
-    | Some ao, None -> (
-        match fhoist ob with
-        | None -> generic ()
-        | Some hb ->
-            fun ls ->
-              let ie = ls.lienv and fe = ls.lfenv and y = hb ls in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- (if f fe.(ao + l) y then 1 else 0)
-              done)
-    | None, Some bo -> (
-        match fhoist oa with
-        | None -> generic ()
-        | Some ha ->
-            fun ls ->
-              let ie = ls.lienv and fe = ls.lfenv and x = ha ls in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- (if f x fe.(bo + l) then 1 else 0)
-              done)
-    | None, None -> generic ()
+    let f = fcmp_fn c and ga = lv_fget oa and gb = lv_fget ob in
+    fun ls ->
+      for l = 0 to ls.nl - 1 do
+        ls.lienv.(dst + l) <- (if f (ga ls l) (gb ls l) then 1 else 0)
+      done
   in
   let lv_isel (oc : opnd) (oa : opnd) (ob : opnd) (dst : int) :
       lane_state -> unit =
-    let gc = lv_iget oc in
-    let generic () =
-      let ga = lv_iget oa and gb = lv_iget ob in
-      fun ls ->
-        for l = 0 to ls.nl - 1 do
-          ls.lienv.(dst + l) <-
-            (if gc ls l <> 0 then ga ls l else gb ls l)
-        done
-    in
-    match (ivar_slot oc, ivar_slot oa, ivar_slot ob) with
-    | Some co, Some ao, Some bo ->
-        fun ls ->
-          let ie = ls.lienv in
-          for l = 0 to ls.nl - 1 do
-            ie.(dst + l) <-
-              (if ie.(co + l) <> 0 then ie.(ao + l) else ie.(bo + l))
-          done
-    | Some co, _, _ -> (
-        match (ihoist oa, ihoist ob) with
-        | Some ha, Some hb ->
-            fun ls ->
-              let ie = ls.lienv in
-              let x = ha ls and y = hb ls in
-              for l = 0 to ls.nl - 1 do
-                ie.(dst + l) <- (if ie.(co + l) <> 0 then x else y)
-              done
-        | _ -> generic ())
-    | _ -> generic ()
+    let gc = lv_iget oc and ga = lv_iget oa and gb = lv_iget ob in
+    fun ls ->
+      for l = 0 to ls.nl - 1 do
+        ls.lienv.(dst + l) <- (if gc ls l <> 0 then ga ls l else gb ls l)
+      done
   in
   let lv_fsel (oc : opnd) (oa : opnd) (ob : opnd) (dst : int) :
       lane_state -> unit =
-    let gc = lv_iget oc in
-    let generic () =
-      let ga = lv_fget oa and gb = lv_fget ob in
-      fun ls ->
-        for l = 0 to ls.nl - 1 do
-          ls.lfenv.(dst + l) <-
-            (if gc ls l <> 0 then ga ls l else gb ls l)
-        done
-    in
-    match (ivar_slot oc, fvar_slot oa, fvar_slot ob) with
-    | Some co, Some ao, Some bo ->
-        fun ls ->
-          let ie = ls.lienv and fe = ls.lfenv in
-          for l = 0 to ls.nl - 1 do
-            fe.(dst + l) <-
-              (if ie.(co + l) <> 0 then fe.(ao + l) else fe.(bo + l))
-          done
-    | Some co, _, _ -> (
-        match (fhoist oa, fhoist ob) with
-        | Some ha, Some hb ->
-            fun ls ->
-              let ie = ls.lienv and fe = ls.lfenv in
-              let x = ha ls and y = hb ls in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- (if ie.(co + l) <> 0 then x else y)
-              done
-        | _ -> generic ())
-    | _ -> generic ()
+    let gc = lv_iget oc and ga = lv_fget oa and gb = lv_fget ob in
+    fun ls ->
+      for l = 0 to ls.nl - 1 do
+        ls.lfenv.(dst + l) <- (if gc ls l <> 0 then ga ls l else gb ls l)
+      done
   in
 
   let lv_fbin op (oa : opnd) (ob : opnd) (dst : int) : lane_state -> unit =
-    let generic () =
-      let ga = lv_fget oa and gb = lv_fget ob and f = float_binop_fn op in
-      fun ls ->
-        for l = 0 to ls.nl - 1 do
-          ls.lfenv.(dst + l) <- f (ga ls l) (gb ls l)
-        done
-    in
-    match (fvar_slot oa, fvar_slot ob) with
-    | Some ao, Some bo -> (
-        match op with
-        | Fadd ->
-            fun ls ->
-              let fe = ls.lfenv in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- fe.(ao + l) +. fe.(bo + l)
-              done
-        | Fsub ->
-            fun ls ->
-              let fe = ls.lfenv in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- fe.(ao + l) -. fe.(bo + l)
-              done
-        | Fmul ->
-            fun ls ->
-              let fe = ls.lfenv in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- fe.(ao + l) *. fe.(bo + l)
-              done
-        | Fdiv ->
-            fun ls ->
-              let fe = ls.lfenv in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- fe.(ao + l) /. fe.(bo + l)
-              done
-        | _ -> generic ())
-    | Some ao, None -> (
-        match (fhoist ob, op) with
-        | Some hb, Fadd ->
-            fun ls ->
-              let fe = ls.lfenv and y = hb ls in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- fe.(ao + l) +. y
-              done
-        | Some hb, Fsub ->
-            fun ls ->
-              let fe = ls.lfenv and y = hb ls in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- fe.(ao + l) -. y
-              done
-        | Some hb, Fmul ->
-            fun ls ->
-              let fe = ls.lfenv and y = hb ls in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- fe.(ao + l) *. y
-              done
-        | Some hb, Fdiv ->
-            fun ls ->
-              let fe = ls.lfenv and y = hb ls in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- fe.(ao + l) /. y
-              done
-        | _ -> generic ())
-    | None, Some bo -> (
-        match (fhoist oa, op) with
-        | Some ha, Fadd ->
-            fun ls ->
-              let fe = ls.lfenv and x = ha ls in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- x +. fe.(bo + l)
-              done
-        | Some ha, Fsub ->
-            fun ls ->
-              let fe = ls.lfenv and x = ha ls in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- x -. fe.(bo + l)
-              done
-        | Some ha, Fmul ->
-            fun ls ->
-              let fe = ls.lfenv and x = ha ls in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- x *. fe.(bo + l)
-              done
-        | Some ha, Fdiv ->
-            fun ls ->
-              let fe = ls.lfenv and x = ha ls in
-              for l = 0 to ls.nl - 1 do
-                fe.(dst + l) <- x /. fe.(bo + l)
-              done
-        | _ -> generic ())
-    | None, None -> generic ()
+    match (op, fvar_slot oa, fvar_slot ob, fhoist oa) with
+    | Fadd, Some ao, Some bo, _ ->
+        fun ls ->
+          let fe = ls.lfenv in
+          for l = 0 to ls.nl - 1 do
+            fe.(dst + l) <- fe.(ao + l) +. fe.(bo + l)
+          done
+    | Fsub, Some ao, Some bo, _ ->
+        fun ls ->
+          let fe = ls.lfenv in
+          for l = 0 to ls.nl - 1 do
+            fe.(dst + l) <- fe.(ao + l) -. fe.(bo + l)
+          done
+    | Fmul, Some ao, Some bo, _ ->
+        fun ls ->
+          let fe = ls.lfenv in
+          for l = 0 to ls.nl - 1 do
+            fe.(dst + l) <- fe.(ao + l) *. fe.(bo + l)
+          done
+    | Fadd, _, Some bo, Some ha ->
+        fun ls ->
+          let fe = ls.lfenv and x = ha ls in
+          for l = 0 to ls.nl - 1 do
+            fe.(dst + l) <- x +. fe.(bo + l)
+          done
+    | Fmul, _, Some bo, Some ha ->
+        fun ls ->
+          let fe = ls.lfenv and x = ha ls in
+          for l = 0 to ls.nl - 1 do
+            fe.(dst + l) <- x *. fe.(bo + l)
+          done
+    | _ ->
+        let f = float_binop_fn op and ga = lv_fget oa and gb = lv_fget ob in
+        fun ls ->
+          for l = 0 to ls.nl - 1 do
+            ls.lfenv.(dst + l) <- f (ga ls l) (gb ls l)
+          done
   in
   let lv_bsel (oc : opnd) (oa : opnd) (ob : opnd) (dst : int) :
       lane_state -> unit =
@@ -1520,28 +1209,16 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
   in
 
   (* One pure builtin over scalars (or one vector component), resolved at
-     compile time. F32 sqrt/rsqrt and mad/fma on varying slots get direct
-     loops; the rest call the resolved scalar function per lane. *)
+     compile time. F32 rsqrt on a varying slot gets a direct loop; the
+     rest call the resolved scalar function per lane. *)
   let lv_callc callee ~(is_float : bool) (ops : opnd list) (dst : int) :
       lane_state -> unit =
     match (callee, is_float, List.map fvar_slot ops) with
-    | ("sqrt" | "native_sqrt"), true, [ Some a ] ->
-        fun ls ->
-          let fe = ls.lfenv in
-          for l = 0 to ls.nl - 1 do
-            fe.(dst + l) <- Float.sqrt fe.(a + l)
-          done
     | ("rsqrt" | "native_rsqrt"), true, [ Some a ] ->
         fun ls ->
           let fe = ls.lfenv in
           for l = 0 to ls.nl - 1 do
             fe.(dst + l) <- 1.0 /. Float.sqrt fe.(a + l)
-          done
-    | ("mad" | "fma"), true, [ Some a; Some b; Some c ] ->
-        fun ls ->
-          let fe = ls.lfenv in
-          for l = 0 to ls.nl - 1 do
-            fe.(dst + l) <- (fe.(a + l) *. fe.(b + l)) +. fe.(c + l)
           done
     | _ -> (
         let fs = List.map lv_fget ops and is = List.map lv_iget ops in
@@ -2063,22 +1740,13 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
           for l = 0 to ls.nl - 1 do
             ie.(b + l) <- (if pr.(l) <> 0 then gt ls l else ge ls l)
           done
-    | `F s -> (
-        let b = s * lw in
-        match (fvar_slot ot, fvar_slot oe) with
-        | Some x, Some y ->
-            fun ls ->
-              let fe = ls.lfenv and pr = ls.lpred in
-              for l = 0 to ls.nl - 1 do
-                fe.(b + l) <- (if pr.(l) <> 0 then fe.(x + l) else fe.(y + l))
-              done
-        | _ ->
-            let gt = lv_fget ot and ge = lv_fget oe in
-            fun ls ->
-              let fe = ls.lfenv and pr = ls.lpred in
-              for l = 0 to ls.nl - 1 do
-                fe.(b + l) <- (if pr.(l) <> 0 then gt ls l else ge ls l)
-              done)
+    | `F s ->
+        let b = s * lw and gt = lv_fget ot and ge = lv_fget oe in
+        fun ls ->
+          let fe = ls.lfenv and pr = ls.lpred in
+          for l = 0 to ls.nl - 1 do
+            fe.(b + l) <- (if pr.(l) <> 0 then gt ls l else ge ls l)
+          done
     | `B s ->
         let b = s * lw and gt = lv_bget ot and ge = lv_bget oe in
         fun ls ->

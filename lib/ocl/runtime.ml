@@ -604,6 +604,7 @@ module Sched = struct
     mutable l_holders : int;  (** domains currently holding a context on us *)
     mutable l_finished : bool;
     mutable l_error : exn option;
+    mutable l_error_wg : int;  (** the group that raised [l_error] *)
     l_totals : Trace.totals;
         (** merged holder partials; complete once [l_finished] *)
     mutable l_on_complete : launch_rec -> unit;
@@ -649,6 +650,7 @@ module Sched = struct
       l_holders = 0;
       l_finished = false;
       l_error = None;
+      l_error_wg = max_int;
       l_totals = Trace.empty_totals ();
       l_on_complete = ignore;
     }
@@ -773,18 +775,27 @@ module Sched = struct
         x
 
   (* Execute a claimed chunk (no lock held). A failure poisons the launch:
-     the first error is recorded, unclaimed groups are abandoned, and the
-     error re-raises at the launch's wait point. *)
+     the lowest failing group's error is kept, unclaimed groups are
+     abandoned, and the error re-raises at the launch's wait point. Groups
+     are claimed in increasing order and a chunk stops at its first
+     failure, so when groups write disjoint data the lowest failing group
+     always runs, and the error is the one a one-domain launch raises
+     whatever the domain count and timing. *)
   let execute (h : holder) ~(g0 : int) ~(sz : int) : unit =
+    let wg = ref g0 in
     try
-      for wg = g0 to g0 + sz - 1 do
-        run_one_group h.h_x ~wg;
-        Trace.accumulate h.h_tot h.h_x.stats
+      while !wg < g0 + sz do
+        run_one_group h.h_x ~wg:!wg;
+        Trace.accumulate h.h_tot h.h_x.stats;
+        incr wg
       done
     with e ->
       locked (fun () ->
           let l = h.h_l in
-          if l.l_error = None then l.l_error <- Some e;
+          if !wg < l.l_error_wg then begin
+            l.l_error <- Some e;
+            l.l_error_wg <- !wg
+          end;
           if l.l_next < l.l_n_groups then begin
             l.l_next <- l.l_n_groups;
             ready := List.filter (fun r -> r != l) !ready
@@ -895,8 +906,8 @@ let check_geometry (cfg : launch_config) : unit =
     retain the record.
 
     [domains > 1] runs work-groups concurrently on that many OCaml domains
-    (true multicore execution, on the persistent pool, with atomic
-    chunk-claimed group distribution); [domains = 0] asks for
+    (true multicore execution, on the persistent pool, with guided
+    chunks of groups claimed under the scheduler lock); [domains = 0] asks for
     [Domain.recommended_domain_count ()], clamped to a sane range. This is
     for correctness/throughput runs: it requires [on_group] to be [None]
     (the performance simulator needs a deterministic group order) and

@@ -1554,15 +1554,18 @@ let test_vec_sqrt () =
 (* -- Random float4 kernels ------------------------------------------------------
    Each generated kernel mixes float4 loads and stores, + - * /, splat and
    literal constructors, .x/.y/.z/.w reads and writes, a float4 carried
-   around a loop, one live across a uniform barrier and one chosen inside
-   a pure divergent diamond. Two accesses read a batch-uniform column: a
+   around a loop, one live across a uniform barrier and one chosen inside a
+   pure divergent diamond. A float compare kept as an int picks, per lane,
+   [sqrt(fabs(..))] or [mad]/[fma] and a [__local] index; a division has a
+   batch-uniform dividend or divisor. These ops and shapes have no direct
+   loop in the lane compiler. Two accesses read a batch-uniform column: a
    store of a group-uniform float4 to [__local], and a [__local] load at
    the counter of a uniform loop (NBody's [sh[j]]). The tree engine under
    fibers and the compiled lane code in W-wide (W in {1,4,8,256}) and
    one-lane batches must agree bit for bit on buffers, totals and each
-   group's counters and per-work-item event stream, at group sizes that
-   are not multiples of W (at W = 256, one batch sweeps each group); the
-   W-wide run must really batch every region. *)
+   group's counters and per-work-item event stream, at group sizes that are
+   not multiples of W (at W = 256, one batch sweeps each group); the W-wide
+   run must really batch every region. *)
 
 (* One group's observable trace: its counters (access counters included)
    and its events, stably sorted by work-item so each work-item's program
@@ -1580,6 +1583,9 @@ let float4_kernel_gen =
   let open QCheck.Gen in
   let bop = oneofl [ "+"; "-"; "*"; "/" ] in
   let cmp = oneofl [ "x"; "y"; "z"; "w" ] in
+  let fcmp = oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
+  (* batch-uniform divisors and dividends *)
+  let hoisted = oneofl [ "2.5f"; "(float)n"; "(float4)(1.5f, -2.0f, 0.5f, 3.0f)" ] in
   let lit =
     oneof
       [ map (fun k -> Printf.sprintf "(float4)(%d.5f)" k) (int_range (-3) 3);
@@ -1593,7 +1599,8 @@ let float4_kernel_gen =
     oneofl [ "x.x > 0.0f"; "g % 3 == 1"; "y.w < x.z"; "acc.y * acc.y > 1.0f" ]
   in
   map
-    (fun ((o1, o2, o3, o4), (c1, c2, c3), (l1, l2), (trip, p, o5)) ->
+    (fun ( ((o1, o2, o3, o4), (c1, c2, c3), (l1, l2), (trip, p, o5)),
+           ((c4, fc, c5), (fma, h1, h2)) ) ->
       Printf.sprintf
         {|__kernel void k(__global float4 *out, __global const float4 *a,
                           __global const float4 *b, int n) {
@@ -1609,16 +1616,21 @@ let float4_kernel_gen =
             }
             float4 v;
             if (%s) { v = acc %s y; } else { v = x + %s; }
+            int c = x.%s %s y.%s;
+            float4 z = c ? sqrt(fabs(v)) : %s(x, y, acc);
+            float4 q = %s / z + z / %s;
             tile[l] = v;
             tile[32 + l] = (float4)((float)n, 0.5f, (float)get_group_id(0), -1.0f);
             barrier(CLK_LOCAL_MEM_FENCE);
-            float4 w = tile[(l + 1) %% get_local_size(0)];
+            float4 w = tile[c ? 32 + l : (l + 1) %% get_local_size(0)];
             for (int j = 0; j < get_local_size(0); j++) w = w %s tile[j];
-            out[g] = w %s acc + x * (float)n + tile[32 + l];
+            out[g] = w %s acc + x * (float)n + tile[32 + l] + q;
           }|}
-        l1 trip o1 o2 c1 c2 c3 p o3 l2 o5 o4)
-    (quad (quad bop bop bop bop) (triple cmp cmp cmp) (pair lit lit)
-       (triple (int_range 0 3) pred bop))
+        l1 trip o1 o2 c1 c2 c3 p o3 l2 c4 fc c5 fma h1 h2 o5 o4)
+    (pair
+       (quad (quad bop bop bop bop) (triple cmp cmp cmp) (pair lit lit)
+          (triple (int_range 0 3) pred bop))
+       (pair (triple cmp fcmp cmp) (triple (oneofl [ "mad"; "fma" ]) hoisted hoisted)))
 
 let prop_float4_kernels_agree =
   QCheck.Test.make
@@ -1664,26 +1676,34 @@ let prop_float4_kernels_agree =
 (* -- Random kernels with private arrays, divergent loops and int4 -------------------
    Each generated kernel has three private arrays (one filled by a loop
    counter, one indexed by [get_local_id], one live across a uniform
-   barrier), a loop whose trip count depends on [get_local_id], a
-   divergent store outside any diamond, two barriers inside a uniform loop
-   and int4 arithmetic. The compiled default plan at W in {1,4,8,256}
-   must match tree+fiber bit for bit at group sizes that are not
-   multiples of W: buffers (private and local scratch included), totals
-   and each group's counters and per-work-item event stream on one
-   domain; global buffers and totals on two. At W = 256 one batch sweeps
-   each W-wide region, next to one-lane regions swept item by item. *)
+   barrier), a loop whose trip count depends on [get_local_id], a divergent
+   store outside any diamond, two barriers inside a uniform loop and int4
+   arithmetic. Its int ops include shifts, division and remainder by an odd
+   (so nonzero) divisor, a compare with a batch-uniform left operand, and
+   int and float selects on varying compares: ops and shapes with no direct
+   loop in the lane compiler. The compiled default plan at W in {1,4,8,256}
+   must match tree+fiber bit for bit at group sizes that are not multiples
+   of W: buffers (private and local scratch included), totals and each
+   group's counters and per-work-item event stream on one domain; global
+   buffers and totals on two. At W = 256 one batch sweeps each W-wide
+   region, next to one-lane regions swept item by item. *)
 
 let random_kernel_gen =
   let open QCheck.Gen in
-  let iop = oneofl [ "+"; "-"; "*"; "^"; "&"; "|" ] in
+  let iop = oneofl [ "+"; "-"; "*"; "^"; "&"; "|"; "<<"; ">>" ] in
   let small = int_range (-3) 5 in
   let comp = oneofl [ "x"; "y"; "z"; "w" ] in
   let pred = oneofl [ "l % 2 == 0"; "a[g] > 3"; "g < n / 2"; "acc > l" ] in
+  let div = oneofl [ "/"; "%" ] in
+  let icmp = oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
+  (* a constant, an argument or a uniform slot *)
+  let uniform = oneofl [ "3"; "-2"; "n"; "n / 2"; "reps + 1" ] in
   map
-    (fun ( (o1, o2, o3, o4),
-           (o5, o6, o7, o8),
-           (c1, c2, c3, (c4, c5)),
-           ((k, ca, cb), p, idx) ) ->
+    (fun ( ( (o1, o2, o3, o4),
+             (o5, o6, o7, o8),
+             (c1, c2, c3, (c4, c5)),
+             ((k, ca, cb), p, idx) ),
+           ((d1, sh, c6, d2), (u, ic, o9), fc) ) ->
       Printf.sprintf
         {|__kernel void k(__global int *out, __global int4 *vout, __global int *dout,
                           __global const int *a, int n, int reps) {
@@ -1706,13 +1726,21 @@ let random_kernel_gen =
               v.%s = v.%s %s tile[(l + 1) %% get_local_size(0)];
               barrier(CLK_LOCAL_MEM_FENCE);
             }
+            int q = (acc %s (a[g] | 1)) %s (%d %s (l | 1));
+            int s = (%s %s q) ? q %s g : pb[l];
+            float f = (acc %s l) ? (float)g * 0.5f : (float)n;
             vout[g] = v %s (int4)(pc[0], pc[1], pc[2], pc[3]);
-            out[g] = pc[%d] + acc + get_local_id(2);
+            out[g] = pc[%d] + acc + get_local_id(2) + s + (int)f;
           }|}
-        o1 c1 o2 c2 o3 c3 k o4 p o5 c4 c5 ca o6 cb cb o7 o8 idx)
-    (quad (quad iop iop iop iop) (quad iop iop iop iop)
-       (quad small small small (pair small small))
-       (triple (triple (int_range 1 5) comp comp) pred (int_range 0 3)))
+        o1 c1 o2 c2 o3 c3 k o4 p o5 c4 c5 ca o6 cb cb o7 d1 sh c6 d2 u ic o9 fc o8
+        idx)
+    (pair
+       (quad (quad iop iop iop iop) (quad iop iop iop iop)
+          (quad small small small (pair small small))
+          (triple (triple (int_range 1 5) comp comp) pred (int_range 0 3)))
+       (triple
+          (quad div (oneofl [ "<<"; ">>" ]) small div)
+          (triple uniform icmp iop) icmp))
 
 (* One 1-D launch of [src] compiled at [lane_width] on the arguments
    [setup] allocates in a fresh memory: its totals, its buffers (every
@@ -2140,17 +2168,17 @@ let test_trap_poisons_only_its_launch (label, src, masked) () =
   Alcotest.check path_t (label ^ ": one batch per group")
     (Runtime.Lanes trap_wg)
     (Runtime.plan c ~cfg:trap_cfg ~force_path:trap_path ~domains:1 ()).Runtime.path;
-  (* Lane 100 is each group's first access out of bounds. One domain
-     traps in group 0; on two, the first group to trap may be any. *)
-  let traps what ~groups f =
+  (* Lane 100 is each group's first access out of bounds, so every group
+     traps. One domain stops at group 0; two domains and the queue keep
+     the lowest trapping group's error, so they raise group 0's too. *)
+  let traps what f =
     let want =
-      List.init groups (fun wg ->
-          Printf.sprintf "buffer 1 (global): element index %d out of bounds [0,%d)"
-            ((wg * trap_wg) + 100 + trap_k) trap_n)
+      Printf.sprintf "buffer 1 (global): element index %d out of bounds [0,%d)"
+        (100 + trap_k) trap_n
     in
     match f () with
     | exception Invalid_argument m ->
-        if not (List.mem m want) then Alcotest.failf "%s: %s raised %S" label what m
+        if m <> want then Alcotest.failf "%s: %s raised %S" label what m
     | _ -> Alcotest.failf "%s: %s did not trap" label what
   in
   let launch ?on_group ~domains c (mem, args) =
@@ -2186,14 +2214,14 @@ let test_trap_poisons_only_its_launch (label, src, masked) () =
   let f_san_trap = sanitized (fresh ()) ~k:trap_k and f_san = sanitized (fresh ()) ~k:0 in
   Alcotest.(check int) (label ^ ": a fresh sanitized trap reports one finding") 1
     (List.length f_san_trap);
-  traps "one domain" ~groups:1 (fun () -> launch ~domains:1 c (trap_args ~k:trap_k));
+  traps "one domain" (fun () -> launch ~domains:1 c (trap_args ~k:trap_k));
   Alcotest.(check bool) (label ^ ": one domain, after a trap = fresh") true
     (compare (traced c) f_traced = 0);
-  traps "two domains" ~groups:(trap_n / trap_wg) (fun () ->
+  traps "two domains" (fun () ->
       with_domain_cap 2 (fun () -> launch ~domains:2 c (trap_args ~k:trap_k)));
   Alcotest.(check bool) (label ^ ": two domains, after a trap = fresh") true
     (compare (on_two c) f_two = 0);
-  traps "queue" ~groups:(trap_n / trap_wg) (fun () -> queued c ~k:trap_k);
+  traps "queue" (fun () -> queued c ~k:trap_k);
   Alcotest.(check bool) (label ^ ": queue, after a trap = fresh") true
     (compare (queued c ~k:0) f_queued = 0);
   Alcotest.(check (list string)) (label ^ ": sanitized trap after traps = fresh") f_san_trap
