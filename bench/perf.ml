@@ -493,11 +493,13 @@ let report_alloc (rows : alloc_row list) : unit =
    [on_group] buffer once, each as work-group 0: every group replays on
    core 0, as in earlier runs of these rows. NVD-MT's groups (both
    versions, at the size the rows above time) are swept as one batch per
-   region, so each is in lockstep order and replays in place; PAB-ST
-   with_lm's (scale 1) run region 0 in one-lane batches, so each goes
-   through the simulator's lane index. Each round then replays them
-   through a fresh SNB, Nehalem and MIC simulator: [create], every
-   [consume] and [result]. Min of [replay_rounds] per row. *)
+   region, so every record covers the whole group and each group replays
+   in lockstep; PAB-ST with_lm's (scale 1) run region 0 in one-lane
+   batches, so each goes through the simulator's lane index. Each round
+   then replays them through a fresh SNB, Nehalem and MIC simulator:
+   [create], every [consume] and [result]. Min of [replay_rounds] per
+   row. [events] counts the events the groups' records represent,
+   [records] the records stored. *)
 
 module Sim = Grover_memsim.Simulate
 
@@ -506,8 +508,9 @@ type replay_row = {
   rr_version : H.version;
   rr_platform : string;
   rr_groups : int;
-  rr_lockstep : int;  (** groups in lockstep order, replayed in place *)
+  rr_lockstep : int;  (** groups whose records all cover the whole group *)
   rr_events : int;
+  rr_records : int;
   rr_seconds : float;
   rr_events_per_sec : float;
 }
@@ -521,14 +524,8 @@ let capture_groups (case : Kit.case) ~(version : H.version) (w : Kit.workload) :
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
   let groups = ref [] in
   let on_group (s : Trace.wg_stats) =
-    let n = s.Trace.n_events in
     groups :=
-      {
-        s with
-        Trace.wg_id = 0;
-        ev_addr = Array.sub s.Trace.ev_addr 0 n;
-        ev_info = Array.sub s.Trace.ev_info 0 n;
-      }
+      { s with Trace.wg_id = 0; recs = Array.sub s.Trace.recs 0 (s.Trace.n_recs * Trace.rec_words) }
       :: !groups
   in
   ignore (Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~on_group ~domains:1 ());
@@ -568,6 +565,7 @@ let replay_bench ~(n : int) () : replay_row list =
   List.map
     (fun ((case : Kit.case), version, (plat : Grover_memsim.Platform.t), groups, _, _, best) ->
       let events = Array.fold_left (fun a s -> a + s.Trace.n_events) 0 groups in
+      let records = Array.fold_left (fun a s -> a + s.Trace.n_recs) 0 groups in
       let sim = Sim.create plat in
       let lockstep =
         Array.fold_left
@@ -583,6 +581,7 @@ let replay_bench ~(n : int) () : replay_row list =
         rr_groups = Array.length groups;
         rr_lockstep = lockstep;
         rr_events = events;
+        rr_records = records;
         rr_seconds = !best;
         rr_events_per_sec = float_of_int events /. !best;
       })
@@ -594,13 +593,13 @@ let report_replay ~(n : int) (rows : replay_row list) : unit =
      (all on core 0), replayed through a fresh simulator (create + consume + \
      result), min of %d\n"
     n n replay_rounds;
-  Printf.printf "%-8s %-12s %-8s %8s %9s %10s %12s %14s\n" "case" "version" "platform"
-    "groups" "lockstep" "events" "seconds" "events/sec";
+  Printf.printf "%-8s %-12s %-8s %8s %9s %10s %9s %12s %14s\n" "case" "version" "platform"
+    "groups" "lockstep" "events" "records" "seconds" "events/sec";
   List.iter
     (fun r ->
-      Printf.printf "%-8s %-12s %-8s %8d %9d %10d %12.4f %14.0f\n" r.rr_case
+      Printf.printf "%-8s %-12s %-8s %8d %9d %10d %9d %12.4f %14.0f\n" r.rr_case
         (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_lockstep
-        r.rr_events r.rr_seconds r.rr_events_per_sec)
+        r.rr_events r.rr_records r.rr_seconds r.rr_events_per_sec)
     rows
 
 (* -- Multi-launch (out-of-order queue) throughput -----------------------------
@@ -969,10 +968,9 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       Printf.fprintf oc
         "      {\"case\": \"%s\", \"version\": \"%s\", \"platform\": \"%s\", \
          \"groups\": %d, \"lockstep_groups\": %d, \"events\": %d, \
-         \"seconds\": %.6f, \"events_per_sec\": %.0f}%s\n"
+         \"records\": %d, \"seconds\": %.6f, \"events_per_sec\": %.0f}%s\n"
         r.rr_case (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_lockstep
-        r.rr_events
-        r.rr_seconds r.rr_events_per_sec
+        r.rr_events r.rr_records r.rr_seconds r.rr_events_per_sec
         (if k = List.length replay - 1 then "" else ","))
     replay;
   Printf.fprintf oc "    ]\n  }";

@@ -22,21 +22,24 @@
 
     The [wg_stats] handed to {!consume} is a pooled buffer owned by the
     runtime — everything needed from it is charged before returning, and
-    no reference to it (or its event arrays) is retained. The simulator's
-    own working storage (the lane index and the per-step dedup buffer) is
-    likewise pooled in the instance, so replaying a trace allocates
-    nothing once the buffers have grown to the largest group. A group
-    whose events are already in lockstep order — the k-th access of every
-    work-item in turn, as one lane batch per region records them — is
-    replayed in place, without a lane index.
+    no reference to it (or its record array) is retained. The simulator's
+    own working storage (the lane index, the group's local ids and row
+    segments, and the per-step dedup buffer) is likewise pooled in the
+    instance, so replaying a trace allocates nothing once the buffers
+    have grown to the largest group, as long as the group shape stays
+    the same. A group whose records all cover the
+    whole group — one lane batch per region records each access once —
+    is {b lockstep}: its [k]-th step is its [k]-th record, replayed
+    without a lane index, and on a CPU a step computes its lines from the
+    record instead of visiting lanes.
 
     Every cache level of a platform shares one line size (on GPUs, the
     coalescing segment), so an access's line or segment number is shifted
     out of its address once and handed to every level. The replay loops
-    read [Trace]'s two event arrays and decode the info word (work-item,
-    width, space, write bit) inline: with [-opaque] no call into another
-    module is inlined, and a per-event call costs more than the arithmetic
-    it would do.
+    read [Trace]'s record array and decode the info word (first
+    work-item, width, space, write bit) inline: with [-opaque] no call
+    into another module is inlined, and a per-access call costs more than
+    the arithmetic it would do.
 
     The total is the maximum over cores (cores run concurrently). *)
 
@@ -72,15 +75,30 @@ type t = {
   bd : breakdown;
   mutable groups : int;
   mutable lockstep : bool;
-      (** the group's events are in lockstep order: lane [l]'s [k]-th
-          event is [l + k * wg_size], and [lane_start]/[lane_evs] are not
-          built *)
+      (** every record of the group covers the whole group: lane [l]'s
+          [k]-th access is record [k], and the lane index is not built *)
   mutable lane_start : int array;
-  mutable lane_count : int array;  (** events per lane, in either order *)
-  mutable lane_evs : int array;
-      (** lane index: the group's event indices sorted by work-item, each
-          lane's in execution order; lane [l] owns
-          [lane_evs.(lane_start.(l)) .. lane_evs.(lane_start.(l) + lane_count.(l) - 1)] *)
+  mutable lane_count : int array;  (** accesses per lane, in either case *)
+  mutable lane_addr : int array;
+      (** lane index: each lane's accesses in execution order, as the
+          address (moved into the core's window if Local or Private) and
+          the info word; lane [l] owns positions
+          [lane_start.(l) .. lane_start.(l) + lane_count.(l) - 1] *)
+  mutable lane_info : int array;
+  mutable geom_n : int;
+  mutable geom_x : int;
+  mutable geom_y : int;
+      (** the group shape ([wg_size], [lsx], [lsy]) the next six arrays
+          describe *)
+  mutable lane_x : int array;  (** local id of each lane of the group *)
+  mutable lane_y : int array;
+  mutable lane_z : int array;
+  mutable seg_lane : int array;
+      (** CPU: row segments, runs of lanes of one SIMD batch sharing
+          [ly] and [lz], by first lane and length; batch [b]'s are
+          [batch_seg.(b) .. batch_seg.(b + 1) - 1] *)
+  mutable seg_len : int array;
+  mutable batch_seg : int array;
   mutable uniq_key : int array;
   mutable uniq_write : bool array;
   mutable n_uniq : int;
@@ -132,7 +150,17 @@ let create ?(vectorized = false) (plat : P.t) : t =
     lockstep = false;
     lane_start = [||];
     lane_count = [||];
-    lane_evs = [||];
+    lane_addr = [||];
+    lane_info = [||];
+    geom_n = -1;
+    geom_x = 0;
+    geom_y = 0;
+    lane_x = [||];
+    lane_y = [||];
+    lane_z = [||];
+    seg_lane = [||];
+    seg_len = [||];
+    batch_seg = [||];
     uniq_key = Array.make 64 0;
     uniq_write = Array.make 64 false;
     n_uniq = 0;
@@ -144,41 +172,79 @@ let create ?(vectorized = false) (plat : P.t) : t =
 
 (* -- Lane index and dedup buffer, shared by both engines ---------------------- *)
 
-(* Index the group's events by work-item. A lane batch of W work-items
-   records its k-th access as W consecutive events, so a group swept as
-   one batch per region is usually in lockstep order: [n_events] is a
-   multiple of [wg_size] and event [e] belongs to work-item
-   [e mod wg_size]. One pass over the info words checks that; such a
-   group needs no index, since lane [l]'s [k]-th event is
-   [l + k * wg_size] ({!lane_event}). Every other group (one-lane
-   regions, masked arms, fiber schedules, several batches per region,
-   events of work-items outside the group) is counting-sorted into
-   [t.lane_evs]. The sort is stable, so index order within a lane is
-   execution order. Events of work-items outside the group
-   ([wi >= wg_size]) are dropped; the work-item is a logical shift of the
-   info word, so never negative. *)
+(* The local id of every lane of a group of [s]'s shape, and the row
+   segments of each SIMD batch, kept until the shape changes. *)
+let geometry (t : t) (s : Trace.wg_stats) : unit =
+  let n = s.Trace.wg_size and lsx = s.Trace.lsx and lsy = s.Trace.lsy in
+  if t.geom_n <> n || t.geom_x <> lsx || t.geom_y <> lsy then begin
+    t.geom_n <- n;
+    t.geom_x <- lsx;
+    t.geom_y <- lsy;
+    let nb = (n + t.simd - 1) / t.simd in
+    t.lane_x <- Array.make n 0;
+    t.lane_y <- Array.make n 0;
+    t.lane_z <- Array.make n 0;
+    t.seg_lane <- Array.make n 0;
+    t.seg_len <- Array.make n 0;
+    t.batch_seg <- Array.make (nb + 1) 0;
+    let x = ref 0 and y = ref 0 and z = ref 0 and segs = ref 0 in
+    for l = 0 to n - 1 do
+      t.lane_x.(l) <- !x;
+      t.lane_y.(l) <- !y;
+      t.lane_z.(l) <- !z;
+      if l mod t.simd = 0 then t.batch_seg.(l / t.simd) <- !segs;
+      if l mod t.simd = 0 || !x = 0 then begin
+        t.seg_lane.(!segs) <- l;
+        incr segs
+      end;
+      t.seg_len.(!segs - 1) <- t.seg_len.(!segs - 1) + 1;
+      if !x + 1 < lsx then incr x
+      else begin
+        x := 0;
+        if !y + 1 < lsy then incr y
+        else begin
+          y := 0;
+          incr z
+        end
+      end
+    done;
+    t.batch_seg.(nb) <- !segs
+  end
+
+(* Index the group's records by lane. A group swept as one lane batch
+   per region stores each whole-group affine access as one record
+   covering all [wg_size] lanes. If every record does, the group is
+   lockstep: lane [l]'s [k]-th access is record [k], and no index is
+   built. In every other group (one-lane regions, masked arms, fiber
+   schedules, several batches per region) each record covering lanes
+   [f .. f + c - 1] gives each of those lanes one access, in stored
+   order, so index order within a lane is execution order; its address
+   is computed here, once, so that a step reads two words per lane.
+   Lanes outside the group ([>= wg_size]) are dropped; the first lane is
+   a logical shift of the info word, so never negative. *)
 let index_lanes (t : t) (s : Trace.wg_stats) : unit =
-  let n = s.Trace.wg_size and ne = s.Trace.n_events in
+  let n = s.Trace.wg_size and nr = s.Trace.n_recs in
+  geometry t s;
   if Array.length t.lane_count < n then begin
     t.lane_start <- Array.make n 0;
     t.lane_count <- Array.make n 0
   end;
   let start = t.lane_start and count = t.lane_count in
-  let info = s.Trace.ev_info and wi_shift = Trace.wi_shift in
-  let whole = n > 0 && ne mod n = 0 in
-  let e = ref 0 and l = ref 0 in
-  if whole then
-    while !e < ne && info.(!e) lsr wi_shift = !l do
-      incr e;
-      l := if !l = n - 1 then 0 else !l + 1
-    done;
-  t.lockstep <- whole && !e = ne;
-  if t.lockstep then Array.fill count 0 n (ne / n)
+  let recs = s.Trace.recs and rw = Trace.rec_words in
+  let f_info = Trace.f_info and f_lanes = Trace.f_lanes and wi_shift = Trace.wi_shift in
+  let r = ref 0 in
+  while !r < nr && recs.((!r * rw) + f_info) lsr wi_shift = 0 && recs.((!r * rw) + f_lanes) = n do
+    incr r
+  done;
+  t.lockstep <- n > 0 && !r = nr;
+  if t.lockstep then Array.fill count 0 n nr
   else begin
     Array.fill count 0 n 0;
-    for k = 0 to ne - 1 do
-      let wi = info.(k) lsr wi_shift in
-      if wi < n then count.(wi) <- count.(wi) + 1
+    for r = 0 to nr - 1 do
+      let f = recs.((r * rw) + f_info) lsr wi_shift in
+      for l = f to min n (f + recs.((r * rw) + f_lanes)) - 1 do
+        count.(l) <- count.(l) + 1
+      done
     done;
     let kept = ref 0 in
     for l = 0 to n - 1 do
@@ -186,25 +252,32 @@ let index_lanes (t : t) (s : Trace.wg_stats) : unit =
       kept := !kept + count.(l);
       count.(l) <- 0
     done;
-    if Array.length t.lane_evs < !kept then
-      t.lane_evs <- Array.make (max !kept (2 * Array.length t.lane_evs)) 0;
-    let evs = t.lane_evs in
-    for k = 0 to ne - 1 do
-      let wi = info.(k) lsr wi_shift in
-      if wi < n then begin
-        let c = count.(wi) in
-        evs.(start.(wi) + c) <- k;
-        count.(wi) <- c + 1
-      end
+    if Array.length t.lane_addr < !kept then begin
+      let cap = max !kept (2 * Array.length t.lane_addr) in
+      t.lane_addr <- Array.make cap 0;
+      t.lane_info <- Array.make cap 0
+    end;
+    let window = s.Trace.wg_id mod Array.length t.cores * core_window in
+    let space_shift = Trace.space_shift and space_mask = Trace.space_mask in
+    let local = Trace.code_local and private_ = Trace.code_private in
+    let lx = t.lane_x and ly = t.lane_y and lz = t.lane_z in
+    for r = 0 to nr - 1 do
+      let k = r * rw in
+      let info = recs.(k + f_info) in
+      let space = (info lsr space_shift) land space_mask in
+      let base = recs.(k + Trace.f_base) + if space = local || space = private_ then window else 0 in
+      let cx = recs.(k + Trace.f_cx) and cy = recs.(k + Trace.f_cy) and cz = recs.(k + Trace.f_cz) in
+      let f = info lsr wi_shift in
+      for l = f to min n (f + recs.(k + f_lanes)) - 1 do
+        let i = start.(l) + count.(l) in
+        t.lane_addr.(i) <- base + (cx * lx.(l)) + (cy * ly.(l)) + (cz * lz.(l));
+        t.lane_info.(i) <- info;
+        count.(l) <- count.(l) + 1
+      done
     done
   end
 
-(* The event index of lane [l]'s [k]-th event ([k < lane_count.(l)]) in a
-   group of [n] work-items. *)
-let[@inline] lane_event (t : t) ~n l k : int =
-  if t.lockstep then l + (k * n) else t.lane_evs.(t.lane_start.(l) + k)
-
-(* The most events any lane in [first..last] recorded. *)
+(* The most accesses any lane in [first..last] has. *)
 let depth (t : t) ~first ~last : int =
   let d = ref 0 in
   for l = first to last do
@@ -238,6 +311,15 @@ let uniq_add (t : t) (key : int) (is_write : bool) : unit =
   t.uniq_key.(n) <- key;
   t.uniq_write.(n) <- is_write;
   t.n_uniq <- n + 1
+
+(* Add line [ln] to a CPU step's dedup buffer, or mark it written. *)
+let[@inline] insert_line (t : t) (ln : int) (is_write : bool) : unit =
+  if newest t ln then begin
+    if is_write then t.uniq_write.(t.n_uniq - 1) <- true
+  end
+  else
+    let i = uniq_find t ln in
+    if i < 0 then uniq_add t ln is_write else if is_write then t.uniq_write.(i) <- true
 
 (* -- CPU engine -------------------------------------------------------------- *)
 
@@ -276,14 +358,16 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
      the k-th access of a lane batch coalesces into one access per distinct
      cache line (an 8-wide unit-stride load is one hardware access). Lines
      are visited in first-seen order — ascending lane, then ascending line —
-     and a line is written if any lane writes it. *)
-  let shift = t.line_shift and write_bit = Trace.write_bit in
+     and a line is written if any lane writes it. Lane [l] of a record
+     accesses [base + cx·lx + cy·ly + cz·lz] at its local id. *)
+  let shift = t.line_shift and line = 1 lsl t.line_shift and write_bit = Trace.write_bit in
   let space_shift = Trace.space_shift and space_mask = Trace.space_mask in
   let bytes_shift = Trace.bytes_shift and bytes_mask = Trace.bytes_mask in
   let local = Trace.code_local and private_ = Trace.code_private in
-  let ev_addr = s.Trace.ev_addr and ev_info = s.Trace.ev_info in
-  let n = s.Trace.wg_size in
+  let recs = s.Trace.recs and rw = Trace.rec_words and f_info = Trace.f_info in
+  let f_base = Trace.f_base and f_cx = Trace.f_cx and f_cy = Trace.f_cy and f_cz = Trace.f_cz in
   index_lanes t s;
+  let lx = t.lane_x and ly = t.lane_y and lz = t.lane_z in
   let memory = ref 0 in
   let n_batches = (s.Trace.wg_size + simd - 1) / simd in
   for b = 0 to n_batches - 1 do
@@ -291,27 +375,50 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
     let last = min (first + simd) s.Trace.wg_size - 1 in
     for k = 0 to depth t ~first ~last - 1 do
       t.n_uniq <- 0;
-      for l = first to last do
-        if k < t.lane_count.(l) then begin
-          let ei = lane_event t ~n l k in
-          let info = ev_info.(ei) in
-          let space = (info lsr space_shift) land space_mask in
-          let addr =
-            if space = local || space = private_ then ev_addr.(ei) + window else ev_addr.(ei)
-          in
-          let is_write = info land write_bit <> 0 in
-          let bytes = (info lsr bytes_shift) land bytes_mask in
-          for ln = addr asr shift to (addr + bytes - 1) asr shift do
-            if newest t ln then begin
-              if is_write then t.uniq_write.(t.n_uniq - 1) <- true
-            end
-            else
-              let i = uniq_find t ln in
-              if i < 0 then uniq_add t ln is_write
-              else if is_write then t.uniq_write.(i) <- true
+      if t.lockstep then begin
+        (* One record for the whole step. *)
+        let r = k * rw in
+        let info = recs.(r + f_info) in
+        let space = (info lsr space_shift) land space_mask in
+        let base = recs.(r + f_base) + if space = local || space = private_ then window else 0 in
+        let is_write = info land write_bit <> 0 in
+        let bytes = (info lsr bytes_shift) land bytes_mask in
+        let cx = recs.(r + f_cx) and cy = recs.(r + f_cy) and cz = recs.(r + f_cz) in
+        if cx >= 0 && cx <= line then
+          (* Along a row segment the lanes' addresses ascend by [cx] <=
+             [line] bytes, so the segment touches exactly the lines from
+             its first lane's first to its last lane's last, first seen
+             in ascending order. A batch of one segment charges them as
+             they come: they are already distinct and in order. *)
+          let one = t.batch_seg.(b + 1) - t.batch_seg.(b) = 1 in
+          for g = t.batch_seg.(b) to t.batch_seg.(b + 1) - 1 do
+            let l = t.seg_lane.(g) in
+            let a = base + (cx * lx.(l)) + (cy * ly.(l)) + (cz * lz.(l)) in
+            for ln = a asr shift to (a + (cx * (t.seg_len.(g) - 1)) + bytes - 1) asr shift do
+              if one then memory := !memory + cpu_line t q m ~line:ln ~is_write
+              else insert_line t ln is_write
+            done
           done
-        end
-      done;
+        else
+          for l = first to last do
+            let a = base + (cx * lx.(l)) + (cy * ly.(l)) + (cz * lz.(l)) in
+            for ln = a asr shift to (a + bytes - 1) asr shift do
+              insert_line t ln is_write
+            done
+          done
+      end
+      else
+        for l = first to last do
+          if k < t.lane_count.(l) then begin
+            let i = t.lane_start.(l) + k in
+            let addr = t.lane_addr.(i) and info = t.lane_info.(i) in
+            let is_write = info land write_bit <> 0 in
+            let bytes = (info lsr bytes_shift) land bytes_mask in
+            for ln = addr asr shift to (addr + bytes - 1) asr shift do
+              insert_line t ln is_write
+            done
+          end
+        done;
       for i = 0 to t.n_uniq - 1 do
         memory := !memory + cpu_line t q m ~line:t.uniq_key.(i) ~is_write:t.uniq_write.(i)
       done
@@ -362,9 +469,24 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
   let global = Trace.code_global and constant = Trace.code_constant in
   let local = Trace.code_local in
   let bytes_shift = Trace.bytes_shift and bytes_mask = Trace.bytes_mask in
-  let ev_addr = s.Trace.ev_addr and ev_info = s.Trace.ev_info in
-  let n = s.Trace.wg_size in
+  let recs = s.Trace.recs and rw = Trace.rec_words and f_info = Trace.f_info in
+  let f_base = Trace.f_base and f_cx = Trace.f_cx and f_cy = Trace.f_cy and f_cz = Trace.f_cz in
   index_lanes t s;
+  let lx = t.lane_x and ly = t.lane_y and lz = t.lane_z in
+  (* Lane [l]'s [k]-th access: its info word, and its address moved into
+     the core's window if Local or Private. *)
+  let info_at l k =
+    if t.lockstep then recs.((k * rw) + f_info) else t.lane_info.(t.lane_start.(l) + k)
+  in
+  let addr_at l k =
+    if t.lockstep then
+      let r = k * rw in
+      let space = (recs.(r + f_info) lsr space_shift) land space_mask in
+      recs.(r + f_base) + (recs.(r + f_cx) * lx.(l)) + (recs.(r + f_cy) * ly.(l))
+      + (recs.(r + f_cz) * lz.(l))
+      + if space = local || space = Trace.code_private then window else 0
+    else t.lane_addr.(t.lane_start.(l) + k)
+  in
   let memory = ref 0.0 and spm = ref 0.0 in
   for w = 0 to n_warps - 1 do
     let first = w * warp in
@@ -376,11 +498,10 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
       t.n_uniq <- 0;
       for l = first to last do
         if k < t.lane_count.(l) then begin
-          let ei = lane_event t ~n l k in
-          let info = ev_info.(ei) in
+          let info = info_at l k in
           let space = (info lsr space_shift) land space_mask in
           if space = global || space = constant then begin
-            let addr = ev_addr.(ei) in
+            let addr = addr_at l k in
             let is_write = info land write_bit <> 0 in
             let bytes = (info lsr bytes_shift) land bytes_mask in
             for seg = addr asr shift to (addr + bytes - 1) asr shift do
@@ -398,10 +519,9 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
       t.n_uniq <- 0;
       for l = first to last do
         if k < t.lane_count.(l) then begin
-          let ei = lane_event t ~n l k in
-          let info = ev_info.(ei) in
+          let info = info_at l k in
           if (info lsr space_shift) land space_mask = local then begin
-            let key = ((ev_addr.(ei) + window) lsl 1) lor Bool.to_int (info land write_bit <> 0) in
+            let key = (addr_at l k lsl 1) lor Bool.to_int (info land write_bit <> 0) in
             if not (newest t key) && uniq_find t key < 0 then uniq_add t key false
           end
         end

@@ -409,20 +409,40 @@ let store_elem (st : wi_state) (b : Memory.buffer) (idx : int)
 
 (* The lane engine's side of the same access stream. The dev profile
    compiles with [-opaque], so a call into [Trace] or [Memory] is never
-   inlined (and a float crossing one is boxed): a lane batch appends its
-   events with {!Trace}'s exported layout, checks its indices and moves the
-   elements' components here (see [lv_access]). Per lane, after its event,
-   [lane_check] hands the access to the sanitizer, if one is installed,
-   and checks the index, calling out only to raise [Memory.check]'s
-   out-of-bounds error. The work-item id is the batch base plus the lane
-   index; each lane's events land in its own program order, which is the
-   only ordering the memory simulator and the sanitizer depend on. *)
+   inlined (and a float crossing one is boxed): a lane batch stores its
+   records with one [Trace.record_batch] call per record, checks its
+   indices and moves the elements' components here (see [lv_access]). Per
+   lane, [lane_check] hands the access to the sanitizer, if one is
+   installed, and checks the index, calling out only to raise
+   [Memory.check]'s out-of-bounds error. The work-item id is the batch
+   base plus the lane index; each lane's events land in its own program
+   order, which is the only ordering the memory simulator and the
+   sanitizer depend on. *)
 let[@inline] lane_check (ls : lane_state) (b : Memory.buffer) (idx : int)
     ~(wi : int) ~(is_write : bool) ~(loc : Grover_support.Loc.t) : unit =
   (match ls.lsan with
   | None -> ()
   | Some s -> Sanitize.access s ~buf:b ~idx ~is_write ~wi ~loc);
   if idx < 0 || idx >= b.Memory.n then Memory.check b idx
+
+(* Is a whole group's index column [col.(io) ..] exactly [i0 + sx·lx +
+   sy·ly + sz·lz] at every lane, for a group of [nl] work-items whose
+   local size is [lsx] by [lsy] by [nl / (lsx * lsy)]? Lanes are in flat
+   order, x fastest. *)
+let affine_column (col : int array) (io : int) ~(lsx : int) ~(lsy : int) ~(nl : int)
+    (i0 : int) (sx : int) (sy : int) (sz : int) : bool =
+  let ok = ref true and k = ref io in
+  for z = 0 to (nl / (lsx * lsy)) - 1 do
+    for y = 0 to lsy - 1 do
+      let e = ref (i0 + (sy * y) + (sz * z)) in
+      for j = !k to !k + lsx - 1 do
+        if col.(j) <> !e then ok := false;
+        e := !e + sx
+      done;
+      k := !k + lsx
+    done
+  done;
+  !ok
 
 (* Copy the [n] components of element [idx] into the lane columns
    [p + j * lw] of [fe] (when [fl]) or [ie], or, for a store, from those
@@ -1332,22 +1352,22 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
         | _ -> [ (fun _ -> trap "unsupported call %s" callee) ])
   in
 
-  (* Loads and stores: one trace event per lane per access (a vector
-     element is one access), then every component moves between the
-     element and the lane columns [c + j * lw + l * cs] of the float ([fl])
-     or int environment ([cs] = 0: a batch-uniform stored value, read from
-     its base column). [on] >= 0 guards a masked arm: only lanes whose
-     predicate equals [on] access.
+  (* Loads and stores: one trace record per access of a batch, or one per
+     active lane (a vector element is one access), then every component
+     moves between the element and the lane columns [c + j * lw + l * cs]
+     of the float ([fl]) or int environment ([cs] = 0: a batch-uniform
+     stored value, read from its base column). [on] >= 0 guards a masked
+     arm: only lanes whose predicate equals [on] access.
 
-     A batch-uniform buffer indexed by an int slot takes one inline loop
-     with one bookkeeping step per batch: the event arrays grow once until
-     every lane's event fits; the arrays, the buffer's base and width and
-     the batch's info word are resolved once; lane [l] reads its index at
-     [io + l * stride] (stride 0: a uniform slot, such as NBody's [sh[j]])
-     and writes its event at a local cursor; the event count and the
-     access counters are written after the loop, counting active lanes
-     only. A trap leaves them unwritten, which nothing reads: the launch
-     is abandoned and the next group resets them. A per-lane buffer, a
+     A batch-uniform buffer indexed by an int slot takes one inline loop.
+     The buffer's base and width and the access's info word are resolved
+     once per batch. Lane [l] reads its index at [io + l * stride]
+     (stride 0: a uniform slot, such as NBody's [sh[j]]). An unmasked
+     batch that covers the whole group first checks its index column
+     ([affine_column]): if every lane's index is [i0 + sx·lx + sy·ly +
+     sz·lz], the access is stored after the loop as one record of
+     [wg_size] lanes, so a trap leaves nothing recorded. Every other batch
+     stores one one-lane record per active lane. A per-lane buffer, a
      constant or argument index, and a constant or argument stored value
      take [each], which reads them through per-lane getters and records
      per lane with [Trace.record]. *)
@@ -1380,33 +1400,37 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     | Some hb, Oi (s, vr) ->
         let io = s * lw and stride = Bool.to_int vr and loc = i.iloc in
         fun ls ->
-          let b = hb ls and st = ls.lstats and nl = ls.nl in
-          let e0 = st.Trace.n_events in
-          if e0 + nl > Array.length st.Trace.ev_addr then Trace.grow st (e0 + nl);
-          let ea = st.Trace.ev_addr and ei = st.Trace.ev_info in
+          let b = hb ls and st = ls.lstats and nl = ls.nl and bf = ls.base_flat in
           let base = b.Memory.base_addr and w = b.Memory.elem_bytes in
-          let info =
-            (ls.base_flat lsl Trace.wi_shift)
-            lor Trace.info ~bytes:w ~space:b.Memory.space ~is_write
-          in
+          let info = Trace.info ~bytes:w ~space:b.Memory.space ~is_write in
           let ie = ls.lienv and fe = ls.lfenv and pr = ls.lpred in
-          let e = ref e0 in
-          for l = 0 to nl - 1 do
-            if on < 0 || pr.(l) = on then begin
+          let whole = on < 0 && bf = 0 && nl > 1 && nl = st.Trace.wg_size in
+          let lsx = ls.lctx.lsz.(0) and lsy = ls.lctx.lsz.(1) in
+          let i0 = ie.(io) in
+          (* the strides at lanes 1, [lsx] and [lsx * lsy], where the
+             group has them *)
+          let sx = if whole && lsx > 1 then ie.(io + stride) - i0 else 0 in
+          let sy = if whole && lsy > 1 then ie.(io + (lsx * stride)) - i0 else 0 in
+          let sz = if whole && lsx * lsy < nl then ie.(io + (lsx * lsy * stride)) - i0 else 0 in
+          if whole && (stride = 0 || affine_column ie io ~lsx ~lsy ~nl i0 sx sy sz) then begin
+            for l = 0 to nl - 1 do
               let idx = ie.(io + (l * stride)) in
-              ea.(!e) <- base + (idx * w);
-              ei.(!e) <- info + (l lsl Trace.wi_shift);
-              incr e;
-              lane_check ls b idx ~wi:(ls.base_flat + l) ~is_write ~loc;
+              lane_check ls b idx ~wi:l ~is_write ~loc;
               lane_move b idx ~is_write ~fl fe ie ~p:(c + (l * cs)) ~lw ~n
-            end
-          done;
-          let m = !e - e0 in
-          st.Trace.n_events <- !e;
-          if is_write then st.Trace.stores <- st.Trace.stores + m
-          else st.Trace.loads <- st.Trace.loads + m;
-          if b.Memory.space = Local then
-            st.Trace.local_accesses <- st.Trace.local_accesses + m
+            done;
+            Trace.record_batch st ~first:0 ~lanes:nl ~info ~base:(base + (i0 * w))
+              ~cx:(sx * w) ~cy:(sy * w) ~cz:(sz * w)
+          end
+          else
+            for l = 0 to nl - 1 do
+              if on < 0 || pr.(l) = on then begin
+                let idx = ie.(io + (l * stride)) in
+                Trace.record_batch st ~first:(bf + l) ~lanes:1 ~info ~base:(base + (idx * w))
+                  ~cx:0 ~cy:0 ~cz:0;
+                lane_check ls b idx ~wi:(bf + l) ~is_write ~loc;
+                lane_move b idx ~is_write ~fl fe ie ~p:(c + (l * cs)) ~lw ~n
+              end
+            done
     | _ ->
         each ~on ~is_write i ptr index (fun ls b idx l ->
             lane_move b idx ~is_write ~fl ls.lfenv ls.lienv

@@ -475,7 +475,7 @@ let run_one_group (x : exec_ctx) ~(wg : int) : unit =
   (* Fresh local memory per group, matching the former per-group
      allocation semantics. *)
   List.iter Memory.clear x.locals;
-  Trace.reset x.stats ~wg_id:wg ~wg_size:x.n_items;
+  Trace.reset x.stats ~wg_id:wg ~lsz:x.lsz;
   match x.sched with
   | Lane_sweep { ln; lst; width; ictx; fctx; bctx; priv } ->
       run_group_lanes x ~ln ~lst ~width ~ictx ~fctx ~bctx ~priv
@@ -939,9 +939,9 @@ let launch (c : Interp.compiled) ~(cfg : launch_config)
     plan c ~cfg ?force_path ~domains ()
   in
   if d <= 1 then begin
-    (* One pooled execution context for the whole launch: states, stats
-       event arrays and local allocations all keep their capacity across
-       groups. *)
+    (* One pooled execution context for the whole launch: states, the
+       stats record array and local allocations all keep their capacity
+       across groups. *)
     let stats = Trace.fresh_stats ~wg_id:0 ~wg_size:0 in
     let x =
       make_ctx c ~rv_args ~scratch:mem ~stats ~lsz ~gsz ~ngr ~path

@@ -1,25 +1,36 @@
 (** Memory-access traces and per-work-group execution statistics, the
     interface between the execution engine and the performance simulator.
 
-    Events are stored in struct-of-arrays form — two parallel [int]
-    arrays, the byte address and a packed info word holding the
-    work-item, the access width, the space and the write bit, instead of
-    one boxed record per access — so recording an event in the
-    interpreter hot loop is two unboxed array writes and no allocation.
-    The group's loads, stores and local accesses are counted as events
-    are recorded, so a launch's totals never rescan the events. A
-    [wg_stats] value is a {b pooled} buffer: the runtime creates one per
-    execution context (launch, or domain worker) and {!reset}s it between
-    work-groups, so its capacity is reused across the whole NDRange.
-    Consumers receiving a [wg_stats] through a streaming hook (e.g.
-    [Runtime.launch ~on_group]) must therefore extract whatever they need
-    before returning and never retain the record itself. *)
+    A trace is a list of {b records}. A record is one access made by a
+    run of consecutive work-items: the flat id of the first and how many
+    it covers, the info word (width, space, write bit), and the byte
+    address of work-item [(lx, ly, lz)] as [base + cx·lx + cy·ly + cz·lz]
+    over the group's local ids. A lane batch that covers the whole group
+    with an index exactly affine in the local id stores its access once,
+    as one record of [wg_size] lanes; every other access (the tree
+    engine, per-lane accesses, masked arms, partial batches) is a
+    one-lane record whose strides are 0. [n_events] counts the events the
+    records represent, and {!iter_events} expands them in stored order,
+    lanes ascending, so the per-work-item streams are the ones the
+    accesses made.
+
+    Records are stored in one flat [int] array, [rec_words] words each,
+    so recording in the interpreter hot loop is a few unboxed array
+    writes and no allocation. The group's loads, stores and local
+    accesses are counted as records are stored, so a launch's totals
+    never rescan them. A [wg_stats] value is a {b pooled} buffer: the
+    runtime creates one per execution context (launch, or domain worker)
+    and {!reset}s it between work-groups, so its capacity is reused
+    across the whole NDRange. Consumers receiving a [wg_stats] through a
+    streaming hook (e.g. [Runtime.launch ~on_group]) must therefore
+    extract whatever they need before returning and never retain the
+    record itself. *)
 
 open Grover_ir
 
-(** A single memory access, as a plain record. The packed arrays below are
-    the storage format; this record is the convenience view used by tests
-    and by {!push_event}/{!get_event}. *)
+(** A single memory access of one work-item, as a plain record: the view
+    {!iter_events} gives of the stored records, used by tests and by
+    {!push_event}. *)
 type event = {
   addr : int;  (** byte address *)
   bytes : int;
@@ -28,12 +39,12 @@ type event = {
   wi : int;  (** linear work-item id within its work-group *)
 }
 
-(** Packed event info word:
-    [(wi lsl wi_shift) lor (bytes lsl bytes_shift)
-     lor (space code lsl space_shift) lor is_write].
-    The layout is exported so that the lane engine can append events and
-    a replay loop can decode them inline: the dev profile compiles with
-    [-opaque], so a call into this module is never inlined. *)
+(** Packed info word:
+    [(first lsl wi_shift) lor (bytes lsl bytes_shift)
+     lor (space code lsl space_shift) lor is_write], [first] being the
+    record's first work-item. The layout is exported so that a replay
+    loop can decode it inline: the dev profile compiles with [-opaque],
+    so a call into this module is never inlined. *)
 
 let write_bit = 1
 let space_shift = 1
@@ -45,6 +56,19 @@ let code_global = 0
 let code_local = 1
 let code_constant = 2
 let code_private = 3
+
+(** Record [r] occupies [recs.(r * rec_words) .. recs.(r * rec_words +
+    rec_words - 1)]; these are the offsets of its words: the info word,
+    the number of work-items covered ([first .. first + lanes - 1]), the
+    base address and the byte strides per local id in x, y and z. *)
+
+let f_info = 0
+let f_lanes = 1
+let f_base = 2
+let f_cx = 3
+let f_cy = 4
+let f_cz = 5
+let rec_words = 6
 
 let space_code = function
   | Ssa.Global -> code_global
@@ -58,19 +82,23 @@ let space_of_code c =
   else if c = code_constant then Ssa.Constant
   else Ssa.Private
 
-(** The info word of an access, less its work-item: OR in
-    [wi lsl wi_shift] for the whole word.
-    @raise Invalid_argument if [bytes] does not fit the width field. *)
+(** The info word of an access, less its first work-item.
+    @raise Invalid_argument if [bytes] is not positive or does not fit
+    the width field. *)
 let info ~(bytes : int) ~(space : Ssa.space) ~(is_write : bool) : int =
-  if bytes land bytes_mask <> bytes then
+  if bytes land bytes_mask <> bytes || bytes = 0 then
     invalid_arg
-      (Printf.sprintf "Trace.info: a %d-byte access does not fit the %d-byte width field"
+      (Printf.sprintf "Trace.info: a %d-byte access does not fit the 1..%d-byte width field"
          bytes bytes_mask);
   (bytes lsl bytes_shift) lor (space_code space lsl space_shift) lor Bool.to_int is_write
 
 type wg_stats = {
   mutable wg_id : int;  (** linear work-group id; the simulator maps it to a core *)
   mutable wg_size : int;
+  mutable lsx : int;
+      (** local size in x and in y: work-item [l] has local id
+          [(l mod lsx, l / lsx mod lsy, l / (lsx * lsy))] *)
+  mutable lsy : int;
   mutable int_ops : int;
   mutable float_ops : int;
   mutable special_ops : int;  (** sqrt/rsqrt/exp/... *)
@@ -80,15 +108,19 @@ type wg_stats = {
   mutable loads : int;  (** events recorded so far, by direction... *)
   mutable stores : int;
   mutable local_accesses : int;  (** ...and those in the local space *)
-  mutable n_events : int;
-  mutable ev_addr : int array;
-  mutable ev_info : int array;  (** see {!info} and [wi_shift] *)
+  mutable n_events : int;  (** events the records represent *)
+  mutable n_recs : int;  (** records stored *)
+  mutable recs : int array;  (** [rec_words] words per record, see [f_info] *)
 }
 
+(** Stats of a one-dimensional group of [wg_size] work-items; {!reset}
+    sets another shape. *)
 let fresh_stats ~wg_id ~wg_size : wg_stats =
   {
     wg_id;
     wg_size;
+    lsx = max 1 wg_size;
+    lsy = 1;
     int_ops = 0;
     float_ops = 0;
     special_ops = 0;
@@ -99,15 +131,18 @@ let fresh_stats ~wg_id ~wg_size : wg_stats =
     stores = 0;
     local_accesses = 0;
     n_events = 0;
-    ev_addr = Array.make 64 0;
-    ev_info = Array.make 64 0;
+    n_recs = 0;
+    recs = Array.make (64 * rec_words) 0;
   }
 
-(** Rewind a pooled stats buffer for the next work-group: zero the
-    counters and the event count, keep the event arrays' capacity. *)
-let reset (s : wg_stats) ~wg_id ~wg_size : unit =
+(** Rewind a pooled stats buffer for the next work-group, of local size
+    [lsz] (3 dimensions): zero the counters and the record count, keep
+    the record array's capacity. *)
+let reset (s : wg_stats) ~wg_id ~(lsz : int array) : unit =
   s.wg_id <- wg_id;
-  s.wg_size <- wg_size;
+  s.wg_size <- lsz.(0) * lsz.(1) * lsz.(2);
+  s.lsx <- lsz.(0);
+  s.lsy <- lsz.(1);
   s.int_ops <- 0;
   s.float_ops <- 0;
   s.special_ops <- 0;
@@ -117,56 +152,67 @@ let reset (s : wg_stats) ~wg_id ~wg_size : unit =
   s.loads <- 0;
   s.stores <- 0;
   s.local_accesses <- 0;
-  s.n_events <- 0
+  s.n_events <- 0;
+  s.n_recs <- 0
 
-(** Double the event arrays' capacity until [need] events fit. *)
-let grow (s : wg_stats) (need : int) : unit =
-  let cap = Array.length s.ev_addr in
-  let cap' = ref (max 1 cap) in
-  while !cap' < need do
-    cap' := 2 * !cap'
-  done;
-  let extend a =
-    let a' = Array.make !cap' 0 in
-    Array.blit a 0 a' 0 cap;
-    a'
-  in
-  s.ev_addr <- extend s.ev_addr;
-  s.ev_info <- extend s.ev_info
+(** Store one record of [lanes] work-items from [first] and count its
+    events. [info] comes from {!info}. Every record is stored here, one
+    call each: the lane engine's whole-group affine accesses and
+    one-lane accesses, and {!record}'s. *)
+let record_batch (s : wg_stats) ~first ~lanes ~info ~base ~cx ~cy ~cz : unit =
+  let r = s.n_recs * rec_words in
+  if r = Array.length s.recs then begin
+    let a = Array.make (2 * r) 0 in
+    Array.blit s.recs 0 a 0 r;
+    s.recs <- a
+  end;
+  let a = s.recs in
+  a.(r + f_info) <- info lor (first lsl wi_shift);
+  a.(r + f_lanes) <- lanes;
+  a.(r + f_base) <- base;
+  a.(r + f_cx) <- cx;
+  a.(r + f_cy) <- cy;
+  a.(r + f_cz) <- cz;
+  s.n_recs <- s.n_recs + 1;
+  s.n_events <- s.n_events + lanes;
+  if info land write_bit <> 0 then s.stores <- s.stores + lanes
+  else s.loads <- s.loads + lanes;
+  if (info lsr space_shift) land space_mask = code_local then
+    s.local_accesses <- s.local_accesses + lanes
 
-(** Append one event and count it. The tree engine, the lane engine's
-    per-lane accesses and {!push_event} record through here; a lane batch
-    whose buffer is batch-uniform appends its events inline with the
-    exported layout, calling only {!grow} and {!info}, and counts them
-    once per batch (see [Interp.lv_access]). *)
+(** Store the one-lane record of work-item [wi]'s access. The tree
+    engine and the lane engine's accesses through per-lane getters
+    record through here. *)
 let record (s : wg_stats) ~addr ~bytes ~is_write ~space ~wi : unit =
-  let n = s.n_events in
-  if n = Array.length s.ev_addr then grow s (n + 1);
-  s.ev_addr.(n) <- addr;
-  s.ev_info.(n) <- (wi lsl wi_shift) lor info ~bytes ~space ~is_write;
-  s.n_events <- n + 1;
-  if is_write then s.stores <- s.stores + 1 else s.loads <- s.loads + 1;
-  if space = Ssa.Local then s.local_accesses <- s.local_accesses + 1
+  record_batch s ~first:wi ~lanes:1 ~info:(info ~bytes ~space ~is_write) ~base:addr ~cx:0
+    ~cy:0 ~cz:0
+
+(** Expand the records into events, in stored order and, within a
+    record, by ascending work-item. *)
+let iter_events (f : event -> unit) (s : wg_stats) : unit =
+  let a = s.recs in
+  for r = 0 to s.n_recs - 1 do
+    let k = r * rec_words in
+    let info = a.(k + f_info) in
+    let bytes = (info lsr bytes_shift) land bytes_mask
+    and is_write = info land write_bit <> 0
+    and space = space_of_code ((info lsr space_shift) land space_mask) in
+    for wi = info lsr wi_shift to (info lsr wi_shift) + a.(k + f_lanes) - 1 do
+      let lx = wi mod s.lsx and ly = wi / s.lsx mod s.lsy and lz = wi / (s.lsx * s.lsy) in
+      let addr = a.(k + f_base) + (a.(k + f_cx) * lx) + (a.(k + f_cy) * ly) + (a.(k + f_cz) * lz) in
+      f { addr; bytes; is_write; space; wi }
+    done
+  done
 
 (** Record-view helpers for tests and debugging. *)
 let push_event (s : wg_stats) (e : event) : unit =
-  record s ~addr:e.addr ~bytes:e.bytes ~is_write:e.is_write ~space:e.space
-    ~wi:e.wi
+  record s ~addr:e.addr ~bytes:e.bytes ~is_write:e.is_write ~space:e.space ~wi:e.wi
 
-let get_event (s : wg_stats) k : event =
-  let info = s.ev_info.(k) in
-  {
-    addr = s.ev_addr.(k);
-    bytes = (info lsr bytes_shift) land bytes_mask;
-    is_write = info land write_bit <> 0;
-    space = space_of_code ((info lsr space_shift) land space_mask);
-    wi = info lsr wi_shift;
-  }
-
-let iter_events (f : event -> unit) (s : wg_stats) : unit =
-  for k = 0 to s.n_events - 1 do
-    f (get_event s k)
-  done
+(** The events in {!iter_events} order. *)
+let events (s : wg_stats) : event list =
+  let l = ref [] in
+  iter_events (fun e -> l := e :: !l) s;
+  List.rev !l
 
 (** Aggregated totals over a whole launch (correctness runs often only need
     these, not the raw events). *)

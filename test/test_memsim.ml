@@ -560,10 +560,19 @@ let print_groups groups =
                  evs)))
        groups)
 
-let consume_matches_reference plat ~vectorized groups =
+let replay plat ~vectorized stats =
   let sim = Sim.create ~vectorized plat in
-  List.iter (fun (wg_id, wg_size, evs) -> Sim.consume sim (mk_stats ~wg_id ~wg_size evs)) groups;
-  let r = Sim.result sim in
+  List.iter (Sim.consume sim) stats;
+  Sim.result sim
+
+(* Each group's events as one-lane records. *)
+let event_stats groups =
+  List.map (fun (wg_id, wg_size, evs) -> mk_stats ~wg_id ~wg_size evs) groups
+
+(* [stats groups] are the traces [Simulate] replays for the reference's
+   [groups]. *)
+let consume_matches_reference plat ~vectorized ~stats groups =
+  let r = replay plat ~vectorized (stats groups) in
   let per_core, memory, spm = reference_replay plat ~vectorized groups in
   r.Sim.per_core = per_core
   && r.Sim.r_memory = memory
@@ -585,35 +594,202 @@ let prop_consume_matches_reference =
   Test.make ~name:"Simulate.consume matches a list-based reference" ~count:300
     (make gen ~print)
     (fun (pi, vectorized, groups) ->
-      consume_matches_reference (List.nth plats pi) ~vectorized groups)
+      consume_matches_reference (List.nth plats pi) ~vectorized ~stats:event_stats groups)
 
-(* The simulator replays a lockstep group in place and sorts every other
-   one into its lane index. Lockstep groups and their near misses must
-   take the path the definition gives them, and replay like the
-   reference on all six platforms, vectorized or not. *)
+(* -- Records: whole-group affine accesses and one-lane accesses -----------------
+
+   A record is one access of work-items [first .. first + lanes - 1]; the
+   work-item at local id (lx, ly, lz) accesses [base + cx·lx + cy·ly +
+   cz·lz]. A group is (wg_id, local size, records). *)
+
+type trec = {
+  first : int;
+  lanes : int;
+  base : int;
+  cx : int;
+  cy : int;
+  cz : int;
+  bytes : int;
+  write : bool;
+  space : Grover_ir.Ssa.space;
+}
+
+let shape_size (x, y, z) = x * y * z
+
+let rstats (wg_id, ((x, y, z) as shape), recs) =
+  let s = Trace.fresh_stats ~wg_id ~wg_size:(shape_size shape) in
+  Trace.reset s ~wg_id ~lsz:[| x; y; z |];
+  List.iter
+    (fun r ->
+      Trace.record_batch s ~first:r.first ~lanes:r.lanes
+        ~info:(Trace.info ~bytes:r.bytes ~space:r.space ~is_write:r.write)
+        ~base:r.base ~cx:r.cx ~cy:r.cy ~cz:r.cz)
+    recs;
+  s
+
+(* A record's events by ascending work-item, computed here rather than by
+   [Trace]. *)
+let expand (lsx, lsy, _) r =
+  List.init r.lanes (fun j ->
+      let l = r.first + j in
+      let lx = l mod lsx and ly = l / lsx mod lsy and lz = l / (lsx * lsy) in
+      ev ~wi:l ~addr:(r.base + (r.cx * lx) + (r.cy * ly) + (r.cz * lz)) ~bytes:r.bytes
+        ~write:r.write ~space:r.space ())
+
+(* The group as events, in the reference's (wg_id, wg_size, events) form. *)
+let as_events (wg_id, shape, recs) = (wg_id, shape_size shape, List.concat_map (expand shape) recs)
+
+(* Every record covers the whole group. *)
+let lockstep_group (_, shape, recs) =
+  List.for_all (fun r -> r.first = 0 && r.lanes = shape_size shape) recs
+
+(* Local sizes: rows shorter than MIC's 16-wide step (AMD-MM's 8×8), rows
+   that do not divide a SIMD batch, one-item and one-column groups. *)
+let gen_shape =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ (8, 8, 1); (16, 1, 1); (4, 4, 2); (3, 5, 2); (1, 7, 1); (32, 2, 1); (1, 1, 1); (5, 1, 3) ];
+        triple (int_range 1 6) (int_range 1 4) (int_range 1 3) ])
+
+let gen_access =
+  QCheck.Gen.(
+    triple (oneofl [ 1; 2; 4; 8; 12; 16 ]) bool
+      (oneofl Grover_ir.Ssa.[ Global; Global; Local; Local; Constant; Private ]))
+
+(* A whole-group record. Strides are 0, the width, negative, near and
+   above the line size; bases sit anywhere in a line, high enough that
+   every address is non-negative. *)
+let gen_whole shape =
+  QCheck.Gen.(
+    gen_access >>= fun (bytes, write, space) ->
+    oneofl [ 0; bytes; -bytes; 2 * bytes; 4; 60; 64; 72; 100; 128; -64; -72; 136; 520 ]
+    >>= fun cx ->
+    let lsx, lsy, _ = shape in
+    oneofl [ 0; lsx * cx; 64; 256; 1000; -256; 4096 ] >>= fun cy ->
+    oneofl [ 0; lsy * cy; 8192; -4096; 64 ] >>= fun cz ->
+    map
+      (fun off ->
+        { first = 0; lanes = shape_size shape; base = 0x80000 + off; cx; cy; cz; bytes; write; space })
+      (oneof [ int_range 0 255; map (fun k -> 0x4000 + (k * 4096)) (int_range 0 8) ]))
+
+(* A one-lane record, now and then of a work-item outside the group. *)
+let gen_one_lane ~lane =
+  QCheck.Gen.(
+    gen_access >>= fun (bytes, write, space) ->
+    map
+      (fun addr -> { first = lane; lanes = 1; base = addr; cx = 0; cy = 0; cz = 0; bytes; write; space })
+      (oneof [ int_range 0 511; map (fun i -> 0x80000 + (i * 36)) (int_range 0 100) ]))
+
+let gen_wholes shape = QCheck.Gen.(list_size (int_range 0 5) (gen_whole shape))
+
+(* A one-lane region (each work-item's accesses in turn), then
+   whole-group records, as AMD-SS with_lm records a group. *)
+let gen_mixed shape =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun d ->
+    flatten_l
+      (List.concat
+         (List.init (shape_size shape) (fun lane -> List.init d (fun _ -> gen_one_lane ~lane))))
+    >>= fun prefix -> map (fun ws -> prefix @ ws) (gen_wholes shape))
+
+let gen_scattered_recs shape =
+  QCheck.Gen.(
+    list_size (int_range 0 30)
+      ( int_range 0 (shape_size shape + 2) >>= fun lane ->
+        frequency [ (3, gen_one_lane ~lane); (1, gen_whole shape) ] ))
+
+(* Near misses of lockstep: one record split into its one-lane records,
+   one extra one-lane record, or one record that misses a lane. *)
+let gen_near_miss_recs shape =
+  QCheck.Gen.(
+    map (fun w -> [ w ]) (gen_whole shape) >>= fun w0 ->
+    gen_wholes shape >>= fun ws ->
+    let recs = w0 @ ws in
+    let n = List.length recs and size = shape_size shape in
+    let split i =
+      List.concat
+        (List.mapi
+           (fun j r ->
+             if j <> i then [ r ]
+             else
+               List.map
+                 (fun (e : Trace.event) ->
+                   { r with first = e.Trace.wi; lanes = 1; base = e.Trace.addr; cx = 0; cy = 0; cz = 0 })
+                 (expand shape r))
+           recs)
+    in
+    let insert pos x = List.filteri (fun j _ -> j < pos) recs @ [ x ] @ List.filteri (fun j _ -> j >= pos) recs in
+    let short i = List.mapi (fun j r -> if j <> i then r else if size > 1 then { r with lanes = size - 1 } else { r with first = 1 }) recs in
+    oneof
+      [ map split (int_range 0 (n - 1));
+        map2 insert (int_range 0 n) (int_range 0 (size - 1) >>= fun lane -> gen_one_lane ~lane);
+        map short (int_range 0 (n - 1)) ])
+
+let gen_rgroups recs =
+  QCheck.Gen.(
+    list_size (int_range 1 3)
+      (triple (int_range 0 130) gen_shape (return ()) >>= fun (wg_id, shape, ()) ->
+       map (fun rs -> (wg_id, shape, rs)) (recs shape)))
+
+let print_rgroups groups =
+  String.concat " | "
+    (List.map
+       (fun (g, (x, y, z), recs) ->
+         Printf.sprintf "g%d %dx%dx%d [%s]" g x y z
+           (String.concat "; "
+              (List.map
+                 (fun r ->
+                   Printf.sprintf "%d+%d @%d (%d,%d,%d) %dB%s%s" r.first r.lanes r.base r.cx r.cy
+                     r.cz r.bytes
+                     (if r.write then "w" else "")
+                     (match r.space with
+                     | Grover_ir.Ssa.Global -> "g"
+                     | Grover_ir.Ssa.Local -> "l"
+                     | Grover_ir.Ssa.Constant -> "c"
+                     | Grover_ir.Ssa.Private -> "p"))
+                 recs)))
+       groups)
+
+let on_every_platform f = List.for_all (fun plat -> List.for_all (f plat) [ false; true ]) P.all
+
+(* A lockstep group replays without a lane index, and on a CPU a step
+   computes its lines from the record. Lockstep groups and their near
+   misses must take the path the definition gives them, and replay like
+   the reference on all six platforms, vectorized or not. *)
 let prop_lockstep_replay_matches_reference =
   let open QCheck in
-  let group_events wg_size = Gen.oneof [ gen_lockstep wg_size; gen_near_miss wg_size ] in
-  let lockstep (_, wg_size, evs) =
-    List.length evs mod wg_size = 0
-    && List.for_all Fun.id (List.mapi (fun e (x : Trace.event) -> x.Trace.wi = e mod wg_size) evs)
-  in
+  let group_recs shape = Gen.oneof [ gen_wholes shape; gen_near_miss_recs shape ] in
   Test.make ~name:"lockstep groups and near misses match the reference on every platform"
     ~count:100
-    (make (gen_groups group_events) ~print:print_groups)
+    (make (gen_rgroups group_recs) ~print:print_rgroups)
     (fun groups ->
       let sim = Sim.create P.snb in
       List.for_all
-        (fun ((wg_id, wg_size, evs) as g) ->
-          Sim.index_lanes sim (mk_stats ~wg_id ~wg_size evs);
-          sim.Sim.lockstep = lockstep g)
+        (fun g ->
+          Sim.index_lanes sim (rstats g);
+          sim.Sim.lockstep = lockstep_group g)
         groups
-      && List.for_all
-           (fun plat ->
-             List.for_all
-               (fun vectorized -> consume_matches_reference plat ~vectorized groups)
-               [ false; true ])
-           P.all)
+      && on_every_platform (fun plat vectorized ->
+             consume_matches_reference plat ~vectorized
+               ~stats:(fun _ -> List.map rstats groups)
+               (List.map as_events groups)))
+
+(* Each group replays once as records and once as the one-lane records
+   of its events; the results must be equal, and [Trace.iter_events]
+   must expand the records to those events. *)
+let prop_records_replay_like_events =
+  let open QCheck in
+  let group_recs shape =
+    Gen.frequency [ (2, gen_wholes shape); (2, gen_mixed shape); (1, gen_scattered_recs shape) ]
+  in
+  Test.make ~name:"records replay like their per-lane events on every platform" ~count:60
+    (make (gen_rgroups group_recs) ~print:print_rgroups)
+    (fun groups ->
+      let events = List.map as_events groups in
+      List.for_all2 (fun g (_, _, evs) -> Trace.events (rstats g) = evs) groups events
+      && on_every_platform (fun plat vectorized ->
+             replay plat ~vectorized (List.map rstats groups)
+             = replay plat ~vectorized (event_stats events)))
 
 (* -- Golden: the simulator's output pinned bit for bit ------------------------ *)
 
@@ -689,7 +865,9 @@ let suite =
           test_simulate_rejects_mixed_lines;
         Alcotest.test_case "core mapping" `Quick test_simulate_maps_groups_to_cores ] );
     qsuite "memsim-props"
-      [ prop_consume_matches_reference; prop_lockstep_replay_matches_reference ];
+      [ prop_consume_matches_reference;
+        prop_lockstep_replay_matches_reference;
+        prop_records_replay_like_events ];
     ( "memsim-golden",
       [ Alcotest.test_case "suite x platforms at scale 8, bit for bit" `Quick
           test_golden ] ) ]

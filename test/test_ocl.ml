@@ -1038,12 +1038,11 @@ let test_private_array_matches_fibers () =
     let on_group (s : Trace.wg_stats) =
       let evs =
         List.filter_map
-          (fun k ->
-            let e = Trace.get_event s k in
+          (fun (e : Trace.event) ->
             if e.Trace.space = Ssa.Private || e.Trace.space = Ssa.Local then
               Some (e.Trace.wi, e.Trace.space, e.Trace.addr, e.Trace.is_write)
             else None)
-          (List.init s.Trace.n_events Fun.id)
+          (Trace.events s)
       in
       priv :=
         (s.Trace.wg_id, List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) evs)
@@ -1571,7 +1570,7 @@ let test_vec_sqrt () =
    and its events, stably sorted by work-item so each work-item's program
    order is kept whatever order the schedule interleaved them in. *)
 let group_trace (s : Trace.wg_stats) =
-  let evs = List.init s.Trace.n_events (Trace.get_event s) in
+  let evs = Trace.events s in
   ( ( s.Trace.wg_id,
       (s.Trace.int_ops, s.Trace.float_ops, s.Trace.special_ops),
       (s.Trace.branches, s.Trace.barriers, s.Trace.barrier_rounds),
@@ -1981,6 +1980,78 @@ let test_suite_lane_flags () =
         [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ])
     Grover_suite.Suite.all
 
+(* -- Record census --------------------------------------------------------------
+   A lane batch that covers its whole group stores an access whose index
+   is affine in the local id as one record; every other access is a
+   one-lane record. The census of each suite version at scale 8 on the
+   default plan (also under [GROVER_FORCE_PATH]) is pinned, so an access that stops being recorded once
+   per group shows. Traces do not depend on input values, so the counts
+   are stable. Per version: (whole-group records, one-lane records,
+   lockstep groups, groups), a group being lockstep when every record
+   covers the whole group. *)
+
+let record_census (case : Kit.case) (v : H.version) : int * int * int * int =
+  let fn, _ = H.compile_version case v in
+  let c = Interp.prepare fn in
+  let w = case.Kit.mk ~scale:8 in
+  let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
+  let whole = ref 0 and one = ref 0 and lockstep = ref 0 and groups = ref 0 in
+  let on_group (s : Trace.wg_stats) =
+    let all_whole = ref true in
+    for r = 0 to s.Trace.n_recs - 1 do
+      let k = r * Trace.rec_words in
+      let lanes = s.Trace.recs.(k + Trace.f_lanes) in
+      if lanes = 1 then incr one else incr whole;
+      if s.Trace.recs.(k + Trace.f_info) lsr Trace.wi_shift <> 0 || lanes <> s.Trace.wg_size then
+        all_whole := false
+    done;
+    incr groups;
+    if !all_whole then incr lockstep
+  in
+  ignore
+    (Runtime.launch c ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~on_group
+       ~force_path:(Runtime.default_path c) ());
+  (!whole, !one, !lockstep, !groups)
+
+let expected_census =
+  [ ("AMD-SS", (2112, 2048, 0, 64), (2112, 0, 64, 64));
+    ("AMD-MT", (64, 0, 4, 4), (32, 0, 4, 4));
+    ("NVD-MT", (16, 0, 4, 4), (8, 0, 4, 4));
+    ("AMD-RG", (4, 0, 1, 1), (2, 0, 1, 1));
+    ("AMD-MM", (19, 0, 1, 1), (17, 0, 1, 1));
+    ("NVD-MM-A", (37, 0, 1, 1), (35, 0, 1, 1));
+    ("NVD-MM-B", (37, 0, 1, 1), (35, 0, 1, 1));
+    ("NVD-MM-AB", (37, 0, 1, 1), (33, 0, 1, 1));
+    ("NVD-NBody", (268, 0, 2, 2), (260, 0, 2, 2));
+    ("PAB-ST", (12, 1152, 0, 2), (12, 0, 2, 2));
+    ("ROD-SC", (264, 256, 0, 8), (264, 0, 8, 8));
+    ("TNG-GEMM4", (35, 0, 1, 1), (33, 0, 1, 1)) ]
+
+let test_record_census () =
+  Alcotest.(check int) "every suite case pinned"
+    (List.length Grover_suite.Suite.all)
+    (List.length expected_census);
+  List.iter
+    (fun (case : Kit.case) ->
+      let _, with_lm, without_lm =
+        List.find (fun (id, _, _) -> id = case.Kit.id) expected_census
+      in
+      List.iter
+        (fun (v, vn, want) ->
+          let ((_, one, lockstep, groups) as got) = record_census case v in
+          let label = Printf.sprintf "%s %s" case.Kit.id vn in
+          Alcotest.(check (pair (pair int int) (pair int int)))
+            (label ^ ": whole-group and one-lane records, lockstep groups, groups")
+            (let a, b, c, d = want in ((a, b), (c, d)))
+            (let a, b, c, d = got in ((a, b), (c, d)));
+          let fn, _ = H.compile_version case v in
+          if Array.for_all Fun.id (Option.get (Interp.lane_entry_flags (Interp.prepare fn))) then
+            Alcotest.(check (pair int int))
+              (label ^ ": no one-lane region, so every group is lockstep")
+              (0, groups) (one, lockstep))
+        [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ])
+    Grover_suite.Suite.all
+
 (* The access width travels in the info word: the widest element that
    fits comes back intact, and a wider one is rejected where the word is
    built. *)
@@ -1988,7 +2059,7 @@ let test_trace_width_field () =
   let s = Trace.fresh_stats ~wg_id:0 ~wg_size:4 in
   let e = { Trace.addr = 0x40; bytes = Trace.bytes_mask; is_write = true; space = Ssa.Local; wi = 3 } in
   Trace.push_event s e;
-  Alcotest.(check bool) "widest width round-trips" true (Trace.get_event s 0 = e);
+  Alcotest.(check bool) "widest width round-trips" true (Trace.events s = [ e ]);
   Alcotest.(check (triple int int int)) "counted" (0, 1, 1)
     (s.Trace.loads, s.Trace.stores, s.Trace.local_accesses);
   List.iter
@@ -2311,6 +2382,8 @@ let suite =
     ( "lane-verdicts",
       [ Alcotest.test_case "suite regions batch as pinned" `Quick
           test_suite_lane_flags ] );
+    ( "record-census",
+      [ Alcotest.test_case "suite records as pinned" `Quick test_record_census ] );
     ( "regions",
       [ Alcotest.test_case "barrier-free is trivial" `Quick
           test_regions_barrier_free;
