@@ -13,14 +13,15 @@
      scheduler, and
    - the wg-vec launch of both versions under the shadow-memory sanitizer
      (one domain), and
-   - default-plan rows of the with_lm kernels whose region 0 runs
-     one-lane batches (AMD-SS, PAB-ST, ROD-SC), and
+   - default-plan rows of the with_lm kernels whose region 0 stages
+     shared data behind a lane guard, a store in a masked arm (AMD-SS,
+     PAB-ST, ROD-SC), and
    - minor-heap words per work-item of the float4 kernels (TNG-GEMM4,
      NVD-NBody), gated at [alloc_limit], and
    - memsim replay: events/sec of NVD-MT's and PAB-ST with_lm's captured
      groups through fresh SNB, Nehalem and MIC simulators.
 
-   Every launch-throughput, one-lane and allocation row times the
+   Every launch-throughput, masked-region and allocation row times the
    fastest of at least 3 launches (5 with --quick) that together ran at
    least 1 s (0.2 s with --quick).
 
@@ -368,9 +369,10 @@ let report_masked (s : masked_stats) : unit =
      when a row exceeds [alloc_limit], which the boxed-vector
      representation exceeded 15 to 80 times over and a closure-building
      sanitizer 3 to 11 times over.
-   - The one-lane rows: AMD-SS, PAB-ST and ROD-SC with_lm, the only
-     default-plan launches whose region 0 (a divergent store) runs
-     one-lane batches. Recorded, not gated. *)
+   - The masked region-0 rows: AMD-SS, PAB-ST and ROD-SC with_lm, the
+     default-plan launches whose region 0 stages shared data into
+     [__local] memory behind a lane guard, so it runs W-wide batches
+     with the guarded store in a masked arm. Recorded, not gated. *)
 
 type alloc_row = {
   ar_case : string;
@@ -441,7 +443,7 @@ let alloc_bench ~(reps : int) ~(min_s : float) () : alloc_row list =
   launch_rows ~sanitize:false ~reps ~min_s pairs
   @ launch_rows ~sanitize:true ~reps ~min_s pairs
 
-let one_lane_bench ~(reps : int) ~(min_s : float) () : alloc_row list =
+let masked_region_bench ~(reps : int) ~(min_s : float) () : alloc_row list =
   launch_rows ~sanitize:false ~reps ~min_s
     (List.map
        (fun id ->
@@ -460,10 +462,10 @@ let print_launch_rows (rows : alloc_row list) : unit =
         r.ar_wi_per_sec r.ar_words_per_wi)
     rows
 
-let report_one_lane (rows : alloc_row list) : unit =
+let report_masked_region (rows : alloc_row list) : unit =
   Printf.printf
-    "\ndefault plan with one-lane batches in region 0: one launch, scale 1, \
-     1 domain\n";
+    "\ndefault plan with a guarded store in a masked arm of region 0: one \
+     launch, scale 1, 1 domain\n";
   print_launch_rows rows
 
 let report_alloc (rows : alloc_row list) : unit =
@@ -493,13 +495,16 @@ let report_alloc (rows : alloc_row list) : unit =
    [on_group] buffer once, each as work-group 0: every group replays on
    core 0, as in earlier runs of these rows. NVD-MT's groups (both
    versions, at the size the rows above time) are swept as one batch per
-   region, so every record covers the whole group and each group replays
-   in lockstep; PAB-ST with_lm's (scale 1) run region 0 in one-lane
-   batches, so each goes through the simulator's lane index. Each round
+   region, so every record covers the whole group and every SIMD batch
+   replays in lockstep; PAB-ST with_lm's (scale 1) store their halo
+   columns ([lx < 2], two lanes a row) in a masked arm as one-lane
+   records, so the SIMD batches holding those lanes go through the
+   simulator's lane index and the others replay in lockstep. Each round
    then replays them through a fresh SNB, Nehalem and MIC simulator:
    [create], every [consume] and [result]. Min of [replay_rounds] per
-   row. [events] counts the events the groups' records represent,
-   [records] the records stored. *)
+   row. [batches] counts the groups' SIMD batches on the platform and
+   [lockstep] those replayed in lockstep, [events] the events the
+   groups' records represent, [records] the records stored. *)
 
 module Sim = Grover_memsim.Simulate
 
@@ -508,7 +513,8 @@ type replay_row = {
   rr_version : H.version;
   rr_platform : string;
   rr_groups : int;
-  rr_lockstep : int;  (** groups whose records all cover the whole group *)
+  rr_batches : int;  (** SIMD batches of the groups on the platform *)
+  rr_lockstep : int;  (** of those, the batches replayed in lockstep *)
   rr_events : int;
   rr_records : int;
   rr_seconds : float;
@@ -567,19 +573,15 @@ let replay_bench ~(n : int) () : replay_row list =
       let events = Array.fold_left (fun a s -> a + s.Trace.n_events) 0 groups in
       let records = Array.fold_left (fun a s -> a + s.Trace.n_recs) 0 groups in
       let sim = Sim.create plat in
-      let lockstep =
-        Array.fold_left
-          (fun a s ->
-            Sim.index_lanes sim s;
-            a + Bool.to_int sim.Sim.lockstep)
-          0 groups
-      in
+      let verdicts = Array.map (Sim.lockstep_batches sim) groups in
+      let count f = Array.fold_left (fun a v -> a + f v) 0 verdicts in
       {
         rr_case = case.Kit.id;
         rr_version = version;
         rr_platform = plat.Grover_memsim.Platform.name;
         rr_groups = Array.length groups;
-        rr_lockstep = lockstep;
+        rr_batches = count Array.length;
+        rr_lockstep = count (Array.fold_left (fun a l -> a + Bool.to_int l) 0);
         rr_events = events;
         rr_records = records;
         rr_seconds = !best;
@@ -593,12 +595,12 @@ let report_replay ~(n : int) (rows : replay_row list) : unit =
      (all on core 0), replayed through a fresh simulator (create + consume + \
      result), min of %d\n"
     n n replay_rounds;
-  Printf.printf "%-8s %-12s %-8s %8s %9s %10s %9s %12s %14s\n" "case" "version" "platform"
-    "groups" "lockstep" "events" "records" "seconds" "events/sec";
+  Printf.printf "%-8s %-12s %-8s %8s %9s %9s %10s %9s %12s %14s\n" "case" "version"
+    "platform" "groups" "batches" "lockstep" "events" "records" "seconds" "events/sec";
   List.iter
     (fun r ->
-      Printf.printf "%-8s %-12s %-8s %8d %9d %10d %9d %12.4f %14.0f\n" r.rr_case
-        (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_lockstep
+      Printf.printf "%-8s %-12s %-8s %8d %9d %9d %10d %9d %12.4f %14.0f\n" r.rr_case
+        (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_batches r.rr_lockstep
         r.rr_events r.rr_records r.rr_seconds r.rr_events_per_sec)
     rows
 
@@ -845,8 +847,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   report_cache cs;
   let mk = masked_bench ~quick ~reps () in
   report_masked mk;
-  let one_lane = one_lane_bench ~reps ~min_s () in
-  report_one_lane one_lane;
+  let masked_region = masked_region_bench ~reps ~min_s () in
+  report_masked_region masked_region;
   let alloc = alloc_bench ~reps ~min_s () in
   report_alloc alloc;
   let replay = replay_bench ~n () in
@@ -953,8 +955,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   Printf.fprintf oc "    ]\n  },\n  \"alloc_limit_words_per_wi\": %.0f,\n  \"alloc_rows\": [\n"
     alloc_limit;
   launch_rows_json alloc;
-  Printf.fprintf oc "  ],\n  \"one_lane_rows\": [\n";
-  launch_rows_json one_lane;
+  Printf.fprintf oc "  ],\n  \"masked_region_rows\": [\n";
+  launch_rows_json masked_region;
   Printf.fprintf oc
     "  ],\n\
     \  \"memsim_replay\": {\n\
@@ -967,9 +969,9 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     (fun k r ->
       Printf.fprintf oc
         "      {\"case\": \"%s\", \"version\": \"%s\", \"platform\": \"%s\", \
-         \"groups\": %d, \"lockstep_groups\": %d, \"events\": %d, \
+         \"groups\": %d, \"batches\": %d, \"lockstep_batches\": %d, \"events\": %d, \
          \"records\": %d, \"seconds\": %.6f, \"events_per_sec\": %.0f}%s\n"
-        r.rr_case (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_lockstep
+        r.rr_case (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_batches r.rr_lockstep
         r.rr_events r.rr_records r.rr_seconds r.rr_events_per_sec
         (if k = List.length replay - 1 then "" else ","))
     replay;

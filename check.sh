@@ -193,7 +193,7 @@ esac
 dune exec bin/groverc.exe -- sanitize examples/kernels/private_array.cl \
   --local 16 > /dev/null
 
-echo "== masked lane execution: guard diamonds upgrade, divergent stores bail =="
+echo "== masked lane execution: guard diamonds and guarded stores run masked, divergent loops bail =="
 # The guarded matmul carries the SDK boundary-clamp idiom: a pure
 # divergent diamond that must be if-converted and run as a masked lane
 # batch (not dropped to one-lane batches), keeping the kernel on wg-vec.
@@ -208,14 +208,29 @@ case "$out" in
   *) echo "FAIL: guarded_matmul.cl reported no masked region"
      echo "$out"; exit 1 ;;
 esac
-# Side effects are never masked: a store under divergent control must
-# keep its scalar-sweep verdict (one-lane batches), and the bail reason
-# must carry the offending store's source location.
-out=$(dune exec bin/groverc.exe -- report examples/kernels/divergent_store.cl)
+# A store under a divergent guard runs in a masked arm (only the lanes
+# that take the branch store): divergent_store.cl's guarded __local store
+# and saxpy.cl's bounds-guarded __global store must plan 256-lane batches
+# and report their masked region.
+for f in examples/kernels/divergent_store.cl examples/kernels/saxpy.cl; do
+  out=$(dune exec bin/groverc.exe -- report "$f")
+  case "$out" in
+    *"execution path (with local memory): wg-vec, 256 lanes"*) ;;
+    *) echo "FAIL: $f did not plan wg-vec, 256 lanes"; echo "$out"; exit 1 ;;
+  esac
+  case "$out" in
+    *"lane batch (masked"*) echo "-- $f runs its guarded store in masked lane batches" ;;
+    *) echo "FAIL: $f reported no masked region"; echo "$out"; exit 1 ;;
+  esac
+done
+# A loop whose trip count comes from get_local_id(0) is no diamond: its
+# region keeps its scalar-sweep verdict (one-lane batches), and the bail
+# reason must carry the loop branch's source location.
+out=$(dune exec bin/groverc.exe -- report examples/kernels/divergent_loop.cl)
 case "$out" in
-  *"scalar sweep: divergent store at"*)
-     echo "-- divergent_store.cl bails with a located reason" ;;
-  *) echo "FAIL: divergent_store.cl lost its divergent-store bail reason"
+  *"scalar sweep: divergent branch arms do not reconverge at 8:24"*)
+     echo "-- divergent_loop.cl bails with a located reason" ;;
+  *) echo "FAIL: divergent_loop.cl lost its located divergent-branch bail reason"
      echo "$out"; exit 1 ;;
 esac
 # The masked verdicts must be scriptable: the same region verdicts are

@@ -1,9 +1,8 @@
 /* A store under divergent control: each work-item conditionally writes
- * its own __local slot. Legal (race-free, uniform barriers) but not
- * maskable — masking never executes side effects for inactive lanes, so
- * the region must keep its scalar-sweep verdict, with the offending
- * store's source location in the bail reason. check.sh gates the
- * report verdict string. */
+ * its own __local slot. Legal (race-free, uniform barriers) and
+ * maskable: the guarded store runs in a masked arm, where only the lanes
+ * that take the branch store, record and bounds-check, so the region
+ * runs W-wide lane batches. check.sh gates the report verdict string. */
 __kernel void scatter_guard(__global int *out, __global const int *in,
                             int n) {
   __local int tmp[16];

@@ -31,9 +31,9 @@
 open Ssa
 module ISet = Set.Make (Int)
 
-(** A side-effect-free divergent diamond (or triangle) the lane compiler
-    may if-convert: both arms are straight-line single-predecessor blocks
-    containing only pure instructions, reconverging at the branch block's
+(** A divergent diamond (or triangle) the lane compiler may if-convert:
+    both arms are straight-line single-predecessor blocks of pure
+    instructions, loads and stores, reconverging at the branch block's
     immediate post-dominator. [None] for an arm means that edge of the
     branch jumps straight to the join. *)
 type diamond = {
@@ -193,11 +193,12 @@ let located (what : string) (loc : Grover_support.Loc.t) : string =
 (* Classify the divergent [Cond_br] ending [b] as an if-convertible
    diamond/triangle. Legal iff both arms reconverge at [b]'s immediate
    post-dominator, each non-trivial arm is a straight-line block with [b]
-   as its only predecessor ending in [Br join], the arms contain only
-   pure instructions (no stores, calls, barriers, allocas or phis — the
-   lane executor evaluates both arms flat under a mask, so nothing with a
-   side effect or a work-item-ordered resource may appear), and the join
-   has no predecessors beyond the two diamond edges. *)
+   as its only predecessor ending in [Br join], the arms hold no calls,
+   barriers, allocas or phis (the lane executor evaluates pure
+   instructions flat over every lane and runs loads, stores and integer
+   division under the arm's per-lane guard, so nothing else with a side
+   effect or a work-item-ordered resource may appear), and the join has
+   no predecessors beyond the two diamond edges. *)
 let classify_diamond ~(cfg : Cfg.t) ~(pdom : Postdom.t) (b : block)
     (t : block) (e : block) : (diamond * block, string) result =
   let branch_loc =
@@ -224,7 +225,6 @@ let classify_diamond ~(cfg : Cfg.t) ~(pdom : Postdom.t) (b : block)
                   | [] -> Ok (Some a.bid)
                   | (i : instr) :: tl -> (
                       match i.op with
-                      | Store _ -> Error (located "divergent store" i.iloc)
                       | Call _ ->
                           Error (located "call on a divergent arm" i.iloc)
                       | Barrier _ ->
@@ -262,7 +262,7 @@ let classify_diamond ~(cfg : Cfg.t) ~(pdom : Postdom.t) (b : block)
    under group-uniform control and allocate no private memory (the bump
    allocator hands out per-work-item addresses in flat work-item order,
    which a lane batch would permute) — with one exception: a divergent
-   conditional branch heading a pure diamond is if-converted under a
+   conditional branch heading a classified diamond is if-converted under a
    per-lane mask, recorded in [diamonds], and the walk continues at the
    join. Anything else divergent yields [Scalar] with the reason. *)
 let lane_verdict_from ~(cfg : Cfg.t) ~(pdom : Postdom.t) (div : Divergence.t)

@@ -27,11 +27,16 @@
     segments, and the per-step dedup buffer) is likewise pooled in the
     instance, so replaying a trace allocates nothing once the buffers
     have grown to the largest group, as long as the group shape stays
-    the same. A group whose records all cover the
-    whole group — one lane batch per region records each access once —
-    is {b lockstep}: its [k]-th step is its [k]-th record, replayed
-    without a lane index, and on a CPU a step computes its lines from the
-    record instead of visiting lanes.
+    the same. A group replays one batch of lanes at a time: a SIMD batch
+    on a CPU, a warp on a GPU. A batch whose lanes are all covered by
+    every record that touches any of them is {b lockstep}: its [k]-th
+    step is the [k]-th of those records, replayed without a lane index,
+    and on a CPU a step computes its lines from the record instead of
+    visiting lanes. Only the other batches' lanes go into the lane
+    index. A lane batch of the interpreter that covers the whole group
+    records each access once, so such a group is lockstep in every
+    batch; a masked arm whose active lanes form one run records a run,
+    and the batches inside it stay lockstep.
 
     Every cache level of a platform shares one line size (on GPUs, the
     coalescing segment), so an access's line or segment number is shifted
@@ -67,6 +72,7 @@ type breakdown = {
 type t = {
   plat : P.t;
   simd : int;  (** effective implicit-vectorisation width for this kernel *)
+  batch : int;  (** lanes replayed in one step: [simd] on a CPU, the warp on a GPU *)
   line_shift : int;
       (** log2 of the line size every cache level shares (CPU) or of the
           coalescing segment (GPU) *)
@@ -74,28 +80,42 @@ type t = {
   shared : Cache.t option;  (** LLC (CPU) or device L2 (GPU) *)
   bd : breakdown;
   mutable groups : int;
-  mutable lockstep : bool;
-      (** every record of the group covers the whole group: lane [l]'s
-          [k]-th access is record [k], and the lane index is not built *)
+  mutable b_lock : bool array;
+      (** per batch of the group: is it lockstep? Set by {!index_lanes} *)
+  mutable b_seg : int array;  (** per batch: its segment *)
+  mutable b_depth : int array;
+      (** per batch that is not lockstep: the most accesses any of its
+          lanes has *)
+  mutable s_first : int array;
+      (** per segment (a run of batches touched by the same records):
+          its first batch; one more entry ends the last segment *)
+  mutable s_start : int array;
+  mutable s_depth : int array;
+      (** per segment: the records touching it are the word offsets
+          [b_rec.(s_start.(g) .. s_start.(g) + s_depth.(g) - 1)], in
+          stored order; [s_start] -1: every record, record [k] [k]-th *)
+  mutable b_rec : int array;
   mutable lane_start : int array;
-  mutable lane_count : int array;  (** accesses per lane, in either case *)
+  mutable lane_count : int array;
   mutable lane_addr : int array;
-      (** lane index: each lane's accesses in execution order, as the
-          address (moved into the core's window if Local or Private) and
-          the info word; lane [l] owns positions
-          [lane_start.(l) .. lane_start.(l) + lane_count.(l) - 1] *)
+      (** lane index of the lanes outside lockstep batches: each lane's
+          accesses in execution order, as the address (moved into the
+          core's window if Local or Private) and the info word; lane [l]
+          owns positions [lane_start.(l) .. lane_start.(l) +
+          lane_count.(l) - 1] *)
   mutable lane_info : int array;
   mutable geom_n : int;
   mutable geom_x : int;
   mutable geom_y : int;
       (** the group shape ([wg_size], [lsx], [lsy]) the next six arrays
-          describe *)
+          and the per-batch ones describe *)
   mutable lane_x : int array;  (** local id of each lane of the group *)
+  mutable lane_batch : int array;  (** the batch of each lane *)
   mutable lane_y : int array;
   mutable lane_z : int array;
   mutable seg_lane : int array;
-      (** CPU: row segments, runs of lanes of one SIMD batch sharing
-          [ly] and [lz], by first lane and length; batch [b]'s are
+      (** CPU: row segments, runs of lanes of one batch sharing [ly]
+          and [lz], by first lane and length; batch [b]'s are
           [batch_seg.(b) .. batch_seg.(b + 1) - 1] *)
   mutable seg_len : int array;
   mutable batch_seg : int array;
@@ -139,15 +159,23 @@ let create ?(vectorized = false) (plat : P.t) : t =
     | P.Cpu_mem m -> Option.map Cache.create m.P.llc
     | P.Gpu_mem g -> Option.map Cache.create g.P.l2g
   in
+  let simd = if vectorized then 1 else max 1 plat.P.simd in
   {
     plat;
-    simd = (if vectorized then 1 else max 1 plat.P.simd);
+    simd;
+    batch = (match plat.P.mem with P.Cpu_mem _ -> simd | P.Gpu_mem _ -> max 1 plat.P.warp);
     line_shift = Cache.log2 line;
     cores = Array.init plat.P.cores (fun _ -> mk_core ());
     shared;
     bd = { compute = 0.0; memory = 0.0; barrier = 0.0; spm = 0.0 };
     groups = 0;
-    lockstep = false;
+    b_lock = [||];
+    b_seg = [||];
+    b_depth = [||];
+    s_first = [||];
+    s_start = [||];
+    s_depth = [||];
+    b_rec = [||];
     lane_start = [||];
     lane_count = [||];
     lane_addr = [||];
@@ -156,6 +184,7 @@ let create ?(vectorized = false) (plat : P.t) : t =
     geom_x = 0;
     geom_y = 0;
     lane_x = [||];
+    lane_batch = [||];
     lane_y = [||];
     lane_z = [||];
     seg_lane = [||];
@@ -172,16 +201,24 @@ let create ?(vectorized = false) (plat : P.t) : t =
 
 (* -- Lane index and dedup buffer, shared by both engines ---------------------- *)
 
-(* The local id of every lane of a group of [s]'s shape, and the row
-   segments of each SIMD batch, kept until the shape changes. *)
+(* The local id of every lane of a group of [s]'s shape, the row
+   segments of each batch, and room for the per-batch facts, kept until
+   the shape changes. *)
 let geometry (t : t) (s : Trace.wg_stats) : unit =
   let n = s.Trace.wg_size and lsx = s.Trace.lsx and lsy = s.Trace.lsy in
   if t.geom_n <> n || t.geom_x <> lsx || t.geom_y <> lsy then begin
     t.geom_n <- n;
     t.geom_x <- lsx;
     t.geom_y <- lsy;
-    let nb = (n + t.simd - 1) / t.simd in
+    let nb = (n + t.batch - 1) / t.batch in
+    t.b_lock <- Array.make nb false;
+    t.b_seg <- Array.make nb 0;
+    t.b_depth <- Array.make nb 0;
+    t.s_first <- Array.make (nb + 1) 0;
+    t.s_start <- Array.make nb 0;
+    t.s_depth <- Array.make (nb + 1) 0;
     t.lane_x <- Array.make n 0;
+    t.lane_batch <- Array.init n (fun l -> l / t.batch);
     t.lane_y <- Array.make n 0;
     t.lane_z <- Array.make n 0;
     t.seg_lane <- Array.make n 0;
@@ -192,8 +229,8 @@ let geometry (t : t) (s : Trace.wg_stats) : unit =
       t.lane_x.(l) <- !x;
       t.lane_y.(l) <- !y;
       t.lane_z.(l) <- !z;
-      if l mod t.simd = 0 then t.batch_seg.(l / t.simd) <- !segs;
-      if l mod t.simd = 0 || !x = 0 then begin
+      if l mod t.batch = 0 then t.batch_seg.(l / t.batch) <- !segs;
+      if l mod t.batch = 0 || !x = 0 then begin
         t.seg_lane.(!segs) <- l;
         incr segs
       end;
@@ -211,79 +248,158 @@ let geometry (t : t) (s : Trace.wg_stats) : unit =
     t.batch_seg.(nb) <- !segs
   end
 
-(* Index the group's records by lane. A group swept as one lane batch
-   per region stores each whole-group affine access as one record
-   covering all [wg_size] lanes. If every record does, the group is
-   lockstep: lane [l]'s [k]-th access is record [k], and no index is
-   built. In every other group (one-lane regions, masked arms, fiber
-   schedules, several batches per region) each record covering lanes
-   [f .. f + c - 1] gives each of those lanes one access, in stored
+(* Decide, per batch of the group, whether it is lockstep, and index
+   the other batches by lane. A record covering lanes [f .. e] leaves a
+   lane of a batch it touches uncovered only if it starts or ends inside
+   that batch, so one pass over the records finds every batch that is
+   not lockstep. The same pass cuts the batches into segments at every
+   batch a record starts in and after every batch one ends in: each
+   record covers whole segments, every batch of a segment is touched by
+   the same records, and only a segment's first or last batch can fail
+   to be lockstep. Each segment lists the records touching it, in
+   stored order, so a lockstep batch's [k]-th step is the [k]-th record
+   of its segment's list; a group whose records all cover it is one
+   segment and one list. In every other batch, each record covering
+   lanes [f .. e] gives each of its lanes there one access, in stored
    order, so index order within a lane is execution order; its address
    is computed here, once, so that a step reads two words per lane.
    Lanes outside the group ([>= wg_size]) are dropped; the first lane is
    a logical shift of the info word, so never negative. *)
 let index_lanes (t : t) (s : Trace.wg_stats) : unit =
-  let n = s.Trace.wg_size and nr = s.Trace.n_recs in
+  let n = s.Trace.wg_size and nr = s.Trace.n_recs and bw = t.batch in
   geometry t s;
-  if Array.length t.lane_count < n then begin
-    t.lane_start <- Array.make n 0;
-    t.lane_count <- Array.make n 0
+  let nb = (n + bw - 1) / bw in
+  if Array.length t.lane_count <= n then begin
+    t.lane_start <- Array.make (n + 1) 0;
+    t.lane_count <- Array.make (n + 1) 0
   end;
+  let lock = t.b_lock and bseg = t.b_seg and depth = t.b_depth and batch = t.lane_batch in
+  let sfirst = t.s_first and sstart = t.s_start and sdepth = t.s_depth in
   let start = t.lane_start and count = t.lane_count in
   let recs = s.Trace.recs and rw = Trace.rec_words in
   let f_info = Trace.f_info and f_lanes = Trace.f_lanes and wi_shift = Trace.wi_shift in
-  let r = ref 0 in
-  while !r < nr && recs.((!r * rw) + f_info) lsr wi_shift = 0 && recs.((!r * rw) + f_lanes) = n do
-    incr r
+  (* verdicts, cuts (flagged in [bseg]) and, as differences, the records
+     covering each lane *)
+  Array.fill lock 0 nb true;
+  Array.fill bseg 0 nb 0;
+  Array.fill count 0 (n + 1) 0;
+  let inside = ref 0 in
+  for r = 0 to nr - 1 do
+    let f = recs.((r * rw) + f_info) lsr wi_shift in
+    let e = min n (f + recs.((r * rw) + f_lanes)) - 1 in
+    if f <= e then begin
+      let bf = batch.(f) and be = batch.(e) in
+      if f <> bf * bw then lock.(bf) <- false;
+      if e + 1 <> min n ((be + 1) * bw) then lock.(be) <- false;
+      bseg.(bf) <- 1;
+      if be + 1 < nb then bseg.(be + 1) <- 1;
+      count.(f) <- count.(f) + 1;
+      count.(e + 1) <- count.(e + 1) - 1;
+      incr inside
+    end
   done;
-  t.lockstep <- n > 0 && !r = nr;
-  if t.lockstep then Array.fill count 0 n nr
+  let ns = ref 0 and open_ = ref false in
+  for b = 0 to nb - 1 do
+    if b = 0 || bseg.(b) = 1 then begin
+      sfirst.(!ns) <- b;
+      incr ns
+    end;
+    bseg.(b) <- !ns - 1;
+    if not lock.(b) then open_ := true
+  done;
+  let ns = !ns and open_ = !open_ in
+  sfirst.(ns) <- nb;
+  (* Each segment's list. One segment touched by every record lists
+     nothing ([s_start] -1): its [k]-th record is record [k]. *)
+  let listed = ref 0 in
+  if ns = 1 && !inside = nr then begin
+    sstart.(0) <- -1;
+    sdepth.(0) <- nr
+  end
   else begin
-    Array.fill count 0 n 0;
+    Array.fill sdepth 0 (ns + 1) 0;
     for r = 0 to nr - 1 do
       let f = recs.((r * rw) + f_info) lsr wi_shift in
-      for l = f to min n (f + recs.((r * rw) + f_lanes)) - 1 do
-        count.(l) <- count.(l) + 1
-      done
+      let e = min n (f + recs.((r * rw) + f_lanes)) - 1 in
+      if f <= e then begin
+        let gf = bseg.(batch.(f)) and ge = bseg.(batch.(e)) + 1 in
+        sdepth.(gf) <- sdepth.(gf) + 1;
+        sdepth.(ge) <- sdepth.(ge) - 1
+      end
     done;
-    let kept = ref 0 in
-    for l = 0 to n - 1 do
-      start.(l) <- !kept;
-      kept := !kept + count.(l);
-      count.(l) <- 0
+    let touching = ref 0 in
+    for g = 0 to ns - 1 do
+      touching := !touching + sdepth.(g);
+      sdepth.(g) <- 0;
+      sstart.(g) <- !listed;
+      listed := !listed + !touching
+    done
+  end;
+  (* lane offsets in the batches that are not lockstep *)
+  let covering = ref 0 and kept = ref 0 in
+  if open_ then
+    for b = 0 to nb - 1 do
+      if lock.(b) then
+        for l = b * bw to min n ((b * bw) + bw) - 1 do
+          covering := !covering + count.(l)
+        done
+      else begin
+        depth.(b) <- 0;
+        for l = b * bw to min n ((b * bw) + bw) - 1 do
+          covering := !covering + count.(l);
+          start.(l) <- !kept;
+          kept := !kept + !covering;
+          if !covering > depth.(b) then depth.(b) <- !covering;
+          count.(l) <- 0
+        done
+      end
     done;
-    if Array.length t.lane_addr < !kept then begin
-      let cap = max !kept (2 * Array.length t.lane_addr) in
-      t.lane_addr <- Array.make cap 0;
-      t.lane_info <- Array.make cap 0
-    end;
-    let window = s.Trace.wg_id mod Array.length t.cores * core_window in
-    let space_shift = Trace.space_shift and space_mask = Trace.space_mask in
-    let local = Trace.code_local and private_ = Trace.code_private in
-    let lx = t.lane_x and ly = t.lane_y and lz = t.lane_z in
+  if Array.length t.b_rec < !listed then
+    t.b_rec <- Array.make (max !listed (2 * Array.length t.b_rec)) 0;
+  if Array.length t.lane_addr < !kept then begin
+    let cap = max !kept (2 * Array.length t.lane_addr) in
+    t.lane_addr <- Array.make cap 0;
+    t.lane_info <- Array.make cap 0
+  end;
+  let window = s.Trace.wg_id mod Array.length t.cores * core_window in
+  let space_shift = Trace.space_shift and space_mask = Trace.space_mask in
+  let local = Trace.code_local and private_ = Trace.code_private in
+  let lx = t.lane_x and ly = t.lane_y and lz = t.lane_z and brec = t.b_rec in
+  if open_ || !listed > 0 then
     for r = 0 to nr - 1 do
       let k = r * rw in
       let info = recs.(k + f_info) in
-      let space = (info lsr space_shift) land space_mask in
-      let base = recs.(k + Trace.f_base) + if space = local || space = private_ then window else 0 in
-      let cx = recs.(k + Trace.f_cx) and cy = recs.(k + Trace.f_cy) and cz = recs.(k + Trace.f_cz) in
       let f = info lsr wi_shift in
-      for l = f to min n (f + recs.(k + f_lanes)) - 1 do
-        let i = start.(l) + count.(l) in
-        t.lane_addr.(i) <- base + (cx * lx.(l)) + (cy * ly.(l)) + (cz * lz.(l));
-        t.lane_info.(i) <- info;
-        count.(l) <- count.(l) + 1
-      done
+      let e = min n (f + recs.(k + f_lanes)) - 1 in
+      if f <= e then
+        for g = bseg.(batch.(f)) to bseg.(batch.(e)) do
+          if sstart.(g) >= 0 then begin
+            brec.(sstart.(g) + sdepth.(g)) <- k;
+            sdepth.(g) <- sdepth.(g) + 1
+          end;
+          let b0 = sfirst.(g) and b1 = sfirst.(g + 1) - 1 in
+          for j = 0 to Bool.to_int (b1 > b0) do
+            let b = if j = 0 then b0 else b1 in
+            if not lock.(b) then begin
+              let space = (info lsr space_shift) land space_mask in
+              let base = recs.(k + Trace.f_base) + if space = local || space = private_ then window else 0 in
+              let cx = recs.(k + Trace.f_cx) and cy = recs.(k + Trace.f_cy) and cz = recs.(k + Trace.f_cz) in
+              for l = max f (b * bw) to min e ((b * bw) + bw - 1) do
+                let i = start.(l) + count.(l) in
+                t.lane_addr.(i) <- base + (cx * lx.(l)) + (cy * ly.(l)) + (cz * lz.(l));
+                t.lane_info.(i) <- info;
+                count.(l) <- count.(l) + 1
+              done
+            end
+          done
+        done
     done
-  end
 
-(* The most accesses any lane in [first..last] has. *)
-let depth (t : t) ~first ~last : int =
-  let d = ref 0 in
-  for l = first to last do
-    if t.lane_count.(l) > !d then d := t.lane_count.(l)
-  done;
-  !d
+(* The per-batch lockstep verdicts of group [s] on this simulator's
+   batches (SIMD batches on a CPU, warps on a GPU). *)
+let lockstep_batches (t : t) (s : Trace.wg_stats) : bool array =
+  index_lanes t s;
+  Array.sub t.b_lock 0 ((s.Trace.wg_size + t.batch - 1) / t.batch)
 
 (* Position of [key] in the dedup buffer, or -1. Searched newest first:
    neighbouring lanes mostly touch the line the previous lane touched, so
@@ -359,12 +475,14 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
      cache line (an 8-wide unit-stride load is one hardware access). Lines
      are visited in first-seen order — ascending lane, then ascending line —
      and a line is written if any lane writes it. Lane [l] of a record
-     accesses [base + cx·lx + cy·ly + cz·lz] at its local id. *)
+     accesses [base + cx·lx + cy·ly + cz·lz] at its local id. A lockstep
+     batch's [k]-th step is its [k]-th listed record; any other batch's
+     reads the lane index. *)
   let shift = t.line_shift and line = 1 lsl t.line_shift and write_bit = Trace.write_bit in
   let space_shift = Trace.space_shift and space_mask = Trace.space_mask in
   let bytes_shift = Trace.bytes_shift and bytes_mask = Trace.bytes_mask in
   let local = Trace.code_local and private_ = Trace.code_private in
-  let recs = s.Trace.recs and rw = Trace.rec_words and f_info = Trace.f_info in
+  let recs = s.Trace.recs and f_info = Trace.f_info in
   let f_base = Trace.f_base and f_cx = Trace.f_cx and f_cy = Trace.f_cy and f_cz = Trace.f_cz in
   index_lanes t s;
   let lx = t.lane_x and ly = t.lane_y and lz = t.lane_z in
@@ -373,11 +491,13 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
   for b = 0 to n_batches - 1 do
     let first = b * simd in
     let last = min (first + simd) s.Trace.wg_size - 1 in
-    for k = 0 to depth t ~first ~last - 1 do
+    let lock = t.b_lock.(b) and sg = t.b_seg.(b) in
+    let listed = t.s_start.(sg) in
+    for k = 0 to (if lock then t.s_depth.(sg) else t.b_depth.(b)) - 1 do
       t.n_uniq <- 0;
-      if t.lockstep then begin
+      if lock then begin
         (* One record for the whole step. *)
-        let r = k * rw in
+        let r = if listed < 0 then k * Trace.rec_words else t.b_rec.(listed + k) in
         let info = recs.(r + f_info) in
         let space = (info lsr space_shift) land space_mask in
         let base = recs.(r + f_base) + if space = local || space = private_ then window else 0 in
@@ -469,18 +589,16 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
   let global = Trace.code_global and constant = Trace.code_constant in
   let local = Trace.code_local in
   let bytes_shift = Trace.bytes_shift and bytes_mask = Trace.bytes_mask in
-  let recs = s.Trace.recs and rw = Trace.rec_words and f_info = Trace.f_info in
+  let recs = s.Trace.recs and f_info = Trace.f_info in
   let f_base = Trace.f_base and f_cx = Trace.f_cx and f_cy = Trace.f_cy and f_cz = Trace.f_cz in
   index_lanes t s;
   let lx = t.lane_x and ly = t.lane_y and lz = t.lane_z in
   (* Lane [l]'s [k]-th access: its info word, and its address moved into
-     the core's window if Local or Private. *)
-  let info_at l k =
-    if t.lockstep then recs.((k * rw) + f_info) else t.lane_info.(t.lane_start.(l) + k)
-  in
-  let addr_at l k =
-    if t.lockstep then
-      let r = k * rw in
+     the core's window if Local or Private; in a lockstep warp, [r] is
+     the word offset of the warp's [k]-th listed record. *)
+  let info_at ~lock ~r l k = if lock then recs.(r + f_info) else t.lane_info.(t.lane_start.(l) + k) in
+  let addr_at ~lock ~r l k =
+    if lock then
       let space = (recs.(r + f_info) lsr space_shift) land space_mask in
       recs.(r + f_base) + (recs.(r + f_cx) * lx.(l)) + (recs.(r + f_cy) * ly.(l))
       + (recs.(r + f_cz) * lz.(l))
@@ -491,17 +609,20 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
   for w = 0 to n_warps - 1 do
     let first = w * warp in
     let last = min (first + warp) s.Trace.wg_size - 1 in
-    for k = 0 to depth t ~first ~last - 1 do
+    let lock = t.b_lock.(w) and sg = t.b_seg.(w) in
+    let listed = t.s_start.(sg) in
+    for k = 0 to (if lock then t.s_depth.(sg) else t.b_depth.(w)) - 1 do
+      let r = if not lock then 0 else if listed < 0 then k * Trace.rec_words else t.b_rec.(listed + k) in
       (* Coalescing: the distinct aligned segments the k-th global accesses
          of the warp's lanes touch, in first-seen order. A segment's write
          flag is the one of the lowest lane touching it. *)
       t.n_uniq <- 0;
       for l = first to last do
-        if k < t.lane_count.(l) then begin
-          let info = info_at l k in
+        if lock || k < t.lane_count.(l) then begin
+          let info = info_at ~lock ~r l k in
           let space = (info lsr space_shift) land space_mask in
           if space = global || space = constant then begin
-            let addr = addr_at l k in
+            let addr = addr_at ~lock ~r l k in
             let is_write = info land write_bit <> 0 in
             let bytes = (info lsr bytes_shift) land bytes_mask in
             for seg = addr asr shift to (addr + bytes - 1) asr shift do
@@ -518,10 +639,10 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
          one loads its bank once. Byte addresses are non-negative. *)
       t.n_uniq <- 0;
       for l = first to last do
-        if k < t.lane_count.(l) then begin
-          let info = info_at l k in
+        if lock || k < t.lane_count.(l) then begin
+          let info = info_at ~lock ~r l k in
           if (info lsr space_shift) land space_mask = local then begin
-            let key = (addr_at l k lsl 1) lor Bool.to_int (info land write_bit <> 0) in
+            let key = (addr_at ~lock ~r l k lsl 1) lor Bool.to_int (info land write_bit <> 0) in
             if not (newest t key) && uniq_find t key < 0 then uniq_add t key false
           end
         end

@@ -234,7 +234,8 @@ type lane_state = {
       (** per-lane predicate of the masked diamond being executed: 1 =
           the lane takes the then arm, 0 = the else arm. Written by the
           diamond's predicate closure, immutable while the arms run
-          (arms are pure, so nothing re-enters a diamond mid-flight). *)
+          (arms hold no branches or calls, so nothing re-enters a
+          diamond mid-flight). *)
   mutable lnthen : int;
       (** lanes (of the active [nl]) whose predicate is 1 — the then
           arm's population count; the else arm's is [nl - lnthen] *)
@@ -425,24 +426,71 @@ let[@inline] lane_check (ls : lane_state) (b : Memory.buffer) (idx : int)
   | Some s -> Sanitize.access s ~buf:b ~idx ~is_write ~wi ~loc);
   if idx < 0 || idx >= b.Memory.n then Memory.check b idx
 
-(* Is a whole group's index column [col.(io) ..] exactly [i0 + sx·lx +
-   sy·ly + sz·lz] at every lane, for a group of [nl] work-items whose
-   local size is [lsx] by [lsy] by [nl / (lsx * lsy)]? Lanes are in flat
-   order, x fastest. *)
-let affine_column (col : int array) (io : int) ~(lsx : int) ~(lsy : int) ~(nl : int)
-    (i0 : int) (sx : int) (sy : int) (sz : int) : bool =
-  let ok = ref true and k = ref io in
-  for z = 0 to (nl / (lsx * lsy)) - 1 do
-    for y = 0 to lsy - 1 do
-      let e = ref (i0 + (sy * y) + (sz * z)) in
-      for j = !k to !k + lsx - 1 do
-        if col.(j) <> !e then ok := false;
-        e := !e + sx
-      done;
-      k := !k + lsx
-    done
+(* Local id [(x, y, z)] of lane [l] of a group [lsx] by [lsy] by any,
+   lanes in flat order, x fastest. *)
+let lane_lid ~(lsx : int) ~(lsy : int) (l : int) : int * int * int =
+  if l = 0 then (0, 0, 0) else (l mod lsx, l / lsx mod lsy, l / (lsx * lsy))
+
+(* The affine form [i0 + sx·lx + sy·ly + sz·lz] that the index column
+   [col.(io + l)] takes over the run of lanes [f .. last], if it is
+   affine there at all: [sx] from two neighbours in a row, [sy] from the
+   run's first step into the next row of a plane and [sz] from its first
+   step into the next plane, each correcting for the strides already
+   known. A stride along a dimension the run never moves in is 0. Over a
+   whole group these are the differences at lanes 1, [lsx] and
+   [lsx * lsy]. [affine_column] then checks every lane. *)
+let run_form (col : int array) (io : int) ~(lsx : int) ~(lsy : int) ~(f : int)
+    ~(last : int) : int * int * int * int =
+  let at l = col.(io + l) in
+  let x0, y0, z0 = lane_lid ~lsx ~lsy f in
+  let row_end = f + lsx - 1 - x0 and plane_end = f + (lsx * lsy) - 1 - x0 - (lsx * y0) in
+  let sx =
+    if f < row_end && f < last then at (f + 1) - at f
+    else if lsx > 1 && row_end + 2 <= last then at (row_end + 2) - at (row_end + 1)
+    else 0
+  in
+  let ye = if row_end = plane_end then row_end + lsx else row_end in
+  let sy = if lsy > 1 && ye < last then at (ye + 1) - at ye + (sx * (lsx - 1)) else 0 in
+  let sz =
+    if plane_end < last then
+      at (plane_end + 1) - at plane_end + (sx * (lsx - 1)) + (sy * (lsy - 1))
+    else 0
+  in
+  (at f - (sx * x0) - (sy * y0) - (sz * z0), sx, sy, sz)
+
+(* Is [col.(io + l)] exactly [i0 + sx·lx + sy·ly + sz·lz] at every lane
+   [l] of the run [f .. last]? Checked one row segment at a time. *)
+let affine_column (col : int array) (io : int) ~(lsx : int) ~(lsy : int) ~(f : int)
+    ~(last : int) (i0 : int) (sx : int) (sy : int) (sz : int) : bool =
+  let x0, y0, z0 = lane_lid ~lsx ~lsy f in
+  let ok = ref true and l = ref f and x = ref x0 and y = ref y0 and z = ref z0 in
+  while !l <= last do
+    let stop = min last (!l + lsx - 1 - !x) in
+    let e = ref (i0 + (sx * !x) + (sy * !y) + (sz * !z)) in
+    for j = io + !l to io + stop do
+      if col.(j) <> !e then ok := false;
+      e := !e + sx
+    done;
+    l := stop + 1;
+    x := 0;
+    if !y + 1 < lsy then incr y
+    else begin
+      y := 0;
+      incr z
+    end
   done;
   !ok
+
+(* The lanes [f .. f + c - 1] of [0 .. nl - 1] whose predicate in [pr] is
+   [on], when they are one run; [c] = 0 when none is or they are not. *)
+let active_run (pr : int array) ~(on : int) ~(nl : int) : int * int =
+  let f = ref 0 in
+  while !f < nl && pr.(!f) <> on do incr f done;
+  let e = ref !f in
+  while !e < nl && pr.(!e) = on do incr e done;
+  let g = ref !e in
+  while !g < nl && pr.(!g) <> on do incr g done;
+  (!f, if !g < nl then 0 else !e - !f)
 
 (* Copy the [n] components of element [idx] into the lane columns
    [p + j * lw] of [fe] (when [fl]) or [ie], or, for a store, from those
@@ -1357,20 +1405,23 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
      moves between the element and the lane columns [c + j * lw + l * cs]
      of the float ([fl]) or int environment ([cs] = 0: a batch-uniform
      stored value, read from its base column). [on] >= 0 guards a masked
-     arm: only lanes whose predicate equals [on] access.
+     arm: only lanes whose predicate equals [on] access, so an inactive
+     lane never moves, records or traps, whatever its index.
 
      A batch-uniform buffer indexed by an int slot takes one inline loop.
      The buffer's base and width and the access's info word are resolved
      once per batch. Lane [l] reads its index at [io + l * stride]
-     (stride 0: a uniform slot, such as NBody's [sh[j]]). An unmasked
-     batch that covers the whole group first checks its index column
-     ([affine_column]): if every lane's index is [i0 + sx·lx + sy·ly +
-     sz·lz], the access is stored after the loop as one record of
-     [wg_size] lanes, so a trap leaves nothing recorded. Every other batch
-     stores one one-lane record per active lane. A per-lane buffer, a
-     constant or argument index, and a constant or argument stored value
-     take [each], which reads them through per-lane getters and records
-     per lane with [Trace.record]. *)
+     (stride 0: a uniform slot, such as NBody's [sh[j]]). A batch that
+     covers the whole group accesses from the run of lanes [f .. last]:
+     all of them, or in a masked arm its active lanes when they are
+     consecutive ([active_run]). If the index column is [i0 + sx·lx +
+     sy·ly + sz·lz] over that run ([run_form], [affine_column]), the
+     access is stored after the loop as one record of those lanes, so a
+     trap leaves nothing recorded. Every other batch stores one
+     one-lane record per active lane. A per-lane buffer, a constant or
+     argument index, and a constant or argument stored value take
+     [each], which reads them through per-lane getters and records per
+     lane with [Trace.record]. *)
   let each ~(on : int) ~(is_write : bool) (i : instr) (ptr : value)
       (index : value) (move : lane_state -> Memory.buffer -> int -> int -> unit)
       : lane_state -> unit =
@@ -1404,21 +1455,25 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
           let base = b.Memory.base_addr and w = b.Memory.elem_bytes in
           let info = Trace.info ~bytes:w ~space:b.Memory.space ~is_write in
           let ie = ls.lienv and fe = ls.lfenv and pr = ls.lpred in
-          let whole = on < 0 && bf = 0 && nl > 1 && nl = st.Trace.wg_size in
-          let lsx = ls.lctx.lsz.(0) and lsy = ls.lctx.lsz.(1) in
-          let i0 = ie.(io) in
-          (* the strides at lanes 1, [lsx] and [lsx * lsy], where the
-             group has them *)
-          let sx = if whole && lsx > 1 then ie.(io + stride) - i0 else 0 in
-          let sy = if whole && lsy > 1 then ie.(io + (lsx * stride)) - i0 else 0 in
-          let sz = if whole && lsx * lsy < nl then ie.(io + (lsx * lsy * stride)) - i0 else 0 in
-          if whole && (stride = 0 || affine_column ie io ~lsx ~lsy ~nl i0 sx sy sz) then begin
-            for l = 0 to nl - 1 do
+          let f, nr =
+            if bf <> 0 || nl <> st.Trace.wg_size then (0, 0)
+            else if on < 0 then (0, nl)
+            else active_run pr ~on ~nl
+          in
+          let last = f + nr - 1 and lsx = ls.lctx.lsz.(0) and lsy = ls.lctx.lsz.(1) in
+          let i0, sx, sy, sz =
+            if nr < 2 then (0, 0, 0, 0)
+            else if stride = 0 then (ie.(io), 0, 0, 0)
+            else run_form ie io ~lsx ~lsy ~f ~last
+          in
+          if nr > 1 && (stride = 0 || affine_column ie io ~lsx ~lsy ~f ~last i0 sx sy sz)
+          then begin
+            for l = f to last do
               let idx = ie.(io + (l * stride)) in
               lane_check ls b idx ~wi:l ~is_write ~loc;
               lane_move b idx ~is_write ~fl fe ie ~p:(c + (l * cs)) ~lw ~n
             done;
-            Trace.record_batch st ~first:0 ~lanes:nl ~info ~base:(base + (i0 * w))
+            Trace.record_batch st ~first:f ~lanes:nr ~info ~base:(base + (i0 * w))
               ~cx:(sx * w) ~cy:(sy * w) ~cz:(sz * w)
           end
           else
@@ -1443,22 +1498,21 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
         lv_access ~on ~is_write:false i ptr index k ~cs:1
     | _ -> fun _ -> trap "load of unsupported element type"
   in
-  let lv_store (i : instr) (ptr : value) (index : value) (v : value) :
+  let lv_store ~(on : int) (i : instr) (ptr : value) (index : value) (v : value) :
       lane_state -> unit =
     let slot = match v with Vinstr vi -> kind_of vi | _ -> None in
     match (type_of v, slot) with
     | (F32 | I1 | I8 | I16 | I32 | I64), Some ((KFloat _ | KInt _) as k)
     | Vec _, Some ((KFvec _ | KIvec _) as k) ->
-        lv_access ~on:(-1) ~is_write:true i ptr index k
-          ~cs:(Bool.to_int (varying v))
+        lv_access ~on ~is_write:true i ptr index k ~cs:(Bool.to_int (varying v))
     | Vec _, _ -> fun _ -> trap "store of a non-vector"
     | F32, _ ->
         let gv = lv_fget (op v) in
-        each ~on:(-1) ~is_write:true i ptr index (fun ls b idx l ->
+        each ~on ~is_write:true i ptr index (fun ls b idx l ->
             Memory.set_float b idx (gv ls l))
     | (I1 | I8 | I16 | I32 | I64), _ ->
         let gv = lv_iget (op v) in
-        each ~on:(-1) ~is_write:true i ptr index (fun ls b idx l ->
+        each ~on ~is_write:true i ptr index (fun ls b idx l ->
             Memory.set_int b idx (gv ls l))
     | _ -> fun _ -> trap "cannot store a pointer"
   in
@@ -1512,7 +1566,7 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
             ls.lbenv.(dst) <- RBuf b);
         ]
     | Load { ptr; index }, _ -> [ lv_load ~on:(-1) i ptr index ]
-    | Store { ptr; index; v }, _ -> [ lv_store i ptr index v ]
+    | Store { ptr; index; v }, _ -> [ lv_store ~on:(-1) i ptr index v ]
     (* Vector lanes are in-range constants ({!Verify} rejects anything
        else); [comp] resolves an out-of-range one to a trap. *)
     | Extract (v, Cint (t, j)), Some (KFloat d) ->
@@ -1702,7 +1756,7 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
 
   (* -- Masked diamond if-conversion ---------------------------------------
 
-     A divergent [Cond_br] classified by {!Regions} as a pure diamond is
+     A divergent [Cond_br] classified by {!Regions} as a diamond is
      compiled into the branch block's own segment: a predicate closure
      fills [lpred]/[lnthen] (charging one branch per lane, as the tree
      engine does per work-item), each arm's body runs under its mask, phi
@@ -1710,9 +1764,10 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
      terminator becomes a plain jump to the join. Pure varying
      instructions evaluate flat over every lane — an inactive lane's
      garbage is only ever read by the masked merge, which selects the
-     other side — while instructions whose execution is observable or can
-     fault (loads: trace/sanitizer event identity; integer division:
-     traps) run under an explicit per-lane guard. Each arm's static cost
+     other side, or by a guarded access, which skips it — while
+     instructions whose execution is observable or can fault (loads and
+     stores: memory, trace and sanitizer events, bounds traps; integer
+     division: traps) run under an explicit per-lane guard. Each arm's static cost
      is charged per active lane and the arm is skipped outright when no
      lane takes it, so trace totals stay bit-identical to the tree
      engine, which executes an arm only for the work-items that branch
@@ -1742,6 +1797,7 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     else
       match (i.op, kind_of i) with
       | Load { ptr; index }, _ -> [ lv_load ~on i ptr index ]
+      | Store { ptr; index; v }, _ -> [ lv_store ~on i ptr index v ]
       | Binop (((Sdiv | Udiv | Srem | Urem) as bop), a, b), Some (KInt d) ->
           [ lv_idiv_masked ~on (type_of a) bop (op a) (op b) (d * lw) ]
       | Binop (((Sdiv | Udiv | Srem | Urem) as bop), a, b), Some (KIvec (d, n))

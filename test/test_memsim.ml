@@ -639,10 +639,6 @@ let expand (lsx, lsy, _) r =
 (* The group as events, in the reference's (wg_id, wg_size, events) form. *)
 let as_events (wg_id, shape, recs) = (wg_id, shape_size shape, List.concat_map (expand shape) recs)
 
-(* Every record covers the whole group. *)
-let lockstep_group (_, shape, recs) =
-  List.for_all (fun r -> r.first = 0 && r.lanes = shape_size shape) recs
-
 (* Local sizes: rows shorter than MIC's 16-wide step (AMD-MM's 8×8), rows
    that do not divide a SIMD batch, one-item and one-column groups. *)
 let gen_shape =
@@ -682,8 +678,8 @@ let gen_one_lane ~lane =
 
 let gen_wholes shape = QCheck.Gen.(list_size (int_range 0 5) (gen_whole shape))
 
-(* A one-lane region (each work-item's accesses in turn), then
-   whole-group records, as AMD-SS with_lm records a group. *)
+(* A one-lane region (each work-item's accesses in turn, as a region
+   with a private alloca records them), then whole-group records. *)
 let gen_mixed shape =
   QCheck.Gen.(
     int_range 1 3 >>= fun d ->
@@ -752,10 +748,40 @@ let print_rgroups groups =
 
 let on_every_platform f = List.for_all (fun plat -> List.for_all (f plat) [ false; true ]) P.all
 
-(* A lockstep group replays without a lane index, and on a CPU a step
-   computes its lines from the record. Lockstep groups and their near
-   misses must take the path the definition gives them, and replay like
-   the reference on all six platforms, vectorized or not. *)
+(* The lanes a platform replays in one step: its SIMD width on a CPU (1
+   for a vectorized kernel), its warp on a GPU. *)
+let batch_width (plat : P.t) ~vectorized =
+  match plat.P.mem with
+  | P.Cpu_mem _ -> if vectorized then 1 else max 1 plat.P.simd
+  | P.Gpu_mem _ -> max 1 plat.P.warp
+
+(* The definition of a lockstep batch: every record that touches one of
+   its lanes covers all of them. *)
+let lockstep_by_definition ~width (_, shape, recs) =
+  let n = shape_size shape in
+  Array.init ((n + width - 1) / width) (fun b ->
+      let first = b * width and last = min n ((b + 1) * width) - 1 in
+      List.for_all
+        (fun r ->
+          let e = min n (r.first + r.lanes) - 1 in
+          r.first > last || e < first || (r.first <= first && e >= last))
+        recs)
+
+(* [Simulate.lockstep_batches] gives every group's batches the verdict
+   the definition gives them. *)
+let verdicts_match_definition plat ~vectorized groups =
+  let sim = Sim.create ~vectorized plat in
+  List.for_all
+    (fun g ->
+      Sim.lockstep_batches sim (rstats g)
+      = lockstep_by_definition ~width:(batch_width plat ~vectorized) g)
+    groups
+
+(* A lockstep batch replays without a lane index, and on a CPU a step
+   computes its lines from the record. Whole-group records and their
+   near misses must give each batch the verdict the definition gives
+   it, and replay like the reference on all six platforms, vectorized
+   or not. *)
 let prop_lockstep_replay_matches_reference =
   let open QCheck in
   let group_recs shape = Gen.oneof [ gen_wholes shape; gen_near_miss_recs shape ] in
@@ -763,14 +789,49 @@ let prop_lockstep_replay_matches_reference =
     ~count:100
     (make (gen_rgroups group_recs) ~print:print_rgroups)
     (fun groups ->
-      let sim = Sim.create P.snb in
-      List.for_all
-        (fun g ->
-          Sim.index_lanes sim (rstats g);
-          sim.Sim.lockstep = lockstep_group g)
-        groups
-      && on_every_platform (fun plat vectorized ->
-             consume_matches_reference plat ~vectorized
+      on_every_platform (fun plat vectorized ->
+          verdicts_match_definition plat ~vectorized groups
+          && consume_matches_reference plat ~vectorized
+               ~stats:(fun _ -> List.map rstats groups)
+               (List.map as_events groups)))
+
+(* A run record: a whole-group record's access made only by the
+   work-items [first .. first + lanes - 1], as a masked arm whose active
+   lanes are consecutive records it. Runs start anywhere, or on a lane
+   that a SIMD batch or warp may start on, so that some batches lie
+   wholly inside them. *)
+let gen_run shape =
+  QCheck.Gen.(
+    let size = shape_size shape in
+    gen_whole shape >>= fun r ->
+    oneof [ int_range 0 (size - 1); map (fun k -> min (size - 1) (k * 8)) (int_range 0 4) ]
+    >>= fun first ->
+    map (fun lanes -> { r with first; lanes })
+      (oneof [ int_range 1 (size - first); return (size - first) ]))
+
+(* Whole-group, run and one-lane records in any order, as the masked and
+   unmasked batches of a region record them. *)
+let gen_with_runs shape =
+  QCheck.Gen.(
+    list_size (int_range 0 12)
+      (frequency
+         [ (2, gen_whole shape);
+           (3, gen_run shape);
+           (2, int_range 0 (shape_size shape - 1) >>= fun lane -> gen_one_lane ~lane) ]))
+
+(* Groups mixing the three kinds of record: each batch gets the verdict
+   the definition gives it, and each group replays like the reference
+   replays its expanded events, on all six platforms, vectorized or
+   not. *)
+let prop_run_records_match_reference =
+  let open QCheck in
+  Test.make ~name:"whole-group, run and one-lane records match the reference on every platform"
+    ~count:100
+    (make (gen_rgroups gen_with_runs) ~print:print_rgroups)
+    (fun groups ->
+      on_every_platform (fun plat vectorized ->
+          verdicts_match_definition plat ~vectorized groups
+          && consume_matches_reference plat ~vectorized
                ~stats:(fun _ -> List.map rstats groups)
                (List.map as_events groups)))
 
@@ -867,6 +928,7 @@ let suite =
     qsuite "memsim-props"
       [ prop_consume_matches_reference;
         prop_lockstep_replay_matches_reference;
+        prop_run_records_match_reference;
         prop_records_replay_like_events ];
     ( "memsim-golden",
       [ Alcotest.test_case "suite x platforms at scale 8, bit for bit" `Quick

@@ -558,7 +558,8 @@ let test_wgloop_selected_for_suite () =
    scheduler (the tree engine). *)
 
 (* Same kernel as examples/kernels/saxpy.cl: its bounds-guarded store is
-   divergent, so its only region runs one-lane batches. *)
+   a divergent triangle, so its only region runs W-wide batches with the
+   store in a masked arm. *)
 let saxpy_source =
   {|__kernel void saxpy(__global float *y, __global const float *x, float a,
                         int n) {
@@ -617,18 +618,18 @@ let test_grover_versions_plan_wgvec () =
         (Runtime.Lanes w))
     Grover_suite.Suite.all
 
-let test_divergent_store_plans_one_lane () =
+let test_divergent_store_plans_wide () =
   let fn =
     match Lower.compile saxpy_source with [ f ] -> f | _ -> assert false
   in
   Grover_passes.Pipeline.normalize fn;
   let c = Interp.prepare fn in
   Alcotest.(check bool) "saxpy is barrier-free" false (has_barrier c);
-  Alcotest.(check (option (array bool))) "saxpy's one region is one-lane"
-    (Some [| false |]) (Interp.lane_entry_flags c);
+  Alcotest.(check (option (array bool))) "saxpy's one region is W-wide"
+    (Some [| true |]) (Interp.lane_entry_flags c);
   check_default_plan ~label:"saxpy" c
     ~cfg:{ Runtime.global = (64, 1, 1); local = (16, 1, 1); queues = 1 }
-    (Runtime.Lanes 1)
+    ~planned:(Runtime.Lanes 16) (Runtime.Lanes Interp.max_lane_width)
 
 (* The tree engine's one switch: every suite kernel builds lane code, and
    a fiber request — [~force_path] for a launch, [GROVER_FORCE_PATH] for
@@ -846,30 +847,48 @@ let test_masked_diamonds_classify () =
             (Regions.verdict_string lv))
   | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
 
-let test_divergent_store_still_bails () =
-  let fn =
-    lower_one
-      {|__kernel void f(__global int *out, int n) {
+(* A guarded store is a masked arm; a loop whose trip count differs per
+   work-item is not a diamond, and its region still bails with the
+   branch's location. *)
+let test_divergent_store_masked_loop_bails () =
+  let region0 src =
+    match Regions.form (lower_one src) with
+    | Regions.Formed i -> i.Regions.lane_entries.(0)
+    | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
+  in
+  (match
+     region0
+       {|__kernel void f(__global int *out, int n) {
           __local int tmp[8];
           int l = get_local_id(0);
           if (l < 4) { tmp[l] = l; }
           barrier(CLK_LOCAL_MEM_FENCE);
           out[get_global_id(0)] = tmp[l % 4] + n;
         }|}
-  in
-  match Regions.form fn with
-  | Regions.Formed i -> (
-      match i.Regions.lane_entries.(0) with
-      | Regions.Scalar r ->
-          Alcotest.(check bool)
-            (Printf.sprintf "bail reason names the store: %s" r)
-            true
-            (String.length r >= 15
-            && String.sub r 0 15 = "divergent store")
-      | lv ->
-          Alcotest.failf "divergent store must stay scalar, got: %s"
-            (Regions.verdict_string lv))
-  | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
+   with
+  | Regions.Lane_masked 1 -> ()
+  | lv ->
+      Alcotest.failf "a guarded store must be one masked diamond, got: %s"
+        (Regions.verdict_string lv));
+  match
+    region0
+      {|__kernel void f(__global int *out, int n) {
+          int l = get_local_id(0);
+          int acc = 0;
+          for (int t = 0; t < l; t++) { acc = acc + t; }
+          out[get_global_id(0)] = acc + n;
+        }|}
+  with
+  | Regions.Scalar r ->
+      let want = "divergent branch arms do not reconverge at " in
+      Alcotest.(check bool)
+        (Printf.sprintf "bail reason names the loop branch: %s" r)
+        true
+        (String.length r > String.length want
+        && String.sub r 0 (String.length want) = want)
+  | lv ->
+      Alcotest.failf "a divergent loop must stay scalar, got: %s"
+        (Regions.verdict_string lv)
 
 let run_masked_kernel ?lane_width ~force_path ~n ~wg () =
   let fn =
@@ -1675,9 +1694,10 @@ let prop_float4_kernels_agree =
 (* -- Random kernels with private arrays, divergent loops and int4 -------------------
    Each generated kernel has three private arrays (one filled by a loop
    counter, one indexed by [get_local_id], one live across a uniform
-   barrier), a loop whose trip count depends on [get_local_id], a divergent
-   store outside any diamond, two barriers inside a uniform loop and int4
-   arithmetic. Its int ops include shifts, division and remainder by an odd
+   barrier), a loop whose trip count depends on [get_local_id], a guarded
+   store in the private arrays' one-lane region and one between the two
+   barriers inside a uniform loop, where it runs in a masked arm, and
+   int4 arithmetic. Its int ops include shifts, division and remainder by an odd
    (so nonzero) divisor, a compare with a batch-uniform left operand, and
    int and float selects on varying compares: ops and shapes with no direct
    loop in the lane compiler. The compiled default plan at W in {1,4,8,256}
@@ -1693,6 +1713,9 @@ let random_kernel_gen =
   let small = int_range (-3) 5 in
   let comp = oneofl [ "x"; "y"; "z"; "w" ] in
   let pred = oneofl [ "l % 2 == 0"; "a[g] > 3"; "g < n / 2"; "acc > l" ] in
+  (* the guard of a store in a region without private arrays: its lanes
+     form one run, a scattered set, none or all *)
+  let guard = oneofl [ "l < 5"; "l % 3 == r"; "a[g] > 3"; "l < 0"; "l >= 0" ] in
   let div = oneofl [ "/"; "%" ] in
   let icmp = oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
   (* a constant, an argument or a uniform slot *)
@@ -1702,7 +1725,7 @@ let random_kernel_gen =
              (o5, o6, o7, o8),
              (c1, c2, c3, (c4, c5)),
              ((k, ca, cb), p, idx) ),
-           ((d1, sh, c6, d2), (u, ic, o9), fc) ) ->
+           ((d1, sh, c6, d2), (u, ic, o9), (fc, gp)) ) ->
       Printf.sprintf
         {|__kernel void k(__global int *out, __global int4 *vout, __global int *dout,
                           __global const int *a, int n, int reps) {
@@ -1723,6 +1746,7 @@ let random_kernel_gen =
               tile[l] = v.%s %s r;
               barrier(CLK_LOCAL_MEM_FENCE);
               v.%s = v.%s %s tile[(l + 1) %% get_local_size(0)];
+              if (%s) dout[g] = v.y + r;
               barrier(CLK_LOCAL_MEM_FENCE);
             }
             int q = (acc %s (a[g] | 1)) %s (%d %s (l | 1));
@@ -1731,7 +1755,7 @@ let random_kernel_gen =
             vout[g] = v %s (int4)(pc[0], pc[1], pc[2], pc[3]);
             out[g] = pc[%d] + acc + get_local_id(2) + s + (int)f;
           }|}
-        o1 c1 o2 c2 o3 c3 k o4 p o5 c4 c5 ca o6 cb cb o7 d1 sh c6 d2 u ic o9 fc o8
+        o1 c1 o2 c2 o3 c3 k o4 p o5 c4 c5 ca o6 cb cb o7 gp d1 sh c6 d2 u ic o9 fc o8
         idx)
     (pair
        (quad (quad iop iop iop iop) (quad iop iop iop iop)
@@ -1739,7 +1763,7 @@ let random_kernel_gen =
           (triple (triple (int_range 1 5) comp comp) pred (int_range 0 3)))
        (triple
           (quad div (oneofl [ "<<"; ">>" ]) small div)
-          (triple uniform icmp iop) icmp))
+          (triple uniform icmp iop) (pair icmp guard)))
 
 (* One 1-D launch of [src] compiled at [lane_width] on the arguments
    [setup] allocates in a fresh memory: its totals, its buffers (every
@@ -1818,6 +1842,147 @@ let prop_random_kernels_agree =
       List.for_all snd
         (traced_vs_fibers src ~lane_width:width ~setup:(random_kernel_args ~n ~reps)
            ~n ~wg ()))
+
+(* -- Stores in masked arms ---------------------------------------------------------
+   A store under a divergent guard runs in its diamond's masked arm: only
+   the lanes that take the arm store, record and bounds-check. The
+   kernel stores to [__local] or [__global] memory in the then-arm, the
+   else-arm or both, under predicates whose then-lanes form one run from
+   lane 0, one run inside the group, a scattered set, no lane and every
+   lane. At W in {1,8,256}, on groups of 20 (three W-wide batches at W =
+   8, one whole-group batch at W = 256, where one run records as one
+   record), it must match tree+fiber bit for bit. *)
+
+let masked_store_source ~(local : bool) ~(arms : [ `Then | `Else | `Both ])
+    ~(pred : string) =
+  let store e = if local then Printf.sprintf "tile[l] = %s;" e else Printf.sprintf "gdst[g] = %s;" e in
+  let in_then = arms <> `Else and in_else = arms <> `Then in
+  Printf.sprintf
+    {|__kernel void k(__global int *out, __global int *gdst, __global const int *a) {
+        __local int tile[64];
+        int l = get_local_id(0);
+        int g = get_global_id(0);
+        tile[l] = -1;
+        barrier(CLK_LOCAL_MEM_FENCE);
+        int v = a[g];
+        int w = v;
+        if (%s) { w = v + 3; %s } else { %s }
+        barrier(CLK_LOCAL_MEM_FENCE);
+        out[g] = tile[l] + w;
+      }|}
+    pred
+    (if in_then then store "v * 2" else "")
+    (if in_else then store "v - 5" else "")
+
+let masked_store_preds =
+  [ ("run from lane 0", "l < 7");
+    ("inner run", "(l >= 3) & (l < 11)");
+    ("scattered", "l % 3 == 1");
+    ("no lane", "l < 0");
+    ("every lane", "l >= 0") ]
+
+let masked_store_setup ~n mem =
+  let out = Memory.alloc mem Ssa.I32 n and gdst = Memory.alloc mem Ssa.I32 n in
+  let a = Memory.alloc mem Ssa.I32 n in
+  Memory.fill_ints a (fun i -> (i * 7 mod 19) - 4);
+  [ Runtime.Abuf out; Runtime.Abuf gdst; Runtime.Abuf a ]
+
+let test_masked_stores () =
+  let wg = 20 in
+  let n = 3 * wg in
+  List.iter
+    (fun local ->
+      List.iter
+        (fun (arms, an) ->
+          List.iter
+            (fun (pn, pred) ->
+              let src = masked_store_source ~local ~arms ~pred in
+              (match Regions.form (lower_one src) with
+              | Regions.Formed i -> (
+                  match i.Regions.lane_entries.(1) with
+                  | Regions.Lane_masked 1 -> ()
+                  | lv ->
+                      Alcotest.failf "%s store, %s: region 1 should be masked, got: %s"
+                        an pn (Regions.verdict_string lv))
+              | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r);
+              List.iter
+                (fun w ->
+                  let label =
+                    Printf.sprintf "%s store in %s, %s, W=%d"
+                      (if local then "__local" else "__global")
+                      an pn w
+                  in
+                  check_traced_against_fibers ~label src ~lane_width:w
+                    ~setup:(masked_store_setup ~n) ~n ~wg ())
+                [ 1; 8; Interp.max_lane_width ])
+            masked_store_preds)
+        [ (`Then, "the then-arm"); (`Else, "the else-arm"); (`Both, "both arms") ])
+    [ true; false ]
+
+(* An inactive lane computes its index flat, out of bounds or not, but
+   never stores, records or traps: AMD-SS's staging shape (lanes 4..19
+   index past a 4-element [__local] array) and saxpy's bounds guard
+   (work-items 37..47 index past a 37-element buffer). *)
+let test_masked_store_inactive_out_of_bounds () =
+  let staging =
+    {|__kernel void k(__global int *out, __global const int *a) {
+        __local int lp[4];
+        int l = get_local_id(0);
+        if (l < 4) lp[l] = a[l];
+        barrier(CLK_LOCAL_MEM_FENCE);
+        out[get_global_id(0)] = lp[l % 4] + l;
+      }|}
+  in
+  let staging_setup mem =
+    let out = Memory.alloc mem Ssa.I32 60 and a = Memory.alloc mem Ssa.I32 4 in
+    Memory.fill_ints a (fun i -> (i * 5) - 7);
+    [ Runtime.Abuf out; Runtime.Abuf a ]
+  in
+  let saxpy_setup mem =
+    let y = Memory.alloc mem Ssa.F32 37 and x = Memory.alloc mem Ssa.F32 48 in
+    Memory.fill_floats y (fun i -> float_of_int (i mod 11) /. 4.0);
+    Memory.fill_floats x (fun i -> float_of_int (i mod 7) -. 2.5);
+    [ Runtime.Abuf y; Runtime.Abuf x; Runtime.Afloat 1.5; Runtime.Aint 37 ]
+  in
+  List.iter
+    (fun w ->
+      check_traced_against_fibers ~label:(Printf.sprintf "staging, W=%d" w) staging
+        ~lane_width:w ~setup:staging_setup ~n:60 ~wg:20 ();
+      check_traced_against_fibers ~label:(Printf.sprintf "saxpy, W=%d" w) saxpy_source
+        ~lane_width:w ~setup:saxpy_setup ~n:48 ~wg:16 ())
+    [ 1; 8; Interp.max_lane_width ]
+
+(* The run form of an index column: over any run of lanes of any group
+   shape, a column affine in the local id is accepted, and an accepted
+   column, perturbed or not, is reproduced at every lane of the run by
+   the form [run_form] derived. *)
+let prop_run_form_sound =
+  QCheck.Test.make ~name:"run_form: affine runs accepted, accepted runs reproduced" ~count:500
+    QCheck.(
+      pair
+        (triple (int_range 1 6) (int_range 1 4) (int_range 1 3))
+        (quad (pair small_nat small_nat) (int_range (-9) 9)
+           (triple (int_range (-9) 9) (int_range (-40) 40) (int_range (-90) 90))
+           (option (pair small_nat (int_range 1 3)))))
+    (fun ((lsx, lsy, lsz), ((fa, ca), i0, (sx, sy, sz), perturb)) ->
+      let nl = lsx * lsy * lsz in
+      let f = fa mod nl in
+      let last = f + (ca mod (nl - f)) in
+      let lid l = (l mod lsx, l / lsx mod lsy, l / (lsx * lsy)) in
+      let col =
+        Array.init nl (fun l ->
+            let x, y, z = lid l in
+            i0 + (sx * x) + (sy * y) + (sz * z))
+      in
+      Option.iter (fun (p, d) -> let p = f + (p mod (last - f + 1)) in col.(p) <- col.(p) + d) perturb;
+      let j0, jx, jy, jz = Interp.run_form col 0 ~lsx ~lsy ~f ~last in
+      let accepted = Interp.affine_column col 0 ~lsx ~lsy ~f ~last j0 jx jy jz in
+      let reproduced = ref true in
+      for l = f to last do
+        let x, y, z = lid l in
+        if j0 + (jx * x) + (jy * y) + (jz * z) <> col.(l) then reproduced := false
+      done;
+      (perturb <> None || accepted) && ((not accepted) || !reproduced))
 
 (* -- One batch per work-group --------------------------------------------------
    At the default W = 256 a work-group of up to 256 work-items sweeps each
@@ -1944,11 +2109,12 @@ let test_phi_rotation ~varying () =
 (* -- Lane verdicts of the suite ---------------------------------------------------
    The plan name stays wg-vec when a region runs one-lane batches, so the
    refined per-region lane flags are pinned here: every region of every
-   suite version runs W-wide, except region 0 of AMD-SS, PAB-ST and
-   ROD-SC with_lm (their divergent stores). *)
+   suite version runs W-wide. Region 0 of AMD-SS, PAB-ST and ROD-SC
+   with_lm stages shared data behind a lane guard, a store in a masked
+   arm. *)
 
 let expected_lane_flags =
-  [ ("AMD-SS", [| false; true |], [| true |]);
+  [ ("AMD-SS", [| true; true |], [| true |]);
     ("AMD-MT", [| true; true |], [| true |]);
     ("NVD-MT", [| true; true |], [| true |]);
     ("AMD-RG", [| true; true |], [| true |]);
@@ -1957,8 +2123,8 @@ let expected_lane_flags =
     ("NVD-MM-B", [| true; true; true |], [| true; true; true |]);
     ("NVD-MM-AB", [| true; true; true |], [| true |]);
     ("NVD-NBody", [| true; true; true |], [| true |]);
-    ("PAB-ST", [| false; true |], [| true |]);
-    ("ROD-SC", [| false; true |], [| true |]);
+    ("PAB-ST", [| true; true |], [| true |]);
+    ("ROD-SC", [| true; true |], [| true |]);
     ("TNG-GEMM4", [| true; true; true |], [| true |]) ]
 
 let test_suite_lane_flags () =
@@ -1982,73 +2148,127 @@ let test_suite_lane_flags () =
 
 (* -- Record census --------------------------------------------------------------
    A lane batch that covers its whole group stores an access whose index
-   is affine in the local id as one record; every other access is a
-   one-lane record. The census of each suite version at scale 8 on the
-   default plan (also under [GROVER_FORCE_PATH]) is pinned, so an access that stops being recorded once
-   per group shows. Traces do not depend on input values, so the counts
-   are stable. Per version: (whole-group records, one-lane records,
-   lockstep groups, groups), a group being lockstep when every record
-   covers the whole group. *)
+   is affine in the local id over the lanes that make it as one record:
+   a whole-group record, or, in a masked arm whose active lanes are one
+   run of work-items, a run record. Every other access is a one-lane
+   record. The census of each suite version at scale 8 on the default
+   plan (also under [GROVER_FORCE_PATH]) is pinned, so an access that
+   stops being recorded once per group or run shows, and so is how many
+   of the groups' SIMD batches memsim replays in lockstep on SNB, Nehalem
+   and MIC. Traces do not depend on input values, so the counts are
+   stable. Per version: (whole-group records, run records, one-lane
+   records, groups) and, per platform, (lockstep batches, batches). *)
 
-let record_census (case : Kit.case) (v : H.version) : int * int * int * int =
+module Sim = Grover_memsim.Simulate
+
+let record_census (case : Kit.case) (v : H.version) :
+    (int * int * int * int) * (int * int) list =
   let fn, _ = H.compile_version case v in
   let c = Interp.prepare fn in
   let w = case.Kit.mk ~scale:8 in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
-  let whole = ref 0 and one = ref 0 and lockstep = ref 0 and groups = ref 0 in
+  let sims =
+    List.map
+      (Sim.create ~vectorized:(H.uses_vector_types fn))
+      Grover_memsim.Platform.cache_only
+  in
+  let lockstep = Array.make (List.length sims) 0 and batches = Array.make (List.length sims) 0 in
+  let whole = ref 0 and run = ref 0 and one = ref 0 and groups = ref 0 in
   let on_group (s : Trace.wg_stats) =
-    let all_whole = ref true in
     for r = 0 to s.Trace.n_recs - 1 do
       let k = r * Trace.rec_words in
       let lanes = s.Trace.recs.(k + Trace.f_lanes) in
-      if lanes = 1 then incr one else incr whole;
-      if s.Trace.recs.(k + Trace.f_info) lsr Trace.wi_shift <> 0 || lanes <> s.Trace.wg_size then
-        all_whole := false
+      if lanes = 1 then incr one
+      else if s.Trace.recs.(k + Trace.f_info) lsr Trace.wi_shift = 0 && lanes = s.Trace.wg_size
+      then incr whole
+      else incr run
     done;
     incr groups;
-    if !all_whole then incr lockstep
+    List.iteri
+      (fun p sim ->
+        let v = Sim.lockstep_batches sim s in
+        batches.(p) <- batches.(p) + Array.length v;
+        Array.iter (fun l -> if l then lockstep.(p) <- lockstep.(p) + 1) v)
+      sims
   in
   ignore
     (Runtime.launch c ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~on_group
        ~force_path:(Runtime.default_path c) ());
-  (!whole, !one, !lockstep, !groups)
+  ( (!whole, !run, !one, !groups),
+    List.init (List.length sims) (fun p -> (lockstep.(p), batches.(p))) )
 
 let expected_census =
-  [ ("AMD-SS", (2112, 2048, 0, 64), (2112, 0, 64, 64));
-    ("AMD-MT", (64, 0, 4, 4), (32, 0, 4, 4));
-    ("NVD-MT", (16, 0, 4, 4), (8, 0, 4, 4));
-    ("AMD-RG", (4, 0, 1, 1), (2, 0, 1, 1));
-    ("AMD-MM", (19, 0, 1, 1), (17, 0, 1, 1));
-    ("NVD-MM-A", (37, 0, 1, 1), (35, 0, 1, 1));
-    ("NVD-MM-B", (37, 0, 1, 1), (35, 0, 1, 1));
-    ("NVD-MM-AB", (37, 0, 1, 1), (33, 0, 1, 1));
-    ("NVD-NBody", (268, 0, 2, 2), (260, 0, 2, 2));
-    ("PAB-ST", (12, 1152, 0, 2), (12, 0, 2, 2));
-    ("ROD-SC", (264, 256, 0, 8), (264, 0, 8, 8));
-    ("TNG-GEMM4", (35, 0, 1, 1), (33, 0, 1, 1)) ]
+  [ ( "AMD-SS",
+      ((2112, 128, 0, 64), [ (512, 512); (1024, 1024); (256, 256) ]),
+      ((2112, 0, 0, 64), [ (512, 512); (1024, 1024); (256, 256) ]) );
+    ( "AMD-MT",
+      ((64, 0, 0, 4), [ (256, 256); (256, 256); (256, 256) ]),
+      ((32, 0, 0, 4), [ (256, 256); (256, 256); (256, 256) ]) );
+    ( "NVD-MT",
+      ((16, 0, 0, 4), [ (128, 128); (256, 256); (64, 64) ]),
+      ((8, 0, 0, 4), [ (128, 128); (256, 256); (64, 64) ]) );
+    ( "AMD-RG",
+      ((4, 0, 0, 1), [ (256, 256); (256, 256); (256, 256) ]),
+      ((2, 0, 0, 1), [ (256, 256); (256, 256); (256, 256) ]) );
+    ( "AMD-MM",
+      ((19, 0, 0, 1), [ (64, 64); (64, 64); (64, 64) ]),
+      ((17, 0, 0, 1), [ (64, 64); (64, 64); (64, 64) ]) );
+    ( "NVD-MM-A",
+      ((37, 0, 0, 1), [ (32, 32); (64, 64); (16, 16) ]),
+      ((35, 0, 0, 1), [ (32, 32); (64, 64); (16, 16) ]) );
+    ( "NVD-MM-B",
+      ((37, 0, 0, 1), [ (32, 32); (64, 64); (16, 16) ]),
+      ((35, 0, 0, 1), [ (32, 32); (64, 64); (16, 16) ]) );
+    ( "NVD-MM-AB",
+      ((37, 0, 0, 1), [ (32, 32); (64, 64); (16, 16) ]),
+      ((33, 0, 0, 1), [ (32, 32); (64, 64); (16, 16) ]) );
+    ( "NVD-NBody",
+      ((268, 0, 0, 2), [ (128, 128); (128, 128); (128, 128) ]),
+      ((260, 0, 0, 2), [ (128, 128); (128, 128); (128, 128) ]) );
+    ( "PAB-ST",
+      ((16, 0, 128, 2), [ (32, 64); (96, 128); (0, 32) ]),
+      ((12, 0, 0, 2), [ (64, 64); (128, 128); (32, 32) ]) );
+    ( "ROD-SC",
+      ((264, 16, 0, 8), [ (64, 64); (128, 128); (32, 32) ]),
+      ((264, 0, 0, 8), [ (64, 64); (128, 128); (32, 32) ]) );
+    ( "TNG-GEMM4",
+      ((35, 0, 0, 1), [ (256, 256); (256, 256); (256, 256) ]),
+      ((33, 0, 0, 1), [ (256, 256); (256, 256); (256, 256) ]) ) ]
+
+(* AMD-SS and ROD-SC with_lm stage 16 values from the first 16
+   work-items, a run that SNB's, Nehalem's and MIC's SIMD batches never
+   straddle: every batch of theirs must replay in lockstep. *)
+let all_lockstep_with_lm = [ "AMD-SS"; "ROD-SC" ]
 
 let test_record_census () =
   Alcotest.(check int) "every suite case pinned"
     (List.length Grover_suite.Suite.all)
     (List.length expected_census);
+  let census_t = Alcotest.(pair (pair (pair int int) (pair int int)) (list (pair int int))) in
   List.iter
     (fun (case : Kit.case) ->
       let _, with_lm, without_lm =
         List.find (fun (id, _, _) -> id = case.Kit.id) expected_census
       in
       List.iter
-        (fun (v, vn, want) ->
-          let ((_, one, lockstep, groups) as got) = record_census case v in
+        (fun (v, vn, ((a, b, c, d), plats)) ->
+          let ((_, run, one, _), got_plats) as got = record_census case v in
           let label = Printf.sprintf "%s %s" case.Kit.id vn in
-          Alcotest.(check (pair (pair int int) (pair int int)))
-            (label ^ ": whole-group and one-lane records, lockstep groups, groups")
-            (let a, b, c, d = want in ((a, b), (c, d)))
-            (let a, b, c, d = got in ((a, b), (c, d)));
-          let fn, _ = H.compile_version case v in
-          if Array.for_all Fun.id (Option.get (Interp.lane_entry_flags (Interp.prepare fn))) then
-            Alcotest.(check (pair int int))
-              (label ^ ": no one-lane region, so every group is lockstep")
-              (0, groups) (one, lockstep))
+          Alcotest.check census_t
+            (label
+           ^ ": whole-group, run and one-lane records, groups; lockstep batches per platform")
+            (((a, b), (c, d)), plats)
+            (let (a, b, c, d), p = got in
+             (((a, b), (c, d)), p));
+          let all_lockstep = List.for_all (fun (l, n) -> l = n) got_plats in
+          if run = 0 && one = 0 then
+            Alcotest.(check bool)
+              (label ^ ": whole-group records only, so every batch is lockstep")
+              true all_lockstep;
+          if v = H.With_lm && List.mem case.Kit.id all_lockstep_with_lm then
+            Alcotest.(check bool)
+              (label ^ ": every batch replays in lockstep on SNB, Nehalem and MIC")
+              true all_lockstep)
         [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ])
     Grover_suite.Suite.all
 
@@ -2206,6 +2426,15 @@ let trap_sources =
           if (l >= 100) { y = a[g + k]; } else { y = a[g] + 1.0f; }
           out[g] = y;
         }|},
+      Some 1 );
+    ( "masked store",
+      {|__kernel void k(__global float *out, __global float *a, int k) {
+          int g = get_global_id(0);
+          int l = get_local_id(0);
+          float y = a[g];
+          if (l >= 100) { a[g + k] = y + 1.0f; }
+          out[g] = y;
+        }|},
       Some 1 ) ]
 
 let trap_n = 1024
@@ -2341,8 +2570,8 @@ let suite =
     ( "default-plan",
       [ Alcotest.test_case "grover versions plan wg-vec" `Quick
           test_grover_versions_plan_wgvec;
-        Alcotest.test_case "divergent store plans one-lane batches" `Quick
-          test_divergent_store_plans_one_lane;
+        Alcotest.test_case "divergent store plans W-wide batches" `Quick
+          test_divergent_store_plans_wide;
         Alcotest.test_case "fiber request plans fiber" `Quick
           test_fiber_request_plans_fiber;
         Alcotest.test_case "path_of_string" `Quick test_path_of_string;
@@ -2355,11 +2584,16 @@ let suite =
     ( "masked-lanes",
       [ Alcotest.test_case "guarded diamonds classify as masked" `Quick
           test_masked_diamonds_classify;
-        Alcotest.test_case "divergent store still bails with a reason" `Quick
-          test_divergent_store_still_bails;
+        Alcotest.test_case "guarded store masks, divergent loop bails with a reason"
+          `Quick test_divergent_store_masked_loop_bails;
         Alcotest.test_case "tail group smaller than lane width" `Quick
           test_masked_tail_smaller_than_width;
         QCheck_alcotest.to_alcotest prop_masked_diamond_agrees ] );
+    ( "masked-stores",
+      [ Alcotest.test_case "stores in masked arms = tree+fiber" `Quick test_masked_stores;
+        Alcotest.test_case "inactive lanes out of bounds = tree+fiber" `Quick
+          test_masked_store_inactive_out_of_bounds;
+        QCheck_alcotest.to_alcotest prop_run_form_sound ] );
     ( "vector-builtins",
       [ Alcotest.test_case "clamp" `Quick test_vec_clamp;
         Alcotest.test_case "mix" `Quick test_vec_mix;
