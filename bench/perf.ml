@@ -19,7 +19,8 @@
    - minor-heap words per work-item of the float4 kernels (TNG-GEMM4,
      NVD-NBody), gated at [alloc_limit], and
    - memsim replay: events/sec of NVD-MT's and PAB-ST with_lm's captured
-     groups through fresh SNB, Nehalem and MIC simulators.
+     groups through fresh SNB, Nehalem and MIC simulators, and the words
+     of cache pages each simulator holds at the end.
 
    Every launch-throughput, masked-region and allocation row times the
    fastest of at least 3 launches (5 with --quick) that together ran at
@@ -504,9 +505,12 @@ let report_alloc (rows : alloc_row list) : unit =
    [create], every [consume] and [result]. Min of [replay_rounds] per
    row. [batches] counts the groups' SIMD batches on the platform and
    [lockstep] those replayed in lockstep, [events] the events the
-   groups' records represent, [records] the records stored. *)
+   groups' records represent, [records] the records stored, [cache
+   words] the words of the cache pages the simulator holds at [result]
+   and [eager words] the sets x ways slots of all its caches. *)
 
 module Sim = Grover_memsim.Simulate
+module Mcache = Grover_memsim.Cache
 
 type replay_row = {
   rr_case : string;
@@ -517,11 +521,28 @@ type replay_row = {
   rr_lockstep : int;  (** of those, the batches replayed in lockstep *)
   rr_events : int;
   rr_records : int;
+  rr_cache_words : int;  (** words of the cache pages held at [result] *)
+  rr_eager_words : int;  (** sets x ways over the simulator's caches *)
   rr_seconds : float;
   rr_events_per_sec : float;
 }
 
 let replay_rounds = 20
+
+(* Words of the cache pages [sim] holds, and the slots of every set of
+   its caches. *)
+let cache_words (sim : Sim.t) : int * int =
+  let caches =
+    Option.to_list sim.Sim.shared
+    @ List.concat_map
+        (fun (q : Sim.core) -> Option.to_list q.Sim.l1 @ Option.to_list q.Sim.l2)
+        (Array.to_list sim.Sim.cores)
+  in
+  List.fold_left
+    (fun (held, eager) (c : Mcache.t) ->
+      ( Array.fold_left (fun a p -> a + Array.length p) held c.Mcache.pages,
+        eager + (c.Mcache.sets * c.Mcache.cfg.Mcache.ways) ))
+    (0, 0) caches
 
 let capture_groups (case : Kit.case) ~(version : H.version) (w : Kit.workload) :
     bool * Trace.wg_stats array =
@@ -548,9 +569,10 @@ let replay_bench ~(n : int) () : replay_row list =
             let replay () =
               let sim = Sim.create ~vectorized plat in
               Array.iter (Sim.consume sim) groups;
-              Sim.result sim
+              (Sim.result sim, sim)
             in
-            (case, version, plat, groups, replay, replay (), ref infinity))
+            let expected, sim = replay () in
+            (case, version, plat, groups, replay, expected, cache_words sim, ref infinity))
           Grover_memsim.Platform.cache_only)
       [ (Nvd_mt.case, H.With_lm, mk_transpose ~n);
         (Nvd_mt.case, H.Without_lm, mk_transpose ~n);
@@ -560,16 +582,17 @@ let replay_bench ~(n : int) () : replay_row list =
      lands on all rows' rounds alike instead of on one row's minimum. *)
   for _ = 1 to replay_rounds do
     List.iter
-      (fun (_, _, _, _, replay, expected, best) ->
+      (fun (_, _, _, _, replay, expected, _, best) ->
         let t0 = Unix.gettimeofday () in
-        let r = replay () in
+        let r, _ = replay () in
         let dt = Unix.gettimeofday () -. t0 in
         if dt < !best then best := dt;
         if r <> expected then failwith "perf bench: memsim replay is not deterministic")
       replays
   done;
   List.map
-    (fun ((case : Kit.case), version, (plat : Grover_memsim.Platform.t), groups, _, _, best) ->
+    (fun ( (case : Kit.case), version, (plat : Grover_memsim.Platform.t), groups, _, _,
+           (held, eager), best ) ->
       let events = Array.fold_left (fun a s -> a + s.Trace.n_events) 0 groups in
       let records = Array.fold_left (fun a s -> a + s.Trace.n_recs) 0 groups in
       let sim = Sim.create plat in
@@ -584,6 +607,8 @@ let replay_bench ~(n : int) () : replay_row list =
         rr_lockstep = count (Array.fold_left (fun a l -> a + Bool.to_int l) 0);
         rr_events = events;
         rr_records = records;
+        rr_cache_words = held;
+        rr_eager_words = eager;
         rr_seconds = !best;
         rr_events_per_sec = float_of_int events /. !best;
       })
@@ -595,13 +620,15 @@ let report_replay ~(n : int) (rows : replay_row list) : unit =
      (all on core 0), replayed through a fresh simulator (create + consume + \
      result), min of %d\n"
     n n replay_rounds;
-  Printf.printf "%-8s %-12s %-8s %8s %9s %9s %10s %9s %12s %14s\n" "case" "version"
-    "platform" "groups" "batches" "lockstep" "events" "records" "seconds" "events/sec";
+  Printf.printf "%-8s %-12s %-8s %8s %9s %9s %10s %9s %11s %11s %12s %14s\n" "case" "version"
+    "platform" "groups" "batches" "lockstep" "events" "records" "cache words" "eager words"
+    "seconds" "events/sec";
   List.iter
     (fun r ->
-      Printf.printf "%-8s %-12s %-8s %8d %9d %9d %10d %9d %12.4f %14.0f\n" r.rr_case
+      Printf.printf "%-8s %-12s %-8s %8d %9d %9d %10d %9d %11d %11d %12.4f %14.0f\n" r.rr_case
         (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_batches r.rr_lockstep
-        r.rr_events r.rr_records r.rr_seconds r.rr_events_per_sec)
+        r.rr_events r.rr_records r.rr_cache_words r.rr_eager_words r.rr_seconds
+        r.rr_events_per_sec)
     rows
 
 (* -- Multi-launch (out-of-order queue) throughput -----------------------------
@@ -970,9 +997,10 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       Printf.fprintf oc
         "      {\"case\": \"%s\", \"version\": \"%s\", \"platform\": \"%s\", \
          \"groups\": %d, \"batches\": %d, \"lockstep_batches\": %d, \"events\": %d, \
-         \"records\": %d, \"seconds\": %.6f, \"events_per_sec\": %.0f}%s\n"
+         \"records\": %d, \"cache_words\": %d, \"eager_words\": %d, \"seconds\": %.6f, \
+         \"events_per_sec\": %.0f}%s\n"
         r.rr_case (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_batches r.rr_lockstep
-        r.rr_events r.rr_records r.rr_seconds r.rr_events_per_sec
+        r.rr_events r.rr_records r.rr_cache_words r.rr_eager_words r.rr_seconds r.rr_events_per_sec
         (if k = List.length replay - 1 then "" else ","))
     replay;
   Printf.fprintf oc "    ]\n  }";

@@ -1,12 +1,14 @@
 (** A set-associative, write-allocate, write-back cache with LRU
     replacement. Addresses are byte addresses; the cache tracks lines.
 
-    Each set is a run of [ways] slots in one packed [int array], kept
-    most-recently-used first. A slot holds [(line lsl 1) lor dirty], or -1
-    when the way is empty. A hit moves its slot to the front of the set; a
-    miss drops the last slot (an empty way while the set is not full,
-    otherwise the least recently used line) and inserts the new line at
-    the front. *)
+    Each set is a run of [ways] slots, kept most-recently-used first. A
+    slot holds [(line lsl 1) lor dirty], or -1 when the way is empty. A
+    hit moves its slot to the front of the set; a miss drops the last
+    slot (an empty way while the set is not full, otherwise the least
+    recently used line) and inserts the new line at the front. Sets live
+    in pages of [page_sets] sets, each allocated (all -1) when a line
+    first maps into it; until then a page is the shared [[||]], so
+    [create] and [reset] cost a table of [sets / page_sets] entries. *)
 
 type config = {
   size_bytes : int;
@@ -20,11 +22,16 @@ type t = {
   sets : int;
   set_mask : int;  (** [sets - 1] when [sets] is a power of two, else -1 *)
   line_shift : int;  (** log2 [line_bytes] *)
-  slots : int array;  (** [set * ways + i] -> the set's i-th most recent way *)
+  pages : int array array;
+      (** page [p]: sets [p * page_sets ..], the [i]-th most recent way of
+          set [s] at [(s mod page_sets) * ways + i]; [[||]] until touched *)
   mutable hits : int;
   mutable misses : int;
   mutable writebacks : int;
 }
+
+let page_shift = 4
+let page_sets = 1 lsl page_shift  (** sets per page *)
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -45,14 +52,14 @@ let create (cfg : config) : t =
     sets;
     set_mask = (if is_pow2 sets then sets - 1 else -1);
     line_shift = log2 cfg.line_bytes;
-    slots = Array.make (sets * cfg.ways) (-1);
+    pages = Array.make ((sets + page_sets - 1) lsr page_shift) [||];
     hits = 0;
     misses = 0;
     writebacks = 0;
   }
 
 let reset (c : t) : unit =
-  Array.fill c.slots 0 (Array.length c.slots) (-1);
+  Array.fill c.pages 0 (Array.length c.pages) [||];
   c.hits <- 0;
   c.misses <- 0;
   c.writebacks <- 0
@@ -63,8 +70,19 @@ let line_of (c : t) (addr : int) : int = addr asr c.line_shift
     allocated (write-allocate for writes too), possibly writing back a
     dirty victim. *)
 let access_line (c : t) ~(line : int) ~(is_write : bool) : bool =
-  let ways = c.cfg.ways and slots = c.slots in
-  let base = (if c.set_mask >= 0 then line land c.set_mask else line mod c.sets) * ways in
+  let ways = c.cfg.ways in
+  let set = if c.set_mask >= 0 then line land c.set_mask else line mod c.sets in
+  let p = set lsr page_shift in
+  let slots =
+    match c.pages.(p) with
+    | [||] ->
+        (* The last page holds only the sets that remain. *)
+        let page = Array.make (min page_sets (c.sets - (p lsl page_shift)) * ways) (-1) in
+        c.pages.(p) <- page;
+        page
+    | page -> page
+  in
+  let base = (set land (page_sets - 1)) * ways in
   let key = line lsl 1 and dirty = Bool.to_int is_write in
   (* Lines are unique within a set, so the scan stops at the first match.
      An empty way (-1) masks to -2, which no non-negative line's key is. *)

@@ -25,9 +25,9 @@
     no reference to it (or its record array) is retained. The simulator's
     own working storage (the lane index, the group's local ids and row
     segments, and the per-step dedup buffer) is likewise pooled in the
-    instance, so replaying a trace allocates nothing once the buffers
-    have grown to the largest group, as long as the group shape stays
-    the same. A group replays one batch of lanes at a time: a SIMD batch
+    instance, so once the buffers fit the largest group a replay of the
+    same group shape allocates only the cache pages its lines touch
+    first. A group replays one batch of lanes at a time: a SIMD batch
     on a CPU, a warp on a GPU. A batch whose lanes are all covered by
     every record that touches any of them is {b lockstep}: its [k]-th
     step is the [k]-th of those records, replayed without a lane index,
@@ -258,16 +258,14 @@ let geometry (t : t) (s : Trace.wg_stats) : unit =
    the same records, and only a segment's first or last batch can fail
    to be lockstep. Each segment lists the records touching it, in
    stored order, so a lockstep batch's [k]-th step is the [k]-th record
-   of its segment's list; a group whose records all cover it is one
-   segment and one list. In every other batch, each record covering
+   of its segment's list. In every other batch, each record covering
    lanes [f .. e] gives each of its lanes there one access, in stored
    order, so index order within a lane is execution order; its address
    is computed here, once, so that a step reads two words per lane.
    Lanes outside the group ([>= wg_size]) are dropped; the first lane is
    a logical shift of the info word, so never negative. *)
-let index_lanes (t : t) (s : Trace.wg_stats) : unit =
+let index_records (t : t) (s : Trace.wg_stats) : unit =
   let n = s.Trace.wg_size and nr = s.Trace.n_recs and bw = t.batch in
-  geometry t s;
   let nb = (n + bw - 1) / bw in
   if Array.length t.lane_count <= n then begin
     t.lane_start <- Array.make (n + 1) 0;
@@ -283,7 +281,6 @@ let index_lanes (t : t) (s : Trace.wg_stats) : unit =
   Array.fill lock 0 nb true;
   Array.fill bseg 0 nb 0;
   Array.fill count 0 (n + 1) 0;
-  let inside = ref 0 in
   for r = 0 to nr - 1 do
     let f = recs.((r * rw) + f_info) lsr wi_shift in
     let e = min n (f + recs.((r * rw) + f_lanes)) - 1 in
@@ -294,8 +291,7 @@ let index_lanes (t : t) (s : Trace.wg_stats) : unit =
       bseg.(bf) <- 1;
       if be + 1 < nb then bseg.(be + 1) <- 1;
       count.(f) <- count.(f) + 1;
-      count.(e + 1) <- count.(e + 1) - 1;
-      incr inside
+      count.(e + 1) <- count.(e + 1) - 1
     end
   done;
   let ns = ref 0 and open_ = ref false in
@@ -309,32 +305,26 @@ let index_lanes (t : t) (s : Trace.wg_stats) : unit =
   done;
   let ns = !ns and open_ = !open_ in
   sfirst.(ns) <- nb;
-  (* Each segment's list. One segment touched by every record lists
-     nothing ([s_start] -1): its [k]-th record is record [k]. *)
+  (* each segment's list: its start in [b_rec], and room for as many
+     records as touch it *)
   let listed = ref 0 in
-  if ns = 1 && !inside = nr then begin
-    sstart.(0) <- -1;
-    sdepth.(0) <- nr
-  end
-  else begin
-    Array.fill sdepth 0 (ns + 1) 0;
-    for r = 0 to nr - 1 do
-      let f = recs.((r * rw) + f_info) lsr wi_shift in
-      let e = min n (f + recs.((r * rw) + f_lanes)) - 1 in
-      if f <= e then begin
-        let gf = bseg.(batch.(f)) and ge = bseg.(batch.(e)) + 1 in
-        sdepth.(gf) <- sdepth.(gf) + 1;
-        sdepth.(ge) <- sdepth.(ge) - 1
-      end
-    done;
-    let touching = ref 0 in
-    for g = 0 to ns - 1 do
-      touching := !touching + sdepth.(g);
-      sdepth.(g) <- 0;
-      sstart.(g) <- !listed;
-      listed := !listed + !touching
-    done
-  end;
+  Array.fill sdepth 0 (ns + 1) 0;
+  for r = 0 to nr - 1 do
+    let f = recs.((r * rw) + f_info) lsr wi_shift in
+    let e = min n (f + recs.((r * rw) + f_lanes)) - 1 in
+    if f <= e then begin
+      let gf = bseg.(batch.(f)) and ge = bseg.(batch.(e)) + 1 in
+      sdepth.(gf) <- sdepth.(gf) + 1;
+      sdepth.(ge) <- sdepth.(ge) - 1
+    end
+  done;
+  let touching = ref 0 in
+  for g = 0 to ns - 1 do
+    touching := !touching + sdepth.(g);
+    sdepth.(g) <- 0;
+    sstart.(g) <- !listed;
+    listed := !listed + !touching
+  done;
   (* lane offsets in the batches that are not lockstep *)
   let covering = ref 0 and kept = ref 0 in
   if open_ then
@@ -373,10 +363,8 @@ let index_lanes (t : t) (s : Trace.wg_stats) : unit =
       let e = min n (f + recs.(k + f_lanes)) - 1 in
       if f <= e then
         for g = bseg.(batch.(f)) to bseg.(batch.(e)) do
-          if sstart.(g) >= 0 then begin
-            brec.(sstart.(g) + sdepth.(g)) <- k;
-            sdepth.(g) <- sdepth.(g) + 1
-          end;
+          brec.(sstart.(g) + sdepth.(g)) <- k;
+          sdepth.(g) <- sdepth.(g) + 1;
           let b0 = sfirst.(g) and b1 = sfirst.(g + 1) - 1 in
           for j = 0 to Bool.to_int (b1 > b0) do
             let b = if j = 0 then b0 else b1 in
@@ -394,6 +382,28 @@ let index_lanes (t : t) (s : Trace.wg_stats) : unit =
           done
         done
     done
+
+(* A group whose records all start at work-item 0 and cover it (or that
+   has none) is lockstep in every batch, one segment listing nothing, as
+   one pass over the records shows; other groups go to {!index_records}. *)
+let index_lanes (t : t) (s : Trace.wg_stats) : unit =
+  geometry t s;
+  let n = s.Trace.wg_size and nr = s.Trace.n_recs and recs = s.Trace.recs in
+  let r = ref 0 and rw = Trace.rec_words in
+  while
+    !r < nr && recs.((!r * rw) + Trace.f_info) lsr Trace.wi_shift = 0
+    && recs.((!r * rw) + Trace.f_lanes) >= n
+  do
+    incr r
+  done;
+  if !r < nr then index_records t s
+  else begin
+    let nb = (n + t.batch - 1) / t.batch in
+    Array.fill t.b_lock 0 nb true;
+    Array.fill t.b_seg 0 nb 0;
+    t.s_start.(0) <- -1;
+    t.s_depth.(0) <- nr
+  end
 
 (* The per-batch lockstep verdicts of group [s] on this simulator's
    batches (SIMD batches on a CPU, warps on a GPU). *)

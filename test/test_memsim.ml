@@ -151,14 +151,16 @@ end
 (* Set indices by mask (a power-of-two set count) and by [mod]:
    8 sets x 2 ways; 5 sets x 3 ways; the SNB LLC (20 MiB, 16 ways: 20480
    sets, not a power of two); direct-mapped, 8 sets x 1 way; 4 sets x 16
-   ways. One way and a hit in the last way are the edge cases of keeping
+   ways; 20 sets x 2 ways, more sets than a page holds and not a multiple
+   of it. One way and a hit in the last way are the edge cases of keeping
    each set most-recent first. *)
 let diff_configs =
   [ cfg ();
     cfg ~size:(5 * 3 * 32) ~line:32 ~ways:3 ();
     { Cache.size_bytes = 20 * 1024 * 1024; line_bytes = 64; ways = 16; latency = 40 };
     cfg ~size:(8 * 64) ~ways:1 ();
-    cfg ~size:(4 * 16 * 32) ~line:32 ~ways:16 () ]
+    cfg ~size:(4 * 16 * 32) ~line:32 ~ways:16 ();
+    cfg ~size:(20 * 2 * 64) ~ways:2 () ]
 
 let prop_cache_matches_reference =
   let open QCheck in
@@ -167,41 +169,84 @@ let prop_cache_matches_reference =
       int_range 0 (List.length diff_configs - 1) >>= fun ci ->
       let c = List.nth diff_configs ci in
       let sets = c.Cache.size_bytes / (c.Cache.line_bytes * c.Cache.ways) in
-      (* Few sets and more lines per set than ways, so evictions happen. *)
+      (* Few sets, in the first, middle and last pages, and more lines per
+         set than ways, so evictions happen. *)
+      let near =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun s -> if s >= 0 && s < sets then Some s else None)
+             [ 0; 1; 2; (sets / 2) - 1; sets / 2; sets - 2; sets - 1 ])
+      in
       let access =
         map
           (fun (s, j, off, bytes, w) ->
             (((s + (sets * j)) * c.Cache.line_bytes) + off, bytes, w))
-          (tup5 (int_range 0 2) (int_range 0 (2 * c.Cache.ways)) (int_range 0 (c.Cache.line_bytes - 1))
+          (tup5 (oneofl near) (int_range 0 (2 * c.Cache.ways)) (int_range 0 (c.Cache.line_bytes - 1))
              (oneofl [ 1; 4; 8; 16; c.Cache.line_bytes + 8 ])
              bool)
       in
-      pair (return ci) (list_size (int_range 1 300) access))
+      list_size (int_range 1 300) access >>= fun accs ->
+      (* [Cache.reset] before access [reset_at]; past the end: never. *)
+      int_range 0 (List.length accs + 5) >|= fun reset_at -> (ci, accs, reset_at))
   in
   Test.make ~name:"Cache.access matches a reference LRU" ~count:250
-    (make gen ~print:(fun (ci, accs) ->
-         Printf.sprintf "config %d, %d accesses: %s" ci (List.length accs)
+    (make gen ~print:(fun (ci, accs, reset_at) ->
+         Printf.sprintf "config %d, %d accesses, reset before %d: %s" ci (List.length accs) reset_at
            (String.concat " "
               (List.map (fun (a, b, w) -> Printf.sprintf "%d+%d%s" a b (if w then "w" else "")) accs))))
-    (fun (ci, accs) ->
+    (fun (ci, accs, reset_at) ->
       let c = List.nth diff_configs ci in
-      let cache = Cache.create c and r = Ref_lru.create c in
+      let cache = Cache.create c and r = ref (Ref_lru.create c) in
       List.for_all
-        (fun (addr, bytes, is_write) ->
+        (fun (k, (addr, bytes, is_write)) ->
+          let cleared =
+            k <> reset_at
+            ||
+            (Cache.reset cache;
+             r := Ref_lru.create c;
+             Cache.stats cache = { Cache.s_hits = 0; s_misses = 0; s_writebacks = 0 })
+          in
           let before = Cache.stats cache in
           let missed = Cache.access cache ~addr ~bytes ~is_write in
           let after = Cache.stats cache in
           let hits = ref 0 and misses = ref 0 and wbs = ref 0 in
-          for line = addr / r.Ref_lru.line_bytes to (addr + bytes - 1) / r.Ref_lru.line_bytes do
-            let hit, wb = Ref_lru.access_line r line is_write in
+          for line = addr / c.Cache.line_bytes to (addr + bytes - 1) / c.Cache.line_bytes do
+            let hit, wb = Ref_lru.access_line !r line is_write in
             if hit then incr hits else incr misses;
             if wb then incr wbs
           done;
-          missed = !misses
+          cleared
+          && missed = !misses
           && after.Cache.s_hits - before.Cache.s_hits = !hits
           && after.Cache.s_misses - before.Cache.s_misses = !misses
           && after.Cache.s_writebacks - before.Cache.s_writebacks = !wbs)
-        accs)
+        (List.mapi (fun k a -> (k, a)) accs))
+
+(* A cache allocates a set's page on the set's first access, and only
+   that page; [reset] drops every page. The last page of a set count
+   that is not a multiple of the page holds only the sets that remain. *)
+let test_cache_pages () =
+  let held c = Array.fold_left (fun n p -> n + Bool.to_int (p <> [||])) 0 c.Cache.pages in
+  let words c = Array.fold_left (fun n p -> n + Array.length p) 0 c.Cache.pages in
+  let llc = { Cache.size_bytes = 20 * 1024 * 1024; line_bytes = 64; ways = 16; latency = 40 } in
+  let c = Cache.create llc in
+  Alcotest.(check int) "one table entry per page" (20480 / Cache.page_sets)
+    (Array.length c.Cache.pages);
+  Alcotest.(check int) "fresh: no page" 0 (held c);
+  let line = 12345 in
+  ignore (Cache.access_line c ~line ~is_write:true);
+  Alcotest.(check int) "one access: one page" 1 (held c);
+  Alcotest.(check int) "its set's page" (Cache.page_sets * 16)
+    (Array.length c.Cache.pages.(line mod 20480 / Cache.page_sets));
+  Alcotest.(check int) "words held" (Cache.page_sets * 16) (words c);
+  Cache.reset c;
+  Alcotest.(check int) "reset: no page" 0 (held c);
+  Alcotest.(check int) "reset: no words" 0 (words c);
+  let c = Cache.create (cfg ~size:(20 * 2 * 64) ~ways:2 ()) in
+  ignore (Cache.access_line c ~line:19 ~is_write:false);
+  Alcotest.(check int) "last page: 4 sets x 2 ways" 8 (words c);
+  ignore (Cache.access_line c ~line:0 ~is_write:false);
+  Alcotest.(check int) "first page: 16 sets x 2 ways" (8 + 32) (words c)
 
 (* -- Synthetic traces through the simulator ---------------------------------- *)
 
@@ -906,7 +951,8 @@ let suite =
         Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
         Alcotest.test_case "set conflict thrash" `Quick test_cache_set_conflict_thrash;
         Alcotest.test_case "writeback" `Quick test_cache_writeback;
-        Alcotest.test_case "reset" `Quick test_cache_reset ]
+        Alcotest.test_case "reset" `Quick test_cache_reset;
+        Alcotest.test_case "pages on first touch" `Quick test_cache_pages ]
       @ List.map
           (fun (name, reason, config) ->
             Alcotest.test_case ("rejects " ^ name) `Quick (test_cache_rejects ~reason config))
