@@ -3,10 +3,12 @@
    platform simulation). Each (version, path, domains, sanitize)
    configuration is timed once:
 
-   - W-wide lane batches (wg-vec, the default for this kernel) vs forced
-     one-lane batches vs the forced fiber scheduler (the tree-engine
-     oracle), on both the barrier-carrying with_lm version and the
-     barrier-free Grover-transformed one, and
+   - W-wide lane batches (wg-vec, the default for this kernel) vs the
+     forced fiber scheduler (the tree-engine oracle), on both the
+     barrier-carrying with_lm version and the barrier-free
+     Grover-transformed one, plus forced one-lane batches of the
+     barrier-free version (a kernel with barriers runs lane code only as
+     one batch per work-group, so it has no one-lane row), and
    - a domain-scaling sweep — (1, 2, 4, 0=auto) requested domains x
      (wg-vec on both versions; forced fibers on the Grover-transformed
      one) — exercising the persistent domain pool and the chunked group
@@ -30,8 +32,8 @@
    largest batch width of its plan (1 for one-lane batches and fibers)
    and how many pool domains were actually used, so the numbers feeding
    tuning decisions are auditable. The run *fails* if no with_lm row
-   actually ran W-wide batches, or none one-lane batches, or no
-   without_lm row W-wide batches — the bench doubles as the gate that
+   actually ran W-wide batches, or no without_lm row W-wide or one-lane
+   batches — the bench doubles as the gate that
    lane compilation and region formation keep succeeding on the flagship
    kernel in both versions. Results go to stdout and
    BENCH_interp.json; with [check_scaling] the run fails if the
@@ -248,15 +250,16 @@ let report_cache (cs : cache_stats) : unit =
    The if-conversion tally and its payoff. [masked_region_count] walks the
    whole suite (both versions) and counts the region entries whose lane
    verdict is [Lane_masked] — divergent-but-pure diamonds that the lane
-   compiler runs under a per-lane mask instead of dropping the region to
-   one-lane batches. The bench *fails* if the count is zero:
+   compiler runs under a per-lane mask instead of dropping a barrier-free
+   kernel's region to one-lane batches, or a kernel with barriers to
+   fibers. The bench *fails* if the count is zero:
    the guard-diamond kernels (NVD-MM boundary clamp, NBody tail guard)
    must keep qualifying, or the masked path has silently rotted back to
    bail-on-divergence.
 
    [masked_bench] then measures what masking buys on one upgraded kernel:
-   NVD-MM-A with_lm (whose row clamp would otherwise force one-lane
-   batches) in masked W-wide batches vs forced one-lane batches. Both
+   NVD-MM-A with_lm, whose row clamp would otherwise send the kernel to
+   the fiber scheduler, in masked W-wide batches vs forced fibers. Both
    runs validate their output against the host reference. *)
 
 module Regions = Grover_ir.Regions
@@ -271,8 +274,8 @@ type masked_stats = {
   mk_case : string;  (** the upgraded kernel measured below *)
   mk_lane_width : int;
   mk_vec_wi_per_sec : float;  (** masked wg-vec throughput *)
-  mk_loop_wi_per_sec : float;  (** forced one-lane throughput *)
-  mk_speedup : float;  (** masked W-wide / one-lane *)
+  mk_fiber_wi_per_sec : float;  (** forced fiber throughput *)
+  mk_speedup : float;  (** masked W-wide / fiber *)
 }
 
 let masked_region_count () : int =
@@ -338,24 +341,24 @@ let masked_bench ~(quick : bool) ~(reps : int) () : masked_stats =
   let vec =
     throughput (Runtime.Lanes (Interp.lane_width_of compiled)) "W-wide batches"
   in
-  let loop = throughput (Runtime.Lanes 1) "one-lane batches" in
+  let fiber = throughput Runtime.Fiber "fibers" in
   {
     mk_regions = regions;
     mk_case = case.Kit.id;
     mk_lane_width = Interp.lane_width_of compiled;
     mk_vec_wi_per_sec = vec;
-    mk_loop_wi_per_sec = loop;
-    mk_speedup = vec /. loop;
+    mk_fiber_wi_per_sec = fiber;
+    mk_speedup = vec /. fiber;
   }
 
 let report_masked (s : masked_stats) : unit =
   Printf.printf
     "\nmasked lane execution: %d region(s) across the suite run divergent \
      diamonds if-converted\n\
-    \  %s with_lm, masked wg-vec (%d lanes) vs forced one-lane batches: %.0f \
-     vs %.0f wi/sec (%.2fx)\n"
+    \  %s with_lm, masked wg-vec (%d lanes) vs forced fibers: %.0f vs %.0f \
+     wi/sec (%.2fx)\n"
     s.mk_regions s.mk_case s.mk_lane_width s.mk_vec_wi_per_sec
-    s.mk_loop_wi_per_sec s.mk_speedup
+    s.mk_fiber_wi_per_sec s.mk_speedup
 
 (* -- Default-plan launch rows ---------------------------------------------------
 
@@ -789,19 +792,21 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   let sweep version force_path =
     List.map (fun domains -> m ~version ?force_path ~domains ()) [ 1; 2; 4; 0 ]
   in
-  (* Per version: wg-vec on every domain count; one-lane batches on one
-     domain (against W-wide: what lane batching buys); the fiber oracle
-     on one domain for with_lm and on every domain count for the
-     barrier-free version; and the sanitizer (always one domain: the
-     shadow state is not thread-safe) against the plain wg-vec row. *)
+  (* Per version: wg-vec on every domain count; the fiber oracle on one
+     domain for with_lm and on every domain count for the barrier-free
+     version, which also runs one-lane batches on one domain (against
+     W-wide: what lane batching buys); and the sanitizer (always one
+     domain: the shadow state is not thread-safe) against the plain
+     wg-vec row. *)
   let rows =
     List.concat_map
       (fun version ->
         sweep version None
-        @ [ m ~version ~force_path:(Runtime.Lanes 1) ~domains:1 () ]
         @ (match version with
           | H.With_lm -> [ m ~version ~force_path:Runtime.Fiber ~domains:1 () ]
-          | H.Without_lm -> sweep version (Some Runtime.Fiber))
+          | H.Without_lm ->
+              m ~version ~force_path:(Runtime.Lanes 1) ~domains:1 ()
+              :: sweep version (Some Runtime.Fiber))
         @ [ m ~version ~domains:1 ~sanitize:true () ])
       [ H.With_lm; H.Without_lm ]
   in
@@ -832,9 +837,9 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       rows
   in
   (* Lane compilation and region formation must keep succeeding on the
-     flagship kernel: if no with_lm row ran W-wide batches (or none
-     one-lane batches), or no without_lm row W-wide batches, the fast
-     paths silently rotted and every "speedup from disabling local
+     flagship kernel: if no with_lm row ran W-wide batches, or no
+     without_lm row W-wide (or one-lane) batches, the fast paths silently
+     rotted and every "speedup from disabling local
      memory" number would conflate the paper's effect with scheduler
      overhead again. *)
   let gate version lanes label =
@@ -856,16 +861,14 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     end
   in
   gate H.With_lm `Wide "W-wide batches";
-  gate H.With_lm `One "one-lane batches";
   gate H.Without_lm `Wide "W-wide batches";
+  gate H.Without_lm `One "one-lane batches";
   let wide v = find ~path:"wg-vec" ~lanes:`Wide v 1 in
   let one v = find ~path:"wg-vec" ~lanes:`One v 1 in
   let fiber v = find ~path:"fiber" v 1 in
   let ratio a b = a.wi_per_sec /. b.wi_per_sec in
   let speedup v = ratio (wide v) (fiber v) in
   let sp_with = speedup H.With_lm and sp_without = speedup H.Without_lm in
-  let sp_wide_one = ratio (wide H.With_lm) (one H.With_lm) in
-  let sp_one_fiber = ratio (one H.With_lm) (fiber H.With_lm) in
   let sp_one_fiber_wo = ratio (one H.Without_lm) (fiber H.Without_lm) in
   let sp_wide_one_wo = ratio (wide H.Without_lm) (one H.Without_lm) in
   let overhead v = ratio (wide v) (find ~sanitize:true v 1) in
@@ -888,16 +891,13 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   let pa = Predictor.agreement_gate () in
   Printf.printf
     "\nwg-vec vs forced fibers (1 domain): with_lm %.2fx, without_lm %.2fx\n\
-     wg-vec (%d lanes) vs forced one-lane batches (with_lm, 1 domain): %.2fx\n\
-     one-lane batches vs forced fibers (with_lm, 1 domain): %.2fx\n\
      one-lane batches vs forced fibers (without_lm, 1 domain): %.2fx\n\
      wg-vec (%d lanes) vs forced one-lane batches (without_lm, 1 domain): \
      %.2fx\n\
      sanitizer overhead (plain / sanitized wi/sec): with_lm %.2fx, \
      without_lm %.2fx\n"
-    sp_with sp_without (wide H.With_lm).lane_width sp_wide_one sp_one_fiber
-    sp_one_fiber_wo (wide H.Without_lm).lane_width sp_wide_one_wo ov_with
-    ov_without;
+    sp_with sp_without sp_one_fiber_wo (wide H.Without_lm).lane_width
+    sp_wide_one_wo ov_with ov_without;
   if not quick then begin
   let oc = open_out "BENCH_interp.json" in
   Printf.fprintf oc
@@ -916,15 +916,13 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     rows;
   Printf.fprintf oc
     "  ],\n  \"speedup_with_lm\": %.2f,\n  \"speedup_without_lm\": %.2f,\n\
-    \  \"speedup_wide_over_one_lane_with_lm\": %.2f,\n\
-    \  \"speedup_one_lane_over_fiber_with_lm\": %.2f,\n\
     \  \"speedup_one_lane_over_fiber_without_lm\": %.2f,\n\
     \  \"speedup_wide_over_one_lane_without_lm\": %.2f,\n\
     \  \"sanitizer_overhead_with_lm\": %.2f,\n\
     \  \"sanitizer_overhead_without_lm\": %.2f,\n\
     \  \"masked_regions\": %d,\n\
     \  \"masked_case\": \"%s\",\n\
-    \  \"speedup_masked_over_one_lane\": %.2f,\n\
+    \  \"speedup_masked_over_fiber\": %.2f,\n\
     \  \"compile_cache\": {\n\
     \    \"requests\": %d,\n\
     \    \"distinct_keys\": %d,\n\
@@ -937,7 +935,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     \    \"warm_mem_hit_rate\": %.3f,\n\
     \    \"warm_disk_hit_rate\": %.3f\n\
     \  }"
-    sp_with sp_without sp_wide_one sp_one_fiber sp_one_fiber_wo sp_wide_one_wo
+    sp_with sp_without sp_one_fiber_wo sp_wide_one_wo
     ov_with ov_without mk.mk_regions mk.mk_case mk.mk_speedup
     cs.cs_requests cs.cs_distinct cs.cs_cold_seq cs.cs_cold_batch
     cs.cs_warm_mem cs.cs_warm_disk

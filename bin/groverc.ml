@@ -415,8 +415,8 @@ let transform_cmd =
    accepted, not just the static region verdict) but nothing is executed.
    Returns the path line plus one lane verdict per parallel region: the
    static {!Regions} classification, narrowed to a scalar-sweep verdict
-   when the lane compiler found a one-lane segment the static analysis
-   did not. *)
+   when the lane compiler runs a barrier-free kernel's region in one-lane
+   batches the static analysis did not ask for. *)
 let path_info (fn : Grover_ir.Ssa.func) : string * string list =
   let v = Grover_ir.Regions.form fn in
   let c = Grover_ocl.Interp.prepare fn in
@@ -430,18 +430,18 @@ let path_info (fn : Grover_ir.Ssa.func) : string * string list =
     match v with
     | Grover_ir.Regions.Fallback _ -> []
     | Grover_ir.Regions.Formed info ->
-        let flags = Grover_ocl.Interp.lane_entry_flags c in
+        let barriers = Array.length info.Grover_ir.Regions.barriers > 0 in
         Array.to_list
-          (Array.mapi
-             (fun e lv ->
+          (Array.map
+             (fun lv ->
                let refined =
-                 match (lv, flags) with
+                 match (lv, c.Grover_ocl.Interp.code) with
                  | Grover_ir.Regions.Scalar _, _ -> lv
-                 | _, Some fl when not fl.(e) ->
+                 | _, Some ln when not ln.Grover_ocl.Interp.lwide ->
                      Grover_ir.Regions.Scalar "one-lane segment"
                  | _, _ -> lv
                in
-               Grover_ir.Regions.verdict_string refined)
+               Grover_ir.Regions.verdict_string ~barriers refined)
              info.Grover_ir.Regions.lane_entries)
   in
   (Printf.sprintf "%s (%s)" path (Grover_ir.Regions.describe v), regions)

@@ -99,11 +99,9 @@ echo "== suite under every forced execution path =="
 # GROVER_FORCE_PATH pins the group scheduler; kernels that cannot take the
 # requested path degrade to the strongest one they can. Executing the whole
 # suite (both kernel versions, outputs validated, sanitizer on) under each
-# mode gates both schedulers — lane batches (wg-vec: W-wide where a region
-# allows; wg-loop: one-lane everywhere) and fiber — on every kernel shape
-# we have. fiberless is another name for wg-loop's plan (the
-# path_of_string test pins that), so it gets no leg of its own.
-for mode in wg-vec wg-loop fiber; do
+# of its two values gates both schedulers — lane batches (wg-vec) and
+# fiber — on every kernel shape we have.
+for mode in wg-vec fiber; do
   echo "-- GROVER_FORCE_PATH=$mode"
   GROVER_FORCE_PATH=$mode dune exec bin/groverc.exe -- sanitize all --scale 8 \
     > /dev/null
@@ -175,19 +173,21 @@ case "$out" in
      echo "$out"; exit 1 ;;
 esac
 
-echo "== private array across a barrier: one-lane region 0, clean sanitizer =="
-# A region that allocates private memory runs one-lane batches under the
-# wg-vec plan, keeping its "scalar sweep: private alloca" verdict; the
-# region after the barrier reads each work-item's private array.
+echo "== private array across a barrier: fiber plan, clean sanitizer =="
+# A region that allocates private memory would need one-lane batches, and
+# a kernel with barriers runs lane code only as one batch per work-group,
+# so the kernel plans the fiber scheduler; region 0's verdict says why,
+# with the private array's position. The region after the barrier reads
+# each work-item's private array.
 out=$(dune exec bin/groverc.exe -- report examples/kernels/private_array.cl)
 case "$out" in
-  *"execution path (with local memory): wg-vec"*) ;;
-  *) echo "FAIL: private_array.cl did not plan as wg-vec"; echo "$out"; exit 1 ;;
+  *"execution path (with local memory): fiber ("*) ;;
+  *) echo "FAIL: private_array.cl did not plan as fiber"; echo "$out"; exit 1 ;;
 esac
 case "$out" in
-  *"scalar sweep: private alloca"*)
-     echo "-- private_array.cl region 0 reports its private alloca" ;;
-  *) echo "FAIL: private_array.cl lost its private-alloca verdict"
+  *"region 0: forces fibers: private alloca at "[0-9]*:[0-9]*)
+     echo "-- private_array.cl region 0 reports its located private alloca" ;;
+  *) echo "FAIL: private_array.cl lost its located private-alloca verdict"
      echo "$out"; exit 1 ;;
 esac
 dune exec bin/groverc.exe -- sanitize examples/kernels/private_array.cl \

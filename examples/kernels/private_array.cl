@@ -2,13 +2,13 @@
    each work-item fills its own scratch array, the group exchanges one
    value through local memory, and each work-item then reads its private
    array again. The region entered at the kernel's start allocates
-   private memory, so it runs one-lane batches (its verdict is "scalar
-   sweep: private alloca"); the region after the barrier runs W-wide
-   batches, every lane reading its own work-item's private array.
+   private memory, so it would need one-lane batches; a kernel with
+   barriers runs lane code only as one batch per work-group, so this one
+   runs on the fiber scheduler.
 
    Expected: groverc report shows "execution path (with local memory):
-   wg-vec" and "scalar sweep: private alloca"; groverc sanitize --local 16
-   is clean.                                                             */
+   fiber" and region 0's "forces fibers: private alloca at <line>:<col>";
+   groverc sanitize --local 16 is clean.                                */
 __kernel void private_array(__global float *out, __global const float *in) {
   __local float tile[16];
   float acc[4];

@@ -86,10 +86,12 @@ let lookup env name : binding option =
 
 (* -- Allocas (always in the entry block, before any control flow) -------- *)
 
-let add_alloca ?dims ?(name = "") env (aspace : space) (elem : ty) (count : int)
-    : value =
+let add_alloca ?dims ?(name = "") ?loc env (aspace : space) (elem : ty)
+    (count : int) : value =
   let dims = match dims with Some d -> d | None -> [ count ] in
-  let i = fresh_instr (Alloca { aspace; elem; count; dims; aname = name }) in
+  let i =
+    fresh_instr ?loc (Alloca { aspace; elem; count; dims; aname = name })
+  in
   let e = entry env.fn in
   i.parent <- Some e;
   (* Keep allocas grouped at the top of the entry block. *)
@@ -589,9 +591,14 @@ and lower_decl env (d : A.decl) : unit =
       let space = ir_space d.A.d_space in
       if d.A.d_init <> None then
         err loc "array initialisers are not supported in the subset";
+      (* A private array carries its declaration's position, so the lane
+         verdict of the region it makes run one work-item at a time can
+         say where it is. A [__local] array stays unpositioned: the race
+         checker's remarks name it by the alloca's position. *)
+      let loc' = if space = Private then Some loc else None in
       let ptr =
-        add_alloca ~dims:(shape arr_ty) ~name:d.A.d_name env space (ir_ty elem)
-          count
+        add_alloca ~dims:(shape arr_ty) ~name:d.A.d_name ?loc:loc' env space
+          (ir_ty elem) count
       in
       bind env loc d.A.d_name (Arr { ptr; ast_ty = arr_ty })
   | A.Scalar _ | A.Vector _ | A.Ptr _ ->

@@ -18,18 +18,13 @@
       work-items may disagree on executing cannot be a region boundary
       (OpenCL calls it undefined behaviour; our fiber scheduler keeps
       handling it dynamically, so such kernels fall back to fibers);
-    - {b spill sets}: which SSA values are live {e across} each barrier?
-      Work-items of one group share a single slot environment under the
-      region executor, so values that cross a region boundary must be
-      saved to (and restored from) a per-work-item context array.
-
-    Liveness is the standard backward block-level dataflow over
-    instruction results (phi operands count as uses on the incoming edge,
-    phi results as definitions at the head of their block), refined to the
-    exact barrier position by a backward scan inside the barrier's block. *)
+    - {b lane verdicts}: can each region run as lane batches, and which
+      divergent branches does the lane compiler if-convert under a mask?
+      A kernel with barriers runs its lane code as one batch per
+      work-group, so the values live across a barrier stay in that
+      batch's lane slots and need no analysis here. *)
 
 open Ssa
-module ISet = Set.Make (Int)
 
 (** A divergent diamond (or triangle) the lane compiler may if-convert:
     both arms are straight-line single-predecessor blocks of pure
@@ -56,9 +51,6 @@ type info = {
   barriers : instr array;
       (** dense, in block order then body order — the "barrier index"
           shared with the compiled executor *)
-  live_across : int array array;
-      (** per barrier: iids of the instruction results still live at the
-          barrier's continuation point, sorted ascending *)
   n_regions : int;  (** barrier count + 1 *)
   lane_entries : lane_verdict array;
       (** per region entry (index 0 = kernel entry, index [b+1] = the
@@ -66,8 +58,9 @@ type info = {
           batches? Every reachable block up to the next barrier must stay
           under group-uniform control — except classified {!diamond}s,
           which the lane compiler executes under a mask — and allocate no
-          private memory. [Scalar] regions fall back to the one-work-item
-          sweep within the same launch. *)
+          private memory. A [Scalar] region runs one-lane batches in a
+          barrier-free kernel; in a kernel with barriers it sends every
+          launch to the fiber scheduler. *)
   diamonds : (int, diamond) Hashtbl.t;
       (** branch-block bid -> classified maskable diamond, shared across
           regions; the lane compiler looks its divergent branches up here *)
@@ -83,106 +76,6 @@ type verdict =
           remains the (dynamically checked) execution path *)
 
 let is_barrier (i : instr) = match i.op with Barrier _ -> true | _ -> false
-
-(* An instruction defines a value iff its opcode has a non-void result.
-   [type_of_opcode] can raise on malformed aggregates; treat those as
-   non-defining, matching the closure compiler's slot assignment. *)
-let defines (i : instr) : bool =
-  match type_of_opcode i.op with
-  | Void -> false
-  | _ -> true
-  | exception Invalid_argument _ -> false
-
-(* iids of instruction-result operands. Phi operands are excluded here —
-   they are uses on the incoming edge, charged to the predecessor. *)
-let use_iids (i : instr) : int list =
-  match i.op with
-  | Phi _ -> []
-  | op ->
-      List.filter_map
-        (function Vinstr u -> Some u.iid | _ -> None)
-        (operands op)
-
-(* Values used by [s]'s phis along the edge [pred -> s]. *)
-let phi_edge_uses (s : block) (pred_bid : int) : ISet.t =
-  List.fold_left
-    (fun acc (i : instr) ->
-      match i.op with
-      | Phi { incoming; _ } ->
-          List.fold_left
-            (fun acc (b, v) ->
-              match v with
-              | Vinstr u when b.bid = pred_bid -> ISet.add u.iid acc
-              | _ -> acc)
-            acc incoming
-      | _ -> acc)
-    ISet.empty s.instrs
-
-(* Block-level liveness to a fixpoint; returns bid -> live-out set. *)
-let block_live_out (fn : func) : (int, ISet.t) Hashtbl.t =
-  let gen : (int, ISet.t) Hashtbl.t = Hashtbl.create 16 in
-  let def : (int, ISet.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      let defined = ref ISet.empty and g = ref ISet.empty in
-      let visit (i : instr) =
-        List.iter
-          (fun u -> if not (ISet.mem u !defined) then g := ISet.add u !g)
-          (use_iids i);
-        if defines i then defined := ISet.add i.iid !defined
-      in
-      List.iter visit b.instrs;
-      (match b.term with Some t -> visit t | None -> ());
-      Hashtbl.replace gen b.bid !g;
-      Hashtbl.replace def b.bid !defined)
-    fn.blocks;
-  let live_in : (int, ISet.t) Hashtbl.t = Hashtbl.create 16 in
-  let live_out : (int, ISet.t) Hashtbl.t = Hashtbl.create 16 in
-  let get tbl bid =
-    match Hashtbl.find_opt tbl bid with Some s -> s | None -> ISet.empty
-  in
-  let rev_blocks = List.rev fn.blocks in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        let lo =
-          List.fold_left
-            (fun acc s ->
-              ISet.union acc
-                (ISet.union (get live_in s.bid) (phi_edge_uses s b.bid)))
-            ISet.empty (successors b)
-        in
-        let li = ISet.union (get gen b.bid) (ISet.diff lo (get def b.bid)) in
-        if not (ISet.equal lo (get live_out b.bid)) then begin
-          Hashtbl.replace live_out b.bid lo;
-          changed := true
-        end;
-        if not (ISet.equal li (get live_in b.bid)) then begin
-          Hashtbl.replace live_in b.bid li;
-          changed := true
-        end)
-      rev_blocks
-  done;
-  live_out
-
-(* Refine block live-out to the program point just after [bar]: walk the
-   terminator and every instruction after the barrier backwards, removing
-   definitions and adding uses. *)
-let live_after_barrier (b : block) (bar : instr) (live_out : ISet.t) : ISet.t =
-  let rec after = function
-    | [] -> []
-    | (i : instr) :: tl -> if i.iid = bar.iid then tl else after tl
-  in
-  let live = ref live_out in
-  let visit (i : instr) =
-    if defines i then live := ISet.remove i.iid !live;
-    List.iter (fun u -> live := ISet.add u !live) (use_iids i)
-  in
-  (match b.term with Some t -> visit t | None -> ());
-  List.iter visit (List.rev (after b.instrs));
-  !live
 
 (* [reason fmt loc]: a bail reason, suffixed " at file:line" when the
    source carries a position. *)
@@ -347,7 +240,6 @@ let form (fn : func) : verdict =
     Formed
       {
         barriers = [||];
-        live_across = [||];
         n_regions = 1;
         lane_entries = lane_entries ();
         diamonds;
@@ -368,23 +260,9 @@ let form (fn : func) : verdict =
              Format.asprintf "barrier at %a under divergent control flow"
                Grover_support.Loc.pp i.iloc)
     | None ->
-        let live_out = block_live_out fn in
-        let live_across =
-          Array.of_list
-            (List.map
-               (fun ((b : block), bar) ->
-                 let lo =
-                   match Hashtbl.find_opt live_out b.bid with
-                   | Some s -> s
-                   | None -> ISet.empty
-                 in
-                 Array.of_list (ISet.elements (live_after_barrier b bar lo)))
-               barriers)
-        in
         Formed
           {
             barriers = Array.of_list (List.map snd barriers);
-            live_across;
             n_regions = List.length barriers + 1;
             lane_entries = lane_entries ();
             diamonds;
@@ -392,36 +270,25 @@ let form (fn : func) : verdict =
           }
   end
 
-(** Distinct values live across any region boundary — the per-work-item
-    context footprint of the region executor. *)
-let spill_footprint (i : info) : int =
-  Array.fold_left
-    (fun acc a -> Array.fold_left (fun acc iid -> ISet.add iid acc) acc a)
-    ISet.empty i.live_across
-  |> ISet.cardinal
-
 let describe (v : verdict) : string =
   match v with
   | Formed i when Array.length i.barriers = 0 ->
       "barrier-free: one parallel region"
   | Formed i ->
       let nb = Array.length i.barriers in
-      let nl = spill_footprint i in
-      Printf.sprintf
-        "%d uniform barrier%s -> %d parallel regions, %d value%s live across \
-         region boundaries"
-        nb
+      Printf.sprintf "%d uniform barrier%s -> %d parallel regions" nb
         (if nb = 1 then "" else "s")
-        i.n_regions nl
-        (if nl = 1 then "" else "s")
+        i.n_regions
   | Fallback reason -> reason
 
 (** Human-readable per-region lane verdict, as printed by
-    [groverc report]. *)
-let verdict_string (v : lane_verdict) : string =
+    [groverc report]. A [Scalar] region of a kernel with [barriers] sends
+    the kernel to the fiber scheduler; in a barrier-free kernel it runs
+    one-lane batches (a scalar sweep). *)
+let verdict_string ?(barriers = false) (v : lane_verdict) : string =
   match v with
   | Lane -> "lane batch"
   | Lane_masked n ->
       Printf.sprintf "lane batch (masked, %d diamond%s)" n
         (if n = 1 then "" else "s")
-  | Scalar r -> "scalar sweep: " ^ r
+  | Scalar r -> (if barriers then "forces fibers: " else "scalar sweep: ") ^ r

@@ -11,11 +11,13 @@
       no [Hashtbl] lookups and no [op] pattern matching, and [int]/[float]
       results (vectors one slot per component) live unboxed in typed slot
       arrays. The kernel is cut into barrier-delimited {e regions}
-      ({!Grover_ir.Regions}); the runtime sweeps each region over the
-      group in batches of W lanes, or of one lane where the region needs
-      per-work-item control flow, spilling the SSA values that cross a
-      region boundary into per-work-item context arrays. One batch of one
-      lane is exactly one work-item, so the same code serves both.
+      ({!Grover_ir.Regions}). A kernel with barriers runs each
+      work-group as one batch, its regions in turn, so the values that
+      cross a barrier stay in the batch's lane slots; it has lane code
+      only if every region runs W-wide. A barrier-free kernel sweeps the
+      group in batches of W lanes, or of one lane where its region needs
+      per-work-item control flow. One batch of one lane is exactly one
+      work-item, so the same code serves both.
     - {b Tree}: the original tree-walking reference engine, kept as the
       oracle for the differential test suite and run only by the fiber
       path ([~force_path:Runtime.Fiber] for a launch,
@@ -23,8 +25,9 @@
       OCaml 5 fiber; hitting a barrier performs [Barrier_hit], the group
       scheduler parks the continuation and resumes every work-item of the
       group once all of them have arrived. Kernels whose barriers do not
-      form regions (divergent barriers) have no lane code and always run
-      here.
+      form regions (divergent barriers), and kernels with barriers and a
+      region that needs one-lane batches, have no lane code and always
+      run here.
 
     Memory accesses stream into the group's {!Trace.wg_stats} for the
     performance simulator either way, in the same per-work-item order. *)
@@ -211,9 +214,9 @@ let math2 name a b =
     columns [s*lw .. s*lw+lw-1]. A value the uniformity analysis proved
     group-uniform is computed once per batch and lives in column 0 of its
     slot ([s*lw]); varying values occupy one column per lane. [nl] < [lw]
-    in a one-lane region's batches, in the one batch of a group smaller
-    than the lane width, and in the peeled tail batch of a larger group
-    whose size is not a multiple of it. *)
+    in one-lane batches, in the one batch of a group smaller than the
+    lane width, and in the peeled tail batch of a barrier-free kernel's
+    larger group whose size is not a multiple of it. *)
 type lane_state = {
   lw : int;  (** compiled lane width W *)
   mutable nl : int;  (** active lanes in the current batch *)
@@ -250,8 +253,8 @@ type lane_state = {
   llocal : (int, Memory.buffer) Hashtbl.t;  (** alloca iid -> group buffer *)
   lmem : Memory.t;  (** private allocations land here *)
   mutable lpriv : int;
-      (** private bump offset of the work-item a one-lane batch runs; the
-          runtime carries it per work-item across regions *)
+      (** private bump offset of the work-item a one-lane batch runs;
+          {!reset_lane_batch} rewinds it *)
   mutable lsan : Sanitize.t option;
 }
 
@@ -275,30 +278,23 @@ and compiled = {
   n_slots : int;
   local_allocas : instr list;  (** local arrays, allocated once per group *)
   regions : Regions.verdict;
-      (** barrier-region formation result, for path reporting; the
-          compiled spill metadata derived from it lives in [code] *)
+      (** barrier-region formation result, for path reporting *)
   code : clanes option;
       (** [Some] iff {!Regions.form} verified every barrier
-          group-uniform (trivially for barrier-free code); [None] runs
-          the tree engine under fibers *)
+          group-uniform (trivially for barrier-free code) and, in a
+          kernel with barriers, every region runs W-wide; [None] runs the
+          tree engine under fibers *)
 }
 
 (** The closure-compiled kernel. Basic blocks are split at barriers into
     segments: index 0 is the kernel entry, each block's segments are
-    contiguous in block order. Every value live across some barrier owns
-    columns in per-kind context matrices ([n_items] rows of width
-    [ctx_*]); per barrier, the (slot, column) pairs to copy are
-    precompiled, split by uniformity: uniform values replicate slot
-    column 0 into every active work-item's row on save, varying values
-    copy one lane column per row. Slot entries are pre-multiplied bases
-    ([slot * lwidth]). *)
+    contiguous in block order. *)
 and clanes = {
   lwidth : int;  (** lane width W the kernel was compiled for *)
   lsegs : lseg array;
-  lentry : bool array;
-      (** per region entry (0 = kernel entry, [b+1] = barrier [b]'s
-          continuation): sweep this region in batches of W? [false] for a
-          region that reaches a one-lane segment (a divergent branch
+  lwide : bool;
+      (** sweep in batches of W? [false] only for a barrier-free kernel
+          whose region reaches a one-lane segment (a divergent branch
           outside a classified diamond, or a private alloca): it runs
           batches of one *)
   n_int : int;  (** slots per kind *)
@@ -311,21 +307,6 @@ and clanes = {
   lscr_vf : int;
   lscr_vb : int;
   bar_entry : int array;  (** barrier index -> continuation segment *)
-  ctx_i : int;  (** context row width per kind *)
-  ctx_f : int;
-  ctx_b : int;
-  lsp_ui_slot : int array array;
-  lsp_ui_ctx : int array array;
-  lsp_uf_slot : int array array;
-  lsp_uf_ctx : int array array;
-  lsp_ub_slot : int array array;
-  lsp_ub_ctx : int array array;
-  lsp_vi_slot : int array array;
-  lsp_vi_ctx : int array array;
-  lsp_vf_slot : int array array;
-  lsp_vf_ctx : int array array;
-  lsp_vb_slot : int array array;
-  lsp_vb_ctx : int array array;
 }
 
 (* Op counts are only observable at group granularity, so the statically
@@ -900,12 +881,14 @@ let block_cost (instrs : instr list) : int * int * int =
    varying values loop over the active lanes. Two kinds of segment only
    have a one-lane form — a divergent branch outside a classified diamond
    branches on lane 0's condition, and a private alloca allocates for lane
-   0 — and every region entry reaching one runs batches of one. *)
+   0 — and a barrier-free kernel whose region reaches one runs batches of
+   one; a kernel with barriers that reaches one gets no lane code
+   ([None]). *)
 let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     ~(n_slots : int * int * int) ~(bidx : (int, int) Hashtbl.t)
     ~(bar_index : (int, int) Hashtbl.t) ~(bar_entry : int array)
     ~(seg_descs : (block * instr list * instr option) array)
-    ~(info : Regions.info) : clanes =
+    ~(info : Regions.info) : clanes option =
   let dv = info.Regions.div in
   let kind_of (i : instr) = Hashtbl.find_opt kinds i.iid in
   let varying (v : value) =
@@ -1953,7 +1936,8 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
   in
 
   (* A region entry runs W-wide batches iff {!Regions} said so and no
-     segment reachable from it (stopping at barriers) is one-lane. *)
+     segment reachable from it (stopping at barriers) is one-lane. A
+     kernel with barriers gets lane code only if every region does. *)
   let entry_seg e = if e = 0 then 0 else bar_entry.(e - 1) in
   let reachable_ok (start : int) : bool =
     let seen = Array.make (max 1 n_segs) false in
@@ -1974,115 +1958,36 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     walk start;
     !ok
   in
-  let lentry =
-    Array.init
-      (Array.length info.Regions.lane_entries)
-      (fun e ->
-        Regions.lane_ok info.Regions.lane_entries.(e)
-        && reachable_ok (entry_seg e))
+  let wide =
+    Array.mapi
+      (fun e lv -> Regions.lane_ok lv && reachable_ok (entry_seg e))
+      info.Regions.lane_entries
   in
-
-  (* Context columns: every value live across {e some} barrier owns one
-     column per component in its kind's per-work-item context row. *)
-  let ctx_col : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let ci = ref 0 and cf = ref 0 and cb = ref 0 in
-  let take r n =
-    let c = !r in
-    r := c + n;
-    c
-  in
-  Array.iter
-    (Array.iter (fun iid ->
-         if not (Hashtbl.mem ctx_col iid) then
-           match Option.map slots_of_kind (Hashtbl.find_opt kinds iid) with
-           | Some (`I _ :: _ as sl) -> Hashtbl.replace ctx_col iid (take ci (List.length sl))
-           | Some (`F _ :: _ as sl) -> Hashtbl.replace ctx_col iid (take cf (List.length sl))
-           | Some (`B _ :: _ as sl) -> Hashtbl.replace ctx_col iid (take cb (List.length sl))
-           | Some [] | None -> ()))
-    info.Regions.live_across;
-
-  (* Spill plans per barrier: slot bases pre-multiplied, split by
-     uniformity. *)
-  let n_bars = Array.length info.Regions.barriers in
-  let uis = Array.make n_bars [||] and uic = Array.make n_bars [||] in
-  let ufs = Array.make n_bars [||] and ufc = Array.make n_bars [||] in
-  let ubs = Array.make n_bars [||] and ubc = Array.make n_bars [||] in
-  let vis = Array.make n_bars [||] and vic = Array.make n_bars [||] in
-  let vfs = Array.make n_bars [||] and vfc = Array.make n_bars [||] in
-  let vbs = Array.make n_bars [||] and vbc = Array.make n_bars [||] in
-  Array.iteri
-    (fun j (bi : instr) ->
-      let at = Hashtbl.find bar_index bi.iid in
-      let ui = ref [] and uf = ref [] and ub = ref [] in
-      let vi = ref [] and vf = ref [] and vb = ref [] in
-      Array.iter
-        (fun iid ->
-          let u = not (Divergence.iid_divergent dv iid) in
-          match Hashtbl.find_opt kinds iid with
-          | Some k ->
-              let c0 = Hashtbl.find ctx_col iid in
-              List.iteri
-                (fun c slot ->
-                  match slot with
-                  | `I s ->
-                      let p = (s * lw, c0 + c) in
-                      if u then ui := p :: !ui else vi := p :: !vi
-                  | `F s ->
-                      let p = (s * lw, c0 + c) in
-                      if u then uf := p :: !uf else vf := p :: !vf
-                  | `B s ->
-                      let p = (s * lw, c0 + c) in
-                      if u then ub := p :: !ub else vb := p :: !vb)
-                (slots_of_kind k)
-          | None -> ())
-        info.Regions.live_across.(j);
-      let fill slots cols l =
-        let a = Array.of_list (List.rev l) in
-        slots.(at) <- Array.map fst a;
-        cols.(at) <- Array.map snd a
-      in
-      fill uis uic !ui;
-      fill ufs ufc !uf;
-      fill ubs ubc !ub;
-      fill vis vic !vi;
-      fill vfs vfc !vf;
-      fill vbs vbc !vb)
-    info.Regions.barriers;
-  let n_int, n_float, n_box = n_slots in
-  {
-    lwidth = lw;
-    lsegs;
-    lentry;
-    n_int;
-    n_float;
-    n_box;
-    lscr_ui = !scr_ui;
-    lscr_uf = !scr_uf;
-    lscr_ub = !scr_ub;
-    lscr_vi = !scr_vi;
-    lscr_vf = !scr_vf;
-    lscr_vb = !scr_vb;
-    bar_entry;
-    ctx_i = !ci;
-    ctx_f = !cf;
-    ctx_b = !cb;
-    lsp_ui_slot = uis;
-    lsp_ui_ctx = uic;
-    lsp_uf_slot = ufs;
-    lsp_uf_ctx = ufc;
-    lsp_ub_slot = ubs;
-    lsp_ub_ctx = ubc;
-    lsp_vi_slot = vis;
-    lsp_vi_ctx = vic;
-    lsp_vf_slot = vfs;
-    lsp_vf_ctx = vfc;
-    lsp_vb_slot = vbs;
-    lsp_vb_ctx = vbc;
-  }
+  if Array.length bar_entry > 0 && not (Array.for_all Fun.id wide) then None
+  else
+    let n_int, n_float, n_box = n_slots in
+    Some
+      {
+        lwidth = lw;
+        lsegs;
+        lwide = wide.(0);
+        n_int;
+        n_float;
+        n_box;
+        lscr_ui = !scr_ui;
+        lscr_uf = !scr_uf;
+        lscr_ub = !scr_ub;
+        lscr_vi = !scr_vi;
+        lscr_vf = !scr_vf;
+        lscr_vb = !scr_vb;
+        bar_entry;
+      }
 
 (* Slot kinds, segment layout and barrier numbering of [fn], then its lane
-   code. [None] when the barriers do not form regions: such a kernel runs
-   the tree engine under fibers. *)
+   code. [None] when the barriers do not form regions, or when a kernel
+   with barriers has a region that needs one-lane batches (a private
+   alloca, or a divergent branch outside a maskable diamond): such a
+   kernel runs the tree engine under fibers. *)
 let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
     clanes option =
   match regions with
@@ -2144,17 +2049,16 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
       in
       if not enumeration_matches then None
       else
-        Some
-          (compile_lanes ~lw:lane_width ~kinds ~n_slots:(!ni, !nf, !nb) ~bidx
-             ~bar_index ~bar_entry ~seg_descs ~info)
+        compile_lanes ~lw:lane_width ~kinds ~n_slots:(!ni, !nf, !nb) ~bidx
+          ~bar_index ~bar_entry ~seg_descs ~info
 
 (* -- The region executor -------------------------------------------------------
 
    [run_lane_region] drives a whole batch of [nl] consecutive work-items
    through the current parallel region in one pass over the compiled
    segments, until the batch either returns (result -1) or reaches a
-   barrier (result = the barrier's dense index; the group sweep continues
-   at [bar_entry.(bar)] once every batch arrived there). Segment costs are
+   barrier (result = the barrier's dense index; the batch, which holds
+   the whole group, continues at [bar_entry.(bar)]). Segment costs are
    bumped once per batch, multiplied by the active lane count, so trace
    totals are bit-identical to the tree engine. *)
 
@@ -2233,103 +2137,16 @@ let run_lane_region (ls : lane_state) (ln : clanes) ~(from : int) : int =
   done;
   !exitc
 
-(* Spill save/restore against the per-work-item context matrices: uniform
-   values replicate their base column into every active row on save and
-   read the batch's base row on restore (a group-uniform value is
-   identical in every row by construction, whatever batch width wrote
-   it); varying values copy one lane column per row. *)
-
-let lane_spill_save (ls : lane_state) (ln : clanes) ~(bar : int)
-    ~(ictx : int array) ~(fctx : float array) ~(bctx : rv array) : unit =
-  let bf = ls.base_flat and nl = ls.nl in
-  let slots = ln.lsp_ui_slot.(bar) and cols = ln.lsp_ui_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    let v = ls.lienv.(slots.(k)) and c = cols.(k) in
-    for l = 0 to nl - 1 do
-      ictx.(((bf + l) * ln.ctx_i) + c) <- v
-    done
-  done;
-  let slots = ln.lsp_uf_slot.(bar) and cols = ln.lsp_uf_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    let v = ls.lfenv.(slots.(k)) and c = cols.(k) in
-    for l = 0 to nl - 1 do
-      fctx.(((bf + l) * ln.ctx_f) + c) <- v
-    done
-  done;
-  let slots = ln.lsp_ub_slot.(bar) and cols = ln.lsp_ub_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    let v = ls.lbenv.(slots.(k)) and c = cols.(k) in
-    for l = 0 to nl - 1 do
-      bctx.(((bf + l) * ln.ctx_b) + c) <- v
-    done
-  done;
-  let slots = ln.lsp_vi_slot.(bar) and cols = ln.lsp_vi_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    let s = slots.(k) and c = cols.(k) in
-    for l = 0 to nl - 1 do
-      ictx.(((bf + l) * ln.ctx_i) + c) <- ls.lienv.(s + l)
-    done
-  done;
-  let slots = ln.lsp_vf_slot.(bar) and cols = ln.lsp_vf_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    let s = slots.(k) and c = cols.(k) in
-    for l = 0 to nl - 1 do
-      fctx.(((bf + l) * ln.ctx_f) + c) <- ls.lfenv.(s + l)
-    done
-  done;
-  let slots = ln.lsp_vb_slot.(bar) and cols = ln.lsp_vb_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    let s = slots.(k) and c = cols.(k) in
-    for l = 0 to nl - 1 do
-      bctx.(((bf + l) * ln.ctx_b) + c) <- ls.lbenv.(s + l)
-    done
-  done
-
-let lane_spill_restore (ls : lane_state) (ln : clanes) ~(bar : int)
-    ~(ictx : int array) ~(fctx : float array) ~(bctx : rv array) : unit =
-  let bf = ls.base_flat and nl = ls.nl in
-  let slots = ln.lsp_ui_slot.(bar) and cols = ln.lsp_ui_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    ls.lienv.(slots.(k)) <- ictx.((bf * ln.ctx_i) + cols.(k))
-  done;
-  let slots = ln.lsp_uf_slot.(bar) and cols = ln.lsp_uf_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    ls.lfenv.(slots.(k)) <- fctx.((bf * ln.ctx_f) + cols.(k))
-  done;
-  let slots = ln.lsp_ub_slot.(bar) and cols = ln.lsp_ub_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    ls.lbenv.(slots.(k)) <- bctx.((bf * ln.ctx_b) + cols.(k))
-  done;
-  let slots = ln.lsp_vi_slot.(bar) and cols = ln.lsp_vi_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    let s = slots.(k) and c = cols.(k) in
-    for l = 0 to nl - 1 do
-      ls.lienv.(s + l) <- ictx.(((bf + l) * ln.ctx_i) + c)
-    done
-  done;
-  let slots = ln.lsp_vf_slot.(bar) and cols = ln.lsp_vf_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    let s = slots.(k) and c = cols.(k) in
-    for l = 0 to nl - 1 do
-      ls.lfenv.(s + l) <- fctx.(((bf + l) * ln.ctx_f) + c)
-    done
-  done;
-  let slots = ln.lsp_vb_slot.(bar) and cols = ln.lsp_vb_ctx.(bar) in
-  for k = 0 to Array.length slots - 1 do
-    let s = slots.(k) and c = cols.(k) in
-    for l = 0 to nl - 1 do
-      ls.lbenv.(s + l) <- bctx.(((bf + l) * ln.ctx_b) + c)
-    done
-  done
-
 (** Re-aim the lane state at the batch of [nl] work-items starting at flat
-    id [base] of the group currently held in [lctx.grp]. A sweep visits
-    the group in flat order from 0: each batch must start where the last
-    one ended, or at 0. The local id is carried forward from the previous
-    batch instead of divided out of [base]. *)
+    id [base] of the group currently held in [lctx.grp], and rewind the
+    private bump allocator. A sweep visits the group in flat order from
+    0: each batch must start where the last one ended, or at 0. The local
+    id is carried forward from the previous batch instead of divided out
+    of [base]. *)
 let reset_lane_batch (ls : lane_state) ~(base : int) ~(nl : int) : unit =
   ls.base_flat <- base;
   ls.nl <- nl;
+  ls.lpriv <- 0;
   let lsz = ls.lctx.lsz and grp = ls.lctx.grp and cur = ls.lcur in
   if base = 0 then Array.fill cur 0 3 0;
   let lid0 = ls.llid.(0) and lid1 = ls.llid.(1) and lid2 = ls.llid.(2) in
@@ -2359,8 +2176,9 @@ let reset_lane_batch (ls : lane_state) ~(base : int) ~(nl : int) : unit =
 (* -- Public interface -------------------------------------------------------- *)
 
 (** The widest lane batch, and the width {!prepare} compiles for by
-    default: every work-group of up to this many work-items sweeps each
-    barrier region as one batch (pocl's whole-group work-item loop). *)
+    default: a kernel with barriers runs lane code for work-groups of up
+    to this many work-items, each as one batch (pocl's whole-group
+    work-item loop). *)
 let max_lane_width = 256
 
 let prepare ?(lane_width = max_lane_width) (fn : func) : compiled =
@@ -2390,12 +2208,9 @@ let prepare ?(lane_width = max_lane_width) (fn : func) : compiled =
 let lane_width_of (c : compiled) : int =
   match c.code with Some ln -> ln.lwidth | None -> 1
 
-(** Per-region-entry batch width as the lane compiler refined it: [true]
-    runs W-wide batches, [false] batches of one. The static
-    {!Regions.lane_entries} verdict, narrowed by any one-lane segment the
-    compiler found. [None] when no lane code exists. *)
-let lane_entry_flags (c : compiled) : bool array option =
-  Option.map (fun ln -> Array.copy ln.lentry) c.code
+(** Does the kernel have barriers? Its lane code then runs only as one
+    batch per work-group. *)
+let has_barriers (ln : clanes) : bool = Array.length ln.bar_entry > 0
 
 (** Fresh tree-engine state of one work-item. *)
 let make_state (c : compiled) ~(args : rv array) ~(ctx : wi_ctx)

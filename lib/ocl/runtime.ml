@@ -2,22 +2,23 @@
     execution state, and two group schedulers —
 
     - {b lanes} ([wg-vec]): pocl-style work-item loops over the
-      closure-compiled lane code, for kernels whose barriers
-      {!Grover_ir.Regions} proved group-uniform (trivially every
-      barrier-free kernel). Each barrier-delimited region sweeps the
-      group in batches of W work-items per compiled closure over
-      struct-of-arrays lane slots, or in batches of one where the region
-      needs per-work-item control flow (a divergent branch outside a
-      maskable diamond, a private alloca); live values crossing region
-      boundaries ride in per-work-item context arrays, or stay in the
-      lane slots where one batch sweeps the whole group on both sides;
+      closure-compiled lane code. A kernel with barriers
+      ({!Grover_ir.Regions} proved them group-uniform) runs each
+      work-group as one batch of up to W work-items, its
+      barrier-delimited regions in turn, so the values live across a
+      barrier stay in the lane slots; it plans fibers when its group is
+      larger than the batch width or a region needs one-lane batches. A
+      barrier-free kernel sweeps the group in batches of W work-items
+      per compiled closure over struct-of-arrays lane slots, or in
+      batches of one where its region needs per-work-item control flow
+      (a divergent branch outside a maskable diamond, a private alloca);
     - {b fiber}: the effect-handler scheduler over the tree engine, kept
-      as the differential oracle and as the path for kernels with
-      divergent barriers (where it detects the divergence dynamically).
+      as the differential oracle and as the path for the kernels with
+      barriers that lane code cannot run (divergent barriers, which it
+      detects dynamically, included).
 
     [GROVER_FORCE_PATH=wg-vec|fiber] overrides the choice for every
-    launch of the process, within static capability; [wg-loop] and
-    [fiberless] are accepted and mean one-lane batches. The fiber path is
+    launch of the process, within static capability. The fiber path is
     the only way to run the tree engine: [~force_path:Fiber] for one
     launch, [GROVER_FORCE_PATH=fiber] for a process.
 
@@ -118,14 +119,11 @@ let resolve_domains (domains : int) : int =
 
 (* -- Path selection ------------------------------------------------------ *)
 
-(* [wg-vec] asks for the widest batches the kernel was compiled for; the
-   retired one-work-item schedulers [wg-loop] and [fiberless] are batches
-   of one. *)
+(* [wg-vec] asks for the widest batches the kernel was compiled for. *)
 let path_of_string (s : string) : path option =
   match s with
-  | "fiber" | "fibers" -> Some Fiber
-  | "wg-vec" | "wgvec" | "wg_vec" -> Some (Lanes max_int)
-  | "wg-loop" | "wgloop" | "wg_loop" | "fiberless" -> Some (Lanes 1)
+  | "fiber" -> Some Fiber
+  | "wg-vec" -> Some (Lanes max_int)
   | _ -> None
 
 (** The path [GROVER_FORCE_PATH] pins, [None] when it is unset or empty.
@@ -137,21 +135,17 @@ let env_force_path () : path option =
       match path_of_string s with
       | Some _ as p -> p
       | None ->
-          fail
-            "unknown GROVER_FORCE_PATH %S (expected wg-vec, wg-loop, \
-             fiberless or fiber)"
-            s)
+          fail "unknown GROVER_FORCE_PATH %S (expected wg-vec or fiber)" s)
 
 (* The capability ladder: the path [c] takes when [want] is requested.
-   Without lane code (barriers that do not form regions) every kernel
-   runs on fibers. Lane batches are at most as wide as the
-   compiled width, and one lane wide when no region runs W-wide. *)
+   Without lane code every kernel runs on fibers. Lane batches are at
+   most as wide as the compiled width, and one lane wide when a
+   barrier-free kernel's region cannot run W-wide. *)
 let degrade (c : Interp.compiled) (want : path) : path =
   match (want, c.Interp.code) with
   | Fiber, _ | _, None -> Fiber
   | Lanes w, Some ln ->
-      if Array.exists Fun.id ln.Interp.lentry then
-        Lanes (max 1 (min w ln.Interp.lwidth))
+      if ln.Interp.lwide then Lanes (max 1 (min w ln.Interp.lwidth))
       else Lanes 1
 
 (** The path [c] takes with no override: the widest lane batches it has. *)
@@ -176,7 +170,9 @@ let min_groups_per_domain = 2
 
 (** How {!launch} runs [c] on [cfg]: the path {!choose_path} picks, its
     lane batches no wider than one work-group (the width the sweep really
-    runs), and the domains the NDRange can keep busy. *)
+    runs), and the domains the NDRange can keep busy. A kernel with
+    barriers runs lane code only as one batch per work-group, so it plans
+    fibers when its batches would be narrower than the group. *)
 let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
     ?(domains = 1) () : exec_plan =
   let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
@@ -190,10 +186,12 @@ let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
     if n_groups < 2 then 1
     else min d (max 1 (n_groups / min_groups_per_domain))
   in
+  let items = lx * ly * lz in
   let path =
-    match choose_path c ~force_path with
-    | Lanes w -> Lanes (max 1 (min w (lx * ly * lz)))
-    | Fiber -> Fiber
+    match (choose_path c ~force_path, c.Interp.code) with
+    | Lanes w, Some ln when w < items && Interp.has_barriers ln -> Fiber
+    | Lanes w, _ -> Lanes (max 1 (min w items))
+    | Fiber, _ -> Fiber
   in
   {
     path;
@@ -212,8 +210,8 @@ let path_name (p : exec_plan) : string = string_of_path p.path
 
    Everything a domain needs to run work-groups, allocated once per launch
    per domain and reused across all its groups: the scheduler's state
-   (the lane state and context matrices, or one tree state per work-item
-   plus the parked-continuation queue), the reused [grp] coordinate array
+   (the lane state, or one tree state per work-item plus the
+   parked-continuation queue), the reused [grp] coordinate array
    shared by every state's context, and the local-memory allocations. *)
 
 (* Kernels with no local allocas share one immutable empty table. *)
@@ -248,17 +246,7 @@ type sched =
   | Lane_sweep of {
       ln : Interp.clanes;
       lst : Interp.lane_state;
-      width : int;  (** batch width of the W-wide regions *)
-      ictx : int array;
-          (** context matrices: [n_items] rows of the widths in [ln]; a
-              work-item's values that survive a region boundary park in
-              its row between sweeps *)
-      fctx : float array;
-      bctx : Interp.rv array;
-      priv : int array;
-          (** per work-item private bump offset carried across regions,
-              so private allocas land at the same addresses the fiber
-              path gives them *)
+      width : int;  (** batch width where the kernel runs W-wide *)
     }
   | Fibers of {
       states : Interp.wi_state array;
@@ -302,21 +290,17 @@ let make_ctx (c : Interp.compiled) ~(rv_args : Interp.rv array)
   let sched =
     match (path, c.Interp.code) with
     | Lanes width, Some ln ->
+        if Interp.has_barriers ln && width < n_items then
+          fail
+            "lane batches of %d planned for a %d-item group of %s, which \
+             has barriers"
+            width n_items c.Interp.fn.f_name;
         let lst =
           Interp.make_lane_state ln ~ctx:(wi_ctx ()) ~args:rv_args ~stats
             ~local_bufs ~mem:scratch
         in
         lst.Interp.lsan <- san;
-        Lane_sweep
-          {
-            ln;
-            lst;
-            width;
-            ictx = Array.make (max 1 (n_items * ln.Interp.ctx_i)) 0;
-            fctx = Array.make (max 1 (n_items * ln.Interp.ctx_f)) 0.0;
-            bctx = Array.make (max 1 (n_items * ln.Interp.ctx_b)) (Interp.RInt 0);
-            priv = Array.make n_items 0;
-          }
+        Lane_sweep { ln; lst; width }
     | Lanes _, None -> fail "lane batches planned for a kernel without lane code"
     | Fiber, _ ->
         let states =
@@ -393,77 +377,30 @@ let run_group_fibers (x : exec_ctx) ~(states : Interp.wi_state array)
   if !finished <> x.n_items then
     fail "work-group did not run to completion in %s" x.xc.Interp.fn.f_name
 
-(* Work-group loops: sweep the group through the current parallel region
-   in batches — [width] work-items wide where the region's entry allows,
-   one wide otherwise — then advance the whole group past the barrier and
-   sweep the next region. Values that survive a region boundary are
-   spilled to (and restored from) each work-item's row of the context
-   matrices, so batch widths may differ from region to region. A barrier
-   with one batch covering the group on both sides skips that round trip:
-   the lane environment already holds every work-item's values. Each
+(* Work-item loops: sweep the group in batches of [width] work-items, or
+   of one where the kernel cannot run W-wide, each batch running the
+   kernel's regions in turn. A kernel with barriers plans lane batches
+   only when one batch holds the whole group ({!plan}), so the batch
+   reaching the end of a region is the whole group arriving at the
+   barrier, and the values live across it stay in the lane slots. Each
    work-item's accesses keep its program order, which is all the trace
    consumers depend on, so results are bit-identical to the fiber
-   scheduler.
-
-   Region formation proved barriers group-uniform, but that is a static
-   claim about a dynamic property; the sweep still verifies that every
-   batch leaves the region at the same exit and reports barrier
-   divergence like the fiber scheduler would. *)
+   scheduler. *)
 let run_group_lanes (x : exec_ctx) ~(ln : Interp.clanes)
-    ~(lst : Interp.lane_state) ~(width : int) ~ictx ~fctx ~bctx
-    ~(priv : int array) : unit =
+    ~(lst : Interp.lane_state) ~(width : int) : unit =
   let n = x.n_items in
-  (* A one-lane region after a W-wide one reads offsets no batch of this
-     group wrote yet: start every work-item's from zero. *)
-  Array.fill priv 0 n 0;
-  (* Batch width of the region entered at [entry] (0 = kernel entry,
-     [b+1] = past barrier [b]). A barrier [b] reached from region [from]
-     keeps its live values in the lane environment when one batch sweeps
-     both sides: the spill round trip would write them back unchanged. *)
-  let width_at entry = if ln.Interp.lentry.(entry) then width else 1 in
-  let keeps b ~from = n <= width_at from && n <= width_at (b + 1) in
-  let cur = ref 0 in
-  let entered = ref (-1) in
-  (* barrier we resumed from; -1 = kernel entry *)
-  let came_from = ref 0 in
-  (* entry of the region swept before [entered] *)
-  let finished = ref false in
-  while not !finished do
-    (* -2 = no batch has exited this region yet *)
-    let exit0 = ref (-2) in
-    let region = !entered + 1 in
-    let bw = width_at region in
-    let restore = !entered >= 0 && not (keeps !entered ~from:!came_from) in
-    let base = ref 0 in
-    while !base < n do
-      let nl = min bw (n - !base) in
-      Interp.reset_lane_batch lst ~base:!base ~nl;
-      if restore then
-        Interp.lane_spill_restore lst ln ~bar:!entered ~ictx ~fctx ~bctx;
-      if bw = 1 then lst.Interp.lpriv <- priv.(!base);
-      let e = Interp.run_lane_region lst ln ~from:!cur in
-      if e >= 0 then begin
-        if not (keeps e ~from:region) then
-          Interp.lane_spill_save lst ln ~bar:e ~ictx ~fctx ~bctx;
-        if bw = 1 then priv.(!base) <- lst.Interp.lpriv
-      end;
-      if !exit0 = -2 then exit0 := e
-      else if e <> !exit0 then
-        fail
-          "barrier divergence in %s: work-item %d left the parallel region \
-           at a different point than work-item 0"
-          x.xc.Interp.fn.f_name !base;
-      base := !base + nl
-    done;
-    if !exit0 < 0 then finished := true
-    else begin
-      (* The whole group arrived: this sweep boundary is the barrier. *)
+  let bw = if ln.Interp.lwide then width else 1 in
+  let base = ref 0 in
+  while !base < n do
+    let nl = min bw (n - !base) in
+    Interp.reset_lane_batch lst ~base:!base ~nl;
+    let e = ref (Interp.run_lane_region lst ln ~from:0) in
+    while !e >= 0 do
       x.stats.Trace.barrier_rounds <- x.stats.Trace.barrier_rounds + 1;
       (match x.san with Some s -> Sanitize.barrier_round s | None -> ());
-      came_from := region;
-      entered := !exit0;
-      cur := ln.Interp.bar_entry.(!exit0)
-    end
+      e := Interp.run_lane_region lst ln ~from:ln.Interp.bar_entry.(!e)
+    done;
+    base := !base + nl
   done
 
 let run_one_group (x : exec_ctx) ~(wg : int) : unit =
@@ -477,8 +414,7 @@ let run_one_group (x : exec_ctx) ~(wg : int) : unit =
   List.iter Memory.clear x.locals;
   Trace.reset x.stats ~wg_id:wg ~lsz:x.lsz;
   match x.sched with
-  | Lane_sweep { ln; lst; width; ictx; fctx; bctx; priv } ->
-      run_group_lanes x ~ln ~lst ~width ~ictx ~fctx ~bctx ~priv
+  | Lane_sweep { ln; lst; width } -> run_group_lanes x ~ln ~lst ~width
   | Fibers { states; parked } -> run_group_fibers x ~states ~parked
 
 (* -- The persistent domain pool -----------------------------------------------

@@ -12,7 +12,7 @@
     The output row is clamped with a boundary guard ([row >= N] never
     fires at these launch sizes), the divergent-but-pure diamond the
     real SDK kernels carry — it must run as a masked lane batch, not
-    force the scalar sweep. *)
+    send the kernel to the fiber scheduler. *)
 
 open Grover_ir
 open Grover_ocl

@@ -6,7 +6,7 @@
     The initial position read is guarded by a tail clamp ([me >= n]
     never fires at these launch sizes: the global size equals [n]) — a
     divergent-but-pure diamond that must run as a masked lane batch
-    rather than forcing the scalar sweep. *)
+    rather than send the kernel to the fiber scheduler. *)
 
 open Grover_ir
 open Grover_ocl

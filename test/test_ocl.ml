@@ -292,7 +292,7 @@ module H = Grover_suite.Harness
 module Kit = Grover_suite.Kit
 
 (* Buffer contents by allocation id; Private/Local scratch included, so the
-   comparison also covers local staging and private spill arrays. [compare]
+   comparison also covers local staging and private arrays. [compare]
    rather than [=] so NaN payloads compare deterministically. *)
 let snapshot_buffers (mem : Memory.t) : (int * Ssa.space * Memory.storage) list =
   mem.Memory.buffers
@@ -391,13 +391,26 @@ let prop_engines_agree =
       t_tot = c_tot && compare t_out c_out = 0)
 
 (* -- Differential: one-lane batches vs tree+fiber --------------------------------
-   Forced one-lane batches run every region of the compiled lane code one
+   Forced one-lane batches run a barrier-free kernel's lane code one
    work-item at a time — the form a region with per-work-item control flow
-   always takes. Over the whole suite x both versions they must reproduce
-   the tree engine under the fiber scheduler: bit-identical buffers (local
-   and private scratch included, so context spill/restore is covered) and
-   identical launch totals (so the trace stream — cost model, barrier
-   rounds — is unchanged). *)
+   always takes. A kernel with barriers runs lane code only as one batch
+   per work-group, so a one-lane request plans fibers for it. Over the
+   whole suite x both versions the request must reproduce the tree engine
+   under the fiber scheduler: bit-identical buffers (local and private
+   scratch included) and identical launch totals (so the trace stream —
+   cost model, barrier rounds — is unchanged). *)
+
+let has_barrier (c : Interp.compiled) : bool =
+  Ssa.fold_instrs
+    (fun acc i -> acc || match i.Ssa.op with Ssa.Barrier _ -> true | _ -> false)
+    false c.Interp.fn
+
+let path_t =
+  Alcotest.testable
+    (fun ppf -> function
+      | Runtime.Lanes w -> Format.fprintf ppf "Lanes %d" w
+      | Runtime.Fiber -> Format.fprintf ppf "Fiber")
+    ( = )
 
 let check_against_fibers ~(label : string) (case : Kit.case) (v : H.version)
     (run : unit -> Trace.totals * _ * (unit, string) result) =
@@ -415,6 +428,13 @@ let check_against_fibers ~(label : string) (case : Kit.case) (v : H.version)
   Alcotest.(check bool) "bit-identical buffers" true (compare d_bufs f_bufs = 0)
 
 let check_paths_agree (case : Kit.case) (v : H.version) () =
+  let fn, _ = H.compile_version case v in
+  let c = Interp.prepare fn in
+  let w = case.Kit.mk ~scale:8 in
+  let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
+  Alcotest.check path_t "a one-lane request's plan"
+    (if has_barrier c then Runtime.Fiber else Runtime.Lanes 1)
+    (Runtime.plan c ~cfg ~force_path:(Runtime.Lanes 1) ()).Runtime.path;
   check_against_fibers ~label:"one-lane batches" case v (fun () ->
       run_oracle case v ~force_path:(Runtime.Lanes 1) ())
 
@@ -431,7 +451,7 @@ let fastpath_cases =
     Grover_suite.Suite.all
 
 (* -- Differential: one-lane batches of W=1 code vs tree+fiber ---------------------
-   The same one-lane sweep over code compiled at lane width 1, where a
+   The same one-lane request over code compiled at lane width 1, where a
    uniform value's column and lane 0's coincide, plain and under the
    sanitizer (which only observes: it must find nothing and change no
    result). *)
@@ -462,7 +482,8 @@ let wgloop_cases =
    so it is held to the same standard: bit-identical buffers and identical
    launch totals against one-lane batches and tree+fiber, over the whole
    suite x both kernel versions, with code compiled at the kernel's default
-   lane width and at W=4. *)
+   lane width and at W=4 (where a kernel with barriers, whose groups are
+   wider than 4, plans fibers). *)
 
 let check_wgvec_agrees (case : Kit.case) (v : H.version)
     (lane_width : int option) () =
@@ -506,11 +527,6 @@ let wgvec_cases =
             [ (None, "compiled"); (Some 4, "W=4") ])
         [ (H.With_lm, "with-lm"); (H.Without_lm, "grover") ])
     Grover_suite.Suite.all
-
-let has_barrier (c : Interp.compiled) : bool =
-  Ssa.fold_instrs
-    (fun acc i -> acc || match i.Ssa.op with Ssa.Barrier _ -> true | _ -> false)
-    false c.Interp.fn
 
 (* Non-vacuousness: the differentials above only exercise the region
    executor if the default plan actually selects it. Every with-lm suite
@@ -578,13 +594,6 @@ let with_force_path (v : string) (f : unit -> 'a) : 'a =
       Unix.putenv "GROVER_FORCE_PATH" (Option.value old ~default:""))
     f
 
-let path_t =
-  Alcotest.testable
-    (fun ppf -> function
-      | Runtime.Lanes w -> Format.fprintf ppf "Lanes %d" w
-      | Runtime.Fiber -> Format.fprintf ppf "Fiber")
-    ( = )
-
 let check_default_plan ~(label : string) (c : Interp.compiled)
     ~(cfg : Runtime.launch_config) ?planned (want : Runtime.path) =
   Alcotest.check path_t (label ^ ": default path") want (Runtime.default_path c);
@@ -625,8 +634,8 @@ let test_divergent_store_plans_wide () =
   Grover_passes.Pipeline.normalize fn;
   let c = Interp.prepare fn in
   Alcotest.(check bool) "saxpy is barrier-free" false (has_barrier c);
-  Alcotest.(check (option (array bool))) "saxpy's one region is W-wide"
-    (Some [| true |]) (Interp.lane_entry_flags c);
+  Alcotest.(check bool) "saxpy's one region is W-wide" true
+    (match c.Interp.code with Some ln -> ln.Interp.lwide | None -> false);
   check_default_plan ~label:"saxpy" c
     ~cfg:{ Runtime.global = (64, 1, 1); local = (16, 1, 1); queues = 1 }
     ~planned:(Runtime.Lanes 16) (Runtime.Lanes Interp.max_lane_width)
@@ -652,17 +661,19 @@ let test_fiber_request_plans_fiber () =
     Grover_suite.Suite.all
 
 (* The GROVER_FORCE_PATH vocabulary: [wg-vec] asks for the widest lane
-   batches, the retired one-work-item schedulers' names mean one-lane
-   batches, and anything else is rejected. *)
+   batches, [fiber] for the fiber scheduler, and anything else — the
+   retired one-work-item schedulers' names and spelling variants included
+   — is rejected. *)
 let test_path_of_string () =
   let check s want =
     Alcotest.(check (option path_t)) s want (Runtime.path_of_string s)
   in
   check "wg-vec" (Some (Runtime.Lanes max_int));
-  check "wg-loop" (Some (Runtime.Lanes 1));
-  check "fiberless" (Some (Runtime.Lanes 1));
   check "fiber" (Some Runtime.Fiber);
-  List.iter (fun s -> check s None) [ ""; "bogus"; "lanes"; "WG-VEC" ]
+  List.iter
+    (fun s -> check s None)
+    [ ""; "bogus"; "lanes"; "WG-VEC"; "wgvec"; "wg_vec"; "fibers"; "wg-loop";
+      "wgloop"; "wg_loop"; "fiberless" ]
 
 (* GROVER_FORCE_PATH is read through [env_force_path] alone: unset or
    empty pins nothing, a known name pins its path, and anything else is a
@@ -674,19 +685,26 @@ let test_env_force_path () =
   in
   check "" None;
   check "wg-vec" (Some (Runtime.Lanes max_int));
-  check "fiberless" (Some (Runtime.Lanes 1));
   check "fiber" (Some Runtime.Fiber);
-  with_force_path "bogus" (fun () ->
-      match Runtime.env_force_path () with
-      | exception Runtime.Launch_error m ->
-          Alcotest.(check string) "the error names the value"
-            "unknown GROVER_FORCE_PATH \"bogus\" (expected wg-vec, wg-loop, \
-             fiberless or fiber)"
-            m
-      | _ -> Alcotest.fail "an unknown GROVER_FORCE_PATH must be rejected")
+  List.iter
+    (fun v ->
+      with_force_path v (fun () ->
+          match Runtime.env_force_path () with
+          | exception Runtime.Launch_error m ->
+              Alcotest.(check string) "the error names the value"
+                (Printf.sprintf
+                   "unknown GROVER_FORCE_PATH %S (expected wg-vec or fiber)" v)
+                m
+          | _ -> Alcotest.failf "GROVER_FORCE_PATH=%s must be rejected" v))
+    [ "bogus"; "wg-loop"; "fiberless" ]
+
+let lower_one src =
+  let fn = match Lower.compile src with [ f ] -> f | _ -> assert false in
+  Grover_passes.Pipeline.normalize fn;
+  fn
 
 (* A kernel with an int, a float and a boxed (vector) value all live
-   across its barrier: every context-spill kind is exercised. *)
+   across its barrier: every kind of lane slot carries a value over it. *)
 let spill_prop_source =
   {|__kernel void k(__global float4 *vout, __global float *sout,
                     __global const float4 *a, __global const float *b, int n) {
@@ -709,56 +727,75 @@ let test_spill_kernel_forms_regions () =
   Grover_passes.Pipeline.normalize fn;
   match Regions.form fn with
   | Regions.Formed i ->
-      Alcotest.(check int) "two regions" 2 i.Regions.n_regions;
-      Alcotest.(check bool) "at least int+float+vector live across" true
-        (Regions.spill_footprint i >= 3)
+      Alcotest.(check int) "two regions" 2 i.Regions.n_regions
   | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
 
-(* Region-boundary spilling preserves results: under random launch
-   shapes, the compiled default plan and tree+fiber agree on buffers and
-   totals for the every-spill-kind kernel above. *)
-let prop_spill_preserves_results =
-  QCheck.Test.make ~name:"region spilling preserves results" ~count:25
-    QCheck.(pair (int_range 1 8) (int_range 1 16))
+(* A 1-D NDRange of [n] work-items in groups of [wg]. *)
+let cfg_1d ~n ~wg = { Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
+
+(* Its barrier-free twin: the same arguments and kinds of value, and a
+   global read in place of the exchange through local memory. *)
+let every_kind_barrier_free_source =
+  {|__kernel void k(__global float4 *vout, __global float *sout,
+                    __global const float4 *a, __global const float *b, int n) {
+      int l = get_local_id(0);
+      int g = get_global_id(0);
+      int li = l * 2 + 1;
+      float fv = b[g] * 0.5f;
+      float4 v = a[g];
+      sout[g] = b[(g + 1) % n] + fv + (float)li;
+      vout[g] = v * v;
+    }|}
+
+(* One launch of [c], compiled from either kernel above, over [n]
+   work-items in groups of [wg]: its totals and buffers. *)
+let launch_every_kind (c : Interp.compiled) ?force_path ~n ~wg () =
+  let mem = Memory.create () in
+  let vout = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) n in
+  let sout = Memory.alloc mem Ssa.F32 n in
+  let a = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) n in
+  let b = Memory.alloc mem Ssa.F32 n in
+  Memory.fill_floats a (fun i -> float_of_int (i - 5) /. 3.0);
+  Memory.fill_floats b (fun i -> float_of_int (i * 7 mod 11) /. 4.0);
+  let totals =
+    Runtime.launch c ~cfg:(cfg_1d ~n ~wg)
+      ~args:
+        [ Runtime.Abuf vout; Runtime.Abuf sout; Runtime.Abuf a; Runtime.Abuf b;
+          Runtime.Aint n ]
+      ~mem ?force_path ()
+  in
+  (totals, snapshot_buffers mem)
+
+(* Values live across a barrier stay in the lane slots: under random
+   launch shapes the default plan runs each work-group of the every-kind
+   kernel as one lane batch as wide as the group, and agrees with
+   tree+fiber on buffers and totals. *)
+let prop_values_stay_in_lane_slots =
+  QCheck.Test.make ~name:"values live across a barrier stay in lane slots"
+    ~count:25
+    QCheck.(pair (int_range 1 8) (int_range 1 64))
     (fun (groups, wg) ->
       let n = groups * wg in
-      let run oracle =
-        let fn =
-          match Lower.compile spill_prop_source with
-          | [ f ] -> f
-          | _ -> assert false
-        in
-        Grover_passes.Pipeline.normalize fn;
-        let c = Interp.prepare fn in
-        let force_path = if oracle then Some Runtime.Fiber else None in
-        let mem = Memory.create () in
-        let vout = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) n in
-        let sout = Memory.alloc mem Ssa.F32 n in
-        let a = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) n in
-        let b = Memory.alloc mem Ssa.F32 n in
-        Memory.fill_floats a (fun i -> float_of_int (i - 5) /. 3.0);
-        Memory.fill_floats b (fun i -> float_of_int (i * 7 mod 11) /. 4.0);
-        let totals =
-          Runtime.launch c
-            ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
-            ~args:
-              [ Runtime.Abuf vout; Runtime.Abuf sout; Runtime.Abuf a;
-                Runtime.Abuf b; Runtime.Aint n ]
-            ~mem ?force_path ()
-        in
-        (totals, snapshot_buffers mem)
+      let c = Interp.prepare (lower_one spill_prop_source) in
+      let one_batch =
+        Runtime.env_force_path () <> None
+        || (Runtime.plan c ~cfg:(cfg_1d ~n ~wg) ()).Runtime.path
+           = Runtime.Lanes wg
       in
-      let d_tot, d_bufs = run false in
-      let f_tot, f_bufs = run true in
-      d_tot = f_tot && compare d_bufs f_bufs = 0)
+      one_batch
+      && compare
+           (launch_every_kind c ~n ~wg ())
+           (launch_every_kind c ~force_path:Runtime.Fiber ~n ~wg ())
+         = 0)
 
 (* Lane width is an implementation knob, not a semantic one: W ∈
-   {1,4,8,256} must be output-invariant for every launch shape, including
-   group sizes that are not a multiple of W (the final batch of a sweep
-   shrinks to the remainder — the peeled tail) and groups one batch of
-   the default W = 256 covers (no spill round trip at the barrier). The
-   every-spill-kind kernel above runs under the forced wg-vec plan at
-   each width and is compared against the fiber scheduler bit for bit. *)
+   {1,4,8,256} must be output-invariant for every launch shape. The
+   barrier-free twin runs every group size, including sizes that are not
+   a multiple of W (the final batch of a sweep shrinks to the remainder —
+   the peeled tail); the every-kind kernel runs groups of at most W, the
+   only groups whose barrier it runs on lane code. Each runs under the
+   forced wg-vec plan at each width, must really plan lane batches, and
+   is compared against the fiber scheduler bit for bit. *)
 let prop_lane_width_invariant =
   QCheck.Test.make ~name:"lane width W in {1,4,8,256} is output-invariant"
     ~count:20
@@ -766,40 +803,22 @@ let prop_lane_width_invariant =
       triple (int_range 1 6) (int_range 1 16)
         (oneofl [ 1; 4; 8; Interp.max_lane_width ]))
     (fun (groups, wg, width) ->
-      let n = groups * wg in
-      let run mode =
-        let fn =
-          match Lower.compile spill_prop_source with
-          | [ f ] -> f
-          | _ -> assert false
-        in
-        Grover_passes.Pipeline.normalize fn;
-        let mem = Memory.create () in
-        let vout = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) n in
-        let sout = Memory.alloc mem Ssa.F32 n in
-        let a = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) n in
-        let b = Memory.alloc mem Ssa.F32 n in
-        Memory.fill_floats a (fun i -> float_of_int (i - 5) /. 3.0);
-        Memory.fill_floats b (fun i -> float_of_int (i * 7 mod 11) /. 4.0);
-        let c, force_path =
-          match mode with
-          | `Lanes w ->
-              (Interp.prepare ~lane_width:w fn, Some (Runtime.Lanes max_int))
-          | `Fibers -> (Interp.prepare fn, Some Runtime.Fiber)
-        in
-        let totals =
-          Runtime.launch c
-            ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
-            ~args:
-              [ Runtime.Abuf vout; Runtime.Abuf sout; Runtime.Abuf a;
-                Runtime.Abuf b; Runtime.Aint n ]
-            ~mem ?force_path ()
-        in
-        (totals, snapshot_buffers mem)
+      let agrees src ~wg =
+        let n = groups * wg in
+        let fn = lower_one src in
+        let c = Interp.prepare ~lane_width:width fn in
+        let wide = Runtime.Lanes max_int in
+        (Runtime.plan c ~cfg:(cfg_1d ~n ~wg) ~force_path:wide ())
+          .Runtime.path
+        = Runtime.Lanes (min width wg)
+        && compare
+             (launch_every_kind c ~force_path:wide ~n ~wg ())
+             (launch_every_kind (Interp.prepare fn) ~force_path:Runtime.Fiber ~n
+                ~wg ())
+           = 0
       in
-      let v_tot, v_bufs = run (`Lanes width) in
-      let f_tot, f_bufs = run `Fibers in
-      v_tot = f_tot && compare v_bufs f_bufs = 0)
+      agrees every_kind_barrier_free_source ~wg
+      && agrees spill_prop_source ~wg:(1 + ((wg - 1) mod width)))
 
 (* -- Masked lane execution (divergent diamonds) -------------------------------
    A guarded-diamond kernel: a boundary clamp (triangle — one arm is the
@@ -808,11 +827,6 @@ let prop_lane_width_invariant =
    execute distinct machinery. The diamonds must classify as
    lane-capable-with-mask and the masked batch must stay bit-identical to
    both one-work-item oracles. *)
-
-let lower_one src =
-  let fn = match Lower.compile src with [ f ] -> f | _ -> assert false in
-  Grover_passes.Pipeline.normalize fn;
-  fn
 
 let masked_diamond_source =
   {|__kernel void k(__global float *out, __global const float *a, int n) {
@@ -910,10 +924,10 @@ let run_masked_kernel ?lane_width ~force_path ~n ~wg () =
   in
   (c, totals, snapshot_buffers mem)
 
-(* The peeled-tail edge case. A group smaller than the chosen lane width W
-   must run as one nl-wide batch — same buffers and totals as one-lane
-   batches and tree+fiber — for every wg in 1..W-1 under W in {4,8}, and
-   the kernel must actually run W-wide (not a silent fallback). *)
+(* A group smaller than the chosen lane width W must run as one nl-wide
+   batch — same buffers and totals as tree+fiber — for every wg in
+   1..W-1 under W in {4,8}, and the kernel must actually run W-wide (not
+   a silent fallback). *)
 let test_masked_tail_smaller_than_width () =
   List.iter
     (fun w ->
@@ -923,26 +937,18 @@ let test_masked_tail_smaller_than_width () =
           run_masked_kernel ~lane_width:w
             ~force_path:(Some (Runtime.Lanes max_int)) ~n ~wg ()
         in
-        Alcotest.(check bool)
-          (Printf.sprintf "W=%d wg=%d: kernel runs W-wide batches" w wg)
-          true
-          (Runtime.default_path cv = Runtime.Lanes w);
-        let _, l_tot, l_bufs =
-          run_masked_kernel ~force_path:(Some (Runtime.Lanes 1)) ~n ~wg ()
-        in
+        Alcotest.check path_t
+          (Printf.sprintf "W=%d wg=%d: one batch per group" w wg)
+          (Runtime.Lanes wg)
+          (Runtime.plan cv ~cfg:(cfg_1d ~n ~wg)
+             ~force_path:(Runtime.Lanes max_int) ())
+            .Runtime.path;
         let _, f_tot, f_bufs =
           run_masked_kernel ~force_path:(Some Runtime.Fiber) ~n ~wg ()
         in
         Alcotest.(check bool)
-          (Printf.sprintf "W=%d wg=%d: W-wide totals = one-lane totals" w wg)
-          true (v_tot = l_tot);
-        Alcotest.(check bool)
           (Printf.sprintf "W=%d wg=%d: W-wide totals = fiber totals" w wg)
           true (v_tot = f_tot);
-        Alcotest.(check bool)
-          (Printf.sprintf "W=%d wg=%d: buffers vs one-lane" w wg)
-          true
-          (compare v_bufs l_bufs = 0);
         Alcotest.(check bool)
           (Printf.sprintf "W=%d wg=%d: buffers vs fiber" w wg)
           true
@@ -952,8 +958,10 @@ let test_masked_tail_smaller_than_width () =
 
 (* Random guarded-diamond kernels. A pure two-armed diamond with a random
    predicate and random pure arms, behind a random clamp guard, at group
-   sizes that are deliberately not multiples of W: masked W-wide batches
-   must agree with one-lane batches and the fiber scheduler bit for bit. *)
+   sizes up to W (the kernel has a barrier, so a group runs as one batch,
+   its tail lanes inactive when it is narrower than W): masked W-wide
+   batches must agree with a one-lane request (fibers, unless the group
+   is one work-item) and the fiber scheduler bit for bit. *)
 let prop_masked_diamond_agrees =
   let pred_of = function
     | 0 -> "x > 0.25f"
@@ -994,6 +1002,7 @@ let prop_masked_diamond_agrees =
             }|}
           (pred_of p) (then_of t) (else_of e)
       in
+      let wg = 1 + ((wg - 1) mod width) in
       let n = groups * wg in
       let run force_path lane_width =
         let fn =
@@ -1021,14 +1030,14 @@ let prop_masked_diamond_agrees =
 (* -- Private arrays across a barrier ---------------------------------------------
    Same kernel as examples/kernels/private_array.cl: a private array
    written before a uniform barrier and read after it. Region 0 allocates
-   it and runs one-lane batches; region 1 runs W-wide batches, every lane
-   reading its own work-item's array. The compiled default plan must match
+   it, so it would need one-lane batches; a kernel with barriers runs lane
+   code only as one batch per work-group, so this one has no lane code
+   and its default plan is the fiber scheduler. That plan must match
    tree+fiber on buffers (the private arrays included), totals and every
    Private- and Local-space trace event: same work-item, address and
-   direction, in each work-item's program order. Groups of 10 are not a
-   multiple of W. The trace does not depend on the hardware: every group
-   has group 0's local and private addresses, and [queues] changes
-   nothing. *)
+   direction, in each work-item's program order. The trace does not
+   depend on the hardware: every group has group 0's local and private
+   addresses, and [queues] changes nothing. *)
 
 let private_array_source =
   {|__kernel void private_array(__global float *out, __global const float *in) {
@@ -1088,13 +1097,11 @@ let test_private_array_matches_fibers () =
             true
             (String.length r >= 14 && String.sub r 0 14 = "private alloca")
       | lv ->
-          Alcotest.failf "region 0 must run one-lane batches, got: %s"
-            (Regions.verdict_string lv))
+          Alcotest.failf "region 0 must bail on its private alloca, got: %s"
+            (Regions.verdict_string ~barriers:true lv))
   | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r);
-  Alcotest.(check (option (array bool))) "one-lane region 0, W-wide region 1"
-    (Some [| false; true |]) (Interp.lane_entry_flags c);
-  Alcotest.check path_t "default plan" (Runtime.Lanes (Interp.lane_width_of c))
-    (Runtime.default_path c);
+  Alcotest.(check bool) "no lane code" true (Option.is_none c.Interp.code);
+  Alcotest.check path_t "default plan" Runtime.Fiber (Runtime.default_path c);
   let traced space =
     List.exists (fun (_, evs) -> List.exists (fun (_, sp, _, _) -> sp = space) evs) d_priv
   in
@@ -1117,8 +1124,9 @@ let test_private_array_matches_fibers () =
 
 (* Lowering puts every alloca in the entry block, so only hand-built IR
    allocates in a later region: there the work-item's bump offset must
-   continue from where its region-0 allocations left it, as on the fiber
-   scheduler. *)
+   continue from where its region-0 allocations left it. Both regions
+   allocate, so the kernel has no lane code and its default plan is the
+   fiber scheduler. *)
 let test_private_alloca_after_barrier () =
   let out = { Ssa.a_index = 0; a_name = "out"; a_ty = Ssa.Ptr (Ssa.Global, Ssa.I32) } in
   let fn, b = Builder.create_function ~name:"k" ~args:[ out ] in
@@ -1154,8 +1162,7 @@ let test_private_alloca_after_barrier () =
   in
   let c, d_tot, d_bufs, d_priv = run None in
   let _, f_tot, f_bufs, f_priv = run (Some Runtime.Fiber) in
-  Alcotest.(check (option (array bool))) "both regions run one-lane batches"
-    (Some [| false; false |]) (Interp.lane_entry_flags c);
+  Alcotest.(check bool) "no lane code" true (Option.is_none c.Interp.code);
   (* q.(1) of a work-item whose p took the first 8 bytes *)
   Alcotest.(check bool) "region 1 allocates past region 0's array" true
     (List.exists (fun (_, _, a) -> a = 0x1000 + 8 + 4) d_priv);
@@ -1181,9 +1188,7 @@ let test_regions_transpose () =
   match Regions.form fn with
   | Regions.Formed i ->
       Alcotest.(check int) "two regions" 2 i.Regions.n_regions;
-      Alcotest.(check int) "one barrier" 1 (Array.length i.Regions.barriers);
-      Alcotest.(check bool) "values live across the barrier" true
-        (Array.length i.Regions.live_across.(0) > 0)
+      Alcotest.(check int) "one barrier" 1 (Array.length i.Regions.barriers)
   | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
 
 let test_regions_divergent_barrier_falls_back () =
@@ -1579,11 +1584,12 @@ let test_vec_sqrt () =
    loop in the lane compiler. Two accesses read a batch-uniform column: a
    store of a group-uniform float4 to [__local], and a [__local] load at
    the counter of a uniform loop (NBody's [sh[j]]). The tree engine under
-   fibers and the compiled lane code in W-wide (W in {1,4,8,256}) and
-   one-lane batches must agree bit for bit on buffers, totals and each
-   group's counters and per-work-item event stream, at group sizes that are
-   not multiples of W (at W = 256, one batch sweeps each group); the W-wide
-   run must really batch every region. *)
+   fibers, the compiled lane code in W-wide batches (W in {1,4,8,256})
+   and a one-lane request (fibers, unless the group is one work-item)
+   must agree bit for bit on buffers, totals and each group's counters and
+   per-work-item event stream, at group sizes up to W (the kernel has a
+   barrier, so each group runs as one batch); the W-wide run must really
+   plan one batch per group. *)
 
 (* One group's observable trace: its counters (access counters included)
    and its events, stably sorted by work-item so each work-item's program
@@ -1659,6 +1665,7 @@ let prop_float4_kernels_agree =
         (triple (int_range 1 3) (int_range 1 13)
            (oneofl ~print:string_of_int [ 1; 4; 8; Interp.max_lane_width ])))
     (fun (src, (groups, wg, width)) ->
+      let wg = 1 + ((wg - 1) mod width) in
       let n = groups * wg in
       let run ?lane_width force_path =
         let fn = lower_one src in
@@ -1682,9 +1689,10 @@ let prop_float4_kernels_agree =
       in
       let cv, v = run ~lane_width:width (Runtime.Lanes max_int) in
       let batched =
-        match Interp.lane_entry_flags cv with
-        | Some f -> Array.for_all Fun.id f
-        | None -> false
+        (Runtime.plan cv ~cfg:(cfg_1d ~n ~wg)
+           ~force_path:(Runtime.Lanes max_int) ())
+          .Runtime.path
+        = Runtime.Lanes wg
       in
       let _, t = run Runtime.Fiber in
       let _, l = run (Runtime.Lanes 1) in
@@ -1692,20 +1700,26 @@ let prop_float4_kernels_agree =
       batched && compare v t = 0 && compare v l = 0)
 
 (* -- Random kernels with private arrays, divergent loops and int4 -------------------
-   Each generated kernel has three private arrays (one filled by a loop
-   counter, one indexed by [get_local_id], one live across a uniform
-   barrier), a loop whose trip count depends on [get_local_id], a guarded
-   store in the private arrays' one-lane region and one between the two
-   barriers inside a uniform loop, where it runs in a masked arm, and
-   int4 arithmetic. Its int ops include shifts, division and remainder by an odd
-   (so nonzero) divisor, a compare with a batch-uniform left operand, and
-   int and float selects on varying compares: ops and shapes with no direct
-   loop in the lane compiler. The compiled default plan at W in {1,4,8,256}
-   must match tree+fiber bit for bit at group sizes that are not multiples
-   of W: buffers (private and local scratch included), totals and each
-   group's counters and per-work-item event stream on one domain; global
-   buffers and totals on two. At W = 256 one batch sweeps each W-wide
-   region, next to one-lane regions swept item by item. *)
+   Each generated kernel has three arrays of its own per work-item (one
+   filled by a loop counter, one indexed by [get_local_id], one read
+   after a uniform loop), a loop whose trip count is drawn, a guarded
+   store before that uniform loop and one inside it, where it runs in a
+   masked arm, and int4 arithmetic. Its int ops include shifts, division
+   and remainder by an odd (so nonzero) divisor, a compare with a
+   batch-uniform left operand, and int and float selects on varying
+   compares: ops and shapes with no direct loop in the lane compiler. It
+   comes in two shapes. The one-lane shape keeps the arrays private, the
+   trip count depends on [get_local_id], and the uniform loop holds no
+   barrier: a barrier-free kernel that runs one-lane batches. The barrier
+   shape keeps the arrays as per-work-item slices of [__local] arrays and
+   a uniform trip count, and its uniform loop exchanges a value through
+   [__local] memory between two barriers: every region runs W-wide. The
+   compiled default plan at W in {1,4,8,256} must plan those batches and
+   match tree+fiber bit for bit — buffers (private and local scratch
+   included), totals and each group's counters and per-work-item event
+   stream on one domain; global buffers and totals on two — at group
+   sizes that are not multiples of W for the one-lane shape, and of at
+   most W, one batch each, for the barrier shape. *)
 
 let random_kernel_gen =
   let open QCheck.Gen in
@@ -1721,49 +1735,65 @@ let random_kernel_gen =
   (* a constant, an argument or a uniform slot *)
   let uniform = oneofl [ "3"; "-2"; "n"; "n / 2"; "reps + 1" ] in
   map
-    (fun ( ( (o1, o2, o3, o4),
-             (o5, o6, o7, o8),
-             (c1, c2, c3, (c4, c5)),
-             ((k, ca, cb), p, idx) ),
-           ((d1, sh, c6, d2), (u, ic, o9), (fc, gp)) ) ->
-      Printf.sprintf
-        {|__kernel void k(__global int *out, __global int4 *vout, __global int *dout,
-                          __global const int *a, int n, int reps) {
-            __local int tile[64];
-            int g = get_global_id(0);
-            int l = get_local_id(0);
-            int pa[4];
-            int pb[16];
-            int pc[4];
-            for (int t = 0; t < 4; t++) pa[t] = a[g] %s (t + %d);
-            pb[l] = a[g] %s %d;
-            for (int t = 0; t < 4; t++) pc[t] = pa[t] %s pb[l];
-            int acc = %d;
-            for (int t = 0; t < l %% %d + 1; t++) acc = acc %s pa[t %% 4];
-            if (%s) dout[g] = acc;
-            int4 v = (int4)(acc, l, g, n) %s (int4)(%d, %d, 1, 2);
-            for (int r = 0; r < reps; r++) {
-              tile[l] = v.%s %s r;
-              barrier(CLK_LOCAL_MEM_FENCE);
-              v.%s = v.%s %s tile[(l + 1) %% get_local_size(0)];
-              if (%s) dout[g] = v.y + r;
-              barrier(CLK_LOCAL_MEM_FENCE);
-            }
-            int q = (acc %s (a[g] | 1)) %s (%d %s (l | 1));
-            int s = (%s %s q) ? q %s g : pb[l];
-            float f = (acc %s l) ? (float)g * 0.5f : (float)n;
-            vout[g] = v %s (int4)(pc[0], pc[1], pc[2], pc[3]);
-            out[g] = pc[%d] + acc + get_local_id(2) + s + (int)f;
-          }|}
-        o1 c1 o2 c2 o3 c3 k o4 p o5 c4 c5 ca o6 cb cb o7 gp d1 sh c6 d2 u ic o9 fc o8
-        idx)
-    (pair
-       (quad (quad iop iop iop iop) (quad iop iop iop iop)
-          (quad small small small (pair small small))
-          (triple (triple (int_range 1 5) comp comp) pred (int_range 0 3)))
-       (triple
-          (quad div (oneofl [ "<<"; ">>" ]) small div)
-          (triple uniform icmp iop) (pair icmp guard)))
+    (fun ( barriers,
+           ( ( (o1, o2, o3, o4),
+               (o5, o6, o7, o8),
+               (c1, c2, c3, (c4, c5)),
+               ((k, ca, cb), p, idx) ),
+             ((d1, sh, c6, d2), (u, ic, o9), (fc, gp)) ) ) ->
+      (* element [i] of work-item [l]'s array [a] of [len] ints *)
+      let at a len i =
+        if barriers then Printf.sprintf "%s[l * %d + %s]" a len i
+        else Printf.sprintf "%s[%s]" a i
+      in
+      let decls =
+        if barriers then "__local int pa[256]; __local int pb[1024]; __local int pc[256];"
+        else "int pa[4]; int pb[16]; int pc[4];"
+      in
+      let barrier = if barriers then "barrier(CLK_LOCAL_MEM_FENCE);" else "" in
+      let pa = at "pa" 4 and pb = at "pb" 16 and pc = at "pc" 4 in
+      ( barriers,
+        Printf.sprintf
+          {|__kernel void k(__global int *out, __global int4 *vout, __global int *dout,
+                            __global const int *a, int n, int reps) {
+              __local int tile[64];
+              %s
+              int g = get_global_id(0);
+              int l = get_local_id(0);
+              for (int t = 0; t < 4; t++) %s = a[g] %s (t + %d);
+              %s = a[g] %s %d;
+              for (int t = 0; t < 4; t++) %s = %s %s %s;
+              int acc = %d;
+              for (int t = 0; t < %s%d + 1; t++) acc = acc %s %s;
+              if (%s) dout[g] = acc;
+              int4 v = (int4)(acc, l, g, n) %s (int4)(%d, %d, 1, 2);
+              for (int r = 0; r < reps; r++) {
+                tile[l] = v.%s %s r;
+                %s
+                v.%s = v.%s %s tile[%s];
+                if (%s) dout[g] = v.y + r;
+                %s
+              }
+              int q = (acc %s (a[g] | 1)) %s (%d %s (l | 1));
+              int s = (%s %s q) ? q %s g : %s;
+              float f = (acc %s l) ? (float)g * 0.5f : (float)n;
+              vout[g] = v %s (int4)(%s, %s, %s, %s);
+              out[g] = %s + acc + get_local_id(2) + s + (int)f;
+            }|}
+          decls (pa "t") o1 c1 (pb "l") o2 c2 (pc "t") (pa "t") o3 (pb "l") c3
+          (if barriers then "" else "l % ") k o4 (pa "t % 4") p o5 c4 c5 ca o6
+          barrier cb cb o7
+          (if barriers then "(l + 1) % get_local_size(0)" else "l")
+          gp barrier d1 sh c6 d2 u ic o9 (pb "l") fc o8 (pc "0") (pc "1")
+          (pc "2") (pc "3") (pc (string_of_int idx)) ))
+    (pair bool
+       (pair
+          (quad (quad iop iop iop iop) (quad iop iop iop iop)
+             (quad small small small (pair small small))
+             (triple (triple (int_range 1 5) comp comp) pred (int_range 0 3)))
+          (triple
+             (quad div (oneofl [ "<<"; ">>" ]) small div)
+             (triple uniform icmp iop) (pair icmp guard))))
 
 (* One 1-D launch of [src] compiled at [lane_width] on the arguments
    [setup] allocates in a fresh memory: its totals, its buffers (every
@@ -1787,10 +1817,16 @@ let run_traced src ?lane_width ?force_path ~setup ~domains ~n ~wg () =
   let bufs = if domains = 1 then snapshot_buffers mem else snapshot_globals mem in
   (totals, bufs, List.rev !groups)
 
-(* [src] at [lane_width] (the default W when [None]) against tree+fiber,
-   as named verdicts: bit-identical buffers, totals and group traces on
-   one domain, and global buffers and totals on two. *)
-let traced_vs_fibers src ?lane_width ~setup ~n ~wg () : (string * bool) list =
+(* [src] at [lane_width] (the default W when [None]) against tree+fiber:
+   the path its default plan takes, and named verdicts: bit-identical
+   buffers, totals and group traces on one domain, and global buffers and
+   totals on two. *)
+let traced_vs_fibers src ?lane_width ~setup ~n ~wg () :
+    Runtime.path * (string * bool) list =
+  let planned =
+    (Runtime.plan (Interp.prepare ?lane_width (lower_one src)) ~cfg:(cfg_1d ~n ~wg) ())
+      .Runtime.path
+  in
   let t_tot, t_bufs, t_trace =
     run_traced src ~force_path:Runtime.Fiber ~setup ~domains:1 ~n ~wg ()
   in
@@ -1807,17 +1843,24 @@ let traced_vs_fibers src ?lane_width ~setup ~n ~wg () : (string * bool) list =
         match sp with Ssa.Global | Ssa.Constant -> true | _ -> false)
       t_bufs
   in
-  [ ("identical launch totals", t_tot = c_tot);
-    ("bit-identical buffers", compare t_bufs c_bufs = 0);
-    ("identical group traces", compare t_trace c_trace = 0);
-    ("identical totals on 2 domains", t_tot = p_tot);
-    ("bit-identical globals on 2 domains", compare t_globals p_bufs = 0) ]
+  ( planned,
+    [ ("identical launch totals", t_tot = c_tot);
+      ("bit-identical buffers", compare t_bufs c_bufs = 0);
+      ("identical group traces", compare t_trace c_trace = 0);
+      ("identical totals on 2 domains", t_tot = p_tot);
+      ("bit-identical globals on 2 domains", compare t_globals p_bufs = 0) ] )
 
+(* The same, as checks; the default plan must run lane batches unless
+   GROVER_FORCE_PATH pins the run's path. *)
 let check_traced_against_fibers ~(label : string) src ?lane_width ~setup ~n
     ~wg () =
+  let planned, verdicts = traced_vs_fibers src ?lane_width ~setup ~n ~wg () in
+  if Runtime.env_force_path () = None then
+    Alcotest.(check bool) (label ^ ": the default plan runs lane batches") true
+      (planned <> Runtime.Fiber);
   List.iter
     (fun (what, ok) -> Alcotest.(check bool) (label ^ ": " ^ what) true ok)
-    (traced_vs_fibers src ?lane_width ~setup ~n ~wg ())
+    verdicts
 
 let random_kernel_args ~n ~reps mem =
   let out = Memory.alloc mem Ssa.I32 n in
@@ -1833,15 +1876,20 @@ let prop_random_kernels_agree =
     ~name:"random kernels: compiled default plan = tree+fiber (1 and 2 domains)"
     ~count:30
     QCheck.(
-      pair (make ~print:Fun.id random_kernel_gen)
+      pair (make ~print:snd random_kernel_gen)
         (quad (int_range 1 4) (int_range 1 13)
            (oneofl ~print:string_of_int [ 1; 4; 8; Interp.max_lane_width ])
            (int_range 0 2)))
-    (fun (src, (groups, wg, width, reps)) ->
+    (fun ((barriers, src), (groups, wg, width, reps)) ->
+      let wg = if barriers then 1 + ((wg - 1) mod width) else wg in
       let n = groups * wg in
-      List.for_all snd
-        (traced_vs_fibers src ~lane_width:width ~setup:(random_kernel_args ~n ~reps)
-           ~n ~wg ()))
+      let planned, verdicts =
+        traced_vs_fibers src ~lane_width:width
+          ~setup:(random_kernel_args ~n ~reps) ~n ~wg ()
+      in
+      (Runtime.env_force_path () <> None
+      || planned = Runtime.Lanes (if barriers then wg else 1))
+      && List.for_all snd verdicts)
 
 (* -- Stores in masked arms ---------------------------------------------------------
    A store under a divergent guard runs in its diamond's masked arm: only
@@ -1849,9 +1897,9 @@ let prop_random_kernels_agree =
    kernel stores to [__local] or [__global] memory in the then-arm, the
    else-arm or both, under predicates whose then-lanes form one run from
    lane 0, one run inside the group, a scattered set, no lane and every
-   lane. At W in {1,8,256}, on groups of 20 (three W-wide batches at W =
-   8, one whole-group batch at W = 256, where one run records as one
-   record), it must match tree+fiber bit for bit. *)
+   lane. At W in {20,32,256}, on groups of 20 (one whole-group batch,
+   full at W = 20 and with inactive tail lanes at 32 and 256, where one
+   run records as one record), it must match tree+fiber bit for bit. *)
 
 let masked_store_source ~(local : bool) ~(arms : [ `Then | `Else | `Both ])
     ~(pred : string) =
@@ -1914,15 +1962,16 @@ let test_masked_stores () =
                   in
                   check_traced_against_fibers ~label src ~lane_width:w
                     ~setup:(masked_store_setup ~n) ~n ~wg ())
-                [ 1; 8; Interp.max_lane_width ])
+                [ wg; 32; Interp.max_lane_width ])
             masked_store_preds)
         [ (`Then, "the then-arm"); (`Else, "the else-arm"); (`Both, "both arms") ])
     [ true; false ]
 
 (* An inactive lane computes its index flat, out of bounds or not, but
    never stores, records or traps: AMD-SS's staging shape (lanes 4..19
-   index past a 4-element [__local] array) and saxpy's bounds guard
-   (work-items 37..47 index past a 37-element buffer). *)
+   index past a 4-element [__local] array; the kernel has a barrier, so
+   W is at least its group of 20) and saxpy's bounds guard (work-items
+   37..47 index past a 37-element buffer). *)
 let test_masked_store_inactive_out_of_bounds () =
   let staging =
     {|__kernel void k(__global int *out, __global const int *a) {
@@ -1947,7 +1996,10 @@ let test_masked_store_inactive_out_of_bounds () =
   List.iter
     (fun w ->
       check_traced_against_fibers ~label:(Printf.sprintf "staging, W=%d" w) staging
-        ~lane_width:w ~setup:staging_setup ~n:60 ~wg:20 ();
+        ~lane_width:w ~setup:staging_setup ~n:60 ~wg:20 ())
+    [ 20; 32; Interp.max_lane_width ];
+  List.iter
+    (fun w ->
       check_traced_against_fibers ~label:(Printf.sprintf "saxpy, W=%d" w) saxpy_source
         ~lane_width:w ~setup:saxpy_setup ~n:48 ~wg:16 ())
     [ 1; 8; Interp.max_lane_width ]
@@ -1984,16 +2036,60 @@ let prop_run_form_sound =
       done;
       (perturb <> None || accepted) && ((not accepted) || !reproduced))
 
+(* A barrier-free kernel keeps one-lane batches: a private array, and
+   examples/kernels/divergent_loop.cl's loop whose trip count comes from
+   get_local_id(0), each make its region run one work-item at a time, in
+   groups of 10 at any compiled width, and must match tree+fiber. *)
+let test_one_lane_barrier_free () =
+  let private_src =
+    {|__kernel void k(__global float *out, __global const float *in) {
+        float acc[4];
+        int g = get_global_id(0);
+        for (int k = 0; k < 4; k++) acc[k] = in[g] * (float)(k + 1);
+        out[g] = acc[0] + acc[get_local_id(0) % 4];
+      }|}
+  and divergent_loop_src =
+    {|__kernel void ragged_sum(__global int *out, __global const int *in) {
+        int l = get_local_id(0);
+        int acc = 0;
+        for (int t = 0; t != l; t++) {
+          acc = acc + in[t];
+        }
+        out[get_global_id(0)] = acc;
+      }|}
+  in
+  let n = 30 and wg = 10 in
+  let private_setup mem =
+    let out = Memory.alloc mem Ssa.F32 n and inp = Memory.alloc mem Ssa.F32 n in
+    Memory.fill_floats inp (fun i -> float_of_int ((i * 7 mod 11) - 4) /. 4.0);
+    [ Runtime.Abuf out; Runtime.Abuf inp ]
+  and loop_setup mem =
+    let out = Memory.alloc mem Ssa.I32 n and inp = Memory.alloc mem Ssa.I32 n in
+    Memory.fill_ints inp (fun i -> (i * 5 mod 13) - 6);
+    [ Runtime.Abuf out; Runtime.Abuf inp ]
+  in
+  List.iter
+    (fun (label, src, setup) ->
+      List.iter
+        (fun w ->
+          let label = Printf.sprintf "%s, W=%d" label w in
+          let c = Interp.prepare ~lane_width:w (lower_one src) in
+          Alcotest.(check bool) (label ^ ": barrier-free") false (has_barrier c);
+          check_default_plan ~label c ~cfg:(cfg_1d ~n ~wg) (Runtime.Lanes 1);
+          check_traced_against_fibers ~label src ~lane_width:w ~setup ~n ~wg ())
+        [ 1; 8; Interp.max_lane_width ])
+    [ ("private array", private_src, private_setup);
+      ("divergent loop", divergent_loop_src, loop_setup) ]
+
 (* -- One batch per work-group --------------------------------------------------
-   At the default W = 256 a work-group of up to 256 work-items sweeps each
-   region as one batch, and a barrier with one batch on both sides keeps
-   its live values in the lane slots instead of a round trip through the
-   context rows. This kernel keeps an int, a float and a float4 (and
-   uniform values) live across two barriers in a uniform loop, with a
-   [__local] array sized for the group. It must match tree+fiber when one
-   batch covers the group (1, 64 and 256 work-items: no spill), when two
-   batches do (257: the spill path) and at W = 4 (9 work-items, three
-   batches). *)
+   A kernel with barriers runs each work-group as one lane batch, so the
+   values live across a barrier stay in the lane slots. This kernel keeps
+   an int, a float and a float4 (and uniform values) live across two
+   barriers in a uniform loop, with a [__local] array sized for the
+   group. It must match tree+fiber when one batch of the default W = 256
+   holds the group (1, 64 and 256 work-items) and at W = 4 (4 work-items).
+   A group wider than W plans the fiber scheduler instead: W = 8 with 16
+   work-items, and the default W with 512. *)
 
 let group_spill_source wg =
   Printf.sprintf
@@ -2022,31 +2118,46 @@ let group_spill_source wg =
       }|}
     wg
 
+let group_spill_setup ~n mem =
+  let v4 = Ssa.Vec (Ssa.F32, 4) in
+  let vout = Memory.alloc mem v4 n and fout = Memory.alloc mem Ssa.F32 n in
+  let iout = Memory.alloc mem Ssa.I32 n in
+  let a = Memory.alloc mem v4 n and b = Memory.alloc mem Ssa.F32 n in
+  Memory.fill_floats a (fun k -> float_of_int ((k * 7 mod 23) - 11) /. 8.0);
+  Memory.fill_floats b (fun k -> float_of_int ((k * 5 mod 17) - 8) /. 4.0);
+  [ Runtime.Abuf vout; Runtime.Abuf fout; Runtime.Abuf iout; Runtime.Abuf a;
+    Runtime.Abuf b; Runtime.Aint 3 ]
+
+let group_spill_label lane_width wg =
+  Printf.sprintf "W=%d, group of %d"
+    (Option.value lane_width ~default:Interp.max_lane_width)
+    wg
+
 let test_group_batches_spill () =
   List.iter
     (fun (lane_width, wg) ->
       let src = group_spill_source wg and n = 4 * wg in
-      let label =
-        Printf.sprintf "W=%d, group of %d"
-          (Option.value lane_width ~default:Interp.max_lane_width)
-          wg
-      in
+      let label = group_spill_label lane_width wg in
       let c = Interp.prepare ?lane_width (lower_one src) in
-      Alcotest.(check (option (array bool)))
-        (label ^ ": three W-wide regions") (Some [| true; true; true |])
-        (Interp.lane_entry_flags c);
-      let setup mem =
-        let v4 = Ssa.Vec (Ssa.F32, 4) in
-        let vout = Memory.alloc mem v4 n and fout = Memory.alloc mem Ssa.F32 n in
-        let iout = Memory.alloc mem Ssa.I32 n in
-        let a = Memory.alloc mem v4 n and b = Memory.alloc mem Ssa.F32 n in
-        Memory.fill_floats a (fun k -> float_of_int ((k * 7 mod 23) - 11) /. 8.0);
-        Memory.fill_floats b (fun k -> float_of_int ((k * 5 mod 17) - 8) /. 4.0);
-        [ Runtime.Abuf vout; Runtime.Abuf fout; Runtime.Abuf iout;
-          Runtime.Abuf a; Runtime.Abuf b; Runtime.Aint 3 ]
+      Alcotest.(check bool) (label ^ ": three W-wide regions") true
+        (Option.is_some c.Interp.code);
+      check_traced_against_fibers ~label src ?lane_width
+        ~setup:(group_spill_setup ~n) ~n ~wg ())
+    [ (None, 1); (None, 64); (None, 256); (Some 4, 4) ]
+
+let test_group_wider_than_width_plans_fibers () =
+  List.iter
+    (fun (lane_width, wg) ->
+      let src = group_spill_source wg and n = 4 * wg in
+      let label = group_spill_label lane_width wg in
+      let planned, verdicts =
+        traced_vs_fibers src ?lane_width ~setup:(group_spill_setup ~n) ~n ~wg ()
       in
-      check_traced_against_fibers ~label src ?lane_width ~setup ~n ~wg ())
-    [ (None, 1); (None, 64); (None, 256); (None, 257); (Some 4, 9) ]
+      Alcotest.check path_t (label ^ ": planned path") Runtime.Fiber planned;
+      List.iter
+        (fun (what, ok) -> Alcotest.(check bool) (label ^ ": " ^ what) true ok)
+        verdicts)
+    [ (Some 8, 16); (None, 512) ]
 
 (* -- Phi moves in place --------------------------------------------------------
    An edge whose phi moves read no slot they write moves in place; an
@@ -2106,45 +2217,65 @@ let test_phi_rotation ~varying () =
       check_traced_against_fibers ~label src ~lane_width:w ~setup ~n ~wg ())
     [ 1; 8; Interp.max_lane_width ]
 
-(* -- Lane verdicts of the suite ---------------------------------------------------
-   The plan name stays wg-vec when a region runs one-lane batches, so the
-   refined per-region lane flags are pinned here: every region of every
-   suite version runs W-wide. Region 0 of AMD-SS, PAB-ST and ROD-SC
-   with_lm stages shared data behind a lane guard, a store in a masked
-   arm. *)
+(* -- Lane plans of the suite ----------------------------------------------------
+   The plan name stays wg-vec whatever the batch width, so the plan of
+   every suite version, and of every kernel promote-lm builds back from a
+   Grover-transformed one, is pinned here at its case geometry: the
+   widest lane batches (the default plan when GROVER_FORCE_PATH is unset)
+   run one batch as wide as the work-group. A kernel with barriers runs
+   lane code only that way, so a region that needed one-lane batches
+   would send it to the fiber scheduler. The region count of every
+   version is pinned too. Region 0 of AMD-SS, PAB-ST and ROD-SC with_lm
+   stages shared data behind a lane guard, a store in a masked arm. *)
 
-let expected_lane_flags =
-  [ ("AMD-SS", [| true; true |], [| true |]);
-    ("AMD-MT", [| true; true |], [| true |]);
-    ("NVD-MT", [| true; true |], [| true |]);
-    ("AMD-RG", [| true; true |], [| true |]);
-    ("AMD-MM", [| true; true; true |], [| true |]);
-    ("NVD-MM-A", [| true; true; true |], [| true; true; true |]);
-    ("NVD-MM-B", [| true; true; true |], [| true; true; true |]);
-    ("NVD-MM-AB", [| true; true; true |], [| true |]);
-    ("NVD-NBody", [| true; true; true |], [| true |]);
-    ("PAB-ST", [| true; true |], [| true |]);
-    ("ROD-SC", [| true; true |], [| true |]);
-    ("TNG-GEMM4", [| true; true; true |], [| true |]) ]
+let expected_regions =
+  [ ("AMD-SS", 2, 1); ("AMD-MT", 2, 1); ("NVD-MT", 2, 1); ("AMD-RG", 2, 1);
+    ("AMD-MM", 3, 1); ("NVD-MM-A", 3, 3); ("NVD-MM-B", 3, 3);
+    ("NVD-MM-AB", 3, 1); ("NVD-NBody", 3, 1); ("PAB-ST", 2, 1);
+    ("ROD-SC", 2, 1); ("TNG-GEMM4", 3, 1) ]
+
+(* How many suite cases promote-lm turns back into a tiled kernel. *)
+let promoted_cases = 6
 
 let test_suite_lane_flags () =
   Alcotest.(check int) "every suite case pinned"
     (List.length Grover_suite.Suite.all)
-    (List.length expected_lane_flags);
+    (List.length expected_regions);
+  let promoted = ref 0 in
   List.iter
     (fun (case : Kit.case) ->
       let _, with_lm, without_lm =
-        List.find (fun (id, _, _) -> id = case.Kit.id) expected_lane_flags
+        List.find (fun (id, _, _) -> id = case.Kit.id) expected_regions
+      in
+      let cfg = suite_cfg case in
+      let lx, ly, lz = cfg.Runtime.local in
+      let one_batch label fn =
+        let c = Interp.prepare fn in
+        Alcotest.check path_t
+          (Printf.sprintf "%s %s plan" case.Kit.id label)
+          (Runtime.Lanes (lx * ly * lz))
+          (Runtime.plan c ~cfg ~force_path:(Runtime.Lanes max_int) ())
+            .Runtime.path;
+        c
       in
       List.iter
         (fun (v, vn, want) ->
           let fn, _ = H.compile_version case v in
-          let c = Interp.prepare fn in
-          Alcotest.(check (option (array bool)))
-            (Printf.sprintf "%s %s lane flags" case.Kit.id vn)
-            (Some want) (Interp.lane_entry_flags c))
-        [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ])
-    Grover_suite.Suite.all
+          let c = one_batch vn fn in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s regions" case.Kit.id vn)
+            want
+            (match c.Interp.regions with
+            | Regions.Formed i -> i.Regions.n_regions
+            | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r))
+        [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ];
+      let pm = H.promote_run ~scale:8 case in
+      if pm.H.pm_outcome.Grover_promote.Promote.promoted <> [] then begin
+        incr promoted;
+        ignore (one_batch "promoted" pm.H.pm_fn)
+      end)
+    Grover_suite.Suite.all;
+  Alcotest.(check int) "promoted kernels" promoted_cases !promoted
 
 (* -- Record census --------------------------------------------------------------
    A lane batch that covers its whole group stores an access whose index
@@ -2579,6 +2710,8 @@ let suite =
     ( "private-arrays",
       [ Alcotest.test_case "private array across a barrier = tree+fiber" `Quick
           test_private_array_matches_fibers;
+        Alcotest.test_case "barrier-free one-lane batches = tree+fiber" `Quick
+          test_one_lane_barrier_free;
         Alcotest.test_case "private alloca after a barrier = tree+fiber" `Quick
           test_private_alloca_after_barrier ] );
     ( "masked-lanes",
@@ -2607,8 +2740,10 @@ let suite =
     ( "random-kernels",
       [ QCheck_alcotest.to_alcotest prop_random_kernels_agree ] );
     ( "group-batches",
-      [ Alcotest.test_case "spills across two barriers = tree+fiber" `Quick
+      [ Alcotest.test_case "values across two barriers = tree+fiber" `Quick
           test_group_batches_spill;
+        Alcotest.test_case "group wider than W plans fibers = tree+fiber" `Quick
+          test_group_wider_than_width_plans_fibers;
         Alcotest.test_case "uniform phi rotation = tree+fiber" `Quick
           (test_phi_rotation ~varying:false);
         Alcotest.test_case "varying phi rotation = tree+fiber" `Quick
@@ -2634,5 +2769,5 @@ let suite =
     ( "engine-differential-props",
       [ QCheck_alcotest.to_alcotest prop_engines_agree;
         QCheck_alcotest.to_alcotest prop_domain_count_invariant;
-        QCheck_alcotest.to_alcotest prop_spill_preserves_results;
+        QCheck_alcotest.to_alcotest prop_values_stay_in_lane_slots;
         QCheck_alcotest.to_alcotest prop_lane_width_invariant ] ) ]

@@ -151,8 +151,7 @@ let test_table3_indexes () =
 (* [Harness.wallclock] reports the batch width of the plan it timed: the
    compiled width clamped to the work-group on the default plan (NVD-MT's
    256-item groups run 256 lanes, AMD-MT's 64-item groups 64), one lane
-   under a one-lane or fiber GROVER_FORCE_PATH (it takes no path of its
-   own). *)
+   under GROVER_FORCE_PATH=fiber (it takes no path of its own). *)
 let test_wallclock_lane_width () =
   List.iter
     (fun ((case : Kit.case), group) ->
@@ -171,9 +170,7 @@ let test_wallclock_lane_width () =
           Alcotest.(check (pair string int)) (label "unset") ("wg-vec", group)
             (timed "");
           Alcotest.(check (pair string int)) (label "fiber") ("fiber", 1)
-            (timed "fiber");
-          Alcotest.(check (pair string int)) (label "wg-loop") ("wg-vec", 1)
-            (timed "wg-loop"))
+            (timed "fiber"))
         [ H.With_lm; H.Without_lm ])
     [ (Grover_suite.Nvd_mt.case, 256); (Grover_suite.Amd_mt.case, 64) ]
 
