@@ -20,13 +20,16 @@
      PAB-ST, ROD-SC), and
    - minor-heap words per work-item of the float4 kernels (TNG-GEMM4,
      NVD-NBody), gated at [alloc_limit], and
+   - the sum over the 24 suite versions of their fastest default-plan
+     launch (scale 1, one domain, in rounds over the versions), and
    - memsim replay: events/sec of NVD-MT's and PAB-ST with_lm's captured
      groups through fresh SNB, Nehalem and MIC simulators, and the words
      of cache pages each simulator holds at the end.
 
    Every launch-throughput, masked-region and allocation row times the
    fastest of at least 3 launches (5 with --quick) that together ran at
-   least 1 s (0.2 s with --quick).
+   least 1 s (0.2 s with --quick); the suite launches take as many
+   rounds and seconds per version.
 
    Every row records which execution path ran (wg-vec / fiber), the
    largest batch width of its plan (1 for one-lane batches and fibers)
@@ -492,6 +495,86 @@ let report_alloc (rows : alloc_row list) : unit =
         bad;
       exit 1
 
+(* -- Suite launches -----------------------------------------------------------------
+
+   The 24 suite versions' default-plan launches at scale 1 on one domain,
+   each version's fastest launch, and their sum: execution measured in
+   one process on the wall clock, with nothing of bench/e2e's
+   speed-normalized clock in it, so an execution claim read there can be
+   checked here. Launches run in rounds that visit every version in
+   turn, at least [reps] rounds and [min_s] seconds per version in all,
+   so a slow period of the host lands on every version alike instead of
+   on the few whose launches it overlaps. Each version is validated. No
+   gate: compare the sum only with a run of the other tree made minutes
+   apart, as [suite_launch_before] in BENCH_interp.json. *)
+
+type suite_launch_row = {
+  sl_case : string;
+  sl_version : H.version;
+  sl_path : string;
+  sl_lanes : int;
+  sl_seconds : float;
+}
+
+let suite_launch_bench ~(reps : int) ~(min_s : float) () : suite_launch_row list =
+  let runs =
+    List.map
+      (fun ((case : Kit.case), version) ->
+        let fn, _ = H.compile_version case version in
+        let compiled = Interp.prepare fn in
+        let w = case.Kit.mk ~scale:1 in
+        let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
+        let launch () =
+          ignore (Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ~domains:1 ())
+        in
+        launch ();
+        (case, version, compiled, w, cfg, launch, ref infinity))
+      (suite_pairs ())
+  in
+  let budget = min_s *. float_of_int (List.length runs) in
+  let spent = ref 0.0 and rounds = ref 0 in
+  while !rounds < reps || !spent < budget do
+    List.iter
+      (fun (_, _, _, _, _, launch, best) ->
+        let t0 = Unix.gettimeofday () in
+        launch ();
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt < !best then best := dt;
+        spent := !spent +. dt)
+      runs;
+    incr rounds
+  done;
+  List.map
+    (fun ((case : Kit.case), version, compiled, (w : Kit.workload), cfg, _, best) ->
+      (match w.Kit.check () with
+      | Ok () -> ()
+      | Error m ->
+          failwith (Printf.sprintf "perf bench: %s produced wrong output: %s" case.Kit.id m));
+      let p = Runtime.plan compiled ~cfg ~domains:1 () in
+      {
+        sl_case = case.Kit.id;
+        sl_version = version;
+        sl_path = Runtime.path_name p;
+        sl_lanes = Runtime.batch_width p.Runtime.path;
+        sl_seconds = !best;
+      })
+    runs
+
+let suite_launch_sum rows = List.fold_left (fun a r -> a +. r.sl_seconds) 0.0 rows
+
+let report_suite_launch (rows : suite_launch_row list) : unit =
+  Printf.printf
+    "\nsuite launches: default plan, scale 1, 1 domain, fastest launch per version over \
+     rounds of all versions\n";
+  Printf.printf "%-12s %-12s %-8s %5s %12s\n" "case" "version" "path" "lanes" "ms";
+  List.iter
+    (fun r ->
+      Printf.printf "%-12s %-12s %-8s %5d %12.3f\n" r.sl_case (version_name r.sl_version)
+        r.sl_path r.sl_lanes (r.sl_seconds *. 1e3))
+    rows;
+  Printf.printf "suite launches: sum %.2f ms over %d versions\n" (suite_launch_sum rows *. 1e3)
+    (List.length rows)
+
 (* -- Memsim replay ----------------------------------------------------------------
 
    Events per second through the performance simulator, with no execution
@@ -881,6 +964,8 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   report_masked_region masked_region;
   let alloc = alloc_bench ~reps ~min_s () in
   report_alloc alloc;
+  let suite_launch = suite_launch_bench ~reps ~min_s () in
+  report_suite_launch suite_launch;
   let replay = replay_bench ~n () in
   report_replay ~n replay;
   let ml = if multi_launch then Some (multi_launch_bench ~quick ~reps ()) else None in
@@ -1001,6 +1086,25 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
         r.rr_events r.rr_records r.rr_cache_words r.rr_eager_words r.rr_seconds r.rr_events_per_sec
         (if k = List.length replay - 1 then "" else ","))
     replay;
+  Printf.fprintf oc "    ]\n  }";
+  Printf.fprintf oc
+    ",\n\
+    \  \"suite_launch\": {\n\
+    \    \"scale\": 1,\n\
+    \    \"domains\": 1,\n\
+    \    \"reps\": %d,\n\
+    \    \"min_seconds\": %.1f,\n\
+    \    \"sum_seconds\": %.6f,\n\
+    \    \"rows\": [\n"
+    reps min_s (suite_launch_sum suite_launch);
+  List.iteri
+    (fun k r ->
+      Printf.fprintf oc
+        "      {\"case\": \"%s\", \"version\": \"%s\", \"path\": \"%s\", \"lanes\": %d, \
+         \"seconds\": %.6f}%s\n"
+        r.sl_case (version_name r.sl_version) r.sl_path r.sl_lanes r.sl_seconds
+        (if k = List.length suite_launch - 1 then "" else ","))
+    suite_launch;
   Printf.fprintf oc "    ]\n  }";
   Option.iter
     (fun s ->

@@ -51,6 +51,11 @@
 open Grover_ocl
 module P = Platform
 
+(* [Stdlib.min]/[max] are polymorphic, and under [-opaque] every call
+   reaches [compare_val]; the per-record and per-batch loops compare ints. *)
+let[@inline] imin (a : int) (b : int) : int = if a < b then a else b
+let[@inline] imax (a : int) (b : int) : int = if a > b then a else b
+
 (** Bytes of local (and of private) address space per core: a Local or
     Private event of a group on core [c] is simulated at its address plus
     [c * core_window]. Global and constant addresses do not move. *)
@@ -283,11 +288,11 @@ let index_records (t : t) (s : Trace.wg_stats) : unit =
   Array.fill count 0 (n + 1) 0;
   for r = 0 to nr - 1 do
     let f = recs.((r * rw) + f_info) lsr wi_shift in
-    let e = min n (f + recs.((r * rw) + f_lanes)) - 1 in
+    let e = imin n (f + recs.((r * rw) + f_lanes)) - 1 in
     if f <= e then begin
       let bf = batch.(f) and be = batch.(e) in
       if f <> bf * bw then lock.(bf) <- false;
-      if e + 1 <> min n ((be + 1) * bw) then lock.(be) <- false;
+      if e + 1 <> imin n ((be + 1) * bw) then lock.(be) <- false;
       bseg.(bf) <- 1;
       if be + 1 < nb then bseg.(be + 1) <- 1;
       count.(f) <- count.(f) + 1;
@@ -311,7 +316,7 @@ let index_records (t : t) (s : Trace.wg_stats) : unit =
   Array.fill sdepth 0 (ns + 1) 0;
   for r = 0 to nr - 1 do
     let f = recs.((r * rw) + f_info) lsr wi_shift in
-    let e = min n (f + recs.((r * rw) + f_lanes)) - 1 in
+    let e = imin n (f + recs.((r * rw) + f_lanes)) - 1 in
     if f <= e then begin
       let gf = bseg.(batch.(f)) and ge = bseg.(batch.(e)) + 1 in
       sdepth.(gf) <- sdepth.(gf) + 1;
@@ -330,12 +335,12 @@ let index_records (t : t) (s : Trace.wg_stats) : unit =
   if open_ then
     for b = 0 to nb - 1 do
       if lock.(b) then
-        for l = b * bw to min n ((b * bw) + bw) - 1 do
+        for l = b * bw to imin n ((b * bw) + bw) - 1 do
           covering := !covering + count.(l)
         done
       else begin
         depth.(b) <- 0;
-        for l = b * bw to min n ((b * bw) + bw) - 1 do
+        for l = b * bw to imin n ((b * bw) + bw) - 1 do
           covering := !covering + count.(l);
           start.(l) <- !kept;
           kept := !kept + !covering;
@@ -360,7 +365,7 @@ let index_records (t : t) (s : Trace.wg_stats) : unit =
       let k = r * rw in
       let info = recs.(k + f_info) in
       let f = info lsr wi_shift in
-      let e = min n (f + recs.(k + f_lanes)) - 1 in
+      let e = imin n (f + recs.(k + f_lanes)) - 1 in
       if f <= e then
         for g = bseg.(batch.(f)) to bseg.(batch.(e)) do
           brec.(sstart.(g) + sdepth.(g)) <- k;
@@ -372,7 +377,7 @@ let index_records (t : t) (s : Trace.wg_stats) : unit =
               let space = (info lsr space_shift) land space_mask in
               let base = recs.(k + Trace.f_base) + if space = local || space = private_ then window else 0 in
               let cx = recs.(k + Trace.f_cx) and cy = recs.(k + Trace.f_cy) and cz = recs.(k + Trace.f_cz) in
-              for l = max f (b * bw) to min e ((b * bw) + bw - 1) do
+              for l = imax f (b * bw) to imin e ((b * bw) + bw - 1) do
                 let i = start.(l) + count.(l) in
                 t.lane_addr.(i) <- base + (cx * lx.(l)) + (cy * ly.(l)) + (cz * lz.(l));
                 t.lane_info.(i) <- info;
@@ -500,7 +505,7 @@ let consume_cpu (t : t) (m : P.cpu_mem) (s : Trace.wg_stats) : unit =
   let n_batches = (s.Trace.wg_size + simd - 1) / simd in
   for b = 0 to n_batches - 1 do
     let first = b * simd in
-    let last = min (first + simd) s.Trace.wg_size - 1 in
+    let last = imin (first + simd) s.Trace.wg_size - 1 in
     let lock = t.b_lock.(b) and sg = t.b_seg.(b) in
     let listed = t.s_start.(sg) in
     for k = 0 to (if lock then t.s_depth.(sg) else t.b_depth.(b)) - 1 do
@@ -618,7 +623,7 @@ let consume_gpu (t : t) (g : P.gpu_mem) (s : Trace.wg_stats) : unit =
   let memory = ref 0.0 and spm = ref 0.0 in
   for w = 0 to n_warps - 1 do
     let first = w * warp in
-    let last = min (first + warp) s.Trace.wg_size - 1 in
+    let last = imin (first + warp) s.Trace.wg_size - 1 in
     let lock = t.b_lock.(w) and sg = t.b_seg.(w) in
     let listed = t.s_start.(sg) in
     for k = 0 to (if lock then t.s_depth.(sg) else t.b_depth.(w)) - 1 do

@@ -446,7 +446,8 @@ let affine_column (col : int array) (io : int) ~(lsx : int) ~(lsy : int) ~(f : i
   let x0, y0, z0 = lane_lid ~lsx ~lsy f in
   let ok = ref true and l = ref f and x = ref x0 and y = ref y0 and z = ref z0 in
   while !l <= last do
-    let stop = min last (!l + lsx - 1 - !x) in
+    let row_end = !l + lsx - 1 - !x in
+    let stop = if last < row_end then last else row_end in
     let e = ref (i0 + (sx * !x) + (sy * !y) + (sz * !z)) in
     for j = io + !l to io + stop do
       if col.(j) <> !e then ok := false;
@@ -497,6 +498,89 @@ let[@inline] lane_move (b : Memory.buffer) (idx : int) ~(is_write : bool)
         else if fl then a.(k + j) <- int_of_float fe.(q)
         else a.(k + j) <- ie.(q)
       done
+
+(* The batch move of an access whose index is [i0 + sx·lx + sy·ly +
+   sz·lz] over the run of lanes [f .. last]: lane [l]'s components move
+   between its element and the lane columns [c + j * lw + l * cs], as
+   [lane_move] moves them. The index is monotone along a row segment, so
+   the segment's two ends bound it. If every segment is inside [0, b.n)
+   (and the access covers no component past its element), the elements
+   move with one loop per component and segment, [b.lanes * sx] storage
+   slots apart, without per-lane checks, and the result is [true]; else
+   nothing moves and the result is [false]. A slot's lanes run in
+   ascending order, so the last lane's store wins, as per lane. A float
+   row with slot stride 1 is an [Array.blit]; an int one stays a loop,
+   since blitting into an int array outside the minor heap writes
+   through [caml_modify]. *)
+let batch_move (b : Memory.buffer) ~(is_write : bool) ~(fl : bool) (fe : float array)
+    (ie : int array) ~(c : int) ~(cs : int) ~(lw : int) ~(n : int) ~(lsx : int) ~(lsy : int)
+    ~(f : int) ~(last : int) (i0 : int) (sx : int) (sy : int) (sz : int) : bool =
+  let bn = b.Memory.n and bl = b.Memory.lanes in
+  let d = bl * sx and x0, y0, z0 = lane_lid ~lsx ~lsy f in
+  let er0 = i0 + (sy * y0) + (sz * z0) and plane_step = sz - (sy * (lsy - 1)) in
+  let ok = ref (n <= bl) in
+  (* Pass 0 checks the segments, pass 1 moves them: one walk, so the
+     indices moved without checks are the ones checked. It steps from
+     row to row as [affine_column] does: a segment runs from lane [l], at
+     [x] in its row, to the row's end or [last], and [er] is the index
+     at [x = 0] of that row. *)
+  for pass = 0 to 1 do
+    let l = ref f and x = ref x0 and y = ref y0 and er = ref er0 in
+    while !ok && !l <= last do
+      let l0 = !l in
+      let row_end = l0 + lsx - 1 - !x in
+      let stop = if last < row_end then last else row_end in
+      let e = !er + (sx * !x) and len = stop - l0 + 1 in
+      (if pass = 0 then begin
+         let e' = e + (sx * (len - 1)) in
+         if e < 0 || e >= bn || e' < 0 || e' >= bn then ok := false
+       end
+       else
+         match b.Memory.st with
+         | Memory.F a when fl ->
+             for j = 0 to n - 1 do
+               let k = (e * bl) + j and q = c + (j * lw) + (l0 * cs) in
+               if d = 1 && cs = 1 then
+                 if is_write then Array.blit fe q a k len else Array.blit a k fe q len
+               else if is_write then
+                 for t = 0 to len - 1 do
+                   Array.unsafe_set a (k + (t * d)) (Array.unsafe_get fe (q + (t * cs)))
+                 done
+               else
+                 for t = 0 to len - 1 do
+                   Array.unsafe_set fe (q + (t * cs)) (Array.unsafe_get a (k + (t * d)))
+                 done
+             done
+         | Memory.I a when not fl ->
+             for j = 0 to n - 1 do
+               let k = (e * bl) + j and q = c + (j * lw) + (l0 * cs) in
+               if is_write then
+                 for t = 0 to len - 1 do
+                   Array.unsafe_set a (k + (t * d)) (Array.unsafe_get ie (q + (t * cs)))
+                 done
+               else
+                 for t = 0 to len - 1 do
+                   Array.unsafe_set ie (q + (t * cs)) (Array.unsafe_get a (k + (t * d)))
+                 done
+             done
+         | _ ->
+             (* an int <-> float conversion *)
+             for t = 0 to len - 1 do
+               lane_move b (e + (t * sx)) ~is_write ~fl fe ie ~p:(c + ((l0 + t) * cs)) ~lw ~n
+             done);
+      l := stop + 1;
+      x := 0;
+      if !y + 1 < lsy then begin
+        incr y;
+        er := !er + sy
+      end
+      else begin
+        y := 0;
+        er := !er + plane_step
+      end
+    done
+  done;
+  !ok
 
 (* Private arrays live in the private address region at the work-item's
    bump [offset]; the data array itself is fresh per allocation. *)
@@ -1398,9 +1482,13 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
      covers the whole group accesses from the run of lanes [f .. last]:
      all of them, or in a masked arm its active lanes when they are
      consecutive ([active_run]). If the index column is [i0 + sx·lx +
-     sy·ly + sz·lz] over that run ([run_form], [affine_column]), the
-     access is stored after the loop as one record of those lanes, so a
-     trap leaves nothing recorded. Every other batch stores one
+     sy·ly + sz·lz] over that run ([run_form], [affine_column]), its
+     elements move as one batch ([batch_move], counted in
+     [Trace.batch_moves]) when no sanitizer is installed and every row
+     segment is in bounds; otherwise the lanes check and move one by one,
+     as every other batch does. Either way the access is stored after the
+     move as one record of those lanes, so a trap leaves nothing
+     recorded. Every other batch stores one
      one-lane record per active lane. A per-lane buffer, a constant or
      argument index, and a constant or argument stored value take
      [each], which reads them through per-lane getters and records per
@@ -1451,11 +1539,18 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
           in
           if nr > 1 && (stride = 0 || affine_column ie io ~lsx ~lsy ~f ~last i0 sx sy sz)
           then begin
-            for l = f to last do
-              let idx = ie.(io + (l * stride)) in
-              lane_check ls b idx ~wi:l ~is_write ~loc;
-              lane_move b idx ~is_write ~fl fe ie ~p:(c + (l * cs)) ~lw ~n
-            done;
+            let moved =
+              match ls.lsan with
+              | None -> batch_move b ~is_write ~fl fe ie ~c ~cs ~lw ~n ~lsx ~lsy ~f ~last i0 sx sy sz
+              | Some _ -> false
+            in
+            if moved then st.Trace.batch_moves <- st.Trace.batch_moves + 1
+            else
+              for l = f to last do
+                let idx = ie.(io + (l * stride)) in
+                lane_check ls b idx ~wi:l ~is_write ~loc;
+                lane_move b idx ~is_write ~fl fe ie ~p:(c + (l * cs)) ~lw ~n
+              done;
             Trace.record_batch st ~first:f ~lanes:nr ~info ~base:(base + (i0 * w))
               ~cx:(sx * w) ~cy:(sy * w) ~cz:(sz * w)
           end

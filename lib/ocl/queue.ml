@@ -33,67 +33,9 @@ module Sched = Runtime.Sched
 
 (* -- Which pointer args may a kernel read / write? ------------------------- *)
 
-(** [(may_read, may_write)] per kernel argument index. Conservative:
-    pointer provenance is tracked through phis, selects and casts; a
-    pointer reaching a [Load]/[Store] through any flow the walk cannot
-    resolve (including phi cycles and unknown callees) taints every
-    pointer argument. *)
-let compute_arg_modes (fn : func) : (bool * bool) array =
-  let n = List.length fn.f_args in
-  let reads = Array.make n false and writes = Array.make n false in
-  let all = List.init n Fun.id in
-  let memo : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let visiting : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let rec ptr_args (v : value) : int list =
-    match v with
-    | Arg a -> ( match a.a_ty with Ptr _ -> [ a.a_index ] | _ -> [])
-    | Cint _ | Cfloat _ -> []
-    | Vinstr i -> (
-        match Hashtbl.find_opt memo i.iid with
-        | Some s -> s
-        | None ->
-            if Hashtbl.mem visiting i.iid then
-              (* A pointer phi cycle: give up on precision, not safety. *)
-              all
-            else begin
-              Hashtbl.add visiting i.iid ();
-              let s =
-                match i.op with
-                | Alloca _ -> []
-                | Phi { incoming; _ } ->
-                    List.concat_map (fun (_, v) -> ptr_args v) incoming
-                | Select (_, a, b) -> ptr_args a @ ptr_args b
-                | Cast (_, v, _) -> ptr_args v
-                | _ -> ( match type_of v with Ptr _ -> all | _ -> [])
-              in
-              Hashtbl.remove visiting i.iid;
-              Hashtbl.replace memo i.iid s;
-              s
-            end)
-  in
-  iter_instrs
-    (fun i ->
-      match i.op with
-      | Load { ptr; _ } ->
-          List.iter (fun k -> reads.(k) <- true) (ptr_args ptr)
-      | Store { ptr; _ } ->
-          List.iter (fun k -> writes.(k) <- true) (ptr_args ptr)
-      | Call { args; _ } ->
-          (* Unknown callee: a pointer argument may be read and written. *)
-          List.iter
-            (fun v ->
-              match type_of v with
-              | Ptr _ ->
-                  List.iter
-                    (fun k ->
-                      reads.(k) <- true;
-                      writes.(k) <- true)
-                    (ptr_args v)
-              | _ -> ())
-            args
-      | _ -> ())
-    fn;
-  Array.init n (fun k -> (reads.(k), writes.(k)))
+(** [(may_read, may_write)] per kernel argument index
+    ({!Runtime.compute_arg_modes}). *)
+let compute_arg_modes = Runtime.compute_arg_modes
 
 (* Memoized per function (physical identity — IR is not hash-consed):
    enqueues of the same compiled kernel, the common case, pay the IR walk

@@ -70,6 +70,91 @@ let bind_args (fn : func) (bindings : arg_binding list) : Interp.rv array =
          | _, _ -> fail "argument %s: binding type mismatch" a.a_name)
        fn.f_args bindings)
 
+(* -- Which pointer args may a kernel read / write? ------------------------- *)
+
+(** [(may_read, may_write)] per kernel argument index. Conservative:
+    pointer provenance is tracked through phis, selects and casts; a
+    pointer reaching a [Load]/[Store] through any flow the walk cannot
+    resolve (including phi cycles and unknown callees) taints every
+    pointer argument. *)
+let compute_arg_modes (fn : func) : (bool * bool) array =
+  let n = List.length fn.f_args in
+  let reads = Array.make n false and writes = Array.make n false in
+  let all = List.init n Fun.id in
+  let memo : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+  let visiting : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let rec ptr_args (v : value) : int list =
+    match v with
+    | Arg a -> ( match a.a_ty with Ptr _ -> [ a.a_index ] | _ -> [])
+    | Cint _ | Cfloat _ -> []
+    | Vinstr i -> (
+        match Hashtbl.find_opt memo i.iid with
+        | Some s -> s
+        | None ->
+            if Hashtbl.mem visiting i.iid then
+              (* A pointer phi cycle: give up on precision, not safety. *)
+              all
+            else begin
+              Hashtbl.add visiting i.iid ();
+              let s =
+                match i.op with
+                | Alloca _ -> []
+                | Phi { incoming; _ } ->
+                    List.concat_map (fun (_, v) -> ptr_args v) incoming
+                | Select (_, a, b) -> ptr_args a @ ptr_args b
+                | Cast (_, v, _) -> ptr_args v
+                | _ -> ( match type_of v with Ptr _ -> all | _ -> [])
+              in
+              Hashtbl.remove visiting i.iid;
+              Hashtbl.replace memo i.iid s;
+              s
+            end)
+  in
+  iter_instrs
+    (fun i ->
+      match i.op with
+      | Load { ptr; _ } ->
+          List.iter (fun k -> reads.(k) <- true) (ptr_args ptr)
+      | Store { ptr; _ } ->
+          List.iter (fun k -> writes.(k) <- true) (ptr_args ptr)
+      | Call { args; _ } ->
+          (* Unknown callee: a pointer argument may be read and written. *)
+          List.iter
+            (fun v ->
+              match type_of v with
+              | Ptr _ ->
+                  List.iter
+                    (fun k ->
+                      reads.(k) <- true;
+                      writes.(k) <- true)
+                    (ptr_args v)
+              | _ -> ())
+            args
+      | _ -> ())
+    fn;
+  Array.init n (fun k -> (reads.(k), writes.(k)))
+
+(** The buids of the buffers in [args] that no argument of [fn] may write
+    ({!compute_arg_modes}), decided per buffer: one bound to a written
+    argument and to a read-only one is written. A sanitized launch gives
+    them no shadow, since an element nothing writes takes part in no
+    race. *)
+let read_only_buids (fn : func) (args : arg_binding list) : int list =
+  let modes = compute_arg_modes fn in
+  let bound =
+    List.concat
+      (List.mapi
+         (fun k a ->
+           match a with
+           | Abuf b -> [ (b.Memory.buid, k >= Array.length modes || snd modes.(k)) ]
+           | Aint _ | Afloat _ -> [])
+         args)
+  in
+  List.sort_uniq Int.compare
+    (List.filter_map
+       (fun (u, _) -> if List.mem (u, true) bound then None else Some u)
+       bound)
+
 (* -- Execution plan ----------------------------------------------------------- *)
 
 (** The group scheduler a launch will use (see the module docs): lane
@@ -392,7 +477,8 @@ let run_group_lanes (x : exec_ctx) ~(ln : Interp.clanes)
   let bw = if ln.Interp.lwide then width else 1 in
   let base = ref 0 in
   while !base < n do
-    let nl = min bw (n - !base) in
+    let left = n - !base in
+    let nl = if bw < left then bw else left in
     Interp.reset_lane_batch lst ~base:!base ~nl;
     let e = ref (Interp.run_lane_region lst ln ~from:0) in
     while !e >= 0 do
@@ -915,7 +1001,7 @@ let launch (c : Interp.compiled) ~(cfg : launch_config)
 let run_sanitized (c : Interp.compiled) ~(cfg : launch_config)
     ~(args : arg_binding list) ~(mem : Memory.t) ?force_path () :
     Trace.totals * Sanitize.finding list =
-  let san = Sanitize.create () in
+  let san = Sanitize.create ~read_only:(read_only_buids c.Interp.fn args) () in
   let totals =
     try launch c ~cfg ~args ~mem ?force_path ~sanitizer:san ()
     with Sanitize.Abort _ -> Trace.empty_totals ()

@@ -21,6 +21,10 @@
       access).
 
     Private buffers are skipped: they are per-work-item by construction.
+    So are the stamps of a buffer the launch never writes ([create
+    ~read_only], from {!Runtime.read_only_buids}): such an element takes
+    part in no race, so it gets no shadow arrays and only its bounds are
+    checked.
     The sanitizer only observes — it never changes what is read or
     written, so sanitized runs are bit-identical to normal runs. One
     finding is kept per (kind, source location, buffer), up to
@@ -75,6 +79,7 @@ type t = {
   cache_key : int array;  (** buid held by each cache slot, or -1 *)
   cache_shadow : shadow array;
   shadows : shadow Int_tbl.t;  (** every shadow, read on a cache miss *)
+  read_only : int list;  (** buids that get [no_shadow] *)
   seen : (string * int * int * string, unit) Hashtbl.t;
       (** (code, line, col, buffer) already reported *)
   mutable findings : finding list;  (** newest first *)
@@ -90,11 +95,12 @@ let max_findings = 64
 let max_epoch = 1 lsl 30
 let lid_mask = 0xFFFF_FFFF
 
-let create () : t =
+let create ?(read_only = []) () : t =
   {
     cache_key = Array.make cache_size (-1);
     cache_shadow = Array.make cache_size no_shadow;
     shadows = Int_tbl.create 8;
+    read_only;
     seen = Hashtbl.create 8;
     findings = [];
     n_findings = 0;
@@ -159,7 +165,10 @@ let[@inline never] shadow_miss (t : t) (b : Memory.buffer) : shadow =
     try Int_tbl.find t.shadows u
     with Not_found ->
       let n = b.Memory.n in
-      let s = { writer = Array.make n 0; reader = Array.make n 0 } in
+      let s =
+        if List.mem u t.read_only then no_shadow
+        else { writer = Array.make n 0; reader = Array.make n 0 }
+      in
       Int_tbl.add t.shadows u s;
       s
   in
@@ -184,22 +193,28 @@ let access (t : t) ~(buf : Memory.buffer) ~(idx : int) ~(is_write : bool)
   | Grover_ir.Ssa.Private -> ()
   | _ ->
       let s = shadow_for t buf in
-      let ep = t.epoch in
-      let me = (ep lsl 32) lor wi in
-      let w = s.writer.(idx) in
-      if is_write then begin
-        if w <> me && w lsr 32 = ep then
-          report t Write_write ~buf ~idx ~loc ~wi1:(w land lid_mask) ~wi2:wi;
-        let r = s.reader.(idx) in
-        if r <> me && r lsr 32 = ep then
-          report t Read_write ~buf ~idx ~loc ~wi1:(r land lid_mask) ~wi2:wi;
-        s.writer.(idx) <- me
+      if s != no_shadow then begin
+        let ep = t.epoch in
+        let me = (ep lsl 32) lor wi in
+        let w = s.writer.(idx) in
+        if is_write then begin
+          if w <> me && w lsr 32 = ep then
+            report t Write_write ~buf ~idx ~loc ~wi1:(w land lid_mask) ~wi2:wi;
+          let r = s.reader.(idx) in
+          if r <> me && r lsr 32 = ep then
+            report t Read_write ~buf ~idx ~loc ~wi1:(r land lid_mask) ~wi2:wi;
+          s.writer.(idx) <- me
+        end
+        else begin
+          if w <> me && w lsr 32 = ep then
+            report t Read_write ~buf ~idx ~loc ~wi1:(w land lid_mask) ~wi2:wi;
+          s.reader.(idx) <- me
+        end
       end
-      else begin
-        if w <> me && w lsr 32 = ep then
-          report t Read_write ~buf ~idx ~loc ~wi1:(w land lid_mask) ~wi2:wi;
-        s.reader.(idx) <- me
-      end
+
+(** Words of shadow arrays the sanitizer holds. *)
+let shadow_words (t : t) : int =
+  Int_tbl.fold (fun _ s acc -> acc + Array.length s.writer + Array.length s.reader) t.shadows 0
 
 (* -- Rendering -------------------------------------------------------------- *)
 

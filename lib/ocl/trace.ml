@@ -110,6 +110,9 @@ type wg_stats = {
   mutable local_accesses : int;  (** ...and those in the local space *)
   mutable n_events : int;  (** events the records represent *)
   mutable n_recs : int;  (** records stored *)
+  mutable batch_moves : int;
+      (** accesses whose elements the lane engine moved as one batch,
+          without a check per lane (see [Interp.batch_move]) *)
   mutable recs : int array;  (** [rec_words] words per record, see [f_info] *)
 }
 
@@ -132,6 +135,7 @@ let fresh_stats ~wg_id ~wg_size : wg_stats =
     local_accesses = 0;
     n_events = 0;
     n_recs = 0;
+    batch_moves = 0;
     recs = Array.make (64 * rec_words) 0;
   }
 
@@ -153,7 +157,8 @@ let reset (s : wg_stats) ~wg_id ~(lsz : int array) : unit =
   s.stores <- 0;
   s.local_accesses <- 0;
   s.n_events <- 0;
-  s.n_recs <- 0
+  s.n_recs <- 0;
+  s.batch_moves <- 0
 
 (** Store one record of [lanes] work-items from [first] and count its
     events. [info] comes from {!info}. Every record is stored here, one

@@ -1,7 +1,8 @@
 (** Dead-code elimination.
 
-    Removes value-producing instructions with no uses, then allocas whose
-    remaining uses are only stores (dead stores first, then the alloca).
+    Removes every instruction whose value no store, barrier or terminator
+    needs, directly or through other values, then allocas whose remaining
+    uses are only stores (dead stores first, then the alloca).
     This is the pass that performs Grover's "remove the redundant
     instructions" step after local loads are re-routed to global memory. *)
 
@@ -14,32 +15,31 @@ let has_side_effect (i : instr) : bool =
   | Call _ -> false (* all supported builtins are pure; barrier is an opcode *)
   | _ -> false
 
+(* Mark every value that a side-effecting instruction or a terminator
+   reaches through operands, then delete every unmarked instruction. A
+   value whose only users are dead goes with them, a cycle of phis with no
+   other user (mem2reg's loop-carried copy of a variable declared inside
+   a loop) included, which a use count keeps forever. *)
 let remove_unused (fn : func) : bool =
-  (* Count uses across the function in one sweep. *)
-  let uses : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  iter_instrs
-    (fun i ->
-      List.iter
-        (fun o ->
-          match o with
-          | Vinstr j ->
-              Hashtbl.replace uses j.iid
-                (1 + Option.value ~default:0 (Hashtbl.find_opt uses j.iid))
-          | _ -> ())
-        (operands i.op))
-    fn;
+  let live : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let work = Stack.create () in
+  let mark (i : instr) =
+    if not (Hashtbl.mem live i.iid) then begin
+      Hashtbl.replace live i.iid ();
+      Stack.push i work
+    end
+  in
+  iter_instrs (fun i -> if has_side_effect i then mark i) fn;
+  while not (Stack.is_empty work) do
+    List.iter
+      (function Vinstr j -> mark j | _ -> ())
+      (operands (Stack.pop work).op)
+  done;
   let changed = ref false in
   List.iter
     (fun b ->
-      let keep i =
-        has_side_effect i
-        || type_of_opcode i.op <> Void
-           && Option.value ~default:0 (Hashtbl.find_opt uses i.iid) > 0
-        || (match i.op with Alloca _ -> true | _ -> false)
-           && Option.value ~default:0 (Hashtbl.find_opt uses i.iid) > 0
-      in
       let before = List.length b.instrs in
-      b.instrs <- List.filter keep b.instrs;
+      b.instrs <- List.filter (fun i -> Hashtbl.mem live i.iid) b.instrs;
       if List.length b.instrs <> before then changed := true)
     fn.blocks;
   !changed

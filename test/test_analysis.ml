@@ -348,6 +348,141 @@ let test_access_allocates_nothing () =
     Alcotest.failf "6144 sanitized accesses allocated %.0f minor words" words;
   Alcotest.(check int) "no findings" 0 (List.length (Sanitize.findings s))
 
+(* -- No shadow for a buffer no argument writes --------------------------------
+   A buffer that no argument of the launch may write
+   ([Runtime.compute_arg_modes], decided per buffer) takes part in no
+   race, so a sanitized launch gives it no shadow arrays
+   ([Runtime.read_only_buids]) and only checks its bounds. A buffer bound
+   to a read-only and to a written argument is written, and a store
+   through a select or a phi of two pointer arguments may write both. *)
+
+let shadow_cfg = { Runtime.global = (64, 1, 1); local = (64, 1, 1); queues = 1 }
+
+(* A launch under a sanitizer made as [Runtime.run_sanitized] makes it:
+   its findings and the words of shadow arrays it allocated. *)
+let sanitized_shadows (c : Interp.compiled) ~args ~mem : Sanitize.finding list * int =
+  let s = Sanitize.create ~read_only:(Runtime.read_only_buids c.Interp.fn args) () in
+  (try ignore (Runtime.launch c ~cfg:shadow_cfg ~args ~mem ~sanitizer:s ())
+   with Sanitize.Abort _ -> ());
+  (Sanitize.findings s, Sanitize.shadow_words s)
+
+let shadow_bufs k =
+  let mem = Memory.create () in
+  let bufs =
+    Array.init k (fun j ->
+        let b = Memory.alloc mem Grover_ir.Ssa.F32 64 in
+        Memory.fill_floats b (fun i -> float_of_int ((i * (j + 3)) mod 17));
+        b)
+  in
+  (mem, bufs)
+
+let buids bufs = List.sort compare (List.map (fun (b : Memory.buffer) -> b.Memory.buid) bufs)
+
+let test_read_only_no_shadow () =
+  let c =
+    Interp.prepare
+      (compile_one
+         {|__kernel void k(__global float *out, __global const float *in) {
+             int l = get_local_id(0);
+             out[l] = in[l] * 2.0f;
+           }|})
+  in
+  let mem, b = shadow_bufs 2 in
+  let args = [ Runtime.Abuf b.(0); Runtime.Abuf b.(1) ] in
+  Alcotest.(check (list int)) "the input is read-only" (buids [ b.(1) ])
+    (Runtime.read_only_buids c.Interp.fn args);
+  let findings, words = sanitized_shadows c ~args ~mem in
+  Alcotest.(check (list string)) "no findings" [] (List.map finding_row findings);
+  Alcotest.(check int) "only the output is shadowed" (2 * 64) words;
+  let mem, b = shadow_bufs 2 in
+  let args = [ Runtime.Abuf b.(0); Runtime.Abuf b.(1) ] in
+  ignore (Runtime.run_sanitized c ~cfg:shadow_cfg ~args ~mem ());
+  Alcotest.(check (array (float 0.0))) "run_sanitized computes the same output"
+    (Array.init 64 (fun i -> 2.0 *. float_of_int ((i * 4) mod 17)))
+    (Memory.to_float_array b.(0))
+
+let test_read_only_and_written_buffer () =
+  let c =
+    Interp.prepare
+      (compile_one
+         {|__kernel void k(__global float *out, __global const float *in) {
+             int l = get_local_id(0);
+             out[l] = in[(l + 1) % 64] + 1.0f;
+           }|})
+  in
+  let mem, b = shadow_bufs 1 in
+  let args = [ Runtime.Abuf b.(0); Runtime.Abuf b.(0) ] in
+  Alcotest.(check (list int)) "a buffer also bound to a written argument is not read-only" []
+    (Runtime.read_only_buids c.Interp.fn args);
+  let _, findings = Runtime.run_sanitized c ~cfg:shadow_cfg ~args ~mem () in
+  Alcotest.(check bool) "its read/write race is reported" true
+    (List.exists
+       (fun (f : Sanitize.finding) ->
+         f.Sanitize.f_kind = Sanitize.Read_write && f.Sanitize.f_buffer = "global buffer 'out'")
+       findings);
+  let mem, b = shadow_bufs 2 in
+  let _, findings =
+    Runtime.run_sanitized c ~cfg:shadow_cfg ~args:[ Runtime.Abuf b.(0); Runtime.Abuf b.(1) ] ~mem ()
+  in
+  Alcotest.(check (list string)) "two buffers: no race" [] (List.map finding_row findings)
+
+let test_pointer_select_phi_shadows () =
+  let varying =
+    Interp.prepare
+      (compile_one
+         {|__kernel void k(__global float *a, __global float *b, __global const float *c) {
+             int l = get_local_id(0);
+             __global float *p = b;
+             if (l & 1) p = a;
+             p[l] = c[l] + a[(l + 1) % 64] + b[(l + 1) % 64];
+           }|})
+  and uniform =
+    Interp.prepare
+      (compile_one
+         {|__kernel void k(__global float *a, __global float *b, __global const float *c, int s) {
+             int l = get_local_id(0);
+             __global float *p = a;
+             if (s > 0) p = b;
+             p[l] = c[l];
+           }|})
+  in
+  (* No source form lowers to a pointer select: [p = (l & 1) ? a : b;
+     p[l] = c[l]] built directly. *)
+  let select =
+    let open Grover_ir in
+    let ptr k name = { Ssa.a_index = k; a_name = name; a_ty = Ssa.Ptr (Ssa.Global, Ssa.F32) } in
+    let fn, b = Builder.create_function ~name:"k" ~args:[ ptr 0 "a"; ptr 1 "b"; ptr 2 "c" ] in
+    let arg k = Ssa.Arg (List.nth fn.Ssa.f_args k) in
+    let l = Builder.call b "get_local_id" [ Builder.i32 0 ] Ssa.I32 in
+    let odd = Builder.icmp b Ssa.Ine (Builder.binop b Ssa.And l (Builder.i32 1)) (Builder.i32 0) in
+    let p = Builder.select b odd (arg 0) (arg 1) in
+    Builder.store b p l (Builder.load b (arg 2) l);
+    Builder.ret b;
+    Verify.run fn;
+    Interp.prepare fn
+  in
+  let mem, bufs = shadow_bufs 3 in
+  let args = [ Runtime.Abuf bufs.(0); Runtime.Abuf bufs.(1); Runtime.Abuf bufs.(2) ] in
+  Alcotest.(check (list int)) "select: only c is read-only" (buids [ bufs.(2) ])
+    (Runtime.read_only_buids select.Interp.fn args);
+  Alcotest.(check int) "select: a and b are shadowed" (2 * 2 * 64)
+    (snd (sanitized_shadows select ~args ~mem));
+  let mem, bufs = shadow_bufs 3 in
+  let args = [ Runtime.Abuf bufs.(0); Runtime.Abuf bufs.(1); Runtime.Abuf bufs.(2) ] in
+  Alcotest.(check (list int)) "varying choice: only c is read-only" (buids [ bufs.(2) ])
+    (Runtime.read_only_buids varying.Interp.fn args);
+  Alcotest.(check (list int)) "uniform choice: only c is read-only" (buids [ bufs.(2) ])
+    (Runtime.read_only_buids uniform.Interp.fn (args @ [ Runtime.Aint 1 ]));
+  let findings, words = sanitized_shadows varying ~args ~mem in
+  Alcotest.(check int) "varying choice: a and b are shadowed" (2 * 2 * 64) words;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (Printf.sprintf "varying choice: the race on %s is reported" name) true
+        (List.exists
+           (fun (f : Sanitize.finding) -> f.Sanitize.f_buffer = "global buffer '" ^ name ^ "'")
+           findings))
+    [ "a"; "b" ]
+
 (* A shadow stamp keeps the epoch above bit 32, so the epoch counter must
    stop with a message before it would overflow the stamp. *)
 let test_epoch_limit () =
@@ -407,6 +542,12 @@ let suite =
             test_epoch_limit;
           Alcotest.test_case "a checked access allocates nothing" `Quick
             test_access_allocates_nothing;
+          Alcotest.test_case "a read-only argument gets no shadow" `Quick
+            test_read_only_no_shadow;
+          Alcotest.test_case "a buffer bound read-only and written reports its race" `Quick
+            test_read_only_and_written_buffer;
+          Alcotest.test_case "a store through a select or phi keeps both shadows" `Quick
+            test_pointer_select_phi_shadows;
         ] );
     ( "analysis-props",
       [ QCheck_alcotest.to_alcotest qcheck_bit_identity ] );

@@ -2403,6 +2403,216 @@ let test_record_census () =
         [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ])
     Grover_suite.Suite.all
 
+(* -- Affine batch moves ----------------------------------------------------------
+   A whole-group lane access whose index is affine in the local id over
+   its run of lanes moves its elements as one batch when no sanitizer is
+   installed and every row segment is in bounds ([Interp.batch_move],
+   counted in [Trace.batch_moves]). Each kernel loads [src] and stores
+   [dst] at [base + gs·group + sx·lx + sy·ly + sz·lz]: char, int, float,
+   float4 and int4 elements; a stride in x of 1, 0, -1, 3 or the row
+   pitch; sy = 0, where every row reaches the same elements, so the last
+   lane's store must win; 1-D, 2-D and 3-D groups; the same access in a
+   masked arm whose active lanes are one run; and a store of a
+   batch-uniform value, read from its one base column. The default plan moves
+   every multi-lane-recorded access as one batch, a sanitized launch
+   moves the same batches lane by lane, and tree+fiber work-item by
+   work-item: buffers, totals and group traces must all be equal. *)
+
+let batch_move_types =
+  [ ("char", Ssa.I8, Printf.sprintf "(char)%s");
+    ("int", Ssa.I32, Printf.sprintf "%s");
+    ("float", Ssa.F32, Printf.sprintf "(float)%s");
+    ("float4", Ssa.Vec (Ssa.F32, 4), Printf.sprintf "(float4)((float)%s)");
+    ("int4", Ssa.Vec (Ssa.I32, 4), Printf.sprintf "(int4)(%s)") ]
+
+let batch_move_shapes =
+  [ ("1-D, sx = 1", (32, 1, 1), (1, 0, 0));
+    ("1-D, sx = 0", (32, 1, 1), (0, 0, 0));
+    ("1-D, sx = -1", (32, 1, 1), (-1, 0, 0));
+    ("1-D, sx = 3", (32, 1, 1), (3, 0, 0));
+    ("2-D, row-major", (8, 4, 1), (1, 8, 0));
+    ("2-D, sx = row pitch", (8, 4, 1), (4, 1, 0));
+    ("2-D, sx = 0", (8, 4, 1), (0, 1, 0));
+    ("2-D, sy = 0", (8, 4, 1), (1, 0, 0));
+    ("2-D, sx = -1, sy = 0", (8, 4, 1), (-1, 0, 0));
+    ("3-D", (4, 2, 3), (1, 4, 8));
+    ("3-D, sy = 0", (4, 2, 3), (3, 0, 12));
+    ("3-D, every stride negative", (4, 2, 3), (-1, -4, -8)) ]
+
+(* [uniform]: the stored value is the same in every lane, a batch-uniform
+   slot, instead of one read from [src]. *)
+let batch_move_source ~ty ~conv ~masked ~uniform (sx, sy, sz) =
+  Printf.sprintf
+    {|__kernel void k(__global %s *dst, __global const %s *src, int base, int gs) {
+        int x = get_local_id(0);
+        int y = get_local_id(1);
+        int z = get_local_id(2);
+        int l = x + get_local_size(0) * (y + get_local_size(1) * z);
+        int u = base * 3 + gs;
+        int i = base + gs * get_group_id(0) + %d * x + %d * y + %d * z;
+        %s dst[i] = %s;
+      }|}
+    ty ty sx sy sz
+    (if masked then "if ((l >= 3) & (l < 11))" else "")
+    (if uniform then conv "u" else "src[i] + " ^ conv "l")
+
+(* Two groups in x. Each group's indices span [0, gs) from its base. *)
+let batch_move_launch src ~elem ~local:(lx, ly, lz) ~strides:(sx, sy, sz) ?force_path
+    ?sanitizer () =
+  let corners =
+    List.concat_map
+      (fun x -> List.concat_map (fun y -> List.map (fun z -> (sx * x) + (sy * y) + (sz * z)) [ 0; lz - 1 ]) [ 0; ly - 1 ])
+      [ 0; lx - 1 ]
+  in
+  let lo = List.fold_left min 0 corners and hi = List.fold_left max 0 corners in
+  let gs = hi - lo + 1 in
+  let mem = Memory.create () in
+  let dst = Memory.alloc mem elem (2 * gs) and src_b = Memory.alloc mem elem (2 * gs) in
+  (match src_b.Memory.st with
+  | Memory.F _ -> Memory.fill_floats src_b (fun i -> float_of_int ((i * 7 mod 23) - 5) /. 4.0)
+  | Memory.I _ -> Memory.fill_ints src_b (fun i -> (i * 7 mod 23) - 5));
+  let c = Interp.prepare (lower_one src) in
+  let groups = ref [] and moves = ref 0 and multi = ref 0 in
+  let on_group (s : Trace.wg_stats) =
+    moves := !moves + s.Trace.batch_moves;
+    for r = 0 to s.Trace.n_recs - 1 do
+      if s.Trace.recs.((r * Trace.rec_words) + Trace.f_lanes) > 1 then incr multi
+    done;
+    groups := group_trace s :: !groups
+  in
+  let totals =
+    Runtime.launch c
+      ~cfg:{ Runtime.global = (2 * lx, ly, lz); local = (lx, ly, lz); queues = 1 }
+      ~args:[ Runtime.Abuf dst; Runtime.Abuf src_b; Runtime.Aint (-lo); Runtime.Aint gs ]
+      ~mem ~on_group ?force_path ?sanitizer ()
+  in
+  ((totals, snapshot_buffers mem, List.rev !groups), !moves, !multi)
+
+let test_batch_moves_agree () =
+  List.iter
+    (fun (tn, elem, conv) ->
+      List.iter
+        (fun (sn, local, strides) ->
+          List.iter
+            (fun (masked, uniform) ->
+              let label =
+                Printf.sprintf "%s, %s%s%s" tn sn
+                  (if masked then ", masked run" else "")
+                  (if uniform then ", uniform value" else "")
+              in
+              let src = batch_move_source ~ty:tn ~conv ~masked ~uniform strides in
+              let run = batch_move_launch src ~elem ~local ~strides in
+              let batch, moves, multi = run () in
+              let per_lane, lane_moves, _ = run ~sanitizer:(Sanitize.create ()) () in
+              let fiber, fiber_moves, _ = run ~force_path:Runtime.Fiber () in
+              Alcotest.(check int) (label ^ ": every multi-lane record moved as one batch") multi moves;
+              if Runtime.env_force_path () = None then
+                Alcotest.(check int) (label ^ ": every access of both groups moved as one batch")
+                  (if uniform then 2 else 4) moves;
+              Alcotest.(check int) (label ^ ": none moves as a batch when sanitized") 0 lane_moves;
+              Alcotest.(check int) (label ^ ": none moves as a batch on fibers") 0 fiber_moves;
+              Alcotest.(check bool) (label ^ ": batch = per-lane") true (compare batch per_lane = 0);
+              Alcotest.(check bool) (label ^ ": batch = tree+fiber") true (compare batch fiber = 0))
+            [ (false, false); (true, false); (false, true); (true, true) ])
+        batch_move_shapes)
+    batch_move_types
+
+(* The last lane of a 256-lane batch indexes one past the end: the batch
+   move declines, and the lanes store, or load, one by one up to the
+   trap, so the launch raises [Memory.check]'s message for that lane and
+   the stores of lanes 0 to 254 stay made. Row-major 1-D and 2-D groups,
+   float and int4 elements. *)
+let test_batch_move_last_lane_out_of_bounds () =
+  let n = 300 and off = 45 in
+  List.iter
+    (fun (tn, elem, local) ->
+      let lx, ly, _ = local in
+      let idx = if ly = 1 then "x" else Printf.sprintf "y * %d + x" lx in
+      List.iter
+        (fun (what, store) ->
+          let label = Printf.sprintf "%s %s, %dx%d group" tn what lx ly in
+          let src =
+            Printf.sprintf
+              {|__kernel void k(__global %s *dst, __global const %s *src, int off) {
+                  int x = get_local_id(0);
+                  int y = get_local_id(1);
+                  int l = %s;
+                  %s
+                }|}
+              tn tn idx
+              (if store then "dst[l + off] = src[l] + src[l];" else "dst[l] = src[l + off];")
+          in
+          let mem = Memory.create () in
+          let dst = Memory.alloc mem elem n and src_b = Memory.alloc mem elem n in
+          (match src_b.Memory.st with
+          | Memory.F _ -> Memory.fill_floats src_b (fun i -> float_of_int (i + 1))
+          | Memory.I _ -> Memory.fill_ints src_b (fun i -> i + 1));
+          let c = Interp.prepare (lower_one src) in
+          let cfg = { Runtime.global = local; local; queues = 1 } in
+          Alcotest.check path_t (label ^ ": one 256-lane batch") (Runtime.Lanes 256)
+            (Runtime.plan c ~cfg ~force_path:(Runtime.Lanes max_int) ~domains:1 ()).Runtime.path;
+          let want =
+            Printf.sprintf "buffer %d (global): element index %d out of bounds [0,%d)"
+              (if store then 0 else 1) (255 + off) n
+          in
+          (match
+             Runtime.launch c ~cfg
+               ~args:[ Runtime.Abuf dst; Runtime.Abuf src_b; Runtime.Aint off ]
+               ~mem ~force_path:(Runtime.Lanes max_int) ()
+           with
+          | exception Invalid_argument m -> Alcotest.(check string) (label ^ ": message") want m
+          | _ -> Alcotest.failf "%s: the access did not trap" label);
+          let lanes = Memory.lanes_of elem in
+          let expected =
+            Array.init (n * lanes) (fun k ->
+                let e = k / lanes in
+                if store && e >= off then 2 * (((e - off) * lanes) + (k mod lanes) + 1) else 0)
+          in
+          let got =
+            match dst.Memory.st with
+            | Memory.F a -> Array.map int_of_float a
+            | Memory.I a -> Array.copy a
+          in
+          Alcotest.(check (array int)) (label ^ ": the stores before the trap, and no other") expected got)
+        [ ("store", true); ("load", false) ])
+    [ ("float", Ssa.F32, (256, 1, 1));
+      ("float", Ssa.F32, (16, 16, 1));
+      ("int4", Ssa.Vec (Ssa.I32, 4), (256, 1, 1));
+      ("int4", Ssa.Vec (Ssa.I32, 4), (16, 16, 1)) ]
+
+(* Per suite version at scale 8: on the default plan, the accesses that
+   move as one batch are exactly those stored as whole-group or run
+   records (pinned in [expected_census]); under the sanitizer and on
+   forced fibers, none is. *)
+let test_batch_move_census () =
+  List.iter
+    (fun (case : Kit.case) ->
+      let _, with_lm, without_lm =
+        List.find (fun (id, _, _) -> id = case.Kit.id) expected_census
+      in
+      List.iter
+        (fun (v, vn, ((whole, run, _, _), _)) ->
+          let fn, _ = H.compile_version case v in
+          let c = Interp.prepare fn in
+          let moves ?sanitizer force_path =
+            let w = case.Kit.mk ~scale:8 in
+            let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
+            let n = ref 0 in
+            ignore
+              (Runtime.launch c ~cfg ~args:w.Kit.args ~mem:w.Kit.mem
+                 ~on_group:(fun s -> n := !n + s.Trace.batch_moves)
+                 ~force_path ?sanitizer ());
+            !n
+          in
+          let label = Printf.sprintf "%s %s" case.Kit.id vn in
+          Alcotest.(check int) (label ^ ": batch moves on the default plan") (whole + run)
+            (moves (Runtime.default_path c));
+          Alcotest.(check int) (label ^ ": batch moves when sanitized") 0
+            (moves ~sanitizer:(Sanitize.create ()) (Runtime.default_path c));
+          Alcotest.(check int) (label ^ ": batch moves on fibers") 0 (moves Runtime.Fiber))
+        [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ])
+    Grover_suite.Suite.all
+
 (* The access width travels in the info word: the widest element that
    fits comes back intact, and a wider one is rejected where the word is
    built. *)
@@ -2752,7 +2962,14 @@ let suite =
       [ Alcotest.test_case "suite regions batch as pinned" `Quick
           test_suite_lane_flags ] );
     ( "record-census",
-      [ Alcotest.test_case "suite records as pinned" `Quick test_record_census ] );
+      [ Alcotest.test_case "suite records as pinned" `Quick test_record_census;
+        Alcotest.test_case "batch moves: whole-group and run records only" `Quick
+          test_batch_move_census ] );
+    ( "batch-moves",
+      [ Alcotest.test_case "affine batch moves = per-lane = tree+fiber" `Quick
+          test_batch_moves_agree;
+        Alcotest.test_case "last lane out of bounds traps as per lane" `Quick
+          test_batch_move_last_lane_out_of_bounds ] );
     ( "regions",
       [ Alcotest.test_case "barrier-free is trivial" `Quick
           test_regions_barrier_free;

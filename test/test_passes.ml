@@ -264,6 +264,134 @@ let test_licm_after_grover () =
   Alcotest.(check bool) "t*64 hoisted from the inner loop" false
     inner_has_shl_or_mul
 
+(* -- DCE ------------------------------------------------------------------------
+   Dead code is what no store, barrier or terminator reaches through
+   operands, so a cycle of values that only use each other goes: the
+   phi pair mem2reg gives a variable that is assigned in a loop and never
+   read, and an induction variable nothing reads. A loop-carried phi that
+   a store reads stays. *)
+
+let phis fn = count (function Ssa.Phi _ -> true | _ -> false) fn
+
+let dce_after_mem2reg src =
+  let fn = compile1 src in
+  ignore (Pass.Mem2reg.run fn);
+  let before = phis fn in
+  ignore (Pass.Dce.run fn);
+  Verify.run fn;
+  (fn, before)
+
+let test_dce_dead_phi_cycle () =
+  let fn, before =
+    dce_after_mem2reg
+      {|__kernel void f(__global int *a, int n) {
+          int s = 0;
+          int t = 0;
+          for (int i = 0; i < n; i++) {
+            if (a[i] > 0) t = a[i];
+            s += a[i];
+          }
+          a[0] = s;
+        }|}
+  in
+  Alcotest.(check int) "phis of i, s and t's pair after mem2reg" 4 before;
+  Alcotest.(check int) "t's phi pair gone: the phis of i and s stay" 2 (phis fn)
+
+let test_dce_dead_induction_cycle () =
+  let fn, before =
+    dce_after_mem2reg
+      {|__kernel void f(__global int *a, int n) {
+          int j = 0;
+          for (int i = 0; i < n; i++) { j = j + 3; a[i] = i; }
+        }|}
+  in
+  Alcotest.(check int) "phis of i and j after mem2reg" 2 before;
+  Alcotest.(check int) "j's phi gone" 1 (phis fn);
+  Alcotest.(check int) "j's add gone" 0
+    (count (function Ssa.Binop (Ssa.Add, _, Ssa.Cint (_, 3)) -> true | _ -> false) fn)
+
+let test_dce_live_phi_stays () =
+  let src =
+    {|__kernel void f(__global int *a, int n) {
+        int s = 0;
+        for (int i = 0; i < n; i++) { int t = a[i] * 2; s += t; }
+        a[n] = s;
+      }|}
+  in
+  let fn, _ = dce_after_mem2reg src in
+  Alcotest.(check int) "the phis of i and s stay" 2 (phis fn);
+  let open Grover_ocl in
+  let mem = Memory.create () in
+  let a = Memory.alloc mem Ssa.I32 9 in
+  Memory.fill_ints a (fun i -> i + 1);
+  ignore
+    (Runtime.launch (Interp.prepare fn)
+       ~cfg:{ Runtime.global = (1, 1, 1); local = (1, 1, 1); queues = 1 }
+       ~args:[ Runtime.Abuf a; Runtime.Aint 8 ] ~mem ());
+  Alcotest.(check int) "a[8] = 2 * (1 + ... + 8)" 72 (Memory.to_int_array a).(8)
+
+(* Removing dead cycles removed only phis from the suite (NBody's inner
+   loop), which cost nothing: each version's launch totals at scale 8
+   (int, float and special ops, branches, barriers, loads, stores, local
+   accesses) are the ones the use-count DCE gave. *)
+let expected_suite_totals =
+  [ ("AMD-SS", (290816, 0, 0, 139264, 4096, 132096, 5120, 66560),
+      (290816, 0, 0, 139264, 0, 131072, 4096, 0));
+    ("AMD-MT", (12800, 0, 0, 0, 256, 2048, 2048, 2048),
+      (6656, 0, 0, 0, 0, 1024, 1024, 0));
+    ("NVD-MT", (22528, 0, 0, 0, 1024, 2048, 2048, 2048),
+      (18432, 0, 0, 0, 0, 1024, 1024, 0));
+    ("AMD-RG", (4608, 0, 0, 0, 256, 512, 512, 512),
+      (3072, 0, 0, 0, 0, 256, 256, 0));
+    ("AMD-MM", (4160, 4096, 0, 704, 128, 1088, 128, 576),
+      (4352, 4096, 0, 704, 0, 1024, 64, 0));
+    ("NVD-MM-A", (27392, 8192, 0, 5120, 512, 8704, 768, 8704),
+      (27136, 8192, 0, 5120, 512, 8448, 512, 4352));
+    ("NVD-MM-B", (27392, 8192, 0, 5120, 512, 8704, 768, 8704),
+      (30720, 8192, 0, 5120, 512, 8448, 512, 4352));
+    ("NVD-MM-AB", (27392, 8192, 0, 5120, 512, 8704, 768, 8704),
+      (29952, 8192, 0, 5120, 0, 8192, 256, 0));
+    ("NVD-NBody", (35072, 294912, 16384, 17152, 512, 16768, 384, 16640),
+      (51200, 294912, 16384, 17152, 0, 16512, 128, 0));
+    ("PAB-ST", (15552, 2560, 0, 512, 512, 3136, 1088, 2112),
+      (14336, 2560, 0, 512, 0, 2560, 512, 0));
+    ("ROD-SC", (36480, 24576, 0, 9216, 512, 16512, 640, 8320),
+      (44544, 24576, 0, 9216, 0, 16384, 512, 0));
+    ("TNG-GEMM4", (30464, 32768, 0, 4864, 512, 8448, 512, 4352),
+      (29696, 32768, 0, 4864, 0, 8192, 256, 0)) ]
+
+let test_dce_suite_totals () =
+  let module H = Grover_suite.Harness in
+  let module Kit = Grover_suite.Kit in
+  let open Grover_ocl in
+  Alcotest.(check int) "every suite case pinned"
+    (List.length Grover_suite.Suite.all)
+    (List.length expected_suite_totals);
+  List.iter
+    (fun (c : Kit.case) ->
+      let _, with_lm, without_lm =
+        List.find (fun (id, _, _) -> id = c.Kit.id) expected_suite_totals
+      in
+      List.iter
+        (fun (v, vn, want) ->
+          let fn, _ = H.compile_version c v in
+          let w = c.Kit.mk ~scale:8 in
+          let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
+          let t = Runtime.launch (Interp.prepare fn) ~cfg ~args:w.Kit.args ~mem:w.Kit.mem () in
+          let got =
+            ( t.Trace.t_int_ops,
+              t.Trace.t_float_ops,
+              t.Trace.t_special_ops,
+              t.Trace.t_branches,
+              t.Trace.t_barriers,
+              t.Trace.t_loads,
+              t.Trace.t_stores,
+              t.Trace.t_local_accesses )
+          in
+          Alcotest.(check bool) (Printf.sprintf "%s %s: launch totals" c.Kit.id vn) true (got = want))
+        [ (H.With_lm, "with-lm", with_lm); (H.Without_lm, "grover", without_lm) ])
+    Grover_suite.Suite.all
+
 let suite =
   [ ( "canon",
       [ Alcotest.test_case "unifies work-item calls" `Quick
@@ -281,4 +409,9 @@ let suite =
         Alcotest.test_case "preserves semantics" `Quick test_licm_preserves_semantics;
         Alcotest.test_case "keeps guarded division" `Quick
           test_licm_keeps_guarded_division;
-        Alcotest.test_case "after grover" `Quick test_licm_after_grover ] ) ]
+        Alcotest.test_case "after grover" `Quick test_licm_after_grover ] );
+    ( "dce",
+      [ Alcotest.test_case "dead phi cycle removed" `Quick test_dce_dead_phi_cycle;
+        Alcotest.test_case "dead induction cycle removed" `Quick test_dce_dead_induction_cycle;
+        Alcotest.test_case "live loop-carried phi stays" `Quick test_dce_live_phi_stays;
+        Alcotest.test_case "suite launch totals unchanged" `Quick test_dce_suite_totals ] ) ]
