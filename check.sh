@@ -435,8 +435,42 @@ case "$warmline" in
   *" 0 misses"*) echo "-- warm run: $warmline" ;;
   *) echo "FAIL: warm run still rebuilt something: $warmline"; exit 1 ;;
 esac
-rm -rf "$cachedir" /tmp/grover_cache_out1 /tmp/grover_cache_out2 \
-  /tmp/grover_cache_err1 /tmp/grover_cache_err2
+
+echo "== compile cache: two cold runs at once build each artifact once =="
+# Two processes start the same suite compile together on a fresh
+# directory (the built binary, so neither waits on dune). Each artifact
+# file is its own lock: between them they build every key once, so their
+# misses sum to the artifacts on disk, the directory holds nothing but
+# artifacts, and each prints what the sequential cold run printed.
+cachedir2=$(mktemp -d)
+groverc=_build/default/bin/groverc.exe
+"$groverc" pipeline all --cache-dir "$cachedir2" \
+  > /tmp/grover_cache_out3 2> /tmp/grover_cache_err3 &
+pid=$!
+"$groverc" pipeline all --cache-dir "$cachedir2" \
+  > /tmp/grover_cache_out4 2> /tmp/grover_cache_err4
+wait $pid
+for n in 3 4; do
+  if ! cmp -s /tmp/grover_cache_out1 /tmp/grover_cache_out$n; then
+    echo "FAIL: a concurrent cold run differs on stdout from the sequential one"
+    diff /tmp/grover_cache_out1 /tmp/grover_cache_out$n || true
+    exit 1
+  fi
+done
+misses=$(cat /tmp/grover_cache_err3 /tmp/grover_cache_err4 | grep '^cache:' \
+  | sed 's/.* \([0-9][0-9]*\) miss.*/\1/' | awk '{ s += $1 } END { print s + 0 }')
+arts=$(ls "$cachedir2" | grep -c '\.art$' || true)
+others=$(ls "$cachedir2" | grep -v '\.art$' || true)
+if [ "$misses" -ne "$arts" ] || [ -n "$others" ]; then
+  echo "FAIL: two concurrent cold runs missed $misses times for $arts artifacts"
+  grep '^cache:' /tmp/grover_cache_err3 /tmp/grover_cache_err4 || true
+  ls "$cachedir2"
+  exit 1
+fi
+echo "-- concurrent cold runs: $misses misses, $arts artifacts, nothing else"
+rm -rf "$cachedir" "$cachedir2" /tmp/grover_cache_out1 /tmp/grover_cache_out2 \
+  /tmp/grover_cache_out3 /tmp/grover_cache_out4 /tmp/grover_cache_err1 \
+  /tmp/grover_cache_err2 /tmp/grover_cache_err3 /tmp/grover_cache_err4
 
 echo "== groverc run: out-of-order queue over the whole suite =="
 # Every (case, version) pair twice through one command queue; outputs are

@@ -16,8 +16,8 @@
        IR plus the transformation outcome, in {e canonically renumbered}
        form ({!Grover_ir.Ssa.renumber_func}) so two compiles of the same
        input are bit-identical and the artifact can live on disk
-       ([<dir>/<key>.art], written atomically via rename, behind a header
-       checked before anything is unmarshalled);}
+       ([<dir>/<key>.art], written in place under its own lock, behind a
+       header checked before anything is unmarshalled);}
     {- {b prepared}: the {!Grover_ocl.Interp.compiled} closures, which
        cannot be serialized — they live only in the in-memory LRU tier, and
        are re-[prepare]d (cheap relative to the pipeline) on a disk hit.}}
@@ -298,49 +298,68 @@ let header ~(key : string) (payload : string) : string =
 
 (* -- Cross-process locking --
 
-   The disk tier is shared between processes (several groverc invocations,
-   CI jobs, the bench) and every write is already an atomic rename, so
-   readers can never observe a torn artifact. What the rename alone does
-   not prevent is N processes missing on the same key at once and all
-   paying the full build. A per-key advisory lock file ([<key>.lock],
-   zero bytes, sibling of the artifact) closes that window: readers take
-   it shared around the load, a builder takes it exclusive around
-   miss -> re-probe -> build -> store, so late builders block until the
-   winner has published and then hit its artifact on the re-probe.
+   The disk tier is shared between processes (groverc runs, CI jobs, the
+   bench), and each artifact file is its own lock. A lookup reads
+   [<key>.art] with no lock. Only when its header does not check does the
+   builder open it (creating it empty), lock the whole file and re-read
+   it, since another process may have finished it meanwhile; if it still
+   does not check, the builder builds and writes it in place. So processes
+   missing on one key at once build it once, and a reader that meets a
+   file being written (or one a crash left) counts no hit, blocks on the
+   lock and re-reads (or rebuilds in place). POSIX record locks belong to
+   the process: within one, {!compile_batch}'s owner table serializes the
+   builders of a key. Two processes whose domains each hold a key and wait
+   for the other's look like a wait-for cycle to the kernel, which fails
+   one [F_LOCK] with [EDEADLK]; no domain waits while it holds a key, so
+   the lock is retried. Any other locking error (no lock support) builds
+   unlocked: a duplicate build at worst. *)
 
-   The lock is an optimization, never a correctness requirement: if the
-   lock file cannot be opened or locked (read-only dir, NFS without lock
-   support), the code degrades to today's behaviour — duplicate builds,
-   still-correct atomic publishes. POSIX record locks are per-process, so
-   within one process concurrent builders of the same key are serialized
-   by {!compile_batch}'s owner table instead, and a same-process re-entry
-   never self-deadlocks. *)
+(* Right after [openfile] the offset is 0, so this locks the whole file. *)
+let rec lock_whole (fd : Unix.file_descr) : unit =
+  match Unix.lockf fd Unix.F_LOCK 0 with
+  | () -> ()
+  | exception Unix.Unix_error ((Unix.EDEADLK | Unix.EINTR), _, _) ->
+      Unix.sleepf 0.001;
+      lock_whole fd
+  | exception Unix.Unix_error _ -> ()
 
-let lock_path (dir : string) (key : string) : string =
-  Filename.concat dir (key ^ ".lock")
-
-let with_key_lock (t : t) (key : string) ~(shared : bool) (f : unit -> 'a) :
-    'a =
+(* [f] with [key]'s artifact file (its path and a descriptor) open
+   read-write and locked, [None] without a disk tier. Closing the file
+   releases the lock: an [F_ULOCK] after a read or write would unlock only
+   from the moved offset on. If [f] raises while the file is still empty
+   (a failed build), the file is removed. *)
+let with_locked_art (t : t) (key : string)
+    (f : (string * Unix.file_descr) option -> 'a) : 'a =
   match t.dir with
-  | None -> f ()
-  | Some dir -> (
-      match
-        Unix.openfile (lock_path dir key) [ Unix.O_CREAT; Unix.O_RDWR ] 0o644
-      with
-      | exception Unix.Unix_error _ -> f ()
-      | fd ->
-          Fun.protect
-            ~finally:(fun () ->
-              (try Unix.lockf fd Unix.F_ULOCK 0
-               with Unix.Unix_error _ -> ());
-              try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              (try
-                 Unix.lockf fd
-                   (if shared then Unix.F_RLOCK else Unix.F_LOCK)
-                   0
-               with Unix.Unix_error _ -> ());
-              f ()))
+  | None -> f None
+  | Some dir ->
+      let path = art_path dir key in
+      let fd =
+        try
+          Unix.openfile path [ Unix.O_CREAT; Unix.O_RDWR; Unix.O_CLOEXEC ] 0o644
+        with Unix.Unix_error (e, _, _) ->
+          cache_fail "cannot open cache artifact %s: %s" path
+            (Unix.error_message e)
+      in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          lock_whole fd;
+          try f (Some (path, fd))
+          with e ->
+            let bt = Printexc.get_raw_backtrace () in
+            (try if (Unix.fstat fd).Unix.st_size = 0 then Sys.remove path
+             with Unix.Unix_error _ | Sys_error _ -> ());
+            Printexc.raise_with_backtrace e bt)
+
+(* The whole file behind [fd], read from offset 0. *)
+let read_fd (fd : Unix.file_descr) : string =
+  let b = Bytes.create (Unix.fstat fd).Unix.st_size in
+  let rec go off =
+    let k = if off = Bytes.length b then 0 else Unix.read fd b off (Bytes.length b - off) in
+    if k = 0 then Bytes.sub_string b 0 off else go (off + k)
+  in
+  go 0
 
 (* Every artifact file with its mtime and size; unstattable entries (a
    concurrent trim/clear) are skipped. *)
@@ -367,9 +386,8 @@ let disk_bytes (t : t) : int =
     on every hit, so mtime is recency of use, not of creation). Returns
     [(files_removed, bytes_freed)]. The memory tier is untouched: its
     entries remain valid and simply re-persist on their next store.
-    Zero-byte [.lock] sidecars are deliberately kept: unlinking a lock
-    file another process holds open would let a third process create a
-    fresh one and split the lock. [clear] removes them. *)
+    Removing an artifact another process is building costs at most one
+    duplicate build: a third process creates a fresh file and locks that. *)
 let trim (t : t) ~(max_bytes : int) : int * int =
   match t.dir with
   | None -> (0, 0)
@@ -394,30 +412,22 @@ let trim (t : t) ~(max_bytes : int) : int * int =
         newest_first;
       (!removed, !freed)
 
-let disk_store (t : t) (art : artifact) : unit =
-  match t.dir with
+(* Write [art] over the locked file [fd]: truncated first, so no byte of
+   an older, longer file survives past the new payload. *)
+let disk_store (t : t) (fd : Unix.file_descr) (art : artifact) : unit =
+  let payload = Marshal.to_string art [] in
+  Unix.ftruncate fd 0;
+  ignore (Unix.lseek fd 0 Unix.SEEK_SET : int);
+  let h = header ~key:art.art_key payload in
+  ignore (Unix.write_substring fd h 0 (String.length h) : int);
+  ignore (Unix.write_substring fd payload 0 (String.length payload) : int);
+  Mutex.protect t.mutex (fun () ->
+      t.stats.st_disk_writes <- t.stats.st_disk_writes + 1);
+  (* Keep the tier inside its size budget; the just-written artifact is
+     the newest, so it goes last (and only if it alone exceeds it). *)
+  match t.max_bytes with
+  | Some mb -> ignore (trim t ~max_bytes:mb : int * int)
   | None -> ()
-  | Some dir ->
-      let final = art_path dir art.art_key in
-      let tmp =
-        Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
-          (Domain.self () :> int)
-      in
-      let payload = Marshal.to_string art [] in
-      Out_channel.with_open_bin tmp (fun oc ->
-          output_string oc (header ~key:art.art_key payload);
-          output_string oc payload);
-      (* Atomic publish: a concurrent reader sees the old state or the
-         complete new file, never a torn write. *)
-      Sys.rename tmp final;
-      Mutex.protect t.mutex (fun () ->
-          t.stats.st_disk_writes <- t.stats.st_disk_writes + 1);
-      (* Keep the tier inside its size budget; the just-written artifact
-         is the newest, so it is evicted last (and only if it alone
-         exceeds the budget). *)
-      match t.max_bytes with
-      | Some mb -> ignore (trim t ~max_bytes:mb : int * int)
-      | None -> ()
 
 (* Largest id the artifact's functions use; the loader reserves past it so
    instructions created later in this process cannot collide. Functions
@@ -428,37 +438,36 @@ let max_ids (art : artifact) : int =
       max acc (max ka.ka_after (List.length ka.ka_fn.Ssa.blocks)))
     0 art.art_kernels
 
-(* The artifact in file contents [s] if its header matches its own
-   payload, [key] and this code version. *)
-let checked_artifact ~(key : string) (s : string) : artifact option =
+(* The artifact in [path]'s contents [s] if its header matches its own
+   payload, [key] and this code version. A hit reserves ids past the
+   artifact's and touches the file for LRU: {!trim} evicts by mtime, so a
+   hit must refresh it or hot artifacts age out by creation date. *)
+let load_checked ~(key : string) (path : string) (s : string) :
+    artifact option =
   match String.index_opt s '\n' with
   | None -> None
   | Some i ->
       let payload = String.sub s (i + 1) (String.length s - i - 1) in
-      if String.equal (String.sub s 0 (i + 1)) (header ~key payload) then
-        Some (Marshal.from_string payload 0 : artifact)
-      else None
+      if not (String.equal (String.sub s 0 (i + 1)) (header ~key payload))
+      then None
+      else begin
+        let art : artifact = Marshal.from_string payload 0 in
+        Ssa.reserve_ids (max_ids art);
+        let now = Unix.gettimeofday () in
+        (try Unix.utimes path now now with Unix.Unix_error _ -> ());
+        Some art
+      end
 
+(* A missing, unreadable or unchecked file is a miss, not an error: the
+   entry is rebuilt and overwritten. *)
 let disk_load (t : t) (key : string) : artifact option =
   match t.dir with
   | None -> None
   | Some dir -> (
       let path = art_path dir key in
-      (* A missing, unreadable or unchecked file is a miss, not an error:
-         the entry is rebuilt and overwritten. *)
       match In_channel.with_open_bin path In_channel.input_all with
       | exception Sys_error _ -> None
-      | s ->
-          let art = checked_artifact ~key s in
-          Option.iter
-            (fun art ->
-              Ssa.reserve_ids (max_ids art);
-              (* Touch for LRU: {!trim} evicts by mtime, so a hit must
-                 refresh it or hot artifacts age out by creation date. *)
-              let now = Unix.gettimeofday () in
-              try Unix.utimes path now now with Unix.Unix_error _ -> ())
-            art;
-          art)
+      | s -> load_checked ~key path s)
 
 (* -- Memory (LRU) tier -- *)
 
@@ -512,31 +521,28 @@ let compile (t : t) (rq : request) : prepared =
   match mem_lookup t key with
   | Some pr -> pr
   | None -> (
-      let from_disk art =
+      let serve art ~disk =
         let pr = { pr_art = art; pr_compiled = prepare_artifact art } in
-        count_miss t ~disk:true;
+        count_miss t ~disk;
         mem_insert t key pr;
         pr
       in
-      match with_key_lock t key ~shared:true (fun () -> disk_load t key) with
-      | Some art -> from_disk art
+      match disk_load t key with
+      | Some art -> serve art ~disk:true
       | None ->
-          (* Miss: take the key's lock exclusively, so concurrent builders
-             of the same key in other processes queue up behind the first.
-             Whoever waited re-probes and hits the winner's artifact
-             instead of rebuilding it. *)
-          with_key_lock t key ~shared:false (fun () ->
-              match disk_load t key with
-              | Some art -> from_disk art
-              | None ->
-                  let art = build_artifact rq ~key in
-                  let pr =
-                    { pr_art = art; pr_compiled = prepare_artifact art }
-                  in
-                  count_miss t ~disk:false;
-                  disk_store t art;
-                  mem_insert t key pr;
-                  pr))
+          let art, disk =
+            with_locked_art t key (fun locked ->
+                match
+                  Option.bind locked (fun (path, fd) ->
+                      load_checked ~key path (read_fd fd))
+                with
+                | Some art -> (art, true)
+                | None ->
+                    let art = build_artifact rq ~key in
+                    Option.iter (fun (_, fd) -> disk_store t fd art) locked;
+                    (art, false))
+          in
+          serve art ~disk)
 
 (** Compile a batch of requests, distinct cache misses running concurrently
     over the runtime's persistent domain pool. Results are positionally
@@ -625,15 +631,7 @@ let find_art (pr : prepared) ~(name : string) : kernel_art option =
 
 (** Number of artifacts in the on-disk tier. *)
 let disk_size (t : t) : int =
-  match t.dir with
-  | None -> 0
-  | Some dir ->
-      if not (Sys.file_exists dir) then 0
-      else
-        Array.fold_left
-          (fun acc f ->
-            if Filename.check_suffix f ".art" then acc + 1 else acc)
-          0 (Sys.readdir dir)
+  match t.dir with None -> 0 | Some dir -> List.length (art_files dir)
 
 (** Drop both tiers (the autotune DB, which shares the directory, is kept). *)
 let clear (t : t) : unit =

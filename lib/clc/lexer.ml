@@ -14,17 +14,22 @@ type state = {
 
 let loc st = { Loc.line = st.line; col = st.pos - st.bol + 1 }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let at_end st = st.pos >= String.length st.src
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+(* The character [k] places ahead of [pos], or '\000' past the end. Every
+   test below compares it with a printable character, so a NUL byte in
+   the source and the end of the source read alike there; where they
+   differ ([lex_raw], comments) [at_end] decides. *)
+let char_at st k =
+  let i = st.pos + k in
+  if i < String.length st.src then String.unsafe_get st.src i else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.bol <- st.pos + 1
-  | _ -> ());
+  if st.pos < String.length st.src && String.unsafe_get st.src st.pos = '\n'
+  then begin
+    st.line <- st.line + 1;
+    st.bol <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -32,69 +37,125 @@ let is_digit c = c >= '0' && c <= '9'
 let is_ident_char c = is_ident_start c || is_digit c
 let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
+let rec skip_line_comment st =
+  if (not (at_end st)) && char_at st 0 <> '\n' then begin
+    advance st;
+    skip_line_comment st
+  end
+
+(* Past the closing [*/] of a block comment; false if the source ends
+   first. *)
+let rec close_block_comment st =
+  if at_end st then false
+  else if char_at st 0 = '*' && char_at st 1 = '/' then begin
+    advance st;
+    advance st;
+    true
+  end
+  else begin
+    advance st;
+    close_block_comment st
+  end
+
 let rec skip_space_and_comments st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match char_at st 0 with
+  | ' ' | '\t' | '\r' | '\n' ->
       advance st;
       skip_space_and_comments st
-  | Some '/' when peek2 st = Some '/' ->
-      while peek st <> None && peek st <> Some '\n' do
-        advance st
-      done;
+  | '/' when char_at st 1 = '/' ->
+      skip_line_comment st;
       skip_space_and_comments st
-  | Some '/' when peek2 st = Some '*' ->
+  | '/' when char_at st 1 = '*' ->
       let l = loc st in
       advance st;
       advance st;
-      let rec close () =
-        match (peek st, peek2 st) with
-        | Some '*', Some '/' ->
-            advance st;
-            advance st
-        | Some _, _ ->
-            advance st;
-            close ()
-        | None, _ -> Loc.errorf l "unterminated comment"
-      in
-      close ();
+      if not (close_block_comment st) then Loc.errorf l "unterminated comment";
       skip_space_and_comments st
   | _ -> ()
 
-(* Multi-character punctuation, longest first. *)
-let puncts =
-  [ "<<="; ">>="; "..."; "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||";
-    "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "++"; "--"; "->";
-    "+"; "-"; "*"; "/"; "%"; "<"; ">"; "="; "!"; "&"; "|"; "^"; "~";
-    "("; ")"; "["; "]"; "{"; "}"; ";"; ","; "."; "?"; ":" ]
+(* The punctuator at [pos], longest first, or "" if none starts there:
+   one of
+   [<<= >>= ... << >> <= >= == != && || += -= *= /= %= &= |= ^= ++ -- ->
+    + - * / % < > = ! & | ^ ~ ( ) [ ] { } ; , . ? :]. *)
+let punct st : string =
+  let c1 = char_at st 1 in
+  match char_at st 0 with
+  | '<' ->
+      if c1 = '<' then if char_at st 2 = '=' then "<<=" else "<<"
+      else if c1 = '=' then "<="
+      else "<"
+  | '>' ->
+      if c1 = '>' then if char_at st 2 = '=' then ">>=" else ">>"
+      else if c1 = '=' then ">="
+      else ">"
+  | '.' -> if c1 = '.' && char_at st 2 = '.' then "..." else "."
+  | '=' -> if c1 = '=' then "==" else "="
+  | '!' -> if c1 = '=' then "!=" else "!"
+  | '&' -> if c1 = '&' then "&&" else if c1 = '=' then "&=" else "&"
+  | '|' -> if c1 = '|' then "||" else if c1 = '=' then "|=" else "|"
+  | '+' -> if c1 = '=' then "+=" else if c1 = '+' then "++" else "+"
+  | '-' ->
+      if c1 = '=' then "-=" else if c1 = '-' then "--" else if c1 = '>' then "->" else "-"
+  | '*' -> if c1 = '=' then "*=" else "*"
+  | '/' -> if c1 = '=' then "/=" else "/"
+  | '%' -> if c1 = '=' then "%=" else "%"
+  | '^' -> if c1 = '=' then "^=" else "^"
+  | '~' -> "~"
+  | '(' -> "("
+  | ')' -> ")"
+  | '[' -> "["
+  | ']' -> "]"
+  | '{' -> "{"
+  | '}' -> "}"
+  | ';' -> ";"
+  | ',' -> ","
+  | '?' -> "?"
+  | ':' -> ":"
+  | _ -> ""
+
+let rec skip_while st (p : char -> bool) =
+  if p (char_at st 0) then begin
+    advance st;
+    skip_while st p
+  end
+
+(* Swallow C numeric suffixes: [uUlL] always, [fF] on a decimal. *)
+let rec skip_suffix st ~hex =
+  match char_at st 0 with
+  | 'f' | 'F' when not hex ->
+      advance st;
+      skip_suffix st ~hex
+  | 'u' | 'U' | 'l' | 'L' ->
+      advance st;
+      skip_suffix st ~hex
+  | _ -> ()
 
 let lex_number st =
   let l = loc st in
   let start = st.pos in
-  let seen_dot = ref false and seen_exp = ref false and is_hexn = ref false in
-  if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then begin
-    is_hexn := true;
+  let seen_dot = ref false and seen_exp = ref false in
+  let hex = char_at st 0 = '0' && (char_at st 1 = 'x' || char_at st 1 = 'X') in
+  if hex then begin
     advance st;
     advance st;
-    while (match peek st with Some c -> is_hex c | None -> false) do
-      advance st
-    done
+    skip_while st is_hex
   end
   else begin
     while
-      match peek st with
-      | Some c when is_digit c -> true
-      | Some '.' when not !seen_dot && not !seen_exp -> (
+      match char_at st 0 with
+      | c when is_digit c -> true
+      | '.' when (not !seen_dot) && not !seen_exp ->
           (* Only a digit after '.' continues the number ('a[i].x' stays
              member access because we only call lex_number on a digit). *)
           seen_dot := true;
-          true)
-      | Some ('e' | 'E') when not !seen_exp -> (
-          match peek2 st with
-          | Some c when is_digit c || c = '+' || c = '-' ->
+          true
+      | ('e' | 'E') when not !seen_exp -> (
+          match char_at st 1 with
+          | c when is_digit c || c = '+' || c = '-' ->
               seen_exp := true;
               advance st;
               (* consume sign if present; the digit loop takes the rest *)
-              (match peek st with Some ('+' | '-') -> () | _ -> st.pos <- st.pos - 1);
+              (match char_at st 0 with '+' | '-' -> () | _ -> st.pos <- st.pos - 1);
               true
           | _ -> false)
       | _ -> false
@@ -103,21 +164,10 @@ let lex_number st =
     done
   end;
   let body = String.sub st.src start (st.pos - start) in
-  (* Swallow C numeric suffixes. *)
-  let rec suffix () =
-    match peek st with
-    | Some ('f' | 'F' | 'u' | 'U' | 'l' | 'L') when not !is_hexn ->
-        advance st;
-        suffix ()
-    | Some ('u' | 'U' | 'l' | 'L') ->
-        advance st;
-        suffix ()
-    | _ -> ()
-  in
   let is_float_suffix =
-    (not !is_hexn) && (match peek st with Some ('f' | 'F') -> true | _ -> false)
+    (not hex) && (match char_at st 0 with 'f' | 'F' -> true | _ -> false)
   in
-  suffix ();
+  skip_suffix st ~hex;
   if !seen_dot || !seen_exp || is_float_suffix then
     match float_of_string_opt body with
     | Some f -> Token.Float_lit f
@@ -130,14 +180,13 @@ let lex_number st =
 let lex_raw st : Token.t * Loc.t =
   skip_space_and_comments st;
   let l = loc st in
-  match peek st with
-  | None -> (Token.Eof, l)
-  | Some c when is_digit c -> (lex_number st, l)
-  | Some c when is_ident_start c ->
+  if at_end st then (Token.Eof, l)
+  else
+    let c = char_at st 0 in
+    if is_digit c then (lex_number st, l)
+    else if is_ident_start c then begin
       let start = st.pos in
-      while (match peek st with Some c -> is_ident_char c | None -> false) do
-        advance st
-      done;
+      skip_while st is_ident_char;
       let name = String.sub st.src start (st.pos - start) in
       let tok =
         match Token.canonical_keyword name with
@@ -145,58 +194,36 @@ let lex_raw st : Token.t * Loc.t =
         | None -> Token.Ident name
       in
       (tok, l)
-  | Some '#' ->
+    end
+    else if c = '#' then begin
       advance st;
       (Token.Punct "#", l)
-  | Some _ ->
-      let matching =
-        List.find_opt
-          (fun p ->
-            let n = String.length p in
-            st.pos + n <= String.length st.src
-            && String.sub st.src st.pos n = p)
-          puncts
-      in
-      (match matching with
-      | Some p ->
-          for _ = 1 to String.length p do
-            advance st
-          done;
+    end
+    else
+      match punct st with
+      | "" -> Loc.errorf l "unexpected character %C" c
+      | p ->
+          st.pos <- st.pos + String.length p;
           (Token.Punct p, l)
-      | None -> Loc.errorf l "unexpected character %C" st.src.[st.pos])
 
 (* Read raw tokens until the end of the current line (for directives). *)
 let rec raw_tokens_until_eol st acc =
   skip_space_and_comments_same_line st;
-  match peek st with
-  | None | Some '\n' -> List.rev acc
-  | Some _ ->
-      let tok, _ = lex_raw st in
-      raw_tokens_until_eol st (tok :: acc)
+  if at_end st || char_at st 0 = '\n' then List.rev acc
+  else
+    let tok, _ = lex_raw st in
+    raw_tokens_until_eol st (tok :: acc)
 
 and skip_space_and_comments_same_line st =
-  match peek st with
-  | Some (' ' | '\t' | '\r') ->
+  match char_at st 0 with
+  | ' ' | '\t' | '\r' ->
       advance st;
       skip_space_and_comments_same_line st
-  | Some '/' when peek2 st = Some '/' ->
-      while peek st <> None && peek st <> Some '\n' do
-        advance st
-      done
-  | Some '/' when peek2 st = Some '*' ->
+  | '/' when char_at st 1 = '/' -> skip_line_comment st
+  | '/' when char_at st 1 = '*' ->
       advance st;
       advance st;
-      let rec close () =
-        match (peek st, peek2 st) with
-        | Some '*', Some '/' ->
-            advance st;
-            advance st
-        | Some _, _ ->
-            advance st;
-            close ()
-        | None, _ -> ()
-      in
-      close ();
+      ignore (close_block_comment st : bool);
       skip_space_and_comments_same_line st
   | _ -> ()
 
@@ -263,17 +290,26 @@ let tokenize ?(defines = []) src : (Token.t * Loc.t) list =
 
 (* -- Canonical source form ------------------------------------------------ *)
 
-(** One line per token, rendered exactly. Floats use the hexadecimal [%h]
-    form so two literals canonicalise identically iff they denote the same
-    IEEE value; "%g" would conflate e.g. 0.1 and its nearest neighbours. *)
-let render_token (t : Token.t) : string =
+(** Append one token, rendered exactly, to [b]. Floats use the hexadecimal
+    [%h] form so two literals canonicalise identically iff they denote the
+    same IEEE value; "%g" would conflate e.g. 0.1 and its nearest
+    neighbours. *)
+let add_token (b : Buffer.t) (t : Token.t) : unit =
   match t with
-  | Token.Int_lit n -> Printf.sprintf "i%d" n
-  | Token.Float_lit f -> Printf.sprintf "f%h" f
-  | Token.Ident s -> "n" ^ s
-  | Token.Kw s -> "k" ^ s
-  | Token.Punct s -> "p" ^ s
-  | Token.Eof -> "$"
+  | Token.Int_lit n ->
+      Buffer.add_char b 'i';
+      Buffer.add_string b (Int.to_string n)
+  | Token.Float_lit f -> Printf.bprintf b "f%h" f
+  | Token.Ident s ->
+      Buffer.add_char b 'n';
+      Buffer.add_string b s
+  | Token.Kw s ->
+      Buffer.add_char b 'k';
+      Buffer.add_string b s
+  | Token.Punct s ->
+      Buffer.add_char b 'p';
+      Buffer.add_string b s
+  | Token.Eof -> Buffer.add_char b '$'
 
 (** The content-hashable form of a kernel source: the macro-expanded token
     stream, one token per line. Comments, whitespace and macro spelling
@@ -288,7 +324,7 @@ let canonical_source ?(defines = []) (src : string) : string =
       let b = Buffer.create (String.length src) in
       List.iter
         (fun (t, _) ->
-          Buffer.add_string b (render_token t);
+          add_token b t;
           Buffer.add_char b '\n')
         toks;
       Buffer.contents b

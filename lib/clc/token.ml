@@ -16,14 +16,19 @@ let keywords =
     "const"; "restrict"; "volatile"; "unsigned"; "signed" ]
 
 (* "__kernel" and "kernel" are interchangeable in OpenCL C; we canonicalise
-   the double-underscore spellings at the lexer level. *)
-let canonical_keyword s =
-  let stripped =
-    if String.length s > 2 && String.sub s 0 2 = "__" then
-      String.sub s 2 (String.length s - 2)
-    else s
-  in
-  if List.mem stripped keywords then Some stripped else None
+   the double-underscore spellings at the lexer level. The table maps both
+   spellings of every keyword to the canonical one; it is never written
+   after this, so concurrent lexers may read it. *)
+let keyword_table : (string, string) Hashtbl.t =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun k ->
+      Hashtbl.replace t k k;
+      Hashtbl.replace t ("__" ^ k) k)
+    keywords;
+  t
+
+let canonical_keyword s = Hashtbl.find_opt keyword_table s
 
 let equal (a : t) (b : t) = a = b
 

@@ -433,7 +433,16 @@ and lower_expr env (e : A.expr) : A.ty * value =
       let cb = truth_value env e.A.loc lc in
       let ta, va = lower_expr env a in
       let tb, vb = lower_expr env b in
-      let common = Sema.usual_conversions e.A.loc ta tb in
+      let common =
+        match (ta, tb) with
+        | A.Ptr _, _ | _, A.Ptr _ ->
+            (* Pointer arms must agree in space and element type. *)
+            if ta <> tb then
+              err e.A.loc "the arms of ?: have different types %s and %s"
+                (A.ty_name ta) (A.ty_name tb);
+            ta
+        | _ -> Sema.usual_conversions e.A.loc ta tb
+      in
       let va = convert env a.A.loc ~src:ta ~dst:common va in
       let vb = convert env b.A.loc ~src:tb ~dst:common vb in
       (common, Builder.select env.bld cb va vb)

@@ -483,6 +483,65 @@ let test_pointer_select_phi_shadows () =
            findings))
     [ "a"; "b" ]
 
+(* The source-level twin of the select above: [?:] over two pointers of
+   one type lowers to a pointer select, runs as the tree engine runs it,
+   and both arms count as written. Arms of different pointer types are a
+   located error. *)
+let test_source_pointer_select () =
+  let fn =
+    compile_one
+      {|__kernel void k(__global float *a, __global float *b, __global const float *c) {
+          int l = get_local_id(0);
+          __global float *p = (l & 1) ? a : b;
+          p[l] = c[l];
+        }|}
+  in
+  let selects = ref 0 in
+  Grover_ir.Ssa.iter_instrs
+    (fun i ->
+      match i.Grover_ir.Ssa.op with
+      | Grover_ir.Ssa.Select (_, v, _) -> (
+          match Grover_ir.Ssa.type_of v with Grover_ir.Ssa.Ptr _ -> incr selects | _ -> ())
+      | _ -> ())
+    fn;
+  Alcotest.(check int) "one pointer select" 1 !selects;
+  Alcotest.(check (array (pair bool bool)))
+    "a and b written, c read" [| (false, true); (false, true); (true, false) |]
+    (Runtime.compute_arg_modes fn);
+  let c = Interp.prepare fn in
+  let run force_path =
+    let mem, bufs = shadow_bufs 3 in
+    let args = [ Runtime.Abuf bufs.(0); Runtime.Abuf bufs.(1); Runtime.Abuf bufs.(2) ] in
+    ignore (Runtime.launch c ~cfg:shadow_cfg ~args ~mem ?force_path ());
+    Array.map Memory.to_float_array bufs
+  in
+  let lanes = run None and tree = run (Some Runtime.Fiber) in
+  Alcotest.(check (array (array (float 0.0)))) "default plan = tree+fiber" tree lanes;
+  let input = Array.init 64 (fun i -> float_of_int ((i * 5) mod 17)) in
+  Alcotest.(check (array (float 0.0))) "odd lanes store through a"
+    (Array.init 64 (fun i -> if i land 1 = 1 then input.(i) else float_of_int ((i * 3) mod 17)))
+    lanes.(0);
+  Alcotest.(check (array (float 0.0))) "even lanes store through b"
+    (Array.init 64 (fun i -> if i land 1 = 0 then input.(i) else float_of_int ((i * 4) mod 17)))
+    lanes.(1);
+  let mem, bufs = shadow_bufs 3 in
+  let args = [ Runtime.Abuf bufs.(0); Runtime.Abuf bufs.(1); Runtime.Abuf bufs.(2) ] in
+  Alcotest.(check int) "a and b are shadowed" (2 * 2 * 64) (snd (sanitized_shadows c ~args ~mem));
+  match
+    Grover_ir.Lower.compile
+      {|__kernel void k(__global float *a, __local float *b) {
+          int l = get_local_id(0);
+          __global float *p = (l & 1) ? a : b;
+          p[l] = 1.0f;
+        }|}
+  with
+  | _ -> Alcotest.fail "a __global and a __local arm compiled"
+  | exception Grover_support.Loc.Error (l, m) ->
+      Alcotest.(check (triple int int string))
+        "located error naming both types"
+        (3, 32, "the arms of ?: have different types __global float* and __local float*")
+        (l.Grover_support.Loc.line, l.Grover_support.Loc.col, m)
+
 (* A shadow stamp keeps the epoch above bit 32, so the epoch counter must
    stop with a message before it would overflow the stamp. *)
 let test_epoch_limit () =
@@ -548,6 +607,8 @@ let suite =
             test_read_only_and_written_buffer;
           Alcotest.test_case "a store through a select or phi keeps both shadows" `Quick
             test_pointer_select_phi_shadows;
+          Alcotest.test_case "?: over two pointers of one type" `Quick
+            test_source_pointer_select;
         ] );
     ( "analysis-props",
       [ QCheck_alcotest.to_alcotest qcheck_bit_identity ] );

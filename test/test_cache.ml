@@ -222,6 +222,46 @@ let check_disk_tier () =
   Alcotest.(check bool) "autotune.db survives clear" true
     (Sys.file_exists db_file)
 
+(* A miss creates one file, the artifact itself, which is its own lock:
+   no lock sidecar, no temporary file. A build that fails leaves nothing. *)
+let check_cold_miss_one_file () =
+  let dir = fresh_dir () in
+  let rq = Cache.request ~variant:(Cache.Without_lm None) base_source in
+  let c = Cache.create ~dir () in
+  ignore (Cache.compile c rq);
+  Alcotest.(check (list string)) "only the artifact"
+    [ Cache.key_of_request rq ^ ".art" ]
+    (Array.to_list (Sys.readdir dir));
+  Alcotest.(check int) "one disk write" 1 (Cache.stats c).Cache.st_disk_writes;
+  let bad = Cache.request "__kernel void k(__global float *o) { o[0] = @; }" in
+  (match Cache.compile c bad with
+  | _ -> Alcotest.fail "a source the lexer rejects compiled"
+  | exception Grover_support.Loc.Error _ -> ());
+  Alcotest.(check (list string)) "a failed build leaves no file"
+    [ Cache.key_of_request rq ^ ".art" ]
+    (Array.to_list (Sys.readdir dir));
+  Cache.clear c;
+  Unix.rmdir dir
+
+(* A directory written by the lock-sidecar layout: a valid artifact with
+   a zero-byte [<key>.lock] beside it. The artifact is a disk hit, and
+   [clear] removes both files. *)
+let check_stale_lock_sidecar () =
+  let dir = fresh_dir () in
+  let rq = Cache.request base_source in
+  let k = Cache.key_of_request rq in
+  ignore (Cache.compile (Cache.create ~dir ()) rq);
+  close_out (open_out (Filename.concat dir (k ^ ".lock")));
+  let c = Cache.create ~dir () in
+  ignore (Cache.compile c rq);
+  let s = Cache.stats c in
+  Alcotest.(check (pair int int)) "disk hit, no miss" (1, 0)
+    (s.Cache.st_disk_hits, s.Cache.st_misses);
+  Cache.clear c;
+  Alcotest.(check (list string)) "clear removes the artifact and the lock" []
+    (Array.to_list (Sys.readdir dir));
+  Unix.rmdir dir
+
 let check_lru_eviction () =
   let cache = Cache.create ~mem_capacity:2 () in
   List.iter (fun i -> ignore (Cache.compile cache (keyed i))) [ 1; 2; 3 ];
@@ -330,20 +370,28 @@ let clean_artifacts =
               [ Cache.With_lm; Cache.Without_lm case.Kit.remove ])
           Grover_suite.Suite.all))
 
-(* Flip bytes at distinct offsets of an artifact's header line or of its
-   payload: the next process to open the cache must count a miss (never a
-   disk hit, a crash or an exception), rebuild, and store a file
-   byte-identical to the clean one. *)
-let prop_corrupt_artifact_rebuilds =
-  QCheck.Test.make
-    ~name:"a corrupted artifact is a miss, rebuilt byte-identical" ~count:40
-    QCheck.(
-      triple (int_bound 1_000) bool
-        (list_of_size (Gen.int_range 1 4)
-           (pair (int_bound 1_000_000) (int_range 1 255))))
-    (fun (which, in_header, flips) ->
-      let arts = Lazy.force clean_artifacts in
-      let rq, dir, file, clean = arts.(which mod Array.length arts) in
+(* Damage an artifact: flip bytes at distinct offsets of its header line
+   or of its payload, truncate it, or append bytes to it. The next process
+   to open the cache must count a miss (never a disk hit, a crash or an
+   exception), rebuild, and store a file byte-identical to the clean one;
+   the rewrite in place must truncate what it does not overwrite. *)
+type damage = Flip of bool * (int * int) list | Truncate of int | Append of string
+
+let damage_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2
+          (fun h fl -> Flip (h, fl))
+          bool
+          (list_size (int_range 1 4) (pair (int_bound 1_000_000) (int_range 1 255)));
+        map (fun n -> Truncate n) (int_bound 1_000_000);
+        map (fun s -> Append s) (string_size ~gen:char (int_range 1 64));
+      ])
+
+let damage (clean : string) (d : damage) : string =
+  match d with
+  | Flip (in_header, flips) ->
       let header_len = String.index clean '\n' + 1 in
       let base, len =
         if in_header then (0, header_len)
@@ -356,7 +404,26 @@ let prop_corrupt_artifact_rebuilds =
           Bytes.set bytes i (Char.chr (Char.code clean.[i] lxor mask)))
         (List.sort_uniq (fun (a, _) (b, _) -> compare (a mod len) (b mod len))
            flips);
-      Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc bytes);
+      Bytes.to_string bytes
+  | Truncate n -> String.sub clean 0 (n mod String.length clean)
+  | Append tail -> clean ^ tail
+
+let prop_corrupt_artifact_rebuilds =
+  QCheck.Test.make
+    ~name:"a corrupted artifact is a miss, rebuilt byte-identical" ~count:60
+    (QCheck.make
+       ~print:(fun (which, d) ->
+         Printf.sprintf "artifact %d, %s" which
+           (match d with
+           | Flip (h, fl) -> Printf.sprintf "%d flips in the %s" (List.length fl) (if h then "header" else "payload")
+           | Truncate n -> Printf.sprintf "truncated at %d mod length" n
+           | Append tail -> Printf.sprintf "%d bytes appended" (String.length tail)))
+       QCheck.Gen.(pair (int_bound 1_000) damage_gen))
+    (fun (which, d) ->
+      let arts = Lazy.force clean_artifacts in
+      let rq, dir, file, clean = arts.(which mod Array.length arts) in
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc (damage clean d));
       let c = Cache.create ~dir () in
       ignore (Cache.compile c rq);
       let s = Cache.stats c in
@@ -557,6 +624,10 @@ let suite =
     ( "cache.tiers",
       [
         Alcotest.test_case "disk tier roundtrip" `Quick check_disk_tier;
+        Alcotest.test_case "a cold miss creates one file" `Quick
+          check_cold_miss_one_file;
+        Alcotest.test_case "a stale lock sidecar is ignored and cleared" `Quick
+          check_stale_lock_sidecar;
         Alcotest.test_case "lru eviction" `Quick check_lru_eviction;
         Alcotest.test_case "disk trim (lru by mtime)" `Quick check_disk_trim;
         Alcotest.test_case "disk budget (max bytes)" `Quick

@@ -86,6 +86,157 @@ let test_lex_error_reporting () =
       Alcotest.failf "wrong location %a for %s" Loc.pp l m
   | _ -> Alcotest.fail "expected a lexer error"
 
+(* Located lexer errors, pinned: the location and message of each. *)
+let test_lex_error_messages () =
+  let err ?defines src =
+    match Lexer.tokenize ?defines src with
+    | exception Loc.Error (l, m) -> Some (l.Loc.line, l.Loc.col, m)
+    | _ -> None
+  in
+  let check what want got =
+    Alcotest.(check (option (triple int int string))) what want got
+  in
+  check "unterminated comment" (Some (2, 3, "unterminated comment"))
+    (err "int x;\n  /* open\n  more *");
+  check "unterminated comment at the end" (Some (1, 1, "unterminated comment"))
+    (err "/*");
+  check "unexpected character" (Some (1, 5, "unexpected character '@'"))
+    (err "int @ x");
+  check "unexpected character after newlines" (Some (3, 2, "unexpected character '$'"))
+    (err "a\nb\n $");
+  check "unexpected byte" (Some (1, 3, "unexpected character '\\195'"))
+    (err "x \xc3\xa9");
+  check "unexpected character in a define" (Some (1, 1, "unexpected character '`'"))
+    (err ~defines:[ ("D", "`") ] "D");
+  check "a lone backslash" (Some (1, 2, "unexpected character '\\\\'")) (err " \\ ")
+
+(* Reference punctuator lexer: the 47 punctuators as a list tried
+   longest first, with whitespace and both comment forms skipped. The
+   property below feeds it and [Lexer.tokenize] strings of punctuation
+   characters and compares tokens, locations and errors. *)
+let ref_puncts =
+  [ "<<="; ">>="; "..."; "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||";
+    "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "++"; "--"; "->";
+    "+"; "-"; "*"; "/"; "%"; "<"; ">"; "="; "!"; "&"; "|"; "^"; "~";
+    "("; ")"; "["; "]"; "{"; "}"; ";"; ","; "."; "?"; ":" ]
+
+let ref_lex (src : string) : ((Token.t * (int * int)) list, int * int * string) result =
+  let n = String.length src in
+  let starts i p = i + String.length p <= n && String.sub src i (String.length p) = p in
+  let rec go i line bol acc =
+    let col = i - bol + 1 in
+    if i >= n then Ok (List.rev ((Token.Eof, (line, col)) :: acc))
+    else
+      match src.[i] with
+      | ' ' -> go (i + 1) line bol acc
+      | '\n' -> go (i + 1) (line + 1) (i + 1) acc
+      | _ when starts i "//" -> (
+          match String.index_from_opt src i '\n' with
+          | Some j -> go j line bol acc
+          | None -> go n line bol acc)
+      | _ when starts i "/*" ->
+          let rec close j l b =
+            if j + 1 >= n then Error (line, col, "unterminated comment")
+            else if starts j "*/" then go (j + 2) l b acc
+            else if src.[j] = '\n' then close (j + 1) (l + 1) (j + 1)
+            else close (j + 1) l b
+          in
+          close (i + 2) line bol
+      | c -> (
+          match List.find_opt (starts i) ref_puncts with
+          | Some p -> go (i + String.length p) line bol ((Token.Punct p, (line, col)) :: acc)
+          | None -> Error (line, col, Printf.sprintf "unexpected character %C" c))
+  in
+  go 0 1 0 []
+
+let prop_punctuators_match_reference =
+  QCheck.Test.make ~name:"punctuators, comments and locations match the list lexer" ~count:500
+    QCheck.(
+      set_print (Printf.sprintf "%S")
+        (map ~rev:(fun s -> List.of_seq (String.to_seq s))
+           (fun cs -> String.of_seq (List.to_seq cs))
+           (list_of_size (Gen.int_range 0 24) (oneofl (List.of_seq (String.to_seq "<>=.!&|+-*/%^~()[]{};,?: \n@"))))))
+    (fun src ->
+      let got =
+        match Lexer.tokenize src with
+        | toks -> Ok (List.map (fun (t, (l : Loc.t)) -> (t, (l.Loc.line, l.Loc.col))) toks)
+        | exception Loc.Error (l, m) -> Error (l.Loc.line, l.Loc.col, m)
+      in
+      got = ref_lex src)
+
+(* The keyword lookup against its definition: a keyword, or "__" and a
+   keyword, canonicalises to the keyword; nothing else does. *)
+let prop_keywords_match_definition =
+  let reference s =
+    let stripped =
+      if String.length s > 2 && String.sub s 0 2 = "__" then String.sub s 2 (String.length s - 2)
+      else s
+    in
+    if List.mem stripped Token.keywords then Some stripped else None
+  in
+  let words = Token.keywords @ List.map (fun k -> "__" ^ k) Token.keywords @ [ "__"; "_"; "kern"; "x" ] in
+  QCheck.Test.make ~name:"keyword table = keyword definition" ~count:500
+    QCheck.(pair (oneofl words) (oneofl [ ""; "_"; "__"; "s"; "1" ]))
+    (fun (w, affix) ->
+      List.for_all
+        (fun s -> Token.canonical_keyword s = reference s)
+        [ w; affix ^ w; w ^ affix ])
+
+(* The canonical token stream is the compile cache's key material, so a
+   lexer change must leave it byte-identical: the MD5 of
+   [Lexer.canonical_source] for each suite source under its defines and
+   for each example kernel, pinned from the lexer that allocated per
+   character. *)
+let canonical_md5 ?defines src =
+  Digest.to_hex (Digest.string (Lexer.canonical_source ?defines src))
+
+let pinned_suite_md5 =
+  [ ("AMD-SS", "1805965af20c08aac277895137d7b457");
+    ("AMD-MT", "a12a6dee9b8040fc5ed846387510bbbf");
+    ("NVD-MT", "eea5976003f07cd3814cdae49a02a9df");
+    ("AMD-RG", "303d3c19e87157b289344e2b63bf96d4");
+    ("AMD-MM", "ac9e37344324facd155c96d1d62a09dc");
+    ("NVD-MM-A", "9fdbe045c5b101b5507661c1bb504108");
+    ("NVD-MM-B", "9fdbe045c5b101b5507661c1bb504108");
+    ("NVD-MM-AB", "9fdbe045c5b101b5507661c1bb504108");
+    ("NVD-NBody", "d6c84913860bb12ea6c10ca7d38e5704");
+    ("PAB-ST", "d3b173eead4c675bee14f21121529c99");
+    ("ROD-SC", "9ba34802ab54b5a0f96b5bfb014f5285");
+    ("TNG-GEMM4", "46070178bcd905bdc13b050ff1f35654") ]
+
+let pinned_example_md5 =
+  [ ("bad_divergent_barrier.cl", "93922d94561e2f00fdfdc42200b628f2");
+    ("bad_oob_index.cl", "63431e7f4c9b7e90bdedd7a9d53e8405");
+    ("bad_racy_store.cl", "ff852edcf0afc34431eeeb44621e3953");
+    ("divergent_loop.cl", "0b4c7004a75cef30438639effb4ef3aa");
+    ("divergent_store.cl", "2acd06fcfb8a598e01307328bf1a3d48");
+    ("gemm_float4.cl", "46070178bcd905bdc13b050ff1f35654");
+    ("guarded_matmul.cl", "9fdbe045c5b101b5507661c1bb504108");
+    ("private_array.cl", "b0df9e3230318a5ace87dc23ef54a43c");
+    ("saxpy.cl", "9f0ebf09fbf64c018b7d6b005a1864fd");
+    ("tiled_matmul.cl", "d958667e16d243914ff2d6d71d53aa58");
+    ("transpose_tile.cl", "21fd09b13898e1cfbf3655b8d74b4064");
+    ("uniform_branch_barrier.cl", "4bfc7ccefbad4f15fac59faf3b8b3a7b") ]
+
+let examples_dir = "../examples/kernels"
+
+let test_canonical_pinned () =
+  let suite =
+    List.map
+      (fun (c : Grover_suite.Kit.case) ->
+        (c.Grover_suite.Kit.id, canonical_md5 ~defines:c.Grover_suite.Kit.defines c.Grover_suite.Kit.source))
+      Grover_suite.Suite.all
+  in
+  let examples =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".cl")
+    |> List.sort compare
+    |> List.map (fun f ->
+           (f, canonical_md5 (In_channel.with_open_bin (Filename.concat examples_dir f) In_channel.input_all)))
+  in
+  Alcotest.(check (list (pair string string))) "suite sources" pinned_suite_md5 suite;
+  Alcotest.(check (list (pair string string))) "example kernels" pinned_example_md5 examples
+
 (* -- Parser ----------------------------------------------------------------- *)
 
 let parse_kernel src =
@@ -259,7 +410,11 @@ let suite =
         Alcotest.test_case "hex" `Quick test_lex_hex;
         Alcotest.test_case "operators" `Quick test_lex_operators;
         Alcotest.test_case "comments" `Quick test_lex_comments;
-        Alcotest.test_case "error location" `Quick test_lex_error_reporting ] );
+        Alcotest.test_case "error location" `Quick test_lex_error_reporting;
+        Alcotest.test_case "error messages" `Quick test_lex_error_messages;
+        Alcotest.test_case "canonical source pinned" `Quick test_canonical_pinned;
+        QCheck_alcotest.to_alcotest prop_punctuators_match_reference;
+        QCheck_alcotest.to_alcotest prop_keywords_match_definition ] );
     ( "preprocessor",
       [ Alcotest.test_case "define" `Quick test_macro_define;
         Alcotest.test_case "nested" `Quick test_macro_nested;
