@@ -6,9 +6,7 @@
    - W-wide lane batches (wg-vec, the default for this kernel) vs the
      forced fiber scheduler (the tree-engine oracle), on both the
      barrier-carrying with_lm version and the barrier-free
-     Grover-transformed one, plus forced one-lane batches of the
-     barrier-free version (a kernel with barriers runs lane code only as
-     one batch per work-group, so it has no one-lane row), and
+     Grover-transformed one, and
    - a domain-scaling sweep — (1, 2, 4, 0=auto) requested domains x
      (wg-vec on both versions; forced fibers on the Grover-transformed
      one) — exercising the persistent domain pool and the chunked group
@@ -26,19 +24,18 @@
      groups through fresh SNB, Nehalem and MIC simulators, and the words
      of cache pages each simulator holds at the end.
 
-   Every launch-throughput, masked-region and allocation row times the
-   fastest of at least 3 launches (5 with --quick) that together ran at
-   least 1 s (0.2 s with --quick); the suite launches take as many
-   rounds and seconds per version.
+   Every launch-throughput, masked-region, allocation and compile-cache
+   row times the fastest of at least 3 runs (5 with --quick) that
+   together ran at least 1 s (0.2 s with --quick); the suite launches
+   take as many rounds and seconds per version.
 
    Every row records which execution path ran (wg-vec / fiber), the
-   largest batch width of its plan (1 for one-lane batches and fibers)
-   and how many pool domains were actually used, so the numbers feeding
-   tuning decisions are auditable. The run *fails* if no with_lm row
-   actually ran W-wide batches, or no without_lm row W-wide or one-lane
-   batches — the bench doubles as the gate that
-   lane compilation and region formation keep succeeding on the flagship
-   kernel in both versions. Results go to stdout and
+   batch width of its plan (the work-group on wg-vec, 1 on fibers) and
+   how many pool domains were actually used, so the numbers feeding
+   tuning decisions are auditable. The run *fails* if no row of a
+   version actually ran W-wide batches — the bench doubles as the gate
+   that lane compilation and region formation keep succeeding on the
+   flagship kernel in both versions. Results go to stdout and
    BENCH_interp.json; with [check_scaling] the run fails if the
    auto-domain row is >10% slower than the single-domain row (the
    regression the persistent pool exists to prevent). *)
@@ -74,7 +71,7 @@ type row = {
   version : H.version;
   domains : int;  (** requested (0 = auto) *)
   path : string;  (** execution path actually taken: wg-vec / fiber *)
-  lane_width : int;  (** largest batch width of the plan; 1 for fibers *)
+  lane_width : int;  (** work-items per batch of the plan; 1 for fibers *)
   pool_domains : int;  (** domains actually used, incl. the caller *)
   clamped : bool;
       (** the request exceeded the hardware cap or the profitable
@@ -87,15 +84,17 @@ type row = {
 let version_name = function H.With_lm -> "with_lm" | H.Without_lm -> "without_lm"
 
 (* The fastest of at least [reps] calls of [f] that together ran at least
-   [min_s] seconds. Noise only ever makes a launch slower, and on a VM
-   whose speed level moves between runs a fixed three launches of
-   20–70 ms spread a row up to 2x; a second of launches does not. *)
-let min_time ~(reps : int) ~(min_s : float) (f : unit -> unit) : float =
+   [min_s] seconds; [after] runs untimed after each call. Noise only ever
+   makes a launch slower, and on a VM whose speed level moves between
+   runs a fixed three launches of 20–70 ms spread a row up to 2x; a
+   second of launches does not. *)
+let min_time ?(after = ignore) ~(reps : int) ~(min_s : float) (f : unit -> unit) : float =
   let best = ref infinity and spent = ref 0.0 and k = ref 0 in
   while !k < reps || !spent < min_s do
     let t0 = Unix.gettimeofday () in
     f ();
     let dt = Unix.gettimeofday () -. t0 in
+    after ();
     if dt < !best then best := dt;
     spent := !spent +. dt;
     incr k
@@ -136,7 +135,7 @@ let measure ~(version : H.version) ?force_path ?(sanitize = false)
     version;
     domains;
     path = Runtime.path_name p;
-    lane_width = Runtime.batch_width p.Runtime.path;
+    lane_width = Runtime.batch_width cfg p.Runtime.path;
     pool_domains = p.Runtime.domains_used;
     clamped = p.Runtime.domains_clamped;
     sanitize;
@@ -148,7 +147,8 @@ let measure ~(version : H.version) ?force_path ?(sanitize = false)
 
    Cold (sequential, sequential through the disk tier, and parallel batch)
    vs warm (memory tier, disk tier) compile time for the whole 12-kernel
-   suite in both versions, plus the hit rates the warm runs achieved.
+   suite in both versions, each row the fastest of at least [reps] runs
+   and [min_s] seconds, plus the hit rates the warm runs achieved.
    Doubles as the gate that the cache actually pays for itself: a warm
    memory-tier compile of the suite must be at least 5x faster than a
    cold one. *)
@@ -185,52 +185,52 @@ let cache_bench ~(reps : int) ~(min_s : float) () : cache_stats =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "grover-bench-cache-%d" (Unix.getpid ()))
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
+  let compile_all c = List.iter (fun rq -> ignore (Cache.compile c rq)) rqs in
+  (* A cold run through the disk tier leaves its artifacts for [after] to
+     remove. *)
+  let disk = Cache.create ~dir () in
+  let after () = Cache.clear disk in
   (* Cold, sequential: every request built front to back, one domain. *)
-  let seq_cache = Cache.create () in
-  let cold_seq = time (fun () -> List.iter (fun rq -> ignore (Cache.compile seq_cache rq)) rqs) in
+  let cold_seq = min_time ~reps ~min_s (fun () -> compile_all (Cache.create ())) in
   (* Cold, sequential, disk tier: every request through a fresh directory
-     on one domain, each miss writing its artifact file; the fastest of
-     at least [reps] runs and [min_s] seconds. *)
-  let cold_seq_disk = ref infinity and spent = ref 0.0 and runs = ref 0 in
-  while !runs < reps || !spent < min_s do
-    let c = Cache.create ~dir () in
-    let dt = time (fun () -> List.iter (fun rq -> ignore (Cache.compile c rq)) rqs) in
-    Cache.clear c;
-    cold_seq_disk := Float.min !cold_seq_disk dt;
-    spent := !spent +. dt;
-    incr runs
-  done;
+     on one domain, each miss writing its artifact file. *)
+  let cold_seq_disk = min_time ~after ~reps ~min_s (fun () -> compile_all (Cache.create ~dir ())) in
   (* Cold, batch: distinct misses spread over the domain pool, artifacts
      published to the disk tier. *)
-  let batch_cache = Cache.create ~dir () in
-  let cold_batch = time (fun () -> ignore (Cache.compile_batch batch_cache rqs)) in
+  let cold_batch =
+    min_time ~after ~reps ~min_s (fun () -> ignore (Cache.compile_batch (Cache.create ~dir ()) rqs))
+  in
   (* Warm, memory tier: the same cache instance replays from prepared
      closures. *)
-  Cache.reset_stats batch_cache;
-  let warm_mem = time (fun () -> ignore (Cache.compile_batch batch_cache rqs)) in
+  let batch_cache = Cache.create ~dir () in
+  ignore (Cache.compile_batch batch_cache rqs);
+  let warm_mem =
+    min_time ~reps ~min_s (fun () ->
+        Cache.reset_stats batch_cache;
+        ignore (Cache.compile_batch batch_cache rqs))
+  in
   let mem_hits = (Cache.stats batch_cache).Cache.st_mem_hits in
   (* Warm, disk tier: a fresh process would start here — artifacts load
      from disk and only [Interp.prepare] is re-paid. *)
-  let disk_cache = Cache.create ~dir () in
-  let warm_disk = time (fun () -> ignore (Cache.compile_batch disk_cache rqs)) in
-  let disk_hits = (Cache.stats disk_cache).Cache.st_disk_hits in
-  Cache.clear disk_cache;
+  let disk_hits = ref 0 in
+  let warm_disk =
+    min_time ~reps ~min_s (fun () ->
+        let c = Cache.create ~dir () in
+        ignore (Cache.compile_batch c rqs);
+        disk_hits := (Cache.stats c).Cache.st_disk_hits)
+  in
+  after ();
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   {
     cs_requests = List.length rqs;
     cs_distinct = distinct;
     cs_cold_seq = cold_seq;
-    cs_cold_seq_disk = !cold_seq_disk;
+    cs_cold_seq_disk = cold_seq_disk;
     cs_cold_batch = cold_batch;
     cs_warm_mem = warm_mem;
     cs_warm_disk = warm_disk;
     cs_warm_mem_hits = mem_hits;
-    cs_warm_disk_hits = disk_hits;
+    cs_warm_disk_hits = !disk_hits;
   }
 
 let report_cache (cs : cache_stats) : unit =
@@ -269,8 +269,7 @@ let report_cache (cs : cache_stats) : unit =
    The if-conversion tally and its payoff. [masked_region_count] walks the
    whole suite (both versions) and counts the region entries whose lane
    verdict is [Lane_masked] — divergent-but-pure diamonds that the lane
-   compiler runs under a per-lane mask instead of dropping a barrier-free
-   kernel's region to one-lane batches, or a kernel with barriers to
+   compiler runs under a per-lane mask instead of sending the kernel to
    fibers. The bench *fails* if the count is zero:
    the guard-diamond kernels (NVD-MM boundary clamp, NBody tail guard)
    must keep qualifying, or the masked path has silently rotted back to
@@ -315,7 +314,7 @@ let masked_bench ~(quick : bool) ~(reps : int) () : masked_stats =
   if regions = 0 then begin
     Printf.eprintf
       "perf bench FAILED: no suite region runs masked lane batches \
-       (if-conversion of guard diamonds fell back to one-lane batches?)\n";
+       (if-conversion of guard diamonds fell back to fibers?)\n";
     exit 1
   end;
   let case = Nvd_mm.case_a in
@@ -333,7 +332,7 @@ let masked_bench ~(quick : bool) ~(reps : int) () : masked_stats =
         "perf bench FAILED: %s forced onto %s ran %s (batch width %d) \
          instead (masked lane compilation lost the kernel?)\n"
         case.Kit.id want (Runtime.path_name p)
-        (Runtime.batch_width p.Runtime.path);
+        (Runtime.batch_width cfg p.Runtime.path);
       exit 1
     end;
     let one () =
@@ -357,14 +356,12 @@ let masked_bench ~(quick : bool) ~(reps : int) () : masked_stats =
              case.Kit.id want m));
     items /. !best
   in
-  let vec =
-    throughput (Runtime.Lanes (Interp.lane_width_of compiled)) "W-wide batches"
-  in
+  let vec = throughput Runtime.Lanes "W-wide batches" in
   let fiber = throughput Runtime.Fiber "fibers" in
   {
     mk_regions = regions;
     mk_case = case.Kit.id;
-    mk_lane_width = Interp.lane_width_of compiled;
+    mk_lane_width = Runtime.batch_width cfg Runtime.Lanes;
     mk_vec_wi_per_sec = vec;
     mk_fiber_wi_per_sec = fiber;
     mk_speedup = vec /. fiber;
@@ -571,7 +568,7 @@ let suite_launch_bench ~(reps : int) ~(min_s : float) () : suite_launch_row list
         sl_case = case.Kit.id;
         sl_version = version;
         sl_path = Runtime.path_name p;
-        sl_lanes = Runtime.batch_width p.Runtime.path;
+        sl_lanes = Runtime.batch_width cfg p.Runtime.path;
         sl_seconds = !best;
       })
     runs
@@ -893,19 +890,15 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   in
   (* Per version: wg-vec on every domain count; the fiber oracle on one
      domain for with_lm and on every domain count for the barrier-free
-     version, which also runs one-lane batches on one domain (against
-     W-wide: what lane batching buys); and the sanitizer (always one
-     domain: the shadow state is not thread-safe) against the plain
-     wg-vec row. *)
+     version; and the sanitizer (always one domain: the shadow state is
+     not thread-safe) against the plain wg-vec row. *)
   let rows =
     List.concat_map
       (fun version ->
         sweep version None
         @ (match version with
           | H.With_lm -> [ m ~version ~force_path:Runtime.Fiber ~domains:1 () ]
-          | H.Without_lm ->
-              m ~version ~force_path:(Runtime.Lanes 1) ~domains:1 ()
-              :: sweep version (Some Runtime.Fiber))
+          | H.Without_lm -> sweep version (Some Runtime.Fiber))
         @ [ m ~version ~domains:1 ~sanitize:true () ])
       [ H.With_lm; H.Without_lm ]
   in
@@ -921,55 +914,39 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
         (if r.sanitize then "yes" else "no")
         r.seconds r.wi_per_sec)
     rows;
-  (* [lanes]: match W-wide (> 1) or one-lane (= 1) rows of a lane plan. *)
-  let find ?(path = "") ?lanes ?(sanitize = false) v d =
+  let find ?(path = "") ?(sanitize = false) v d =
     List.find
       (fun r ->
-        r.version = v && r.domains = d
-        && r.sanitize = sanitize
-        && (path = "" || r.path = path)
-        &&
-        match lanes with
-        | None -> true
-        | Some `Wide -> r.lane_width > 1
-        | Some `One -> r.lane_width = 1)
+        r.version = v && r.domains = d && r.sanitize = sanitize && (path = "" || r.path = path))
       rows
   in
   (* Lane compilation and region formation must keep succeeding on the
-     flagship kernel: if no with_lm row ran W-wide batches, or no
-     without_lm row W-wide (or one-lane) batches, the fast paths silently
-     rotted and every "speedup from disabling local
+     flagship kernel: if a version's rows ran no W-wide batches, the fast
+     path silently rotted and every "speedup from disabling local
      memory" number would conflate the paper's effect with scheduler
      overhead again. *)
-  let gate version lanes label =
+  let gate version =
     if
       not
         (List.exists
            (fun r ->
-             r.version = version && r.path = "wg-vec" && (not r.sanitize)
-             && match lanes with
-                | `Wide -> r.lane_width > 1
-                | `One -> r.lane_width = 1)
+             r.version = version && r.path = "wg-vec" && (not r.sanitize) && r.lane_width > 1)
            rows)
     then begin
       Printf.eprintf
-        "perf bench FAILED: no %s row ran %s (lane compilation / region \
+        "perf bench FAILED: no %s row ran W-wide batches (lane compilation / region \
          formation fell back?)\n"
-        (version_name version) label;
+        (version_name version);
       exit 1
     end
   in
-  gate H.With_lm `Wide "W-wide batches";
-  gate H.Without_lm `Wide "W-wide batches";
-  gate H.Without_lm `One "one-lane batches";
-  let wide v = find ~path:"wg-vec" ~lanes:`Wide v 1 in
-  let one v = find ~path:"wg-vec" ~lanes:`One v 1 in
+  gate H.With_lm;
+  gate H.Without_lm;
+  let wide v = find ~path:"wg-vec" v 1 in
   let fiber v = find ~path:"fiber" v 1 in
   let ratio a b = a.wi_per_sec /. b.wi_per_sec in
   let speedup v = ratio (wide v) (fiber v) in
   let sp_with = speedup H.With_lm and sp_without = speedup H.Without_lm in
-  let sp_one_fiber_wo = ratio (one H.Without_lm) (fiber H.Without_lm) in
-  let sp_wide_one_wo = ratio (wide H.Without_lm) (one H.Without_lm) in
   let overhead v = ratio (wide v) (find ~sanitize:true v 1) in
   let ov_with = overhead H.With_lm and ov_without = overhead H.Without_lm in
   let cs = cache_bench ~reps ~min_s () in
@@ -992,13 +969,9 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   let pa = Predictor.agreement_gate () in
   Printf.printf
     "\nwg-vec vs forced fibers (1 domain): with_lm %.2fx, without_lm %.2fx\n\
-     one-lane batches vs forced fibers (without_lm, 1 domain): %.2fx\n\
-     wg-vec (%d lanes) vs forced one-lane batches (without_lm, 1 domain): \
-     %.2fx\n\
      sanitizer overhead (plain / sanitized wi/sec): with_lm %.2fx, \
      without_lm %.2fx\n"
-    sp_with sp_without sp_one_fiber_wo (wide H.Without_lm).lane_width
-    sp_wide_one_wo ov_with ov_without;
+    sp_with sp_without ov_with ov_without;
   if not quick then begin
   let oc = open_out "BENCH_interp.json" in
   Printf.fprintf oc
@@ -1017,8 +990,6 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     rows;
   Printf.fprintf oc
     "  ],\n  \"speedup_with_lm\": %.2f,\n  \"speedup_without_lm\": %.2f,\n\
-    \  \"speedup_one_lane_over_fiber_without_lm\": %.2f,\n\
-    \  \"speedup_wide_over_one_lane_without_lm\": %.2f,\n\
     \  \"sanitizer_overhead_with_lm\": %.2f,\n\
     \  \"sanitizer_overhead_without_lm\": %.2f,\n\
     \  \"masked_regions\": %d,\n\
@@ -1037,8 +1008,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
     \    \"warm_mem_hit_rate\": %.3f,\n\
     \    \"warm_disk_hit_rate\": %.3f\n\
     \  }"
-    sp_with sp_without sp_one_fiber_wo sp_wide_one_wo
-    ov_with ov_without mk.mk_regions mk.mk_case mk.mk_speedup
+    sp_with sp_without ov_with ov_without mk.mk_regions mk.mk_case mk.mk_speedup
     cs.cs_requests cs.cs_distinct cs.cs_cold_seq cs.cs_cold_seq_disk cs.cs_cold_batch
     cs.cs_warm_mem cs.cs_warm_disk
     (cs.cs_cold_seq /. cs.cs_warm_mem)

@@ -409,40 +409,25 @@ let transform_cmd =
 
 (* -- report -------------------------------------------------------------------- *)
 
-(* The execution path [fn] would take:
-   [Runtime.default_path], the plan with no overrides. The kernel is
-   compiled (so lane-batchability reflects what the lane compiler actually
-   accepted, not just the static region verdict) but nothing is executed.
-   Returns the path line plus one lane verdict per parallel region: the
-   static {!Regions} classification, narrowed to a scalar-sweep verdict
-   when the lane compiler runs a barrier-free kernel's region in one-lane
-   batches the static analysis did not ask for. *)
+(* The execution path [fn] would take: [Runtime.default_path], the plan
+   with no overrides for a group of at most [Interp.max_lane_width]
+   work-items. The kernel is compiled but nothing is executed. Returns
+   the path line plus the {!Regions} lane verdict of each parallel
+   region. *)
 let path_info (fn : Grover_ir.Ssa.func) : string * string list =
-  let v = Grover_ir.Regions.form fn in
   let c = Grover_ocl.Interp.prepare fn in
+  let v = c.Grover_ocl.Interp.regions in
   let path =
     match Runtime.default_path c with
-    | Runtime.Lanes w ->
-        Printf.sprintf "wg-vec, %d lane%s" w (if w = 1 then "" else "s")
+    | Runtime.Lanes -> Printf.sprintf "wg-vec, %d lanes" Grover_ocl.Interp.max_lane_width
     | p -> Runtime.string_of_path p
   in
   let regions =
     match v with
     | Grover_ir.Regions.Fallback _ -> []
     | Grover_ir.Regions.Formed info ->
-        let barriers = Array.length info.Grover_ir.Regions.barriers > 0 in
         Array.to_list
-          (Array.map
-             (fun lv ->
-               let refined =
-                 match (lv, c.Grover_ocl.Interp.code) with
-                 | Grover_ir.Regions.Scalar _, _ -> lv
-                 | _, Some ln when not ln.Grover_ocl.Interp.lwide ->
-                     Grover_ir.Regions.Scalar "one-lane segment"
-                 | _, _ -> lv
-               in
-               Grover_ir.Regions.verdict_string ~barriers refined)
-             info.Grover_ir.Regions.lane_entries)
+          (Array.map Grover_ir.Regions.verdict_string info.Grover_ir.Regions.lane_entries)
   in
   (Printf.sprintf "%s (%s)" path (Grover_ir.Regions.describe v), regions)
 

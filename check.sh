@@ -147,7 +147,7 @@ dune exec bin/groverc.exe -- sanitize examples/kernels/uniform_branch_barrier.cl
 echo "== W-wide batches planned for the flagship barrier kernels =="
 # Non-vacuousness: W-wide lane batches must actually be selected for the
 # transpose and GEMM kernels, or every lane differential and bench row
-# silently degrades to one-lane batches ("wg-vec, 1 lane").
+# silently degrades to the fiber scheduler.
 for f in examples/kernels/transpose_tile.cl examples/kernels/gemm_float4.cl; do
   out=$(dune exec bin/groverc.exe -- report "$f")
   case "$out" in
@@ -161,8 +161,7 @@ done
 
 echo "== W-wide batches planned for a barrier-free (Grover-transformed) kernel =="
 # A barrier-free kernel is the one-region case of the lane executor: the
-# default plan must not drop Grover's transformed kernels back to
-# one-lane batches.
+# default plan must not drop Grover's transformed kernels back to fibers.
 out=$(dune exec bin/groverc.exe -- report examples/kernels/transpose_tile.cl)
 case "$out" in
   *"execution path (local memory disabled): wg-vec, "[0-9]" lanes"*|\
@@ -174,11 +173,10 @@ case "$out" in
 esac
 
 echo "== private array across a barrier: fiber plan, clean sanitizer =="
-# A region that allocates private memory would need one-lane batches, and
-# a kernel with barriers runs lane code only as one batch per work-group,
-# so the kernel plans the fiber scheduler; region 0's verdict says why,
-# with the private array's position. The region after the barrier reads
-# each work-item's private array.
+# A region that allocates private memory cannot run as a lane batch, so
+# the kernel plans the fiber scheduler; region 0's verdict says why, with
+# the private array's position. The region after the barrier reads each
+# work-item's private array.
 out=$(dune exec bin/groverc.exe -- report examples/kernels/private_array.cl)
 case "$out" in
   *"execution path (with local memory): fiber ("*) ;;
@@ -196,7 +194,7 @@ dune exec bin/groverc.exe -- sanitize examples/kernels/private_array.cl \
 echo "== masked lane execution: guard diamonds and guarded stores run masked, divergent loops bail =="
 # The guarded matmul carries the SDK boundary-clamp idiom: a pure
 # divergent diamond that must be if-converted and run as a masked lane
-# batch (not dropped to one-lane batches), keeping the kernel on wg-vec.
+# batch (not dropped to fibers), keeping the kernel on wg-vec.
 out=$(dune exec bin/groverc.exe -- report examples/kernels/guarded_matmul.cl)
 case "$out" in
   *"execution path (with local memory): wg-vec"*) ;;
@@ -224,12 +222,17 @@ for f in examples/kernels/divergent_store.cl examples/kernels/saxpy.cl; do
   esac
 done
 # A loop whose trip count comes from get_local_id(0) is no diamond: its
-# region keeps its scalar-sweep verdict (one-lane batches), and the bail
-# reason must carry the loop branch's source location.
+# region cannot run as a lane batch, so the barrier-free kernel plans the
+# fiber scheduler, and the bail reason must carry the loop branch's source
+# location.
 out=$(dune exec bin/groverc.exe -- report examples/kernels/divergent_loop.cl)
 case "$out" in
-  *"scalar sweep: divergent branch arms do not reconverge at 8:24"*)
-     echo "-- divergent_loop.cl bails with a located reason" ;;
+  *"execution path (with local memory): fiber ("*) ;;
+  *) echo "FAIL: divergent_loop.cl did not plan as fiber"; echo "$out"; exit 1 ;;
+esac
+case "$out" in
+  *"forces fibers: divergent branch arms do not reconverge at 8:24"*)
+     echo "-- divergent_loop.cl plans fibers with a located reason" ;;
   *) echo "FAIL: divergent_loop.cl lost its located divergent-branch bail reason"
      echo "$out"; exit 1 ;;
 esac
@@ -272,6 +275,16 @@ case "$status:$out" in
   *) echo "FAIL: sanitize with a bad geometry (exit $status):"; echo "$out"; exit 1 ;;
 esac
 echo "-- saxpy.cl --global 10 --local 4: located error, exit 1, no finding"
+# A work-group of more than 4096 work-items is refused the same way,
+# before a tree state per work-item or a buffer is allocated.
+status=0
+out=$(dune exec bin/groverc.exe -- sanitize examples/kernels/saxpy.cl \
+  --global 8192 --local 8192 2>&1) || status=$?
+case "$status:$out" in
+  "1:examples/kernels/saxpy.cl: error: [sanitize] a work-group holds at most 4096 work-items, not 8192 x 1 x 1") ;;
+  *) echo "FAIL: sanitize with an 8192-item group (exit $status):"; echo "$out"; exit 1 ;;
+esac
+echo "-- saxpy.cl --global 8192 --local 8192: located error, exit 1, no finding"
 
 echo "== sanitizer output: byte-identical to the checked-in references =="
 # Findings, their order, their dedup and their messages are the

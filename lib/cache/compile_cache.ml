@@ -103,20 +103,20 @@ let canonical_source ~(defines : (string * string) list) (src : string) :
           Hashtbl.replace canon_memo memo_key c);
       c
 
-(** The human-readable key material; {!key_of_request} hashes exactly this.
-    Exposed so tests and [groverc cache stats] can explain a key. *)
-let key_spec (rq : request) : string =
-  String.concat "\x00"
-    [
-      code_version;
-      canonical_source ~defines:rq.rq_defines rq.rq_source;
-      defines_spec rq.rq_defines;
-      Pass.pipeline_spec rq.rq_pipeline;
-      variant_spec rq.rq_variant;
-    ]
-
+(** A request's key: the hash of its key material, which is the code
+    version, the canonical source, the defines, the pipeline and the
+    variant. *)
 let key_of_request (rq : request) : string =
-  Digest.to_hex (Digest.string (key_spec rq))
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          [
+            code_version;
+            canonical_source ~defines:rq.rq_defines rq.rq_source;
+            defines_spec rq.rq_defines;
+            Pass.pipeline_spec rq.rq_pipeline;
+            variant_spec rq.rq_variant;
+          ]))
 
 (** Content hash identifying one kernel for the autotune database: the
     canonical source (under its defines) and the kernel name. The

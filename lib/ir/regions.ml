@@ -20,9 +20,10 @@
       handling it dynamically, so such kernels fall back to fibers);
     - {b lane verdicts}: can each region run as lane batches, and which
       divergent branches does the lane compiler if-convert under a mask?
-      A kernel with barriers runs its lane code as one batch per
-      work-group, so the values live across a barrier stay in that
-      batch's lane slots and need no analysis here. *)
+      Lane code runs a work-group only as one batch, so the values live
+      across a barrier stay in that batch's lane slots and need no
+      analysis here. These verdicts alone decide whether a kernel has
+      lane code: one [Scalar] region sends it to the fiber scheduler. *)
 
 open Ssa
 
@@ -41,8 +42,9 @@ type diamond = {
 (** Per-region-entry lane capability. [Lane]: group-uniform control
     throughout, plain lane batching. [Lane_masked n]: lane batching after
     if-converting [n] pure divergent diamonds under a per-lane predicate
-    mask. [Scalar reason]: the region runs the one-work-item sweep, and
-    [reason] says why (located where the source carries positions). *)
+    mask. [Scalar reason]: the region cannot run as a lane batch, so the
+    kernel runs on fibers, and [reason] says why (located where the source
+    carries positions). *)
 type lane_verdict = Lane | Lane_masked of int | Scalar of string
 
 let lane_ok = function Lane | Lane_masked _ -> true | Scalar _ -> false
@@ -58,9 +60,8 @@ type info = {
           batches? Every reachable block up to the next barrier must stay
           under group-uniform control — except classified {!diamond}s,
           which the lane compiler executes under a mask — and allocate no
-          private memory. A [Scalar] region runs one-lane batches in a
-          barrier-free kernel; in a kernel with barriers it sends every
-          launch to the fiber scheduler. *)
+          private memory. A [Scalar] region sends every launch to the
+          fiber scheduler. *)
   diamonds : (int, diamond) Hashtbl.t;
       (** branch-block bid -> classified maskable diamond, shared across
           regions; the lane compiler looks its divergent branches up here *)
@@ -282,13 +283,12 @@ let describe (v : verdict) : string =
   | Fallback reason -> reason
 
 (** Human-readable per-region lane verdict, as printed by
-    [groverc report]. A [Scalar] region of a kernel with [barriers] sends
-    the kernel to the fiber scheduler; in a barrier-free kernel it runs
-    one-lane batches (a scalar sweep). *)
-let verdict_string ?(barriers = false) (v : lane_verdict) : string =
+    [groverc report]. A [Scalar] region sends the kernel to the fiber
+    scheduler. *)
+let verdict_string (v : lane_verdict) : string =
   match v with
   | Lane -> "lane batch"
   | Lane_masked n ->
       Printf.sprintf "lane batch (masked, %d diamond%s)" n
         (if n = 1 then "" else "s")
-  | Scalar r -> (if barriers then "forces fibers: " else "scalar sweep: ") ^ r
+  | Scalar r -> "forces fibers: " ^ r

@@ -11,13 +11,10 @@
       no [Hashtbl] lookups and no [op] pattern matching, and [int]/[float]
       results (vectors one slot per component) live unboxed in typed slot
       arrays. The kernel is cut into barrier-delimited {e regions}
-      ({!Grover_ir.Regions}). A kernel with barriers runs each
-      work-group as one batch, its regions in turn, so the values that
-      cross a barrier stay in the batch's lane slots; it has lane code
-      only if every region runs W-wide. A barrier-free kernel sweeps the
-      group in batches of W lanes, or of one lane where its region needs
-      per-work-item control flow. One batch of one lane is exactly one
-      work-item, so the same code serves both.
+      ({!Grover_ir.Regions}). Lane code runs each work-group of up to
+      {!max_lane_width} work-items as one batch, its regions in turn, so
+      the values that cross a barrier stay in the batch's lane slots. A
+      kernel has lane code only if every region runs W-wide.
     - {b Tree}: the original tree-walking reference engine, kept as the
       oracle for the differential test suite and run only by the fiber
       path ([~force_path:Runtime.Fiber] for a launch,
@@ -25,9 +22,10 @@
       OCaml 5 fiber; hitting a barrier performs [Barrier_hit], the group
       scheduler parks the continuation and resumes every work-item of the
       group once all of them have arrived. Kernels whose barriers do not
-      form regions (divergent barriers), and kernels with barriers and a
-      region that needs one-lane batches, have no lane code and always
-      run here.
+      form regions (divergent barriers) or that have a region lane
+      batches cannot run (a divergent branch outside a maskable diamond,
+      a private alloca) have no lane code and always run here, as does
+      every work-group larger than {!max_lane_width}.
 
     Memory accesses stream into the group's {!Trace.wg_stats} for the
     performance simulator either way, in the same per-work-item order. *)
@@ -207,30 +205,28 @@ let math2 name a b =
    an edge whose moves read no slot they write moves in place, any other
    edge stages through scratch arrays. *)
 
-(** Lane-batched execution state: one state executes a batch of up to
-    [lw] consecutive work-items per closure invocation over
-    struct-of-arrays slots. Every value-producing instruction keeps its
-    scalar slot number [s]; the lane environments store slot [s] in the
-    columns [s*lw .. s*lw+lw-1]. A value the uniformity analysis proved
-    group-uniform is computed once per batch and lives in column 0 of its
-    slot ([s*lw]); varying values occupy one column per lane. [nl] < [lw]
-    in one-lane batches, in the one batch of a group smaller than the
-    lane width, and in the peeled tail batch of a barrier-free kernel's
-    larger group whose size is not a multiple of it. *)
+(** Lane-batched execution state: one state executes the batch of a
+    whole work-group, up to W = {!max_lane_width} work-items, per closure
+    invocation over struct-of-arrays slots. Every value-producing
+    instruction keeps its scalar slot number [s]; the lane environments
+    store slot [s] in the columns [s*W .. s*W+W-1]. A value the
+    uniformity analysis proved group-uniform is computed once per batch
+    and lives in column 0 of its slot ([s*W]); varying values occupy one
+    column per lane. Lane [l] is the work-item of flat local id [l]. *)
 type lane_state = {
-  lw : int;  (** compiled lane width W *)
-  mutable nl : int;  (** active lanes in the current batch *)
-  mutable base_flat : int;  (** flat work-item id of lane 0 *)
-  lienv : int array;  (** [n_int] slots x [lw] lanes *)
+  mutable nl : int;
+      (** active lanes: the group's work-items, or 1 while a uniform
+          instruction runs *)
+  lienv : int array;  (** [n_int] slots x W lanes *)
   lfenv : float array;
   lbenv : rv array;
   (* Phi-move staging of the edges whose moves conflict, split by
-     uniformity: uniform moves stage one value, varying moves stage [lw]
+     uniformity: uniform moves stage one value, varying moves stage W
      columns per move. *)
   luiscr : int array;
   lufscr : float array;
   lubscr : rv array;
-  lviscr : int array;  (** varying move [k], lane [l] at [k*lw + l] *)
+  lviscr : int array;  (** varying move [k], lane [l] at [k*W + l] *)
   lvfscr : float array;
   lvbscr : rv array;
   lpred : int array;
@@ -242,19 +238,14 @@ type lane_state = {
   mutable lnthen : int;
       (** lanes (of the active [nl]) whose predicate is 1 — the then
           arm's population count; the else arm's is [nl - lnthen] *)
-  llid : int array array;  (** 3 dims x [lw]: per-lane local ids *)
-  lgid : int array array;  (** 3 dims x [lw]: per-lane global ids *)
-  lcur : int array;  (** local id of the work-item after the current batch *)
+  llid : int array array;  (** 3 dims x W: per-lane local ids *)
+  lgid : int array array;  (** 3 dims x W: per-lane global ids *)
   lctx : wi_ctx;
       (** shares [grp]/[lsz]/[gsz]/[ngr] with the group runner; its
           [lid]/[gid] fields are unused here (lanes read [llid]/[lgid]) *)
   largs : rv array;
   lstats : Trace.wg_stats;
   llocal : (int, Memory.buffer) Hashtbl.t;  (** alloca iid -> group buffer *)
-  lmem : Memory.t;  (** private allocations land here *)
-  mutable lpriv : int;
-      (** private bump offset of the work-item a one-lane batch runs;
-          {!reset_lane_batch} rewinds it *)
   mutable lsan : Sanitize.t option;
 }
 
@@ -281,29 +272,22 @@ and compiled = {
       (** barrier-region formation result, for path reporting *)
   code : clanes option;
       (** [Some] iff {!Regions.form} verified every barrier
-          group-uniform (trivially for barrier-free code) and, in a
-          kernel with barriers, every region runs W-wide; [None] runs the
-          tree engine under fibers *)
+          group-uniform (trivially for barrier-free code) and every
+          region runs W-wide; [None] runs the tree engine under fibers *)
 }
 
 (** The closure-compiled kernel. Basic blocks are split at barriers into
     segments: index 0 is the kernel entry, each block's segments are
     contiguous in block order. *)
 and clanes = {
-  lwidth : int;  (** lane width W the kernel was compiled for *)
   lsegs : lseg array;
-  lwide : bool;
-      (** sweep in batches of W? [false] only for a barrier-free kernel
-          whose region reaches a one-lane segment (a divergent branch
-          outside a classified diamond, or a private alloca): it runs
-          batches of one *)
   n_int : int;  (** slots per kind *)
   n_float : int;
   n_box : int;
   lscr_ui : int;  (** phi staging widths: uniform moves (scalars)... *)
   lscr_uf : int;
   lscr_ub : int;
-  lscr_vi : int;  (** ...and varying moves (x [lwidth] lane columns) *)
+  lscr_vi : int;  (** ...and varying moves (x W lane columns) *)
   lscr_vf : int;
   lscr_vb : int;
   bar_entry : int array;  (** barrier index -> continuation segment *)
@@ -324,7 +308,7 @@ and lterm =
   | LTbr of ledge
   | LTcond of (lane_state -> int) * ledge * ledge
       (** one evaluation decides the branch for the whole batch: the
-          condition is group-uniform, or the batch is one lane *)
+          condition is group-uniform *)
   | LTret
   | LTbarrier of { lbar : int; lnext : int }
       (** barrier [lbar] (dense {!Regions} index); [lnext] is the
@@ -338,8 +322,8 @@ and ledge = {
       (** one closure per phi move, over whole columns: in place, straight
           into its destination slot; on an edge whose moves conflict, into
           scratch — a uniform move stages one value at [k], a varying one
-          [nl] values at [k * lwidth]... *)
-  (* ...then commit, per kind, to destination slot bases ([slot * lwidth]);
+          [nl] values at [k * W]... *)
+  (* ...then commit, per kind, to destination slot bases ([slot * W]);
      empty on an in-place edge *)
   lu_im_dst : int array;
   lu_fm_dst : int array;
@@ -396,8 +380,8 @@ let store_elem (st : wi_state) (b : Memory.buffer) (idx : int)
    indices and moves the elements' components here (see [lv_access]). Per
    lane, [lane_check] hands the access to the sanitizer, if one is
    installed, and checks the index, calling out only to raise
-   [Memory.check]'s out-of-bounds error. The work-item id is the batch
-   base plus the lane index; each lane's events land in its own program
+   [Memory.check]'s out-of-bounds error. The work-item id is the lane
+   index; each lane's events land in its own program
    order, which is the only ordering the memory simulator and the
    sanitizer depend on. *)
 let[@inline] lane_check (ls : lane_state) (b : Memory.buffer) (idx : int)
@@ -582,11 +566,6 @@ let batch_move (b : Memory.buffer) ~(is_write : bool) ~(fl : bool) (fe : float a
   done;
   !ok
 
-(* Private arrays live in the private address region at the work-item's
-   bump [offset]; the data array itself is fresh per allocation. *)
-let alloc_private (mem : Memory.t) ~(offset : int) elem count : Memory.buffer =
-  Memory.alloc_at mem ~space:Private ~base_addr:(0x0000_1000 + offset) elem count
-
 (* == The tree-walking reference engine ====================================== *)
 
 let slot st (i : instr) : int = Hashtbl.find st.c.slots i.iid
@@ -743,7 +722,12 @@ and exec_instr (st : wi_state) (i : instr) : unit =
       | Some b -> set (RBuf b)
       | None -> trap "local alloca without a group buffer")
   | Alloca { aspace = Private; elem; count; _ } ->
-      let b = alloc_private st.mem ~offset:st.private_offset elem count in
+      (* private arrays live in the private address region at the
+         work-item's bump offset; the data array is fresh per allocation *)
+      let b =
+        Memory.alloc_at st.mem ~space:Private
+          ~base_addr:(0x0000_1000 + st.private_offset) elem count
+      in
       st.private_offset <- st.private_offset + (count * ty_size_bytes elem);
       set (RBuf b)
   | Alloca _ -> trap "unsupported alloca space"
@@ -958,21 +942,24 @@ let block_cost (instrs : instr list) : int * int * int =
           (ai + ci, af + cf, as_ + cs))
     (0, 0, 0) instrs
 
+(** The widest lane batch, and the width every kernel's lane code is
+    compiled for: lane code runs work-groups of up to this many
+    work-items, each as one batch (pocl's whole-group work-item loop). *)
+let max_lane_width = 256
+
 (* Lane-batched compilation over the segment layout {!compile_fn} builds:
-   each closure advances a whole batch of up to [lw] work-items over
-   struct-of-arrays columns. Uniform values (per the {!Divergence}
-   fixpoint) are computed once per batch into column 0 of their slot;
-   varying values loop over the active lanes. Two kinds of segment only
-   have a one-lane form — a divergent branch outside a classified diamond
-   branches on lane 0's condition, and a private alloca allocates for lane
-   0 — and a barrier-free kernel whose region reaches one runs batches of
-   one; a kernel with barriers that reaches one gets no lane code
-   ([None]). *)
-let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
-    ~(n_slots : int * int * int) ~(bidx : (int, int) Hashtbl.t)
-    ~(bar_index : (int, int) Hashtbl.t) ~(bar_entry : int array)
-    ~(seg_descs : (block * instr list * instr option) array)
-    ~(info : Regions.info) : clanes option =
+   each closure advances the batch of a whole work-group, up to [lw]
+   work-items, over struct-of-arrays columns. Uniform values (per the
+   {!Divergence} fixpoint) are computed once per batch into column 0 of
+   their slot; varying values loop over the active lanes. {!compile_fn}
+   compiles only kernels whose every region {!Regions} lets run as a lane
+   batch, so no reachable code holds a private alloca or a divergent
+   branch outside a classified diamond. *)
+let compile_lanes ~(kinds : (int, kind) Hashtbl.t) ~(n_slots : int * int * int)
+    ~(bidx : (int, int) Hashtbl.t) ~(bar_index : (int, int) Hashtbl.t)
+    ~(bar_entry : int array) ~(seg_descs : (block * instr list * instr option) array)
+    ~(info : Regions.info) : clanes =
+  let lw = max_lane_width in
   let dv = info.Regions.div in
   let kind_of (i : instr) = Hashtbl.find_opt kinds i.iid in
   let varying (v : value) =
@@ -1478,18 +1465,19 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
      A batch-uniform buffer indexed by an int slot takes one inline loop.
      The buffer's base and width and the access's info word are resolved
      once per batch. Lane [l] reads its index at [io + l * stride]
-     (stride 0: a uniform slot, such as NBody's [sh[j]]). A batch that
-     covers the whole group accesses from the run of lanes [f .. last]:
-     all of them, or in a masked arm its active lanes when they are
-     consecutive ([active_run]). If the index column is [i0 + sx·lx +
-     sy·ly + sz·lz] over that run ([run_form], [affine_column]), its
-     elements move as one batch ([batch_move], counted in
-     [Trace.batch_moves]) when no sanitizer is installed and every row
-     segment is in bounds; otherwise the lanes check and move one by one,
-     as every other batch does. Either way the access is stored after the
-     move as one record of those lanes, so a trap leaves nothing
-     recorded. Every other batch stores one
-     one-lane record per active lane. A per-lane buffer, a constant or
+     (stride 0: a uniform slot, such as NBody's [sh[j]]). The batch (a
+     load or store is never uniform, so it holds the whole group)
+     accesses from the run of lanes [f .. last]: all of them, or in a
+     masked arm its active lanes when they are consecutive
+     ([active_run]). If the index column is [i0 + sx·lx + sy·ly + sz·lz]
+     over that run ([run_form], [affine_column]), its elements move as
+     one batch ([batch_move], counted in [Trace.batch_moves]) when no
+     sanitizer is installed and every row segment is in bounds;
+     otherwise the lanes check and move one by one. Either way the
+     access is stored after the move as one record of those lanes, so a
+     trap leaves nothing recorded. Any other access (a masked arm whose
+     active lanes are not one run, an index that is not affine) stores
+     one one-lane record per active lane. A per-lane buffer, a constant or
      argument index, and a constant or argument stored value take
      [each], which reads them through per-lane getters and records per
      lane with [Trace.record]. *)
@@ -1500,10 +1488,10 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     fun ls ->
       for l = 0 to ls.nl - 1 do
         if on < 0 || ls.lpred.(l) = on then begin
-          let b = gp ls l and idx = gi ls l and wi = ls.base_flat + l in
+          let b = gp ls l and idx = gi ls l in
           Trace.record ls.lstats ~addr:(Memory.addr_of b idx)
-            ~bytes:b.Memory.elem_bytes ~is_write ~space:b.Memory.space ~wi;
-          lane_check ls b idx ~wi ~is_write ~loc;
+            ~bytes:b.Memory.elem_bytes ~is_write ~space:b.Memory.space ~wi:l;
+          lane_check ls b idx ~wi:l ~is_write ~loc;
           move ls b idx l
         end
       done
@@ -1522,15 +1510,11 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
     | Some hb, Oi (s, vr) ->
         let io = s * lw and stride = Bool.to_int vr and loc = i.iloc in
         fun ls ->
-          let b = hb ls and st = ls.lstats and nl = ls.nl and bf = ls.base_flat in
+          let b = hb ls and st = ls.lstats and nl = ls.nl in
           let base = b.Memory.base_addr and w = b.Memory.elem_bytes in
           let info = Trace.info ~bytes:w ~space:b.Memory.space ~is_write in
           let ie = ls.lienv and fe = ls.lfenv and pr = ls.lpred in
-          let f, nr =
-            if bf <> 0 || nl <> st.Trace.wg_size then (0, 0)
-            else if on < 0 then (0, nl)
-            else active_run pr ~on ~nl
-          in
+          let f, nr = if on < 0 then (0, nl) else active_run pr ~on ~nl in
           let last = f + nr - 1 and lsx = ls.lctx.lsz.(0) and lsy = ls.lctx.lsz.(1) in
           let i0, sx, sy, sz =
             if nr < 2 then (0, 0, 0, 0)
@@ -1558,9 +1542,9 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
             for l = 0 to nl - 1 do
               if on < 0 || pr.(l) = on then begin
                 let idx = ie.(io + (l * stride)) in
-                Trace.record_batch st ~first:(bf + l) ~lanes:1 ~info ~base:(base + (idx * w))
+                Trace.record_batch st ~first:l ~lanes:1 ~info ~base:(base + (idx * w))
                   ~cx:0 ~cy:0 ~cz:0;
-                lane_check ls b idx ~wi:(bf + l) ~is_write ~loc;
+                lane_check ls b idx ~wi:l ~is_write ~loc;
                 lane_move b idx ~is_write ~fl fe ie ~p:(c + (l * cs)) ~lw ~n
               end
             done
@@ -1633,15 +1617,6 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
                   ls.lbenv.(dst + l) <- r
                 done
             | None -> trap "local alloca without a group buffer");
-        ]
-    | Alloca { aspace = Private; elem; count; _ }, Some (KBox d) ->
-        (* one-lane form: allocates for lane 0's work-item *)
-        let dst = d * lw and bytes = count * ty_size_bytes elem in
-        [
-          (fun ls ->
-            let b = alloc_private ls.lmem ~offset:ls.lpriv elem count in
-            ls.lpriv <- ls.lpriv + bytes;
-            ls.lbenv.(dst) <- RBuf b);
         ]
     | Load { ptr; index }, _ -> [ lv_load ~on:(-1) i ptr index ]
     | Store { ptr; index; v }, _ -> [ lv_store ~on:(-1) i ptr index v ]
@@ -1980,19 +1955,9 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
       LTbr (bare_ledge jb) )
   in
 
-  (* Compile every segment; [one_lane] marks those that only have the
-     one-lane form. *)
-  let n_segs = Array.length seg_descs in
-  let one_lane = Array.make n_segs false in
   let lsegs =
     Array.mapi
       (fun si ((b : block), (instrs : instr list), (bar : instr option)) ->
-        if
-          List.exists
-            (fun (i : instr) ->
-              match i.op with Alloca { aspace = Private; _ } -> true | _ -> false)
-            instrs
-        then one_lane.(si) <- true;
         let lbody = lane_body instrs in
         let lbody =
           if
@@ -2016,12 +1981,10 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
                   match Hashtbl.find_opt info.Regions.diamonds b.bid with
                   | Some d when Divergence.value_divergent dv c ->
                       compile_diamond b c d
-                  | _ ->
-                      (* uniform, or the one-lane form: lane 0's condition
-                         (column 0) decides *)
-                      if Divergence.value_divergent dv c then
-                        one_lane.(si) <- true;
-                      ([], LTcond (lu_iget (op c), mk_ledge b t, mk_ledge b e)))
+                  | _ when Divergence.value_divergent dv c ->
+                      (* {!Regions} found no such branch where code runs *)
+                      ([], LTtrap "divergent branch in lane code")
+                  | _ -> ([], LTcond (lu_iget (op c), mk_ledge b t, mk_ledge b e)))
               | Some { op = Ret; _ } -> ([], LTret)
               | _ -> ([], LTtrap "missing terminator"))
         in
@@ -2030,63 +1993,31 @@ let compile_lanes ~(lw : int) ~(kinds : (int, kind) Hashtbl.t)
       seg_descs
   in
 
-  (* A region entry runs W-wide batches iff {!Regions} said so and no
-     segment reachable from it (stopping at barriers) is one-lane. A
-     kernel with barriers gets lane code only if every region does. *)
-  let entry_seg e = if e = 0 then 0 else bar_entry.(e - 1) in
-  let reachable_ok (start : int) : bool =
-    let seen = Array.make (max 1 n_segs) false in
-    let ok = ref true in
-    let rec walk s =
-      if !ok && not seen.(s) then begin
-        seen.(s) <- true;
-        if one_lane.(s) then ok := false
-        else
-          match lsegs.(s).lterm with
-          | LTbr e -> walk e.le_dst
-          | LTcond (_, t, e) ->
-              walk t.le_dst;
-              walk e.le_dst
-          | LTret | LTbarrier _ | LTtrap _ -> ()
-      end
-    in
-    walk start;
-    !ok
-  in
-  let wide =
-    Array.mapi
-      (fun e lv -> Regions.lane_ok lv && reachable_ok (entry_seg e))
-      info.Regions.lane_entries
-  in
-  if Array.length bar_entry > 0 && not (Array.for_all Fun.id wide) then None
-  else
-    let n_int, n_float, n_box = n_slots in
-    Some
-      {
-        lwidth = lw;
-        lsegs;
-        lwide = wide.(0);
-        n_int;
-        n_float;
-        n_box;
-        lscr_ui = !scr_ui;
-        lscr_uf = !scr_uf;
-        lscr_ub = !scr_ub;
-        lscr_vi = !scr_vi;
-        lscr_vf = !scr_vf;
-        lscr_vb = !scr_vb;
-        bar_entry;
-      }
+  let n_int, n_float, n_box = n_slots in
+  {
+    lsegs;
+    n_int;
+    n_float;
+    n_box;
+    lscr_ui = !scr_ui;
+    lscr_uf = !scr_uf;
+    lscr_ub = !scr_ub;
+    lscr_vi = !scr_vi;
+    lscr_vf = !scr_vf;
+    lscr_vb = !scr_vb;
+    bar_entry;
+  }
 
 (* Slot kinds, segment layout and barrier numbering of [fn], then its lane
-   code. [None] when the barriers do not form regions, or when a kernel
-   with barriers has a region that needs one-lane batches (a private
-   alloca, or a divergent branch outside a maskable diamond): such a
-   kernel runs the tree engine under fibers. *)
-let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
-    clanes option =
+   code. [None] when the barriers do not form regions, or when a region
+   cannot run as a lane batch (a private alloca, or a divergent branch
+   outside a maskable diamond): such a kernel runs the tree engine under
+   fibers. *)
+let compile_fn (fn : func) (regions : Regions.verdict) : clanes option =
   match regions with
   | Regions.Fallback _ -> None
+  | Regions.Formed info when not (Array.for_all Regions.lane_ok info.Regions.lane_entries) ->
+      None
   | Regions.Formed info ->
       let kinds : (int, kind) Hashtbl.t = Hashtbl.create 64 in
       let ni = ref 0 and nf = ref 0 and nb = ref 0 in
@@ -2144,23 +2075,24 @@ let compile_fn ~(lane_width : int) (fn : func) (regions : Regions.verdict) :
       in
       if not enumeration_matches then None
       else
-        compile_lanes ~lw:lane_width ~kinds ~n_slots:(!ni, !nf, !nb) ~bidx
-          ~bar_index ~bar_entry ~seg_descs ~info
+        Some
+          (compile_lanes ~kinds ~n_slots:(!ni, !nf, !nb) ~bidx ~bar_index ~bar_entry
+             ~seg_descs ~info)
 
 (* -- The region executor -------------------------------------------------------
 
-   [run_lane_region] drives a whole batch of [nl] consecutive work-items
-   through the current parallel region in one pass over the compiled
-   segments, until the batch either returns (result -1) or reaches a
-   barrier (result = the barrier's dense index; the batch, which holds
-   the whole group, continues at [bar_entry.(bar)]). Segment costs are
+   [run_lane_region] drives the batch of a whole work-group through the
+   current parallel region in one pass over the compiled segments, until
+   the batch either returns (result -1) or reaches a barrier (result =
+   the barrier's dense index; the group continues at [bar_entry.(bar)]).
+   Segment costs are
    bumped once per batch, multiplied by the active lane count, so trace
    totals are bit-identical to the tree engine. *)
 
 let take_ledge (ls : lane_state) (e : ledge) : int =
   let stage = e.le_stage in
   if Array.length stage > 0 then begin
-    let lw = ls.lw and nl = ls.nl in
+    let lw = max_lane_width and nl = ls.nl in
     (* Run every move against the predecessor's columns... *)
     for k = 0 to Array.length stage - 1 do
       stage.(k) ls
@@ -2232,52 +2164,22 @@ let run_lane_region (ls : lane_state) (ln : clanes) ~(from : int) : int =
   done;
   !exitc
 
-(** Re-aim the lane state at the batch of [nl] work-items starting at flat
-    id [base] of the group currently held in [lctx.grp], and rewind the
-    private bump allocator. A sweep visits the group in flat order from
-    0: each batch must start where the last one ended, or at 0. The local
-    id is carried forward from the previous batch instead of divided out
-    of [base]. *)
-let reset_lane_batch (ls : lane_state) ~(base : int) ~(nl : int) : unit =
-  ls.base_flat <- base;
-  ls.nl <- nl;
-  ls.lpriv <- 0;
-  let lsz = ls.lctx.lsz and grp = ls.lctx.grp and cur = ls.lcur in
-  if base = 0 then Array.fill cur 0 3 0;
-  let lid0 = ls.llid.(0) and lid1 = ls.llid.(1) and lid2 = ls.llid.(2) in
-  let gid0 = ls.lgid.(0) and gid1 = ls.lgid.(1) and gid2 = ls.lgid.(2) in
-  let g0 = grp.(0) * lsz.(0)
-  and g1 = grp.(1) * lsz.(1)
-  and g2 = grp.(2) * lsz.(2) in
-  for l = 0 to nl - 1 do
-    let lx = cur.(0) and ly = cur.(1) and lz = cur.(2) in
-    lid0.(l) <- lx;
-    lid1.(l) <- ly;
-    lid2.(l) <- lz;
-    gid0.(l) <- g0 + lx;
-    gid1.(l) <- g1 + ly;
-    gid2.(l) <- g2 + lz;
-    if lx + 1 < lsz.(0) then cur.(0) <- lx + 1
-    else begin
-      cur.(0) <- 0;
-      if ly + 1 < lsz.(1) then cur.(1) <- ly + 1
-      else begin
-        cur.(1) <- 0;
-        cur.(2) <- lz + 1
-      end
-    end
+(** Re-aim the lane state at the work-group currently held in
+    [lctx.grp]: every lane active, and each lane's global id the group's
+    origin plus the lane's local id, which {!make_lane_state} laid out. *)
+let reset_lane_batch (ls : lane_state) : unit =
+  let lsz = ls.lctx.lsz and grp = ls.lctx.grp in
+  ls.nl <- lsz.(0) * lsz.(1) * lsz.(2);
+  for d = 0 to 2 do
+    let lid = ls.llid.(d) and gid = ls.lgid.(d) and g = grp.(d) * lsz.(d) in
+    for l = 0 to ls.nl - 1 do
+      gid.(l) <- g + lid.(l)
+    done
   done
 
 (* -- Public interface -------------------------------------------------------- *)
 
-(** The widest lane batch, and the width {!prepare} compiles for by
-    default: a kernel with barriers runs lane code for work-groups of up
-    to this many work-items, each as one batch (pocl's whole-group
-    work-item loop). *)
-let max_lane_width = 256
-
-let prepare ?(lane_width = max_lane_width) (fn : func) : compiled =
-  let lane_width = max 1 (min lane_width max_lane_width) in
+let prepare (fn : func) : compiled =
   let slots = Hashtbl.create 64 in
   let n = ref 0 in
   iter_instrs
@@ -2295,17 +2197,8 @@ let prepare ?(lane_width = max_lane_width) (fn : func) : compiled =
     |> List.rev
   in
   let regions = Regions.form fn in
-  let code = compile_fn ~lane_width fn regions in
+  let code = compile_fn fn regions in
   { fn; slots; n_slots = !n; local_allocas; regions; code }
-
-(** Lane width the kernel was compiled for; 1 when no lane code exists
-    (barriers that do not form regions). *)
-let lane_width_of (c : compiled) : int =
-  match c.code with Some ln -> ln.lwidth | None -> 1
-
-(** Does the kernel have barriers? Its lane code then runs only as one
-    batch per work-group. *)
-let has_barriers (ln : clanes) : bool = Array.length ln.bar_entry > 0
 
 (** Fresh tree-engine state of one work-item. *)
 let make_state (c : compiled) ~(args : rv array) ~(ctx : wi_ctx)
@@ -2323,16 +2216,24 @@ let make_state (c : compiled) ~(args : rv array) ~(ctx : wi_ctx)
     san = None;
   }
 
-(** Fresh lane-batched execution state for [ln], sharing the group
-    context, argument row and stats sink with the runtime. *)
+(** Fresh lane-batched execution state for [ln] over work-groups of
+    [ctx.lsz], at most {!max_lane_width} work-items, sharing the group
+    context, argument row and stats sink with the runtime: lane [l] holds
+    the work-item of flat local id [l]. *)
 let make_lane_state (ln : clanes) ~(ctx : wi_ctx) ~(args : rv array)
-    ~(stats : Trace.wg_stats) ~(local_bufs : (int, Memory.buffer) Hashtbl.t)
-    ~(mem : Memory.t) : lane_state =
-  let lw = ln.lwidth in
+    ~(stats : Trace.wg_stats) ~(local_bufs : (int, Memory.buffer) Hashtbl.t) :
+    lane_state =
+  let lw = max_lane_width and lsz = ctx.lsz in
+  let nl = lsz.(0) * lsz.(1) * lsz.(2) in
+  let llid = Array.init 3 (fun _ -> Array.make lw 0) in
+  for l = 0 to nl - 1 do
+    let x, y, z = lane_lid ~lsx:lsz.(0) ~lsy:lsz.(1) l in
+    llid.(0).(l) <- x;
+    llid.(1).(l) <- y;
+    llid.(2).(l) <- z
+  done;
   {
-    lw;
-    nl = 0;
-    base_flat = 0;
+    nl;
     lienv = Array.make (max 1 (ln.n_int * lw)) 0;
     lfenv = Array.make (max 1 (ln.n_float * lw)) 0.0;
     lbenv = Array.make (max 1 (ln.n_box * lw)) (RInt 0);
@@ -2344,15 +2245,12 @@ let make_lane_state (ln : clanes) ~(ctx : wi_ctx) ~(args : rv array)
     lvbscr = Array.make (max 1 (ln.lscr_vb * lw)) (RInt 0);
     lpred = Array.make lw 0;
     lnthen = 0;
-    llid = Array.init 3 (fun _ -> Array.make lw 0);
+    llid;
     lgid = Array.init 3 (fun _ -> Array.make lw 0);
-    lcur = [| 0; 0; 0 |];
     lctx = ctx;
     largs = args;
     lstats = stats;
     llocal = local_bufs;
-    lmem = mem;
-    lpriv = 0;
     lsan = None;
   }
 

@@ -2,20 +2,17 @@
     execution state, and two group schedulers —
 
     - {b lanes} ([wg-vec]): pocl-style work-item loops over the
-      closure-compiled lane code. A kernel with barriers
-      ({!Grover_ir.Regions} proved them group-uniform) runs each
-      work-group as one batch of up to W work-items, its
-      barrier-delimited regions in turn, so the values live across a
-      barrier stay in the lane slots; it plans fibers when its group is
-      larger than the batch width or a region needs one-lane batches. A
-      barrier-free kernel sweeps the group in batches of W work-items
-      per compiled closure over struct-of-arrays lane slots, or in
-      batches of one where its region needs per-work-item control flow
-      (a divergent branch outside a maskable diamond, a private alloca);
+      closure-compiled lane code. Each work-group of up to
+      {!Interp.max_lane_width} work-items runs as one batch, its
+      barrier-delimited regions ({!Grover_ir.Regions} proved the barriers
+      group-uniform) in turn, so the values live across a barrier stay in
+      the lane slots;
     - {b fiber}: the effect-handler scheduler over the tree engine, kept
-      as the differential oracle and as the path for the kernels with
-      barriers that lane code cannot run (divergent barriers, which it
-      detects dynamically, included).
+      as the differential oracle and as the path for everything lane code
+      cannot run: a kernel with a region lane batches cannot run (a
+      divergent branch outside a maskable diamond, a private alloca, a
+      divergent barrier, which it detects dynamically) and a work-group
+      larger than {!Interp.max_lane_width}.
 
     [GROVER_FORCE_PATH=wg-vec|fiber] overrides the choice for every
     launch of the process, within static capability. The fiber path is
@@ -157,9 +154,9 @@ let read_only_buids (fn : func) (args : arg_binding list) : int list =
 
 (* -- Execution plan ----------------------------------------------------------- *)
 
-(** The group scheduler a launch will use (see the module docs): lane
-    batches of at most the given width, or fibers. *)
-type path = Lanes of int | Fiber
+(** The group scheduler a launch will use (see the module docs): one lane
+    batch per work-group, or fibers. *)
+type path = Lanes | Fiber
 
 (** How a launch will execute: which group scheduler, and on how many
     domains (including the calling one). Computed by {!plan} with the
@@ -204,11 +201,10 @@ let resolve_domains (domains : int) : int =
 
 (* -- Path selection ------------------------------------------------------ *)
 
-(* [wg-vec] asks for the widest batches the kernel was compiled for. *)
 let path_of_string (s : string) : path option =
   match s with
   | "fiber" -> Some Fiber
-  | "wg-vec" -> Some (Lanes max_int)
+  | "wg-vec" -> Some Lanes
   | _ -> None
 
 (** The path [GROVER_FORCE_PATH] pins, [None] when it is unset or empty.
@@ -222,30 +218,26 @@ let env_force_path () : path option =
       | None ->
           fail "unknown GROVER_FORCE_PATH %S (expected wg-vec or fiber)" s)
 
-(* The capability ladder: the path [c] takes when [want] is requested.
-   Without lane code every kernel runs on fibers. Lane batches are at
-   most as wide as the compiled width, and one lane wide when a
-   barrier-free kernel's region cannot run W-wide. *)
-let degrade (c : Interp.compiled) (want : path) : path =
-  match (want, c.Interp.code) with
-  | Fiber, _ | _, None -> Fiber
-  | Lanes w, Some ln ->
-      if ln.Interp.lwide then Lanes (max 1 (min w ln.Interp.lwidth))
-      else Lanes 1
+(** The path [c] takes with no override and a group of at most
+    {!Interp.max_lane_width} work-items: lane batches if it has lane
+    code. *)
+let default_path (c : Interp.compiled) : path =
+  match c.Interp.code with Some _ -> Lanes | None -> Fiber
 
-(** The path [c] takes with no override: the widest lane batches it has. *)
-let default_path (c : Interp.compiled) : path = degrade c (Lanes max_int)
-
-(** The largest batch width of a path: 1 for fibers. *)
-let batch_width : path -> int = function Lanes w -> w | Fiber -> 1
+(** The work-items in one batch of [path] on [cfg]: the whole group on
+    lanes, 1 on fibers. *)
+let batch_width (cfg : launch_config) (path : path) : int =
+  let lx, ly, lz = cfg.local in
+  match path with Lanes -> lx * ly * lz | Fiber -> 1
 
 (** The path a launch takes: [force_path], else [GROVER_FORCE_PATH], else
-    the widest lane batches — always within [c]'s capability. *)
+    lane batches — always within [c]'s capability: without lane code
+    every kernel runs on fibers. *)
 let choose_path (c : Interp.compiled) ~(force_path : path option) : path =
   let want =
     match force_path with Some _ -> force_path | None -> env_force_path ()
   in
-  degrade c (Option.value want ~default:(Lanes max_int))
+  if want = Some Fiber then Fiber else default_path c
 
 (* Pool-growth cap: a domain whose share of the NDRange is below one
    claimable chunk of work adds coordination (and domain wake-up) cost
@@ -253,11 +245,10 @@ let choose_path (c : Interp.compiled) ~(force_path : path option) : path =
    of spreading a handful of groups over every core. *)
 let min_groups_per_domain = 2
 
-(** How {!launch} runs [c] on [cfg]: the path {!choose_path} picks, its
-    lane batches no wider than one work-group (the width the sweep really
-    runs), and the domains the NDRange can keep busy. A kernel with
-    barriers runs lane code only as one batch per work-group, so it plans
-    fibers when its batches would be narrower than the group. *)
+(** How {!launch} runs [c] on [cfg]: the path {!choose_path} picks, and
+    the domains the NDRange can keep busy. Lane code runs a work-group
+    only as one batch, so a group of more than {!Interp.max_lane_width}
+    work-items plans fibers. *)
 let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
     ?(domains = 1) () : exec_plan =
   let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
@@ -271,12 +262,10 @@ let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
     if n_groups < 2 then 1
     else min d (max 1 (n_groups / min_groups_per_domain))
   in
-  let items = lx * ly * lz in
   let path =
-    match (choose_path c ~force_path, c.Interp.code) with
-    | Lanes w, Some ln when w < items && Interp.has_barriers ln -> Fiber
-    | Lanes w, _ -> Lanes (max 1 (min w items))
-    | Fiber, _ -> Fiber
+    match choose_path c ~force_path with
+    | Lanes when lx * ly * lz <= Interp.max_lane_width -> Lanes
+    | Lanes | Fiber -> Fiber
   in
   {
     path;
@@ -286,7 +275,7 @@ let plan (c : Interp.compiled) ~(cfg : launch_config) ?force_path
   }
 
 let string_of_path : path -> string = function
-  | Lanes _ -> "wg-vec"
+  | Lanes -> "wg-vec"
   | Fiber -> "fiber"
 
 let path_name (p : exec_plan) : string = string_of_path p.path
@@ -328,11 +317,7 @@ let alloc_locals (c : Interp.compiled) (scratch : Memory.t) :
   end
 
 type sched =
-  | Lane_sweep of {
-      ln : Interp.clanes;
-      lst : Interp.lane_state;
-      width : int;  (** batch width where the kernel runs W-wide *)
-    }
+  | Lane_sweep of { ln : Interp.clanes; lst : Interp.lane_state }
   | Fibers of {
       states : Interp.wi_state array;
           (** one tree state per work-item: the work-items of a group are
@@ -374,19 +359,16 @@ let make_ctx (c : Interp.compiled) ~(rv_args : Interp.rv array)
   in
   let sched =
     match (path, c.Interp.code) with
-    | Lanes width, Some ln ->
-        if Interp.has_barriers ln && width < n_items then
-          fail
-            "lane batches of %d planned for a %d-item group of %s, which \
-             has barriers"
-            width n_items c.Interp.fn.f_name;
+    | Lanes, Some ln ->
+        if n_items > Interp.max_lane_width then
+          fail "lane batches planned for a %d-item group of %s" n_items
+            c.Interp.fn.f_name;
         let lst =
-          Interp.make_lane_state ln ~ctx:(wi_ctx ()) ~args:rv_args ~stats
-            ~local_bufs ~mem:scratch
+          Interp.make_lane_state ln ~ctx:(wi_ctx ()) ~args:rv_args ~stats ~local_bufs
         in
         lst.Interp.lsan <- san;
-        Lane_sweep { ln; lst; width }
-    | Lanes _, None -> fail "lane batches planned for a kernel without lane code"
+        Lane_sweep { ln; lst }
+    | Lanes, None -> fail "lane batches planned for a kernel without lane code"
     | Fiber, _ ->
         let states =
           Array.init n_items (fun _ ->
@@ -462,31 +444,20 @@ let run_group_fibers (x : exec_ctx) ~(states : Interp.wi_state array)
   if !finished <> x.n_items then
     fail "work-group did not run to completion in %s" x.xc.Interp.fn.f_name
 
-(* Work-item loops: sweep the group in batches of [width] work-items, or
-   of one where the kernel cannot run W-wide, each batch running the
-   kernel's regions in turn. A kernel with barriers plans lane batches
-   only when one batch holds the whole group ({!plan}), so the batch
-   reaching the end of a region is the whole group arriving at the
-   barrier, and the values live across it stay in the lane slots. Each
-   work-item's accesses keep its program order, which is all the trace
-   consumers depend on, so results are bit-identical to the fiber
-   scheduler. *)
-let run_group_lanes (x : exec_ctx) ~(ln : Interp.clanes)
-    ~(lst : Interp.lane_state) ~(width : int) : unit =
-  let n = x.n_items in
-  let bw = if ln.Interp.lwide then width else 1 in
-  let base = ref 0 in
-  while !base < n do
-    let left = n - !base in
-    let nl = if bw < left then bw else left in
-    Interp.reset_lane_batch lst ~base:!base ~nl;
-    let e = ref (Interp.run_lane_region lst ln ~from:0) in
-    while !e >= 0 do
-      x.stats.Trace.barrier_rounds <- x.stats.Trace.barrier_rounds + 1;
-      (match x.san with Some s -> Sanitize.barrier_round s | None -> ());
-      e := Interp.run_lane_region lst ln ~from:ln.Interp.bar_entry.(!e)
-    done;
-    base := !base + nl
+(* Work-item loops: the group runs as one batch, the kernel's regions in
+   turn, so the batch reaching the end of a region is the whole group
+   arriving at the barrier, and the values live across it stay in the
+   lane slots. Each work-item's accesses keep its program order, which is
+   all the trace consumers depend on, so results are bit-identical to the
+   fiber scheduler. *)
+let run_group_lanes (x : exec_ctx) ~(ln : Interp.clanes) ~(lst : Interp.lane_state) :
+    unit =
+  Interp.reset_lane_batch lst;
+  let e = ref (Interp.run_lane_region lst ln ~from:0) in
+  while !e >= 0 do
+    x.stats.Trace.barrier_rounds <- x.stats.Trace.barrier_rounds + 1;
+    (match x.san with Some s -> Sanitize.barrier_round s | None -> ());
+    e := Interp.run_lane_region lst ln ~from:ln.Interp.bar_entry.(!e)
   done
 
 let run_one_group (x : exec_ctx) ~(wg : int) : unit =
@@ -500,7 +471,7 @@ let run_one_group (x : exec_ctx) ~(wg : int) : unit =
   List.iter Memory.clear x.locals;
   Trace.reset x.stats ~wg_id:wg ~lsz:x.lsz;
   match x.sched with
-  | Lane_sweep { ln; lst; width } -> run_group_lanes x ~ln ~lst ~width
+  | Lane_sweep { ln; lst } -> run_group_lanes x ~ln ~lst
   | Fibers { states; parked } -> run_group_fibers x ~states ~parked
 
 (* -- The persistent domain pool -----------------------------------------------
@@ -911,12 +882,22 @@ end
 
 (* -- Launch -------------------------------------------------------------------- *)
 
+(** The most work-items one work-group may hold: 16{^3}, the group
+    [Config.box_for] assumes for a kernel that indexes three dimensions.
+    The fiber path keeps a tree state per work-item of a group. *)
+let max_group_items = 4096
+
 (** Reject an NDRange {!launch} cannot run: a non-positive work-group
-    size, or a global size that is not a multiple of it.
+    size, a work-group of more than {!max_group_items} work-items (OpenCL's
+    [CL_INVALID_WORK_GROUP_SIZE]), or a global size that is not a multiple
+    of the work-group size.
     @raise Launch_error naming the violated rule. *)
 let check_geometry (cfg : launch_config) : unit =
   let gx, gy, gz = cfg.global and lx, ly, lz = cfg.local in
   if lx <= 0 || ly <= 0 || lz <= 0 then fail "work-group sizes must be positive";
+  let m = max_group_items in
+  if lx > m || ly > m || lz > m || lx * ly * lz > m then
+    fail "a work-group holds at most %d work-items, not %d x %d x %d" m lx ly lz;
   if gx mod lx <> 0 || gy mod ly <> 0 || gz mod lz <> 0 then
     fail "global size must be a multiple of the work-group size"
 

@@ -7,9 +7,10 @@
     address of work-item [(lx, ly, lz)] as [base + cx·lx + cy·ly + cz·lz]
     over the group's local ids. A lane batch that covers the whole group
     with an index exactly affine in the local id stores its access once,
-    as one record of [wg_size] lanes; every other access (the tree
-    engine, per-lane accesses, masked arms, partial batches) is a
-    one-lane record whose strides are 0. [n_events] counts the events the
+    as one record of [wg_size] lanes, and a masked arm whose active lanes
+    form one run with an affine index as one record of that run; every
+    other access (the tree engine, per-lane accesses, other masked arms)
+    is a one-lane record whose strides are 0. [n_events] counts the events the
     records represent, and {!iter_events} expands them in stored order,
     lanes ascending, so the per-work-item streams are the ones the
     accesses made.

@@ -113,7 +113,7 @@ type wallclock_run = {
   wc_items : int;  (** work-items executed *)
   wc_path : string;  (** "wg-vec" or "fiber" *)
   wc_domains : int;  (** parallel domains actually used (incl. the caller) *)
-  wc_lane_width : int;  (** largest batch width of the plan (1 = one lane) *)
+  wc_lane_width : int;  (** work-items per batch of the plan (1 on fibers) *)
 }
 
 let wallclock ?(domains = 1) ?(reps = 1) (case : Kit.case) (fn : Ssa.func)
@@ -150,7 +150,7 @@ let wallclock ?(domains = 1) ?(reps = 1) (case : Kit.case) (fn : Ssa.func)
     wc_items = gx * gy * gz;
     wc_path = Runtime.path_name p;
     wc_domains = p.Runtime.domains_used;
-    wc_lane_width = Runtime.batch_width p.Runtime.path;
+    wc_lane_width = Runtime.batch_width cfg p.Runtime.path;
   }
 
 (* -- Multi-launch (command queue) submission ---------------------------------- *)

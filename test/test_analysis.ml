@@ -227,28 +227,17 @@ let test_findings_pinned () =
     "tree+fiber findings" three_faults_expected
     (List.map finding_row (sanitize_three_faults c ~force_path:Runtime.Fiber))
 
-(* The lane width does not change the verdicts: the group of 16 has a
-   barrier, so it runs as one lane batch at W = 16, 32 and 256 alike.
-   The fiber scheduler, which runs work-item 8's store to g after
-   work-item 7's read of g[8], also reports that race at the store (6:5);
-   one batch runs every store before any read and reports the races on g
-   at the read only. *)
-let test_findings_width_invariant () =
-  let fn = compile_one three_faults in
-  let verdicts c =
-    List.sort_uniq compare
-      (List.map verdict_of (sanitize_three_faults c ~force_path:(Runtime.Lanes max_int)))
-  in
-  let oracle = verdicts (Interp.prepare fn) in
-  Alcotest.(check (list string)) "W=256 finds the race on g and the others"
+(* The group of 16 runs as one lane batch. The fiber scheduler, which
+   runs work-item 8's store to g after work-item 7's read of g[8], also
+   reports that race at the store (6:5); one batch runs every store
+   before any read and reports the races on g at the read only. *)
+let test_findings_lane_batch () =
+  let c = Interp.prepare (compile_one three_faults) in
+  Alcotest.(check (list string)) "one lane batch finds the race on g and the others"
     [ "GRV-SAN-OOB 9:12 global buffer 'out'"; "GRV-SAN-RW 7:20 global buffer 'g'";
       "GRV-SAN-WW 5:7 local buffer 'acc'" ]
-    oracle;
-  List.iter
-    (fun w ->
-      Alcotest.(check (list string)) (Printf.sprintf "W=%d" w) oracle
-        (verdicts (Interp.prepare ~lane_width:w fn)))
-    [ 16; 32 ]
+    (List.sort_uniq compare
+       (List.map verdict_of (sanitize_three_faults c ~force_path:Runtime.Lanes)))
 
 (* 70 store lines, each to its own element of acc, run by two work-items
    in one barrier interval: every line races, and the sanitizer keeps the
@@ -591,8 +580,8 @@ let suite =
       @ [
           Alcotest.test_case "three faults: pinned findings" `Quick
             test_findings_pinned;
-          Alcotest.test_case "three faults: same verdicts at every width"
-            `Quick test_findings_width_invariant;
+          Alcotest.test_case "three faults: verdicts of one lane batch"
+            `Quick test_findings_lane_batch;
           Alcotest.test_case "findings capped at 64, in source order" `Quick
             test_findings_capped;
           Alcotest.test_case "argument buffer from another Memory.t" `Quick

@@ -179,15 +179,28 @@ let keyed (i : int) : Cache.request =
   Cache.request ~defines:[ ("REQ", string_of_int i) ] base_source
 
 let dir_counter = ref 0
+let dir_prefix = Printf.sprintf "grover-cache-test-%d-" (Unix.getpid ())
 
+(* A fresh directory name under the temp dir; the directory is not made. *)
 let fresh_dir () =
   incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "grover-cache-test-%d-%d" (Unix.getpid ()) !dir_counter)
+  Filename.concat (Filename.get_temp_dir_name ()) (dir_prefix ^ string_of_int !dir_counter)
+
+(* Remove [dir] and the files in it, if it exists. *)
+let remove_dir (dir : string) : unit =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+(* [f] on a fresh directory, removed with what it holds when [f] returns
+   or raises. *)
+let with_fresh_dir (f : string -> 'a) : 'a =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> remove_dir dir) (fun () -> f dir)
 
 let check_disk_tier () =
-  let dir = fresh_dir () in
+  with_fresh_dir @@ fun dir ->
   let rq = Cache.request ~variant:(Cache.Without_lm None) base_source in
   let c1 = Cache.create ~dir () in
   let pr1 = Cache.compile c1 rq in
@@ -225,7 +238,7 @@ let check_disk_tier () =
 (* A miss creates one file, the artifact itself, which is its own lock:
    no lock sidecar, no temporary file. A build that fails leaves nothing. *)
 let check_cold_miss_one_file () =
-  let dir = fresh_dir () in
+  with_fresh_dir @@ fun dir ->
   let rq = Cache.request ~variant:(Cache.Without_lm None) base_source in
   let c = Cache.create ~dir () in
   ignore (Cache.compile c rq);
@@ -239,15 +252,13 @@ let check_cold_miss_one_file () =
   | exception Grover_support.Loc.Error _ -> ());
   Alcotest.(check (list string)) "a failed build leaves no file"
     [ Cache.key_of_request rq ^ ".art" ]
-    (Array.to_list (Sys.readdir dir));
-  Cache.clear c;
-  Unix.rmdir dir
+    (Array.to_list (Sys.readdir dir))
 
 (* A directory written by the lock-sidecar layout: a valid artifact with
    a zero-byte [<key>.lock] beside it. The artifact is a disk hit, and
    [clear] removes both files. *)
 let check_stale_lock_sidecar () =
-  let dir = fresh_dir () in
+  with_fresh_dir @@ fun dir ->
   let rq = Cache.request base_source in
   let k = Cache.key_of_request rq in
   ignore (Cache.compile (Cache.create ~dir ()) rq);
@@ -259,8 +270,7 @@ let check_stale_lock_sidecar () =
     (s.Cache.st_disk_hits, s.Cache.st_misses);
   Cache.clear c;
   Alcotest.(check (list string)) "clear removes the artifact and the lock" []
-    (Array.to_list (Sys.readdir dir));
-  Unix.rmdir dir
+    (Array.to_list (Sys.readdir dir))
 
 let check_lru_eviction () =
   let cache = Cache.create ~mem_capacity:2 () in
@@ -274,7 +284,7 @@ let check_lru_eviction () =
   Alcotest.(check int) "evictee misses again" 4 (Cache.stats cache).Cache.st_misses
 
 let check_disk_trim () =
-  let dir = fresh_dir () in
+  with_fresh_dir @@ fun dir ->
   let cache = Cache.create ~dir () in
   let art i = Filename.concat dir (Cache.key_of_request (keyed i) ^ ".art") in
   let size w = (Unix.stat (art w)).Unix.st_size in
@@ -306,9 +316,7 @@ let check_disk_trim () =
   let removed2, _ = Cache.trim c2 ~max_bytes:(size 3) in
   Alcotest.(check int) "one more evicted" 1 removed2;
   Alcotest.(check bool) "touched artifact kept over newer-stored" true
-    (Sys.file_exists (art 3) && not (Sys.file_exists (art 4)));
-  Cache.clear c2;
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (Sys.file_exists (art 3) && not (Sys.file_exists (art 4)))
 
 let check_max_bytes_budget () =
   let with_env var v f =
@@ -333,26 +341,24 @@ let check_max_bytes_budget () =
         ((Cache.create ()).Cache.max_bytes = None));
   (* Enforcement: a budget smaller than any artifact keeps the disk tier
      empty — every store trims immediately. *)
-  let dir = fresh_dir () in
+  with_fresh_dir @@ fun dir ->
   let cache = Cache.create ~dir ~max_bytes:1 () in
   List.iter (fun i -> ignore (Cache.compile cache (keyed i))) [ 1; 2 ];
   Alcotest.(check int) "budget enforced on store" 0 (Cache.disk_size cache);
   Alcotest.(check bool) "evictions counted" true
-    ((Cache.stats cache).Cache.st_evictions >= 2);
-  Cache.clear cache;
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    ((Cache.stats cache).Cache.st_evictions >= 2)
 
 (* -- Corrupted artifacts -------------------------------------------------------- *)
 
 (* Every suite case's artifact, in both variants, built once into one
-   directory (removed at exit): the request, the file and its clean bytes. *)
+   directory (removed when the property has run): the request, the file
+   and its clean bytes. *)
+let clean_artifact_dir = fresh_dir ()
+
 let clean_artifacts =
   lazy
-    (let dir = fresh_dir () in
+    (let dir = clean_artifact_dir in
      let cache = Cache.create ~dir () in
-     at_exit (fun () ->
-         Cache.clear cache;
-         try Unix.rmdir dir with Unix.Unix_error _ -> ());
      Array.of_list
        (List.concat_map
           (fun (case : Kit.case) ->
@@ -489,7 +495,7 @@ let find_entry (db : Atdb.t) (kernel : string) : Atdb.entry option =
   List.find_opt (fun e -> e.Atdb.e_kernel = kernel) (Atdb.entries db)
 
 let check_db_roundtrip () =
-  let dir = fresh_dir () in
+  with_fresh_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let file = Atdb.default_file ~cache_dir:dir in
   let db = Atdb.load file in
@@ -519,7 +525,7 @@ let check_db_roundtrip () =
    format version (no provenance column) is skipped like any other
    unparseable line. *)
 let check_db_provenance () =
-  let dir = fresh_dir () in
+  with_fresh_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let file = Atdb.default_file ~cache_dir:dir in
   let db = Atdb.load file in
@@ -605,6 +611,13 @@ let check_env_fallbacks () =
      GROVER_CACHE_MAX_BYTES \"abc\" (want a byte count) [GRV-ENV]\n"
     err
 
+(* Run last: every directory the tests above made is gone. *)
+let check_no_dir_left () =
+  Alcotest.(check (list string)) "directories of this process under the temp dir" []
+    (List.filter
+       (String.starts_with ~prefix:dir_prefix)
+       (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ()))))
+
 let suite =
   [
     ( "cache.keys",
@@ -633,12 +646,15 @@ let suite =
         Alcotest.test_case "disk budget (max bytes)" `Quick
           check_max_bytes_budget;
         Alcotest.test_case "batch compile" `Quick check_batch;
-        QCheck_alcotest.to_alcotest prop_corrupt_artifact_rebuilds;
+        (let name, speed, run = QCheck_alcotest.to_alcotest prop_corrupt_artifact_rebuilds in
+         Alcotest.test_case name speed (fun () ->
+             Fun.protect ~finally:(fun () -> remove_dir clean_artifact_dir) run));
       ] );
     ( "cache.autotune",
       [
         Alcotest.test_case "db roundtrip" `Quick check_db_roundtrip;
         Alcotest.test_case "db provenance" `Quick check_db_provenance;
         Alcotest.test_case "env fallbacks" `Quick check_env_fallbacks;
+        Alcotest.test_case "no test directory left behind" `Quick check_no_dir_left;
       ] );
   ]

@@ -723,8 +723,8 @@ let gen_one_lane ~lane =
 
 let gen_wholes shape = QCheck.Gen.(list_size (int_range 0 5) (gen_whole shape))
 
-(* A one-lane region (each work-item's accesses in turn, as a region
-   with a private alloca records them), then whole-group records. *)
+(* A one-lane region (each work-item's accesses in turn, as the fiber
+   scheduler records a region), then whole-group records. *)
 let gen_mixed shape =
   QCheck.Gen.(
     int_range 1 3 >>= fun d ->

@@ -299,14 +299,38 @@ let snapshot_buffers (mem : Memory.t) : (int * Ssa.space * Memory.storage) list 
   |> List.map (fun (b : Memory.buffer) -> (b.Memory.bid, b.Memory.space, b.Memory.st))
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
+(* The Global/Constant buffers of [snapshot_buffers]: what a launch on
+   more than one domain leaves in [mem], whose local and private scratch
+   lives in per-domain memory. *)
+let globals_of bufs =
+  List.filter
+    (fun (_, sp, _) ->
+      match sp with Ssa.Global | Ssa.Constant -> true | _ -> false)
+    bufs
+
+let snapshot_globals (mem : Memory.t) : (int * Ssa.space * Memory.storage) list =
+  globals_of (snapshot_buffers mem)
+
+(* One group's observable trace: its counters (access counters included)
+   and its events, stably sorted by work-item so each work-item's program
+   order is kept whatever order the schedule interleaved them in. *)
+let group_trace (s : Trace.wg_stats) =
+  let evs = Trace.events s in
+  ( ( s.Trace.wg_id,
+      (s.Trace.int_ops, s.Trace.float_ops, s.Trace.special_ops),
+      (s.Trace.branches, s.Trace.barriers, s.Trace.barrier_rounds),
+      (s.Trace.loads, s.Trace.stores, s.Trace.local_accesses) ),
+    List.stable_sort (fun (x : Trace.event) y -> compare x.Trace.wi y.Trace.wi) evs
+  )
+
 (* One launch of a suite case at scale 8, on [force_path] or the default
-   plan, with code compiled at [lane_width] or the kernel's default;
-   [sanitize] launches it under the sanitizer, which must find nothing. *)
-let run_oracle (case : Kit.case) (v : H.version) ?lane_width ?force_path
+   plan, streaming each group to [on_group]; [sanitize] launches it under
+   the sanitizer, which must find nothing. *)
+let run_oracle (case : Kit.case) (v : H.version) ?force_path ?on_group
     ?(sanitize = false) () :
     Trace.totals * (int * Ssa.space * Memory.storage) list * (unit, string) result =
   let fn, _ = H.compile_version case v in
-  let compiled = Interp.prepare ?lane_width fn in
+  let compiled = Interp.prepare fn in
   let w = case.Kit.mk ~scale:8 in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
   let totals =
@@ -321,7 +345,7 @@ let run_oracle (case : Kit.case) (v : H.version) ?lane_width ?force_path
       totals)
     else
       Runtime.launch compiled ~cfg ~args:w.Kit.args ~mem:w.Kit.mem ?force_path
-        ()
+        ?on_group ()
   in
   (totals, snapshot_buffers w.Kit.mem, w.Kit.check ())
 
@@ -390,15 +414,13 @@ let prop_engines_agree =
       let c_tot, c_out = run None in
       t_tot = c_tot && compare t_out c_out = 0)
 
-(* -- Differential: one-lane batches vs tree+fiber --------------------------------
-   Forced one-lane batches run a barrier-free kernel's lane code one
-   work-item at a time — the form a region with per-work-item control flow
-   always takes. A kernel with barriers runs lane code only as one batch
-   per work-group, so a one-lane request plans fibers for it. Over the
-   whole suite x both versions the request must reproduce the tree engine
-   under the fiber scheduler: bit-identical buffers (local and private
-   scratch included) and identical launch totals (so the trace stream —
-   cost model, barrier rounds — is unchanged). *)
+(* -- Differential: GROVER_FORCE_PATH=wg-vec vs tree+fiber ------------------------
+   The environment's wg-vec request runs every suite version, both kernel
+   versions, as one lane batch per work-group (the suite's groups hold at
+   most 256 work-items), and must reproduce the tree engine under the
+   fiber scheduler: bit-identical buffers (local and private scratch
+   included) and identical launch totals (so the trace stream — cost
+   model, barrier rounds — is unchanged). *)
 
 let has_barrier (c : Interp.compiled) : bool =
   Ssa.fold_instrs
@@ -408,9 +430,18 @@ let has_barrier (c : Interp.compiled) : bool =
 let path_t =
   Alcotest.testable
     (fun ppf -> function
-      | Runtime.Lanes w -> Format.fprintf ppf "Lanes %d" w
+      | Runtime.Lanes -> Format.fprintf ppf "Lanes"
       | Runtime.Fiber -> Format.fprintf ppf "Fiber")
     ( = )
+
+(* Run [f] with GROVER_FORCE_PATH set to [v], restoring it afterwards. *)
+let with_force_path (v : string) (f : unit -> 'a) : 'a =
+  let old = Sys.getenv_opt "GROVER_FORCE_PATH" in
+  Unix.putenv "GROVER_FORCE_PATH" v;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "GROVER_FORCE_PATH" (Option.value old ~default:""))
+    f
 
 let check_against_fibers ~(label : string) (case : Kit.case) (v : H.version)
     (run : unit -> Trace.totals * _ * (unit, string) result) =
@@ -432,11 +463,11 @@ let check_paths_agree (case : Kit.case) (v : H.version) () =
   let c = Interp.prepare fn in
   let w = case.Kit.mk ~scale:8 in
   let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
-  Alcotest.check path_t "a one-lane request's plan"
-    (if has_barrier c then Runtime.Fiber else Runtime.Lanes 1)
-    (Runtime.plan c ~cfg ~force_path:(Runtime.Lanes 1) ()).Runtime.path;
-  check_against_fibers ~label:"one-lane batches" case v (fun () ->
-      run_oracle case v ~force_path:(Runtime.Lanes 1) ())
+  with_force_path "wg-vec" (fun () ->
+      Alcotest.check path_t "GROVER_FORCE_PATH=wg-vec plan" Runtime.Lanes
+        (Runtime.plan c ~cfg ()).Runtime.path;
+      check_against_fibers ~label:"GROVER_FORCE_PATH=wg-vec" case v (fun () ->
+          run_oracle case v ()))
 
 let fastpath_cases =
   List.concat_map
@@ -450,16 +481,44 @@ let fastpath_cases =
         [ (H.With_lm, "with-lm"); (H.Without_lm, "grover") ])
     Grover_suite.Suite.all
 
-(* -- Differential: one-lane batches of W=1 code vs tree+fiber ---------------------
-   The same one-lane request over code compiled at lane width 1, where a
-   uniform value's column and lane 0's coincide, plain and under the
-   sanitizer (which only observes: it must find nothing and change no
-   result). *)
+(* -- Differential: sanitized and relaunched lane batches vs tree+fiber -----------
+   Lane batches under the sanitizer, which only observes: it must find
+   nothing and change no result. And one compiled kernel enqueued twice on
+   lane batches through a one-domain queue, each time on a fresh workload
+   of the same geometry: the second launch rebinds its arguments into the
+   execution context (lane state included) that the domain cached for the
+   first. Both must equal tree+fiber on global buffers and totals. *)
 
-let check_wgloop_agrees (case : Kit.case) (v : H.version) (sanitize : bool) ()
-    =
-  check_against_fibers ~label:"one-lane batches (W=1)" case v (fun () ->
-      run_oracle case v ~lane_width:1 ~force_path:(Runtime.Lanes 1) ~sanitize ())
+let check_wgloop_agrees (case : Kit.case) (v : H.version) () =
+  check_against_fibers ~label:"sanitized lane batches" case v (fun () ->
+      run_oracle case v ~force_path:Runtime.Lanes ~sanitize:true ())
+
+let check_relaunch_agrees (case : Kit.case) (v : H.version) () =
+  let fn, _ = H.compile_version case v in
+  let c = Interp.prepare fn in
+  let f_tot, f_bufs, _ = run_oracle case v ~force_path:Runtime.Fiber () in
+  let q = Queue.create ~domains:1 () in
+  List.iter
+    (fun label ->
+      let w = case.Kit.mk ~scale:8 in
+      let cfg =
+        { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
+      in
+      Alcotest.check path_t (label ^ ": planned path") Runtime.Lanes
+        (Runtime.plan c ~cfg ~force_path:Runtime.Lanes ()).Runtime.path;
+      let ev =
+        Queue.enqueue_nd_range q c ~cfg ~args:w.Kit.args
+          ~force_path:Runtime.Lanes ()
+      in
+      Queue.finish q;
+      (match w.Kit.check () with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s invalid output: %s" label m);
+      Alcotest.(check bool) (label ^ ": totals = tree+fiber's") true
+        (Event.totals ev = f_tot);
+      Alcotest.(check bool) (label ^ ": global buffers = tree+fiber's") true
+        (compare (snapshot_globals w.Kit.mem) (globals_of f_bufs) = 0))
+    [ "first launch"; "relaunch" ]
 
 let wgloop_cases =
   List.concat_map
@@ -467,49 +526,59 @@ let wgloop_cases =
       List.concat_map
         (fun (v, vn) ->
           List.map
-            (fun (sanitize, sn) ->
+            (fun (check, cn) ->
               Alcotest.test_case
-                (Printf.sprintf "%s %s %s" case.Kit.id vn sn)
-                `Quick
-                (check_wgloop_agrees case v sanitize))
-            [ (false, "compiled"); (true, "sanitized") ])
+                (Printf.sprintf "%s %s %s" case.Kit.id vn cn)
+                `Quick (check case v))
+            [ (check_wgloop_agrees, "sanitized");
+              (check_relaunch_agrees, "relaunched") ])
         [ (H.With_lm, "with-lm"); (H.Without_lm, "grover") ])
     Grover_suite.Suite.all
 
-(* -- Differential: W-wide vs one-lane batches vs the fiber scheduler -------------
+(* -- Differential: W-wide batches vs the fiber scheduler -----------------------
    Lane batching changes the innermost execution representation
    (struct-of-arrays lane slots, uniform values computed once per batch),
    so it is held to the same standard: bit-identical buffers and identical
-   launch totals against one-lane batches and tree+fiber, over the whole
-   suite x both kernel versions, with code compiled at the kernel's default
-   lane width and at W=4 (where a kernel with barriers, whose groups are
-   wider than 4, plans fibers). *)
+   launch totals against tree+fiber, over the whole suite x both kernel
+   versions, whatever GROVER_FORCE_PATH says; traced, also each group's
+   counters and per-work-item event stream, in group order (what the
+   performance simulator consumes). *)
 
-let check_wgvec_agrees (case : Kit.case) (v : H.version)
-    (lane_width : int option) () =
+let check_wgvec_agrees (case : Kit.case) (v : H.version) (traced : bool) () =
   let runs =
     List.map
       (fun (p, pn) ->
-        let tot, bufs, valid = run_oracle case v ?lane_width ~force_path:p () in
+        let groups = ref [] in
+        let on_group =
+          if traced then Some (fun s -> groups := group_trace s :: !groups)
+          else None
+        in
+        let tot, bufs, valid = run_oracle case v ~force_path:p ?on_group () in
         (match valid with
         | Ok () -> ()
         | Error m -> Alcotest.failf "%s path invalid output: %s" pn m);
-        (pn, tot, bufs))
-      [ (Runtime.Lanes max_int, "W-wide");
-        (Runtime.Lanes 1, "one-lane");
-        (Runtime.Fiber, "fiber") ]
+        (pn, tot, bufs, List.rev !groups))
+      [ (Runtime.Lanes, "W-wide"); (Runtime.Fiber, "fiber") ]
   in
   match runs with
-  | (_, ref_tot, ref_bufs) :: rest ->
+  | (_, ref_tot, ref_bufs, ref_groups) :: rest ->
+      if traced then
+        Alcotest.(check int) "W-wide: one trace per group" ref_tot.Trace.t_groups
+          (List.length ref_groups);
       List.iter
-        (fun (pn, tot, bufs) ->
+        (fun (pn, tot, bufs, groups) ->
           Alcotest.(check bool)
             (Printf.sprintf "W-wide vs %s: identical launch totals" pn)
             true (ref_tot = tot);
           Alcotest.(check bool)
             (Printf.sprintf "W-wide vs %s: bit-identical buffers" pn)
             true
-            (compare ref_bufs bufs = 0))
+            (compare ref_bufs bufs = 0);
+          if traced then
+            Alcotest.(check bool)
+              (Printf.sprintf "W-wide vs %s: identical group traces" pn)
+              true
+              (compare ref_groups groups = 0))
         rest
   | [] -> assert false
 
@@ -519,12 +588,11 @@ let wgvec_cases =
       List.concat_map
         (fun (v, vn) ->
           List.map
-            (fun (w, wn) ->
+            (fun (traced, tn) ->
               Alcotest.test_case
-                (Printf.sprintf "%s %s %s" case.Kit.id vn wn)
-                `Quick
-                (check_wgvec_agrees case v w))
-            [ (None, "compiled"); (Some 4, "W=4") ])
+                (Printf.sprintf "%s %s %s" case.Kit.id vn tn)
+                `Quick (check_wgvec_agrees case v traced))
+            [ (false, "compiled"); (true, "traced") ])
         [ (H.With_lm, "with-lm"); (H.Without_lm, "grover") ])
     Grover_suite.Suite.all
 
@@ -546,15 +614,12 @@ let test_wgloop_selected_for_suite () =
         Alcotest.(check bool)
           (Printf.sprintf "%s: region metadata compiled" case.Kit.id)
           true (c.Interp.code <> None);
-        if Runtime.batch_width (Runtime.default_path c) > 1 then
-          incr wide_kernels;
+        let w = case.Kit.mk ~scale:8 in
+        let cfg = { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 } in
+        if Runtime.batch_width cfg (Runtime.plan c ~cfg ~force_path:Runtime.Lanes ()).Runtime.path > 1
+        then incr wide_kernels;
         if not forced then
-          let w = case.Kit.mk ~scale:8 in
-          let plan =
-            Runtime.plan c
-              ~cfg:{ Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
-              ()
-          in
+          let plan = Runtime.plan c ~cfg () in
           Alcotest.(check string)
             (Printf.sprintf "%s: planned path" case.Kit.id)
             "wg-vec" (Runtime.path_name plan)
@@ -566,12 +631,12 @@ let test_wgloop_selected_for_suite () =
     (!wide_kernels >= 1)
 
 (* -- The default plan ----------------------------------------------------------
-   With no override the plan is the widest lane batches a kernel's code
-   has, with or without barriers (a barrier-free kernel is the one-region
-   case). So Grover's transformed kernels — the without_lm side of every
-   Fig. 10 race — must plan W-wide batches. A kernel none of whose regions
-   runs W-wide plans one-lane batches, and a fiber request plans the fiber
-   scheduler (the tree engine). *)
+   With no override a kernel with lane code plans one lane batch per
+   work-group of at most 256 work-items, with or without barriers (a
+   barrier-free kernel is the one-region case). So Grover's transformed
+   kernels — the without_lm side of every Fig. 10 race — must plan W-wide
+   batches. A kernel with a region that cannot run W-wide, a larger group
+   and a fiber request plan the fiber scheduler (the tree engine). *)
 
 (* Same kernel as examples/kernels/saxpy.cl: its bounds-guarded store is
    a divergent triangle, so its only region runs W-wide batches with the
@@ -585,46 +650,31 @@ let saxpy_source =
       }
     }|}
 
-(* Run [f] with GROVER_FORCE_PATH set to [v], restoring it afterwards. *)
-let with_force_path (v : string) (f : unit -> 'a) : 'a =
-  let old = Sys.getenv_opt "GROVER_FORCE_PATH" in
-  Unix.putenv "GROVER_FORCE_PATH" v;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "GROVER_FORCE_PATH" (Option.value old ~default:""))
-    f
-
 let check_default_plan ~(label : string) (c : Interp.compiled)
-    ~(cfg : Runtime.launch_config) ?planned (want : Runtime.path) =
+    ~(cfg : Runtime.launch_config) (want : Runtime.path) =
   Alcotest.check path_t (label ^ ": default path") want (Runtime.default_path c);
-  (* [plan] with no arguments must agree — its batches no wider than
-     [planned], one work-group — unless the environment forces a path for
-     the whole run. *)
+  (* [plan] with no arguments must agree unless the environment forces a
+     path for the whole run. *)
   match Runtime.env_force_path () with
   | None ->
-      Alcotest.check path_t (label ^ ": planned path")
-        (Option.value planned ~default:want)
-        (Runtime.plan c ~cfg ()).Runtime.path
+      Alcotest.check path_t (label ^ ": planned path") want (Runtime.plan c ~cfg ()).Runtime.path
   | Some _ -> ()
 
 let suite_cfg (case : Kit.case) : Runtime.launch_config =
   let w = case.Kit.mk ~scale:8 in
   { Runtime.global = w.Kit.global; local = w.Kit.local; queues = 1 }
 
-(* A launch plans batches of [min W group]: a 64-item group (AMD-SS,
-   AMD-MT, AMD-MM, NVD-NBody, ROD-SC) runs 64-lane batches of code
-   compiled at W = 256. *)
+(* A launch runs its group as one batch: a 64-item group (AMD-SS, AMD-MT,
+   AMD-MM, NVD-NBody, ROD-SC) runs 64 lanes of code compiled for 256. *)
 let test_grover_versions_plan_wgvec () =
   List.iter
     (fun (case : Kit.case) ->
       let fn, _ = H.compile_version case H.Without_lm in
       let c = Interp.prepare fn and cfg = suite_cfg case in
-      let w = Interp.lane_width_of c and lx, ly, lz = cfg.Runtime.local in
-      Alcotest.(check int) (case.Kit.id ^ ": compiled width")
-        Interp.max_lane_width w;
-      check_default_plan ~label:case.Kit.id c ~cfg
-        ~planned:(Runtime.Lanes (min w (lx * ly * lz)))
-        (Runtime.Lanes w))
+      let lx, ly, lz = cfg.Runtime.local in
+      Alcotest.(check int) (case.Kit.id ^ ": lanes per batch") (lx * ly * lz)
+        (Runtime.batch_width cfg Runtime.Lanes);
+      check_default_plan ~label:case.Kit.id c ~cfg Runtime.Lanes)
     Grover_suite.Suite.all
 
 let test_divergent_store_plans_wide () =
@@ -634,11 +684,10 @@ let test_divergent_store_plans_wide () =
   Grover_passes.Pipeline.normalize fn;
   let c = Interp.prepare fn in
   Alcotest.(check bool) "saxpy is barrier-free" false (has_barrier c);
-  Alcotest.(check bool) "saxpy's one region is W-wide" true
-    (match c.Interp.code with Some ln -> ln.Interp.lwide | None -> false);
+  Alcotest.(check bool) "saxpy's one region is W-wide" true (c.Interp.code <> None);
   check_default_plan ~label:"saxpy" c
     ~cfg:{ Runtime.global = (64, 1, 1); local = (16, 1, 1); queues = 1 }
-    ~planned:(Runtime.Lanes 16) (Runtime.Lanes Interp.max_lane_width)
+    Runtime.Lanes
 
 (* The tree engine's one switch: every suite kernel builds lane code, and
    a fiber request — [~force_path] for a launch, [GROVER_FORCE_PATH] for
@@ -660,15 +709,15 @@ let test_fiber_request_plans_fiber () =
         [ H.With_lm; H.Without_lm ])
     Grover_suite.Suite.all
 
-(* The GROVER_FORCE_PATH vocabulary: [wg-vec] asks for the widest lane
-   batches, [fiber] for the fiber scheduler, and anything else — the
+(* The GROVER_FORCE_PATH vocabulary: [wg-vec] asks for lane batches,
+   [fiber] for the fiber scheduler, and anything else — the
    retired one-work-item schedulers' names and spelling variants included
    — is rejected. *)
 let test_path_of_string () =
   let check s want =
     Alcotest.(check (option path_t)) s want (Runtime.path_of_string s)
   in
-  check "wg-vec" (Some (Runtime.Lanes max_int));
+  check "wg-vec" (Some Runtime.Lanes);
   check "fiber" (Some Runtime.Fiber);
   List.iter
     (fun s -> check s None)
@@ -684,7 +733,7 @@ let test_env_force_path () =
         Alcotest.(check (option path_t)) v want (Runtime.env_force_path ()))
   in
   check "" None;
-  check "wg-vec" (Some (Runtime.Lanes max_int));
+  check "wg-vec" (Some Runtime.Lanes);
   check "fiber" (Some Runtime.Fiber);
   List.iter
     (fun v ->
@@ -768,8 +817,8 @@ let launch_every_kind (c : Interp.compiled) ?force_path ~n ~wg () =
 
 (* Values live across a barrier stay in the lane slots: under random
    launch shapes the default plan runs each work-group of the every-kind
-   kernel as one lane batch as wide as the group, and agrees with
-   tree+fiber on buffers and totals. *)
+   kernel as one lane batch, and agrees with tree+fiber on buffers and
+   totals. *)
 let prop_values_stay_in_lane_slots =
   QCheck.Test.make ~name:"values live across a barrier stay in lane slots"
     ~count:25
@@ -779,8 +828,7 @@ let prop_values_stay_in_lane_slots =
       let c = Interp.prepare (lower_one spill_prop_source) in
       let one_batch =
         Runtime.env_force_path () <> None
-        || (Runtime.plan c ~cfg:(cfg_1d ~n ~wg) ()).Runtime.path
-           = Runtime.Lanes wg
+        || (Runtime.plan c ~cfg:(cfg_1d ~n ~wg) ()).Runtime.path = Runtime.Lanes
       in
       one_batch
       && compare
@@ -788,45 +836,37 @@ let prop_values_stay_in_lane_slots =
            (launch_every_kind c ~force_path:Runtime.Fiber ~n ~wg ())
          = 0)
 
-(* Lane width is an implementation knob, not a semantic one: W ∈
-   {1,4,8,256} must be output-invariant for every launch shape. The
-   barrier-free twin runs every group size, including sizes that are not
-   a multiple of W (the final batch of a sweep shrinks to the remainder —
-   the peeled tail); the every-kind kernel runs groups of at most W, the
-   only groups whose barrier it runs on lane code. Each runs under the
-   forced wg-vec plan at each width, must really plan lane batches, and
-   is compared against the fiber scheduler bit for bit. *)
-let prop_lane_width_invariant =
-  QCheck.Test.make ~name:"lane width W in {1,4,8,256} is output-invariant"
+(* The group size is a launch parameter, not a semantic one for these
+   kernels: every group size from 1 to 256 runs as one lane batch under
+   the forced wg-vec plan, must really plan lane batches, and is compared
+   against the fiber scheduler bit for bit, for the barrier-free twin and
+   for the every-kind kernel (whose [__local] array holds 64 work-items'
+   values). *)
+let prop_group_size_invariant =
+  QCheck.Test.make ~name:"group sizes 1-256 on lane batches are output-invariant"
     ~count:20
-    QCheck.(
-      triple (int_range 1 6) (int_range 1 16)
-        (oneofl [ 1; 4; 8; Interp.max_lane_width ]))
-    (fun (groups, wg, width) ->
+    QCheck.(pair (int_range 1 4) (int_range 1 Interp.max_lane_width))
+    (fun (groups, wg) ->
       let agrees src ~wg =
         let n = groups * wg in
-        let fn = lower_one src in
-        let c = Interp.prepare ~lane_width:width fn in
-        let wide = Runtime.Lanes max_int in
-        (Runtime.plan c ~cfg:(cfg_1d ~n ~wg) ~force_path:wide ())
-          .Runtime.path
-        = Runtime.Lanes (min width wg)
+        let c = Interp.prepare (lower_one src) in
+        (Runtime.plan c ~cfg:(cfg_1d ~n ~wg) ~force_path:Runtime.Lanes ()).Runtime.path
+        = Runtime.Lanes
         && compare
-             (launch_every_kind c ~force_path:wide ~n ~wg ())
-             (launch_every_kind (Interp.prepare fn) ~force_path:Runtime.Fiber ~n
-                ~wg ())
+             (launch_every_kind c ~force_path:Runtime.Lanes ~n ~wg ())
+             (launch_every_kind c ~force_path:Runtime.Fiber ~n ~wg ())
            = 0
       in
       agrees every_kind_barrier_free_source ~wg
-      && agrees spill_prop_source ~wg:(1 + ((wg - 1) mod width)))
+      && agrees spill_prop_source ~wg:(1 + ((wg - 1) mod 64)))
 
 (* -- Masked lane execution (divergent diamonds) -------------------------------
    A guarded-diamond kernel: a boundary clamp (triangle — one arm is the
    fall-through edge) and a two-armed pure value diamond, both divergent,
-   plus a barrier so W-wide batches, one-lane batches and fibers all
-   execute distinct machinery. The diamonds must classify as
-   lane-capable-with-mask and the masked batch must stay bit-identical to
-   both one-work-item oracles. *)
+   plus a barrier so W-wide batches and fibers execute distinct
+   machinery. The diamonds must classify as lane-capable-with-mask and
+   the masked batch must stay bit-identical to the one-work-item
+   oracle. *)
 
 let masked_diamond_source =
   {|__kernel void k(__global float *out, __global const float *a, int n) {
@@ -904,7 +944,7 @@ let test_divergent_store_masked_loop_bails () =
       Alcotest.failf "a divergent loop must stay scalar, got: %s"
         (Regions.verdict_string lv)
 
-let run_masked_kernel ?lane_width ~force_path ~n ~wg () =
+let run_masked_kernel ~force_path ~n ~wg () =
   let fn =
     match Lower.compile masked_diamond_source with
     | [ f ] -> f
@@ -915,7 +955,7 @@ let run_masked_kernel ?lane_width ~force_path ~n ~wg () =
   let out = Memory.alloc mem Ssa.F32 n in
   let a = Memory.alloc mem Ssa.F32 n in
   Memory.fill_floats a (fun i -> float_of_int (i * 13 mod 17) /. 8.0);
-  let c = Interp.prepare ?lane_width fn in
+  let c = Interp.prepare fn in
   let totals =
     Runtime.launch c
       ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
@@ -924,44 +964,37 @@ let run_masked_kernel ?lane_width ~force_path ~n ~wg () =
   in
   (c, totals, snapshot_buffers mem)
 
-(* A group smaller than the chosen lane width W must run as one nl-wide
-   batch — same buffers and totals as tree+fiber — for every wg in
-   1..W-1 under W in {4,8}, and the kernel must actually run W-wide (not
-   a silent fallback). *)
+(* A group smaller than the lane width W = 256 must run as one
+   group-wide batch — same buffers and totals as tree+fiber — for groups
+   of 1 to 9 work-items and of 63 and 64 (the most its [__local] array
+   holds), and the kernel must actually run lane batches (not a silent
+   fallback). *)
 let test_masked_tail_smaller_than_width () =
   List.iter
-    (fun w ->
-      for wg = 1 to w - 1 do
-        let n = wg * 3 in
-        let cv, v_tot, v_bufs =
-          run_masked_kernel ~lane_width:w
-            ~force_path:(Some (Runtime.Lanes max_int)) ~n ~wg ()
-        in
-        Alcotest.check path_t
-          (Printf.sprintf "W=%d wg=%d: one batch per group" w wg)
-          (Runtime.Lanes wg)
-          (Runtime.plan cv ~cfg:(cfg_1d ~n ~wg)
-             ~force_path:(Runtime.Lanes max_int) ())
-            .Runtime.path;
-        let _, f_tot, f_bufs =
-          run_masked_kernel ~force_path:(Some Runtime.Fiber) ~n ~wg ()
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "W=%d wg=%d: W-wide totals = fiber totals" w wg)
-          true (v_tot = f_tot);
-        Alcotest.(check bool)
-          (Printf.sprintf "W=%d wg=%d: buffers vs fiber" w wg)
-          true
-          (compare v_bufs f_bufs = 0)
-      done)
-    [ 4; 8 ]
+    (fun wg ->
+      let n = wg * 3 in
+      let cv, v_tot, v_bufs =
+        run_masked_kernel ~force_path:(Some Runtime.Lanes) ~n ~wg ()
+      in
+      Alcotest.check path_t
+        (Printf.sprintf "wg=%d: one batch per group" wg)
+        Runtime.Lanes
+        (Runtime.plan cv ~cfg:(cfg_1d ~n ~wg) ~force_path:Runtime.Lanes ()).Runtime.path;
+      let _, f_tot, f_bufs = run_masked_kernel ~force_path:(Some Runtime.Fiber) ~n ~wg () in
+      Alcotest.(check bool)
+        (Printf.sprintf "wg=%d: W-wide totals = fiber totals" wg)
+        true (v_tot = f_tot);
+      Alcotest.(check bool)
+        (Printf.sprintf "wg=%d: buffers vs fiber" wg)
+        true
+        (compare v_bufs f_bufs = 0))
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 63; 64 ]
 
 (* Random guarded-diamond kernels. A pure two-armed diamond with a random
    predicate and random pure arms, behind a random clamp guard, at group
-   sizes up to W (the kernel has a barrier, so a group runs as one batch,
-   its tail lanes inactive when it is narrower than W): masked W-wide
-   batches must agree with a one-lane request (fibers, unless the group
-   is one work-item) and the fiber scheduler bit for bit. *)
+   sizes of 1 to 64 (the most its [__local] array holds; a group runs as
+   one batch): masked W-wide batches must agree with the fiber scheduler
+   bit for bit. *)
 let prop_masked_diamond_agrees =
   let pred_of = function
     | 0 -> "x > 0.25f"
@@ -978,13 +1011,13 @@ let prop_masked_diamond_agrees =
     | _ -> "1.0f / (x + 2.0f)"
   in
   QCheck.Test.make
-    ~name:"masked W-wide = one-lane = fiber on guarded diamonds"
+    ~name:"masked W-wide = fiber on guarded diamonds"
     ~count:15
     QCheck.(
       pair
         (triple (int_range 0 3) (int_range 0 2) (int_range 0 2))
-        (triple (int_range 1 4) (int_range 1 16) (oneofl [ 4; 8 ])))
-    (fun ((p, t, e), (groups, wg, width)) ->
+        (pair (int_range 1 4) (int_range 1 64)))
+    (fun ((p, t, e), (groups, wg)) ->
       let src =
         Printf.sprintf
           {|__kernel void k(__global float *out, __global const float *a, int n) {
@@ -1002,9 +1035,8 @@ let prop_masked_diamond_agrees =
             }|}
           (pred_of p) (then_of t) (else_of e)
       in
-      let wg = 1 + ((wg - 1) mod width) in
       let n = groups * wg in
-      let run force_path lane_width =
+      let run force_path =
         let fn =
           match Lower.compile src with [ f ] -> f | _ -> assert false
         in
@@ -1013,7 +1045,7 @@ let prop_masked_diamond_agrees =
         let out = Memory.alloc mem Ssa.F32 n in
         let a = Memory.alloc mem Ssa.F32 n in
         Memory.fill_floats a (fun i -> float_of_int (i * 7 mod 13) /. 6.0);
-        let c = Interp.prepare ?lane_width fn in
+        let c = Interp.prepare fn in
         let totals =
           Runtime.launch c
             ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
@@ -1022,17 +1054,13 @@ let prop_masked_diamond_agrees =
         in
         (totals, snapshot_buffers mem)
       in
-      let v = run (Runtime.Lanes max_int) (Some width) in
-      let l = run (Runtime.Lanes 1) None in
-      let f = run Runtime.Fiber None in
-      v = l && l = f)
+      run Runtime.Lanes = run Runtime.Fiber)
 
 (* -- Private arrays across a barrier ---------------------------------------------
    Same kernel as examples/kernels/private_array.cl: a private array
    written before a uniform barrier and read after it. Region 0 allocates
-   it, so it would need one-lane batches; a kernel with barriers runs lane
-   code only as one batch per work-group, so this one has no lane code
-   and its default plan is the fiber scheduler. That plan must match
+   it, so it cannot run as a lane batch: the kernel has no lane code and
+   its default plan is the fiber scheduler. That plan must match
    tree+fiber on buffers (the private arrays included), totals and every
    Private- and Local-space trace event: same work-item, address and
    direction, in each work-item's program order. The trace does not
@@ -1098,7 +1126,7 @@ let test_private_array_matches_fibers () =
             (String.length r >= 14 && String.sub r 0 14 = "private alloca")
       | lv ->
           Alcotest.failf "region 0 must bail on its private alloca, got: %s"
-            (Regions.verdict_string ~barriers:true lv))
+            (Regions.verdict_string lv))
   | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r);
   Alcotest.(check bool) "no lane code" true (Option.is_none c.Interp.code);
   Alcotest.check path_t "default plan" Runtime.Fiber (Runtime.default_path c);
@@ -1238,11 +1266,6 @@ let test_regions_uniform_branch_qualifies () =
    so only Global/Constant buffers (the kernel-visible results) are
    compared. *)
 
-let snapshot_globals (mem : Memory.t) : (int * Ssa.space * Memory.storage) list =
-  snapshot_buffers mem
-  |> List.filter (fun (_, sp, _) ->
-         match sp with Ssa.Global | Ssa.Constant -> true | _ -> false)
-
 let run_domains (case : Kit.case) (v : H.version) ~(domains : int) :
     Trace.totals * (int * Ssa.space * Memory.storage) list * (unit, string) result =
   let fn, _ = H.compile_version case v in
@@ -1341,7 +1364,8 @@ let test_launch_bad_sizes () =
 
 (* The geometry rule [launch] applies, checked before anything runs (the
    sanitizer calls it to report a bad NDRange as a usage error): every
-   work-group size positive, every global size a multiple of it. A queue
+   work-group size positive, at most 4096 work-items in a group, every
+   global size a multiple of the group's. A queue
    rejects the same geometries with the same message when they are
    enqueued (a valid one is not enqueued: it would wait in the shared
    scheduler for another test's drain). *)
@@ -1372,7 +1396,12 @@ let test_check_geometry () =
   check "zero local z" ~global:(8, 1, 1) ~local:(8, 1, 0) positive;
   check "x not a multiple" ~global:(10, 1, 1) ~local:(4, 1, 1) multiple;
   check "y not a multiple" ~global:(8, 6, 1) ~local:(8, 4, 1) multiple;
-  check "z not a multiple" ~global:(8, 1, 3) ~local:(8, 1, 2) multiple
+  check "z not a multiple" ~global:(8, 1, 3) ~local:(8, 1, 2) multiple;
+  let too_big l = Some ("a work-group holds at most 4096 work-items, not " ^ l) in
+  check "4096 items" ~global:(4096, 2, 1) ~local:(4096, 1, 1) None;
+  check "16 x 16 x 16 items" ~global:(16, 16, 16) ~local:(16, 16, 16) None;
+  check "4097 items" ~global:(4097, 1, 1) ~local:(4097, 1, 1) (too_big "4097 x 1 x 1");
+  check "64 x 64 x 2 items" ~global:(64, 64, 2) ~local:(64, 64, 2) (too_big "64 x 64 x 2")
 
 let test_launch_bad_args () =
   let c =
@@ -1400,9 +1429,9 @@ let test_launch_bad_args () =
    [Memory.check]'s message: int, float and float4 loads and stores at a
    varying, a uniform, an argument and a constant index (work-item 0 of
    group 0 always reaches element 99 of the 4-element buffer [a] first),
-   plus a store of a constant, on W-wide and one-lane batches and on
-   tree+fiber. A sanitized launch reports the same access as its one
-   GRV-SAN-OOB finding instead. *)
+   plus a store of a constant, on 8-lane batches (groups of 8), one-lane
+   batches (groups of 1) and tree+fiber. A sanitized launch reports the
+   same access as its one GRV-SAN-OOB finding instead. *)
 let oob_kernels =
   let body t idx value =
     Printf.sprintf
@@ -1434,21 +1463,21 @@ let test_out_of_bounds_trapped () =
   List.iter
     (fun (name, elem, src) ->
       List.iter
-        (fun (path, force_path) ->
+        (fun (path, force_path, wg) ->
           let setup () =
             let mem = Memory.create () in
             let a = Memory.alloc mem elem 4 in
             let out = Memory.alloc mem elem 8 in
-            ( Interp.prepare ~lane_width:8 (lower_one src),
-              { Runtime.global = (8, 1, 1); local = (8, 1, 1); queues = 1 },
+            ( Interp.prepare (lower_one src),
+              { Runtime.global = (8, 1, 1); local = (wg, 1, 1); queues = 1 },
               [ Runtime.Abuf a; Runtime.Abuf out; Runtime.Aint 99 ],
               mem )
           in
           let label = Printf.sprintf "%s on %s" name path in
           (let c, cfg, args, mem = setup () in
            Alcotest.(check int) (label ^ ": batch width")
-             (match force_path with Runtime.Lanes 1 | Runtime.Fiber -> 1 | _ -> 8)
-             (Runtime.batch_width (Runtime.choose_path c ~force_path:(Some force_path)));
+             (if force_path = Runtime.Fiber then 1 else wg)
+             (Runtime.batch_width cfg (Runtime.plan c ~cfg ~force_path ()).Runtime.path);
            match Runtime.launch c ~cfg ~args ~mem ~force_path () with
            | exception Invalid_argument m -> Alcotest.(check string) label want m
            | _ -> Alcotest.failf "%s: the access did not trap" label);
@@ -1462,17 +1491,15 @@ let test_out_of_bounds_trapped () =
                  ( Sanitize.code_of_kind f.Sanitize.f_kind,
                    (f.Sanitize.f_buffer, f.Sanitize.f_index, f.Sanitize.f_extent) ))
                findings))
-        [ ("W=8 batches", Runtime.Lanes max_int);
-          ("one-lane batches", Runtime.Lanes 1);
-          ("tree+fiber", Runtime.Fiber) ])
+        [ ("8-lane batches", Runtime.Lanes, 8);
+          ("one-lane batches", Runtime.Lanes, 1);
+          ("tree+fiber", Runtime.Fiber, 8) ])
     oob_kernels
 
 (* -- Vector builtins on float4 ---------------------------------------------------
-   One test per builtin family: the tree engine, the W-wide lane batches
-   (the compiled default plan) and one-lane batches must all produce the
-   host-computed components bit for bit. Groups of 6 work-items are
-   smaller than the default lane width of 256, so every W-wide batch runs
-   with inactive tail lanes. *)
+   One test per builtin family: the tree engine and the compiled default
+   plan in groups of 6 and of 1 work-item must all produce the
+   host-computed components bit for bit. *)
 
 let vec_n = 12
 
@@ -1481,7 +1508,7 @@ let vec_inputs () =
     Array.init (vec_n * 4) (fun k -> float_of_int ((k * 5 mod 13) - 6) /. 3.0),
     Array.init (vec_n * 4) (fun k -> float_of_int ((k * 3 mod 11) - 2) /. 2.0) )
 
-let run_vec_builtin ~(scalar_out : bool) ~(expr : string) ?force_path () :
+let run_vec_builtin ~(scalar_out : bool) ~(expr : string) ?force_path ~wg () :
     float array =
   let fn =
     lower_one
@@ -1512,7 +1539,7 @@ let run_vec_builtin ~(scalar_out : bool) ~(expr : string) ?force_path () :
   let c = Interp.prepare fn in
   ignore
     (Runtime.launch c
-       ~cfg:{ Runtime.global = (vec_n, 1, 1); local = (6, 1, 1); queues = 1 }
+       ~cfg:{ Runtime.global = (vec_n, 1, 1); local = (wg, 1, 1); queues = 1 }
        ~args:(Runtime.Abuf out :: bufs) ~mem ?force_path ());
   Memory.to_float_array out
 
@@ -1521,15 +1548,15 @@ let check_vec_builtin ?(scalar_out = false) ~(expr : string)
   let xs, ys, zs = vec_inputs () in
   let want = expected xs ys zs in
   List.iter
-    (fun (label, force_path) ->
-      let got = run_vec_builtin ~scalar_out ~expr ?force_path () in
+    (fun (label, force_path, wg) ->
+      let got = run_vec_builtin ~scalar_out ~expr ?force_path ~wg () in
       Alcotest.(check bool)
         (Printf.sprintf "%s on %s = host" expr label)
         true
         (compare got want = 0))
-    [ ("tree", Some Runtime.Fiber);
-      ("compiled wg-vec", None);
-      ("compiled one-lane", Some (Runtime.Lanes 1)) ]
+    [ ("tree", Some Runtime.Fiber, 6);
+      ("compiled wg-vec", None, 6);
+      ("compiled one-item groups", None, 1) ]
 
 let componentwise f xs ys zs =
   Array.init (Array.length xs) (fun k -> f xs.(k) ys.(k) zs.(k))
@@ -1584,24 +1611,10 @@ let test_vec_sqrt () =
    loop in the lane compiler. Two accesses read a batch-uniform column: a
    store of a group-uniform float4 to [__local], and a [__local] load at
    the counter of a uniform loop (NBody's [sh[j]]). The tree engine under
-   fibers, the compiled lane code in W-wide batches (W in {1,4,8,256})
-   and a one-lane request (fibers, unless the group is one work-item)
-   must agree bit for bit on buffers, totals and each group's counters and
-   per-work-item event stream, at group sizes up to W (the kernel has a
-   barrier, so each group runs as one batch); the W-wide run must really
-   plan one batch per group. *)
-
-(* One group's observable trace: its counters (access counters included)
-   and its events, stably sorted by work-item so each work-item's program
-   order is kept whatever order the schedule interleaved them in. *)
-let group_trace (s : Trace.wg_stats) =
-  let evs = Trace.events s in
-  ( ( s.Trace.wg_id,
-      (s.Trace.int_ops, s.Trace.float_ops, s.Trace.special_ops),
-      (s.Trace.branches, s.Trace.barriers, s.Trace.barrier_rounds),
-      (s.Trace.loads, s.Trace.stores, s.Trace.local_accesses) ),
-    List.stable_sort (fun (x : Trace.event) y -> compare x.Trace.wi y.Trace.wi) evs
-  )
+   fibers and the compiled lane code must agree bit for bit on buffers,
+   totals and each group's counters and per-work-item event stream, at
+   group sizes of 1 to 32 (the most its [__local] array holds); the lane
+   run must really plan one batch per group. *)
 
 let float4_kernel_gen =
   let open QCheck.Gen in
@@ -1658,16 +1671,12 @@ let float4_kernel_gen =
 
 let prop_float4_kernels_agree =
   QCheck.Test.make
-    ~name:"random float4 kernels: tree+fiber = W-wide = one-lane batches"
+    ~name:"random float4 kernels: tree+fiber = W-wide batches"
     ~count:40
-    QCheck.(
-      pair (make ~print:Fun.id float4_kernel_gen)
-        (triple (int_range 1 3) (int_range 1 13)
-           (oneofl ~print:string_of_int [ 1; 4; 8; Interp.max_lane_width ])))
-    (fun (src, (groups, wg, width)) ->
-      let wg = 1 + ((wg - 1) mod width) in
+    QCheck.(pair (make ~print:Fun.id float4_kernel_gen) (pair (int_range 1 3) (int_range 1 32)))
+    (fun (src, (groups, wg)) ->
       let n = groups * wg in
-      let run ?lane_width force_path =
+      let run force_path =
         let fn = lower_one src in
         let v4 = Ssa.Vec (Ssa.F32, 4) in
         let mem = Memory.create () in
@@ -1675,7 +1684,7 @@ let prop_float4_kernels_agree =
         let a = Memory.alloc mem v4 n and b = Memory.alloc mem v4 n in
         Memory.fill_floats a (fun k -> float_of_int ((k * 7 mod 23) - 11) /. 8.0);
         Memory.fill_floats b (fun k -> float_of_int ((k * 5 mod 17) - 8) /. 4.0);
-        let c = Interp.prepare ?lane_width fn in
+        let c = Interp.prepare fn in
         let groups = ref [] in
         let totals =
           Runtime.launch c
@@ -1687,17 +1696,14 @@ let prop_float4_kernels_agree =
         in
         (c, (totals, snapshot_buffers mem, List.rev !groups))
       in
-      let cv, v = run ~lane_width:width (Runtime.Lanes max_int) in
+      let cv, v = run Runtime.Lanes in
       let batched =
-        (Runtime.plan cv ~cfg:(cfg_1d ~n ~wg)
-           ~force_path:(Runtime.Lanes max_int) ())
-          .Runtime.path
-        = Runtime.Lanes wg
+        (Runtime.plan cv ~cfg:(cfg_1d ~n ~wg) ~force_path:Runtime.Lanes ()).Runtime.path
+        = Runtime.Lanes
       in
       let _, t = run Runtime.Fiber in
-      let _, l = run (Runtime.Lanes 1) in
       (* [compare], not [=]: a 0/0 lane is NaN on every path alike *)
-      batched && compare v t = 0 && compare v l = 0)
+      batched && compare v t = 0)
 
 (* -- Random kernels with private arrays, divergent loops and int4 -------------------
    Each generated kernel has three arrays of its own per work-item (one
@@ -1708,18 +1714,19 @@ let prop_float4_kernels_agree =
    and remainder by an odd (so nonzero) divisor, a compare with a
    batch-uniform left operand, and int and float selects on varying
    compares: ops and shapes with no direct loop in the lane compiler. It
-   comes in two shapes. The one-lane shape keeps the arrays private, the
+   comes in two shapes. The fiber shape keeps the arrays private, the
    trip count depends on [get_local_id], and the uniform loop holds no
-   barrier: a barrier-free kernel that runs one-lane batches. The barrier
-   shape keeps the arrays as per-work-item slices of [__local] arrays and
-   a uniform trip count, and its uniform loop exchanges a value through
-   [__local] memory between two barriers: every region runs W-wide. The
-   compiled default plan at W in {1,4,8,256} must plan those batches and
-   match tree+fiber bit for bit — buffers (private and local scratch
-   included), totals and each group's counters and per-work-item event
-   stream on one domain; global buffers and totals on two — at group
-   sizes that are not multiples of W for the one-lane shape, and of at
-   most W, one batch each, for the barrier shape. *)
+   barrier: a barrier-free kernel whose region cannot run as a lane
+   batch, so it plans fibers. The barrier shape keeps the arrays as
+   per-work-item slices of [__local] arrays and a uniform trip count,
+   and its uniform loop exchanges a value through [__local] memory
+   between two barriers: every region runs W-wide, one batch per group.
+   The compiled default plan must plan those paths and match tree+fiber
+   bit for bit — buffers (private and local scratch included), totals
+   and each group's counters and per-work-item event stream on one
+   domain; global buffers and totals on two — at group sizes of 1 to 60
+   for the barrier shape and 1 to 16 for the fiber shape (the most their
+   arrays hold). *)
 
 let random_kernel_gen =
   let open QCheck.Gen in
@@ -1795,15 +1802,14 @@ let random_kernel_gen =
              (quad div (oneofl [ "<<"; ">>" ]) small div)
              (triple uniform icmp iop) (pair icmp guard))))
 
-(* One 1-D launch of [src] compiled at [lane_width] on the arguments
-   [setup] allocates in a fresh memory: its totals, its buffers (every
-   space on one domain, the global ones on more) and, on one domain,
-   each group's [group_trace]. *)
-let run_traced src ?lane_width ?force_path ~setup ~domains ~n ~wg () =
+(* One 1-D launch of [src] on the arguments [setup] allocates in a fresh
+   memory: its totals, its buffers (every space on one domain, the global
+   ones on more) and, on one domain, each group's [group_trace]. *)
+let run_traced src ?force_path ~setup ~domains ~n ~wg () =
   let fn = lower_one src in
   let mem = Memory.create () in
   let args = setup mem in
-  let c = Interp.prepare ?lane_width fn in
+  let c = Interp.prepare fn in
   let groups = ref [] in
   let on_group =
     if domains = 1 then Some (fun s -> groups := group_trace s :: !groups)
@@ -1817,32 +1823,19 @@ let run_traced src ?lane_width ?force_path ~setup ~domains ~n ~wg () =
   let bufs = if domains = 1 then snapshot_buffers mem else snapshot_globals mem in
   (totals, bufs, List.rev !groups)
 
-(* [src] at [lane_width] (the default W when [None]) against tree+fiber:
-   the path its default plan takes, and named verdicts: bit-identical
-   buffers, totals and group traces on one domain, and global buffers and
-   totals on two. *)
-let traced_vs_fibers src ?lane_width ~setup ~n ~wg () :
-    Runtime.path * (string * bool) list =
-  let planned =
-    (Runtime.plan (Interp.prepare ?lane_width (lower_one src)) ~cfg:(cfg_1d ~n ~wg) ())
-      .Runtime.path
-  in
+(* [src] against tree+fiber: the path its default plan takes, and named
+   verdicts: bit-identical buffers, totals and group traces on one
+   domain, and global buffers and totals on two. *)
+let traced_vs_fibers src ~setup ~n ~wg () : Runtime.path * (string * bool) list =
+  let planned = (Runtime.plan (Interp.prepare (lower_one src)) ~cfg:(cfg_1d ~n ~wg) ()).Runtime.path in
   let t_tot, t_bufs, t_trace =
     run_traced src ~force_path:Runtime.Fiber ~setup ~domains:1 ~n ~wg ()
   in
-  let c_tot, c_bufs, c_trace =
-    run_traced src ?lane_width ~setup ~domains:1 ~n ~wg ()
-  in
+  let c_tot, c_bufs, c_trace = run_traced src ~setup ~domains:1 ~n ~wg () in
   let p_tot, p_bufs, _ =
-    with_domain_cap 2 (fun () ->
-        run_traced src ?lane_width ~setup ~domains:2 ~n ~wg ())
+    with_domain_cap 2 (fun () -> run_traced src ~setup ~domains:2 ~n ~wg ())
   in
-  let t_globals =
-    List.filter
-      (fun (_, sp, _) ->
-        match sp with Ssa.Global | Ssa.Constant -> true | _ -> false)
-      t_bufs
-  in
+  let t_globals = globals_of t_bufs in
   ( planned,
     [ ("identical launch totals", t_tot = c_tot);
       ("bit-identical buffers", compare t_bufs c_bufs = 0);
@@ -1852,9 +1845,8 @@ let traced_vs_fibers src ?lane_width ~setup ~n ~wg () :
 
 (* The same, as checks; the default plan must run lane batches unless
    GROVER_FORCE_PATH pins the run's path. *)
-let check_traced_against_fibers ~(label : string) src ?lane_width ~setup ~n
-    ~wg () =
-  let planned, verdicts = traced_vs_fibers src ?lane_width ~setup ~n ~wg () in
+let check_traced_against_fibers ~(label : string) src ~setup ~n ~wg () =
+  let planned, verdicts = traced_vs_fibers src ~setup ~n ~wg () in
   if Runtime.env_force_path () = None then
     Alcotest.(check bool) (label ^ ": the default plan runs lane batches") true
       (planned <> Runtime.Fiber);
@@ -1877,18 +1869,15 @@ let prop_random_kernels_agree =
     ~count:30
     QCheck.(
       pair (make ~print:snd random_kernel_gen)
-        (quad (int_range 1 4) (int_range 1 13)
-           (oneofl ~print:string_of_int [ 1; 4; 8; Interp.max_lane_width ])
-           (int_range 0 2)))
-    (fun ((barriers, src), (groups, wg, width, reps)) ->
-      let wg = if barriers then 1 + ((wg - 1) mod width) else wg in
+        (triple (int_range 1 4) (int_range 1 60) (int_range 0 2)))
+    (fun ((barriers, src), (groups, wg, reps)) ->
+      let wg = if barriers then wg else 1 + ((wg - 1) mod 16) in
       let n = groups * wg in
       let planned, verdicts =
-        traced_vs_fibers src ~lane_width:width
-          ~setup:(random_kernel_args ~n ~reps) ~n ~wg ()
+        traced_vs_fibers src ~setup:(random_kernel_args ~n ~reps) ~n ~wg ()
       in
       (Runtime.env_force_path () <> None
-      || planned = Runtime.Lanes (if barriers then wg else 1))
+      || planned = if barriers then Runtime.Lanes else Runtime.Fiber)
       && List.for_all snd verdicts)
 
 (* -- Stores in masked arms ---------------------------------------------------------
@@ -1897,9 +1886,9 @@ let prop_random_kernels_agree =
    kernel stores to [__local] or [__global] memory in the then-arm, the
    else-arm or both, under predicates whose then-lanes form one run from
    lane 0, one run inside the group, a scattered set, no lane and every
-   lane. At W in {20,32,256}, on groups of 20 (one whole-group batch,
-   full at W = 20 and with inactive tail lanes at 32 and 256, where one
-   run records as one record), it must match tree+fiber bit for bit. *)
+   lane. On groups of 20, 32 and 64 (one whole-group batch each, where
+   one run records as one record), it must match tree+fiber bit for
+   bit. *)
 
 let masked_store_source ~(local : bool) ~(arms : [ `Then | `Else | `Both ])
     ~(pred : string) =
@@ -1936,8 +1925,6 @@ let masked_store_setup ~n mem =
   [ Runtime.Abuf out; Runtime.Abuf gdst; Runtime.Abuf a ]
 
 let test_masked_stores () =
-  let wg = 20 in
-  let n = 3 * wg in
   List.iter
     (fun local ->
       List.iter
@@ -1954,24 +1941,25 @@ let test_masked_stores () =
                         an pn (Regions.verdict_string lv))
               | Regions.Fallback r -> Alcotest.failf "unexpected fallback: %s" r);
               List.iter
-                (fun w ->
+                (fun wg ->
                   let label =
-                    Printf.sprintf "%s store in %s, %s, W=%d"
+                    Printf.sprintf "%s store in %s, %s, group of %d"
                       (if local then "__local" else "__global")
-                      an pn w
+                      an pn wg
                   in
-                  check_traced_against_fibers ~label src ~lane_width:w
-                    ~setup:(masked_store_setup ~n) ~n ~wg ())
-                [ wg; 32; Interp.max_lane_width ])
+                  let n = 3 * wg in
+                  check_traced_against_fibers ~label src ~setup:(masked_store_setup ~n) ~n
+                    ~wg ())
+                [ 20; 32; 64 ])
             masked_store_preds)
         [ (`Then, "the then-arm"); (`Else, "the else-arm"); (`Both, "both arms") ])
     [ true; false ]
 
 (* An inactive lane computes its index flat, out of bounds or not, but
-   never stores, records or traps: AMD-SS's staging shape (lanes 4..19
-   index past a 4-element [__local] array; the kernel has a barrier, so
-   W is at least its group of 20) and saxpy's bounds guard (work-items
-   37..47 index past a 37-element buffer). *)
+   never stores, records or traps: AMD-SS's staging shape (lanes 4 and
+   up index past a 4-element [__local] array) in groups of 20, 30 and
+   60, and saxpy's bounds guard (work-items 37..47 index past a
+   37-element buffer) in groups of 1, 8, 16 and 48. *)
 let test_masked_store_inactive_out_of_bounds () =
   let staging =
     {|__kernel void k(__global int *out, __global const int *a) {
@@ -1994,15 +1982,15 @@ let test_masked_store_inactive_out_of_bounds () =
     [ Runtime.Abuf y; Runtime.Abuf x; Runtime.Afloat 1.5; Runtime.Aint 37 ]
   in
   List.iter
-    (fun w ->
-      check_traced_against_fibers ~label:(Printf.sprintf "staging, W=%d" w) staging
-        ~lane_width:w ~setup:staging_setup ~n:60 ~wg:20 ())
-    [ 20; 32; Interp.max_lane_width ];
+    (fun wg ->
+      check_traced_against_fibers ~label:(Printf.sprintf "staging, group of %d" wg) staging
+        ~setup:staging_setup ~n:60 ~wg ())
+    [ 20; 30; 60 ];
   List.iter
-    (fun w ->
-      check_traced_against_fibers ~label:(Printf.sprintf "saxpy, W=%d" w) saxpy_source
-        ~lane_width:w ~setup:saxpy_setup ~n:48 ~wg:16 ())
-    [ 1; 8; Interp.max_lane_width ]
+    (fun wg ->
+      check_traced_against_fibers ~label:(Printf.sprintf "saxpy, group of %d" wg) saxpy_source
+        ~setup:saxpy_setup ~n:48 ~wg ())
+    [ 1; 8; 16; 48 ]
 
 (* The run form of an index column: over any run of lanes of any group
    shape, a column affine in the local id is accepted, and an accepted
@@ -2036,60 +2024,73 @@ let prop_run_form_sound =
       done;
       (perturb <> None || accepted) && ((not accepted) || !reproduced))
 
-(* A barrier-free kernel keeps one-lane batches: a private array, and
+(* A region that cannot run W-wide plans fibers: a private array, and
    examples/kernels/divergent_loop.cl's loop whose trip count comes from
-   get_local_id(0), each make its region run one work-item at a time, in
-   groups of 10 at any compiled width, and must match tree+fiber. *)
-let test_one_lane_barrier_free () =
-  let private_src =
-    {|__kernel void k(__global float *out, __global const float *in) {
-        float acc[4];
-        int g = get_global_id(0);
-        for (int k = 0; k < 4; k++) acc[k] = in[g] * (float)(k + 1);
-        out[g] = acc[0] + acc[get_local_id(0) % 4];
-      }|}
-  and divergent_loop_src =
-    {|__kernel void ragged_sum(__global int *out, __global const int *in) {
-        int l = get_local_id(0);
-        int acc = 0;
-        for (int t = 0; t != l; t++) {
-          acc = acc + in[t];
-        }
-        out[get_global_id(0)] = acc;
-      }|}
+   get_local_id(0), each in a kernel without barriers and in one with a
+   barrier after it, leave the kernel without lane code, so it plans the
+   fiber scheduler in groups of 10, and matches tree+fiber. *)
+let test_scalar_region_plans_fibers () =
+  let kernel ~barrier body =
+    Printf.sprintf
+      {|__kernel void k(__global float *out, __global const float *in) {
+          __local float tile[16];
+          int l = get_local_id(0);
+          int g = get_global_id(0);
+          %s
+          tile[l] = v;
+          %s
+          out[g] = v + tile[(l + 1) %% get_local_size(0)];
+        }|}
+      body
+      (if barrier then "barrier(CLK_LOCAL_MEM_FENCE);" else "")
   in
+  let private_array =
+    "float acc[4]; for (int k = 0; k < 4; k++) acc[k] = in[g] * (float)(k + 1); float v = acc[l % 4];"
+  and divergent_loop = "float v = 0.0f; for (int t = 0; t != l; t++) { v = v + in[t]; }" in
   let n = 30 and wg = 10 in
-  let private_setup mem =
+  let setup mem =
     let out = Memory.alloc mem Ssa.F32 n and inp = Memory.alloc mem Ssa.F32 n in
     Memory.fill_floats inp (fun i -> float_of_int ((i * 7 mod 11) - 4) /. 4.0);
     [ Runtime.Abuf out; Runtime.Abuf inp ]
-  and loop_setup mem =
-    let out = Memory.alloc mem Ssa.I32 n and inp = Memory.alloc mem Ssa.I32 n in
-    Memory.fill_ints inp (fun i -> (i * 5 mod 13) - 6);
-    [ Runtime.Abuf out; Runtime.Abuf inp ]
   in
   List.iter
-    (fun (label, src, setup) ->
+    (fun (shape, body, reason) ->
       List.iter
-        (fun w ->
-          let label = Printf.sprintf "%s, W=%d" label w in
-          let c = Interp.prepare ~lane_width:w (lower_one src) in
-          Alcotest.(check bool) (label ^ ": barrier-free") false (has_barrier c);
-          check_default_plan ~label c ~cfg:(cfg_1d ~n ~wg) (Runtime.Lanes 1);
-          check_traced_against_fibers ~label src ~lane_width:w ~setup ~n ~wg ())
-        [ 1; 8; Interp.max_lane_width ])
-    [ ("private array", private_src, private_setup);
-      ("divergent loop", divergent_loop_src, loop_setup) ]
+        (fun barrier ->
+          let label = Printf.sprintf "%s, %s" shape (if barrier then "with a barrier" else "barrier-free") in
+          let src = kernel ~barrier body in
+          let c = Interp.prepare (lower_one src) in
+          Alcotest.(check bool) (label ^ ": barriers") barrier (has_barrier c);
+          (match c.Interp.regions with
+          | Regions.Formed i -> (
+              match i.Regions.lane_entries.(0) with
+              | Regions.Scalar r ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: region 0 bails (%s)" label r)
+                    true
+                    (String.length r >= String.length reason
+                    && String.sub r 0 (String.length reason) = reason)
+              | lv -> Alcotest.failf "%s: region 0 must bail, got: %s" label (Regions.verdict_string lv))
+          | Regions.Fallback r -> Alcotest.failf "%s: unexpected fallback: %s" label r);
+          Alcotest.(check bool) (label ^ ": no lane code") true (Option.is_none c.Interp.code);
+          check_default_plan ~label c ~cfg:(cfg_1d ~n ~wg) Runtime.Fiber;
+          Alcotest.check path_t (label ^ ": a wg-vec request's plan") Runtime.Fiber
+            (Runtime.plan c ~cfg:(cfg_1d ~n ~wg) ~force_path:Runtime.Lanes ()).Runtime.path;
+          List.iter
+            (fun (what, ok) -> Alcotest.(check bool) (label ^ ": " ^ what) true ok)
+            (snd (traced_vs_fibers src ~setup ~n ~wg ())))
+        [ false; true ])
+    [ ("private array", private_array, "private alloca");
+      ("divergent loop", divergent_loop, "divergent branch arms do not reconverge") ]
 
 (* -- One batch per work-group --------------------------------------------------
-   A kernel with barriers runs each work-group as one lane batch, so the
-   values live across a barrier stay in the lane slots. This kernel keeps
-   an int, a float and a float4 (and uniform values) live across two
-   barriers in a uniform loop, with a [__local] array sized for the
-   group. It must match tree+fiber when one batch of the default W = 256
-   holds the group (1, 64 and 256 work-items) and at W = 4 (4 work-items).
-   A group wider than W plans the fiber scheduler instead: W = 8 with 16
-   work-items, and the default W with 512. *)
+   A kernel runs each work-group as one lane batch, so the values live
+   across a barrier stay in the lane slots. This kernel keeps an int, a
+   float and a float4 (and uniform values) live across two barriers in a
+   uniform loop, with a [__local] array sized for the group. It must
+   match tree+fiber when one batch of W = 256 holds the group (1, 4, 64
+   and 256 work-items). A group wider than W plans the fiber scheduler
+   instead: 257 and 512 work-items. *)
 
 let group_spill_source wg =
   Printf.sprintf
@@ -2128,43 +2129,85 @@ let group_spill_setup ~n mem =
   [ Runtime.Abuf vout; Runtime.Abuf fout; Runtime.Abuf iout; Runtime.Abuf a;
     Runtime.Abuf b; Runtime.Aint 3 ]
 
-let group_spill_label lane_width wg =
-  Printf.sprintf "W=%d, group of %d"
-    (Option.value lane_width ~default:Interp.max_lane_width)
-    wg
-
 let test_group_batches_spill () =
   List.iter
-    (fun (lane_width, wg) ->
+    (fun wg ->
       let src = group_spill_source wg and n = 4 * wg in
-      let label = group_spill_label lane_width wg in
-      let c = Interp.prepare ?lane_width (lower_one src) in
+      let label = Printf.sprintf "group of %d" wg in
+      let c = Interp.prepare (lower_one src) in
       Alcotest.(check bool) (label ^ ": three W-wide regions") true
         (Option.is_some c.Interp.code);
-      check_traced_against_fibers ~label src ?lane_width
-        ~setup:(group_spill_setup ~n) ~n ~wg ())
-    [ (None, 1); (None, 64); (None, 256); (Some 4, 4) ]
+      check_traced_against_fibers ~label src ~setup:(group_spill_setup ~n) ~n ~wg ())
+    [ 1; 4; 64; 256 ]
 
 let test_group_wider_than_width_plans_fibers () =
   List.iter
-    (fun (lane_width, wg) ->
+    (fun wg ->
       let src = group_spill_source wg and n = 4 * wg in
-      let label = group_spill_label lane_width wg in
-      let planned, verdicts =
-        traced_vs_fibers src ?lane_width ~setup:(group_spill_setup ~n) ~n ~wg ()
-      in
+      let label = Printf.sprintf "group of %d" wg in
+      let planned, verdicts = traced_vs_fibers src ~setup:(group_spill_setup ~n) ~n ~wg () in
       Alcotest.check path_t (label ^ ": planned path") Runtime.Fiber planned;
       List.iter
         (fun (what, ok) -> Alcotest.(check bool) (label ^ ": " ^ what) true ok)
         verdicts)
-    [ (Some 8, 16); (None, 512) ]
+    [ 257; 512 ]
+
+(* Lane code runs a group of at most [Interp.max_lane_width] work-items:
+   a kernel with barriers and one without plan lane batches at 256
+   work-items and fibers at 257 and 512, in one dimension or two,
+   whether the request is the default, [~force_path:Lanes] or
+   GROVER_FORCE_PATH=wg-vec, which never raises. A barrier-free kernel
+   that reads only get_global_id writes the same buffers either way. *)
+let test_plan_group_limit () =
+  let barrier_free =
+    {|__kernel void k(__global float *out, __global const float *a) {
+        int g = get_global_id(0);
+        out[g] = a[g] * 3.0f + (float)g;
+      }|}
+  in
+  let groups =
+    [ ((256, 1, 1), Runtime.Lanes); ((16, 16, 1), Runtime.Lanes); ((257, 1, 1), Runtime.Fiber);
+      ((512, 1, 1), Runtime.Fiber); ((16, 32, 1), Runtime.Fiber) ]
+  in
+  List.iter
+    (fun (kn, src) ->
+      let c = Interp.prepare (lower_one src) in
+      Alcotest.(check bool) (kn ^ ": lane code") true (Option.is_some c.Interp.code);
+      List.iter
+        (fun (((lx, ly, _) as local), want) ->
+          let cfg = { Runtime.global = (2 * lx, ly, 1); local; queues = 1 } in
+          let label what = Printf.sprintf "%s, %dx%d group: %s" kn lx ly what in
+          if Runtime.env_force_path () = None then
+            Alcotest.check path_t (label "default plan") want (Runtime.plan c ~cfg ()).Runtime.path;
+          Alcotest.check path_t (label "~force_path:Lanes") want
+            (Runtime.plan c ~cfg ~force_path:Runtime.Lanes ()).Runtime.path;
+          with_force_path "wg-vec" (fun () ->
+              Alcotest.check path_t (label "GROVER_FORCE_PATH=wg-vec") want
+                (Runtime.plan c ~cfg ()).Runtime.path))
+        groups)
+    [ ("with barriers", group_spill_source 512); ("barrier-free", barrier_free) ];
+  let c = Interp.prepare (lower_one barrier_free) in
+  let run wg =
+    let n = 1024 in
+    let mem = Memory.create () in
+    let out = Memory.alloc mem Ssa.F32 n and a = Memory.alloc mem Ssa.F32 n in
+    Memory.fill_floats a (fun i -> float_of_int ((i * 7 mod 23) - 5) /. 4.0);
+    let cfg = cfg_1d ~n ~wg in
+    let p = (Runtime.plan c ~cfg ~force_path:Runtime.Lanes ()).Runtime.path in
+    ignore (Runtime.launch c ~cfg ~args:[ Runtime.Abuf out; Runtime.Abuf a ] ~mem ~force_path:Runtime.Lanes ());
+    (p, Memory.to_float_array out)
+  in
+  let p256, o256 = run 256 and p512, o512 = run 512 in
+  Alcotest.check path_t "groups of 256 run lane batches" Runtime.Lanes p256;
+  Alcotest.check path_t "groups of 512 run fibers" Runtime.Fiber p512;
+  Alcotest.(check bool) "bit-identical buffers at 256 and 512" true (compare o256 o512 = 0)
 
 (* -- Phi moves in place --------------------------------------------------------
    An edge whose phi moves read no slot they write moves in place; an
    edge where one move reads a phi another move writes must stage. Here
    the loop's back edge rotates [t = a; a = b; b = t + 1] and swaps two
    floats, uniform or varying; moved in place, the swap would read the
-   value it just wrote. At W in {1,8,256} the result must match
+   value it just wrote. In groups of 1, 8 and 13 the result must match
    tree+fiber, and the back edge must really stage. *)
 
 let phi_rotation_source ~varying =
@@ -2193,14 +2236,14 @@ let phi_rotation_source ~varying =
     a b p q
 
 let test_phi_rotation ~varying () =
-  let src = phi_rotation_source ~varying and wg = 13 in
-  let n = 3 * wg in
+  let src = phi_rotation_source ~varying in
   List.iter
-    (fun w ->
+    (fun wg ->
+      let n = 3 * wg in
       let label =
-        Printf.sprintf "%s, W=%d" (if varying then "varying" else "uniform") w
+        Printf.sprintf "%s, group of %d" (if varying then "varying" else "uniform") wg
       in
-      (match (Interp.prepare ~lane_width:w (lower_one src)).Interp.code with
+      (match (Interp.prepare (lower_one src)).Interp.code with
       | Some ln ->
           let staged =
             if varying then ln.Interp.lscr_vi > 0 && ln.Interp.lscr_vf > 0
@@ -2214,18 +2257,16 @@ let test_phi_rotation ~varying () =
         Memory.fill_floats x (fun k -> float_of_int ((k * 5 mod 17) - 8) /. 4.0);
         [ Runtime.Abuf iout; Runtime.Abuf fout; Runtime.Abuf x; Runtime.Aint 5 ]
       in
-      check_traced_against_fibers ~label src ~lane_width:w ~setup ~n ~wg ())
-    [ 1; 8; Interp.max_lane_width ]
+      check_traced_against_fibers ~label src ~setup ~n ~wg ())
+    [ 1; 8; 13 ]
 
 (* -- Lane plans of the suite ----------------------------------------------------
-   The plan name stays wg-vec whatever the batch width, so the plan of
-   every suite version, and of every kernel promote-lm builds back from a
-   Grover-transformed one, is pinned here at its case geometry: the
-   widest lane batches (the default plan when GROVER_FORCE_PATH is unset)
-   run one batch as wide as the work-group. A kernel with barriers runs
-   lane code only that way, so a region that needed one-lane batches
-   would send it to the fiber scheduler. The region count of every
-   version is pinned too. Region 0 of AMD-SS, PAB-ST and ROD-SC with_lm
+   The plan of every suite version, and of every kernel promote-lm builds
+   back from a Grover-transformed one, is pinned here at its case
+   geometry: lane batches (the default plan when GROVER_FORCE_PATH is
+   unset), one batch as wide as the work-group. A region that could not
+   run as a lane batch would send the kernel to the fiber scheduler. The
+   region count of every version is pinned too. Region 0 of AMD-SS, PAB-ST and ROD-SC with_lm
    stages shared data behind a lane guard, a store in a masked arm. *)
 
 let expected_regions =
@@ -2248,14 +2289,12 @@ let test_suite_lane_flags () =
         List.find (fun (id, _, _) -> id = case.Kit.id) expected_regions
       in
       let cfg = suite_cfg case in
-      let lx, ly, lz = cfg.Runtime.local in
       let one_batch label fn =
         let c = Interp.prepare fn in
         Alcotest.check path_t
           (Printf.sprintf "%s %s plan" case.Kit.id label)
-          (Runtime.Lanes (lx * ly * lz))
-          (Runtime.plan c ~cfg ~force_path:(Runtime.Lanes max_int) ())
-            .Runtime.path;
+          Runtime.Lanes
+          (Runtime.plan c ~cfg ~force_path:Runtime.Lanes ()).Runtime.path;
         c
       in
       List.iter
@@ -2549,8 +2588,8 @@ let test_batch_move_last_lane_out_of_bounds () =
           | Memory.I _ -> Memory.fill_ints src_b (fun i -> i + 1));
           let c = Interp.prepare (lower_one src) in
           let cfg = { Runtime.global = local; local; queues = 1 } in
-          Alcotest.check path_t (label ^ ": one 256-lane batch") (Runtime.Lanes 256)
-            (Runtime.plan c ~cfg ~force_path:(Runtime.Lanes max_int) ~domains:1 ()).Runtime.path;
+          Alcotest.check path_t (label ^ ": one 256-lane batch") Runtime.Lanes
+            (Runtime.plan c ~cfg ~force_path:Runtime.Lanes ~domains:1 ()).Runtime.path;
           let want =
             Printf.sprintf "buffer %d (global): element index %d out of bounds [0,%d)"
               (if store then 0 else 1) (255 + off) n
@@ -2558,7 +2597,7 @@ let test_batch_move_last_lane_out_of_bounds () =
           (match
              Runtime.launch c ~cfg
                ~args:[ Runtime.Abuf dst; Runtime.Abuf src_b; Runtime.Aint off ]
-               ~mem ~force_path:(Runtime.Lanes max_int) ()
+               ~mem ~force_path:Runtime.Lanes ()
            with
           | exception Invalid_argument m -> Alcotest.(check string) (label ^ ": message") want m
           | _ -> Alcotest.failf "%s: the access did not trap" label);
@@ -2635,9 +2674,9 @@ let test_trace_width_field () =
    A group's [loads], [stores] and [local_accesses] are counted as its
    events are recorded: once per lane batch in the lane engine (active
    lanes only in a masked arm), once per event in the tree engine and in
-   per-lane accesses. On W-wide batches, one-lane batches and tree+fiber,
-   every group's counters must equal the counts taken from its events,
-   and the launch totals summed from them must equal tree+fiber's. *)
+   per-lane accesses. On W-wide batches and tree+fiber, every group's
+   counters must equal the counts taken from its events, and the launch
+   totals summed from them must equal tree+fiber's. *)
 
 let event_counts (s : Trace.wg_stats) : int * int * int =
   let loads = ref 0 and stores = ref 0 and local = ref 0 in
@@ -2648,8 +2687,7 @@ let event_counts (s : Trace.wg_stats) : int * int * int =
     s;
   (!loads, !stores, !local)
 
-(* [launch ~force_path ~on_group] on W-wide batches, one-lane batches and
-   tree+fiber. *)
+(* [launch ~force_path ~on_group] on W-wide batches and tree+fiber. *)
 let check_counters ~(label : string)
     (launch : force_path:Runtime.path -> on_group:(Trace.wg_stats -> unit) -> Trace.totals) =
   let runs =
@@ -2668,9 +2706,7 @@ let check_counters ~(label : string)
         Alcotest.(check int) (Printf.sprintf "%s on %s: groups" label pn) tot.Trace.t_groups
           !groups;
         (pn, tot))
-      [ (Runtime.Lanes max_int, "W-wide batches");
-        (Runtime.Lanes 1, "one-lane batches");
-        (Runtime.Fiber, "tree+fiber") ]
+      [ (Runtime.Lanes, "W-wide batches"); (Runtime.Fiber, "tree+fiber") ]
   in
   let fiber = List.assoc "tree+fiber" runs in
   Alcotest.(check bool) (label ^ ": the launch accesses memory") true
@@ -2794,7 +2830,7 @@ let trap_cfg = { Runtime.global = (trap_n, 1, 1); local = (trap_wg, 1, 1); queue
 
 (* Lane batches whatever [GROVER_FORCE_PATH] says: the traps under test
    are the lane engine's. *)
-let trap_path = Runtime.Lanes max_int
+let trap_path = Runtime.Lanes
 
 let test_trap_poisons_only_its_launch (label, src, masked) () =
   let fn = lower_one src in
@@ -2806,8 +2842,7 @@ let test_trap_poisons_only_its_launch (label, src, masked) () =
   | Regions.Formed _, None -> ()
   | Regions.Fallback r, _ -> Alcotest.failf "%s: unexpected fallback: %s" label r);
   let c = Interp.prepare fn in
-  Alcotest.check path_t (label ^ ": one batch per group")
-    (Runtime.Lanes trap_wg)
+  Alcotest.check path_t (label ^ ": one batch per group") Runtime.Lanes
     (Runtime.plan c ~cfg:trap_cfg ~force_path:trap_path ~domains:1 ()).Runtime.path;
   (* Lane 100 is each group's first access out of bounds, so every group
      traps. One domain stops at group 0; two domains and the queue keep
@@ -2915,13 +2950,15 @@ let suite =
           test_divergent_store_plans_wide;
         Alcotest.test_case "fiber request plans fiber" `Quick
           test_fiber_request_plans_fiber;
+        Alcotest.test_case "lane batches hold at most 256 work-items" `Quick
+          test_plan_group_limit;
         Alcotest.test_case "path_of_string" `Quick test_path_of_string;
         Alcotest.test_case "env_force_path" `Quick test_env_force_path ] );
     ( "private-arrays",
       [ Alcotest.test_case "private array across a barrier = tree+fiber" `Quick
           test_private_array_matches_fibers;
-        Alcotest.test_case "barrier-free one-lane batches = tree+fiber" `Quick
-          test_one_lane_barrier_free;
+        Alcotest.test_case "a region that cannot run W-wide plans fibers" `Quick
+          test_scalar_region_plans_fibers;
         Alcotest.test_case "private alloca after a barrier = tree+fiber" `Quick
           test_private_alloca_after_barrier ] );
     ( "masked-lanes",
@@ -2987,4 +3024,4 @@ let suite =
       [ QCheck_alcotest.to_alcotest prop_engines_agree;
         QCheck_alcotest.to_alcotest prop_domain_count_invariant;
         QCheck_alcotest.to_alcotest prop_values_stay_in_lane_slots;
-        QCheck_alcotest.to_alcotest prop_lane_width_invariant ] ) ]
+        QCheck_alcotest.to_alcotest prop_group_size_invariant ] ) ]
