@@ -24,8 +24,8 @@
      groups through fresh SNB, Nehalem and MIC simulators, and the words
      of cache pages each simulator holds at the end.
 
-   Every launch-throughput, masked-region, allocation and compile-cache
-   row times the fastest of at least 3 runs (5 with --quick) that
+   Every launch-throughput, masked, masked-region, allocation and
+   compile-cache row times the fastest of at least 3 runs (5 with --quick) that
    together ran at least 1 s (0.2 s with --quick); the suite launches
    take as many rounds and seconds per version.
 
@@ -309,7 +309,7 @@ let masked_region_count () : int =
       | Regions.Fallback _ -> acc)
     0 (suite_pairs ())
 
-let masked_bench ~(quick : bool) ~(reps : int) () : masked_stats =
+let masked_bench ~(quick : bool) ~(reps : int) ~(min_s : float) () : masked_stats =
   let regions = masked_region_count () in
   if regions = 0 then begin
     Printf.eprintf
@@ -341,20 +341,14 @@ let masked_bench ~(quick : bool) ~(reps : int) () : masked_stats =
            ~force_path ())
     in
     one ();
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      one ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
+    let best = min_time ~reps ~min_s one in
     (match w.Kit.check () with
     | Ok () -> ()
     | Error m ->
         failwith
           (Printf.sprintf "perf bench: %s on %s produced wrong output: %s"
              case.Kit.id want m));
-    items /. !best
+    items /. best
   in
   let vec = throughput Runtime.Lanes "W-wide batches" in
   let fiber = throughput Runtime.Fiber "fibers" in
@@ -951,7 +945,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   let ov_with = overhead H.With_lm and ov_without = overhead H.Without_lm in
   let cs = cache_bench ~reps ~min_s () in
   report_cache cs;
-  let mk = masked_bench ~quick ~reps () in
+  let mk = masked_bench ~quick ~reps ~min_s () in
   report_masked mk;
   let masked_region = masked_region_bench ~reps ~min_s () in
   report_masked_region masked_region;

@@ -42,7 +42,7 @@ module Runtime = Grover_ocl.Runtime
 (* Bump whenever a change to the front-end, the passes, Grover or the IR
    could make an old artifact stale: every on-disk entry keyed under a
    different stamp is simply never hit again. *)
-let code_version = "grover-cache-4"
+let code_version = "grover-cache-5"
 
 (* -- Requests and keys ----------------------------------------------------- *)
 

@@ -359,7 +359,8 @@ let rec parse_array_suffix st ty =
     let l = peek_loc st in
     let size =
       match next st with
-      | Token.Int_lit n, _ -> n
+      | Token.Int_lit n, _ when n > 0 -> n
+      | Token.Int_lit n, lk -> Loc.errorf lk "array size must be positive, found %d" n
       | tok, lk ->
           Loc.errorf lk
             "array sizes must be integer constants after preprocessing, found %a"

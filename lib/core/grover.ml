@@ -57,7 +57,7 @@ let emit_remarks (ctx : Pass.ctx option) (fn : Ssa.func) (o : outcome) : unit =
     @param only restrict the rewrite to local buffers with these source
     names (e.g. [["As"]] to reproduce NVD-MM-A). Buffers not selected are
     preserved untouched and do not appear in [rejected].
-    @param ctx pass-manager context: Grover's internal cleanup pipelines are
+    @param ctx pass-manager context: Grover's internal cleanup pipeline is
     instrumented through it and the per-candidate outcomes are emitted as
     [remark] diagnostics. *)
 let run ?(only : string list option) ?(ctx : Pass.ctx option) (fn : Ssa.func) :
@@ -93,10 +93,10 @@ let run ?(only : string list option) ?(ctx : Pass.ctx option) (fn : Ssa.func) :
   else begin
     let applied = List.map (fun plan -> (plan, Rewrite.apply fn plan)) plans in
     (* The staging code is now dead; remove it, then the barriers that only
-       guarded it. *)
+       guarded it. Removing a barrier gives none of the cleanup passes
+       anything new to do, so the cleanup runs once, before it. *)
     Passes.Pipeline.cleanup ?ctx fn;
     let barriers_removed = Rewrite.remove_local_barriers fn in
-    Passes.Pipeline.cleanup ?ctx fn;
     Verify.run fn;
     let reports =
       List.map

@@ -246,22 +246,74 @@ let map_operands ~(f : value -> value) (op : opcode) : opcode =
   | Cond_br (c, t, e) -> Cond_br (f c, t, e)
   | Br _ | Ret | Barrier _ -> op
 
+(** Whether [f] holds for some operand of [op]; {!operands} without the
+    list. *)
+let exists_operand (f : value -> bool) (op : opcode) : bool =
+  match op with
+  | Binop (_, a, b) | Icmp (_, a, b) | Fcmp (_, a, b) | Extract (a, b) ->
+      f a || f b
+  | Select (a, b, c) | Insert (a, b, c) -> f a || f b || f c
+  | Cast (_, v, _) | Cond_br (v, _, _) -> f v
+  | Call { args = vs; _ } | Vecbuild (_, vs) -> List.exists f vs
+  | Load { ptr; index } -> f ptr || f index
+  | Store { ptr; index; v } -> f ptr || f index || f v
+  | Phi { incoming; _ } -> List.exists (fun (_, v) -> f v) incoming
+  | Alloca _ | Br _ | Ret | Barrier _ -> false
+
 let all_instrs (b : block) : instr list =
   match b.term with Some t -> b.instrs @ [ t ] | None -> b.instrs
 
+(* Body then terminator, both read before [f] runs, as [all_instrs] would
+   have read them, without copying the body. *)
 let iter_instrs (f : instr -> unit) (fn : func) : unit =
-  List.iter (fun b -> List.iter f (all_instrs b)) fn.blocks
+  List.iter
+    (fun b ->
+      let body = b.instrs and term = b.term in
+      List.iter f body;
+      Option.iter f term)
+    fn.blocks
 
 let fold_instrs (f : 'acc -> instr -> 'acc) (acc : 'acc) (fn : func) : 'acc =
   List.fold_left
-    (fun acc b -> List.fold_left f acc (all_instrs b))
+    (fun acc b ->
+      let body = b.instrs and term = b.term in
+      let acc = List.fold_left f acc body in
+      match term with Some t -> f acc t | None -> acc)
     acc fn.blocks
 
-(** Rewrite every use of [target] as [by] across the whole function,
-    including phi incoming values and branch conditions. *)
+(** Rewrite, in one sweep over the function, every use of each instruction
+    whose iid is bound in [tbl] as the value it is bound to, following
+    chains ([i -> Vinstr j] with [j -> v] makes uses of [i] read [v]).
+    Phi incoming values and branch conditions included; only opcodes that
+    mention a bound instruction are rebuilt. The bindings must not form a
+    cycle. *)
+let substitute (fn : func) (tbl : (int, value) Hashtbl.t) : unit =
+  if Hashtbl.length tbl > 0 then begin
+    let bound = function Vinstr i -> Hashtbl.mem tbl i.iid | _ -> false in
+    let rec resolve v =
+      match v with
+      | Vinstr i -> (
+          match Hashtbl.find_opt tbl i.iid with Some v' -> resolve v' | None -> v)
+      | _ -> v
+    in
+    iter_instrs
+      (fun i ->
+        if exists_operand bound i.op then i.op <- map_operands ~f:resolve i.op)
+      fn
+  end
+
+(** Rewrite every use of the instruction [target] as [by] across the whole
+    function, including phi incoming values and branch conditions.
+    @raise Invalid_argument if [target] is not an instruction. *)
 let replace_uses (fn : func) ~(target : value) ~(by : value) : unit =
-  let subst v = if value_equal v target then by else v in
-  iter_instrs (fun i -> i.op <- map_operands ~f:subst i.op) fn
+  match target with
+  | Vinstr i ->
+      if not (value_equal target by) then begin
+        let tbl = Hashtbl.create 1 in
+        Hashtbl.replace tbl i.iid by;
+        substitute fn tbl
+      end
+  | _ -> invalid_arg "replace_uses: target is not an instruction"
 
 let successors (b : block) : block list =
   match b.term with

@@ -26,7 +26,6 @@ let key = function
    assumes — even for kernels written in terms of global ids. *)
 let expand_global_ids (fn : func) : bool =
   let e = entry fn in
-  let changed = ref false in
   let expansions = ref [] in
   iter_instrs
     (fun i ->
@@ -43,6 +42,7 @@ let expand_global_ids (fn : func) : bool =
           expansions := (i, [ grp; lsz; lid; mul; add ]) :: !expansions
       | _ -> ())
     fn;
+  let uses = Hashtbl.create 8 in
   List.iter
     (fun (gid_call, new_instrs) ->
       (* Splice the expansion right after the original call's position in
@@ -55,13 +55,13 @@ let expand_global_ids (fn : func) : bool =
       (* Insert in order at the head of the entry block. *)
       e.instrs <- new_instrs @ e.instrs;
       let add = List.nth new_instrs 4 in
-      replace_uses fn ~target:(Vinstr gid_call) ~by:(Vinstr add);
-      (match gid_call.parent with
+      Hashtbl.replace uses gid_call.iid (Vinstr add);
+      match gid_call.parent with
       | Some b -> remove_instr b gid_call
-      | None -> ());
-      changed := true)
+      | None -> ())
     !expansions;
-  !changed
+  substitute fn uses;
+  !expansions <> []
 
 let run (fn : func) : bool =
   let canonical : (string * int, instr) Hashtbl.t = Hashtbl.create 8 in
@@ -86,11 +86,13 @@ let run (fn : func) : bool =
           e.instrs <- c :: e.instrs
       | None -> ())
     canonical;
+  let uses = Hashtbl.create 8 in
   List.iter
     (fun (dup, c) ->
-      replace_uses fn ~target:(Vinstr dup) ~by:(Vinstr c);
+      Hashtbl.replace uses dup.iid (Vinstr c);
       match dup.parent with
       | Some b -> remove_instr b dup
       | None -> ())
     !duplicates;
+  substitute fn uses;
   !duplicates <> []

@@ -13,25 +13,25 @@ open Grover_ir
 open Ssa
 
 (* A private, single-element alloca is promotable when it is only ever used
-   as the direct pointer of an index-0 load or store (never escaping). *)
-let promotable (fn : func) (a : instr) : bool =
-  match a.op with
-  | Alloca { aspace = Private; count = 1; _ } ->
-      let ok = ref true in
-      iter_instrs
-        (fun i ->
-          match i.op with
-          | Load { ptr = Vinstr p; index = Cint (_, 0) } when p.iid = a.iid -> ()
-          | Store { ptr = Vinstr p; index = Cint (_, 0); v } when p.iid = a.iid ->
-              (match v with
-              | Vinstr sv when sv.iid = a.iid -> ok := false
-              | _ -> ())
-          | _ ->
-              if List.exists (fun o -> value_equal o (Vinstr a)) (operands i.op)
-              then ok := false)
-        fn;
-      !ok
-  | _ -> false
+   as the direct pointer of an index-0 load or store (never escaping). One
+   sweep finds them, in reverse instruction order, and the blocks holding
+   each one's stores (a multi-binding table keyed by the alloca's iid). *)
+let promotable (fn : func) : instr list * (int, block) Hashtbl.t =
+  let candidates = ref [] in
+  let escaped : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let stores : (int, block) Hashtbl.t = Hashtbl.create 16 in
+  let escape = function Vinstr p -> Hashtbl.replace escaped p.iid () | _ -> () in
+  iter_instrs
+    (fun i ->
+      match i.op with
+      | Alloca { aspace = Private; count = 1; _ } -> candidates := i :: !candidates
+      | Load { ptr = Vinstr _; index = Cint (_, 0) } -> ()
+      | Store { ptr = Vinstr p; index = Cint (_, 0); v } ->
+          escape v;
+          Option.iter (Hashtbl.add stores p.iid) i.parent
+      | op -> List.iter escape (operands op))
+    fn;
+  (List.filter (fun a -> not (Hashtbl.mem escaped a.iid)) !candidates, stores)
 
 let elem_ty (a : instr) =
   match a.op with
@@ -48,9 +48,7 @@ let zero_value (t : ty) : value =
   | _ -> Cint (t, 0)
 
 let rec run (fn : func) : bool =
-  let allocas =
-    fold_instrs (fun acc i -> if promotable fn i then i :: acc else acc) [] fn
-  in
+  let allocas, stores = promotable fn in
   if allocas <> [] then begin
     let dom = Dom.compute fn in
     let cfg = dom.Dom.cfg in
@@ -74,16 +72,10 @@ let rec run (fn : func) : bool =
     List.iter
       (fun a ->
         let defs = Array.make nb false in
-        iter_instrs
-          (fun i ->
-            match i.op with
-            | Store { ptr = Vinstr p; _ } when p.iid = a.iid -> (
-                match i.parent with
-                | Some b when Cfg.is_reachable cfg b ->
-                    defs.(Cfg.rpo_index cfg b) <- true
-                | _ -> ())
-            | _ -> ())
-          fn;
+        List.iter
+          (fun b ->
+            if Cfg.is_reachable cfg b then defs.(Cfg.rpo_index cfg b) <- true)
+          (Hashtbl.find_all stores a.iid);
         let work = ref [] in
         Array.iteri (fun i d -> if d then work := i :: !work) defs;
         let placed = Array.make nb false in
@@ -111,17 +103,11 @@ let rec run (fn : func) : bool =
         go ())
       allocas;
     (* 2. Renaming walk over the dominator tree. *)
-    let is_target iid = List.exists (fun a -> a.iid = iid) allocas in
+    let targets : (int, instr) Hashtbl.t = Hashtbl.create 16 in
+    List.iter (fun a -> Hashtbl.replace targets a.iid a) allocas;
+    let is_target iid = Hashtbl.mem targets iid in
     let replacement : (int, value) Hashtbl.t = Hashtbl.create 64 in
     (* load iid -> replacing value (may chain through other loads) *)
-    let rec resolve (v : value) : value =
-      match v with
-      | Vinstr i -> (
-          match Hashtbl.find_opt replacement i.iid with
-          | Some v' -> resolve v'
-          | None -> v)
-      | _ -> v
-    in
     let rec walk (bi : int) (incoming : (int * value) list) : unit =
       let blk = block_of bi in
       let cur = ref incoming in
@@ -142,11 +128,9 @@ let rec run (fn : func) : bool =
         (fun i ->
           match i.op with
           | Load { ptr = Vinstr p; index = Cint (_, 0) } when is_target p.iid ->
-              let a = List.find (fun a -> a.iid = p.iid) allocas in
-              Hashtbl.replace replacement i.iid (get a)
+              Hashtbl.replace replacement i.iid (get (Hashtbl.find targets p.iid))
           | Store { ptr = Vinstr p; index = Cint (_, 0); v } when is_target p.iid ->
-              let a = List.find (fun a -> a.iid = p.iid) allocas in
-              set a v
+              set (Hashtbl.find targets p.iid) v
           | _ -> ())
         blk.instrs;
       (* Fill successor phi entries with the value at the end of this block. *)
@@ -169,7 +153,7 @@ let rec run (fn : func) : bool =
     walk 0 [];
     (* 3. Rewrite all operands through the replacement map (resolving
        chains), then delete the dead loads, stores and allocas. *)
-    iter_instrs (fun i -> i.op <- map_operands ~f:resolve i.op) fn;
+    substitute fn replacement;
     List.iter
       (fun blk ->
         blk.instrs <-
@@ -187,13 +171,24 @@ let rec run (fn : func) : bool =
   allocas <> []
 
 (* A phi is trivial if every incoming value is either the phi itself or one
-   common value v; the phi then just names v. *)
+   common value v; the phi then just names v. Each round reads incoming
+   values through the phis it already found trivial, as if their uses were
+   rewritten on the spot, and rewrites them all in one sweep at its end. *)
 and remove_trivial_phis (fn : func) : unit =
   let changed = ref true in
   while !changed do
-    changed := false;
+    let trivial : (int, value) Hashtbl.t = Hashtbl.create 8 in
+    let rec resolve v =
+      match v with
+      | Vinstr j -> (
+          match Hashtbl.find_opt trivial j.iid with
+          | Some v' -> resolve v'
+          | None -> v)
+      | _ -> v
+    in
     List.iter
       (fun blk ->
+        let found = Hashtbl.length trivial in
         List.iter
           (fun i ->
             match i.op with
@@ -201,18 +196,21 @@ and remove_trivial_phis (fn : func) : unit =
                 let foreign =
                   List.filter_map
                     (fun (_, v) ->
-                      match v with
+                      match resolve v with
                       | Vinstr j when j.iid = i.iid -> None
                       | v -> Some v)
                     incoming
                 in
                 match foreign with
                 | v :: rest when List.for_all (value_equal v) rest ->
-                    replace_uses fn ~target:(Vinstr i) ~by:v;
-                    remove_instr blk i;
-                    changed := true
+                    Hashtbl.replace trivial i.iid v
                 | _ -> ())
             | _ -> ())
-          blk.instrs)
-      fn.blocks
+          blk.instrs;
+        if Hashtbl.length trivial > found then
+          blk.instrs <-
+            List.filter (fun i -> not (Hashtbl.mem trivial i.iid)) blk.instrs)
+      fn.blocks;
+    substitute fn trivial;
+    changed := Hashtbl.length trivial > 0
   done

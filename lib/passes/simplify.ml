@@ -170,25 +170,19 @@ let run (fn : func) : bool =
           | None -> acc)
         [] fn
     in
-    (* Rewrites may chain (i1 -> i2 while i2 -> c): resolve to the final
-       value so no use ends up pointing at a deleted instruction. *)
-    let tbl = Hashtbl.create 16 in
-    List.iter (fun (i, v) -> Hashtbl.replace tbl i.iid v) rewrites;
-    let rec resolve v =
-      match v with
-      | Vinstr i -> (
-          match Hashtbl.find_opt tbl i.iid with
-          | Some v' -> resolve v'
-          | None -> v)
-      | _ -> v
-    in
-    List.iter
-      (fun (i, _) ->
-        replace_uses fn ~target:(Vinstr i) ~by:(resolve (Vinstr i));
-        (match i.parent with Some b -> remove_instr b i | None -> ());
-        continue_ := true;
-        changed := true)
-      rewrites;
+    if rewrites <> [] then begin
+      (* Rewrites may chain (i1 -> i2 while i2 -> c); [substitute] follows
+         them, so no use ends up pointing at a deleted instruction. *)
+      let tbl = Hashtbl.create 16 in
+      List.iter (fun (i, v) -> Hashtbl.replace tbl i.iid v) rewrites;
+      substitute fn tbl;
+      List.iter
+        (fun (i, _) ->
+          match i.parent with Some b -> remove_instr b i | None -> ())
+        rewrites;
+      continue_ := true;
+      changed := true
+    end;
     if fold_branches fn then begin
       continue_ := true;
       changed := true

@@ -104,6 +104,100 @@ let check_determinism () =
         [ Cache.With_lm; Cache.Without_lm case.Kit.remove ])
     Grover_suite.Suite.all
 
+(* The bytes of what a compile produces: the MD5 of the marshalled kernels
+   of every suite request (with_lm, and without_lm of the case's buffers)
+   and every example kernel (with_lm, and without_lm of all its buffers),
+   pinned before CSE keys became structural and Grover's second cleanup
+   went. A change to the passes that is meant to be speed-only must leave
+   them byte-identical; re-pin only for a deliberate change of output. *)
+let pinned_suite_artifacts =
+  [ ("AMD-SS", "with_lm", "e37c0f70fb6b1a15987cef9582724483");
+    ("AMD-SS", "without_lm", "426faa961e9265959fda656bb9f8496b");
+    ("AMD-MT", "with_lm", "06d5bc0a14f2a8df2b5096d2db24d187");
+    ("AMD-MT", "without_lm", "99d324902cce95d2cfa7025c3de44de8");
+    ("NVD-MT", "with_lm", "36000d7c8d95ecaaa085e86b0e384205");
+    ("NVD-MT", "without_lm", "7118628def1604ce3ebc2659a7f73138");
+    ("AMD-RG", "with_lm", "21ce70140e937ad8f2d13a01efedf6b0");
+    ("AMD-RG", "without_lm", "ad0212d1eed0225f403e4ee40c58b379");
+    ("AMD-MM", "with_lm", "f13ca94a1b9dfa9a8a3c223862f3a69d");
+    ("AMD-MM", "without_lm", "02f7273ed6e9de32d2a54abb79e3f0ce");
+    ("NVD-MM-A", "with_lm", "0d62c92a27fcf4fbdcc5f4660e1c5e41");
+    ("NVD-MM-A", "without_lm", "47638354e222b7fdeef9b9e8ee98ed95");
+    ("NVD-MM-B", "with_lm", "0d62c92a27fcf4fbdcc5f4660e1c5e41");
+    ("NVD-MM-B", "without_lm", "89451e39843838101284c7d039054615");
+    ("NVD-MM-AB", "with_lm", "0d62c92a27fcf4fbdcc5f4660e1c5e41");
+    ("NVD-MM-AB", "without_lm", "0dd7d77bcec23fd11485b95e34a4ee15");
+    ("NVD-NBody", "with_lm", "c641739ddc7ce334bb52427059811abc");
+    ("NVD-NBody", "without_lm", "45142fea6beb9670628d155f783f4217");
+    ("PAB-ST", "with_lm", "c31c85a5627fabf1eb48438594512166");
+    ("PAB-ST", "without_lm", "2192b61579274ddef1f5598fa2b1662f");
+    ("ROD-SC", "with_lm", "33eab5b955c1aa0d3a2613f0543f504f");
+    ("ROD-SC", "without_lm", "32c44468e6e35b49ea60bf26070cb479");
+    ("TNG-GEMM4", "with_lm", "4289c4874a5e6c84d604de393c40f216");
+    ("TNG-GEMM4", "without_lm", "0c3029c73c626882471941fc6e0b69a6") ]
+
+let pinned_example_artifacts =
+  [ ("bad_divergent_barrier.cl", "with_lm", "6c3b43591c0aea3c7a990a9d77a36111");
+    ("bad_divergent_barrier.cl", "without_lm", "e9aa743c9ead9c27c47621e62d4c5ac9");
+    ("bad_oob_index.cl", "with_lm", "30eb643d65759133f03f310381d84e98");
+    ("bad_oob_index.cl", "without_lm", "7785c9ba1944755eeaa6f05120524f10");
+    ("bad_racy_store.cl", "with_lm", "d40dc192c05ffb8917e9ae9c15144c10");
+    ("bad_racy_store.cl", "without_lm", "8e7c577ce3d30e9518414063475ceddc");
+    ("divergent_loop.cl", "with_lm", "1bc5da55109ba0c81564343f8c1f32d9");
+    ("divergent_loop.cl", "without_lm", "500ae31152102caac3d1fa4db6180db5");
+    ("divergent_store.cl", "with_lm", "7a7fbf29b57fef94d981073da354d17b");
+    ("divergent_store.cl", "without_lm", "715e09cfb8b303a1fb3ab9fa906c8f5d");
+    ("gemm_float4.cl", "with_lm", "4289c4874a5e6c84d604de393c40f216");
+    ("gemm_float4.cl", "without_lm", "0c3029c73c626882471941fc6e0b69a6");
+    ("guarded_matmul.cl", "with_lm", "0d62c92a27fcf4fbdcc5f4660e1c5e41");
+    ("guarded_matmul.cl", "without_lm", "d35d17eca9fd9afff929e5af77252fd6");
+    ("private_array.cl", "with_lm", "34d661d5845e9d5e13df415ab437fab0");
+    ("private_array.cl", "without_lm", "98813b7a5b8ee120a3019327901dcaa3");
+    ("saxpy.cl", "with_lm", "7285a0b0b3fc540d706320ed5dacfa1c");
+    ("saxpy.cl", "without_lm", "3aba22d3efe9bca57373755cf8acb65e");
+    ("tiled_matmul.cl", "with_lm", "9a629880c1a1d30f178426f4e2987cc8");
+    ("tiled_matmul.cl", "without_lm", "392cdee18bdb433cdc6f0a016a0e1792");
+    ("transpose_tile.cl", "with_lm", "67ce9127d6cff5a9b34d6fd744feebd8");
+    ("transpose_tile.cl", "without_lm", "c091d8d18369f71cb721dfc022f78db1");
+    ("uniform_branch_barrier.cl", "with_lm", "1059dcbb5acaf7757572cd0a1b83f8a9");
+    ("uniform_branch_barrier.cl", "without_lm", "a7ecacd1d825a7664ef26b470a0aac66") ]
+
+let examples_dir = "../examples/kernels"
+
+let example_sources () =
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".cl")
+  |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat examples_dir f) In_channel.input_all))
+
+let check_artifact_pins () =
+  let cache = Cache.create () in
+  let md5 ?defines variant src =
+    let pr = Cache.compile cache (Cache.request ?defines ~variant src) in
+    Digest.to_hex (Digest.string (Marshal.to_string pr.Cache.pr_art.Cache.art_kernels []))
+  in
+  let rows name variants src ?defines () =
+    List.map (fun (vn, v) -> (name, vn, md5 ?defines v src)) variants
+  in
+  let suite =
+    List.concat_map
+      (fun (c : Kit.case) ->
+        rows c.Kit.id
+          [ ("with_lm", Cache.With_lm); ("without_lm", Cache.Without_lm c.Kit.remove) ]
+          c.Kit.source ~defines:c.Kit.defines ())
+      Grover_suite.Suite.all
+  in
+  let examples =
+    List.concat_map
+      (fun (f, src) ->
+        rows f [ ("with_lm", Cache.With_lm); ("without_lm", Cache.Without_lm None) ] src ())
+      (example_sources ())
+  in
+  let t = Alcotest.(list (triple string string string)) in
+  Alcotest.check t "suite artifacts" pinned_suite_artifacts suite;
+  Alcotest.check t "example artifacts" pinned_example_artifacts examples
+
 (* -- Cached vs uncached launches ----------------------------------------------- *)
 
 let snapshot_buffers (mem : Memory.t) :
@@ -437,6 +531,100 @@ let prop_corrupt_artifact_rebuilds =
       && String.equal clean
            (In_channel.with_open_bin file In_channel.input_all))
 
+(* -- Front-end and pass fuzzing ------------------------------------------------- *)
+
+(* Token mutants of the suite sources and example kernels: one or two
+   raw tokens deleted, duplicated or swapped in the text. Each mutant goes
+   through [Cache.compile] as both variants; it must compile to verified
+   IR or stop with a located front-end error ([Loc.Error], or a
+   [Diag.Fatal] with a location), never with any other exception. *)
+module Lexer = Grover_clc.Lexer
+module Loc = Grover_support.Loc
+module Diag = Grover_support.Diag
+
+type mutation = Delete of int | Duplicate of int | Swap of int * int
+
+(* The [(start, stop)] byte span of every raw token of [src]. *)
+let token_spans (src : string) : (int * int) array =
+  let st = { Lexer.src; pos = 0; line = 1; bol = 0; macros = Hashtbl.create 0 } in
+  let rec go acc =
+    Lexer.skip_space_and_comments st;
+    let start = st.Lexer.pos in
+    match Lexer.lex_raw st with
+    | Grover_clc.Token.Eof, _ -> Array.of_list (List.rev acc)
+    | _ -> go ((start, st.Lexer.pos) :: acc)
+  in
+  go []
+
+let mutate (src : string) (m : mutation) : string =
+  let spans = token_spans src in
+  let n = Array.length spans in
+  let sub a b = String.sub src a (b - a) in
+  let len = String.length src in
+  (* Spaces keep moved tokens apart, so a mutant never glues two tokens
+     into one ("0" "x1" into "0x1") and always lexes into raw tokens. *)
+  match m with
+  | Delete k ->
+      let a, b = spans.(k mod n) in
+      sub 0 a ^ " " ^ sub b len
+  | Duplicate k ->
+      let a, b = spans.(k mod n) in
+      sub 0 b ^ " " ^ sub a len
+  | Swap (j, k) ->
+      let (a1, b1), (a2, b2) =
+        let x = spans.(j mod n) and y = spans.(k mod n) in
+        if fst x <= fst y then (x, y) else (y, x)
+      in
+      if a1 = a2 then src
+      else
+        String.concat " "
+          [ sub 0 a1; sub a2 b2; sub b1 a2; sub a1 b1; sub b2 len ]
+
+let fuzz_sources =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (c : Kit.case) -> (c.Kit.id, c.Kit.defines, c.Kit.source))
+          Grover_suite.Suite.all
+       @ List.map (fun (f, src) -> (f, [], src)) (example_sources ())))
+
+let gen_mutation =
+  QCheck.Gen.(
+    let k = int_bound 10_000 in
+    frequency
+      [ (2, map (fun k -> Delete k) k);
+        (1, map (fun k -> Duplicate k) k);
+        (2, map2 (fun j k -> Swap (j, k)) k k) ])
+
+let print_mutation = function
+  | Delete k -> Printf.sprintf "delete token %d" k
+  | Duplicate k -> Printf.sprintf "duplicate token %d" k
+  | Swap (j, k) -> Printf.sprintf "swap tokens %d and %d" j k
+
+let prop_mutants_compile_or_fail_located =
+  QCheck.Test.make ~name:"token mutants compile or fail with a location" ~count:1000
+    (QCheck.make
+       ~print:(fun (w, ms) ->
+         Printf.sprintf "source %d: %s" w (String.concat ", " (List.map print_mutation ms)))
+       QCheck.Gen.(pair (int_bound 1_000) (list_size (int_range 1 2) gen_mutation)))
+    (fun (which, ms) ->
+      let sources = Lazy.force fuzz_sources in
+      let name, defines, src = sources.(which mod Array.length sources) in
+      let mutant = List.fold_left mutate src ms in
+      let cache = Cache.create () in
+      List.for_all
+        (fun variant ->
+          match Cache.compile cache (Cache.request ~defines ~variant mutant) with
+          | pr ->
+              List.iter (fun ka -> Verify.run ka.Cache.ka_fn) pr.Cache.pr_art.Cache.art_kernels;
+              true
+          | exception Loc.Error (l, _) when not (Loc.is_dummy l) -> true
+          | exception Diag.Fatal { Diag.loc = Some l; _ } when not (Loc.is_dummy l) -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "%s mutant raised %s:\n%s" name
+                (Printexc.to_string e) mutant)
+        [ Cache.With_lm; Cache.Without_lm None ])
+
 let check_batch () =
   let cache = Cache.create () in
   let rqs =
@@ -631,7 +819,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_constant_edits;
       ] );
     ( "cache.determinism",
-      [ Alcotest.test_case "artifacts bit-identical" `Quick check_determinism ]
+      [ Alcotest.test_case "artifacts bit-identical" `Quick check_determinism;
+        Alcotest.test_case "artifact bytes pinned" `Quick check_artifact_pins ]
     );
     ("cache.cached-vs-uncached", cached_uncached_cases);
     ( "cache.tiers",
@@ -646,6 +835,7 @@ let suite =
         Alcotest.test_case "disk budget (max bytes)" `Quick
           check_max_bytes_budget;
         Alcotest.test_case "batch compile" `Quick check_batch;
+        QCheck_alcotest.to_alcotest prop_mutants_compile_or_fail_located;
         (let name, speed, run = QCheck_alcotest.to_alcotest prop_corrupt_artifact_rebuilds in
          Alcotest.test_case name speed (fun () ->
              Fun.protect ~finally:(fun () -> remove_dir clean_artifact_dir) run));

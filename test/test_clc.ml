@@ -351,6 +351,18 @@ let test_parse_error_location () =
         (String.length msg > 0)
   | _ -> Alcotest.fail "expected a parse error"
 
+(* A zero-length dimension is refused where it is written; it used to reach
+   Grover's index split as a division by zero. *)
+let test_parse_zero_array_size () =
+  match
+    Parser.parse
+      "__kernel void f(__global float *a) {\n  __local float t[16][0];\n}"
+  with
+  | exception Loc.Error (l, msg) ->
+      Alcotest.(check (pair int int)) "at the size" (2, 23) (l.Loc.line, l.Loc.col);
+      Alcotest.(check string) "message" "array size must be positive, found 0" msg
+  | _ -> Alcotest.fail "expected a located error"
+
 let test_parse_ternary () =
   let k = parse_kernel "__kernel void f(__global int *a, int n) { a[0] = n > 0 ? n : -n; }" in
   match k.Ast.k_body with
@@ -429,7 +441,8 @@ let suite =
         Alcotest.test_case "compound assignment" `Quick test_parse_compound_assign;
         Alcotest.test_case "multi declarator" `Quick test_parse_multi_declarator;
         Alcotest.test_case "ternary" `Quick test_parse_ternary;
-        Alcotest.test_case "error location" `Quick test_parse_error_location ] );
+        Alcotest.test_case "error location" `Quick test_parse_error_location;
+        Alcotest.test_case "zero array size" `Quick test_parse_zero_array_size ] );
     ( "sema",
       [ Alcotest.test_case "usual conversions" `Quick test_sema_conversions;
         Alcotest.test_case "sizeof" `Quick test_sema_sizeof;

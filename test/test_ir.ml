@@ -153,6 +153,28 @@ let test_mem2reg_no_trivial_phi () =
   Verify.run fn;
   Alcotest.(check int) "no phi for the invariant" 0 (count_op is_phi fn)
 
+(* [v = v] under a branch in a loop places a phi at the join whose arms
+   both read the loop header's phi, which then only merges [x] with
+   itself: removing the first makes the second trivial, and every use of
+   [v] must end up reading [x]. *)
+let test_mem2reg_trivial_phi_chain () =
+  let fn =
+    compile1
+      "__kernel void f(__global int *a, int x, int n) { int v = x; for (int i = \
+       0; i < n; i++) { if (i > 2) v = v; } a[0] = v; }"
+  in
+  ignore (Pass.Mem2reg.run fn);
+  Verify.run fn;
+  Alcotest.(check int) "only the counter's phi" 1 (count_op is_phi fn);
+  let stored =
+    Ssa.fold_instrs
+      (fun acc i ->
+        match i.Ssa.op with Ssa.Store { v; _ } -> v :: acc | _ -> acc)
+      [] fn
+  in
+  Alcotest.(check bool) "a[0] stores x" true
+    (match stored with [ Ssa.Arg { Ssa.a_name = "x"; _ } ] -> true | _ -> false)
+
 let test_mem2reg_keeps_arrays () =
   let fn =
     compile1
@@ -433,6 +455,7 @@ let suite =
         Alcotest.test_case "loop phi" `Quick test_mem2reg_loop_phi;
         Alcotest.test_case "if phi" `Quick test_mem2reg_if_phi;
         Alcotest.test_case "invariant has no phi" `Quick test_mem2reg_no_trivial_phi;
+        Alcotest.test_case "trivial phi chain" `Quick test_mem2reg_trivial_phi_chain;
         Alcotest.test_case "keeps arrays" `Quick test_mem2reg_keeps_arrays ] );
     ( "simplify-dce",
       [ Alcotest.test_case "constant folding" `Quick test_simplify_constant_folding;

@@ -110,15 +110,108 @@ let canonical_ir (s : string) : string =
 
 let canon_print fn = canonical_ir (Printer.func_to_string fn)
 
+(* -- the string-keyed CSE (verbatim reference) ------------------------------ *)
+
+(* [Cse.run] as it was before its keys became structural and its use
+   rewriting one sweep: an opcode keyed by a printed string, and every
+   merge rewriting every use in the function on the spot. The passes must
+   reproduce its output bit for bit. *)
+module Old_cse = struct
+  open Ssa
+
+  let replace_uses (fn : func) ~(target : value) ~(by : value) : unit =
+    let subst v = if value_equal v target then by else v in
+    List.iter
+      (fun b -> List.iter (fun i -> i.op <- map_operands ~f:subst i.op) (all_instrs b))
+      fn.blocks
+
+  let is_pure = P.Cse.is_pure
+
+  let value_key (v : value) : string =
+    match v with
+    | Cint (t, n) ->
+        Printf.sprintf "i%d:%d"
+          (match t with I1 -> 1 | I8 -> 8 | I16 -> 16 | I32 -> 32 | I64 -> 64 | _ -> 0)
+          n
+    | Cfloat f -> Printf.sprintf "f:%h" f
+    | Arg a -> Printf.sprintf "a:%d" a.a_index
+    | Vinstr i -> Printf.sprintf "v:%010d" i.iid
+
+  let opcode_key (op : opcode) : string option =
+    if not (is_pure op) then None
+    else
+      let operands_part = String.concat "," (List.map value_key (operands op)) in
+      let tag =
+        match op with
+        | Binop (b, _, _) -> "bin:" ^ Printer.binop_name b
+        | Icmp (c, _, _) -> "icmp:" ^ Printer.icmp_name c
+        | Fcmp (c, _, _) -> "fcmp:" ^ Printer.fcmp_name c
+        | Select _ -> "select"
+        | Cast (k, _, t) ->
+            Printf.sprintf "cast:%s:%s" (Printer.cast_name k)
+              (Format.asprintf "%a" Printer.pp_ty t)
+        | Extract _ -> "extract"
+        | Insert _ -> "insert"
+        | Vecbuild (t, _) -> "vecbuild:" ^ Format.asprintf "%a" Printer.pp_ty t
+        | Call { callee; ret; _ } ->
+            Printf.sprintf "call:%s:%s" callee (Format.asprintf "%a" Printer.pp_ty ret)
+        | _ -> assert false
+      in
+      Some (tag ^ "(" ^ operands_part ^ ")")
+
+  let canonical_op (op : opcode) : opcode =
+    match op with
+    | Binop (((Add | Mul | And | Or | Xor | Fadd | Fmul) as b), x, y) ->
+        let kx = value_key x and ky = value_key y in
+        if String.compare kx ky <= 0 then op else Binop (b, y, x)
+    | Icmp (Ieq, x, y) | Icmp (Ine, x, y) ->
+        let kx = value_key x and ky = value_key y in
+        if String.compare kx ky <= 0 then op
+        else (match op with Icmp (c, _, _) -> Icmp (c, y, x) | _ -> op)
+    | _ -> op
+
+  let run (fn : func) : bool =
+    let dom = Dom.compute fn in
+    let cfg = dom.Dom.cfg in
+    let changed = ref false in
+    let table : (string, instr) Hashtbl.t = Hashtbl.create 64 in
+    let rec walk (bi : int) : unit =
+      let blk = cfg.Cfg.order.(bi) in
+      let added = ref [] in
+      let kills = ref [] in
+      List.iter
+        (fun i ->
+          i.op <- canonical_op i.op;
+          match opcode_key i.op with
+          | None -> ()
+          | Some key -> (
+              match Hashtbl.find_opt table key with
+              | Some earlier ->
+                  replace_uses fn ~target:(Vinstr i) ~by:(Vinstr earlier);
+                  kills := (blk, i) :: !kills;
+                  changed := true
+              | None ->
+                  Hashtbl.add table key i;
+                  added := key :: !added))
+        blk.instrs;
+      List.iter (fun (b, i) -> remove_instr b i) !kills;
+      List.iter walk dom.Dom.children.(bi);
+      List.iter (fun key -> Hashtbl.remove table key) !added
+    in
+    walk 0;
+    !changed
+end
+
 (* -- the old hard-wired sequence (verbatim replica) ------------------------- *)
 
-(* What Pipeline.normalize was before the pass manager existed. The new
-   registry pipeline must reproduce it bit for bit. *)
+(* What Pipeline.normalize was before the pass manager existed, with the
+   string-keyed CSE. The new registry pipeline must reproduce it bit for
+   bit. *)
 let old_fix_loop (fn : Ssa.func) : unit =
   let continue_ = ref true in
   while !continue_ do
     let s = P.Simplify.run fn in
-    let c = P.Cse.run fn in
+    let c = Old_cse.run fn in
     let d = P.Dce.run fn in
     continue_ := s || c || d
   done
@@ -135,6 +228,46 @@ let old_normalize (fn : Ssa.func) : unit =
   old_fixpoint fn;
   Verify.run fn
 
+(* [Grover.run] as it was when it cleaned up twice: the old sequence's
+   cleanup, barrier removal, the same cleanup again. *)
+let old_grover ?only (fn : Ssa.func) : Grover.outcome =
+  let module C = Grover_core in
+  C.Atom.assign_phi_names fn;
+  let selected name = match only with None -> true | Some ns -> List.mem name ns in
+  let plans, rejected =
+    List.fold_left
+      (fun (plans, rejected) -> function
+        | Error r ->
+            if selected r.C.Access.rej_name then
+              (plans, rejected @ [ (r.C.Access.rej_name, r.C.Access.reason) ])
+            else (plans, rejected)
+        | Ok cand when not (selected cand.C.Access.cand_name) -> (plans, rejected)
+        | Ok cand -> (
+            match C.Rewrite.analyse fn cand with
+            | Ok plan -> (plans @ [ plan ], rejected)
+            | Error e ->
+                (plans, rejected @ [ (e.C.Rewrite.err_candidate, e.C.Rewrite.err_reason) ])))
+      ([], []) (C.Access.candidates fn)
+  in
+  if plans = [] then
+    { Grover.transformed = []; rejected; reports = []; barriers_removed = 0 }
+  else begin
+    let applied = List.map (fun plan -> (plan, C.Rewrite.apply fn plan)) plans in
+    let cleanup () = old_fixpoint fn; Verify.run fn in
+    cleanup ();
+    let barriers_removed = C.Rewrite.remove_local_barriers fn in
+    cleanup ();
+    { Grover.transformed =
+        List.map (fun (p, _) -> p.C.Rewrite.cand.C.Access.cand_name) applied;
+      rejected;
+      reports =
+        List.map
+          (fun (plan, ngls) ->
+            C.Report.of_plan ~kernel:fn.Ssa.f_name ~barriers_removed plan ~ngls)
+          applied;
+      barriers_removed }
+  end
+
 (* -- equivalence: new registry pipeline vs the old sequence ----------------- *)
 
 let check_outcomes_equal id (a : Grover.outcome) (b : Grover.outcome) =
@@ -150,24 +283,35 @@ let check_outcomes_equal id (a : Grover.outcome) (b : Grover.outcome) =
     (List.length a.Grover.reports)
     (List.length b.Grover.reports)
 
-let test_equivalence (case : Kit.case) () =
-  let fn_old =
-    compile_kernel ~defines:case.Kit.defines case.Kit.kernel case.Kit.source
-  in
-  let fn_new =
-    compile_kernel ~defines:case.Kit.defines case.Kit.kernel case.Kit.source
-  in
+(* Both sequences on two lowerings of one kernel: the normalized IR, the
+   Grover outcome and the transformed IR must be identical. *)
+let check_equivalent id ?only (fn_old : Ssa.func) (fn_new : Ssa.func) =
   old_normalize fn_old;
   Pipeline.normalize fn_new;
   Alcotest.(check string)
-    (case.Kit.id ^ " normalized IR identical")
+    (id ^ " normalized IR identical")
     (canon_print fn_old) (canon_print fn_new);
-  let o_old = Grover.run ?only:case.Kit.remove fn_old in
-  let o_new = Grover.run ?only:case.Kit.remove fn_new in
-  check_outcomes_equal case.Kit.id o_old o_new;
+  let o_old = old_grover ?only fn_old in
+  let o_new = Grover.run ?only fn_new in
+  check_outcomes_equal id o_old o_new;
+  Alcotest.(check (list string))
+    (id ^ " reports identical")
+    (List.map Grover_core.Report.to_string o_old.Grover.reports)
+    (List.map Grover_core.Report.to_string o_new.Grover.reports);
   Alcotest.(check string)
-    (case.Kit.id ^ " transformed IR identical")
+    (id ^ " transformed IR identical")
     (canon_print fn_old) (canon_print fn_new)
+
+let test_equivalence (case : Kit.case) () =
+  let lower () =
+    compile_kernel ~defines:case.Kit.defines case.Kit.kernel case.Kit.source
+  in
+  check_equivalent case.Kit.id ?only:case.Kit.remove (lower ()) (lower ())
+
+let test_equivalence_example (file, src) () =
+  List.iter2
+    (fun fn_old fn_new -> check_equivalent (file ^ ":" ^ fn_old.Ssa.f_name) fn_old fn_new)
+    (Lower.compile src) (Lower.compile src)
 
 (* -- idempotence: a second normalize reports no change ---------------------- *)
 
@@ -216,6 +360,13 @@ let prop_normalize_idempotent =
     (fun src ->
       let fn = compile1 src in
       not (second_normalize_changes fn))
+
+let prop_equivalence_random =
+  QCheck.Test.make ~name:"old and new sequences agree on random kernels" ~count:100
+    (QCheck.make ~print:(fun s -> s) gen_kernel_src)
+    (fun src ->
+      check_equivalent "random" (compile1 src) (compile1 src);
+      true)
 
 (* -- registry and pipeline parsing ------------------------------------------ *)
 
@@ -420,7 +571,11 @@ let suite =
       List.map
         (fun case ->
           Alcotest.test_case case.Kit.id `Quick (test_equivalence case))
-        Suite.all );
+        Suite.all
+      @ List.map
+          (fun ((f, _) as ex) -> Alcotest.test_case f `Quick (test_equivalence_example ex))
+          (Test_cache.example_sources ())
+      @ qsuite [ prop_equivalence_random ] );
     ( "pass-manager idempotence",
       List.map
         (fun case ->
