@@ -5,6 +5,7 @@
 module H = Grover_suite.Harness
 module Kit = Grover_suite.Kit
 module P = Grover_memsim.Platform
+module Cache = Grover_cache.Compile_cache
 
 let line = String.make 78 '-'
 
@@ -83,21 +84,20 @@ let fig9 () =
      rewrite)\n  |> cleanup (DCE, barrier removal)\n  |> execution engine / \
      simulated platforms\n"
     (String.length case.Kit.source);
-  let fns = Grover_ir.Lower.compile case.Kit.source in
-  List.iter
-    (fun fn ->
-      Grover_passes.Pipeline.normalize fn;
-      let n_before =
-        Grover_ir.Ssa.fold_instrs (fun n _ -> n + 1) 0 fn
-      in
-      let o = Grover_core.Grover.run fn in
-      let n_after = Grover_ir.Ssa.fold_instrs (fun n _ -> n + 1) 0 fn in
+  let build variant =
+    (Cache.build_artifact (Cache.request ~variant case.Kit.source))
+      .Cache.art_kernels
+  in
+  List.iter2
+    (fun (w : Cache.kernel_art) (wo : Cache.kernel_art) ->
       Printf.printf
         "kernel %s: %d instructions with local memory -> %d without; \
          transformed=[%s]\n"
-        fn.Grover_ir.Ssa.f_name n_before n_after
-        (String.concat ";" o.Grover_core.Grover.transformed))
-    fns
+        w.Cache.ka_name w.Cache.ka_after wo.Cache.ka_after
+        (String.concat ";"
+           (Option.get wo.Cache.ka_outcome).Grover_core.Grover.transformed))
+    (build Cache.With_lm)
+    (build (Cache.Without_lm None))
 
 (* -- Table III: data indexes -------------------------------------------------- *)
 

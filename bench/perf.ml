@@ -81,8 +81,6 @@ type row = {
   wi_per_sec : float;
 }
 
-let version_name = function H.With_lm -> "with_lm" | H.Without_lm -> "without_lm"
-
 (* The fastest of at least [reps] calls of [f] that together ran at least
    [min_s] seconds; [after] runs untimed after each call. Noise only ever
    makes a launch slower, and on a VM whose speed level moves between
@@ -471,7 +469,7 @@ let print_launch_rows (rows : alloc_row list) : unit =
   List.iter
     (fun r ->
       Printf.printf "%-12s %-12s %-8s %-8s %14.0f %14.1f\n" r.ar_case
-        (version_name r.ar_version) r.ar_path
+        (H.version_name r.ar_version) r.ar_path
         (if r.ar_sanitize then "yes" else "no")
         r.ar_wi_per_sec r.ar_words_per_wi)
     rows
@@ -496,7 +494,7 @@ let report_alloc (rows : alloc_row list) : unit =
           Printf.eprintf
             "perf bench FAILED: %s %s%s allocates %.0f minor words per \
              work-item (limit %.0f)\n"
-            r.ar_case (version_name r.ar_version)
+            r.ar_case (H.version_name r.ar_version)
             (if r.ar_sanitize then " (sanitized)" else "")
             r.ar_words_per_wi alloc_limit)
         bad;
@@ -576,7 +574,7 @@ let report_suite_launch (rows : suite_launch_row list) : unit =
   Printf.printf "%-12s %-12s %-8s %5s %12s\n" "case" "version" "path" "lanes" "ms";
   List.iter
     (fun r ->
-      Printf.printf "%-12s %-12s %-8s %5d %12.3f\n" r.sl_case (version_name r.sl_version)
+      Printf.printf "%-12s %-12s %-8s %5d %12.3f\n" r.sl_case (H.version_name r.sl_version)
         r.sl_path r.sl_lanes (r.sl_seconds *. 1e3))
     rows;
   Printf.printf "suite launches: sum %.2f ms over %d versions\n" (suite_launch_sum rows *. 1e3)
@@ -719,7 +717,7 @@ let report_replay ~(n : int) (rows : replay_row list) : unit =
   List.iter
     (fun r ->
       Printf.printf "%-8s %-12s %-8s %8d %9d %9d %10d %9d %11d %11d %12.4f %14.0f\n" r.rr_case
-        (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_batches r.rr_lockstep
+        (H.version_name r.rr_version) r.rr_platform r.rr_groups r.rr_batches r.rr_lockstep
         r.rr_events r.rr_records r.rr_cache_words r.rr_eager_words r.rr_seconds
         r.rr_events_per_sec)
     rows
@@ -901,7 +899,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
   List.iter
     (fun r ->
       Printf.printf "%-12s %-8s %-10s %5d %6d %7s %9s %12.4f %14.0f\n"
-        (version_name r.version)
+        (H.version_name r.version)
         (if r.domains = 0 then "auto" else string_of_int r.domains)
         r.path r.lane_width r.pool_domains
         (if r.clamped then "yes" else "no")
@@ -930,7 +928,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       Printf.eprintf
         "perf bench FAILED: no %s row ran W-wide batches (lane compilation / region \
          formation fell back?)\n"
-        (version_name version);
+        (H.version_name version);
       exit 1
     end
   in
@@ -978,7 +976,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
         "    {\"version\": \"%s\", \"domains\": %d, \"path\": \"%s\", \
          \"lane_width\": %d, \"pool_domains\": %d, \"sanitize\": %b, \
          \"seconds\": %.6f, \"wi_per_sec\": %.0f}%s\n"
-        (version_name r.version) r.domains r.path
+        (H.version_name r.version) r.domains r.path
         r.lane_width r.pool_domains r.sanitize r.seconds r.wi_per_sec
         (if k = List.length rows - 1 then "" else ","))
     rows;
@@ -1038,7 +1036,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
           "    {\"case\": \"%s\", \"version\": \"%s\", \"path\": \"%s\", \
            \"sanitize\": %b, \"domains\": 1, \"scale\": 1, \
            \"wi_per_sec\": %.0f, \"minor_words_per_wi\": %.1f}%s\n"
-          r.ar_case (version_name r.ar_version) r.ar_path r.ar_sanitize
+          r.ar_case (H.version_name r.ar_version) r.ar_path r.ar_sanitize
           r.ar_wi_per_sec r.ar_words_per_wi
           (if k = List.length rows - 1 then "" else ","))
       rows
@@ -1063,7 +1061,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
          \"groups\": %d, \"batches\": %d, \"lockstep_batches\": %d, \"events\": %d, \
          \"records\": %d, \"cache_words\": %d, \"eager_words\": %d, \"seconds\": %.6f, \
          \"events_per_sec\": %.0f}%s\n"
-        r.rr_case (version_name r.rr_version) r.rr_platform r.rr_groups r.rr_batches r.rr_lockstep
+        r.rr_case (H.version_name r.rr_version) r.rr_platform r.rr_groups r.rr_batches r.rr_lockstep
         r.rr_events r.rr_records r.rr_cache_words r.rr_eager_words r.rr_seconds r.rr_events_per_sec
         (if k = List.length replay - 1 then "" else ","))
     replay;
@@ -1083,7 +1081,7 @@ let run ?(quick = false) ?(check_scaling = false) ?(multi_launch = false) () :
       Printf.fprintf oc
         "      {\"case\": \"%s\", \"version\": \"%s\", \"path\": \"%s\", \"lanes\": %d, \
          \"seconds\": %.6f}%s\n"
-        r.sl_case (version_name r.sl_version) r.sl_path r.sl_lanes r.sl_seconds
+        r.sl_case (H.version_name r.sl_version) r.sl_path r.sl_lanes r.sl_seconds
         (if k = List.length suite_launch - 1 then "" else ","))
     suite_launch;
   Printf.fprintf oc "    ]\n  }";

@@ -211,6 +211,16 @@ let cache_for ~(cache_dir : string option) ~(no_cache : bool)
     | Some dir -> Some (Cache.create ~dir ())
     | None -> None
 
+(* Every compile of a kernel file or suite source: the artifacts of [rqs]
+   from [cache] when one is configured, else built fresh, under [ctx] when
+   the run is instrumented. Commands print only from artifacts, so a cache
+   decides where they come from, never what is printed. *)
+let artifacts ?ctx (cache : Cache.t option) (rqs : Cache.request list) :
+    Cache.artifact list =
+  match cache with
+  | Some t -> List.map (fun pr -> pr.Cache.pr_art) (Cache.compile_batch t rqs)
+  | None -> List.map (fun rq -> Cache.build_artifact ?ctx rq) rqs
+
 let emit_cache_stats (t : Cache.t option) : unit =
   match t with
   | Some t -> prerr_endline (Cache.stats_line t)
@@ -249,6 +259,10 @@ let guarded fmt ?file (f : unit -> unit) : unit Term.ret =
   | Grover_ir.Emit_c.Unstructured m ->
       emit_diag fmt ?file (Diag.errorf ~pass:"emit-c" "cannot emit OpenCL C: %s" m);
       exit 1
+  | Cache.Cache_error m ->
+      (* An unusable cache directory; the message names it. *)
+      emit_diag fmt (Diag.errorf ~pass:"cache" "%s" m);
+      exit 1
 
 let parse_pipeline fmt ?file (spec : string) : Pass.t list =
   match Pass.parse spec with
@@ -260,12 +274,30 @@ let parse_pipeline fmt ?file (spec : string) : Pass.t list =
 let mk_ctx ~verify_each ~print_changed () =
   Pass.ctx ~verify_each ~print_changed ~print:print_string ()
 
-(* After everything ran: surface collected diagnostics and timing, and fail
-   if anything reached error severity. *)
-let finish fmt ?file ~time_passes (c : Pass.ctx) : unit =
-  emit_diags fmt ?file (Pass.diags c);
-  if time_passes then emit_timing fmt c;
-  if Pass.errors c <> [] then exit 1
+(* The context of an instrumented run ([None] otherwise: the run may read
+   the cache). *)
+let instrumented_ctx ~time_passes ~print_changed ~verify_each : Pass.ctx option
+    =
+  if time_passes || print_changed || verify_each then
+    Some (mk_ctx ~verify_each ~print_changed ())
+  else None
+
+(* The diagnostics an artifact's builds emitted, each with [file]. *)
+let art_diags (file : string option) (art : Cache.artifact) :
+    (string option * Diag.t) list =
+  List.concat_map
+    (fun ka -> List.map (fun d -> (file, d)) ka.Cache.ka_diags)
+    art.Cache.art_kernels
+
+(* After everything ran: surface the artifacts' diagnostics, the timing of
+   an instrumented run and the cache line, and fail if a diagnostic
+   reached error severity. *)
+let finish fmt ~time_passes (ctx : Pass.ctx option) (cache : Cache.t option)
+    (diags : (string option * Diag.t) list) : unit =
+  List.iter (fun (file, d) -> emit_diag fmt ?file d) diags;
+  (match ctx with Some c when time_passes -> emit_timing fmt c | _ -> ());
+  emit_cache_stats cache;
+  if List.exists (fun (_, d) -> Diag.is_error d) diags then exit 1
 
 (* -- transform ---------------------------------------------------------------- *)
 
@@ -313,90 +345,44 @@ let transform_cmd =
     let custom =
       Option.map (fun spec -> parse_pipeline fmt ~file spec) passes
     in
-    let cache =
-      cache_for ~cache_dir ~no_cache
-        ~instrumented:(time_passes || print_changed || verify_each)
-    in
+    let ctx = instrumented_ctx ~time_passes ~print_changed ~verify_each in
     guarded fmt ~file (fun () ->
-        match cache with
-        | Some t ->
-            (* Staged path: compile through the content-addressed cache and
-               replay the stored artifact (reports, diagnostics, final IR). *)
-            let pipeline =
-              match custom with
-              | Some ps -> ps
-              | None -> [ Grover_passes.Pipeline.normalize_pass ]
-            in
-            let variant =
-              match custom with
-              | Some _ -> Cache.With_lm
-              | None -> Cache.Without_lm only
-            in
-            let pr =
-              Cache.compile t (Cache.request ~defines ~pipeline ~variant src)
-            in
-            let before =
-              if show_before && custom = None then
-                Some
-                  (Cache.compile t
-                     (Cache.request ~defines ~pipeline ~variant:Cache.With_lm
-                        src))
-              else None
-            in
-            List.iter
-              (fun (ka : Cache.kernel_art) ->
-                (if show_before then
-                   let bka =
-                     match before with
-                     | Some bpr -> Cache.find_art bpr ~name:ka.Cache.ka_name
-                     | None -> Some ka
-                   in
-                   match bka with
-                   | Some bka ->
-                       Printf.printf "; === %s (with local memory) ===\n"
-                         ka.Cache.ka_name;
-                       print_string
-                         (Grover_ir.Printer.func_to_string bka.Cache.ka_fn)
-                   | None -> ());
-                Option.iter
-                  (print_grover_outcome ka.Cache.ka_name)
-                  ka.Cache.ka_outcome;
-                if emit_c then
-                  print_string (Grover_ir.Emit_c.kernel_to_c ka.Cache.ka_fn)
-                else
-                  print_string
-                    (Grover_ir.Printer.func_to_string ka.Cache.ka_fn))
-              pr.Cache.pr_art.Cache.art_kernels;
-            let diags =
-              List.concat_map
-                (fun ka -> ka.Cache.ka_diags)
-                pr.Cache.pr_art.Cache.art_kernels
-            in
-            emit_diags fmt ~file diags;
-            emit_cache_stats cache;
-            if List.exists Diag.is_error diags then exit 1
-        | None ->
-            let ctx = mk_ctx ~verify_each ~print_changed () in
-            let fns = Grover_ir.Lower.compile ~defines src in
-            List.iter
-              (fun fn ->
-                (match custom with
-                | Some ps -> ignore (Pass.run_pipeline ctx ps fn)
-                | None -> Grover_passes.Pipeline.normalize ~ctx fn);
-                if show_before then begin
-                  Printf.printf "; === %s (with local memory) ===\n"
-                    fn.Grover_ir.Ssa.f_name;
-                  print_string (Grover_ir.Printer.func_to_string fn)
-                end;
-                (* With a custom pipeline the user decides where (and whether)
-                   Grover runs; the default path runs it after normalisation. *)
-                if custom = None then
-                  print_grover_outcome fn.Grover_ir.Ssa.f_name
-                    (Grover_core.Grover.run ?only ~ctx fn);
-                if emit_c then print_string (Grover_ir.Emit_c.kernel_to_c fn)
-                else print_string (Grover_ir.Printer.func_to_string fn))
-              fns;
-            finish fmt ~file ~time_passes ctx)
+        let cache = cache_for ~cache_dir ~no_cache ~instrumented:(ctx <> None) in
+        let pipeline =
+          Option.value custom
+            ~default:[ Grover_passes.Pipeline.normalize_pass ]
+        in
+        let request variant = Cache.request ~defines ~pipeline ~variant src in
+        (* With a custom pipeline the user decides where (and whether)
+           Grover runs; the default path runs it after normalisation, and
+           --show-before prints the with_lm build. *)
+        let rqs =
+          match custom with
+          | Some _ -> [ request Cache.With_lm ]
+          | None when show_before ->
+              [ request (Cache.Without_lm only); request Cache.With_lm ]
+          | None -> [ request (Cache.Without_lm only) ]
+        in
+        let art, before =
+          match artifacts ?ctx cache rqs with
+          | [ art ] -> (art, art)
+          | [ art; before ] -> (art, before)
+          | _ -> assert false
+        in
+        List.iter2
+          (fun (ka : Cache.kernel_art) (bka : Cache.kernel_art) ->
+            if show_before then begin
+              Printf.printf "; === %s (with local memory) ===\n"
+                ka.Cache.ka_name;
+              print_string (Grover_ir.Printer.func_to_string bka.Cache.ka_fn)
+            end;
+            Option.iter
+              (print_grover_outcome ka.Cache.ka_name)
+              ka.Cache.ka_outcome;
+            if emit_c then print_string (Grover_ir.Emit_c.kernel_to_c ka.Cache.ka_fn)
+            else print_string (Grover_ir.Printer.func_to_string ka.Cache.ka_fn))
+          art.Cache.art_kernels before.Cache.art_kernels;
+        finish fmt ~time_passes ctx cache (art_diags (Some file) art))
   in
   Cmd.v
     (Cmd.info "transform"
@@ -447,28 +433,33 @@ let report_cmd =
       | None -> None
     in
     guarded fmt ~file (fun () ->
+        let cache = cache_for ~cache_dir ~no_cache:false ~instrumented:false in
         let saw_error = ref false in
-        let fns = Grover_ir.Lower.compile ~defines src in
-        List.iter
-          (fun fn ->
-            let khash =
-              Cache.kernel_hash ~source:src ~defines
-                ~name:fn.Grover_ir.Ssa.f_name
-            in
-            Grover_passes.Pipeline.normalize fn;
-            (* The legality verdict describes the *original* kernel, so the
-               static analyses run before Grover rewrites the locals away. *)
+        (* The legality verdict and the first path describe the with_lm
+           build; Grover's reports and the second path the without_lm one. *)
+        let with_lm, without_lm =
+          match
+            artifacts cache
+              [ Cache.request ~defines src;
+                Cache.request ~defines ~variant:(Cache.Without_lm None) src ]
+          with
+          | [ w; wo ] -> (w.Cache.art_kernels, wo.Cache.art_kernels)
+          | _ -> assert false
+        in
+        List.iter2
+          (fun (w : Cache.kernel_art) (wo : Cache.kernel_art) ->
+            let name = w.Cache.ka_name in
+            let khash = Cache.kernel_hash ~source:src ~defines ~name in
             let actx = mk_ctx ~verify_each:false ~print_changed:false () in
-            Grover_analysis.Analysis.analyze ?local_size:local actx fn;
+            Grover_analysis.Analysis.analyze ?local_size:local actx
+              w.Cache.ka_fn;
             let legality =
               Grover_analysis.Analysis.legality (Pass.diags actx)
             in
-            (* [Grover.run] mutates [fn] into the without_lm version, so
-               the original's execution path must be derived first. *)
-            let with_lm_path, with_lm_regions = path_info fn in
-            let o = Grover_core.Grover.run fn in
-            let without_lm_path, without_lm_regions = path_info fn in
-            Printf.printf "kernel %s:\n" fn.Grover_ir.Ssa.f_name;
+            let with_lm_path, with_lm_regions = path_info w.Cache.ka_fn in
+            let o = Option.get wo.Cache.ka_outcome in
+            let without_lm_path, without_lm_regions = path_info wo.Cache.ka_fn in
+            Printf.printf "kernel %s:\n" name;
             List.iter
               (fun e -> print_endline (Grover_core.Report.to_string e))
               o.Grover_core.Grover.reports;
@@ -481,8 +472,7 @@ let report_cmd =
                 (fun e r ->
                   Printf.printf "    region %d: %s\n" e r;
                   Pass.remarkf actx ~pass:"lane-check" ~code:"GRV-LANE"
-                    "%s: region %d (%s): %s" fn.Grover_ir.Ssa.f_name e version
-                    r)
+                    "%s: region %d (%s): %s" name e version r)
                 regions
             in
             Printf.printf "  execution path (with local memory): %s\n"
@@ -496,10 +486,7 @@ let report_cmd =
             | Some db ->
                 List.iter
                   (fun (e : Atdb.entry) ->
-                    if
-                      e.Atdb.e_kernel = fn.Grover_ir.Ssa.f_name
-                      && e.Atdb.e_khash = khash
-                    then
+                    if e.Atdb.e_kernel = name && e.Atdb.e_khash = khash then
                       let gx, gy, gz = e.Atdb.e_global
                       and lx, ly, lz = e.Atdb.e_local in
                       Printf.printf
@@ -513,7 +500,8 @@ let report_cmd =
                   (Atdb.entries db));
             emit_diags fmt ~file (Pass.diags actx);
             if Pass.errors actx <> [] then saw_error := true)
-          fns;
+          with_lm without_lm;
+        emit_cache_stats cache;
         if !saw_error then exit 1)
   in
   Cmd.v
@@ -521,7 +509,8 @@ let report_cmd =
        ~doc:
          "Print the GL/LS/LL/nGL index analysis and the static legality \
           verdict (barrier-check, race-check, bounds-check) without \
-          transforming. With a populated autotune DB ($(b,--cache-dir)), \
+          transforming. $(b,--cache-dir) supplies both compiled versions \
+          from the compile cache; with a populated autotune DB there, it \
           also prints the recorded $(b,tuned:) winner per kernel.")
     Term.(
       ret
@@ -546,8 +535,8 @@ let sanitize_file fmt ~(file : string) ~(kernel : string option)
     ~(elems : int option) ~(scalars : (string * float) list)
     ~(defines : (string * string) list) : bool =
   let module Ssa = Grover_ir.Ssa in
-  let src = read_file file in
-  let fns = Grover_ir.Lower.compile ~defines src in
+  let art = Cache.build_artifact (Cache.request ~defines (read_file file)) in
+  let fns = List.map (fun ka -> ka.Cache.ka_fn) art.Cache.art_kernels in
   let fn =
     match kernel with
     | Some k -> (
@@ -563,7 +552,6 @@ let sanitize_file fmt ~(file : string) ~(kernel : string option)
             emit_diag fmt ~file (Diag.errorf "no kernels in %s" file);
             exit 1)
   in
-  Grover_passes.Pipeline.normalize fn;
   let static_errors = static_half fmt ~file ~local fn in
   let local =
     match local with
@@ -691,7 +679,7 @@ let sanitize_cmd =
   let run target kernel global local elems scalars defines scale fmt =
     ignore analyze_pass;
     if Sys.file_exists target then
-      guarded fmt (fun () ->
+      guarded fmt ~file:target (fun () ->
           if
             sanitize_file fmt ~file:target ~kernel ~global ~local ~elems
               ~scalars ~defines
@@ -756,66 +744,34 @@ let pipeline_term =
       | Some spec -> parse_pipeline fmt spec
       | None -> [ Grover_passes.Pipeline.normalize_pass ]
     in
-    let cache =
-      cache_for ~cache_dir ~no_cache
-        ~instrumented:(time_passes || print_changed || verify_each)
-    in
+    let ctx = instrumented_ctx ~time_passes ~print_changed ~verify_each in
     match pipeline_targets target defines with
     | Error m -> `Error (false, m)
     | Ok targets ->
-        guarded fmt (fun () ->
-            match cache with
-            | Some t ->
-                (* Staged path: one request per target, cache misses compiled
-                   concurrently over the runtime's domain pool. *)
-                let rqs =
-                  List.map
-                    (fun (_, _, defines, src) ->
-                      Cache.request ~defines ~pipeline:ps src)
-                    targets
-                in
-                let prs = Cache.compile_batch t rqs in
-                let diags = ref [] in
-                List.iter2
-                  (fun (name, file, _, _) (pr : Cache.prepared) ->
-                    List.iter
-                      (fun (ka : Cache.kernel_art) ->
-                        Printf.printf "%-12s %-24s %4d -> %4d instrs  %s\n" name
-                          ka.Cache.ka_name ka.Cache.ka_before ka.Cache.ka_after
-                          (if ka.Cache.ka_changed then "changed"
-                           else "unchanged");
-                        diags :=
-                          !diags
-                          @ List.map (fun d -> (file, d)) ka.Cache.ka_diags)
-                      pr.Cache.pr_art.Cache.art_kernels)
-                  targets prs;
-                List.iter (fun (file, d) -> emit_diag fmt ?file d) !diags;
-                emit_cache_stats cache;
-                if List.exists (fun (_, d) -> Diag.is_error d) !diags then
-                  exit 1
-            | None ->
-                let ctx = mk_ctx ~verify_each ~print_changed () in
+        let file = match targets with [ (_, f, _, _) ] -> f | _ -> None in
+        guarded fmt ?file (fun () ->
+            let cache =
+              cache_for ~cache_dir ~no_cache ~instrumented:(ctx <> None)
+            in
+            let arts =
+              artifacts ?ctx cache
+                (List.map
+                   (fun (_, _, defines, src) ->
+                     Cache.request ~defines ~pipeline:ps src)
+                   targets)
+            in
+            List.iter2
+              (fun (name, _, _, _) (art : Cache.artifact) ->
                 List.iter
-                  (fun (name, file, defines, src) ->
-                    let fns =
-                      try Grover_ir.Lower.compile ~defines src
-                      with Grover_clc.Loc.Error (l, m) ->
-                        emit_diag fmt ?file
-                          (Diag.of_loc_error
-                             ?file:(Some (Option.value ~default:name file))
-                             l m);
-                        exit 1
-                    in
-                    List.iter
-                      (fun fn ->
-                        let before = Pass.instr_count fn in
-                        let changed = Pass.run_pipeline ctx ps fn in
-                        Printf.printf "%-12s %-24s %4d -> %4d instrs  %s\n" name
-                          fn.Grover_ir.Ssa.f_name before (Pass.instr_count fn)
-                          (if changed then "changed" else "unchanged"))
-                      fns)
-                  targets;
-                finish fmt ~time_passes ctx)
+                  (fun (ka : Cache.kernel_art) ->
+                    Printf.printf "%-12s %-24s %4d -> %4d instrs  %s\n" name
+                      ka.Cache.ka_name ka.Cache.ka_before ka.Cache.ka_after
+                      (if ka.Cache.ka_changed then "changed" else "unchanged"))
+                  art.Cache.art_kernels)
+              targets arts;
+            finish fmt ~time_passes ctx cache
+              (List.concat
+                 (List.map2 (fun (_, file, _, _) -> art_diags file) targets arts)))
   in
   Term.(
     ret
@@ -1196,12 +1152,13 @@ let promote_cmd =
       end
     end
   in
+  (* A fresh build belongs to its caller, so promotion rewrites it in
+     place. *)
   let run_file ~defines ~local file : bool =
-    let src = read_file file in
-    let fns = Grover_ir.Lower.compile ~defines src in
+    let art = Cache.build_artifact (Cache.request ~defines (read_file file)) in
     List.for_all
-      (fun fn ->
-        Grover_passes.Pipeline.normalize fn;
+      (fun (ka : Cache.kernel_art) ->
+        let fn = ka.Cache.ka_fn in
         let outcome =
           Grover_analysis.Config.with_local local (fun () ->
               Promote.run fn)
@@ -1231,7 +1188,7 @@ let promote_cmd =
           print_string (Grover_ir.Printer.func_to_string fn);
           race_free
         end)
-      fns
+      art.Cache.art_kernels
   in
   let run target predict measure scale reps defines db_file local fmt =
     if reps < 1 then `Error (false, "--reps must be >= 1")

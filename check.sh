@@ -342,6 +342,88 @@ done
 rm -f "$g_out" "$g_err"
 echo "-- groverc listings, pipeline, promote, report and transform are byte-identical"
 
+echo "== groverc output: a cache directory changes nothing but the cache line =="
+# Every command prints from compiled artifacts, built by the one recipe
+# a cache miss runs: transform, report and report --diag-format json on
+# the four example kernels must print byte-identical stdout with no cache
+# directory, with a fresh one and with that directory warm (0 misses),
+# and the same stderr once the `cache:` line is dropped. Each command
+# gets its own fresh directory, so its first cached run is cold.
+groverc=_build/default/bin/groverc.exe
+n_out=$(mktemp); n_err=$(mktemp); c_out=$(mktemp); c_err=$(mktemp)
+for k in transpose_tile tiled_matmul guarded_matmul saxpy; do
+  f=examples/kernels/$k.cl
+  for cmd in transform report "report --diag-format json"; do
+    dir=$(mktemp -d)
+    # shellcheck disable=SC2086
+    GROVER_CACHE_DIR= "$groverc" $cmd "$f" > "$n_out" 2> "$n_err"
+    for run in cold warm; do
+      # shellcheck disable=SC2086
+      "$groverc" $cmd "$f" --cache-dir "$dir" > "$c_out" 2> "$c_err"
+      line=$(grep '^cache:' "$c_err" || true)
+      if [ "$run" = warm ]; then
+        case "$line" in
+          *" 0 misses"*) ;;
+          *) echo "FAIL: groverc $cmd $f rebuilt on a warm directory: $line"
+             exit 1 ;;
+        esac
+      fi
+      if ! cmp -s "$n_out" "$c_out" \
+          || ! grep -v '^cache:' "$c_err" | cmp -s "$n_err" -; then
+        echo "FAIL: groverc $cmd $f prints differently with a $run --cache-dir"
+        diff "$n_out" "$c_out" || true
+        grep -v '^cache:' "$c_err" | diff "$n_err" - || true
+        exit 1
+      fi
+    done
+    rm -rf "$dir"
+  done
+done
+rm -f "$n_out" "$n_err" "$c_out" "$c_err"
+echo "-- transform and report print the same with no, a cold and a warm cache directory"
+
+echo "== groverc: a front-end error names the file with and without a cache =="
+# A malformed kernel fails transform and pipeline with one
+# FILE:LINE:COL: error: line and exit 1, the same line on every path.
+badk=$(mktemp)
+printf '__kernel void bad(__global float *a) { a[0] = ; }\n' > "$badk"
+baddir=$(mktemp -d)
+first=
+for cmd in transform pipeline; do
+  for cache in "" "--cache-dir $baddir"; do
+    status=0
+    # shellcheck disable=SC2086
+    err=$(GROVER_CACHE_DIR= "$groverc" $cmd "$badk" $cache 2>&1 >/dev/null) \
+      || status=$?
+    case "$status:$err" in
+      "1:$badk:"[0-9]*:[0-9]*": error: "*) ;;
+      *) echo "FAIL: groverc $cmd on a malformed kernel $cache (exit $status):"
+         echo "$err"; exit 1 ;;
+    esac
+    if [ "$(printf '%s\n' "$err" | wc -l)" -ne 1 ] \
+        || { [ -n "$first" ] && [ "$err" != "$first" ]; }; then
+      echo "FAIL: groverc $cmd on a malformed kernel $cache printed:"
+      echo "$err"; echo "(first run: $first)"; exit 1
+    fi
+    first=$err
+  done
+done
+echo "-- transform and pipeline: $first"
+# A cache directory that cannot be made (here, under a plain file) is one
+# error line naming it and exit 1, not an uncaught exception.
+for cmd in transform report pipeline; do
+  status=0
+  err=$(GROVER_CACHE_DIR="$badk/sub" "$groverc" $cmd examples/kernels/saxpy.cl \
+    2>&1 >/dev/null) || status=$?
+  case "$status:$err" in
+    "1:error: [cache] cannot create cache dir $badk/sub: "*) ;;
+    *) echo "FAIL: groverc $cmd with an unusable cache directory (exit $status):"
+       echo "$err"; exit 1 ;;
+  esac
+done
+rm -rf "$badk" "$baddir"
+echo "-- transform, report and pipeline: an unusable cache directory is one error"
+
 echo "== sanitizer smoke: bad corpus must be rejected with the right codes =="
 expect_bad() {
   f="examples/kernels/$1"; shift

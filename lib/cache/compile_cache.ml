@@ -163,13 +163,21 @@ let cache_fail fmt = Printf.ksprintf (fun m -> raise (Cache_error m)) fmt
 
 (* -- Building (the cache miss path) ----------------------------------------- *)
 
-let build_artifact (rq : request) ~(key : string) : artifact =
+(** The one compile recipe, cached ({!compile}) or not (the suite harness,
+    [groverc] without a cache): lower the source, then per kernel run the
+    pipeline, verify, renumber, run Grover (for without_lm) and renumber
+    again. [?ctx] runs the pipeline and Grover under a caller's
+    instrumented context; each [ka_diags] still holds only what its own
+    kernel's build emitted. [?key] defaults to the request's key. *)
+let build_artifact ?ctx ?key (rq : request) : artifact =
+  let key = match key with Some k -> k | None -> key_of_request rq in
   let fns = Lower.compile ~defines:rq.rq_defines rq.rq_source in
   let kernels =
     List.map
       (fun fn ->
         let before = Pass.instr_count fn in
-        let c = Pass.ctx () in
+        let c = match ctx with Some c -> c | None -> Pass.ctx () in
+        let seen = List.length c.Pass.diags in
         let changed = Pass.run_pipeline c rq.rq_pipeline fn in
         Verify.run fn;
         (* Renumbering before the transform pins every id Grover's report
@@ -190,7 +198,7 @@ let build_artifact (rq : request) ~(key : string) : artifact =
           ka_before = before;
           ka_after = Pass.instr_count fn;
           ka_changed = changed;
-          ka_diags = Pass.diags c;
+          ka_diags = List.filteri (fun i _ -> i >= seen) (Pass.diags c);
         })
       fns
   in
@@ -623,9 +631,6 @@ let compile_batch (t : t) (rqs : request list) : prepared list =
 (** Find one kernel's compiled form in a cache value. *)
 let find_kernel (pr : prepared) ~(name : string) : Interp.compiled option =
   List.assoc_opt name pr.pr_compiled
-
-let find_art (pr : prepared) ~(name : string) : kernel_art option =
-  List.find_opt (fun ka -> ka.ka_name = name) pr.pr_art.art_kernels
 
 (* -- Maintenance ------------------------------------------------------------- *)
 

@@ -864,7 +864,7 @@ let opnds_of (kinds : (int, kind) Hashtbl.t) ~(vr : bool) (k : kind)
   | KInt _ | KFloat _ | KBox _ -> [ opnd_of kinds ~vr v ]
 
 (* The scalar slots a value occupies, in component order: [`I]/[`F]/[`B]
-   slot numbers. Spill plans and phi moves are built from these. *)
+   slot numbers. Phi moves and masked phi merges are built from these. *)
 let slots_of_kind = function
   | KInt s -> [ `I s ]
   | KFloat s -> [ `F s ]

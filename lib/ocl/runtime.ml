@@ -988,15 +988,3 @@ let run_sanitized (c : Interp.compiled) ~(cfg : launch_config)
     with Sanitize.Abort _ -> Trace.empty_totals ()
   in
   (totals, Sanitize.findings san)
-
-(** Compile OpenCL C source into launchable kernels (normalised IR). *)
-let compile_source ?defines (src : string) : (string * Interp.compiled) list =
-  Lower.compile ?defines src
-  |> List.map (fun fn ->
-         Grover_passes.Pipeline.normalize fn;
-         (fn.f_name, Interp.prepare fn))
-
-let compile_kernel ?defines (src : string) ~(name : string) : Interp.compiled =
-  match List.assoc_opt name (compile_source ?defines src) with
-  | Some c -> c
-  | None -> fail "kernel %s not found in source" name

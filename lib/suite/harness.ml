@@ -8,6 +8,7 @@ open Grover_ir
 open Grover_ocl
 module P = Grover_memsim.Platform
 module Sim = Grover_memsim.Simulate
+module Cache = Grover_cache.Compile_cache
 
 type version = With_lm | Without_lm
 
@@ -35,31 +36,38 @@ type comparison = {
 
 exception Harness_error of string
 
+(** [case]'s kernel in version [v], built the way a compile-cache miss
+    builds it. The function is the caller's own (no cache shares it). *)
 let compile_version (case : Kit.case) (v : version) :
     Ssa.func * Grover_core.Grover.outcome option =
-  let fns = Lower.compile ~defines:case.Kit.defines case.Kit.source in
-  let fn =
-    match List.find_opt (fun f -> f.Ssa.f_name = case.Kit.kernel) fns with
-    | Some f -> f
-    | None ->
-        raise
-          (Harness_error
-             (Printf.sprintf "%s: kernel %s missing" case.Kit.id case.Kit.kernel))
+  let variant =
+    match v with
+    | With_lm -> Cache.With_lm
+    | Without_lm -> Cache.Without_lm case.Kit.remove
   in
-  Grover_passes.Pipeline.normalize fn;
-  match v with
-  | With_lm -> (fn, None)
-  | Without_lm ->
-      let outcome = Grover_core.Grover.run ?only:case.Kit.remove fn in
-      if outcome.Grover_core.Grover.transformed = [] then
-        raise
-          (Harness_error
-             (Printf.sprintf "%s: Grover transformed nothing (%s)" case.Kit.id
-                (String.concat "; "
-                   (List.map
-                      (fun (n, r) -> n ^ ": " ^ r)
-                      outcome.Grover_core.Grover.rejected))));
-      (fn, Some outcome)
+  let art =
+    Cache.build_artifact
+      (Cache.request ~defines:case.Kit.defines ~variant case.Kit.source)
+  in
+  match
+    List.find_opt
+      (fun ka -> ka.Cache.ka_name = case.Kit.kernel)
+      art.Cache.art_kernels
+  with
+  | None ->
+      raise
+        (Harness_error
+           (Printf.sprintf "%s: kernel %s missing" case.Kit.id case.Kit.kernel))
+  | Some { Cache.ka_outcome = Some o; _ }
+    when o.Grover_core.Grover.transformed = [] ->
+      raise
+        (Harness_error
+           (Printf.sprintf "%s: Grover transformed nothing (%s)" case.Kit.id
+              (String.concat "; "
+                 (List.map
+                    (fun (n, r) -> n ^ ": " ^ r)
+                    o.Grover_core.Grover.rejected))))
+  | Some ka -> (ka.Cache.ka_fn, ka.Cache.ka_outcome)
 
 (* Kernels that already use explicit vector types defeat the CPU runtimes'
    implicit work-item vectorisation (the AMD-MT/AMD-MM situation the paper

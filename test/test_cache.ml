@@ -104,6 +104,44 @@ let check_determinism () =
         [ Cache.With_lm; Cache.Without_lm case.Kit.remove ])
     Grover_suite.Suite.all
 
+(* A caller's instrumented context changes no artifact byte: two kernels
+   built under one shared context (verifying after every pass) marshal
+   exactly as without it, each keeping only its own Grover remarks, and
+   the context holds all of them, in order. *)
+let check_shared_ctx () =
+  let src =
+    base_source
+    ^ {|
+__kernel void k2(__global float *out, __global const float *a) {
+  __local float buf[16];
+  int l = get_local_id(0);
+  int g = get_global_id(0);
+  buf[l] = a[g];
+  barrier(CLK_LOCAL_MEM_FENCE);
+  out[g] = buf[l];
+}|}
+  in
+  let rq = Cache.request ~variant:(Cache.Without_lm None) src in
+  let c = Pass.ctx ~verify_each:true () in
+  let shared = Cache.build_artifact ~ctx:c rq in
+  let fresh = Cache.build_artifact rq in
+  Alcotest.(check int) "two kernels" 2 (List.length shared.Cache.art_kernels);
+  Alcotest.(check bool) "kernels byte-identical" true
+    (String.equal
+       (Marshal.to_string shared.Cache.art_kernels [])
+       (Marshal.to_string fresh.Cache.art_kernels []));
+  List.iter
+    (fun (ka : Cache.kernel_art) ->
+      if ka.Cache.ka_diags = [] then
+        Alcotest.failf "%s: no remark of its own" ka.Cache.ka_name)
+    shared.Cache.art_kernels;
+  Alcotest.(check (list string)) "the context holds every kernel's, in order"
+    (List.map Grover_support.Diag.to_string
+       (List.concat_map (fun ka -> ka.Cache.ka_diags) shared.Cache.art_kernels))
+    (List.map Grover_support.Diag.to_string (Pass.diags c));
+  Alcotest.(check bool) "the passes ran under the context" true
+    (Pass.stats c <> [])
+
 (* The bytes of what a compile produces: the MD5 of the marshalled kernels
    of every suite request (with_lm, and without_lm of the case's buffers)
    and every example kernel (with_lm, and without_lm of all its buffers),
@@ -216,8 +254,21 @@ let launch (case : Kit.case) (compiled : Interp.compiled) =
   in
   (totals, snapshot_buffers w.Kit.mem, w.Kit.check ())
 
+(* The uncached side, the oracle: lower, normalize and run Grover, with
+   no verify and no renumbering. The builder's artifacts must launch
+   exactly as this recipe's functions do. *)
+let uncached_version (case : Kit.case) (v : H.version) : Ssa.func =
+  let fns = Lower.compile ~defines:case.Kit.defines case.Kit.source in
+  let fn = List.find (fun f -> f.Ssa.f_name = case.Kit.kernel) fns in
+  Pipeline.normalize fn;
+  (match v with
+  | H.With_lm -> ()
+  | H.Without_lm ->
+      ignore (Grover_core.Grover.run ?only:case.Kit.remove fn : Grover_core.Grover.outcome));
+  fn
+
 let check_cached_matches_uncached (case : Kit.case) (v : H.version) () =
-  let fn, _ = H.compile_version case v in
+  let fn = uncached_version case v in
   let u_tot, u_bufs, u_valid = launch case (Interp.prepare fn) in
   (match u_valid with
   | Ok () -> ()
@@ -253,8 +304,37 @@ let check_cached_matches_uncached (case : Kit.case) (v : H.version) () =
   Alcotest.(check int) "one miss" 1 s.Cache.st_misses;
   Alcotest.(check int) "one mem hit" 1 s.Cache.st_mem_hits
 
+(* The harness builds what a cache miss builds: for every suite version
+   its function prints exactly as the cached artifact's does. *)
+let check_harness_builds_cached_ir () =
+  let cache = Cache.create () in
+  List.iter
+    (fun (case : Kit.case) ->
+      List.iter
+        (fun (v, variant) ->
+          let fn, _ = H.compile_version case v in
+          let pr =
+            Cache.compile cache
+              (Cache.request ~defines:case.Kit.defines ~variant case.Kit.source)
+          in
+          match
+            List.find_opt
+              (fun ka -> ka.Cache.ka_name = case.Kit.kernel)
+              pr.Cache.pr_art.Cache.art_kernels
+          with
+          | None -> Alcotest.failf "%s: kernel missing from cache value" case.Kit.id
+          | Some ka ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s" case.Kit.id (Cache.variant_spec variant))
+                (Printer.func_to_string ka.Cache.ka_fn)
+                (Printer.func_to_string fn))
+        [ (H.With_lm, Cache.With_lm); (H.Without_lm, Cache.Without_lm case.Kit.remove) ])
+    Grover_suite.Suite.all
+
 let cached_uncached_cases =
-  List.concat_map
+  Alcotest.test_case "harness IR = cached IR (24 versions)" `Quick
+    check_harness_builds_cached_ir
+  :: List.concat_map
     (fun (case : Kit.case) ->
       List.map
         (fun (v, vn) ->
@@ -820,6 +900,7 @@ let suite =
       ] );
     ( "cache.determinism",
       [ Alcotest.test_case "artifacts bit-identical" `Quick check_determinism;
+        Alcotest.test_case "a shared context changes no byte" `Quick check_shared_ctx;
         Alcotest.test_case "artifact bytes pinned" `Quick check_artifact_pins ]
     );
     ("cache.cached-vs-uncached", cached_uncached_cases);

@@ -23,6 +23,14 @@ __kernel void transpose(__global float *out, __global const float *in,
 }
 |}
 
+(* Kernel [name] of [src], lowered and normalized, ready to launch. *)
+let compile_kernel (src : string) ~(name : string) : Interp.compiled =
+  match List.find_opt (fun f -> f.Ssa.f_name = name) (Lower.compile src) with
+  | Some fn ->
+      Grover_passes.Pipeline.normalize fn;
+      Interp.prepare fn
+  | None -> Alcotest.failf "kernel %s not found in source" name
+
 let launch_1d c mem args ~n ~wg =
   Runtime.launch c
     ~cfg:{ Runtime.global = (n, 1, 1); local = (wg, 1, 1); queues = 1 }
@@ -34,7 +42,7 @@ let test_vector_add () =
   let src =
     "__kernel void vadd(__global float *c, __global const float *a, __global const float *b) { int i = get_global_id(0); c[i] = a[i] + b[i]; }"
   in
-  let c = Runtime.compile_kernel src ~name:"vadd" in
+  let c = compile_kernel src ~name:"vadd" in
   let mem = Memory.create () in
   let n = 64 in
   let bc = Memory.alloc mem Ssa.F32 n in
@@ -53,7 +61,7 @@ let test_loop_sum () =
   let src =
     "__kernel void s(__global int *out, __global const int *a, int n) { int acc = 0; for (int i = 0; i < n; i++) acc += a[i]; out[get_global_id(0)] = acc; }"
   in
-  let c = Runtime.compile_kernel src ~name:"s" in
+  let c = compile_kernel src ~name:"s" in
   let mem = Memory.create () in
   let n = 10 in
   let out = Memory.alloc mem Ssa.I32 1 in
@@ -67,7 +75,7 @@ let test_conditional () =
   let src =
     "__kernel void f(__global int *out) { int i = get_global_id(0); if (i % 2 == 0) out[i] = i; else out[i] = -i; }"
   in
-  let c = Runtime.compile_kernel src ~name:"f" in
+  let c = compile_kernel src ~name:"f" in
   let mem = Memory.create () in
   let out = Memory.alloc mem Ssa.I32 16 in
   ignore (launch_1d c mem [ Runtime.Abuf out ] ~n:16 ~wg:4);
@@ -82,7 +90,7 @@ let test_vector_types () =
   let src =
     "__kernel void f(__global float4 *out, __global const float4 *a) { int i = get_global_id(0); float4 v = a[i]; out[i] = v * v; }"
   in
-  let c = Runtime.compile_kernel src ~name:"f" in
+  let c = compile_kernel src ~name:"f" in
   let mem = Memory.create () in
   let out = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) 4 in
   let a = Memory.alloc mem (Ssa.Vec (Ssa.F32, 4)) 4 in
@@ -99,7 +107,7 @@ let test_math_builtins () =
   let src =
     "__kernel void f(__global float *out, __global const float *a) { int i = get_global_id(0); out[i] = sqrt(a[i]) + rsqrt(a[i]) + fabs(-a[i]); }"
   in
-  let c = Runtime.compile_kernel src ~name:"f" in
+  let c = compile_kernel src ~name:"f" in
   let mem = Memory.create () in
   let out = Memory.alloc mem Ssa.F32 4 in
   let a = Memory.alloc mem Ssa.F32 4 in
@@ -128,7 +136,7 @@ let test_barrier_reversal () =
         out[get_global_id(0)] = tmp[n - 1 - l];
       }|}
   in
-  let c = Runtime.compile_kernel src ~name:"rev" in
+  let c = compile_kernel src ~name:"rev" in
   let mem = Memory.create () in
   let out = Memory.alloc mem Ssa.I32 32 in
   ignore (launch_1d c mem [ Runtime.Abuf out ] ~n:32 ~wg:16);
@@ -148,7 +156,7 @@ let test_barrier_rounds_counted () =
         barrier(CLK_LOCAL_MEM_FENCE);
       }|}
   in
-  let c = Runtime.compile_kernel src ~name:"f" in
+  let c = compile_kernel src ~name:"f" in
   let mem = Memory.create () in
   let out = Memory.alloc mem Ssa.I32 4 in
   let rounds = ref 0 in
@@ -176,7 +184,7 @@ let run_transpose fn_compiled n =
   (Memory.to_float_array inp, Memory.to_float_array out)
 
 let test_transpose_with_local () =
-  let c = Runtime.compile_kernel mt_source ~name:"transpose" in
+  let c = compile_kernel mt_source ~name:"transpose" in
   let n = 32 in
   let inp, out = run_transpose c n in
   for r = 0 to n - 1 do
@@ -242,7 +250,7 @@ let with_domain_cap (n : int) (f : unit -> 'a) : 'a =
   Fun.protect ~finally:(fun () -> Runtime.set_domain_cap None) f
 
 let test_parallel_matches_sequential () =
-  let c = Runtime.compile_kernel mt_source ~name:"transpose" in
+  let c = compile_kernel mt_source ~name:"transpose" in
   let n = 64 in
   let run ~domains =
     let mem = Memory.create () in
@@ -262,7 +270,7 @@ let test_parallel_matches_sequential () =
   Alcotest.(check bool) "parallel result matches sequential" true (seq = par)
 
 let test_parallel_rejects_tracing () =
-  let c = Runtime.compile_kernel mt_source ~name:"transpose" in
+  let c = compile_kernel mt_source ~name:"transpose" in
   let mem = Memory.create () in
   let n = 16 in
   let out = Memory.alloc mem Ssa.F32 (n * n) in
@@ -1349,7 +1357,7 @@ let prop_domain_count_invariant =
 
 let test_launch_bad_sizes () =
   let c =
-    Runtime.compile_kernel "__kernel void f(__global int *a) { a[0] = 1; }"
+    compile_kernel "__kernel void f(__global int *a) { a[0] = 1; }"
       ~name:"f"
   in
   let mem = Memory.create () in
@@ -1371,7 +1379,7 @@ let test_launch_bad_sizes () =
    scheduler for another test's drain). *)
 let test_check_geometry () =
   let c =
-    Runtime.compile_kernel "__kernel void f(__global int *a) { a[0] = 1; }"
+    compile_kernel "__kernel void f(__global int *a) { a[0] = 1; }"
       ~name:"f"
   in
   let args = [ Runtime.Abuf (Memory.alloc (Memory.create ()) Ssa.I32 4) ] in
@@ -1405,7 +1413,7 @@ let test_check_geometry () =
 
 let test_launch_bad_args () =
   let c =
-    Runtime.compile_kernel "__kernel void f(__global int *a, int n) { a[0] = n; }"
+    compile_kernel "__kernel void f(__global int *a, int n) { a[0] = n; }"
       ~name:"f"
   in
   let mem = Memory.create () in

@@ -63,8 +63,8 @@ let test_hazard_chain () =
      incr b again (WAR: must wait for copy2's read). Deterministic
      end-state regardless of pool width, and seqnos in hazard order. *)
   with_domain_cap 3 (fun () ->
-      let inc = Runtime.compile_kernel incr_src ~name:"incr" in
-      let cp = Runtime.compile_kernel copy2_src ~name:"copy2" in
+      let inc = Test_ocl.compile_kernel incr_src ~name:"incr" in
+      let cp = Test_ocl.compile_kernel copy2_src ~name:"copy2" in
       let mem = Memory.create () in
       let n = 64 in
       let a = Memory.alloc mem Ssa.F32 n in
@@ -98,7 +98,7 @@ let test_hazard_chain () =
 
 let test_read_write_barriers () =
   with_domain_cap 2 (fun () ->
-      let inc = Runtime.compile_kernel incr_src ~name:"incr" in
+      let inc = Test_ocl.compile_kernel incr_src ~name:"incr" in
       let mem = Memory.create () in
       let n = 32 in
       let b = Memory.alloc mem Ssa.F32 n in
@@ -143,8 +143,8 @@ let test_read_write_barriers () =
 (* -- Argument-mode derivation ------------------------------------------------ *)
 
 let test_arg_modes () =
-  let inc = Runtime.compile_kernel incr_src ~name:"incr" in
-  let cp = Runtime.compile_kernel copy2_src ~name:"copy2" in
+  let inc = Test_ocl.compile_kernel incr_src ~name:"incr" in
+  let cp = Test_ocl.compile_kernel copy2_src ~name:"copy2" in
   (match Queue.arg_modes inc.Interp.fn with
   | [| (r, w) |] ->
       Alcotest.(check bool) "incr reads its arg" true r;
@@ -159,7 +159,7 @@ let test_arg_modes () =
 (* -- Plan clamping ----------------------------------------------------------- *)
 
 let test_plan_clamp () =
-  let inc = Runtime.compile_kernel incr_src ~name:"incr" in
+  let inc = Test_ocl.compile_kernel incr_src ~name:"incr" in
   let cfg =
     { Runtime.global = (64, 1, 1); local = (8, 1, 1); queues = 1 }
   in
@@ -187,7 +187,7 @@ let test_plan_clamp () =
 
 let test_finish_raises () =
   with_domain_cap 2 (fun () ->
-      let inc = Runtime.compile_kernel incr_src ~name:"incr" in
+      let inc = Test_ocl.compile_kernel incr_src ~name:"incr" in
       let mem = Memory.create () in
       let b = Memory.alloc mem Ssa.F32 16 in
       let q = Queue.create () in
@@ -219,7 +219,7 @@ let prop_dag_order =
         (pair (int_bound 2) (small_list (int_bound 11))))
     (fun cmds ->
       with_domain_cap 3 (fun () ->
-          let inc = Runtime.compile_kernel incr_src ~name:"incr" in
+          let inc = Test_ocl.compile_kernel incr_src ~name:"incr" in
           let mem = Memory.create () in
           let n = 32 in
           let bufs = Array.init 3 (fun _ -> Memory.alloc mem Ssa.F32 n) in
